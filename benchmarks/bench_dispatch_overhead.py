@@ -32,7 +32,7 @@ checks that the pinned-worker ring actually kills it:
 
 * **engine dispatch accounting** — warm ``APSimilaritySearch``
   per backend (serial/thread/process/pinned) reporting the new
-  ``KnnResult.dispatch_overhead_s``, all bit-identical to serial;
+  ``WorkloadRunResult.dispatch_overhead_s``, all bit-identical to serial;
 
 * **workload parity** — every registered workload through a pinned
   ``WorkloadSearch``, values identical to serial;
@@ -220,15 +220,16 @@ def run_chunking_check(n, d, q, k, cap, n_workers=2):
     data, queries = _dataset(n, d, q, seed=3)
     eng = APSimilaritySearch(data, k, board_capacity=cap,
                              execution="functional")
-    tasks = eng._partition_tasks("functional")
+    tasks = eng._partition_tasks(eng.params)
     serial = run_partitions(tasks, queries, ParallelConfig()).results
     cfg = ParallelConfig(n_workers=n_workers, backend="process",
                          fallback_serial=False)
     with cfg:
         report = run_partitions(tasks, queries, cfg)
     identical = all(
-        a.p_idx == b.p_idx and (a.q_idx == b.q_idx).all()
-        and (a.codes == b.codes).all() and (a.cycles == b.cycles).all()
+        a.p_idx == b.p_idx
+        and (a.payload.indices == b.payload.indices).all()
+        and (a.payload.distances == b.payload.distances).all()
         for a, b in zip(report.results, serial)
     )
     return {

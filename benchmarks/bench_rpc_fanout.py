@@ -10,7 +10,7 @@ benchmark measures what the network layer costs:
 
 * **fan-out sweep** — for each shard count S, spin S servers (loopback
   TCP, one per balanced shard), run warm query batches through a
-  :class:`~repro.host.rpc.RemoteMultiBoardSearch`, and record warm
+  :class:`~repro.host.rpc.RemoteWorkloadSearch` (``"knn"``), and record warm
   latency, the per-batch wire traffic (requests out, replies back —
   deterministic for a fixed workload), and bit-identity against the
   local reference engine.  ``rpc_overhead`` is warm remote latency
@@ -18,7 +18,7 @@ benchmark measures what the network layer costs:
   shrinks toward (and below) 1.0 as shards add real parallelism on
   multi-core hosts and the per-shard work drops.
 * **batched front door** — the PR 4 admission layer composed in front
-  of the rack (``RemoteMultiBoardSearch.batched()``): many concurrent
+  of the rack (``RemoteWorkloadSearch.batched()``): many concurrent
   single-query callers coalescing into merged fan-outs, verified
   bit-identical to the direct batch.
 
@@ -58,7 +58,7 @@ def _time(fn):
 def run_fanout_sweep(n, d, q, k, cap, shard_counts, warm_rounds=3):
     """Latency/wire-bytes rows for S in ``shard_counts`` (S servers)."""
     from repro.core.engine import APSimilaritySearch
-    from repro.host.rpc import RemoteMultiBoardSearch, serve_shard
+    from repro.host.rpc import RemoteWorkloadSearch, serve_shard
 
     data, queries = _workload(n, d, q)
     local = APSimilaritySearch(
@@ -80,7 +80,7 @@ def run_fanout_sweep(n, d, q, k, cap, shard_counts, warm_rounds=3):
         ]
         addresses = [f"{h}:{p}" for h, p in (s.address for s in servers)]
         try:
-            with RemoteMultiBoardSearch(addresses, k=k) as remote:
+            with RemoteWorkloadSearch(addresses, "knn", {"k": k}) as remote:
                 t_cold = _time(lambda: remote.search(queries))
                 times, last = [], None
                 sent0, recv0 = remote.pool.wire_bytes
@@ -115,7 +115,7 @@ def run_batched_front_door(n, d, q, k, cap, n_shards=2):
     """BatchRouter admission in front of the rack: concurrent callers
     coalesce into merged fan-outs, bit-identical to the direct batch."""
     from repro.core.engine import APSimilaritySearch
-    from repro.host.rpc import RemoteMultiBoardSearch, serve_shard
+    from repro.host.rpc import RemoteWorkloadSearch, serve_shard
 
     data, queries = _workload(n, d, q, seed=11)
     ref = APSimilaritySearch(
@@ -128,7 +128,7 @@ def run_batched_front_door(n, d, q, k, cap, n_shards=2):
     ]
     addresses = [f"{h}:{p}" for h, p in (s.address for s in servers)]
     try:
-        with RemoteMultiBoardSearch(addresses, k=k) as remote:
+        with RemoteWorkloadSearch(addresses, "knn", {"k": k}) as remote:
             with remote.batched(max_batch=q, max_wait_ms=5.0) as router:
                 with ThreadPoolExecutor(max_workers=min(16, q)) as pool:
                     outs = list(pool.map(

@@ -82,7 +82,7 @@ def _warm_tasks(n, d, q, k, cap):
     eng.search(queries)  # warm the cache in-process
     tasks = [
         _attach_cached_artifact(t, cache)
-        for t in eng._partition_tasks("functional")
+        for t in eng._partition_tasks(eng.params)
     ]
     return eng, tasks, queries
 

@@ -54,13 +54,16 @@ def test_engine_auto_mode_picks_wisely(benchmark, report):
     q_small = rng.integers(0, 2, (4, 16), dtype=np.uint8)
     eng_small = APSimilaritySearch(small, k=2, board_capacity=32)
     eng_large = APSimilaritySearch(large, k=2, board_capacity=1024)
+    large_mode = eng_large.workload.batch_params(
+        eng_large.params, 1, eng_large.n, eng_large.d
+    )["execution"]
     res = benchmark.pedantic(eng_small.search, args=(q_small,), rounds=1,
                              iterations=1)
     report(
         "Engine execution-mode auto-selection",
         ["Board", "States x cycles", "Chosen mode"],
         [["32 x d16", "~", res.execution],
-         ["8192 x d128", "~", eng_large._choose_execution()]],
+         ["8192 x d128", "~", large_mode]],
     )
     assert res.execution == "simulate"
-    assert eng_large._choose_execution() == "functional"
+    assert large_mode == "functional"

@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("search", help="kNN search over a binary .npy dataset")
+    s = sub.add_parser("search", help="similarity search over a binary dataset "
+                                      "(kNN by default; see --workload)")
     s.add_argument("dataset", help=".npy uint8 array of shape (n, d), values "
                               "0/1, or a .pds packed shard (mmap-served, "
                               "see `repro pack`); pass '-' with --remote "
@@ -169,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--board-capacity", type=int, default=None)
     v.add_argument("--devices", type=int, default=1,
                    help="local AP boards behind this shard server "
-                        "(multi-board scale-out within the shard)")
+                        "(multi-board scale-out within the shard, for "
+                        "every admitted workload)")
     v.add_argument("--workers", type=int, default=1,
                    help="worker lanes for the shard's partition execution")
     v.add_argument("--backend", choices=["process", "thread", "pinned"],
@@ -188,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="workloads", metavar="NAME",
                    help="serve only the named workload (repeatable: "
                         "--workload knn --workload range); default = every "
-                        "registered workload. The legacy kNN wire counts "
-                        "as 'knn' for admission")
+                        "registered workload")
     v.add_argument("--drain-timeout-s", type=float, default=5.0,
                    help="SIGTERM drain bound: stop accepting, let in-flight "
                         "requests finish for up to this long, then close — "
@@ -275,97 +276,6 @@ def _cache_from_args(args):
     return args.cache_size  # <= 0 disables caching
 
 
-def _cmd_search(args) -> int:
-    from repro.ap.device import GEN1, GEN2
-    from repro.core.engine import APSimilaritySearch
-    from repro.core.multiboard import MultiBoardSearch
-    from repro.host.parallel import ParallelConfig
-
-    # --replicas is --remote with the group syntax spelled out.
-    if getattr(args, "remote_replicas", None) and not args.remote:
-        args.remote = args.remote_replicas
-    if args.workload != "knn":
-        return _workload_search(args)
-    if args.remote:
-        return _remote_search(args)
-    if args.dataset == "-":
-        print("error: dataset '-' is only valid with --remote",
-              file=sys.stderr)
-        return 2
-    if args.devices < 1:
-        print(f"error: --devices must be >= 1, got {args.devices}",
-              file=sys.stderr)
-        return 2
-    dataset = _load_dataset(args.dataset)
-    queries = np.load(args.queries)
-    if args.devices > dataset.shape[0]:
-        print(f"error: --devices ({args.devices}) exceeds the dataset's "
-              f"{dataset.shape[0]} vectors (every device needs a non-empty "
-              "shard)", file=sys.stderr)
-        return 2
-    device = GEN1 if args.device == "gen1" else GEN2
-    cache = _cache_from_args(args)
-    parallel = ParallelConfig(
-        n_workers=args.workers, backend=args.backend, transport=args.transport
-    )
-    common = dict(
-        k=args.k,
-        device=device,
-        board_capacity=args.board_capacity,
-        execution=args.execution,
-        parallel=parallel,
-        cache=cache,
-    )
-    queries = queries.astype(np.uint8)
-    if args.devices > 1:
-        engine = MultiBoardSearch(dataset, n_devices=args.devices, **common)
-    else:
-        engine = APSimilaritySearch(dataset, **common)
-
-    if args.batch > 0:
-        indices, distances, counters, k, _failed = _batched_search(
-            engine, queries, args
-        )
-    else:
-        result = engine.search(queries)
-        indices, distances, counters, k = (
-            result.indices, result.distances, result.counters, result.k
-        )
-        if args.devices > 1:
-            print(f"# {queries.shape[0]} queries, k={k}, "
-                  f"{result.n_devices} device(s), "
-                  f"{result.n_partition_passes} partition pass(es), "
-                  f"mode={result.execution}, workers={result.n_workers}, "
-                  f"transport={result.transport}")
-        else:
-            print(f"# {queries.shape[0]} queries, k={k}, "
-                  f"{result.n_partitions} partition(s), "
-                  f"mode={result.execution}, workers={result.n_workers}, "
-                  f"transport={result.transport}")
-    print(f"# board loads={counters.configurations} "
-          f"symbols={counters.symbols_streamed} "
-          f"reports={counters.reports_received}")
-    if engine.cache is not None:
-        st = engine.cache.stats
-        recompiles = counters.configurations - counters.image_cache_hits
-        print(f"# image cache: {len(engine.cache)} entries, "
-              f"{st.hits} hits ({st.disk_hits} from disk) / "
-              f"{st.misses} misses, {st.evictions} evictions "
-              f"({st.disk_evictions} disk), "
-              f"{recompiles} recompile(s) this run")
-    est = engine.estimated_runtime_s(queries.shape[0])
-    print(f"# estimated {args.device} device time: {est * 1e3:.3f} ms")
-    for qi in range(min(queries.shape[0], 10)):
-        pairs = " ".join(
-            f"{i}:{d}" for i, d in zip(indices[qi], distances[qi])
-        )
-        print(f"q{qi}: {pairs}")
-    if args.out:
-        np.save(args.out, indices)
-        print(f"# indices saved to {args.out}")
-    return 0
-
-
 def _hedge_from_args(args):
     """``--hedge-delay-ms`` -> a HedgePolicy (None = adaptive default)."""
     from repro.host.replication import HedgePolicy
@@ -378,77 +288,74 @@ def _hedge_from_args(args):
     return HedgePolicy(fixed_delay_s=delay_ms / 1000.0)
 
 
-def _print_replication(result) -> None:
-    failovers = getattr(result, "failovers", 0)
-    hedges = getattr(result, "hedges", 0)
-    if failovers or hedges:
-        print(f"# replication: {failovers} failover(s), "
-              f"{hedges} hedged read(s)")
+class _CliError(Exception):
+    """A usage/runtime failure carrying the process exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
-def _remote_search(args) -> int:
-    """Fan the query batch out to running shard servers and merge."""
-    from repro.host.rpc import RemoteMultiBoardSearch, RemoteShardError
+def _local_engine(args, params: dict):
+    """The one local path: any workload, any ``--devices``."""
+    from repro.ap.device import GEN1, GEN2
+    from repro.core.workload import WorkloadSearch
+    from repro.host.parallel import ParallelConfig
+
+    if args.dataset == "-":
+        raise _CliError("dataset '-' is only valid with --remote", 2)
+    if args.devices < 1:
+        raise _CliError(f"--devices must be >= 1, got {args.devices}", 2)
+    dataset = _load_dataset(args.dataset)
+    if args.devices > dataset.shape[0]:
+        raise _CliError(
+            f"--devices ({args.devices}) exceeds the dataset's "
+            f"{dataset.shape[0]} vectors (every device needs a non-empty "
+            "shard)", 2)
+    try:
+        return WorkloadSearch(
+            dataset,
+            args.workload,
+            {**params, "execution": args.execution},
+            board_capacity=args.board_capacity,
+            parallel=ParallelConfig(
+                n_workers=args.workers, backend=args.backend,
+                transport=args.transport,
+            ),
+            cache=_cache_from_args(args),
+            device=GEN1 if args.device == "gen1" else GEN2,
+            n_devices=args.devices,
+        )
+    except ValueError as exc:  # e.g. --workload range without --radius
+        raise _CliError(str(exc), 2) from exc
+
+
+def _remote_engine(args, params: dict):
+    """The one remote path: fan out to running shard servers."""
+    from repro.host.rpc import RemoteShardError, RemoteWorkloadSearch
 
     if args.dataset != "-":
         print(f"# note: --remote serves the dataset; local file "
               f"{args.dataset!r} is not loaded (pass '-' to silence this)",
               file=sys.stderr)
-    queries = np.load(args.queries).astype(np.uint8)
     addresses = [a.strip() for a in args.remote.split(",") if a.strip()]
     try:
-        engine = RemoteMultiBoardSearch(
+        return RemoteWorkloadSearch(
             addresses,
-            k=args.k,
+            args.workload,
+            params,
             timeout_s=args.timeout_s,
             retries=args.retries,
             allow_partial=not args.require_all_shards,
             hedge=_hedge_from_args(args),
         )
-    except (RemoteShardError, OSError, ValueError) as exc:
-        print(f"error: cannot reach shard rack: {exc}", file=sys.stderr)
-        return 1
-    with engine:
-        try:
-            if args.batch > 0:
-                indices, distances, counters, k, failed = _batched_search(
-                    engine, queries, args
-                )
-            else:
-                result = engine.search(queries)
-                indices, distances, counters, k, failed = (
-                    result.indices, result.distances, result.counters,
-                    result.k, result.failed_shards,
-                )
-        except RemoteShardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        answered = engine.n_shards - len(failed)
-        mode = "" if args.batch > 0 else f"mode={result.execution}, "
-        print(f"# {queries.shape[0]} queries, k={k}, "
-              f"{answered}/{engine.n_shards} shard(s) answered, "
-              f"n={engine.n}, {mode}transport=rpc"
-              + (f", PARTIAL (failed: {', '.join(failed)})"
-                 if failed else ""))
-        sent, received = engine.pool.wire_bytes
-        print(f"# board loads={counters.configurations} "
-              f"symbols={counters.symbols_streamed} "
-              f"reports={counters.reports_received}")
-        print(f"# wire traffic: {sent} bytes out, {received} bytes back")
-        if args.batch <= 0:
-            _print_replication(result)
-        for qi in range(min(queries.shape[0], 10)):
-            pairs = " ".join(
-                f"{i}:{d}" for i, d in zip(indices[qi], distances[qi])
-            )
-            print(f"q{qi}: {pairs}")
-        if args.out:
-            np.save(args.out, indices)
-            print(f"# indices saved to {args.out}")
-    return 0
+    except (RemoteShardError, OSError) as exc:
+        raise _CliError(f"cannot reach shard rack: {exc}", 1) from exc
+    except ValueError as exc:  # malformed params / inconsistent rack
+        raise _CliError(str(exc), 2) from exc
 
 
-def _print_workload_rows(value, limit: int = 10) -> None:
+def _print_rows(value, limit: int = 10) -> None:
     """Per-query result lines for any workload value: ragged hit lists
     (``counts``), similarity top-k, or plain index:distance top-k."""
     counts = getattr(value, "counts", None)
@@ -475,17 +382,12 @@ def _print_workload_rows(value, limit: int = 10) -> None:
             print(f"q{qi}: {pairs}")
 
 
-def _workload_search(args) -> int:
-    """``repro search --workload NAME``: the generic workload engine."""
-    from repro.ap.device import GEN1, GEN2
-    from repro.core.workload import WorkloadSearch, get_workload
-    from repro.host.parallel import ParallelConfig
+def _cmd_search(args) -> int:
+    from repro.core.workload import get_workload
 
-    if args.batch > 0:
-        print("error: --batch demos the admission layer on the kNN path "
-              "only; the library-level BatchRouter serves every workload "
-              "(see repro.host.batching)", file=sys.stderr)
-        return 2
+    # --replicas is --remote with the group syntax spelled out.
+    if getattr(args, "remote_replicas", None) and not args.remote:
+        args.remote = args.remote_replicas
     try:
         get_workload(args.workload)
     except KeyError as exc:
@@ -494,101 +396,75 @@ def _workload_search(args) -> int:
     params = {"k": args.k}
     if args.radius is not None:
         params["radius"] = int(args.radius)
-    if args.remote:
-        return _remote_workload_search(args, params)
-    if args.dataset == "-":
-        print("error: dataset '-' is only valid with --remote",
-              file=sys.stderr)
-        return 2
-    dataset = _load_dataset(args.dataset)
+    try:
+        engine = (_remote_engine if args.remote else _local_engine)(
+            args, params
+        )
+    except _CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    try:
+        return _search_and_report(engine, args, params)
+    finally:
+        if args.remote:
+            engine.close()
+
+
+def _search_and_report(engine, args, params: dict) -> int:
+    """Run the batch on a local or remote engine and print the report."""
+    from repro.host.rpc import RemoteShardError
+
     queries = np.load(args.queries).astype(np.uint8)
     try:
-        engine = WorkloadSearch(
-            dataset,
-            args.workload,
-            params,
-            board_capacity=args.board_capacity,
-            parallel=ParallelConfig(
-                n_workers=args.workers, backend=args.backend,
-                transport=args.transport,
-            ),
-            cache=_cache_from_args(args),
-            device=GEN1 if args.device == "gen1" else GEN2,
-        )
-    except ValueError as exc:  # e.g. --workload range without --radius
+        if args.batch > 0:
+            result = _batched_search(engine, queries, args)
+        else:
+            result = engine.search(queries)
+    except RemoteShardError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = engine.search(queries)
+        return 1
     counters = result.counters
-    print(f"# {queries.shape[0]} queries, workload={result.workload} "
-          f"params={engine.params}, {result.n_partitions} partition(s), "
-          f"workers={result.n_workers}, transport={result.transport}")
+    # The request as the workload understood it (k clipped to n, ...).
+    kept = engine.workload.validate_params(params, engine.n, engine.d)
+    asked = ", ".join(f"{name}={kept[name]}" for name in params if name in kept)
+    head = f"# {queries.shape[0]} queries, {asked}, workload={result.workload}"
+    if args.remote:
+        failed = result.failed_shards
+        print(f"{head}, {engine.n_shards - len(failed)}/{engine.n_shards} "
+              f"shard(s) answered, n={engine.n}, mode={result.execution}, "
+              f"transport=rpc"
+              + (f", PARTIAL (failed: {', '.join(failed)})" if failed else ""))
+    else:
+        passes = (f"{result.n_devices} device(s), "
+                  f"{result.n_partitions} partition pass(es)"
+                  if result.n_devices > 1
+                  else f"{result.n_partitions} partition(s)")
+        print(f"{head}, {passes}, mode={result.execution}, "
+              f"workers={result.n_workers}, transport={result.transport}")
     print(f"# board loads={counters.configurations} "
           f"symbols={counters.symbols_streamed} "
           f"reports={counters.reports_received}")
-    if engine.cache is not None:
-        st = engine.cache.stats
-        recompiles = counters.configurations - counters.image_cache_hits
-        print(f"# image cache: {len(engine.cache)} entries, "
-              f"{st.hits} hits / {st.misses} misses, "
-              f"{recompiles} recompile(s) this run")
-    _print_workload_rows(result.value)
+    if args.remote:
+        sent, received = engine.pool.wire_bytes
+        print(f"# wire traffic: {sent} bytes out, {received} bytes back")
+        if result.failovers or result.hedges:
+            print(f"# replication: {result.failovers} failover(s), "
+                  f"{result.hedges} hedged read(s)")
+    else:
+        if engine.cache is not None:
+            st = engine.cache.stats
+            recompiles = counters.configurations - counters.image_cache_hits
+            print(f"# image cache: {len(engine.cache)} entries, "
+                  f"{st.hits} hits ({st.disk_hits} from disk) / "
+                  f"{st.misses} misses, {st.evictions} evictions "
+                  f"({st.disk_evictions} disk), "
+                  f"{recompiles} recompile(s) this run")
+        est = engine.estimated_runtime_s(queries.shape[0])
+        print(f"# estimated {args.device} device time: {est * 1e3:.3f} ms")
+    _print_rows(result.value)
     if args.out:
         np.save(args.out, result.indices)
         print(f"# indices saved to {args.out}")
-    return 0
-
-
-def _remote_workload_search(args, params: dict) -> int:
-    """Fan a workload batch out to running shard servers and merge."""
-    from repro.host.rpc import RemoteShardError, RemoteWorkloadSearch
-
-    if args.dataset != "-":
-        print(f"# note: --remote serves the dataset; local file "
-              f"{args.dataset!r} is not loaded (pass '-' to silence this)",
-              file=sys.stderr)
-    queries = np.load(args.queries).astype(np.uint8)
-    addresses = [a.strip() for a in args.remote.split(",") if a.strip()]
-    try:
-        engine = RemoteWorkloadSearch(
-            addresses,
-            args.workload,
-            params,
-            timeout_s=args.timeout_s,
-            retries=args.retries,
-            allow_partial=not args.require_all_shards,
-            hedge=_hedge_from_args(args),
-        )
-    except (RemoteShardError, OSError) as exc:
-        print(f"error: cannot reach shard rack: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # malformed params / inconsistent rack
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with engine:
-        try:
-            result = engine.search(queries)
-        except RemoteShardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        failed = result.failed_shards
-        answered = engine.n_shards - len(failed)
-        counters = result.counters
-        print(f"# {queries.shape[0]} queries, workload={result.workload} "
-              f"params={params}, {answered}/{engine.n_shards} shard(s) "
-              f"answered, n={engine.n}, transport=rpc"
-              + (f", PARTIAL (failed: {', '.join(failed)})"
-                 if failed else ""))
-        sent, received = engine.pool.wire_bytes
-        print(f"# board loads={counters.configurations} "
-              f"symbols={counters.symbols_streamed} "
-              f"reports={counters.reports_received}")
-        print(f"# wire traffic: {sent} bytes out, {received} bytes back")
-        _print_replication(result)
-        _print_workload_rows(result.value)
-        if args.out:
-            np.save(args.out, result.indices)
-            print(f"# indices saved to {args.out}")
     return 0
 
 
@@ -655,6 +531,14 @@ def _cmd_pack(args) -> int:
     print(f"# packed {hdr.n} x {hdr.d} ({hdr.payload_nbytes} payload "
           f"bytes) -> {out}, digest={hdr.digest}")
     return 0
+
+
+class _Sigterm(BaseException):
+    """Raised by ``repro serve``'s SIGTERM handler to unwind the accept
+    loop.  A ``BaseException`` like ``KeyboardInterrupt``: socketserver
+    wraps ``process_request`` in ``except Exception`` and would log a
+    plain ``Exception`` landing there as a request error and keep
+    accepting — the rolling restart would hang."""
 
 
 def _cmd_serve(args) -> int:
@@ -733,9 +617,6 @@ def _cmd_serve(args) -> int:
     # server.shutdown() here would deadlock, since serve_forever() is
     # parked in this very thread — so the drain runs after the accept
     # loop unwinds.
-    class _Sigterm(Exception):
-        pass
-
     def _on_sigterm(signum, frame):
         raise _Sigterm
 
@@ -813,9 +694,10 @@ def _cmd_stats(args) -> int:
 def _batched_search(engine, queries, args):
     """Serving-path demo: every query row becomes one concurrent caller
     admitted through the engine's BatchRouter; the router coalesces
-    them into merged partition passes and the slices reassemble into
-    the same (q, k) arrays a direct search would produce."""
+    them into merged partition passes and the per-caller slices
+    reassemble into the result a direct search would produce."""
     from concurrent.futures import ThreadPoolExecutor
+    from dataclasses import replace
 
     from repro.ap.runtime import RuntimeCounters
 
@@ -823,9 +705,7 @@ def _batched_search(engine, queries, args):
     if n_q == 0:
         # Nothing to admit: the direct path already handles an empty
         # batch, and a zero-worker thread pool would not.
-        res = engine.search(queries)
-        return (res.indices, res.distances, res.counters, res.k,
-                tuple(getattr(res, "failed_shards", ())))
+        return engine.search(queries)
     router = engine.batched(
         max_batch=args.batch, max_wait_ms=args.batch_wait_ms
     )
@@ -834,20 +714,42 @@ def _batched_search(engine, queries, args):
             outs = list(pool.map(
                 lambda qi: router.search(queries[qi]), range(n_q)
             ))
-    indices = np.vstack([o.indices for o in outs])
-    distances = np.vstack([o.distances for o in outs])
-    # Each coalesced batch ran once and its counters object is shared
-    # by every caller it served: aggregate unique objects only.
+    # Each coalesced batch ran once and its envelope (counters,
+    # failover/hedge counts) is shared by every caller it served:
+    # aggregate unique batches only.
+    batches = list({id(o.counters): o for o in outs}.values())
     counters = RuntimeCounters()
-    for c in {id(o.counters): o.counters for o in outs}.values():
-        counters.merge(c)
+    for o in batches:
+        counters.merge(o.counters)
     stats = router.stats
     print(f"# {n_q} queries as {stats.calls} concurrent caller(s) -> "
           f"{stats.batches} coalesced pass(es), "
           f"largest batch {stats.max_batch_rows} row(s), "
-          f"coalescing {stats.coalescing_ratio:.1f}x, k={outs[0].k}")
-    failed = tuple(sorted({s for o in outs for s in o.failed_shards}))
-    return indices, distances, counters, outs[0].k, failed
+          f"coalescing {stats.coalescing_ratio:.1f}x")
+    workload = engine.workload
+    return replace(
+        outs[0].result,
+        value=workload.result_type(*(
+            _stack_rows([getattr(o.result.value, f) for o in outs])
+            for f in workload.wire_fields
+        )),
+        counters=counters,
+        failed_shards=tuple(sorted({s for o in outs for s in o.failed_shards})),
+        failovers=sum(o.failovers for o in batches),
+        hedges=sum(o.hedges for o in batches),
+    )
+
+
+def _stack_rows(blocks: list, pad: int = -1) -> np.ndarray:
+    """Row-concatenate per-caller blocks; ragged widths (range hits)
+    pad out to the widest with the workloads' shared pad value."""
+    if blocks[0].ndim == 1:
+        return np.concatenate(blocks)
+    width = max(b.shape[1] for b in blocks)
+    return np.vstack([
+        np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=pad)
+        for b in blocks
+    ])
 
 
 def _cmd_compile(args) -> int:

@@ -1,121 +1,78 @@
-"""End-to-end AP kNN engine: partitioning, streaming, decoding, merging.
+"""Hamming kNN on the AP: the partition back-ends and the headline API.
 
-:class:`APSimilaritySearch` is the library's headline API.  It owns the
-full flow of Section III:
+The full flow of Section III — split the dataset into board-sized
+partitions (Section III-C's partial reconfiguration), stream the
+encoded query batch against each board image, keep the *earliest k
+reports per query block* (the temporal sort emits activations in
+ascending-distance order, ties resolved by state ID, so no distance
+sort ever runs on the host), and merge per-partition candidates — is
+the one pipeline of :class:`~repro.core.workload.WorkloadSearch`, with
+kNN as its registered ``"knn"`` workload.  This module holds what is
+kNN-specific and shared by that workload's two back-ends:
 
-1. split the dataset into board-sized partitions (Section III-C's
-   partial reconfiguration; each partition becomes one precompiled
-   board image);
-2. per partition, stream the encoded query batch and collect reports
-   — either through the cycle-accurate simulator (``execution=
-   "simulate"``) or the exact functional model (``"functional"``);
-3. decode reports: the *earliest k reports per query block* are that
-   partition's k nearest neighbors, because the temporal sort emits
-   activations in ascending-distance order (ties resolved by state ID,
-   i.e. dataset index) — no distance sort ever runs on the host;
-4. merge per-partition candidates into the global top-k while queries
-   stream against the next board image.
+* the per-partition passes — :func:`run_partition_simulated`
+  (cycle-accurate) and :func:`run_partition_functional_topk` (exact
+  fast model) — and the one :func:`decode_partition_topk` both feed;
+* :class:`APSimilaritySearch`, the library's headline API: a named
+  constructor configuring the pipeline for kNN (``parallel=`` worker
+  fan-out and ``cache=`` compiled-image caching included).
 
-Two production levers sit on top of that flow:
-
-* ``parallel=`` fans independent partitions out across worker
-  processes (:mod:`repro.host.parallel`); results stream back through
-  the same decode/merge path in partition order, so sharded answers
-  are bit-identical to sequential ones and
-  :class:`~repro.ap.runtime.RuntimeCounters` aggregation stays exact.
-* ``cache=`` keeps compiled per-partition artifacts in an LRU
-  :class:`~repro.ap.compiler.BoardImageCache` keyed by partition
-  content + macro config + device, so repeated ``search`` calls — and
-  other engines sharing the cache over overlapping shards — skip
-  recompilation (the in-memory version of the paper's "precompiled
-  board images" assumption).
-
-The engine reports functional results plus the runtime event counters
+Results carry the runtime event counters
 (:class:`~repro.ap.runtime.RuntimeCounters`) that the performance
 models consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..ap.compiler import (
-    APCompiler,
-    BoardImageCache,
-    partition_cache_key,
-)
+from ..ap.compiler import BoardImageCache
 from ..ap.device import APDeviceSpec, GEN1
 from ..ap.runtime import APRuntime, REPORT_RECORD_BITS, RuntimeCounters
-from ..host.parallel import ParallelConfig, PartitionTask, run_partitions
-from ..perf import metrics as _metrics
-from ..perf.models import APModel
-from .dataset import PackedDataset
+from ..host.parallel import ParallelConfig
 from .functional import FunctionalKnnBoard
-from .macros import MacroConfig, build_knn_network, collector_tree_depth
+from .macros import MacroConfig
 from .stream import StreamLayout, decode_report_offsets, encode_query_batch
+from .workload import (
+    KnnWorkloadResult,
+    WorkloadRunResult,
+    WorkloadSearch,
+    _knn_layout,
+    _PAD_DISTANCE as PAD_DISTANCE,
+    _PAD_INDEX as PAD_INDEX,
+)
 
 __all__ = [
     "KnnResult",
     "APSimilaritySearch",
+    "PAD_INDEX",
+    "PAD_DISTANCE",
     "build_functional_board",
     "decode_partition_topk",
-    "run_partition_functional",
     "run_partition_functional_topk",
     "run_partition_simulated",
 ]
 
-# Above this many total (state x cycle) operations across all partition
-# passes the engine auto-switches from cycle simulation to the
-# functional model.
-_AUTO_SIM_LIMIT = 50_000_000
-
-# Index/distance used to pad result rows when a back-end legally
-# produces fewer than k candidates for a query (see KnnResult).
-PAD_INDEX = -1
-PAD_DISTANCE = -1
-
 
 # -- shared per-partition back-ends ---------------------------------------
 #
-# One implementation serves both the engine's sequential loop and the
-# parallel workers (repro.host.parallel), so sharded execution stays
-# bit-identical to sequential execution by construction rather than by
-# keeping two copies in sync.  Both back-ends produce partition-LOCAL
-# report codes (position-independent, required for content-addressed
-# image caching) and re-base them to global dataset indices before
-# returning.
+# Both back-ends produce partition-LOCAL report codes (position-
+# independent, required for content-addressed image caching); the
+# offset-aware merge re-bases them to global dataset indices.
 
 
 def run_partition_simulated(
-    dataset_slice: np.ndarray,
+    image,
     queries: np.ndarray,
     layout: StreamLayout,
-    macro_config: MacroConfig,
-    device: APDeviceSpec,
-    start: int,
-    end: int,
-    cache: BoardImageCache | None = None,
-    cache_key: tuple | None = None,
+    device: APDeviceSpec = GEN1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RuntimeCounters]:
-    """One partition through the cycle-accurate back-end.
+    """One compiled board image through the cycle-accurate back-end.
 
-    Returns ``(q_idx, codes, cycles, counters)`` with globally re-based
-    codes and this partition's counter delta.
+    Returns ``(q_idx, codes, cycles, counters)`` with this pass's
+    counter delta.
     """
     runtime = APRuntime(device)
-    image = runtime.build_image_cached(
-        lambda: build_knn_network(
-            dataset_slice,
-            config=macro_config,
-            name=f"partition{start}",
-            report_code_base=0,
-        )[0],
-        cache=cache,
-        key=cache_key,
-        partition=(start, end),
-    )
     runtime.configure(image)
     reports = runtime.stream(encode_query_batch(queries, layout))
     # Explicit dtypes: an empty report list must still yield int64
@@ -123,9 +80,7 @@ def run_partition_simulated(
     # decoder's integer index math downstream).
     n_rep = len(reports)
     cycles = np.fromiter((r.cycle for r in reports), dtype=np.int64, count=n_rep)
-    codes = (
-        np.fromiter((r.code for r in reports), dtype=np.int64, count=n_rep) + start
-    )
+    codes = np.fromiter((r.code for r in reports), dtype=np.int64, count=n_rep)
     q_idx = cycles // layout.block_length
     return q_idx, codes, cycles, runtime.counters
 
@@ -135,27 +90,6 @@ def build_functional_board(
 ) -> FunctionalKnnBoard:
     """Position-independent (cacheable) functional board for a partition."""
     return FunctionalKnnBoard(dataset_slice, layout, report_code_base=0)
-
-
-def run_partition_functional(
-    board: FunctionalKnnBoard,
-    queries: np.ndarray,
-    layout: StreamLayout,
-    start: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, RuntimeCounters]:
-    """One partition through the exact functional back-end.
-
-    Counter accounting mirrors what :class:`~repro.ap.runtime.APRuntime`
-    would record for the same configure + stream + report flow.
-    """
-    counters = RuntimeCounters()
-    q_idx, codes, cycles = board.query_reports(queries)
-    codes = codes + start  # re-base partition-local report codes
-    counters.configurations += 1
-    counters.symbols_streamed += queries.shape[0] * layout.block_length
-    counters.reports_received += codes.shape[0]
-    counters.report_payload_bits += codes.shape[0] * REPORT_RECORD_BITS
-    return q_idx, codes, cycles, counters
 
 
 def run_partition_functional_topk(
@@ -169,8 +103,9 @@ def run_partition_functional_topk(
     per query flow to the decoder (``~n/k`` less report traffic), via
     :meth:`~repro.core.functional.FunctionalKnnBoard.query_topk`.
 
-    Counter accounting is unchanged from :func:`run_partition_functional`:
-    the (modeled) board still emits one report per vector per query —
+    Counter accounting mirrors what :class:`~repro.ap.runtime.APRuntime`
+    records for the same configure + stream + report flow: the
+    (modeled) board still emits one report per vector per query —
     the temporal sort has no early-out — so ``reports_received`` and
     the payload bits count the full stream; only the *host-side*
     decode traffic shrinks.  The returned flat arrays are exactly the
@@ -202,10 +137,8 @@ def decode_partition_topk(
     Reports arrive ordered by activation time; the temporal sort means
     earlier activation = smaller distance, and simultaneous activations
     are consumed in state-ID (= dataset index) order, matching the
-    library-wide tie-break.  One decode serves every consumer — the
-    engine's sequential loop, the parallel partition path, and the
-    multi-board layer — so the candidate blocks they merge are
-    bit-identical by construction.
+    library-wide tie-break.  One decode serves both back-ends, so the
+    candidate blocks they merge are bit-identical by construction.
 
     Fully vectorized: one lexsort over the report batch, a cumsum-based
     gather of each query's first ``k`` rows, and one
@@ -243,42 +176,28 @@ def decode_partition_topk(
     return idx_block, dist_block
 
 
-@dataclass
-class KnnResult:
-    """kNN answers plus the accounting a hardware run would produce.
-
-    ``k`` is the *effective* neighbor count: the requested ``k``
-    clipped to the dataset size.  Rows are padded with
-    (:data:`PAD_INDEX`, :data:`PAD_DISTANCE`) in the (normally
-    impossible) case that a back-end returns fewer than ``k``
-    candidates for some query.
+def KnnResult(
+    indices: np.ndarray,
+    distances: np.ndarray,
+    counters: RuntimeCounters,
+    n_partitions: int = 1,
+    execution: str = "functional",
+    k: int = -1,
+) -> WorkloadRunResult:
+    """Compatibility adapter (benchmarks/e2e builds results this way;
+    goes when that harness is re-anchored): the kNN-shaped spelling of
+    the one :class:`~repro.core.workload.WorkloadRunResult` envelope.
+    ``k`` is the block width and is accepted only for call-shape parity.
     """
-
-    indices: np.ndarray  # (q, k) dataset indices, ascending (distance, index)
-    distances: np.ndarray  # (q, k) Hamming distances
-    counters: RuntimeCounters
-    n_partitions: int
-    execution: str
-    k: int = field(default=-1)
-    n_workers: int = 1  # worker lanes that actually ran (1 = sequential)
-    # How task payloads traveled to workers: "none" (in-process),
-    # "pickle", or "shm" (zero-copy shared-memory descriptors).
-    transport: str = "none"
-    # Parent->worker submission bytes, recorded only under
-    # ParallelConfig(measure_ipc=True).
-    ipc_payload_bytes: int | None = None
-    # Mean per-task submit->start dispatch latency of the parallel run
-    # (None for sequential/serial execution) — the observable the
-    # pinned backend exists to shrink.
-    dispatch_overhead_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            self.k = int(self.indices.shape[1])
+    return WorkloadRunResult(
+        "knn", KnnWorkloadResult(indices, distances), counters,
+        per_device_partitions=(n_partitions,), execution=execution,
+    )
 
 
-class APSimilaritySearch:
-    """kNN similarity search on a (simulated) Automata Processor.
+class APSimilaritySearch(WorkloadSearch):
+    """kNN similarity search on a (simulated) Automata Processor: the
+    ``"knn"`` workload on :class:`~repro.core.workload.WorkloadSearch`.
 
     Parameters
     ----------
@@ -287,7 +206,7 @@ class APSimilaritySearch:
         :class:`repro.index.itq.ITQQuantizer`).
     k:
         Number of neighbors per query.  Clipped to the dataset size;
-        the clipped value is reported as :attr:`KnnResult.k`.
+        the clipped value is the result's ``k``.
     device:
         AP generation (timing/capacity constants).
     board_capacity:
@@ -297,35 +216,10 @@ class APSimilaritySearch:
         :class:`repro.workloads.params.WorkloadParams`.
     execution:
         ``"simulate"`` (cycle-accurate), ``"functional"`` (exact fast
-        model), or ``"auto"``.
-    parallel:
-        ``None``/``1`` for sequential execution, an ``int`` worker
-        count, or a :class:`~repro.host.parallel.ParallelConfig`.
-        With more than one worker, multi-partition searches fan out
-        across a worker pool — ``backend="process"`` (default) or
-        ``backend="thread"`` (the functional kernels release the GIL
-        inside NumPy, so threads scale there while skipping
-        query-batch pickling); serial fallback if a pool cannot be
-        created.  Results are bit-identical to sequential execution
-        either way.  ``ParallelConfig(persistent=True)`` keeps the
-        pool alive across searches for long-lived services (close it
-        with ``config.close()`` or a ``with`` block).
-    cache:
-        ``None`` to disable, ``True`` for a private LRU
-        :class:`~repro.ap.compiler.BoardImageCache` of default size,
-        an ``int`` for a private cache of that capacity, or an
-        existing cache instance to *share* compiled partitions across
-        engines.  Keys are content-addressed (compiled artifacts carry
-        partition-local report codes, re-based at decode), so engines
-        whose shards overlap on identical partition content hit each
-        other's entries.  The cache lives in this process: sequential
-        execution and ``backend="thread"`` workers (which share the
-        parent's memory) consult and fill it directly, while
-        ``backend="process"`` workers stay cache-aware through
-        artifact shipping (cached boards travel out with their tasks,
-        fresh builds travel back and are installed here).  Construct
-        the cache with ``BoardImageCache(cache_dir=...)`` to persist
-        artifacts on disk so a restarted service starts warm.
+        model), or ``"auto"`` (chosen per batch by modeled cost).
+    parallel, cache:
+        As for :class:`~repro.core.workload.WorkloadSearch`; results
+        are bit-identical to sequential, uncached execution either way.
     """
 
     def __init__(
@@ -339,313 +233,32 @@ class APSimilaritySearch:
         parallel: ParallelConfig | int | None = None,
         cache: BoardImageCache | int | bool | None = None,
     ):
-        # Any dataset-shaped input — ndarray, PackedDataset handle, or
-        # a .pds path — normalizes to one store-backed handle; all
-        # partition slicing, digesting, and shipping below goes through
-        # it, so in-memory, shm, and mmap datasets take the same paths.
-        self.dataset = PackedDataset.ensure(dataset_bits)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if execution not in ("simulate", "functional", "auto"):
-            raise ValueError(f"unknown execution mode {execution!r}")
-
-        self.n, self.d = self.dataset.shape
+        super().__init__(
+            dataset_bits,
+            "knn",
+            {"k": k, "execution": execution, "macro_config": macro_config},
+            board_capacity=board_capacity,
+            parallel=parallel,
+            cache=cache,
+            device=device,
+        )
         self.requested_k = int(k)
-        self.k = int(min(k, self.n))
-        self.device = device
-        self.macro_config = macro_config
-        self.execution = execution
-        self.parallel = self._normalize_parallel(parallel)
-        self.cache = self._normalize_cache(cache)
-        self.layout = StreamLayout(
-            self.d, collector_tree_depth(self.d, macro_config.max_fan_in)
-        )
-        if board_capacity is None:
-            board_capacity = self._default_capacity()
-        if board_capacity < 1:
-            raise ValueError("board_capacity must be >= 1")
-        self.board_capacity = int(board_capacity)
-        self.partitions = [
-            (start, min(start + self.board_capacity, self.n))
-            for start in range(0, self.n, self.board_capacity)
-        ]
 
-    @staticmethod
-    def _normalize_parallel(
-        parallel: ParallelConfig | int | None,
-    ) -> ParallelConfig:
-        if parallel is None:
-            return ParallelConfig(n_workers=1)
-        if isinstance(parallel, ParallelConfig):
-            return parallel
-        if isinstance(parallel, (int, np.integer)):
-            return ParallelConfig(n_workers=int(parallel))
-        raise ValueError(
-            f"parallel must be None, an int, or ParallelConfig, got {parallel!r}"
-        )
+    # -- the kNN view of the engine's normalized params --------------------
 
-    @staticmethod
-    def _normalize_cache(
-        cache: BoardImageCache | int | bool | None,
-    ) -> BoardImageCache | None:
-        if cache is None or cache is False:
-            return None
-        if cache is True:
-            return BoardImageCache()
-        if isinstance(cache, BoardImageCache):
-            return cache
-        if isinstance(cache, (int, np.integer)):
-            # 0 (and below) disables caching, matching the CLI's
-            # --cache-size 0 convention.
-            return BoardImageCache(max_entries=int(cache)) if cache > 0 else None
-        raise ValueError(
-            f"cache must be None, bool, an int, or BoardImageCache, got {cache!r}"
-        )
+    @property
+    def k(self) -> int:
+        """Effective neighbor count: requested ``k`` clipped to ``n``."""
+        return self.params["k"]
 
-    def _default_capacity(self) -> int:
-        """Compiler-derived vectors-per-board for this dimensionality."""
-        template, _ = build_knn_network(
-            self.dataset[:1], config=self.macro_config, name="capacity-probe"
-        )
-        return APCompiler(self.device).max_instances(template)
+    @property
+    def execution(self) -> str:
+        return self.params["execution"]
 
-    # -- execution -------------------------------------------------------
+    @property
+    def macro_config(self) -> MacroConfig:
+        return self.params["macro_config"]
 
-    def _choose_execution(self, n_queries: int = 1) -> str:
-        if self.execution != "auto":
-            return self.execution
-        # Sum the true per-partition costs: the final partition is
-        # usually smaller than board_capacity, and charging every pass
-        # at full capacity would flip workloads near the limit to
-        # "functional" prematurely.
-        states_per_vector = 2 * self.d + 8
-        cost = sum(
-            (end - start) * states_per_vector * self.layout.block_length
-            for start, end in self.partitions
-        ) * max(1, n_queries)
-        return "simulate" if cost <= _AUTO_SIM_LIMIT else "functional"
-
-    def search(self, queries_bits: np.ndarray) -> KnnResult:
-        """Run a query batch; returns global top-k per query."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if queries_bits.shape[1] != self.d:
-            raise ValueError(
-                f"queries have d={queries_bits.shape[1]}, dataset d={self.d}"
-            )
-        if not np.isin(queries_bits, (0, 1)).all():
-            raise ValueError("queries must be binary (0/1)")
-        mode = self._choose_execution(queries_bits.shape[0])
-        n_q = queries_bits.shape[0]
-
-        # Per-partition (q, k) candidate blocks (host-side merge,
-        # Section III-C: "the host processor ... keep[s] track of
-        # intermediary results per query across board reconfigurations").
-        # Collected as arrays and merged in ONE batched pass at the end
-        # — no per-query Python runs between report decode and the
-        # final KnnResult.
-        partials: list[tuple[np.ndarray, np.ndarray]] = []
-        counters = RuntimeCounters()
-
-        n_workers_used = 1
-        transport = "none"
-        ipc_payload_bytes = None
-        dispatch_overhead_s = None
-        with _metrics.stage("execute"):
-            if self.parallel.effective_workers > 1 and len(self.partitions) > 1:
-                run = run_partitions(
-                    self._partition_tasks(mode),
-                    queries_bits,
-                    self.parallel,
-                    cache=self.cache,
-                )
-                n_workers_used = run.n_workers
-                transport = run.transport
-                ipc_payload_bytes = run.ipc_payload_bytes
-                dispatch_overhead_s = run.dispatch_overhead_s
-                for res in run.results:  # sorted by partition index
-                    counters.merge(res.counters)
-                    block = self._decode_partition(
-                        res.q_idx, res.codes, res.cycles, n_q
-                    )
-                    if block is not None:
-                        partials.append(block)
-            else:
-                for start, end in self.partitions:
-                    if mode == "simulate":
-                        q_idx, codes, cycles = self._run_simulated(
-                            queries_bits, start, end, counters
-                        )
-                    else:
-                        q_idx, codes, cycles = self._run_functional(
-                            queries_bits, start, end, counters
-                        )
-                    block = self._decode_partition(q_idx, codes, cycles, n_q)
-                    if block is not None:
-                        partials.append(block)
-
-        # The batched merge may legally find fewer than k candidates
-        # for a query (e.g. a back-end produced fewer reports than
-        # dataset vectors); short rows come back padded instead of
-        # crashing on a broadcast.  The merge routes through the kNN
-        # reference Workload so every consumer of "knn" results — this
-        # engine, the multi-board layer, the generic workload stack —
-        # shares one merge implementation.
-        from .workload import get_workload
-
-        workload = get_workload("knn")
-        with _metrics.stage("merge"):
-            if partials:
-                merged = workload.merge(partials, None, {"k": self.k})
-            else:
-                merged = workload.empty(n_q, {"k": self.k})
-        indices, distances = merged.indices, merged.distances
-        return KnnResult(
-            indices=indices,
-            distances=distances,
-            counters=counters,
-            n_partitions=len(self.partitions),
-            execution=mode,
-            k=self.k,
-            n_workers=n_workers_used,
-            transport=transport,
-            ipc_payload_bytes=ipc_payload_bytes,
-            dispatch_overhead_s=dispatch_overhead_s,
-        )
-
-    # -- admission / batching ---------------------------------------------
-
-    def batched(
-        self,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
-    ):
-        """A :class:`~repro.host.batching.BatchRouter` over this engine.
-
-        Concurrent callers' ``search()`` calls coalesce into one merged
-        query batch per partition pass and split back bit-identically —
-        the admission layer for many small concurrent callers.  Close
-        the router (or use it as a context manager) when done.
-        """
-        from ..host.batching import BatchRouter
-
-        return BatchRouter(
-            self,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
-        )
-
-    # -- back-ends --------------------------------------------------------
-
-    def _partition_tasks(self, mode: str, p_base: int = 0) -> list[PartitionTask]:
-        """Self-contained, picklable work units for the parallel layer.
-
-        ``k`` lets functional workers ship back only the top-k report
-        rows per query; ``cache_key`` lets workers use this engine's
-        board-image cache — shared directly in process (thread backend
-        or serial fallback), via artifact shipping for process workers.
-        ``p_base`` offsets the partition indices so a caller fanning
-        out *several* engines' partitions in one pool run (the
-        multi-board layer) keeps them globally ordered.
-        """
-        flavor = "image" if mode == "simulate" else "functional"
-        # Store-backed datasets (mmap/shm) ship descriptor-sized slice
-        # refs — workers attach the store themselves — with an empty
-        # stub where the array slice would go; in-memory datasets keep
-        # shipping real views through the existing transports.
-        stub = np.empty((0, self.d), dtype=np.uint8)
-        refs = [
-            self.dataset.slice_ref(start, end) for start, end in self.partitions
-        ]
-        return [
-            PartitionTask(
-                p_idx=p_base + p_idx,
-                start=start,
-                end=end,
-                dataset_bits=(
-                    stub if refs[p_idx] is not None
-                    else self.dataset.rows(start, end)
-                ),
-                dataset_slice=refs[p_idx],
-                mode=mode,
-                d=self.d,
-                collector_depth=self.layout.collector_depth,
-                max_fan_in=self.macro_config.max_fan_in,
-                counter_max_increment=self.macro_config.counter_max_increment,
-                device=self.device,
-                k=self.k,
-                cache_key=(
-                    self._cache_key(start, end, flavor)
-                    if self.cache is not None
-                    else None
-                ),
-            )
-            for p_idx, (start, end) in enumerate(self.partitions)
-        ]
-
-    def _cache_key(self, start: int, end: int, flavor: str) -> tuple:
-        """Content-addressed key: no positional component, so identical
-        partition content shares entries across engines and offsets —
-        and the handle's streaming digest is store-independent, so an
-        mmap dataset shares compiled boards with an in-memory copy."""
-        return partition_cache_key(
-            None, self.macro_config, self.device, extra=(flavor,),
-            digest=self.dataset.partition_digest(start, end),
-        )
-
-    def _run_simulated(self, queries, start, end, counters):
-        key = (
-            self._cache_key(start, end, "image")
-            if self.cache is not None
-            else None
-        )
-        q_idx, codes, cycles, delta = run_partition_simulated(
-            self.dataset.rows(start, end), queries, self.layout,
-            self.macro_config, self.device, start, end,
-            cache=self.cache, cache_key=key,
-        )
-        counters.merge(delta)
-        self.dataset.release(start, end)
-        return q_idx, codes, cycles
-
-    def _run_functional(self, queries, start, end, counters):
-        board = None
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(start, end, "functional")
-            board = self.cache.get(key)
-            if board is not None:
-                counters.image_cache_hits += 1
-        if board is None:
-            board = build_functional_board(
-                self.dataset.rows(start, end), self.layout
-            )
-            if self.cache is not None:
-                self.cache.put(key, board)
-        q_idx, codes, cycles, delta = run_partition_functional_topk(
-            board, queries, self.layout, start, self.k
-        )
-        counters.merge(delta)
-        # Out-of-core discipline: the compiled board owns its packed
-        # copy now, so this partition's raw mmap pages can go back to
-        # the page cache — sequential RSS stays one partition deep.
-        self.dataset.release(start, end)
-        return q_idx, codes, cycles
-
-    # -- decoding ----------------------------------------------------------
-
-    def _decode_partition(self, q_idx, codes, cycles, n_q):
-        """This engine's view of :func:`decode_partition_topk`."""
-        return decode_partition_topk(
-            q_idx, codes, cycles, n_q, self.k, self.layout
-        )
-
-    # -- performance hooks ---------------------------------------------------
-
-    def estimated_runtime_s(self, n_queries: int, model: APModel | None = None) -> float:
-        """Paper-model run time for this dataset/capacity on ``model``."""
-        model = model or APModel(device=self.device)
-        return model.runtime_s(self.n, n_queries, self.d, self.board_capacity)
+    @property
+    def layout(self) -> StreamLayout:
+        return _knn_layout(self.d, self.macro_config)

@@ -8,30 +8,27 @@ the same query batch to all of them concurrently, and merge the
 per-device top-k on the host (the same merge the single-board engine
 already does across partitions, so exactness is preserved).
 
-:class:`MultiBoardSearch` models that as a real host would run it:
+:class:`MultiBoardSearch` is that deployment as a named constructor over
+the one pipeline (:class:`~repro.core.workload.WorkloadSearch` with
+``n_devices > 1``):
 
 * **Sharding** — balanced contiguous shards (sizes differ by at most
-  one vector), one :class:`~repro.core.engine.APSimilaritySearch`
-  engine per device for partitioning, cache keys, and the run-time
-  model.
-* **Fan-out** — every device's board-partition passes are flattened
-  into one task list and driven through
-  :func:`repro.host.parallel.run_partitions`: ``parallel=`` picks a
-  thread/process/serial worker pool (persistent pools included), and
-  partition-level granularity means a straggler device's last board
-  never idles the other workers.
-* **Shared compile cache** — one
-  :class:`~repro.ap.compiler.BoardImageCache` (``cache=``) serves all
-  device engines, thread workers directly and process workers via
-  artifact shipping; construct it with ``cache_dir=`` to warm-start a
-  restarted service from disk.
-* **Batched merge** — per-partition candidate blocks are decoded by
-  the engine's shared vectorized decoder and merged in ONE offset-aware
-  :func:`~repro.util.topk.merge_topk_blocks` pass: shard-local indices
-  re-base to global IDs during the merge while pad rows stay pads, and
-  no per-query Python runs anywhere between worker reports and the
-  final result.  Results are bit-identical to driving each device
-  sequentially.
+  one vector); board partitions never straddle a shard boundary.
+* **Fan-out** — every device's board-partition passes are one task
+  list driven through :func:`repro.host.parallel.run_partitions`:
+  ``parallel=`` picks the worker pool, and partition-level granularity
+  means a straggler device's last board never idles the other workers.
+* **Shared compile cache** — one content-addressed
+  :class:`~repro.ap.compiler.BoardImageCache` (``cache=``) serves every
+  device's partitions.
+* **Batched merge** — per-partition candidate blocks merge in ONE
+  offset-aware :func:`~repro.util.topk.merge_topk_blocks` pass
+  (partition offsets are global starts; pad rows stay pads).  Results
+  are bit-identical to a single-board engine over the whole dataset.
+
+Every registered workload shards the same way — pass ``n_devices`` to
+:class:`~repro.core.workload.WorkloadSearch` directly for Jaccard or
+range search.
 
 The run-time model is unchanged: the device-side time divides by D
 (devices run concurrently) while the per-device reconfiguration count
@@ -46,112 +43,29 @@ which more devices only buy idle silicon — the crossover
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..ap.compiler import BoardImageCache
 from ..ap.device import APDeviceSpec, GEN1
-from ..ap.runtime import RuntimeCounters
-from ..host.parallel import ParallelConfig, PartitionTask, run_partitions
-from .dataset import PackedDataset
-from .engine import APSimilaritySearch, decode_partition_topk
+from ..host.parallel import ParallelConfig
+from .engine import APSimilaritySearch
 from .macros import MacroConfig
-from .workload import get_workload
+from .workload import WorkloadRunResult, WorkloadSearch, balanced_shard_bounds
 
 __all__ = ["MultiBoardResult", "MultiBoardSearch", "balanced_shard_bounds"]
 
-
-def balanced_shard_bounds(n: int, n_devices: int) -> np.ndarray:
-    """Shard boundaries ``[0, ..., n]`` with sizes differing by at most 1.
-
-    The first ``n % n_devices`` shards absorb the remainder one vector
-    each (the ``np.array_split`` convention) — unlike truncating
-    ``np.linspace`` bounds, which could dump the whole remainder on the
-    last shard.  Every shard is non-empty for any ``1 <= n_devices <=
-    n``, which the engine constructor requires.
-    """
-    if not 1 <= n_devices <= n:
-        raise ValueError(
-            f"need 1 <= n_devices <= n, got n_devices={n_devices}, n={n}"
-        )
-    base, rem = divmod(n, n_devices)
-    sizes = np.full(n_devices, base, dtype=np.int64)
-    sizes[:rem] += 1
-    bounds = np.zeros(n_devices + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    return bounds
+# One result envelope for every search; the old name stays importable.
+MultiBoardResult = WorkloadRunResult
 
 
-@dataclass
-class MultiBoardResult:
-    indices: np.ndarray
-    distances: np.ndarray
-    per_device_partitions: list[int]
-    counters: RuntimeCounters  # aggregate over all devices
-    # Resolved execution mode(s): "simulate"/"functional", or "mixed"
-    # when execution="auto" picked differently across shards.
-    execution: str = "functional"
-    n_workers: int = 1  # host worker lanes that actually ran
-    # Task-payload transport ("none"/"pickle"/"shm", or "rpc" for the
-    # network fan-out of repro.host.rpc) and, under
-    # ParallelConfig(measure_ipc=True), the submitted payload bytes.
-    transport: str = "none"
-    ipc_payload_bytes: int | None = None
-    # Mean per-task submit->start dispatch latency of the parallel run
-    # (None when the run was serial or remote).
-    dispatch_overhead_s: float | None = None
-    # Remote fan-out degradation accounting: addresses of shards that
-    # failed to answer the batch (always empty for local execution —
-    # a local device either answers or raises).
-    failed_shards: tuple[str, ...] = ()
-    # Replication accounting for the remote fan-out (always 0 locally):
-    # replica failovers this batch needed, and hedged re-issues the
-    # groups launched against slow primaries.
-    failovers: int = 0
-    hedges: int = 0
-
-    @property
-    def k(self) -> int:
-        """Effective neighbors per query (column count of the result)."""
-        return int(self.indices.shape[1])
-
-    @property
-    def partial(self) -> bool:
-        """True when some shard's candidates are missing from the merge:
-        the rows are still the exact top-k *over the shards that
-        answered*, but not necessarily over the full dataset."""
-        return bool(self.failed_shards)
-
-    @property
-    def n_devices(self) -> int:
-        return len(self.per_device_partitions)
-
-    @property
-    def n_partition_passes(self) -> int:
-        return sum(self.per_device_partitions)
-
-
-class MultiBoardSearch:
+class MultiBoardSearch(APSimilaritySearch):
     """Shard a dataset across ``n_devices`` APs; exact merged kNN.
 
-    Parameters mirror :class:`~repro.core.engine.APSimilaritySearch`
-    where they overlap; the two scale-out levers are:
-
-    parallel:
-        ``None``/``1`` for serial device execution, an ``int`` worker
-        count, or a :class:`~repro.host.parallel.ParallelConfig`
-        (thread/process backends, ``persistent=True`` pools).  Workers
-        execute board-partition passes, the unit the devices
-        themselves work in, so load stays balanced even when shards
-        split into unequal partition counts.
-    cache:
-        As in the engine: ``True``/``int``/instance for a compiled
-        board-image cache **shared by every device engine** — shards
-        with identical partition content compile once, repeated
-        searches recompile nothing.  Pass a
-        :class:`~repro.ap.compiler.BoardImageCache` built with
-        ``cache_dir=`` to persist compiled artifacts across restarts.
+    :class:`~repro.core.engine.APSimilaritySearch` with a device-aware
+    partition list: parameters mirror it, plus ``n_devices``.
+    ``parallel`` workers execute board-partition passes, the unit the
+    devices themselves work in, so load stays balanced even when shards
+    split into unequal partition counts.
     """
 
     def __init__(
@@ -166,144 +80,15 @@ class MultiBoardSearch:
         parallel: ParallelConfig | int | None = None,
         cache: BoardImageCache | int | bool | None = None,
     ):
-        # The handle normalizes ndarray / PackedDataset / .pds-path
-        # inputs; per-device shards below are zero-copy sub-windows of
-        # the same store (a file-backed dataset partitions across
-        # devices without ever loading), and the shard bounds derive
-        # from the handle's own row count — multi-board sharding can't
-        # disagree with the store's actual length.
-        self.dataset = PackedDataset.ensure(dataset_bits)
-        if n_devices < 1:
-            raise ValueError("need at least one device")
-        if n_devices > self.dataset.n:
-            raise ValueError("more devices than dataset vectors")
-        self.n, self.d = self.dataset.shape
-        self.k = min(int(k), self.n)
-        self.n_devices = int(n_devices)
-        self.device = device
-        self.parallel = APSimilaritySearch._normalize_parallel(parallel)
-        self.cache = APSimilaritySearch._normalize_cache(cache)
-
-        # balanced contiguous shards; engines keep shard-local IDs and
-        # the offset-aware merge re-bases them to global IDs
-        bounds = balanced_shard_bounds(self.dataset.n, self.n_devices)
-        self._shard_offsets = bounds[:-1]
-        self._engines: list[APSimilaritySearch] = []
-        for di in range(self.n_devices):
-            shard = self.dataset.slice_rows(bounds[di], bounds[di + 1])
-            engine = APSimilaritySearch(
-                shard,
-                k=self.k,
-                device=device,
-                board_capacity=board_capacity,
-                macro_config=macro_config,
-                execution=execution,
-                cache=self.cache,  # one compile cache for all devices
-            )
-            if board_capacity is None:
-                # the compiler's capacity probe depends only on
-                # (d, macro_config, device) — run it once, not per device
-                board_capacity = engine.board_capacity
-            self._engines.append(engine)
-
-    def search(self, queries_bits: np.ndarray) -> MultiBoardResult:
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if queries_bits.shape[1] != self.d:
-            raise ValueError(
-                f"queries have d={queries_bits.shape[1]}, dataset d={self.d}"
-            )
-        n_q = queries_bits.shape[0]
-
-        # Flatten every device's partition passes into one task list —
-        # the host-side unit of concurrency.  Tasks carry shard-LOCAL
-        # index bases (each engine re-bases report codes within its
-        # shard), so cached artifacts stay content-addressed and the
-        # shard offset is applied only at the final merge.
-        tasks: list[PartitionTask] = []
-        task_offsets: list[int] = []
-        modes = set()
-        for eng, off in zip(self._engines, self._shard_offsets):
-            mode = eng._choose_execution(n_q)
-            modes.add(mode)
-            engine_tasks = eng._partition_tasks(mode, p_base=len(tasks))
-            tasks.extend(engine_tasks)
-            task_offsets.extend([int(off)] * len(engine_tasks))
-
-        run = run_partitions(tasks, queries_bits, self.parallel, cache=self.cache)
-
-        counters = RuntimeCounters()
-        blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        offsets: list[int] = []
-        layout = self._engines[0].layout
-        for res, off in zip(run.results, task_offsets):  # partition order
-            counters.merge(res.counters)
-            block = decode_partition_topk(
-                res.q_idx, res.codes, res.cycles, n_q, self.k, layout
-            )
-            if block is not None:
-                blocks.append(block)
-                offsets.append(off)
-
-        # One offset-aware batched merge across every (device,
-        # partition) candidate block: shard-local indices re-base to
-        # global IDs while pad rows (short shards, k > shard size)
-        # stay pads — a pad must never turn into the bogus valid
-        # global index `offset - 1` outranking every real candidate.
-        # Routed through the kNN reference Workload's merge, the same
-        # implementation the single-board engine and the remote pool
-        # use.
-        workload = get_workload("knn")
-        if blocks:
-            merged = workload.merge(blocks, offsets, {"k": self.k})
-        else:
-            merged = workload.empty(n_q, {"k": self.k})
-        indices, distances = merged.indices, merged.distances
-        return MultiBoardResult(
-            indices=indices,
-            distances=distances,
-            per_device_partitions=[len(e.partitions) for e in self._engines],
-            counters=counters,
-            execution=modes.pop() if len(modes) == 1 else "mixed",
-            n_workers=run.n_workers,
-            transport=run.transport,
-            ipc_payload_bytes=run.ipc_payload_bytes,
-            dispatch_overhead_s=run.dispatch_overhead_s,
-        )
-
-    def batched(
-        self,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
-    ):
-        """A :class:`~repro.host.batching.BatchRouter` over this searcher;
-        see :meth:`repro.core.engine.APSimilaritySearch.batched`."""
-        from ..host.batching import BatchRouter
-
-        return BatchRouter(
+        WorkloadSearch.__init__(
             self,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
+            dataset_bits,
+            "knn",
+            {"k": k, "execution": execution, "macro_config": macro_config},
+            board_capacity=board_capacity,
+            parallel=parallel,
+            cache=cache,
+            device=device,
+            n_devices=n_devices,
         )
-
-    def estimated_runtime_s(self, n_queries: int) -> float:
-        """Makespan across concurrently-running devices (slowest shard)."""
-        return max(
-            e.estimated_runtime_s(n_queries) for e in self._engines
-        )
-
-    def scaling_efficiency(self, n_queries: int,
-                           single_device_runtime_s: float) -> float:
-        """Speedup over one device divided by the device count.
-
-        A degenerate spec whose modeled runtime is zero or negative has
-        no meaningful efficiency; returning ``1.0`` there (as this once
-        did) silently reported perfect scaling, so it is ``nan`` now.
-        """
-        t = self.estimated_runtime_s(n_queries)
-        if t <= 0:
-            return float("nan")
-        return (single_device_runtime_s / t) / self.n_devices
+        self.requested_k = int(k)

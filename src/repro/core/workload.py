@@ -25,7 +25,10 @@ layers actually rely on into a :class:`Workload` protocol:
 * ``pack/unpack`` — the RPC wire codec for partials/results, built on
   the same no-pickle array framing as the kNN protocol;
 * ``split(result, lo, hi)`` — row slicing for the batching/admission
-  layer (:class:`~repro.host.batching.BatchRouter`).
+  layer (:class:`~repro.host.batching.BatchRouter`);
+* ``default_capacity`` / ``batch_params`` — the two engine decisions a
+  workload owns: how many vectors fit one board configuration, and
+  which back-end a given batch runs on.
 
 Workloads register by name (:func:`register_workload`), mirroring the
 pluggable-extension registry idiom of reinforced_lib's ``BaseExt``:
@@ -34,15 +37,18 @@ one ``register_workload`` call away from thread/process/shm
 parallelism, batching, and remote shards — see ``examples/
 custom_workload.py`` and the README's "Writing a custom workload".
 
-:class:`WorkloadSearch` is the generic engine over any registered
-workload: it partitions the dataset into board-sized slices exactly
-like :class:`~repro.core.engine.APSimilaritySearch`, fans
+:class:`WorkloadSearch` is the one engine loop: it partitions the
+dataset into board-sized slices (never straddling a device boundary
+when ``n_devices > 1``), fans
 :class:`~repro.host.parallel.PartitionTask`\\ s out through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
 persistent pools, shm transport, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
-bit-identical to a sequential pass by the same associativity argument
-the kNN engine makes.
+bit-identical to a sequential pass by associativity.  Hamming kNN, with
+both its cycle-accurate and its functional back-end, is an ordinary
+registered workload; :class:`~repro.core.engine.APSimilaritySearch` and
+:class:`~repro.core.multiboard.MultiBoardSearch` are named constructors
+over this class.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ import numpy as np
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
-from ..ap.compiler import BoardImageCache, partition_cache_key
+from ..ap.compiler import APCompiler, BoardImageCache, partition_cache_key
 from ..ap.device import GEN1, APDeviceSpec
-from ..ap.runtime import REPORT_RECORD_BITS, RuntimeCounters
+from ..ap.runtime import REPORT_RECORD_BITS, APRuntime, RuntimeCounters
+from ..host.batching import Batchable
 from ..host.parallel import (
     ParallelConfig,
     PartitionResult,
@@ -62,10 +69,13 @@ from ..host.parallel import (
     _ArtifactShuttle,
     run_partitions,
 )
+from ..perf import metrics as _metrics
+from ..perf.models import APModel
 from ..util.bitops import hamming_cdist_packed, pack_bits, popcount_u64
 from ..util.topk import merge_ragged_blocks, merge_topk_blocks
 from .dataset import PackedDataset
-from .macros import MacroConfig, collector_tree_depth
+from .macros import MacroConfig, build_knn_network, collector_tree_depth
+from .stream import StreamLayout
 
 __all__ = [
     "Workload",
@@ -77,13 +87,16 @@ __all__ = [
     "KnnWorkloadResult",
     "JaccardWorkloadResult",
     "RangeWorkloadResult",
+    "SERVER_OWNED_PARAMS",
+    "balanced_shard_bounds",
+    "normalize_queries",
     "register_workload",
     "get_workload",
     "available_workloads",
 ]
 
-# Pads shared with the kNN engine (kept literal here to avoid an import
-# cycle with core.engine; the parity test pins them equal).
+# Index/distance padding result rows when a back-end legally produces
+# fewer candidates than asked for (re-exported by core.engine).
 _PAD_INDEX = -1
 _PAD_DISTANCE = -1
 
@@ -92,6 +105,57 @@ _PAD_DISTANCE = -1
 _DEFAULT_CAPACITY_SMALL_D = 1024
 _DEFAULT_CAPACITY_LARGE_D = 512
 _CAPACITY_D_CUTOFF = 128
+
+# Above this many total (state x cycle) operations across all partition
+# passes, kNN's execution="auto" picks the functional model over cycle
+# simulation.
+_AUTO_SIM_LIMIT = 50_000_000
+
+#: Engine settings a deployment owns.  Constructors and the shard
+#: server's own configuration set them; a wire request naming one is
+#: refused — a remote client must not be able to pick, say, cycle
+#: simulation on a 2^20-row shard.
+SERVER_OWNED_PARAMS = frozenset(
+    {"execution", "device", "macro_config", "board_capacity", "n_devices"}
+)
+
+
+def normalize_queries(queries_bits, d: int) -> np.ndarray:
+    """The pipeline's one entry check: a ``(q, d)`` uint8 0/1 batch
+    (a single ``(d,)`` row is promoted), or ``ValueError``."""
+    queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+    if queries_bits.ndim == 1:
+        queries_bits = queries_bits[None, :]
+    if queries_bits.ndim != 2:
+        raise ValueError(f"queries must be a (q, {d}) array")
+    if queries_bits.shape[1] != d:
+        raise ValueError(
+            f"queries have d={queries_bits.shape[1]}, dataset d={d}"
+        )
+    if not np.isin(queries_bits, (0, 1)).all():
+        raise ValueError("queries must be binary (0/1)")
+    return queries_bits
+
+
+def balanced_shard_bounds(n: int, n_devices: int) -> np.ndarray:
+    """Shard boundaries ``[0, ..., n]`` with sizes differing by at most 1.
+
+    The first ``n % n_devices`` shards absorb the remainder one vector
+    each (the ``np.array_split`` convention) — unlike truncating
+    ``np.linspace`` bounds, which could dump the whole remainder on the
+    last shard.  Every shard is non-empty for any ``1 <= n_devices <=
+    n``.
+    """
+    if not 1 <= n_devices <= n:
+        raise ValueError(
+            f"need 1 <= n_devices <= n, got n_devices={n_devices}, n={n}"
+        )
+    base, rem = divmod(n, n_devices)
+    sizes = np.full(n_devices, base, dtype=np.int64)
+    sizes[:rem] += 1
+    bounds = np.zeros(n_devices + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return bounds
 
 
 # -- protocol ---------------------------------------------------------------
@@ -123,9 +187,13 @@ class Workload(ABC):
     def validate_params(self, params: dict, n: int, d: int) -> dict:
         """Normalize request parameters against a dataset's ``(n, d)``.
 
-        Returns a plain-JSON dict (str keys, int/float/str/bool values)
-        — it travels the RPC wire as JSON and becomes part of engine
-        cache keys, so it must be canonical: same request ⇒ same dict.
+        Returns a canonical dict (str keys, hashable picklable values):
+        same request ⇒ same dict, because it keys engines and ships in
+        every :class:`~repro.host.parallel.PartitionTask`.  What a
+        *request* may carry is plain JSON; deployment-owned settings
+        (:data:`SERVER_OWNED_PARAMS`) are injected by whoever
+        constructs the engine and may be richer objects.  Unknown keys
+        are ignored, so one settings dict serves every workload.
         """
         return {}
 
@@ -146,6 +214,22 @@ class Workload(ABC):
             raise ValueError(
                 f"workload {self.name!r} cannot serve an ({n}, {d}) dataset"
             )
+
+    def default_capacity(self, d: int, params: dict) -> int:
+        """Vectors per board configuration when the engine is not given
+        a ``board_capacity``.  Default: the paper's Table II constants."""
+        return (
+            _DEFAULT_CAPACITY_SMALL_D
+            if d <= _CAPACITY_D_CUTOFF
+            else _DEFAULT_CAPACITY_LARGE_D
+        )
+
+    def batch_params(self, params: dict, n_q: int, n: int, d: int) -> dict:
+        """Resolve whatever the engine's params leave open until the
+        batch size is known (kNN's ``execution="auto"``), for ``n_q``
+        queries against ``n`` vectors.  The result keys the compile
+        cache and ships in the tasks.  Default: nothing to resolve."""
+        return params
 
     # -- the pipeline -----------------------------------------------------
 
@@ -223,11 +307,11 @@ class Workload(ABC):
     def execute_task(
         self, task: PartitionTask, queries_bits: np.ndarray, cache
     ) -> PartitionResult:
-        """Worker-side entry: run one :class:`~repro.host.parallel.
-        PartitionTask` through compile (cache-aware) + execute.
+        """Worker-side entry — the one worker body: run one
+        :class:`~repro.host.parallel.PartitionTask` through compile
+        (cache-aware) + execute.
 
-        Mirrors the kNN worker's cache protocol exactly: in-process
-        callers pass a shared :class:`~repro.ap.compiler.
+        In-process callers pass a shared :class:`~repro.ap.compiler.
         BoardImageCache`; process workers get an artifact shuttle that
         serves the artifact shipped with the task and captures a fresh
         build for the return trip, keeping process pools cache-aware
@@ -251,16 +335,12 @@ class Workload(ABC):
         if cache_hit:
             counters.image_cache_hits += 1
         built = shuttle.built if shuttle is not None else None
-        empty = np.empty(0, dtype=np.int64)
         return PartitionResult(
             p_idx=task.p_idx,
-            q_idx=empty,
-            codes=empty,
-            cycles=empty,
             counters=counters,
+            payload=partial,
             artifact=built,
             cache_key=key if built is not None else None,
-            payload=partial,
         )
 
 
@@ -314,15 +394,23 @@ class KnnWorkloadResult:
     distances: np.ndarray
 
 
+# The deployment-owned kNN settings and what they default to.
+_KNN_DEFAULTS = {
+    "execution": "functional",
+    "device": GEN1,
+    "macro_config": MacroConfig(),
+}
+
+
 class HammingKnnWorkload(Workload):
     """The reference workload: Hamming kNN via counter temporal sort.
 
-    The dedicated :class:`~repro.core.engine.APSimilaritySearch` path
-    keeps its cycle-accurate/functional back-ends and report decoding;
-    this class IS that path's merge (both engines call :meth:`merge`)
-    and, for the generic :class:`WorkloadSearch`/RPC stack, provides
-    compile/execute over the functional board with the same decode —
-    so every route produces bit-identical blocks.
+    This class owns what a kNN partition pass *is*: which back-end
+    compiles and runs it (``execution``: the exact ``"functional"``
+    model or the cycle-accurate ``"simulate"`` board image, ``"auto"``
+    choosing per batch), under which macro configuration and device,
+    with one decode — the earliest ``k`` reports per query — and one
+    counter accounting for both.
     """
 
     name = "knn"
@@ -337,34 +425,82 @@ class HammingKnnWorkload(Workload):
         k = int(params.get("k", 10))
         if k < 1:
             raise ValueError("k must be >= 1")
-        return {"k": min(k, n)}
+        settings = {
+            key: params.get(key, default)
+            for key, default in _KNN_DEFAULTS.items()
+        }
+        if settings["execution"] not in ("simulate", "functional", "auto"):
+            raise ValueError(
+                f"unknown execution mode {settings['execution']!r}"
+            )
+        return {"k": min(k, n), **settings}
+
+    def cache_params(self, params: dict) -> tuple:
+        # Board images and functional boards of the same rows must
+        # never collide in a shared cache.
+        return (params["execution"],)
+
+    def default_capacity(self, d: int, params: dict) -> int:
+        """Compiler-derived vectors-per-board for this dimensionality
+        (macro structure depends on ``d`` only, not on the bits)."""
+        template, _ = build_knn_network(
+            np.zeros((1, d), dtype=np.uint8),
+            config=params["macro_config"],
+            name="capacity-probe",
+        )
+        return APCompiler(params["device"]).max_instances(template)
+
+    def batch_params(self, params: dict, n_q: int, n: int, d: int) -> dict:
+        if params["execution"] != "auto":
+            return params
+        # True cost over the n vectors actually present: charging every
+        # partition at full board capacity would flip workloads near
+        # the limit to "functional" prematurely.
+        block_length = _knn_layout(d, params["macro_config"]).block_length
+        cost = n * (2 * d + 8) * block_length * max(1, n_q)
+        mode = "simulate" if cost <= _AUTO_SIM_LIMIT else "functional"
+        return {**params, "execution": mode}
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
         from .engine import build_functional_board
-        from .stream import StreamLayout
 
-        d = dataset_bits.shape[1]
-        layout = StreamLayout(
-            d, collector_tree_depth(d, MacroConfig().max_fan_in)
+        params = _KNN_DEFAULTS | params  # direct callers may pass bare {"k": k}
+        if params["execution"] == "simulate":
+            network, _ = build_knn_network(
+                dataset_bits, config=params["macro_config"], name="partition",
+                report_code_base=0,
+            )
+            return APRuntime(params["device"]).build_image(network)
+        return build_functional_board(
+            dataset_bits,
+            _knn_layout(dataset_bits.shape[1], params["macro_config"]),
         )
-        return build_functional_board(dataset_bits, layout)
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
-        from .engine import decode_partition_topk, run_partition_functional_topk
+        from .engine import (
+            decode_partition_topk,
+            run_partition_functional_topk,
+            run_partition_simulated,
+        )
 
-        k = min(int(params["k"]), artifact.n)
-        q_idx, codes, cycles, counters = run_partition_functional_topk(
-            artifact, queries_bits, artifact.layout, start=0, k=k
-        )
-        n_q = queries_bits.shape[0]
-        block = decode_partition_topk(
-            q_idx, codes, cycles, n_q, k, artifact.layout
-        )
-        if block is None:
-            partial = self.empty(n_q, {"k": k})
+        params = _KNN_DEFAULTS | params
+        k = int(params["k"])
+        if params["execution"] == "simulate":
+            layout = _knn_layout(queries_bits.shape[1], params["macro_config"])
+            q_idx, codes, cycles, counters = run_partition_simulated(
+                artifact, queries_bits, layout, params["device"]
+            )
         else:
-            partial = KnnWorkloadResult(*block)
-        return partial, counters
+            layout = artifact.layout
+            k = min(k, artifact.n)
+            q_idx, codes, cycles, counters = run_partition_functional_topk(
+                artifact, queries_bits, layout, start=0, k=k
+            )
+        n_q = queries_bits.shape[0]
+        block = decode_partition_topk(q_idx, codes, cycles, n_q, k, layout)
+        if block is None:
+            return self.empty(n_q, {"k": k}), counters
+        return KnnWorkloadResult(*block), counters
 
     def merge(self, partials: list, offsets, params: dict):
         blocks = [
@@ -387,18 +523,44 @@ class HammingKnnWorkload(Workload):
             np.full((n_q, k), _PAD_DISTANCE, dtype=np.int64),
         )
 
+    def unpack(self, payload: bytes, offset: int = 0):
+        from ..host.rpc import RpcProtocolError
+
+        value = super().unpack(payload, offset)
+        if value.indices.shape != value.distances.shape or value.indices.ndim != 2:
+            raise RpcProtocolError(
+                f"result blocks disagree: {value.indices.shape} vs "
+                f"{value.distances.shape}"
+            )
+        return value
+
     def execute_task(
         self, task: PartitionTask, queries_bits: np.ndarray, cache
     ) -> PartitionResult:
-        """kNN keeps its PR 1–5 worker path byte for byte: engine tasks
-        (mode ``simulate``/``functional``) run the legacy report-array
-        pipeline; only generic ``mode="workload"`` tasks take the
-        protocol's compile/execute default."""
-        if task.mode == "workload":
-            return super().execute_task(task, queries_bits, cache)
-        from ..host.parallel import _execute_knn_task
+        if not task.params:
+            # A hand-built legacy-shaped task (benchmarks/e2e): fold its
+            # kNN-only fields into params.  Goes when PartitionTask's
+            # legacy field list does.
+            n_rows = task.end - task.start
+            legacy = self.validate_params(
+                {
+                    "k": task.k if task.k is not None else n_rows,
+                    "execution": task.mode,
+                    "device": task.device,
+                    "macro_config": MacroConfig(
+                        max_fan_in=task.max_fan_in,
+                        counter_max_increment=task.counter_max_increment,
+                    ),
+                },
+                n_rows,
+                task.d,
+            )
+            task = replace(task, params=tuple(sorted(legacy.items())))
+        return super().execute_task(task, queries_bits, cache)
 
-        return _execute_knn_task(task, queries_bits, cache)
+
+def _knn_layout(d: int, macro_config: MacroConfig) -> StreamLayout:
+    return StreamLayout(d, collector_tree_depth(d, macro_config.max_fan_in))
 
 
 # -- built-in: Jaccard top-k ------------------------------------------------
@@ -676,31 +838,43 @@ class HammingRangeWorkload(Workload):
         )
 
 
-# -- generic engine ---------------------------------------------------------
+# -- the engine -------------------------------------------------------------
 
 
 @dataclass
 class WorkloadRunResult:
-    """A workload search's answer plus the run's execution accounting.
+    """The one result envelope: a workload's answer plus the run's
+    execution accounting, for local, multi-board and remote searches.
 
     ``value`` is the workload's own result dataclass; ``indices`` /
-    ``distances`` pass through to it so ``searcher``-shaped consumers
-    (the CLI, the batching layer) work against any workload.
+    ``distances`` / ``k`` pass through to it so ``searcher``-shaped
+    consumers (the CLI, the batching layer) work against any workload.
+    For kNN, ``k`` is the requested ``k`` clipped to the dataset size,
+    and rows are padded with ``(-1, -1)`` in the (normally impossible)
+    case that a back-end returns fewer candidates.
     """
 
     workload: str
     value: object
     counters: RuntimeCounters
-    n_partitions: int
+    # Board-partition passes per local device (or per answering remote
+    # shard); n_partitions / n_devices derive from it.
+    per_device_partitions: tuple = (1,)
+    # Resolved back-end: "simulate"/"functional"; for a remote fan-out
+    # "mixed" when shards disagree and "none" when none answered.
     execution: str = "functional"
-    n_workers: int = 1
+    n_workers: int = 1  # worker lanes (or shards) that actually ran
+    # How task payloads traveled: "none" (in-process), "pickle", "shm",
+    # or "rpc" for the network fan-out.
     transport: str = "none"
+    # Parent->worker submission bytes (ParallelConfig(measure_ipc=True)).
     ipc_payload_bytes: int | None = None
     # Mean per-task submit->start dispatch latency of the parallel run
-    # (None when the run was serial).
+    # (None when the run was serial or remote).
     dispatch_overhead_s: float | None = None
+    # Remote fan-out only: shards (whole replica groups) that failed to
+    # answer, and the failovers / hedged re-issues the batch needed.
     failed_shards: tuple = ()
-    # Replication accounting for the remote fan-out (always 0 locally).
     failovers: int = 0
     hedges: int = 0
 
@@ -718,20 +892,63 @@ class WorkloadRunResult:
 
     @property
     def partial(self) -> bool:
+        """True when some shard's candidates are missing from the merge:
+        the rows are exact *over the shards that answered* only."""
         return bool(self.failed_shards)
 
+    @property
+    def n_devices(self) -> int:
+        return len(self.per_device_partitions)
 
-class WorkloadSearch:
-    """The generic engine: any registered workload over the PR 1–5
-    host stack.
+    @property
+    def n_partitions(self) -> int:
+        return sum(self.per_device_partitions)
+
+    n_partition_passes = n_partitions
+
+
+class WorkloadSearch(Batchable):
+    """The one engine loop: any registered workload over the host stack.
 
     Partitions the dataset into board-sized slices, compiles each
     through the workload (cache-aware, content-addressed), executes
     partitions serially or across a :class:`~repro.host.parallel.
-    ParallelConfig` worker pool (thread/process, persistent pools, shm
-    transport with artifact shipping), and merges through the
-    workload's associative ``merge`` — so results are bit-identical to
-    a single sequential pass for every backend × transport combination.
+    ParallelConfig` worker pool (thread/process/pinned, persistent
+    pools, shm transport with artifact shipping), and merges through
+    the workload's associative ``merge`` — so results are bit-identical
+    to a single sequential pass for every backend × transport
+    combination.
+
+    Parameters
+    ----------
+    dataset_bits:
+        ``(n, d)`` binary dataset: an ndarray, a
+        :class:`~repro.core.dataset.PackedDataset` handle, or a
+        ``.pds`` path — all normalize to one store-backed handle.
+    workload, params:
+        A registered workload (name or instance) and its request
+        parameters, normalized by ``workload.validate_params``.
+    board_capacity:
+        Vectors per board configuration; defaults to the workload's
+        own rule (``workload.default_capacity``).
+    parallel:
+        ``None``/``1`` for sequential execution, an ``int`` worker
+        count, or a :class:`~repro.host.parallel.ParallelConfig`.
+    cache:
+        ``None`` to disable, ``True`` for a private LRU
+        :class:`~repro.ap.compiler.BoardImageCache` of default size, an
+        ``int`` for a private cache of that capacity, or an existing
+        cache instance to *share* compiled partitions across engines
+        (keys are content-addressed; construct it with ``cache_dir=``
+        to persist artifacts so a restarted service starts warm).
+    device:
+        AP generation (capacity/timing constants), handed to the
+        workload as the deployment-owned ``"device"`` param.
+    n_devices:
+        Shard the dataset across this many boards: balanced contiguous
+        shards (:func:`balanced_shard_bounds`), board partitions never
+        straddling a shard boundary.  Partition offsets are global
+        starts either way, so the merge is the same one pass.
     """
 
     def __init__(
@@ -743,11 +960,8 @@ class WorkloadSearch:
         parallel: ParallelConfig | int | None = None,
         cache: BoardImageCache | int | bool | None = None,
         device: APDeviceSpec = GEN1,
+        n_devices: int = 1,
     ):
-        from .engine import APSimilaritySearch
-
-        # One store-backed handle for every dataset shape — ndarray,
-        # PackedDataset, or a .pds path (see repro.core.dataset).
         self.dataset = PackedDataset.ensure(dataset_bits)
         self.workload = (
             get_workload(workload) if isinstance(workload, str) else workload
@@ -755,112 +969,146 @@ class WorkloadSearch:
         self.n, self.d = self.dataset.shape
         self.workload.validate_dataset(self.n, self.d)
         self.params = self.workload.validate_params(
-            dict(params or {}), self.n, self.d
+            {"device": device, **(params or {})}, self.n, self.d
         )
-        self._params_items = tuple(sorted(self.params.items()))
-        self.device = device
-        self.parallel = APSimilaritySearch._normalize_parallel(parallel)
-        self.cache = APSimilaritySearch._normalize_cache(cache)
+        self.device = self.params.get("device", device)
+        self.parallel = self._normalize_parallel(parallel)
+        self.cache = self._normalize_cache(cache)
         if board_capacity is None:
-            board_capacity = (
-                _DEFAULT_CAPACITY_SMALL_D
-                if self.d <= _CAPACITY_D_CUTOFF
-                else _DEFAULT_CAPACITY_LARGE_D
-            )
+            board_capacity = self.workload.default_capacity(self.d, self.params)
         if board_capacity < 1:
             raise ValueError("board_capacity must be >= 1")
         self.board_capacity = int(board_capacity)
-        self.partitions = [
-            (start, min(start + self.board_capacity, self.n))
-            for start in range(0, self.n, self.board_capacity)
+        self.n_devices = int(n_devices)
+        self.shard_bounds = balanced_shard_bounds(self.n, self.n_devices)
+        shards = [
+            [
+                (start, min(start + self.board_capacity, hi))
+                for start in range(lo, hi, self.board_capacity)
+            ]
+            for lo, hi in zip(
+                self.shard_bounds[:-1].tolist(), self.shard_bounds[1:].tolist()
+            )
         ]
-        # Engine-task compatibility fields (unused by mode="workload"
-        # tasks but required by the PartitionTask dataclass).
-        self._macro_config = MacroConfig()
-        self._collector_depth = collector_tree_depth(
-            self.d, self._macro_config.max_fan_in
+        self.per_device_partitions = tuple(len(shard) for shard in shards)
+        self.partitions = [bounds for shard in shards for bounds in shard]
+        # Task lists are a pure function of (immutable engine state,
+        # resolved params): built once per resolved params, not per search.
+        self._tasks: dict[tuple, list[PartitionTask]] = {}
+
+    @staticmethod
+    def _normalize_parallel(
+        parallel: ParallelConfig | int | None,
+    ) -> ParallelConfig:
+        if parallel is None:
+            return ParallelConfig(n_workers=1)
+        if isinstance(parallel, ParallelConfig):
+            return parallel
+        if isinstance(parallel, (int, np.integer)):
+            return ParallelConfig(n_workers=int(parallel))
+        raise ValueError(
+            f"parallel must be None, an int, or ParallelConfig, got {parallel!r}"
         )
 
-    def _cache_key(self, start: int, end: int) -> tuple:
-        return partition_cache_key(
-            None,
-            self._macro_config,
-            self.device,
-            extra=("workload", self.workload.name)
-            + self.workload.cache_params(self.params),
-            digest=self.dataset.partition_digest(start, end),
+    @staticmethod
+    def _normalize_cache(
+        cache: BoardImageCache | int | bool | None,
+    ) -> BoardImageCache | None:
+        if cache is None or cache is False:
+            return None
+        if cache is True:
+            return BoardImageCache()
+        if isinstance(cache, BoardImageCache):
+            return cache
+        if isinstance(cache, (int, np.integer)):
+            # 0 (and below) disables caching, matching the CLI's
+            # --cache-size 0 convention.
+            return BoardImageCache(max_entries=int(cache)) if cache > 0 else None
+        raise ValueError(
+            f"cache must be None, bool, an int, or BoardImageCache, got {cache!r}"
         )
 
-    def _partition_tasks(self) -> list[PartitionTask]:
+    def _partition_tasks(self, params: dict) -> list[PartitionTask]:
+        """Self-contained, picklable work units for ``params`` (already
+        resolved by ``workload.batch_params``)."""
+        items = tuple(sorted(params.items()))
+        tasks = self._tasks.get(items)
+        if tasks is not None:
+            return tasks
+        macro = params.get("macro_config", MacroConfig())
+        flavor = ("workload", self.workload.name) + self.workload.cache_params(
+            params
+        )
+        # Store-backed datasets (mmap/shm) ship descriptor-sized slice
+        # refs — workers attach the store themselves — with an empty
+        # stub where the array slice would go; in-memory datasets ship
+        # real views through the existing transports.
         stub = np.empty((0, self.d), dtype=np.uint8)
-        refs = [
-            self.dataset.slice_ref(start, end) for start, end in self.partitions
-        ]
-        return [
-            PartitionTask(
+        tasks = []
+        for p_idx, (start, end) in enumerate(self.partitions):
+            ref = self.dataset.slice_ref(start, end)
+            tasks.append(PartitionTask(
                 p_idx=p_idx,
                 start=start,
                 end=end,
                 dataset_bits=(
-                    stub if refs[p_idx] is not None
-                    else self.dataset.rows(start, end)
+                    stub if ref is not None else self.dataset.rows(start, end)
                 ),
-                dataset_slice=refs[p_idx],
-                mode="workload",
-                d=self.d,
-                collector_depth=self._collector_depth,
-                max_fan_in=self._macro_config.max_fan_in,
-                counter_max_increment=self._macro_config.counter_max_increment,
-                device=self.device,
+                dataset_slice=ref,
+                # Content-addressed: no positional component, and the
+                # handle's streaming digest is store-independent, so
+                # identical partition content shares compiled artifacts
+                # across engines, offsets and stores.
                 cache_key=(
-                    self._cache_key(start, end)
+                    partition_cache_key(
+                        None, macro, self.device, extra=flavor,
+                        digest=self.dataset.partition_digest(start, end),
+                    )
                     if self.cache is not None
                     else None
                 ),
                 workload=self.workload.name,
-                params=self._params_items,
-            )
-            for p_idx, (start, end) in enumerate(self.partitions)
-        ]
+                params=items,
+            ))
+        self._tasks[items] = tasks
+        return tasks
 
     def search(self, queries_bits: np.ndarray) -> WorkloadRunResult:
         """Run a query batch; merged result over all partitions."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if queries_bits.shape[1] != self.d:
-            raise ValueError(
-                f"queries have d={queries_bits.shape[1]}, dataset d={self.d}"
-            )
-        if not np.isin(queries_bits, (0, 1)).all():
-            raise ValueError("queries must be binary (0/1)")
-        tasks = self._partition_tasks()
-        run = run_partitions(tasks, queries_bits, self.parallel, cache=self.cache)
+        queries_bits = normalize_queries(queries_bits, self.d)
+        n_q = queries_bits.shape[0]
+        params = self.workload.batch_params(self.params, n_q, self.n, self.d)
+        tasks = self._partition_tasks(params)
         counters = RuntimeCounters()
         partials, offsets = [], []
-        for task, res in zip(tasks, run.results):  # both in p_idx order
-            counters.merge(res.counters)
-            if res.payload is not None:
-                partials.append(res.payload)
-                offsets.append(task.start)
-        n_q = queries_bits.shape[0]
-        if partials:
-            value = self.workload.merge(partials, offsets, self.params)
-        else:
-            value = self.workload.empty(n_q, self.params)
+        with _metrics.stage("execute"):
+            run = run_partitions(
+                tasks, queries_bits, self.parallel, cache=self.cache
+            )
+            for task, res in zip(tasks, run.results):  # both in p_idx order
+                counters.merge(res.counters)
+                if res.payload is not None:
+                    partials.append(res.payload)
+                    offsets.append(task.start)
+        # Host-side merge (Section III-C: "the host processor ...
+        # keep[s] track of intermediary results per query across board
+        # reconfigurations"), in ONE batched offset-aware pass.
+        with _metrics.stage("merge"):
+            if partials:
+                value = self.workload.merge(partials, offsets, params)
+            else:
+                value = self.workload.empty(n_q, params)
         return WorkloadRunResult(
             workload=self.workload.name,
             value=value,
             counters=counters,
-            n_partitions=len(self.partitions),
-            execution="functional",
+            per_device_partitions=self.per_device_partitions,
+            execution=params.get("execution", "functional"),
             n_workers=run.n_workers,
             transport=run.transport,
             ipc_payload_bytes=run.ipc_payload_bytes,
             dispatch_overhead_s=run.dispatch_overhead_s,
         )
-
-    # -- host-layer integration -------------------------------------------
 
     def split_result(self, result: WorkloadRunResult, lo: int, hi: int):
         """Row-slice for the batching layer: one caller's rows of a
@@ -869,23 +1117,28 @@ class WorkloadSearch:
             result, value=self.workload.split(result.value, lo, hi)
         )
 
-    def batched(
-        self,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
-    ):
-        """A :class:`~repro.host.batching.BatchRouter` over this engine
-        — same admission semantics as the kNN engines, routed through
-        the workload's ``split``."""
-        from ..host.batching import BatchRouter
+    # -- the paper's run-time model ----------------------------------------
 
-        return BatchRouter(
-            self,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
+    def estimated_runtime_s(
+        self, n_queries: int, model: APModel | None = None
+    ) -> float:
+        """Paper-model run time for this engine's partitioning: the
+        makespan across concurrently-running devices (slowest shard)."""
+        model = model or APModel(device=self.device)
+        return max(
+            model.runtime_s(int(size), n_queries, self.d, self.board_capacity)
+            for size in np.diff(self.shard_bounds)
         )
+
+    def scaling_efficiency(
+        self, n_queries: int, single_device_runtime_s: float
+    ) -> float:
+        """Speedup over one device divided by the device count (``nan``
+        for a degenerate spec whose modeled runtime is not positive)."""
+        t = self.estimated_runtime_s(n_queries)
+        if t <= 0:
+            return float("nan")
+        return (single_device_runtime_s / t) / self.n_devices
 
 
 # Built-ins register at import: everything that resolves workloads by

@@ -12,10 +12,10 @@ to what each caller would have gotten alone — tie-breaks included.
 
 :class:`BatchRouter` implements the layer over anything with a
 ``search(queries) -> result`` method whose result carries row-aligned
-``indices``/``distances`` — both :class:`~repro.core.engine.
-APSimilaritySearch` and :class:`~repro.core.multiboard.
-MultiBoardSearch` qualify (each grows a ``batched()`` convenience
-constructor).
+``indices``/``distances`` — the local engine
+(:class:`~repro.core.workload.WorkloadSearch`) and the remote one
+(:class:`~repro.host.rpc.RemoteWorkloadSearch`) both qualify, and get
+their ``batched()`` convenience constructor from :class:`Batchable`.
 
 Admission policy
 ----------------
@@ -50,7 +50,13 @@ import numpy as np
 
 from ..perf import metrics as _metrics
 
-__all__ = ["BatchRouter", "QueryBatcher", "BatchedResult", "BatchRouterStats"]
+__all__ = [
+    "BatchRouter",
+    "QueryBatcher",
+    "BatchedResult",
+    "BatchRouterStats",
+    "Batchable",
+]
 
 
 @dataclass
@@ -371,3 +377,27 @@ class BatchRouter:
 # The paper-facing name: the router IS the query batcher of the
 # millions-of-users serving story.
 QueryBatcher = BatchRouter
+
+
+class Batchable:
+    """Mixin for searchers: the one ``batched()`` constructor."""
+
+    def batched(
+        self,
+        max_batch: int = 256,
+        max_wait_ms: float = 2.0,
+        max_pending: int = 1024,
+    ) -> BatchRouter:
+        """A :class:`BatchRouter` over this searcher.
+
+        Concurrent callers' ``search()`` calls coalesce into one merged
+        query batch per partition pass and split back bit-identically —
+        the admission layer for many small concurrent callers.  Close
+        the router (or use it as a context manager) when done.
+        """
+        return BatchRouter(
+            self,
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+            max_pending=max_pending,
+        )

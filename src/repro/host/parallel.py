@@ -1,17 +1,15 @@
-"""Sharded parallel partition execution for the kNN engine.
+"""Sharded parallel partition execution for the engine.
 
 The paper hides host-side latency by pipelining (Section III-C); a
 production host has a second lever the single-board timeline model
 cannot express: board partitions are *independent* until the final
-top-k merge, so a multi-core host can execute them concurrently —
-each worker simulates (or functionally models) its own partitions and
-streams ``(q_idx, codes, cycles)`` report batches back to the parent,
-which decodes them through the exact same merge path as the sequential
-engine.  Results are therefore bit-identical to sequential execution:
-workers return per-partition report arrays plus per-partition
-:class:`~repro.ap.runtime.RuntimeCounters` deltas, and the parent
-consumes both in partition order, so counter aggregation is exact and
-the (distance, index) tie-break is untouched.
+merge, so a multi-core host can execute them concurrently — each
+worker compiles (or cache-loads), runs and decodes its own partitions
+through the task's :class:`~repro.core.workload.Workload` and returns
+the partition-local partial result plus the partition's
+:class:`~repro.ap.runtime.RuntimeCounters` delta.  The parent consumes
+both in partition order, so results are bit-identical to sequential
+execution, counter aggregation is exact and tie-breaks are untouched.
 
 Backends
 --------
@@ -51,7 +49,7 @@ partition, even where the pinned backend is unavailable.
 Every run records its dispatch cost: :class:`PartitionRunReport.
 dispatch_overhead_s` is the mean per-task submit→start latency and
 ``queue_depth`` the peak submitted-not-finished count, surfaced by the
-engines as ``KnnResult``/``WorkloadRunResult.dispatch_overhead_s``.
+engine as ``WorkloadRunResult.dispatch_overhead_s``.
 
 Transport
 ---------
@@ -309,33 +307,33 @@ class ParallelConfig:
 class PartitionTask:
     """One board partition's worth of work, self-contained and picklable.
 
-    ``k`` (when set) lets functional workers return only the earliest
-    ``k`` report rows per query — the only rows the decoder keeps —
-    instead of the full ``n``-per-query stream; counters still account
-    for the full stream the modeled board would emit.  ``cache_key``
-    is the engine's content-addressed board-image key: in-process
-    workers (thread backend / serial fallback) use it to share the
-    parent's cache directly; for process workers
-    :func:`run_partitions` resolves it against the parent cache up
-    front and ships the compiled artifact along in ``artifact`` so a
-    warm cache skips worker-side rebuilds too.
+    ``workload`` names the registered :class:`~repro.core.workload.
+    Workload` that executes it and ``params`` carries that workload's
+    resolved parameters.  ``cache_key`` is the engine's
+    content-addressed board-image key: in-process workers (thread
+    backend / serial fallback) use it to share the parent's cache
+    directly; for process workers :func:`run_partitions` resolves it
+    against the parent cache up front and ships the compiled artifact
+    along in ``artifact`` so a warm cache skips worker-side rebuilds
+    too.
     """
 
     p_idx: int
     start: int
     end: int
     dataset_bits: np.ndarray  # the (end-start, d) partition slice
-    mode: str  # "simulate" | "functional"
-    d: int
-    collector_depth: int
-    max_fan_in: int
-    counter_max_increment: int
+    # Legacy kNN-only fields, read only when a hand-built task carries
+    # no ``params`` (HammingKnnWorkload folds them in); the engine
+    # leaves them at their defaults.
+    mode: str = "functional"
+    d: int = 0
+    collector_depth: int = 0
+    max_fan_in: int = 16
+    counter_max_increment: int = 1
     device: APDeviceSpec = GEN1
     k: int | None = None
     cache_key: tuple | None = None
     # Which registered workload executes this task (repro.core.workload).
-    # "knn" + mode "simulate"/"functional" is the engine's legacy path;
-    # mode "workload" runs the generic compile/execute protocol.
     workload: str = "knn"
     # Workload parameters as sorted (key, value) items — hashable, and
     # rebuilt into a dict worker-side.
@@ -383,24 +381,21 @@ class _ArtifactShuttle:
 
 @dataclass
 class PartitionResult:
-    """Report batch + counter delta for one executed partition.
+    """Partial result + counter delta for one executed partition.
 
-    ``artifact``/``cache_key`` carry a board artifact a *process*
-    worker had to build back to the parent, which installs it in its
+    ``payload`` is the workload's partition-LOCAL partial (``None`` if
+    the pass produced nothing to merge).  ``artifact``/``cache_key``
+    carry a board artifact a *process* worker had to build back to the
+    parent, which installs it in its
     :class:`~repro.ap.compiler.BoardImageCache`; in-process workers
     write the shared cache directly and leave both ``None``.
     """
 
     p_idx: int
-    q_idx: np.ndarray
-    codes: np.ndarray
-    cycles: np.ndarray
     counters: RuntimeCounters
+    payload: Any = None
     artifact: Any = None
     cache_key: tuple | None = None
-    # Generic-workload partial result (mode="workload" tasks); the kNN
-    # report-array path leaves it None and fills q_idx/codes/cycles.
-    payload: Any = None
     # Worker-side monotonic timestamp taken when execution began.
     # CLOCK_MONOTONIC is system-wide on all supported platforms, so the
     # parent subtracts its submit timestamp to get per-task dispatch
@@ -413,18 +408,13 @@ def execute_partition(
 ) -> PartitionResult:
     """Run one partition end to end (worker-side entry point).
 
-    Resolves shared-memory descriptors, then dispatches through the
-    workload registry: every task executes via its
+    Resolves shared-memory and store descriptors, then runs the task's
     :class:`~repro.core.workload.Workload`'s ``execute_task`` — the
-    kNN workload routes legacy engine tasks to :func:`_execute_knn_task`
-    below (the same back-ends the sequential path calls, so parallel
-    results stay bit-identical by construction), while generic
-    workloads run the protocol's compile/execute default.  ``cache``
-    is a :class:`~repro.ap.compiler.BoardImageCache` shared by
-    in-process callers (thread workers, serial fallback).  Imports are
-    deferred so this module can be imported by :mod:`repro.core.engine`
-    without a circular dependency, and so forked workers resolve them
-    lazily.
+    same body the serial path calls, so parallel results stay
+    bit-identical by construction.  ``cache`` is a
+    :class:`~repro.ap.compiler.BoardImageCache` shared by in-process
+    callers (thread workers, serial fallback).  The workload import is
+    deferred: :mod:`repro.core.workload` imports this module.
     """
     t_start = time.monotonic()
     from ..core.workload import get_workload
@@ -457,76 +447,6 @@ def execute_partition(
         # not the whole shard it walks over a run.
         dataset_slice.release()
     return result
-
-
-def _execute_knn_task(
-    task: PartitionTask, queries_bits: np.ndarray, cache=None
-) -> PartitionResult:
-    """The kNN engine's legacy worker body (modes ``simulate`` /
-    ``functional``): shared per-partition back-ends plus the artifact-
-    shuttle cache protocol for process workers.  Kept verbatim from
-    PR 1–5 so the refactor onto the workload protocol changes no
-    behavior on the kNN path.
-    """
-    from ..core.engine import (
-        build_functional_board,
-        run_partition_functional,
-        run_partition_functional_topk,
-        run_partition_simulated,
-    )
-    from ..core.macros import MacroConfig
-    from ..core.stream import StreamLayout
-
-    layout = StreamLayout(task.d, task.collector_depth)
-    key = task.cache_key
-    shuttle = None
-    if key is not None and cache is None:
-        shuttle = _ArtifactShuttle(task.artifact)
-        cache = shuttle
-    if task.mode == "simulate":
-        q_idx, codes, cycles, counters = run_partition_simulated(
-            task.dataset_bits,
-            queries_bits,
-            layout,
-            MacroConfig(
-                max_fan_in=task.max_fan_in,
-                counter_max_increment=task.counter_max_increment,
-            ),
-            task.device,
-            task.start,
-            task.end,
-            cache=cache,
-            cache_key=key,
-        )
-    elif task.mode == "functional":
-        board = cache.get(key) if key is not None else None
-        cache_hit = board is not None
-        if board is None:
-            board = build_functional_board(task.dataset_bits, layout)
-            if key is not None:
-                cache.put(key, board)
-        if task.k is not None:
-            q_idx, codes, cycles, counters = run_partition_functional_topk(
-                board, queries_bits, layout, task.start, task.k
-            )
-        else:
-            q_idx, codes, cycles, counters = run_partition_functional(
-                board, queries_bits, layout, task.start
-            )
-        if cache_hit:
-            counters.image_cache_hits += 1
-    else:
-        raise ValueError(f"unknown execution mode {task.mode!r}")
-    built = shuttle.built if shuttle is not None else None
-    return PartitionResult(
-        p_idx=task.p_idx,
-        q_idx=q_idx,
-        codes=codes,
-        cycles=cycles,
-        counters=counters,
-        artifact=built,
-        cache_key=key if built is not None else None,
-    )
 
 
 @dataclass

@@ -8,11 +8,11 @@ with its own :class:`~repro.ap.compiler.BoardImageCache`,
 :class:`~repro.host.parallel.ParallelConfig` and shared-memory
 transport — while the front door fans a query batch out to all of them
 concurrently through a :class:`RemoteShardPool` and merges the replies
-in one :func:`~repro.util.topk.merge_topk_blocks` pass.  Results are
+through the workload's own offset-aware ``merge``.  Results are
 **bit-identical** to a single local engine over the concatenated
-dataset: every shard computes its exact local top-k with the
-library-wide (distance, index) tie-break, indices re-base to global IDs
-during the merge, and pad rows stay pads.
+dataset: every shard computes its exact local answer with the
+library-wide tie-breaks, indices re-base to global IDs during the
+merge, and pad rows stay pads.
 
 Wire protocol (v1)
 ------------------
@@ -35,16 +35,18 @@ scores) — a malicious or corrupt peer can at worst make a request fail
 validation; nothing on the wire is executable and allocations are
 bounded before they happen.
 
-Beyond the kNN request (``MSG_SEARCH_REQ``), any workload registered
-with :mod:`repro.core.workload` is servable over the same framing:
-``MSG_WL_SEARCH_REQ`` names the workload and carries its parameters as
-canonical JSON, the reply is the workload's ``pack``\\ ed wire fields,
-and :class:`RemoteWorkloadSearch` fans out/merges through the
-workload's own associative ``merge`` — shard servers pre-merge their
-local partitions, the pool merges across shards.  Servers can restrict
-what they serve with ``workloads=`` (the CLI's ``repro serve
---workload``); the legacy kNN wire counts as the ``"knn"`` workload for
-admission purposes.
+There is one search message: ``MSG_WL_SEARCH_REQ`` names a workload
+registered with :mod:`repro.core.workload` (Hamming kNN is ``"knn"``)
+and carries its request parameters as canonical JSON; the reply is
+counters + execution tag + the workload's ``pack``\\ ed wire fields, and
+:class:`RemoteWorkloadSearch` fans out/merges through the workload's
+own associative ``merge`` — shard servers pre-merge their local
+partitions, the pool merges across shards.  Servers can restrict what
+they serve with ``workloads=`` (the CLI's ``repro serve --workload``).
+How a server executes — back-end, boards, capacity, device — is the
+server's own configuration: a request naming one of
+:data:`~repro.core.workload.SERVER_OWNED_PARAMS` is refused.  Message
+types 0x03/0x04 (the retired kNN-only search pair) stay reserved.
 
 Failure semantics
 -----------------
@@ -76,9 +78,9 @@ restarts a graceful exit — stop accepting, finish in-flight requests
 (bounded), then close — so a replica can be replaced under traffic
 and rejoin warm via ``cache_dir``.
 
-:class:`RemoteMultiBoardSearch` wraps the pool in the same
-``search()``/``batched()`` surface as
-:class:`~repro.core.multiboard.MultiBoardSearch`, so the PR 4
+:class:`RemoteWorkloadSearch` wraps the pool in the same
+``search()``/``batched()`` surface as the local
+:class:`~repro.core.workload.WorkloadSearch`, so the PR 4
 :class:`~repro.host.batching.BatchRouter` composes unchanged in front
 of a rack of remote shards.
 """
@@ -97,7 +99,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..ap.device import GEN1
 from ..perf import metrics as _metrics
+from .batching import Batchable
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -126,8 +130,7 @@ MAX_PAYLOAD_BYTES = 1 << 28
 
 MSG_INFO_REQ = 0x01
 MSG_INFO = 0x02
-MSG_SEARCH_REQ = 0x03
-MSG_SEARCH = 0x04
+# 0x03/0x04 are reserved: the retired kNN-only search pair.  Never reuse.
 MSG_PING = 0x05
 MSG_PONG = 0x06
 MSG_WL_SEARCH_REQ = 0x07
@@ -145,7 +148,6 @@ _CODE_DTYPES = {
 }
 
 _INFO = struct.Struct("!QQQQ")  # n, d, offset, n_partitions
-_SEARCH_REQ = struct.Struct("!Q")  # k
 # counters: configurations, symbols_streamed, reports_received,
 # report_payload_bits, image_cache_hits; then execution-string length
 _SEARCH_HEAD = struct.Struct("!QQQQQB")
@@ -257,41 +259,6 @@ def _pack_counters(counters) -> tuple:
     )
 
 
-def pack_search_response(result) -> bytes:
-    """Encode an engine result: counters, execution tag, index/distance
-    blocks (shard-LOCAL indices — the client merge applies offsets)."""
-    execution = result.execution.encode("utf-8")[:255]
-    head = _SEARCH_HEAD.pack(*_pack_counters(result.counters), len(execution))
-    return (
-        head
-        + execution
-        + pack_array(np.asarray(result.indices, dtype=np.int64))
-        + pack_array(np.asarray(result.distances, dtype=np.int64))
-    )
-
-
-def unpack_search_response(payload: bytes):
-    from ..ap.runtime import RuntimeCounters
-
-    if len(payload) < _SEARCH_HEAD.size:
-        raise RpcProtocolError("truncated search response")
-    fields = _SEARCH_HEAD.unpack_from(payload, 0)
-    counters = RuntimeCounters(*fields[:5])
-    exec_len = fields[5]
-    offset = _SEARCH_HEAD.size
-    if len(payload) - offset < exec_len:
-        raise RpcProtocolError("truncated execution tag")
-    execution = payload[offset : offset + exec_len].decode("utf-8")
-    offset += exec_len
-    indices, offset = unpack_array(payload, offset)
-    distances, offset = unpack_array(payload, offset)
-    if indices.shape != distances.shape or indices.ndim != 2:
-        raise RpcProtocolError(
-            f"result blocks disagree: {indices.shape} vs {distances.shape}"
-        )
-    return indices, distances, counters, execution
-
-
 def pack_workload_request(
     name: str, params: dict, queries_bits: np.ndarray
 ) -> bytes:
@@ -364,6 +331,25 @@ def unpack_workload_response(payload: bytes, workload):
     return value, counters, execution
 
 
+# Compatibility adapters (benchmarks/e2e calls them; removed when that
+# harness is re-anchored): the workload codec fixed to "knn".
+
+
+def pack_search_response(result) -> bytes:
+    from ..core.workload import get_workload
+
+    return pack_workload_response(result, get_workload("knn"))
+
+
+def unpack_search_response(payload: bytes):
+    from ..core.workload import get_workload
+
+    value, counters, execution = unpack_workload_response(
+        payload, get_workload("knn")
+    )
+    return value.indices, value.distances, counters, execution
+
+
 # -- server ----------------------------------------------------------------
 
 
@@ -424,7 +410,6 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
             type={
                 MSG_PING: "ping",
                 MSG_INFO_REQ: "info",
-                MSG_SEARCH_REQ: "search",
                 MSG_WL_SEARCH_REQ: "workload_search",
             }.get(msg_type, "unknown")
         ).inc()
@@ -436,10 +421,6 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 return self._reply(sock, server, MSG_INFO, _INFO.pack(
                     info.n, info.d, info.offset, info.n_partitions
                 ))
-            elif msg_type == MSG_SEARCH_REQ:
-                return self._reply(
-                    sock, server, MSG_SEARCH, server._serve_search(payload)
-                )
             elif msg_type == MSG_WL_SEARCH_REQ:
                 return self._reply(
                     sock, server, MSG_WL_SEARCH,
@@ -494,18 +475,21 @@ class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
 
 
 class ShardServer:
-    """Serve exact kNN over one local dataset shard on a TCP port.
+    """Serve any admitted workload over one local dataset shard on a
+    TCP port.
 
-    The server owns its engine stack outright — per-``k`` engines over
-    the shard (lazily built; they share one
-    :class:`~repro.ap.compiler.BoardImageCache` so partition artifacts
-    compile once regardless of how many distinct ``k`` values clients
-    request), a :class:`~repro.host.parallel.ParallelConfig` for local
-    fan-out (including the PR 4 shared-memory transport and the pinned
-    ring backend — ``repro serve --backend pinned`` keeps persistent
-    ring workers hot across requests), and
-    optionally multiple local boards (``n_devices > 1`` builds a
-    :class:`~repro.core.multiboard.MultiBoardSearch` per ``k``).
+    The server owns its engine stack outright — one
+    :class:`~repro.core.workload.WorkloadSearch` per distinct
+    ``(workload, params)`` request shape (lazily built; they share one
+    :class:`~repro.ap.compiler.BoardImageCache`, so distinct parameter
+    values never recompile partition artifacts) — and everything about
+    *how* those engines run: ``n_devices`` local boards, and in
+    ``engine_kwargs`` the ``board_capacity``, ``device``,
+    ``macro_config``, ``execution`` back-end, ``cache`` and the
+    :class:`~repro.host.parallel.ParallelConfig` for local fan-out
+    (``repro serve --backend pinned`` keeps persistent ring workers hot
+    across requests).  Requests choose only the workload and its
+    request parameters.
 
     ``offset`` is the shard's global index base: responses carry
     shard-local indices and the *client* re-bases them during its
@@ -530,8 +514,12 @@ class ShardServer:
         **engine_kwargs,
     ):
         from ..core.dataset import PackedDataset
-        from ..core.engine import APSimilaritySearch
-        from ..core.workload import available_workloads, get_workload
+        from ..core.workload import (
+            SERVER_OWNED_PARAMS,
+            WorkloadSearch,
+            available_workloads,
+            get_workload,
+        )
 
         # ndarray, PackedDataset handle, or a .pds path — a file-backed
         # shard serves without its payload ever loading into RAM, and
@@ -545,7 +533,7 @@ class ShardServer:
             for wl_name in workloads:
                 get_workload(wl_name)  # fail fast on unknown names
         # None = serve every registered workload; a tuple is an
-        # admission list ("knn" included covers the legacy wire too).
+        # admission list.
         self.workloads = workloads
         self.offset = int(offset)
         self.n_devices = int(n_devices)
@@ -561,14 +549,23 @@ class ShardServer:
         for wl_name in (workloads if workloads is not None
                         else available_workloads()):
             get_workload(wl_name).validate_dataset(self.n, self.d)
-        engine_kwargs.setdefault("cache", True)
-        self._engine_kwargs = engine_kwargs
-        self._cache = APSimilaritySearch._normalize_cache(engine_kwargs["cache"])
-        self._engine_kwargs["cache"] = self._cache
-        self._engines: dict[int, object] = {}
-        # Generic workload engines, keyed (name, sorted params items) —
-        # like the per-k kNN dict, one engine per distinct request shape.
-        self._workload_engines: dict[tuple, object] = {}
+        self._cache = WorkloadSearch._normalize_cache(
+            engine_kwargs.pop("cache", True)
+        )
+        self._parallel = engine_kwargs.pop("parallel", None)
+        self._board_capacity = engine_kwargs.pop("board_capacity", None)
+        # What is left (execution / device / macro_config) is handed to
+        # every workload as its deployment-owned params; each keeps the
+        # keys it understands.
+        unknown = engine_kwargs.keys() - SERVER_OWNED_PARAMS
+        if unknown:
+            raise TypeError(f"unknown engine settings {sorted(unknown)}")
+        engine_kwargs.setdefault("device", GEN1)
+        engine_kwargs.setdefault("execution", "auto")
+        self._settings = engine_kwargs
+        # One engine per distinct request shape, keyed (workload name,
+        # sorted normalized params items).
+        self._engines: dict[tuple, object] = {}
         self._engine_lock = threading.Lock()
         self._server = _ThreadingTCPServer(
             (host, port), _ShardRequestHandler, bind_and_activate=True
@@ -602,33 +599,6 @@ class ShardServer:
 
     # -- engine management -------------------------------------------------
 
-    def _engine_for(self, k: int):
-        """The shard engine serving ``k`` neighbors (built on first use).
-
-        Engines fix ``k`` at construction; a per-``k`` dict keeps the
-        wire request stateless.  The shared content-addressed cache
-        means a new ``k`` never recompiles boards — only the cheap
-        engine shell is rebuilt.
-        """
-        k = min(int(k), self.n)
-        with self._engine_lock:
-            engine = self._engines.get(k)
-            if engine is None:
-                from ..core.engine import APSimilaritySearch
-                from ..core.multiboard import MultiBoardSearch
-
-                if self.n_devices > 1:
-                    engine = MultiBoardSearch(
-                        self.dataset, k=k, n_devices=self.n_devices,
-                        **self._engine_kwargs,
-                    )
-                else:
-                    engine = APSimilaritySearch(
-                        self.dataset, k=k, **self._engine_kwargs
-                    )
-                self._engines[k] = engine
-            return engine
-
     def _check_admitted(self, name: str) -> None:
         if self.workloads is not None and name not in self.workloads:
             raise ValueError(
@@ -636,64 +606,48 @@ class ShardServer:
                 f"(serving: {', '.join(self.workloads)})"
             )
 
-    def _workload_engine_for(self, name: str, params: dict):
-        """The generic engine serving ``(workload, params)``, built on
-        first use — sharing the server's one compile cache, so distinct
-        parameter values never recompile partition artifacts."""
-        from ..core.workload import WorkloadSearch, get_workload
+    def _engine(self, name: str, params: dict):
+        """The one engine factory: the engine serving ``(workload,
+        params)``, built on first use under this server's own settings
+        — sharing the one compile cache, so distinct parameter values
+        never recompile partition artifacts."""
+        from ..core.workload import (
+            SERVER_OWNED_PARAMS,
+            WorkloadSearch,
+            get_workload,
+        )
 
+        owned = SERVER_OWNED_PARAMS & params.keys()
+        if owned:
+            raise ValueError(
+                f"{sorted(owned)} are server configuration, not request "
+                "parameters"
+            )
         workload = get_workload(name)
-        params = workload.validate_params(dict(params), self.n, self.d)
+        params = workload.validate_params(
+            {**params, **self._settings}, self.n, self.d
+        )
         key = (name,) + tuple(sorted(params.items()))
         with self._engine_lock:
-            engine = self._workload_engines.get(key)
+            engine = self._engines.get(key)
             if engine is None:
-                kwargs = {
-                    kw: self._engine_kwargs[kw]
-                    for kw in ("board_capacity", "parallel", "device")
-                    if kw in self._engine_kwargs
-                }
                 engine = WorkloadSearch(
                     self.dataset, workload, params,
-                    cache=self._cache, **kwargs,
+                    board_capacity=self._board_capacity,
+                    parallel=self._parallel, cache=self._cache,
+                    device=self._settings["device"],
+                    n_devices=self.n_devices,
                 )
-                self._workload_engines[key] = engine
+                self._engines[key] = engine
             return engine
 
     def info(self) -> ShardInfo:
-        # Any engine knows the shard's partitioning; only build one
-        # (k=1, the cheapest shell) when no search has warmed one yet.
-        with self._engine_lock:
-            engine = next(iter(self._engines.values()), None)
-        if engine is None:
-            engine = self._engine_for(1)
-        n_partitions = (
-            engine.n_partition_passes
-            if hasattr(engine, "n_partition_passes")
-            else len(engine.partitions)
-        )
+        # The handshake reports the reference (kNN) workload's
+        # partitioning of this shard, whatever has been requested so far.
         return ShardInfo(
-            n=self.n, d=self.d, offset=self.offset, n_partitions=n_partitions
+            n=self.n, d=self.d, offset=self.offset,
+            n_partitions=len(self._engine("knn", {}).partitions),
         )
-
-    def _serve_search(self, payload: bytes) -> bytes:
-        if len(payload) < _SEARCH_REQ.size:
-            raise RpcProtocolError("truncated search request")
-        (k,) = _SEARCH_REQ.unpack_from(payload, 0)
-        if not 1 <= k <= MAX_PAYLOAD_BYTES:
-            raise RpcProtocolError(f"bad k={k}")
-        queries, end = unpack_array(payload, _SEARCH_REQ.size)
-        if end != len(payload):
-            raise RpcProtocolError("trailing bytes after search request")
-        if queries.ndim != 2 or queries.shape[1] != self.d:
-            raise RpcProtocolError(
-                f"queries shape {queries.shape} does not match shard d={self.d}"
-            )
-        if queries.dtype != np.uint8:
-            raise RpcProtocolError("queries must be uint8")
-        self._check_admitted("knn")  # the legacy wire IS the kNN workload
-        result = self._engine_for(k).search(queries)
-        return pack_search_response(result)
 
     def _serve_workload_search(self, payload: bytes) -> bytes:
         name, params, queries = unpack_workload_request(payload)
@@ -704,7 +658,7 @@ class ShardServer:
             )
         if queries.dtype != np.uint8:
             raise RpcProtocolError("queries must be uint8")
-        engine = self._workload_engine_for(name, params)
+        engine = self._engine(name, params)
         result = engine.search(queries)
         return pack_workload_response(result, engine.workload)
 
@@ -854,13 +808,9 @@ class ShardServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         with self._engine_lock:
-            engines = list(self._engines.values())
-            engines += list(self._workload_engines.values())
-            self._engines, self._workload_engines = {}, {}
-        for engine in engines:
-            parallel = getattr(engine, "parallel", None)
-            if parallel is not None and getattr(parallel, "persistent", False):
-                parallel.close()
+            self._engines = {}
+        if getattr(self._parallel, "persistent", False):
+            self._parallel.close()
 
     def __enter__(self) -> "ShardServer":
         return self
@@ -1083,21 +1033,12 @@ class RemoteShard:
         return ShardInfo(n=n, d=d, offset=offset, n_partitions=n_partitions)
 
     def search(self, queries_bits: np.ndarray, k: int):
-        """Shard-local exact top-k: ``(indices, distances, counters,
-        execution)`` with shard-LOCAL indices."""
-        payload = _SEARCH_REQ.pack(int(k)) + pack_array(
-            np.ascontiguousarray(queries_bits, dtype=np.uint8)
+        """Shard-local exact kNN top-k as ``(indices, distances,
+        counters, execution)`` — :meth:`search_workload` for ``"knn"``."""
+        value, counters, execution = self.search_workload(
+            queries_bits, "knn", {"k": int(k)}
         )
-        resp_type, resp = self._round_trip(MSG_SEARCH_REQ, payload)
-        if resp_type != MSG_SEARCH:
-            raise RemoteShardError(
-                f"shard {self.address}: unexpected response type {resp_type}"
-            )
-        try:
-            return unpack_search_response(resp)
-        except RpcProtocolError as exc:
-            self._drop_connection()
-            raise RemoteShardError(f"shard {self.address}: {exc}") from exc
+        return value.indices, value.distances, counters, execution
 
     def search_workload(
         self, queries_bits: np.ndarray, workload_name: str, params: dict
@@ -1141,10 +1082,10 @@ class RemoteShardPool:
     is recorded as failed (at least one shard must answer) and its
     handshake is retried on every later batch, so a rack self-heals
     when the host returns — until then ``total_n``, and therefore the
-    effective ``k``, cover the known shards only.  ``search(queries,
-    k)`` runs all shards concurrently (one thread lane per shard),
-    applies per-shard timeouts/retries, and merges whatever answered
-    through the offset-aware :func:`~repro.util.topk.merge_topk_blocks`
+    effective ``k``, cover the known shards only.
+    :meth:`search_workload` runs all shards concurrently (one thread
+    lane per shard), applies per-shard timeouts/retries, and merges
+    whatever answered through the workload's offset-aware ``merge``
     — bit-identical to one local engine over the concatenated dataset
     when every shard answers, and an exact merge over the answering
     subset (flagged ``partial``, failures named in ``failed_shards``)
@@ -1260,7 +1201,13 @@ class RemoteShardPool:
         keyed by group address — observability, not a control surface."""
         return {g.address: g.health_snapshot() for g in self.shards}
 
-    def _shard_batch(self, i: int, queries_bits: np.ndarray, k: int):
+    def search(self, queries_bits: np.ndarray, k: int):
+        """kNN fan-out: :meth:`search_workload` for ``"knn"``."""
+        return self.search_workload(queries_bits, "knn", {"k": int(k)})
+
+    def _shard_workload_batch(
+        self, i: int, queries_bits: np.ndarray, name: str, params: dict
+    ):
         """One fan-out lane: (re-)handshake if needed, then search.
 
         A shard that missed its construction-time handshake gets a new
@@ -1268,111 +1215,6 @@ class RemoteShardPool:
         only this lane's connect timeout, never the other shards'
         latency — and the rack self-heals once the host returns.
         """
-        shard = self.shards[i]
-        with self._info_lock:
-            info = self._infos.get(i)
-        if info is None:
-            info = self._admit_info(i, shard.info())
-        return info, shard.search(queries_bits, min(k, info.n))
-
-    def search(self, queries_bits: np.ndarray, k: int):
-        """Fan out one batch; returns a
-        :class:`~repro.core.multiboard.MultiBoardResult` whose indices
-        are global dataset IDs."""
-        from ..ap.runtime import RuntimeCounters
-        from ..core.multiboard import MultiBoardResult
-        from ..core.workload import get_workload
-
-        queries_bits = np.ascontiguousarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if queries_bits.ndim != 2 or queries_bits.shape[1] != self.d:
-            raise ValueError(
-                f"queries must be (q, {self.d}) uint8, got {queries_bits.shape}"
-            )
-        n_q = queries_bits.shape[0]
-        k = int(k)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-
-        # The raw requested k goes to every lane (clipped per shard at
-        # dispatch); the merge width is clipped only AFTER the fan-out,
-        # so a shard whose handshake heals mid-batch widens this very
-        # batch instead of being silently truncated to the stale
-        # total_n.
-        failovers0, hedges0 = self._replica_events()
-        futures = [
-            self._pool.submit(self._shard_batch, i, queries_bits, k)
-            for i in range(len(self.shards))
-        ]
-        blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        offsets: list[int] = []
-        per_shard_partitions: list[int] = []
-        failed: list[str] = []
-        counters = RuntimeCounters()
-        modes: set[str] = set()
-        first_error: Exception | None = None
-        for shard, future in zip(self.shards, futures):
-            try:
-                info, (indices, distances, delta, execution) = future.result()
-            except (RemoteShardError, OSError, ValueError) as exc:
-                failed.append(shard.address)
-                if first_error is None:
-                    first_error = exc
-                continue
-            if indices.shape[0] != n_q:
-                failed.append(shard.address)
-                if first_error is None:
-                    first_error = RemoteShardError(
-                        f"shard {shard.address} answered {indices.shape[0]} "
-                        f"rows for a {n_q}-row batch"
-                    )
-                shard.close()  # desynchronized: force a fresh connection
-                continue
-            counters.merge(delta)
-            modes.add(execution)
-            blocks.append((indices, distances))
-            offsets.append(info.offset)
-            per_shard_partitions.append(info.n_partitions)
-        if failed and not self.allow_partial:
-            raise RemoteShardError(
-                f"{len(failed)}/{len(self.shards)} shard(s) failed: "
-                f"{', '.join(failed)}"
-            ) from first_error
-
-        # The same offset-aware merge every layer uses, routed through
-        # the kNN reference Workload.
-        workload = get_workload("knn")
-        k_total = min(k, self.total_n)
-        if blocks:
-            merged = workload.merge(blocks, offsets, {"k": k_total})
-        else:
-            merged = workload.empty(n_q, {"k": k_total})
-        indices, distances = merged.indices, merged.distances
-        if len(modes) == 1:
-            execution = modes.pop()
-        else:
-            # empty set = nothing answered: "none", not a fake "mixed"
-            execution = "mixed" if modes else "none"
-        failovers1, hedges1 = self._replica_events()
-        return MultiBoardResult(
-            indices=indices,
-            distances=distances,
-            per_device_partitions=per_shard_partitions,
-            counters=counters,
-            execution=execution,
-            n_workers=len(blocks),
-            transport="rpc",
-            failed_shards=tuple(failed),
-            failovers=failovers1 - failovers0,
-            hedges=hedges1 - hedges0,
-        )
-
-    def _shard_workload_batch(
-        self, i: int, queries_bits: np.ndarray, name: str, params: dict
-    ):
-        """One generic-workload fan-out lane; self-healing handshake
-        semantics identical to :meth:`_shard_batch`."""
         shard = self.shards[i]
         with self._info_lock:
             info = self._infos.get(i)
@@ -1390,24 +1232,24 @@ class RemoteShardPool:
         and merge through the workload's own offset-aware ``merge``.
 
         Raw user params go to every lane (each shard re-validates
-        against its own ``n``, clipping e.g. ``k`` locally exactly as
-        the legacy path clips at dispatch); the merge params are
-        validated against ``total_n`` only AFTER the fan-out, so a
-        shard whose handshake heals mid-batch widens this very batch.
+        against its own ``n``, clipping e.g. ``k`` locally); the merge
+        params are validated against ``total_n`` only AFTER the
+        fan-out, so a shard whose handshake heals mid-batch widens this
+        very batch instead of being truncated to the stale ``total_n``.
         Returns a :class:`~repro.core.workload.WorkloadRunResult` whose
         value carries global dataset indices.
         """
         from ..ap.runtime import RuntimeCounters
-        from ..core.workload import WorkloadRunResult, get_workload
+        from ..core.workload import (
+            WorkloadRunResult,
+            get_workload,
+            normalize_queries,
+        )
 
         workload = get_workload(workload_name)
-        queries_bits = np.ascontiguousarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if queries_bits.ndim != 2 or queries_bits.shape[1] != self.d:
-            raise ValueError(
-                f"queries must be (q, {self.d}) uint8, got {queries_bits.shape}"
-            )
+        queries_bits = np.ascontiguousarray(
+            normalize_queries(queries_bits, self.d)
+        )
         n_q = queries_bits.shape[0]
         params = dict(params or {})
         # Early client-side validation for fast failure on malformed
@@ -1476,7 +1318,7 @@ class RemoteShardPool:
             workload=workload_name,
             value=value,
             counters=counters,
-            n_partitions=sum(per_shard_partitions),
+            per_device_partitions=tuple(per_shard_partitions),
             execution=execution,
             n_workers=len(partials),
             transport="rpc",
@@ -1497,98 +1339,13 @@ class RemoteShardPool:
         self.close()
 
 
-class RemoteMultiBoardSearch:
-    """The :class:`~repro.core.multiboard.MultiBoardSearch` surface over
-    a rack of remote shards.
-
-    Same ``search()``/``batched()`` contract as the local engines —
-    including the ``d``/``k`` attributes the
-    :class:`~repro.host.batching.BatchRouter` validates against — so
-    the admission layer, the CLI, and any ``searcher``-shaped caller
-    compose unchanged whether the shards are threads on this host or
-    machines across a rack.
-    """
-
-    def __init__(
-        self,
-        addresses: list[str] | tuple[str, ...],
-        k: int,
-        timeout_s: float = 10.0,
-        connect_timeout_s: float = 5.0,
-        retries: int = 1,
-        allow_partial: bool = True,
-        hedge=None,
-        health=None,
-    ):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.requested_k = int(k)
-        self.pool = RemoteShardPool(
-            addresses, timeout_s=timeout_s,
-            connect_timeout_s=connect_timeout_s, retries=retries,
-            allow_partial=allow_partial, hedge=hedge, health=health,
-        )
-
-    @property
-    def n(self) -> int:
-        """Vectors across handshaken shards (grows as a rack heals)."""
-        return self.pool.total_n
-
-    @property
-    def d(self) -> int:
-        return self.pool.d
-
-    @property
-    def k(self) -> int:
-        """Effective neighbors per query: the requested ``k`` clipped
-        to the currently-known dataset size."""
-        return min(self.requested_k, self.n)
-
-    @property
-    def n_shards(self) -> int:
-        return self.pool.n_shards
-
-    def search(self, queries_bits: np.ndarray):
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if not np.isin(queries_bits, (0, 1)).all():
-            raise ValueError("queries must be binary (0/1)")
-        return self.pool.search(queries_bits, self.requested_k)
-
-    def batched(
-        self,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
-    ):
-        """A :class:`~repro.host.batching.BatchRouter` admission layer
-        in front of the remote fan-out — the PR 4 front door, unchanged."""
-        from .batching import BatchRouter
-
-        return BatchRouter(
-            self,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
-        )
-
-    def close(self) -> None:
-        self.pool.close()
-
-    def __enter__(self) -> "RemoteMultiBoardSearch":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class RemoteWorkloadSearch:
+class RemoteWorkloadSearch(Batchable):
     """The :class:`~repro.core.workload.WorkloadSearch` surface over a
     rack of remote shards — any registered workload, same
     ``search()``/``batched()``/``split_result`` contract as the local
-    generic engine, so the admission layer and the CLI compose
-    unchanged.  Custom workloads must be registered (imported) on the
+    engine, so the admission layer and the CLI compose unchanged
+    whether the shards are threads on this host or machines across a
+    rack.  Custom workloads must be registered (imported) on the
     servers too: the name on the wire resolves through each process's
     own registry.
     """
@@ -1618,9 +1375,13 @@ class RemoteWorkloadSearch:
         )
         # Fail fast on malformed params (bad radius, k < 1, ...) before
         # any caller blocks on a fan-out.
-        self.workload.validate_params(
-            dict(self.params), self.pool.total_n, self.pool.d
-        )
+        try:
+            self.workload.validate_params(
+                dict(self.params), self.pool.total_n, self.pool.d
+            )
+        except ValueError:
+            self.pool.close()
+            raise
 
     @property
     def n(self) -> int:
@@ -1636,37 +1397,15 @@ class RemoteWorkloadSearch:
         return self.pool.n_shards
 
     def search(self, queries_bits: np.ndarray):
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if not np.isin(queries_bits, (0, 1)).all():
-            raise ValueError("queries must be binary (0/1)")
         return self.pool.search_workload(
             queries_bits, self.workload.name, self.params
         )
 
     def split_result(self, result, lo: int, hi: int):
         """Row-slice for the batching layer, through the workload's
-        own ``split`` — same hook the local generic engine exposes."""
+        own ``split`` — same hook the local engine exposes."""
         return replace(
             result, value=self.workload.split(result.value, lo, hi)
-        )
-
-    def batched(
-        self,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
-    ):
-        """A :class:`~repro.host.batching.BatchRouter` admission layer
-        in front of the remote workload fan-out."""
-        from .batching import BatchRouter
-
-        return BatchRouter(
-            self,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
         )
 
     def close(self) -> None:
@@ -1677,3 +1416,21 @@ class RemoteWorkloadSearch:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class RemoteMultiBoardSearch(RemoteWorkloadSearch):
+    """Compatibility adapter (benchmarks/e2e constructs it; removed when
+    that harness is re-anchored): :class:`RemoteWorkloadSearch` fixed to
+    ``"knn"``, plus the ``k``/``requested_k`` view of its params."""
+
+    def __init__(self, addresses, k: int, **pool_kwargs):
+        super().__init__(addresses, "knn", {"k": k}, **pool_kwargs)
+
+    @property
+    def requested_k(self) -> int:
+        return int(self.params["k"])
+
+    @property
+    def k(self) -> int:
+        """``requested_k`` clipped to the currently-known dataset size."""
+        return min(self.requested_k, self.n)

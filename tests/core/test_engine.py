@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
+import repro.core.workload as workload_mod
 from repro.ap.device import GEN1, GEN2
 from repro.core.engine import PAD_DISTANCE, PAD_INDEX, APSimilaritySearch
 from tests.conftest import brute_force_knn
@@ -130,21 +131,20 @@ class TestShortTopkRegression:
         assert (res.indices == exp_i).all()
         assert (res.distances == exp_d).all()
 
-    def test_short_merge_pads_instead_of_crashing(self):
+    def test_short_merge_pads_instead_of_crashing(self, monkeypatch):
         """A back-end returning fewer reports than vectors must pad, not
         raise the historical broadcast error."""
+        real = engine_mod.run_partition_functional_topk
 
-        class LossyEngine(APSimilaritySearch):
-            def _run_functional(self, queries, start, end, counters):
-                q_idx, codes, cycles = super()._run_functional(
-                    queries, start, end, counters
-                )
-                return q_idx[:1], codes[:1], cycles[:1]  # drop most reports
+        def lossy(*args, **kwargs):
+            q_idx, codes, cycles, counters = real(*args, **kwargs)
+            return q_idx[:1], codes[:1], cycles[:1], counters  # drop most
 
+        monkeypatch.setattr(engine_mod, "run_partition_functional_topk", lossy)
         rng = np.random.default_rng(14)
         data = rng.integers(0, 2, (6, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (2, 8), dtype=np.uint8)
-        res = LossyEngine(
+        res = APSimilaritySearch(
             data, k=4, board_capacity=6, execution="functional"
         ).search(queries)
         assert res.indices.shape == (2, 4)
@@ -170,14 +170,17 @@ class TestEmptyReportDtypes:
 
     def test_simulated_partition_empty_queries_int64(self):
         from repro.core.engine import run_partition_simulated
-        from repro.core.macros import MacroConfig, collector_tree_depth
+        from repro.core.macros import collector_tree_depth
         from repro.core.stream import StreamLayout
 
         data = np.zeros((3, 4), dtype=np.uint8)
         queries = np.zeros((0, 4), dtype=np.uint8)  # no queries -> no reports
         layout = StreamLayout(4, collector_tree_depth(4, 16))
+        image = workload_mod.get_workload("knn").compile(
+            data, {"k": 1, "execution": "simulate"}
+        )
         q_idx, codes, cycles, _ = run_partition_simulated(
-            data, queries, layout, MacroConfig(), GEN1, start=0, end=3
+            image, queries, layout, GEN1
         )
         assert q_idx.shape == codes.shape == cycles.shape == (0,)
         assert q_idx.dtype == np.int64
@@ -195,7 +198,14 @@ class TestEmptyReportDtypes:
 
 
 class TestAutoExecutionChoice:
-    """_choose_execution sums true per-partition costs (not capacity)."""
+    """execution="auto" resolves per batch, in the kNN workload's
+    ``batch_params``, from the true cost over n vectors (not capacity)."""
+
+    @staticmethod
+    def _chosen(eng, n_queries):
+        return eng.workload.batch_params(
+            eng.params, n_queries, eng.n, eng.d
+        )["execution"]
 
     def _cost(self, eng, n_queries):
         states_per_vector = 2 * eng.d + 8
@@ -208,10 +218,10 @@ class TestAutoExecutionChoice:
         data = rng.integers(0, 2, (30, 8), dtype=np.uint8)
         eng = APSimilaritySearch(data, k=1, board_capacity=8, execution="auto")
         cost = self._cost(eng, 4)
-        monkeypatch.setattr(engine_mod, "_AUTO_SIM_LIMIT", cost)
-        assert eng._choose_execution(4) == "simulate"  # cost == limit
-        monkeypatch.setattr(engine_mod, "_AUTO_SIM_LIMIT", cost - 1)
-        assert eng._choose_execution(4) == "functional"  # just above
+        monkeypatch.setattr(workload_mod, "_AUTO_SIM_LIMIT", cost)
+        assert self._chosen(eng, 4) == "simulate"  # cost == limit
+        monkeypatch.setattr(workload_mod, "_AUTO_SIM_LIMIT", cost - 1)
+        assert self._chosen(eng, 4) == "functional"  # just above
 
     def test_small_final_partition_not_overcharged(self, monkeypatch):
         """n=cap+1 must cost barely more than n=cap, not double: the
@@ -225,13 +235,13 @@ class TestAutoExecutionChoice:
         )
         assert len(eng.partitions) == 2
         cost = self._cost(eng, 1)  # 17 vectors' worth, not 32
-        monkeypatch.setattr(engine_mod, "_AUTO_SIM_LIMIT", cost)
-        assert eng._choose_execution(1) == "simulate"
+        monkeypatch.setattr(workload_mod, "_AUTO_SIM_LIMIT", cost)
+        assert self._chosen(eng, 1) == "simulate"
 
     def test_explicit_mode_wins(self):
         data = np.zeros((4, 4), dtype=np.uint8)
         eng = APSimilaritySearch(data, k=1, execution="functional")
-        assert eng._choose_execution(10**9) == "functional"
+        assert self._chosen(eng, 10**9) == "functional"
 
 
 class TestEngineAccounting:

@@ -83,9 +83,11 @@ class TestBalancedShards:
     def test_engines_use_balanced_bounds(self, rng):
         data = rng.integers(0, 2, (11, 4), dtype=np.uint8)
         mb = MultiBoardSearch(data, k=1, n_devices=4, board_capacity=4)
-        sizes = [e.n for e in mb._engines]
-        assert sizes == [3, 3, 3, 2]
-        assert mb._shard_offsets.tolist() == [0, 3, 6, 9]
+        assert np.diff(mb.shard_bounds).tolist() == [3, 3, 3, 2]
+        assert mb.shard_bounds[:-1].tolist() == [0, 3, 6, 9]
+        # board partitions never straddle a device boundary
+        assert mb.partitions == [(0, 3), (3, 6), (6, 9), (9, 11)]
+        assert mb.per_device_partitions == (1, 1, 1, 1)
 
 
 class TestPadSafety:
@@ -99,9 +101,7 @@ class TestPadSafety:
         def lossy(task, queries_bits, cache=None):
             res = real(task, queries_bits, cache)
             if task.p_idx in dead_p_idx:
-                res.q_idx = res.q_idx[:0]
-                res.codes = res.codes[:0]
-                res.cycles = res.cycles[:0]
+                res.payload = None
             return res
 
         monkeypatch.setattr(hp, "execute_partition", lossy)
@@ -116,7 +116,7 @@ class TestPadSafety:
         data = rng.integers(0, 2, (20, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (3, 8), dtype=np.uint8)
         mb = MultiBoardSearch(data, k=3, n_devices=2, execution="functional")
-        assert [len(e.partitions) for e in mb._engines] == [1, 1]
+        assert mb.per_device_partitions == (1, 1)
         # device 0 (data[0:10], single partition, p_idx 0) goes lossy
         self._lossy(monkeypatch, {0})
         res = mb.search(queries)
@@ -157,7 +157,7 @@ class TestBackendParity:
     def _shard_counter_sum(self, mb, data, queries, k, cap):
         """Expected counters: per-shard sequential engines, summed."""
         total = RuntimeCounters()
-        bounds = np.append(mb._shard_offsets, data.shape[0])
+        bounds = mb.shard_bounds
         for di in range(mb.n_devices):
             shard = data[bounds[di]:bounds[di + 1]]
             r = APSimilaritySearch(
@@ -222,7 +222,7 @@ class TestSharedCache:
         cache = BoardImageCache()
         mb = MultiBoardSearch(data, k=3, n_devices=2, board_capacity=10,
                               execution="functional", cache=cache)
-        assert all(e.cache is cache for e in mb._engines)
+        assert mb.cache is cache  # one pipeline, one cache, every device
         cold = mb.search(queries)
         assert cold.counters.image_cache_hits == 0
         assert len(cache) == sum(cold.per_device_partitions)

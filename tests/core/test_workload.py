@@ -90,16 +90,69 @@ class TestKnnReferenceWorkload:
     """The refactor contract: kNN through the protocol ≡ the engine."""
 
     def test_engine_and_workload_paths_bit_identical(self, oracle):
-        data, queries = _data()
-        ref = APSimilaritySearch(data, k=9, execution="functional",
-                                 board_capacity=64).search(queries)
-        res = WorkloadSearch(data, "knn", {"k": 9},
-                             board_capacity=64).search(queries)
+        self._same_pipeline(oracle, "functional", 16)
+
+    @pytest.mark.parametrize("execution,capacity", [
+        ("functional", None), ("simulate", 16), ("simulate", None),
+    ])
+    def test_engine_is_a_named_constructor(self, oracle, execution, capacity):
+        self._same_pipeline(oracle, execution, capacity)
+
+    @staticmethod
+    def _same_pipeline(oracle, execution, capacity):
+        """APSimilaritySearch is a named constructor over the one
+        pipeline: same partitioning (default capacity included), same
+        answers, same counters — in both back-ends."""
+        data, queries = _data(n=60, d=16, n_queries=3)
+        ref_engine = APSimilaritySearch(
+            data, k=9, execution=execution, board_capacity=capacity
+        )
+        engine = WorkloadSearch(
+            data, "knn", {"k": 9, "execution": execution},
+            board_capacity=capacity,
+        )
+        assert engine.partitions == ref_engine.partitions
+        ref, res = ref_engine.search(queries), engine.search(queries)
         assert (res.value.indices == ref.indices).all()
         assert (res.value.distances == ref.distances).all()
+        assert res.counters == ref.counters
+        assert res.execution == ref.execution == execution
+        assert res.n_partitions == ref.n_partitions == len(engine.partitions)
         exp_idx, exp_dist = oracle(data, queries, 9)
         assert (res.value.indices == exp_idx).all()
         assert (res.value.distances == exp_dist).all()
+
+    def test_default_capacity_is_the_workloads_own_rule(self):
+        """kNN: the compiler probe (2368 / 1216 / 576 vectors per board
+        at d = 64 / 128 / 256, whichever constructor is used); the
+        other built-ins: the paper's Table II constants."""
+        for d, knn_cap, table2_cap in ((64, 2368, 1024), (128, 1216, 1024),
+                                       (256, 576, 512)):
+            data = np.zeros((3, d), dtype=np.uint8)
+            assert APSimilaritySearch(data, k=1).board_capacity == knn_cap
+            assert WorkloadSearch(
+                data, "knn", {"k": 1}
+            ).board_capacity == knn_cap
+            assert WorkloadSearch(
+                data, "jaccard", {"k": 1}
+            ).board_capacity == table2_cap
+
+    def test_simulate_and_functional_never_share_cache_entries(self):
+        from repro.ap.compiler import BoardImageCache
+
+        data, queries = _data(n=40, d=16, n_queries=2)
+        cache = BoardImageCache()
+        results = [
+            APSimilaritySearch(
+                data, k=3, board_capacity=16, execution=execution, cache=cache
+            ).search(queries)
+            for execution in ("functional", "simulate", "functional")
+        ]
+        assert len(cache) == 2 * results[0].n_partitions
+        assert [r.counters.image_cache_hits for r in results] == [
+            0, 0, results[0].n_partitions
+        ]
+        assert (results[0].indices == results[1].indices).all()
 
     def test_engine_merge_routes_through_workload(self):
         # multi-partition single engine still merges exactly
@@ -150,6 +203,25 @@ class TestWorkloadParity:
         res = par.search(queries)
         assert res.n_workers == 4
         _assert_value_equal(get_workload(name), res.value, serial.value)
+
+    @pytest.mark.parametrize("name,params", ALL_PARAMS)
+    @pytest.mark.parametrize("n_devices", [2, 5])
+    def test_multi_device_bit_identical(self, name, params, n_devices):
+        """Every workload shards across boards: partitions never
+        straddle a device boundary, the merge is unchanged."""
+        data, queries = _data()
+        single = WorkloadSearch(data, name, params,
+                                board_capacity=32).search(queries)
+        engine = WorkloadSearch(data, name, params, board_capacity=32,
+                                n_devices=n_devices)
+        res = engine.search(queries)
+        _assert_value_equal(get_workload(name), res.value, single.value)
+        assert res.n_devices == n_devices
+        assert res.n_partitions == len(engine.partitions)
+        bounds = engine.shard_bounds.tolist()
+        for start, end in engine.partitions:
+            assert any(lo <= start and end <= hi
+                       for lo, hi in zip(bounds, bounds[1:]))
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     @pytest.mark.skipif(not shm_available(), reason=SHM_UNAVAILABLE_REASON)

@@ -38,7 +38,7 @@ from repro.host.replication import (
     ReplicaGroup,
 )
 from repro.host.rpc import (
-    MSG_SEARCH,
+    MSG_WL_SEARCH,
     RemoteShard,
     RemoteShardError,
     RemoteShardPool,
@@ -340,7 +340,7 @@ class TestServerFaultHook:
         data, queries = _workload()
         # the hook sees REPLY types: match search replies only
         hook = ServerFaultHook(
-            FaultSpec("drop", times=1), match=(MSG_SEARCH,)
+            FaultSpec("drop", times=1), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
             data, execution="functional", fault_hook=hook
@@ -368,7 +368,7 @@ class TestDrain:
     def test_drain_waits_for_in_flight_request(self):
         data, queries = _workload()
         hook = ServerFaultHook(
-            FaultSpec("delay", delay_s=0.3), match=(MSG_SEARCH,)
+            FaultSpec("delay", delay_s=0.3), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
             data, execution="functional", fault_hook=hook
@@ -404,7 +404,7 @@ class TestDrain:
     def test_drain_bounded_when_request_outlives_timeout(self):
         data, queries = _workload()
         hook = ServerFaultHook(
-            FaultSpec("delay", delay_s=2.0), match=(MSG_SEARCH,)
+            FaultSpec("delay", delay_s=2.0), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
             data, execution="functional", fault_hook=hook
@@ -449,7 +449,7 @@ class TestDrain:
 
         data, queries = _workload()
         hook = ServerFaultHook(
-            FaultSpec("delay", delay_s=0.6), match=(MSG_SEARCH,)
+            FaultSpec("delay", delay_s=0.6), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
             data, execution="functional", fault_hook=hook
@@ -544,3 +544,61 @@ class TestServeSigterm:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+    def test_sigterm_inside_request_window_still_drains(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Regression: socketserver wraps ``process_request`` in ``except
+        Exception``, so a SIGTERM whose handler raised an ``Exception``
+        subclass while the accept loop was in that window was logged as
+        a request error and the server kept accepting.  Raise the
+        sentinel from exactly there: it must escape ``serve_forever()``
+        and run the drain path."""
+        import _thread
+
+        from repro import cli
+        from repro.host import rpc
+
+        data, _ = _workload(n=40, d=16)
+        dataset = tmp_path / "data.npy"
+        np.save(dataset, data)
+        with socket.socket() as probe:  # a free port to find the server on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+
+        def sigterm_lands_here(self, request, client_address):
+            raise cli._Sigterm
+
+        monkeypatch.setattr(
+            rpc._ThreadingTCPServer, "process_request", sigterm_lands_here
+        )
+        served = threading.Event()
+
+        def connect_then_watchdog():
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 0.5).close()
+                    break
+                except OSError:
+                    time.sleep(0.02)
+            if not served.wait(timeout=5.0):
+                _thread.interrupt_main()  # swallowed sentinel: fail, not hang
+
+        client = threading.Thread(target=connect_then_watchdog, daemon=True)
+        previous = signal.getsignal(signal.SIGTERM)
+        client.start()
+        try:
+            code = cli.main([
+                "serve", str(dataset), "--port", str(port),
+                "--execution", "functional", "--drain-timeout-s", "1.0",
+            ])
+        finally:
+            served.set()
+            signal.signal(signal.SIGTERM, previous)
+            client.join(timeout=10.0)
+        assert not client.is_alive()
+        stderr = capsys.readouterr().err
+        assert code == 0
+        assert "SIGTERM: draining" in stderr
+        assert "drain complete" in stderr

@@ -13,6 +13,7 @@ from repro.host.parallel import (
     execute_partition,
     run_partitions,
 )
+from repro.host.shm import SHM_UNAVAILABLE_REASON, shm_available
 from tests.conftest import brute_force_knn
 
 
@@ -159,15 +160,40 @@ class TestRunPartitions:
         assert capped.n_workers == len(tasks)
 
     def test_serial_equals_parallel(self):
-        data, queries = _workload()
-        tasks = self._tasks(data, 12)
+        self._serial_equals(mode="functional", backend="process")
+
+    @pytest.mark.parametrize("mode,backend", [
+        ("functional", "thread"), ("functional", "pinned"),
+        ("simulate", "thread"), ("simulate", "process"),
+        ("simulate", "pinned"),
+    ])
+    def test_both_back_ends_ride_every_pool(self, mode, backend):
+        self._serial_equals(mode, backend)
+
+    def _serial_equals(self, mode, backend):
+        """Both kNN back-ends ride the one task path on every backend:
+        decoded partials and counters are bit-identical to serial, and
+        the two back-ends agree with each other."""
+        if backend == "pinned" and not shm_available():
+            pytest.skip(SHM_UNAVAILABLE_REASON)
+        data, queries = _workload(n=40, d=8, n_queries=3)
+        tasks = self._tasks(data, 12, mode=mode)
         serial = run_partitions(tasks, queries, ParallelConfig(n_workers=1)).results
-        pooled = run_partitions(tasks, queries, ParallelConfig(n_workers=3)).results
-        for a, b in zip(serial, pooled):
-            assert (a.q_idx == b.q_idx).all()
-            assert (a.codes == b.codes).all()
-            assert (a.cycles == b.cycles).all()
-            assert a.counters == b.counters
+        pooled = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=3, backend=backend)
+        ).results
+        other = run_partitions(
+            self._tasks(
+                data, 12,
+                mode="simulate" if mode == "functional" else "functional",
+            ),
+            queries,
+        ).results
+        for a, b, c in zip(serial, pooled, other):
+            for x in (b, c):
+                assert np.array_equal(a.payload.indices, x.payload.indices)
+                assert np.array_equal(a.payload.distances, x.payload.distances)
+                assert a.counters == x.counters
 
     def test_execute_partition_counters_functional(self):
         data, queries = _workload(n=10)
@@ -551,8 +577,8 @@ class TestChunkedDispatch:
         # one submission per worker chunk, not per task
         assert chunked.queue_depth == 2
         for rs, rp in zip(serial.results, chunked.results):
-            assert np.array_equal(rs.codes, rp.codes)
-            assert np.array_equal(rs.cycles, rp.cycles)
+            assert np.array_equal(rs.payload.indices, rp.payload.indices)
+            assert np.array_equal(rs.payload.distances, rp.payload.distances)
             assert rs.counters == rp.counters
 
     def test_per_task_submits_when_tasks_fit_workers(self):

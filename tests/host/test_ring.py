@@ -317,8 +317,8 @@ class TestPinnedComposition:
         assert report.transport == "shm"
         assert report.n_workers == 2
         for rs, rp in zip(serial.results, report.results):
-            assert np.array_equal(rs.codes, rp.codes)
-            assert np.array_equal(rs.cycles, rp.cycles)
+            assert np.array_equal(rs.payload.indices, rp.payload.indices)
+            assert np.array_equal(rs.payload.distances, rp.payload.distances)
 
     def test_composes_with_batched(self):
         data, queries = _workload(n=50, d=16, n_queries=6)
@@ -366,7 +366,7 @@ class TestPinnedComposition:
         assert report.n_workers == 1  # serial fallback, still correct
         serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
         for rs, rp in zip(serial.results, report.results):
-            assert np.array_equal(rs.codes, rp.codes)
+            assert np.array_equal(rs.payload.indices, rp.payload.indices)
         with pytest.raises(OSError):
             run_partitions(
                 tasks, queries,
@@ -575,7 +575,8 @@ class TestPinnedRobustness:
             second = pool.run_tasks(tasks, queries)
             assert pool.respawns >= 1
         for rf, rs in zip(first.results, second.results):
-            assert np.array_equal(rf.codes, rs.codes)
+            assert np.array_equal(rf.payload.indices, rs.payload.indices)
+            assert np.array_equal(rf.payload.distances, rs.payload.distances)
 
 
 def _proc_running(pid: int) -> bool:

@@ -29,8 +29,8 @@ from repro.host.rpc import (
     MAX_PAYLOAD_BYTES,
     MSG_INFO,
     MSG_INFO_REQ,
-    MSG_SEARCH,
-    MSG_SEARCH_REQ,
+    MSG_WL_SEARCH,
+    MSG_WL_SEARCH_REQ,
     PROTOCOL_VERSION,
     RemoteMultiBoardSearch,
     RemoteShard,
@@ -39,7 +39,6 @@ from repro.host.rpc import (
     RpcProtocolError,
     ShardServer,
     _INFO,
-    _SEARCH_REQ,
     pack_array,
     pack_frame,
     read_frame,
@@ -110,12 +109,12 @@ class _StubShard:
                 msg_type, _payload = read_frame(conn)
                 if msg_type == MSG_INFO_REQ:
                     conn.sendall(pack_frame(MSG_INFO, _INFO.pack(*self.info)))
-                elif msg_type == MSG_SEARCH_REQ:
+                elif msg_type == MSG_WL_SEARCH_REQ:
                     if self.mode == "hang":
                         time.sleep(30.0)
                         return
                     # midstream: half a frame, then hang up
-                    good = pack_frame(MSG_SEARCH, b"\x00" * 64)
+                    good = pack_frame(MSG_WL_SEARCH, b"\x00" * 64)
                     conn.sendall(good[: len(good) // 2])
                     return
         except (ConnectionError, OSError, RpcProtocolError):
@@ -153,9 +152,9 @@ class TestWireProtocol:
     def test_frame_round_trip_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(pack_frame(MSG_SEARCH_REQ, b"hello"))
+            a.sendall(pack_frame(MSG_WL_SEARCH_REQ, b"hello"))
             msg_type, payload = read_frame(b)
-            assert msg_type == MSG_SEARCH_REQ
+            assert msg_type == MSG_WL_SEARCH_REQ
             assert payload == b"hello"
         finally:
             a.close()
@@ -196,7 +195,7 @@ class TestWireProtocol:
         a, b = socket.socketpair()
         try:
             frame = struct.pack(
-                "!4sBBHQ", b"APRS", PROTOCOL_VERSION, MSG_SEARCH_REQ, 0,
+                "!4sBBHQ", b"APRS", PROTOCOL_VERSION, MSG_WL_SEARCH_REQ, 0,
                 MAX_PAYLOAD_BYTES + 1,
             )
             a.sendall(frame)
@@ -246,14 +245,89 @@ class TestShardServer:
             finally:
                 shard.close()
 
+    @pytest.mark.parametrize("execution", ["functional", "simulate"])
+    def test_knn_reply_bytes_are_the_retired_wires(self, execution):
+        """The kNN reply on the one search message is byte for byte what
+        MSG_SEARCH carried: five u64 counters, the execution tag, then
+        the packed index and distance blocks."""
+        from repro.host.rpc import pack_workload_request
+
+        data, queries = _workload(n=40, d=8, n_queries=3)
+        ref = APSimilaritySearch(data, k=4, execution=execution).search(queries)
+        with ShardServer(data, execution=execution) as server:
+            reply = server._serve_workload_search(
+                pack_workload_request("knn", {"k": 4}, queries)
+            )
+        c = ref.counters
+        tag = execution.encode()
+        assert reply == (
+            struct.pack(
+                "!QQQQQB", c.configurations, c.symbols_streamed,
+                c.reports_received, c.report_payload_bits,
+                c.image_cache_hits, len(tag),
+            )
+            + tag + pack_array(ref.indices) + pack_array(ref.distances)
+        )
+
+    def test_handshake_partitions_follow_knn_default_capacity(self):
+        """A default-capacity shard reports the compiler-derived kNN
+        partitioning (2368 vectors per board at d=64), whatever other
+        workloads it has been asked for."""
+        data = np.zeros((5000, 64), dtype=np.uint8)
+        with ShardServer(data, execution="functional") as server:
+            server._engine("jaccard", {"k": 1})
+            assert server.info().n_partitions == 3  # ceil(5000 / 2368)
+            assert len(APSimilaritySearch(data, k=1).partitions) == 3
+
     def test_malformed_search_answers_error_frame(self):
-        data, _ = _workload()
+        data, queries = _workload()
         with ShardServer(data, execution="functional") as server:
             server.start()
             shard = RemoteShard("{}:{}".format(*server.address))
             try:
-                with pytest.raises(RemoteShardError, match="bad k"):
-                    shard._request(MSG_SEARCH_REQ, _SEARCH_REQ.pack(0))
+                with pytest.raises(RemoteShardError, match="k must be >= 1"):
+                    shard.search(queries, k=0)
+                assert shard.ping()  # a request error keeps the session
+            finally:
+                shard.close()
+
+    def test_retired_knn_message_type_refused_and_dropped(self):
+        """0x03 was the kNN-only MSG_SEARCH_REQ: reserved, never reused.
+        A frame of that type gets the loud unknown-type error and the
+        connection is dropped."""
+        data, queries = _workload()
+        with ShardServer(data, execution="functional") as server:
+            server.start()
+            shard = RemoteShard("{}:{}".format(*server.address), retries=0)
+            try:
+                legacy_request = struct.pack("!Q", 3) + pack_array(queries)
+                with pytest.raises(
+                    RemoteShardError, match="unknown message type 3"
+                ):
+                    shard._request(0x03, legacy_request)
+                assert shard._sock.recv(1) == b""  # server hung up
+            finally:
+                shard.close()
+
+    def test_request_naming_server_owned_setting_refused(self):
+        """How a shard executes is the server's configuration: a remote
+        client must not be able to select, say, cycle simulation."""
+        data, queries = _workload()
+        with ShardServer(data, execution="functional") as server:
+            server.start()
+            shard = RemoteShard("{}:{}".format(*server.address))
+            try:
+                for owned in ({"execution": "simulate"}, {"n_devices": 2},
+                              {"board_capacity": 1}, {"device": "gen2"}):
+                    with pytest.raises(
+                        RemoteShardError, match="server configuration"
+                    ):
+                        shard.search_workload(
+                            queries, "knn", {"k": 3, **owned}
+                        )
+                assert not server._engines  # no engine was built for them
+                _, _, _, execution = shard.search(queries, k=3)
+                assert execution == "functional"
             finally:
                 shard.close()
 

@@ -397,10 +397,11 @@ class TestFallback:
 
     def test_measure_ipc_records_payload(self):
         data, queries = _workload()
+        eng = APSimilaritySearch(
+            data, k=3, board_capacity=12, execution="functional"
+        )
         run = run_partitions(
-            APSimilaritySearch(
-                data, k=3, board_capacity=12, execution="functional"
-            )._partition_tasks("functional"),
+            eng._partition_tasks(eng.params),
             queries,
             ParallelConfig(
                 n_workers=2, backend="process", transport="pickle",
@@ -417,7 +418,7 @@ class TestFallback:
         eng = APSimilaritySearch(
             data, k=3, board_capacity=64, execution="functional"
         )
-        tasks = eng._partition_tasks("functional")
+        tasks = eng._partition_tasks(eng.params)
         pickled = sum(
             len(pickle.dumps((t, queries), protocol=pickle.HIGHEST_PROTOCOL))
             for t in tasks

@@ -157,10 +157,22 @@ class TestRemoteWorkloadParity:
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     def test_rack_bit_identical(self, name, params):
+        self._rack_matches_local(name, params, n_devices=1)
+
+    @pytest.mark.parametrize("name,params", ALL_PARAMS)
+    def test_rack_multi_device_servers_bit_identical(self, name, params):
+        """``n_devices`` is server configuration and shapes every
+        admitted workload's partitioning (it used to reach kNN only)."""
+        self._rack_matches_local(name, params, n_devices=2)
+
+    @staticmethod
+    def _rack_matches_local(name, params, n_devices):
         data, queries = _data()
         local = WorkloadSearch(data, name, params,
                                board_capacity=32).search(queries)
-        servers, addresses = _start_rack(data, 3, board_capacity=32)
+        servers, addresses = _start_rack(
+            data, 3, board_capacity=32, n_devices=n_devices
+        )
         try:
             with RemoteWorkloadSearch(addresses, name, params) as remote:
                 res = remote.search(queries)
@@ -169,6 +181,12 @@ class TestRemoteWorkloadParity:
                 assert not res.partial
                 _assert_value_equal(
                     get_workload(name), res.value, local.value
+                )
+            for server in servers:
+                served = [e for e in server._engines.values()
+                          if e.workload.name == name]
+                assert served and all(
+                    len(e.per_device_partitions) == n_devices for e in served
                 )
         finally:
             for s in servers:

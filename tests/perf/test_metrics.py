@@ -364,6 +364,32 @@ class TestTraceContext:
         assert doc["name"] == "req"
         assert [s["stage"] for s in doc["spans"]] == ["a", "b"]
 
+    @pytest.mark.parametrize("name,params,n_devices", [
+        ("knn", {"k": 3}, 1), ("knn", {"k": 3}, 2),
+        ("jaccard", {"k": 3}, 1), ("range", {"radius": 4}, 2),
+    ])
+    def test_every_workload_emits_execute_and_merge_spans(
+        self, global_registry, name, params, n_devices
+    ):
+        """The spans live in the one engine loop, so they are not a
+        kNN-single-board privilege any more."""
+        import numpy as np
+
+        from repro.core.workload import WorkloadSearch
+
+        rng = np.random.default_rng(0)
+        data = rng.integers(0, 2, (40, 16), dtype=np.uint8)
+        engine = WorkloadSearch(data, name, params, board_capacity=8,
+                                n_devices=n_devices)
+        with trace_request("req") as trace:
+            engine.search(data[:2])
+        assert [s.stage for s in trace.spans] == ["execute", "merge"]
+        for stage_name in ("execute", "merge"):
+            hist = global_registry.snapshot().get(
+                "repro_stage_duration_seconds", stage=stage_name
+            )
+            assert hist["count"] == 1
+
     def test_stage_histogram_shared(self, global_registry):
         assert stage_histogram(global_registry) is stage_histogram(
             global_registry

@@ -80,6 +80,32 @@ class TestSearch:
             pair = f"{ref.indices[qi][0]}:{ref.distances[qi][0]}"
             assert f"q{qi}: {pair}" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--workload", "jaccard", "-k", "3"],
+        ["--workload", "range", "--radius", "5"],
+    ])
+    def test_every_workload_takes_devices_and_batch(
+        self, dataset_files, capsys, tmp_path, flags
+    ):
+        """One local path: --devices and --batch (the admission layer)
+        serve every workload, bit-identically to the plain run."""
+        d, q, *_ = dataset_files
+        rows = {}
+        for label, extra in (("plain", []),
+                             ("devices", ["--devices", "2"]),
+                             ("batched", ["--batch", "4"])):
+            out_file = tmp_path / f"{label}.npy"
+            assert main(["search", d, q, "--board-capacity", "16",
+                         "--out", str(out_file), *flags, *extra]) == 0
+            out = capsys.readouterr().out
+            assert f"workload={flags[1]}" in out
+            assert ("2 device(s)" in out) == (label == "devices")
+            rows[label] = ([ln for ln in out.splitlines()
+                            if ln.startswith("q")], np.load(out_file))
+        for label in ("devices", "batched"):
+            assert rows[label][0] == rows["plain"][0]
+            assert (rows[label][1] == rows["plain"][1]).all()
+
     def test_devices_below_one_rejected(self, dataset_files, capsys):
         d, q, *_ = dataset_files
         assert main(["search", d, q, "--devices", "0"]) == 2
@@ -230,3 +256,24 @@ class TestStats:
     def test_stats_unreachable_is_an_error(self, capsys):
         assert main(["stats", "127.0.0.1:1", "--timeout-s", "0.5"]) == 1
         assert "cannot fetch metrics" in capsys.readouterr().err
+
+
+class TestPackaging:
+    def test_declared_metadata_matches_package(self):
+        """pyproject.toml is the metadata setup.py defers to: the name,
+        the version (read from ``repro.__version__``) and the ``repro``
+        console script must resolve — `UNKNOWN 0.0.0` was the bug."""
+        pytest.importorskip("setuptools")
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out[-2:] == ["repro", repro.__version__]
+        assert 'repro = "repro.cli:main"' in (root / "pyproject.toml").read_text()
