@@ -1,7 +1,7 @@
 """Dataset-store A/B: ArrayStore vs ShmStore vs MmapStore.
 
 The PackedDataset refactor claims four things this benchmark measures
-and the regression gate then holds:
+and the regression gate then holds, plus one it records:
 
 * **bit identity** — the same data behind every store answers kNN /
   Jaccard / range queries byte-identically (the refactor's
@@ -14,8 +14,13 @@ and the regression gate then holds:
   elsewhere so the gate skips it);
 * **zero dataset bytes on the wire** — process workers attach the
   mmap store by path, so the measured IPC payload
-  (``ipc_payload_bytes``, pickle transport) drops by the dataset's
-  full size versus shipping array slices;
+  (``ipc_payload_bytes``) drops by the dataset's full size versus
+  shipping array slices by value;
+* **what each carrier costs in wall time** — cold (engine build +
+  pool spawn + first search) and warm search time for the three ways
+  a dataset reaches an out-of-process worker (by value, promoted shm
+  slice refs, mmap slice refs) × ``process`` / ``pinned``: recorded,
+  machine-relative, not gated beyond bit identity;
 * **provisioning is a file copy** — standing up a second serving
   process from a ``.pds`` costs a copy + header validation, versus
   pickling and pushing the array (the old provisioning floor).
@@ -35,16 +40,18 @@ import time
 
 import numpy as np
 
+from repro.ap.compiler import BoardImageCache
 from repro.core.dataset import (
     DatasetFormatError,
     PackedDataset,
+    ShmStore,
     read_pds_header,
     write_pds,
 )
 from repro.core.engine import APSimilaritySearch
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
-from repro.host.shm import ShmExporter, shm_available
+from repro.host.shm import shm_available
 
 
 def _workload(n, d, n_queries, seed=2017):
@@ -75,34 +82,26 @@ def run_parity(n, d, q, cap, workdir):
     path = os.path.join(workdir, "parity.pds")
     write_pds(path, data)
     stores = {"array": data, "mmap": PackedDataset.open(path)}
-    exporter = None
     if shm_available():
-        from repro.core.dataset import ShmStore
-
-        exporter = ShmExporter()
-        stores["shm"] = PackedDataset(ShmStore.export(data, exporter))
+        stores["shm"] = PackedDataset(ShmStore.export(data))
     rows = []
-    try:
-        for wl, params in [
-            ("knn", {"k": 8}),
-            ("jaccard", {"k": 8}),
-            ("range", {"radius": d // 4}),
-        ]:
-            base = WorkloadSearch(
-                data, wl, params, board_capacity=cap
+    for wl, params in [
+        ("knn", {"k": 8}),
+        ("jaccard", {"k": 8}),
+        ("range", {"radius": d // 4}),
+    ]:
+        base = WorkloadSearch(
+            data, wl, params, board_capacity=cap
+        ).search(queries)
+        for kind, ds in stores.items():
+            res = WorkloadSearch(
+                ds, wl, params, board_capacity=cap
             ).search(queries)
-            for kind, ds in stores.items():
-                res = WorkloadSearch(
-                    ds, wl, params, board_capacity=cap
-                ).search(queries)
-                rows.append({
-                    "workload": wl,
-                    "store": kind,
-                    "identical": _arrays_equal(base.value, res.value),
-                })
-    finally:
-        if exporter is not None:
-            exporter.close()
+            rows.append({
+                "workload": wl,
+                "store": kind,
+                "identical": _arrays_equal(base.value, res.value),
+            })
     return rows
 
 
@@ -176,35 +175,39 @@ def run_provisioning(n, d, workdir, rounds=3):
 # -- IPC accounting ----------------------------------------------------------
 
 
+def _by_value_engine(data, parallel, **kw):
+    """An engine whose out-of-process tasks carry ``dataset_bits`` by
+    value — the platform-fallback carrier — whatever the dataset's
+    size: built in-process (no promotion), then handed the pool."""
+    engine = APSimilaritySearch(data, **kw)
+    engine.parallel = parallel
+    return engine
+
+
 def run_ipc_accounting(n, d, q, cap, workdir):
-    """Process backend, pickle transport, measured payloads: array
-    slices on the wire vs mmap slice descriptors."""
+    """Process backend, measured payloads: array slices by value on
+    the wire vs mmap slice descriptors."""
     data, queries = _workload(n, d, q)
     path = os.path.join(workdir, "ipc.pds")
     write_pds(path, data)
-    out = {}
-    for label, src in [("array", data), ("mmap", str(path))]:
-        with ParallelConfig(
-            n_workers=2, backend="process", transport="pickle",
-            measure_ipc=True,
-        ) as pc:
-            res = APSimilaritySearch(
-                src, k=8, board_capacity=cap, parallel=pc
-            ).search(queries)
-        out[label] = {
-            "ipc_payload_bytes": res.ipc_payload_bytes,
-            "identical": None,
-        }
     ref = APSimilaritySearch(data, k=8, board_capacity=cap).search(queries)
-    for label, src in [("array", data), ("mmap", str(path))]:
-        with ParallelConfig(n_workers=2, backend="process") as pc:
-            res = APSimilaritySearch(
-                src, k=8, board_capacity=cap, parallel=pc
-            ).search(queries)
-        out[label]["identical"] = bool(
-            np.array_equal(res.indices, ref.indices)
-            and np.array_equal(res.distances, ref.distances)
-        )
+    out = {}
+    with ParallelConfig(
+        n_workers=2, backend="process", measure_ipc=True
+    ) as pc:
+        for label, engine in [
+            ("array", _by_value_engine(data, pc, k=8, board_capacity=cap)),
+            ("mmap", APSimilaritySearch(
+                str(path), k=8, board_capacity=cap, parallel=pc)),
+        ]:
+            res = engine.search(queries)
+            out[label] = {
+                "ipc_payload_bytes": res.ipc_payload_bytes,
+                "identical": bool(
+                    np.array_equal(res.indices, ref.indices)
+                    and np.array_equal(res.distances, ref.distances)
+                ),
+            }
     arr_b = out["array"]["ipc_payload_bytes"]
     mm_b = out["mmap"]["ipc_payload_bytes"]
     out["dataset_bytes"] = int(data.nbytes)
@@ -215,6 +218,66 @@ def run_ipc_accounting(n, d, q, cap, workdir):
         arr_b / mm_b if arr_b and mm_b else None
     )
     return out
+
+
+# -- carrier wall time -------------------------------------------------------
+
+
+def run_carrier_walls(n, d, q, cap, workdir, warm_rounds=5):
+    """Cold and warm wall per dataset carrier × out-of-process backend.
+
+    The three ways a dataset reaches a process/pinned worker: by value
+    (the fallback when shared memory cannot carry it), slice refs into
+    the shm segment the engine promotes an in-memory dataset to, and
+    slice refs into a mapped ``.pds``.  Cold is engine build + pool
+    spawn + first search on a fresh persistent pool — where dataset
+    bytes move; warm is the median of ``warm_rounds`` later searches
+    over a warm compile cache — where only queries and artifacts do.
+    """
+    data, queries = _workload(n, d, q)
+    path = os.path.join(workdir, "walls.pds")
+    write_pds(path, data)
+    ref = APSimilaritySearch(
+        data, k=8, board_capacity=cap, execution="functional"
+    ).search(queries)
+    partitions = -(-n // cap)
+    carriers = [("array", _by_value_engine, data)]
+    if shm_available():
+        carriers.append(("shm", APSimilaritySearch, data))
+    carriers.append(("mmap", APSimilaritySearch, str(path)))
+    rows = []
+    for backend in ("process", "pinned"):
+        if backend == "pinned" and not shm_available():
+            continue
+        for label, build, src in carriers:
+            with ParallelConfig(
+                n_workers=2, backend=backend, persistent=True
+            ) as pc:
+                t0 = time.perf_counter()
+                engine = build(
+                    src, parallel=pc, k=8, board_capacity=cap,
+                    execution="functional",
+                    cache=BoardImageCache(max_entries=partitions),
+                )
+                res = engine.search(queries)
+                t_cold = time.perf_counter() - t0
+                warm = []
+                for _ in range(warm_rounds):
+                    t0 = time.perf_counter()
+                    res = engine.search(queries)
+                    warm.append(time.perf_counter() - t0)
+            rows.append({
+                "backend": backend,
+                "store": label,
+                "store_kind": engine.dataset.kind,
+                "t_cold_s": t_cold,
+                "t_warm_s": float(np.median(warm)),
+                "identical": bool(
+                    np.array_equal(res.indices, ref.indices)
+                    and np.array_equal(res.distances, ref.distances)
+                ),
+            })
+    return rows
 
 
 # -- peak-RSS probe ----------------------------------------------------------
@@ -314,15 +377,18 @@ def run_all(quick=False):
         parity_n, parity_d = 1 << 12, 32
         big_n, big_d = 1 << 18, 128     # 32 MiB payload for the probes
         cap, q = 1 << 10, 16
+        walls_n, walls_d = 1 << 15, 64  # 2 MiB: over the promotion floor
     else:
         parity_n, parity_d = 1 << 14, 64
         big_n, big_d = 1 << 19, 128     # 64 MiB payload
         cap, q = 1 << 10, 32
+        walls_n, walls_d = 1 << 18, 128
     with tempfile.TemporaryDirectory(prefix="bench-dataset-") as workdir:
         parity = run_parity(parity_n, parity_d, 8, 256, workdir)
         rejection = run_format_rejection(256, 32, workdir)
         provisioning = run_provisioning(big_n, big_d, workdir)
         ipc = run_ipc_accounting(parity_n, parity_d, 8, 256, workdir)
+        walls = run_carrier_walls(walls_n, walls_d, q, cap, workdir)
         rss = run_rss_probe(big_n, big_d, cap, workdir)
         throughput = run_throughput(parity_n, parity_d, q, 256, workdir)
     return {
@@ -331,6 +397,7 @@ def run_all(quick=False):
         "format_rejection": rejection,
         "provisioning": provisioning,
         "ipc": ipc,
+        "carrier_walls": walls,
         "rss": rss,
         "throughput": throughput,
     }
@@ -364,6 +431,7 @@ def test_dataset_stores_smoke(benchmark, report):
     assert results["ipc"]["array"]["identical"]
     assert results["ipc"]["mmap"]["identical"]
     assert results["ipc"]["payload_cut"] > 2.0
+    assert all(r["identical"] for r in results["carrier_walls"])
     if results["rss"]["within_budget"] is not None:
         assert results["rss"]["within_budget"]
 
@@ -397,11 +465,18 @@ def main(argv=None):
     print(f"pickle round-trip    : {prov['t_pickle_roundtrip_s'] * 1e3:8.2f} ms")
 
     ipc = results["ipc"]
-    print("== process-worker IPC payload (pickle transport) ==")
+    print("== process-worker IPC payload ==")
     print(f"array slices : {ipc['array']['ipc_payload_bytes']:>12} bytes")
     print(f"mmap refs    : {ipc['mmap']['ipc_payload_bytes']:>12} bytes "
           f"({ipc['payload_cut']:.1f}x cut, dataset "
           f"{ipc['dataset_bytes']} bytes off the wire)")
+
+    print("== wall per dataset carrier x out-of-process backend ==")
+    for r in results["carrier_walls"]:
+        print(f"{r['backend']:>8} / {r['store']:<6} "
+              f"cold {r['t_cold_s'] * 1e3:8.1f} ms   "
+              f"warm {r['t_warm_s'] * 1e3:8.1f} ms   "
+              f"identical={r['identical']}")
 
     rss = results["rss"]
     if rss["rss_ratio"] is not None:
@@ -426,7 +501,10 @@ def main(argv=None):
         raise SystemExit("FAIL: store parity broken")
     if not results["format_rejection"]["all_rejected"]:
         raise SystemExit("FAIL: corrupt .pds accepted")
-    if not (ipc["array"]["identical"] and ipc["mmap"]["identical"]):
+    if not (
+        ipc["array"]["identical"] and ipc["mmap"]["identical"]
+        and all(r["identical"] for r in results["carrier_walls"])
+    ):
         raise SystemExit("FAIL: parallel results diverge from serial")
     if ipc["payload_cut"] is None or ipc["payload_cut"] < 2.0:
         raise SystemExit(

@@ -1,9 +1,8 @@
 """Per-task dispatch overhead: pinned shm ring vs ``ProcessPoolExecutor``.
 
-``bench_shm_transport.py`` showed where task *payload* time goes; this
-benchmark isolates what PR 7 changes — the **per-task dispatch
-machinery** between payload-ready and worker-starts-executing — and
-checks that the pinned-worker ring actually kills it:
+This benchmark isolates the **per-task dispatch machinery** between
+payload-ready and worker-starts-executing, and checks that the
+pinned-worker ring actually kills it:
 
 * **dispatch microbenchmark** — one warm worker on each side, one
   small real :class:`~repro.host.parallel.PartitionTask` submitted

@@ -6,24 +6,17 @@ this benchmark measures the **host side** the model takes for granted:
 device's board-partition passes out through `repro.host.parallel`, and
 that fan-out has to pay for itself in real seconds, not model seconds.
 
-Four passes, all on the functional back-end:
+Three passes, all on the functional back-end:
 
 * **devices × backends sweep** — wall-clock per search for 1/2/4
-  devices under serial, thread, process (pickle transport pinned), and
-  process+shm pools, warm compile cache (the steady state of a
-  long-lived service), each verified bit-identical to a single
-  sequential engine over the full dataset.  Every row records its
-  parent→worker **IPC payload bytes** (pickled task size vs shm
-  descriptor size), so the transport win is visible next to the
-  timings;
+  devices under serial, thread and process pools, warm compile cache
+  (the steady state of a long-lived service), each verified
+  bit-identical to a single sequential engine over the full dataset.
+  Every row records its parent→worker **IPC payload bytes** (the
+  pickled task size; 0 for in-process pools) next to the timings;
 * **speedup acceptance** — warm-cache multi-device thread execution
   must beat the warm single-device serial baseline (full sizes only;
-  --quick records without asserting), and at n=2^16 the shm transport
-  must cut the payload >= 3x without losing wall clock to the pickle
-  path (`bench_shm_transport.py` enforces the transport-isolated
-  speedup figure);
-* **auto-fallback check** — `transport="auto"` must keep small
-  searches on the pickle path (never slower at small n);
+  --quick records without asserting);
 * **warm-start demo** — a search over a `BoardImageCache(cache_dir=)`
   populated by a previous cache *instance* (a simulated service
   restart) must report **zero recompiles** via the runtime counters.
@@ -64,15 +57,7 @@ def _time(fn):
     return time.perf_counter() - t0, out
 
 
-# (label, pool backend, task-payload transport): "process" pins the
-# classic pickle path so the "process+shm" rows measure exactly what
-# the shared-memory transport buys at the same pool flavor.
-SWEEP_BACKENDS = (
-    ("serial", "serial", "pickle"),
-    ("thread", "thread", "pickle"),
-    ("process", "process", "pickle"),
-    ("process+shm", "process", "shm"),
-)
+SWEEP_BACKENDS = ("serial", "thread", "process")
 
 
 def run_device_backend_sweep(n, d, q, k, cap, device_counts, n_workers,
@@ -80,10 +65,9 @@ def run_device_backend_sweep(n, d, q, k, cap, device_counts, n_workers,
     """Warm-cache wall clock for every (devices, backend) pair.
 
     Each row also records ``ipc_payload_bytes`` — the parent→worker
-    submission size of one warm search (pickled task bytes on the
-    pickle path, descriptor bytes under shm; 0 for in-process pools) —
-    so the transport win is visible next to the timings.  Warm time is
-    the best of ``warm_rounds`` searches.
+    submission size of one warm search (pickled task bytes; 0 for
+    in-process pools).  Warm time is the best of ``warm_rounds``
+    searches.
     """
     from repro.ap.compiler import BoardImageCache
     from repro.core.engine import APSimilaritySearch
@@ -97,10 +81,9 @@ def run_device_backend_sweep(n, d, q, k, cap, device_counts, n_workers,
 
     rows = []
     for n_devices in device_counts:
-        for label, backend, transport in SWEEP_BACKENDS:
+        for backend in SWEEP_BACKENDS:
             parallel = ParallelConfig(
-                n_workers=n_workers, backend=backend, transport=transport,
-                persistent=True,
+                n_workers=n_workers, backend=backend, persistent=True
             )
             cache = BoardImageCache(max_entries=256)
             with parallel:
@@ -120,14 +103,13 @@ def run_device_backend_sweep(n, d, q, k, cap, device_counts, n_workers,
                 data, k=k, n_devices=n_devices, board_capacity=cap,
                 execution="functional", cache=cache,
                 parallel=ParallelConfig(
-                    n_workers=n_workers, backend=backend,
-                    transport=transport, measure_ipc=True,
+                    n_workers=n_workers, backend=backend, measure_ipc=True
                 ),
             ).search(queries)
             total_parts = sum(warm.per_device_partitions)
             rows.append({
                 "n": n, "d": d, "q": q, "k": k, "cap": cap,
-                "devices": n_devices, "backend": label,
+                "devices": n_devices, "backend": backend,
                 "transport": warm.transport,
                 "workers": warm.n_workers,
                 "t_cold_s": t_cold, "t_warm_s": t_warm,
@@ -143,22 +125,6 @@ def run_device_backend_sweep(n, d, q, k, cap, device_counts, n_workers,
                 ),
             })
     return rows
-
-
-def run_auto_transport_small_n_check(n=1 << 10, d=64, q=8, k=5, cap=256):
-    """transport="auto" must keep small searches on the pickle path —
-    the "never slower at small n" half of the shm acceptance."""
-    from repro.core.engine import APSimilaritySearch
-    from repro.host.parallel import ParallelConfig
-
-    data, queries = _workload(n, d, q, seed=5)
-    res = APSimilaritySearch(
-        data, k=k, board_capacity=cap, execution="functional",
-        parallel=ParallelConfig(n_workers=2, backend="process",
-                                transport="auto"),
-    ).search(queries)
-    return {"n": n, "transport": res.transport,
-            "auto_stays_pickle": res.transport == "pickle"}
 
 
 def run_warm_start_demo(n, d, q, k, cap, n_devices):
@@ -214,8 +180,7 @@ def run_all(quick=False):
         # GIL-releasing kernel work — the regime where the pool's task
         # overhead is noise and thread fan-out tracks core count — and
         # the per-task pickle payload (query batch + warm artifact) is
-        # what the process rows actually measure.  n=2^16 is the shm
-        # transport's acceptance point.
+        # what the process rows actually measure.
         sweep = run_device_backend_sweep(
             n=1 << 16, d=128, q=256, k=10, cap=1 << 12,
             device_counts=(1, 2, 4), n_workers=4,
@@ -226,7 +191,6 @@ def run_all(quick=False):
     return {
         "sweep": sweep,
         "warm_start": warm_start,
-        "auto_small_n": run_auto_transport_small_n_check(),
         "quick": quick,
         "cores": _available_cores(),
     }
@@ -265,19 +229,6 @@ def test_multiboard_scaling_smoke(benchmark, report):
     assert all(
         r["warm_cache_hits"] == r["partitions"] for r in results["sweep"]
     )
-    # shm descriptors must be radically smaller than pickled payloads
-    # whenever the shm transport actually engaged
-    from repro.host.shm import shm_available
-
-    if shm_available():
-        for r in results["sweep"]:
-            if r["backend"] == "process+shm" and r["transport"] == "shm":
-                pickle_row = next(
-                    p for p in results["sweep"]
-                    if p["devices"] == r["devices"] and p["backend"] == "process"
-                )
-                assert r["ipc_payload_bytes"] < pickle_row["ipc_payload_bytes"]
-    assert results["auto_small_n"]["auto_stays_pickle"]
     ws = results["warm_start"]
     assert ws["identical"]
     assert ws["restart_recompiles"] == 0
@@ -309,9 +260,6 @@ def main(argv=None):
               f"{r['t_warm_s']:>9.3f} {r['speedup_vs_serial_1dev']:>7.2f}x "
               f"{ipc if ipc is not None else '-':>12} "
               f"{r['identical']!s:>10}")
-    auto = results["auto_small_n"]
-    print(f"# transport=auto at small n={auto['n']}: "
-          f"stayed on {auto['transport']} (never-slower fallback)")
 
     ws = results["warm_start"]
     print("== warm start from cache_dir (simulated service restart) ==")
@@ -327,15 +275,13 @@ def main(argv=None):
 
     ok = (
         all(r["identical"] for r in results["sweep"])
-        and results["auto_small_n"]["auto_stays_pickle"]
         and ws["identical"]
         and ws["restart_recompiles"] == 0
         and ws["restart_disk_hits"] == ws["partitions"]
     )
     if not ok:
         raise SystemExit(
-            "FAIL: multi-board results diverge, the warm start recompiled, "
-            "or transport=auto left the pickle path at small n"
+            "FAIL: multi-board results diverge or the warm start recompiled"
         )
     if not args.quick:
         best = max(
@@ -354,65 +300,8 @@ def main(argv=None):
             # A single-core host cannot show real fan-out speedup; the
             # measured figure is still recorded in the JSON trajectory.
             print("# <2 cores: speedup acceptance recorded, not enforced")
-        _check_shm_speedup(results)
     print("ok")
     return 0
-
-
-def _check_shm_speedup(results):
-    """Acceptance for the shm transport at the sweep's n=2^16.
-
-    Enforced here, because they hold wherever shm works at all:
-
-    * the parent→worker payload must shrink >= 3x (in practice it
-      shrinks by orders of magnitude — descriptors replace data);
-    * warm wall clock must never lose to the pickle path beyond
-      measurement noise (the auto fallback separately guarantees small
-      searches stay on pickle).
-
-    The warm wall-clock *speedup* is printed and recorded in the JSON
-    trajectory but deliberately NOT gated at 3x: it reaches 3x+ only
-    on hosts where IPC payload — not kernel compute or pool dispatch
-    latency — bounds the process backend (on memcpy-bound-pickle hosts
-    like CI containers both paths time alike and a wall gate would be
-    noise).  ``bench_shm_transport.py`` isolates the transport cost
-    itself and applies the same payload-cut and never-slower gates to
-    it, recording its measured speedup alongside.
-    """
-    pairs = []
-    for r in results["sweep"]:
-        if r["backend"] != "process+shm" or r["transport"] != "shm":
-            continue
-        pickle_row = next(
-            p for p in results["sweep"]
-            if p["devices"] == r["devices"] and p["backend"] == "process"
-        )
-        pairs.append((r["devices"], pickle_row, r))
-    if not pairs:
-        print("# shm transport unavailable: acceptance checks skipped")
-        return
-    print("# shm-vs-pickle at n=2^16 (warm): "
-          + ", ".join(
-              f"{d}dev {p['t_warm_s'] / s['t_warm_s']:.2f}x wall, "
-              f"{p['ipc_payload_bytes'] / max(s['ipc_payload_bytes'], 1):.0f}x "
-              f"payload"
-              for d, p, s in pairs
-          ))
-    for d, pickle_row, shm_row in pairs:
-        payload_cut = pickle_row["ipc_payload_bytes"] / max(
-            shm_row["ipc_payload_bytes"], 1
-        )
-        if payload_cut < 3.0:
-            raise SystemExit(
-                f"FAIL: shm payload only {payload_cut:.1f}x smaller than "
-                f"pickle at {d} devices (>= 3x required)"
-            )
-        wall = pickle_row["t_warm_s"] / shm_row["t_warm_s"]
-        if wall < 0.6:
-            raise SystemExit(
-                f"FAIL: shm transport {wall:.2f}x vs pickle at {d} devices "
-                f"— slower beyond measurement noise"
-            )
 
 
 if __name__ == "__main__":

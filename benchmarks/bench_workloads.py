@@ -3,8 +3,8 @@
 PR 6 extracted the kNN-specific compile→partition→execute→merge
 pipeline into :mod:`repro.core.workload`: a registry of
 :class:`~repro.core.workload.Workload` implementations that all ride
-the same host stack (thread/process pools, shm transport, batching,
-remote shards).  This benchmark proves the "for free" claim is not
+the same host stack (thread/process pools, shared-memory datasets,
+batching, remote shards).  This benchmark proves the "for free" claim is not
 just a parity statement but a perf one, per built-in workload:
 
 * **parallel sweep** — for each registered workload (kNN, Jaccard

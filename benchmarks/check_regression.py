@@ -14,10 +14,10 @@ could ship silently.  This gate closes that hole:
 
 Tracked metrics are chosen to be meaningful across machines:
 
-* **bool** invariants (bit-identity flags, auto-fallback behavior)
+* **bool** invariants (bit-identity flags, warm-start recompiles)
   must simply hold;
-* **deterministic ratios/byte counts** (shm payload cut, RPC wire
-  bytes) get the tight default band — a fresh value more than 25%
+* **deterministic ratios/byte counts** (slice-ref payload cut, RPC
+  wire bytes) get the tight default band — a fresh value more than 25%
   worse than baseline fails;
 * **wall-clock-derived ratios** (kernel/search speedups, RPC
   overhead) are machine-relative but noisy at ``--quick`` sizes, so
@@ -29,7 +29,6 @@ Re-baselining (after an intentional perf change)::
     python benchmarks/bench_parallel_shards.py   --quick
     python benchmarks/bench_functional_hotpath.py --quick
     python benchmarks/bench_multiboard_scaling.py --quick
-    python benchmarks/bench_shm_transport.py     --quick
     python benchmarks/bench_rpc_fanout.py        --quick
     python benchmarks/bench_workloads.py         --quick
     python benchmarks/bench_dispatch_overhead.py --quick
@@ -72,22 +71,6 @@ class Metric:
     tolerance: float = DEFAULT_TOLERANCE
 
 
-def _shm_payload_ratio(doc):
-    """pickle/shm payload bytes from matched multiboard sweep rows."""
-    by_key = {}
-    for row in doc["sweep"]:
-        if row["ipc_payload_bytes"]:
-            by_key.setdefault(
-                (row["devices"], row["transport"]), row["ipc_payload_bytes"]
-            )
-    ratios = [
-        by_key[(dev, "pickle")] / by_key[(dev, "shm")]
-        for dev, transport in by_key
-        if transport == "pickle" and (dev, "shm") in by_key
-    ]
-    return min(ratios) if ratios else None
-
-
 TRACKED: dict[str, list[Metric]] = {
     "BENCH_functional.json": [
         Metric("bit_identical", lambda d: all(
@@ -105,21 +88,9 @@ TRACKED: dict[str, list[Metric]] = {
         Metric("bit_identical",
                lambda d: all(r["identical"] for r in d["sweep"])
                and d["warm_start"]["identical"], kind="bool"),
-        Metric("auto_stays_pickle",
-               lambda d: d["auto_small_n"]["auto_stays_pickle"], kind="bool"),
         Metric("warm_start_zero_recompiles",
                lambda d: d["warm_start"]["restart_recompiles"] == 0,
                kind="bool"),
-        Metric("shm_payload_ratio", _shm_payload_ratio),
-    ],
-    "BENCH_shm.json": [
-        Metric("payload_cut",
-               lambda d: d["transport_microbench"].get("payload_cut")),
-        Metric("end_to_end_identical",
-               lambda d: all(r["identical"] for r in d["end_to_end"]),
-               kind="bool"),
-        Metric("auto_stays_pickle",
-               lambda d: d["auto_small_n"]["auto_stays_pickle"], kind="bool"),
     ],
     "BENCH_parallel.json": [
         Metric("bit_identical",
@@ -167,7 +138,9 @@ TRACKED: dict[str, list[Metric]] = {
         Metric("bit_identical",
                lambda d: all(r["identical"] for r in d["parity"])
                and d["ipc"]["array"]["identical"]
-               and d["ipc"]["mmap"]["identical"], kind="bool"),
+               and d["ipc"]["mmap"]["identical"]
+               and all(r["identical"] for r in d["carrier_walls"]),
+               kind="bool"),
         Metric("pds_rejects_corruption",
                lambda d: d["format_rejection"]["all_rejected"], kind="bool"),
         Metric("ipc_payload_cut",

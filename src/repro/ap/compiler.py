@@ -56,8 +56,6 @@ __all__ = [
     "CacheStats",
     "dataset_digest",
     "partition_cache_key",
-    "export_artifact_shm",
-    "import_artifact_shm",
 ]
 
 
@@ -292,35 +290,6 @@ class APCompiler:
 
 
 # -- compiled board-image cache ------------------------------------------
-
-
-def export_artifact_shm(artifact: Any, exporter) -> Any:
-    """Ship a compiled board artifact into shared memory.
-
-    ``exporter`` is a :class:`~repro.host.shm.ShmExporter`; the return
-    value is a tiny :class:`~repro.host.shm.ShmPickle` descriptor whose
-    big buffers (a functional board's packed dataset) live in shared
-    segments.  Export once, attach to many tasks: the exporter
-    deduplicates by artifact identity, so a warm cache's artifacts
-    cross into shared memory once per pool lifetime.  Only artifacts
-    that never mutate their buffers should travel this way — importers
-    get read-only views (see ``shm_exportable`` on
-    :class:`~repro.core.functional.FunctionalKnnBoard`).
-    """
-    return exporter.export_pickled(artifact)
-
-
-def import_artifact_shm(descriptor: Any) -> Any:
-    """Reassemble an artifact exported by :func:`export_artifact_shm`.
-
-    The artifact's arrays come back as zero-copy read-only views of the
-    shared segments (pinned until the artifact is garbage-collected).
-    Import is deferred so this module never drags in the host layer at
-    import time (the host layer imports the compiler).
-    """
-    from ..host.shm import load_pickled
-
-    return load_pickled(descriptor)
 
 
 # Hash the payload in bounded row chunks so digesting an mmap-backed

@@ -108,14 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(persistent processes on a shared-memory task "
                         "ring — process semantics with ~executor-free "
                         "per-task dispatch; needs working shared memory)")
-    s.add_argument("--transport", choices=["auto", "shm", "pickle"],
-                   default="auto",
-                   help="how process-worker payloads travel: shared-"
-                        "memory segments with zero-copy descriptor "
-                        "tasks ('shm'), classic per-task pickling "
-                        "('pickle'), or size-based selection ('auto', "
-                        "default: shm once the shippable payload "
-                        "reaches ~1 MiB)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -176,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker lanes for the shard's partition execution")
     v.add_argument("--backend", choices=["process", "thread", "pinned"],
                    default="process")
-    v.add_argument("--transport", choices=["auto", "shm", "pickle"],
-                   default="auto")
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
                         "the server always caches)")
@@ -319,8 +309,7 @@ def _local_engine(args, params: dict):
             {**params, "execution": args.execution},
             board_capacity=args.board_capacity,
             parallel=ParallelConfig(
-                n_workers=args.workers, backend=args.backend,
-                transport=args.transport,
+                n_workers=args.workers, backend=args.backend
             ),
             cache=_cache_from_args(args),
             device=GEN1 if args.device == "gen1" else GEN2,
@@ -593,7 +582,7 @@ def _cmd_serve(args) -> int:
         execution=args.execution,
         parallel=ParallelConfig(
             n_workers=args.workers, backend=args.backend,
-            transport=args.transport, persistent=args.workers > 1,
+            persistent=args.workers > 1,
         ),
         cache=cache,
     )

@@ -2,19 +2,20 @@
 
 Every layer of the stack used to reinvent how the host-resident binary
 dataset is sliced and shipped: engines held raw ndarrays and sliced
-them per partition, the shared-memory transport exported those slices
-as ``dataset_ref`` descriptors (:mod:`repro.host.shm`), the RPC layer
-loaded whole shards into RAM before serving.  That left the ROADMAP's
-out-of-core item unreachable — there was no single dataset abstraction
-to put an mmap backend behind.
+them per partition, the parallel layer copied those slices to its
+workers task by task, the RPC layer loaded whole shards into RAM before
+serving.  That left the ROADMAP's out-of-core item unreachable — there
+was no single dataset abstraction to put an mmap backend behind.
 
 :class:`PackedDataset` is that abstraction: one row-window handle
 (shape, dtype, pack layout, content digest) over one of three
 interchangeable stores:
 
-* :class:`ArrayStore` — an in-memory ndarray, today's behavior;
-* :class:`ShmStore` — a :class:`~repro.host.shm.ShmArrayRef` shared-
-  memory segment, the PR 4 descriptor path behind the same interface;
+* :class:`ArrayStore` — an in-memory ndarray;
+* :class:`ShmStore` — a shared-memory segment the store owns, which
+  any process on the host can attach.  Engines whose workers run out of
+  process *promote* an in-memory dataset to one
+  (:meth:`PackedDataset.attachable`), once per row window;
 * :class:`MmapStore` — a memory-mapped on-disk ``.pds`` packed-shard
   file (magic + versioned header + page-aligned payload, the on-disk
   twin of the shm descriptors), so a shard *bigger than RAM* can be
@@ -27,9 +28,11 @@ content-addressed compile-cache keys — mmap and in-memory datasets
 hash identically, so they *share* compile caches), and the parallel
 layer ships :class:`DatasetSliceRef` descriptors instead of arrays for
 stores that support remote attach: a process/pinned worker re-opens
-the mmap store by path (zero-copy, no export step, no shm arena cap)
-or re-attaches the shm segment, so per-task dataset bytes on the wire
-drop to the size of a descriptor.
+the mmap store by path (zero-copy, no export step) or re-attaches the
+shm segment, so per-task dataset bytes on the wire drop to the size of
+a descriptor.  Only a dataset that cannot be promoted (below
+:data:`SHM_PROMOTE_MIN_BYTES`, no usable ``/dev/shm``, segment refused)
+travels by value.
 
 ``.pds`` format (version 1)::
 
@@ -71,7 +74,7 @@ from typing import Any
 
 import numpy as np
 
-from ..host.shm import ShmArrayRef, ShmExporter, resolve_array
+from ..host.shm import ShmArrayRef, export_array, resolve_array, shm_available
 
 __all__ = [
     "ArrayStore",
@@ -87,6 +90,8 @@ __all__ = [
     "PDS_MAGIC",
     "PDS_VERSION",
     "PDS_SUFFIX",
+    "SHM_PROMOTE_MIN_BYTES",
+    "SHM_PROMOTE_MAX_BYTES",
 ]
 
 PDS_MAGIC = b"REPROPDS"
@@ -99,6 +104,15 @@ PDS_PAYLOAD_OFFSET = 4096
 _PDS_HEADER = struct.Struct("<8sHHBB2xQQQQ40s")
 _DTYPE_UINT8 = 1
 _LAYOUT_BITS_U8 = 1  # one byte per bit value (0/1), C row-major
+
+# An in-memory dataset is promoted to a shared-memory segment for
+# out-of-process workers only inside this size band.  Below the floor
+# the by-value path's simplicity wins and small searches never pay
+# segment setup; above the ceiling one search would pin more of
+# /dev/shm (RAM) than a host should lose to a copy of data it already
+# holds — pack such a dataset to a ``.pds`` and let workers map it.
+SHM_PROMOTE_MIN_BYTES = 1 << 20
+SHM_PROMOTE_MAX_BYTES = 2 << 30
 
 # Chunk size for streaming scans (digest, pack, validation): large
 # enough to amortize per-chunk overhead, small enough that an
@@ -124,9 +138,9 @@ class ArrayStore:
     """In-memory ndarray store — the seed behavior behind the handle.
 
     Rows are plain views into the owned array; there is no remote-
-    attach descriptor (``slice_ref`` is ``None``), so the parallel
-    layer keeps shipping array-store slices through the PR 4 shm
-    exporter / pickle transports exactly as before.
+    attach descriptor (``slice_ref`` is ``None``), so tasks over this
+    store carry their slices by value.  :meth:`promote` builds the
+    shared-memory twin that out-of-process workers attach instead.
     """
 
     kind = "array"
@@ -138,6 +152,7 @@ class ArrayStore:
         self._array = array
         self.n, self.d = array.shape
         self.digest_memo: dict[tuple[int, int], str] = {}
+        self._promoted = weakref.WeakValueDictionary()  # (lo, hi) -> ShmStore
 
     @property
     def nbytes(self) -> int:
@@ -155,33 +170,61 @@ class ArrayStore:
     def close(self) -> None:
         pass
 
+    def promote(self, lo: int, hi: int) -> "ShmStore | None":
+        """The :class:`ShmStore` twin of rows ``[lo, hi)``, exported on
+        first use and shared by every engine that asks while one still
+        holds it (the memo is weak: the segment goes when its last
+        engine does).  ``None`` — the dataset travels by value —
+        outside the ``SHM_PROMOTE_*`` size band, without usable shared
+        memory, or when the segment is refused (``/dev/shm`` full)."""
+        with _PROMOTE_LOCK:
+            twin = self._promoted.get((lo, hi))
+            if (
+                twin is None
+                and SHM_PROMOTE_MIN_BYTES <= (hi - lo) * self.d <= SHM_PROMOTE_MAX_BYTES
+                and shm_available()
+            ):
+                try:
+                    twin = ShmStore.export(self._array[lo:hi])
+                except OSError:
+                    return None
+                self._promoted[lo, hi] = twin
+            return twin
+
+
+# Promotion is rare (once per window) and must not race: two engines
+# built concurrently over one handle would otherwise export twice.
+_PROMOTE_LOCK = threading.Lock()
+
 
 class ShmStore:
-    """Shared-memory store over a :class:`~repro.host.shm.ShmArrayRef`.
+    """Shared-memory store: the dataset in a segment this store owns.
 
-    Absorbs the PR 4 ``dataset_ref`` descriptor path: the payload lives
-    in a ``multiprocessing.shared_memory`` segment, rows are read-only
-    zero-copy views, and :meth:`slice_ref` hands out a picklable
-    descriptor any process on the host can re-attach.  The exporter
-    that created the segment owns its lifetime (segments unlink when
-    the exporter closes), exactly as in the transport path.
+    The payload lives in a ``multiprocessing.shared_memory`` segment,
+    rows are read-only zero-copy views, and :meth:`slice_ref` hands out
+    a picklable descriptor any process on the host can re-attach.
+    Built by :meth:`export`; the segment's name is unlinked once the
+    store and every row view taken from it are gone.
     """
 
     kind = "shm"
 
-    def __init__(self, ref: ShmArrayRef):
-        if len(ref.shape) != 2 or ref.shape[0] == 0:
+    def __init__(self, ref: ShmArrayRef, view: np.ndarray):
+        """``ref`` names the segment and ``view`` is its creator's
+        mapping — the pair :func:`~repro.host.shm.export_array`
+        returns."""
+        if view.ndim != 2 or view.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.ref = ref
-        self._array = resolve_array(ref)
-        self.n, self.d = self._array.shape
+        self._array = view
+        self.n, self.d = view.shape
         self.digest_memo: dict[tuple[int, int], str] = {}
 
     @classmethod
-    def export(cls, array: np.ndarray, exporter: ShmExporter) -> "ShmStore":
-        """Copy ``array`` into the exporter's segment arena and wrap it."""
-        array = np.ascontiguousarray(array, dtype=np.uint8)
-        return cls(exporter.export_array(array))
+    def export(cls, array: np.ndarray) -> "ShmStore":
+        """Copy ``array`` into a segment of its own and wrap it
+        (``OSError`` if the segment cannot be created or backed)."""
+        return cls(*export_array(np.asarray(array, dtype=np.uint8)))
 
     @property
     def nbytes(self) -> int:
@@ -197,7 +240,7 @@ class ShmStore:
         pass  # segment memory is the dataset; nothing to drop
 
     def close(self) -> None:
-        self._array = None  # registry finalizers release the attachment
+        self._array = None  # the view's finalizer unlinks the segment
 
 
 @dataclass(frozen=True)
@@ -288,7 +331,7 @@ class MmapStore:
     cache by :meth:`release`.  :meth:`slice_ref` descriptors carry only
     the *path* — a worker process attaches its own mapping, so shipping
     a partition to a worker costs descriptor bytes, not payload bytes,
-    and there is no export step and no shm arena cap.
+    and there is no export step and no copy in ``/dev/shm``.
     """
 
     kind = "mmap"
@@ -548,6 +591,17 @@ class PackedDataset:
         when the store has no remote-attach path (in-memory arrays)."""
         a, b = self._abs(lo, hi)
         return self.store.slice_ref(a, b)
+
+    def attachable(self) -> "PackedDataset":
+        """These rows over a store out-of-process workers can attach:
+        an in-memory window is promoted to its shared-memory twin
+        (:meth:`ArrayStore.promote` — exactly the window's rows, not
+        the store it was cut from); store-backed handles, and arrays
+        that cannot be promoted, come back unchanged."""
+        if not isinstance(self.store, ArrayStore):
+            return self
+        twin = self.store.promote(self.lo, self.hi)
+        return self if twin is None else PackedDataset(twin)
 
     def release(self, lo: int, hi: int) -> None:
         """Drop the window rows' resident pages (mmap stores; no-op

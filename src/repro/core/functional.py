@@ -47,16 +47,6 @@ __all__ = ["FunctionalKnnBoard"]
 class FunctionalKnnBoard:
     """Drop-in report generator for one board partition of the dataset."""
 
-    # The board never mutates its packed dataset after construction, so
-    # the shared-memory transport may ship it as read-only zero-copy
-    # views (repro.host.shm); ``nbytes`` is the payload the transport
-    # would otherwise pickle per task.
-    shm_exportable = True
-
-    @property
-    def nbytes(self) -> int:
-        return self._packed.nbytes
-
     def __init__(
         self,
         dataset_bits: np.ndarray,

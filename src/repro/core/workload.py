@@ -4,15 +4,14 @@ stack for every engine.
 The paper's AP accelerates many automata-backed similarity workloads —
 Hamming kNN (Section III), Jaccard similarity (Section II-C), range
 search — but PRs 1–5 grew the scale-out machinery (parallel partition
-fan-out, shared-memory transport, query batching, remote shards) around
+fan-out, shared-memory datasets, query batching, remote shards) around
 the kNN result shape alone.  This module factors the pipeline those
 layers actually rely on into a :class:`Workload` protocol:
 
 * ``compile(dataset_bits, params) → artifact`` — a per-partition
   compiled object (the "board image"), content-addressed and cacheable
   in a :class:`~repro.ap.compiler.BoardImageCache`, shipped to process
-  workers by value or (when it opts in via ``shm_exportable``) through
-  shared memory;
+  workers by value;
 * ``execute(artifact, queries, params) → (partial, counters)`` — one
   partition pass producing a *partition-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
@@ -33,7 +32,7 @@ layers actually rely on into a :class:`Workload` protocol:
 Workloads register by name (:func:`register_workload`), mirroring the
 pluggable-extension registry idiom of reinforced_lib's ``BaseExt``:
 built-ins ship registered, and a custom workload is one subclass plus
-one ``register_workload`` call away from thread/process/shm
+one ``register_workload`` call away from thread/process/pinned
 parallelism, batching, and remote shards — see ``examples/
 custom_workload.py`` and the README's "Writing a custom workload".
 
@@ -42,7 +41,7 @@ dataset into board-sized slices (never straddling a device boundary
 when ``n_devices > 1``), fans
 :class:`~repro.host.parallel.PartitionTask`\\ s out through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
-persistent pools, shm transport, artifact shipping), and merges through
+persistent pools, slice-ref datasets, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
 bit-identical to a sequential pass by associativity.  Hamming kNN, with
 both its cycle-accurate and its functional back-end, is an ordinary
@@ -237,13 +236,11 @@ class Workload(ABC):
     def compile(self, dataset_bits: np.ndarray, params: dict):
         """Compile one partition slice into an executable artifact.
 
-        Artifacts must be picklable (they ship to process workers) and
-        may opt into the zero-copy shared-memory transport by exposing
-        ``shm_exportable = True`` plus an ``nbytes`` property, like
-        :class:`~repro.core.functional.FunctionalKnnBoard`.  They must
-        be position-independent: ``execute`` returns partition-local
-        indices, so identical content compiles to identical artifacts
-        regardless of where the slice sits in the dataset.
+        Artifacts must be picklable (they ship to process workers by
+        value) and position-independent: ``execute`` returns
+        partition-local indices, so identical content compiles to
+        identical artifacts regardless of where the slice sits in the
+        dataset.
         """
 
     @abstractmethod
@@ -575,17 +572,9 @@ class JaccardBoardArtifact:
     sizes: np.ndarray  # (n,) int64 set sizes |A|
     d: int
 
-    # Never mutated after compile: safe for read-only zero-copy
-    # shared-memory shipping, like the functional kNN board.
-    shm_exportable = True
-
     @property
     def n(self) -> int:
         return int(self.packed.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.packed.nbytes + self.sizes.nbytes)
 
 
 @dataclass
@@ -721,12 +710,6 @@ class RangeBoardArtifact:
     packed: np.ndarray  # (n, w) uint64
     d: int
     n: int
-
-    shm_exportable = True
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.packed.nbytes)
 
 
 @dataclass
@@ -864,8 +847,8 @@ class WorkloadRunResult:
     # "mixed" when shards disagree and "none" when none answered.
     execution: str = "functional"
     n_workers: int = 1  # worker lanes (or shards) that actually ran
-    # How task payloads traveled: "none" (in-process), "pickle", "shm",
-    # or "rpc" for the network fan-out.
+    # Which boundary tasks crossed: "none" (in-process), "pickle"
+    # (process/pinned workers), or "rpc" for the network fan-out.
     transport: str = "none"
     # Parent->worker submission bytes (ParallelConfig(measure_ipc=True)).
     ipc_payload_bytes: int | None = None
@@ -914,17 +897,19 @@ class WorkloadSearch(Batchable):
     through the workload (cache-aware, content-addressed), executes
     partitions serially or across a :class:`~repro.host.parallel.
     ParallelConfig` worker pool (thread/process/pinned, persistent
-    pools, shm transport with artifact shipping), and merges through
-    the workload's associative ``merge`` — so results are bit-identical
-    to a single sequential pass for every backend × transport
-    combination.
+    pools, artifact shipping), and merges through the workload's
+    associative ``merge`` — so results are bit-identical to a single
+    sequential pass for every backend × store combination.
 
     Parameters
     ----------
     dataset_bits:
         ``(n, d)`` binary dataset: an ndarray, a
         :class:`~repro.core.dataset.PackedDataset` handle, or a
-        ``.pds`` path — all normalize to one store-backed handle.
+        ``.pds`` path — all normalize to one store-backed handle.  When
+        ``parallel`` fans out across processes an in-memory dataset is
+        promoted to shared memory (:meth:`~repro.core.dataset.
+        PackedDataset.attachable`) so workers attach it by reference.
     workload, params:
         A registered workload (name or instance) and its request
         parameters, normalized by ``workload.validate_params``.
@@ -973,6 +958,8 @@ class WorkloadSearch(Batchable):
         )
         self.device = self.params.get("device", device)
         self.parallel = self._normalize_parallel(parallel)
+        if not self.parallel.shares_memory and self.parallel.n_workers > 1:
+            self.dataset = self.dataset.attachable()
         self.cache = self._normalize_cache(cache)
         if board_capacity is None:
             board_capacity = self.workload.default_capacity(self.d, self.params)
@@ -1042,7 +1029,7 @@ class WorkloadSearch(Batchable):
         # Store-backed datasets (mmap/shm) ship descriptor-sized slice
         # refs — workers attach the store themselves — with an empty
         # stub where the array slice would go; in-memory datasets ship
-        # real views through the existing transports.
+        # real views, by value when a worker is out of process.
         stub = np.empty((0, self.d), dtype=np.uint8)
         tasks = []
         for p_idx, (start, end) in enumerate(self.partitions):

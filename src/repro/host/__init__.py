@@ -1,7 +1,7 @@
 """Host-side driver stack (paper Fig. 1a): simulated-time device/host
 timelines, submission policies, the Section III-C partition scheduler,
-the sharded parallel partition-execution layer with its zero-copy
-shared-memory transport, the query batching/admission layer, the
+the sharded parallel partition-execution layer with its shared-memory
+segment primitives, the query batching/admission layer, the
 network-transparent shard service for rack-scale fan-out, and the
 availability layer on top of it (replica groups with health-tracked
 failover + hedged reads, and the fault-injection harness that proves
@@ -33,7 +33,7 @@ from .rpc import (
     serve_shard,
 )
 from .scheduler import POLICIES, ScheduleResult, schedule_knn_run
-from .shm import ShmArrayRef, ShmExporter, ShmPickle, shm_available
+from .shm import ShmArrayRef, shm_available
 
 __all__ = [
     "APDriver",
@@ -54,8 +54,6 @@ __all__ = [
     "BatchedResult",
     "BatchRouterStats",
     "ShmArrayRef",
-    "ShmExporter",
-    "ShmPickle",
     "shm_available",
     "RemoteMultiBoardSearch",
     "RemoteShard",

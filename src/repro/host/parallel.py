@@ -35,7 +35,7 @@ Backends
   executor machinery (~0.5 ms/task observed on the process backend),
   so small/medium fan-outs keep true multi-core without paying
   dispatch.  Same cache-awareness as ``"process"`` (artifact shipping
-  both ways), same transports.  Requires working shared memory; where
+  both ways), same data path.  Requires working shared memory; where
   it is unavailable the usual pool-failure fallback applies.
 * ``backend="serial"`` — in-process loop regardless of ``n_workers``
   (debugging aid, and the silent fallback when a pool cannot be
@@ -51,29 +51,24 @@ dispatch_overhead_s` is the mean per-task submit→start latency and
 ``queue_depth`` the peak submitted-not-finished count, surfaced by the
 engine as ``WorkloadRunResult.dispatch_overhead_s``.
 
-Transport
----------
+Data movement
+-------------
 
-``backend="process"`` historically pickled every task's dataset slice
-(or compiled board artifact) through the executor pipe — per task, per
-search.  ``transport`` now picks how process-worker payloads travel:
-
-* ``"auto"`` (default) — shared memory (:mod:`repro.host.shm`) when it
-  is available **and** the shippable payload reaches
-  :data:`SHM_MIN_PAYLOAD_BYTES`; the pickle path otherwise, so small
-  searches never pay segment setup.
-* ``"shm"`` — force shared memory when available (still falls back to
-  pickle on platforms without it or when a segment cannot be created).
-* ``"pickle"`` — always the classic path.
-
-Under shared memory the parent exports dataset slices and functional
-board artifacts into :mod:`multiprocessing.shared_memory` segments
-once per exporter lifetime (per *pool* lifetime for ``persistent=True``
-configs — repeated searches re-ship nothing) and tasks carry only
-``(segment, offset, shape, dtype)`` descriptors; workers reconstruct
-zero-copy read-only views.  Thread/serial backends share the parent's
-memory already and bypass the transport entirely.  Results are
-bit-identical across every transport × backend combination.
+There is one path to an out-of-process worker (``"process"``,
+``"pinned"``).  The **dataset** travels by reference: a task's
+``dataset_slice`` is a :class:`~repro.core.dataset.DatasetSliceRef`
+naming a row window of a store the worker attaches itself — the
+``.pds`` file of an mmap-backed dataset, or the shared-memory segment
+an in-memory dataset is promoted to when its engine fans out across
+processes (:meth:`~repro.core.dataset.PackedDataset.attachable`) — so
+dataset bytes cross the process boundary once per store, not once per
+task.  **Everything else travels by value** through the task pickle:
+query batches, and board artifacts both ways.  ``dataset_bits`` by
+value remains as the platform fallback (no usable ``/dev/shm``, segment
+refused, dataset outside the promotion size band) and for hand-built
+tasks.  Thread/serial workers share the parent's memory and move
+nothing.  Results are bit-identical across every backend × store
+combination.
 
 Pool lifetime
 -------------
@@ -103,12 +98,10 @@ from typing import Any
 
 import numpy as np
 
-from ..ap.compiler import export_artifact_shm, import_artifact_shm
 from ..ap.device import APDeviceSpec, GEN1
 from ..ap.runtime import RuntimeCounters
 from ..perf import metrics as _metrics
 from .ring import PinnedWorkerPool, RingBrokenError
-from .shm import ShmArrayRef, ShmExporter, resolve_array, shm_available
 
 __all__ = [
     "ParallelConfig",
@@ -116,16 +109,9 @@ __all__ = [
     "PartitionResult",
     "PartitionRunReport",
     "run_partitions",
-    "SHM_MIN_PAYLOAD_BYTES",
 ]
 
 _POOL_ERRORS = (OSError, PermissionError, ImportError)
-
-# transport="auto" switches the process backend to shared memory only
-# when the shippable payload (dataset slices + exportable artifacts +
-# per-task query batches) reaches this size; below it the pickle path's
-# simplicity wins and small searches never pay segment setup.
-SHM_MIN_PAYLOAD_BYTES = 1 << 20
 
 
 def _shutdown_executor(pool: Any) -> None:
@@ -150,26 +136,18 @@ class ParallelConfig:
     where shared memory is unavailable counts as pool-creation failure
     and follows the same rule.
 
-    ``transport`` picks how process-worker payloads travel: ``"auto"``
-    (shared memory for large payloads when available, pickle
-    otherwise), ``"shm"`` (force shared memory when available), or
-    ``"pickle"`` (always the classic path).  ``measure_ipc=True`` makes
-    :func:`run_partitions` record the submitted task payload bytes in
-    its report — benchmarking aid; it pays an extra pickle pass, so
-    leave it off in production.
+    ``measure_ipc=True`` makes :func:`run_partitions` record the
+    submitted task payload bytes in its report — benchmarking aid; it
+    pays an extra pickle pass, so leave it off in production.
 
     ``persistent=True`` makes this config own a reusable worker pool:
     spawned lazily on the first :func:`run_partitions` call, reused by
     every later call, released by :meth:`close` (or by using the
-    config as a context manager).  A shared-memory exporter created for
-    the pool lives and dies with it, so stable payloads (an engine's
-    partition slices, warm-cache artifacts) cross into shared memory
-    once per pool lifetime.  A ``weakref.finalize`` guard shuts
+    config as a context manager).  A ``weakref.finalize`` guard shuts
     the pool down if the config is garbage-collected — or the
     interpreter exits — without ``close()``, so a dropped config never
-    leaks workers or hangs shutdown (the exporter carries its own
-    equivalent guard).  The pool and exporter handles never
-    participate in equality/hashing, so configs compare by their
+    leaks workers or hangs shutdown.  The pool handle never
+    participates in equality/hashing, so configs compare by their
     settings alone.
     """
 
@@ -177,9 +155,7 @@ class ParallelConfig:
     backend: str = "process"
     fallback_serial: bool = True
     persistent: bool = False
-    transport: str = "auto"
     measure_ipc: bool = False
-    _exporter: Any = field(default=None, init=False, repr=False, compare=False)
     _pool: Executor | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -198,8 +174,6 @@ class ParallelConfig:
             raise ValueError("n_workers must be >= 0")
         if self.backend not in ("process", "thread", "pinned", "serial"):
             raise ValueError(f"unknown parallel backend {self.backend!r}")
-        if self.transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {self.transport!r}")
 
     @property
     def effective_workers(self) -> int:
@@ -258,43 +232,16 @@ class ParallelConfig:
         return pool
 
     def _discard_pool(self) -> None:
-        """Drop a broken persistent pool so the next call respawns.
-
-        The exporter (if any) survives: its segments are still valid
-        and the respawned pool's workers re-attach to them."""
+        """Drop a broken persistent pool so the next call respawns."""
         pool = self._release_pool()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def _acquire_exporter(self) -> tuple[ShmExporter, bool]:
-        """Return ``(exporter, owned_by_call)``, mirroring
-        :meth:`_acquire_pool`: persistent configs share one exporter for
-        the pool's lifetime so stable payloads export exactly once."""
-        if not self.persistent:
-            return ShmExporter(), True
-        with self._pool_lock:
-            exporter = self._exporter
-            if exporter is None or exporter.closed:
-                exporter = ShmExporter()
-                object.__setattr__(self, "_exporter", exporter)
-            return exporter, False
-
-    def _release_exporter(self) -> ShmExporter | None:
-        with self._pool_lock:
-            exporter = self._exporter
-            object.__setattr__(self, "_exporter", None)
-        return exporter
 
     def close(self) -> None:
         """Shut down the persistent pool (no-op if never spawned)."""
         pool = self._release_pool()
         if pool is not None:
             pool.shutdown(wait=True)
-        # Unlink shared segments only after the pool has drained: a
-        # still-running worker may be attaching them.
-        exporter = self._release_exporter()
-        if exporter is not None:
-            exporter.close()
 
     def __enter__(self) -> "ParallelConfig":
         return self
@@ -341,20 +288,13 @@ class PartitionTask:
     # Prebuilt board artifact shipped *to* a process worker from a warm
     # parent cache (None = build from dataset_bits on a miss).
     artifact: Any = None
-    # Shared-memory descriptors replacing the heavy fields under
-    # transport="shm": dataset_ref stands in for dataset_bits (which is
-    # stubbed empty) and artifact_shm for artifact.  Workers resolve
-    # them into zero-copy views before execution; the pickle path and
-    # in-process backends leave both None.
-    dataset_ref: ShmArrayRef | None = None
-    artifact_shm: Any = None
     # Store-backed dataset descriptor (repro.core.dataset.DatasetSliceRef):
     # for mmap/shm-backed PackedDatasets the engine stubs dataset_bits
     # empty and ships this descriptor-sized handle instead — workers
     # attach the store themselves (an mmap worker maps the .pds by
-    # path: zero dataset bytes on the wire, no export step, no shm
-    # arena cap).  In-memory ArrayStore tasks leave it None and ride
-    # the dataset_ref/pickle transports above, unchanged.
+    # path, a shm worker attaches the segment: zero dataset bytes on
+    # the wire).  In-memory ArrayStore tasks leave it None and carry
+    # dataset_bits by value.
     dataset_slice: Any = None
 
 
@@ -408,7 +348,7 @@ def execute_partition(
 ) -> PartitionResult:
     """Run one partition end to end (worker-side entry point).
 
-    Resolves shared-memory and store descriptors, then runs the task's
+    Attaches a store-backed task's dataset window, then runs the task's
     :class:`~repro.core.workload.Workload`'s ``execute_task`` — the
     same body the serial path calls, so parallel results stay
     bit-identical by construction.  ``cache`` is a
@@ -419,25 +359,12 @@ def execute_partition(
     t_start = time.monotonic()
     from ..core.workload import get_workload
 
-    # Shared-memory descriptors resolve to zero-copy read-only views
-    # before the back-ends run; the pickle path carries real arrays and
-    # skips this entirely.
-    if isinstance(queries_bits, ShmArrayRef):
-        queries_bits = resolve_array(queries_bits)
-    if task.dataset_ref is not None:
-        task = replace(
-            task, dataset_bits=resolve_array(task.dataset_ref), dataset_ref=None
-        )
     dataset_slice = task.dataset_slice
     if dataset_slice is not None:
         # Store-backed partition: attach the store (one mapping per
         # process, cached) and resolve the zero-copy row window.
         task = replace(
             task, dataset_bits=dataset_slice.resolve(), dataset_slice=None
-        )
-    if task.artifact_shm is not None:
-        task = replace(
-            task, artifact=import_artifact_shm(task.artifact_shm), artifact_shm=None
         )
     result = get_workload(task.workload).execute_task(task, queries_bits, cache)
     result.t_start = t_start
@@ -456,11 +383,12 @@ class PartitionRunReport:
     ``n_workers`` is the worker-lane count that really ran — 1 when
     the serial path was taken, including silent pool-failure fallback —
     so callers can report true concurrency instead of the requested
-    figure.  ``transport`` records how task payloads traveled:
-    ``"none"`` (in-process: serial/thread, or serial fallback),
-    ``"pickle"``, or ``"shm"``.  ``ipc_payload_bytes`` is the summed
-    parent→worker submission size, recorded only under
-    ``measure_ipc=True``.
+    figure.  ``transport`` records whether tasks crossed a process
+    boundary: ``"none"`` (in-process: serial/thread, or serial
+    fallback) or ``"pickle"`` (process/pinned workers).
+    ``ipc_payload_bytes`` is the summed parent→worker submission size,
+    recorded only under ``measure_ipc=True`` — descriptor-sized per
+    task when the dataset rides a slice ref.
 
     ``dispatch_overhead_s`` is the mean per-task submit→start latency
     (parent submit timestamp to worker pickup) across the run — the
@@ -498,38 +426,6 @@ def _attach_cached_artifact(task: PartitionTask, cache) -> PartitionTask:
         dataset_bits=task.dataset_bits[:0],
         dataset_slice=None,
     )
-
-
-def _shippable_nbytes(tasks: list[PartitionTask], queries_bits: np.ndarray) -> int:
-    """Bytes the pickle path would copy through the executor pipe that
-    shared memory can eliminate: per-task query batches, dataset
-    slices, and shm-exportable artifacts."""
-    total = queries_bits.nbytes * len(tasks)
-    for t in tasks:
-        total += t.dataset_bits.nbytes
-        if t.artifact is not None and getattr(t.artifact, "shm_exportable", False):
-            total += getattr(t.artifact, "nbytes", 0)
-    return total
-
-
-def _export_task(task: PartitionTask, exporter: ShmExporter) -> PartitionTask:
-    """Swap a task's heavy payload for shared-memory descriptors.
-
-    The dataset slice always exports (an empty stub replaces it, as in
-    :func:`_attach_cached_artifact`).  Artifacts export only when they
-    opt in via ``shm_exportable`` — reconstructed artifacts hold
-    *read-only* views, so only artifacts that never mutate their
-    buffers (the functional boards) qualify; others keep riding the
-    task pickle.
-    """
-    updates: dict[str, Any] = {}
-    if task.dataset_bits.nbytes:
-        updates["dataset_ref"] = exporter.export_array(task.dataset_bits)
-        updates["dataset_bits"] = task.dataset_bits[:0]
-    if task.artifact is not None and getattr(task.artifact, "shm_exportable", False):
-        updates["artifact_shm"] = export_artifact_shm(task.artifact, exporter)
-        updates["artifact"] = None
-    return replace(task, **updates) if updates else task
 
 
 def _record_dispatch(
@@ -639,52 +535,16 @@ def run_partitions(
         # cached artifact to its task so warm workers skip the build.
         worker_tasks = [_attach_cached_artifact(t, cache) for t in tasks]
 
-    # -- transport: swap heavy payloads for shared-memory descriptors --
-    # Stable payloads (dataset slices, warm artifacts) go through the
-    # config's exporter — one export per pool lifetime for persistent
-    # configs; the per-call query batch gets a call-scoped exporter
-    # unlinked as soon as the futures resolve.  Any shm failure (no
-    # /dev/shm, segment creation refused) degrades to the pickle path.
-    transport = "pickle" if config.backend in ("process", "pinned") else "none"
-    queries_arg: Any = queries_bits
-    call_exporters: list[ShmExporter] = []
-    if (
-        config.backend in ("process", "pinned")
-        and config.transport != "pickle"
-        and (
-            config.transport == "shm"
-            or _shippable_nbytes(worker_tasks, queries_bits) >= SHM_MIN_PAYLOAD_BYTES
-        )
-        and shm_available()
-    ):
-        try:
-            q_exporter = ShmExporter()
-            call_exporters.append(q_exporter)
-            queries_ref = q_exporter.export_array(queries_bits)
-            exporter, exporter_owned = config._acquire_exporter()
-            if exporter_owned:
-                call_exporters.append(exporter)
-            shm_tasks = [_export_task(t, exporter) for t in worker_tasks]
-            worker_tasks = shm_tasks
-            queries_arg = queries_ref
-            transport = "shm"
-        except (OSError, ValueError, RuntimeError, pickle.PicklingError):
-            for exp in call_exporters:
-                exp.close()
-            call_exporters = []
-            queries_arg = queries_bits
-            transport = "pickle"
-
     payload_bytes = None
     if config.measure_ipc:
         # Thread pools hand references around in-process: no IPC copy.
         payload_bytes = (
-            sum(
-                len(pickle.dumps((t, queries_arg), protocol=pickle.HIGHEST_PROTOCOL))
+            0
+            if config.shares_memory
+            else sum(
+                len(pickle.dumps((t, queries_bits), protocol=pickle.HIGHEST_PROTOCOL))
                 for t in worker_tasks
             )
-            if config.backend in ("process", "pinned")
-            else 0
         )
     # Dispatch accounting: submit timestamps aligned with results in
     # submission order; worker-side t_start closes each measurement.
@@ -693,7 +553,7 @@ def run_partitions(
     queue_depth = 0
     try:
         if config.backend == "pinned":
-            ring_report = executor.run_tasks(worker_tasks, queries_arg)
+            ring_report = executor.run_tasks(worker_tasks, queries_bits)
             results = ring_report.results
             dispatch_latencies = [
                 lat for lat in ring_report.dispatch_latencies_s if lat is not None
@@ -710,7 +570,7 @@ def run_partitions(
             for chunk in chunks:
                 t_sub = time.monotonic()
                 futures.append(
-                    executor.submit(_execute_chunk, chunk, queries_arg)
+                    executor.submit(_execute_chunk, chunk, queries_bits)
                 )
                 submit_times.extend([t_sub] * len(chunk))
             results = [r for f in futures for r in f.result()]
@@ -721,7 +581,7 @@ def run_partitions(
                 submit_times.append(time.monotonic())
                 futures.append(
                     executor.submit(
-                        execute_partition, t, queries_arg, worker_cache
+                        execute_partition, t, queries_bits, worker_cache
                     )
                 )
             results = [f.result() for f in futures]
@@ -741,10 +601,6 @@ def run_partitions(
     finally:
         if owned:
             executor.shutdown(wait=True)
-        # Unlink call-scoped segments only after the pool is done with
-        # them (futures resolved or cancelled, pool drained above).
-        for exp in call_exporters:
-            exp.close()
     if cache is not None and worker_cache is None:
         # Install boards the workers had to build: the parent cache
         # warms up even though the build happened out of process.
@@ -765,7 +621,7 @@ def run_partitions(
     return PartitionRunReport(
         results=sorted(results, key=lambda r: r.p_idx),
         n_workers=n_workers,
-        transport=transport,
+        transport="none" if config.shares_memory else "pickle",
         ipc_payload_bytes=payload_bytes,
         dispatch_overhead_s=dispatch_overhead,
         queue_depth=queue_depth,

@@ -1,12 +1,12 @@
 """Pinned-worker runtime: persistent processes on a shared-memory
 task-descriptor ring.
 
-PR 4 took the *payloads* off the executor pipe (shared-memory
-descriptors instead of pickled dataset slices), but every partition
-task still pays :class:`~concurrent.futures.ProcessPoolExecutor`
-submit/dispatch machinery — an internal work queue, a management
-thread, a pipe write, a wakeup, a result pipe read — about 0.5 ms per
-task observed, which dominates small/medium-work fan-outs.  This module
+Store-backed datasets keep the *dataset* off the executor pipe (slice
+refs instead of pickled rows), but every partition task still pays
+:class:`~concurrent.futures.ProcessPoolExecutor` submit/dispatch
+machinery — an internal work queue, a management thread, a pipe write,
+a wakeup, a result pipe read — about 0.5 ms per task observed, which
+dominates small/medium-work fan-outs.  This module
 replaces that machinery with the standard serving-stack fix: **pinned
 workers polling a shared-memory ring**, the same shape as an inference
 server's request ring.
@@ -18,14 +18,14 @@ server's request ring.
   **completion ring** (worker produces, parent consumes), both
   ``depth`` fixed-size slots of a sequence-numbered header plus an
   inline payload area.
-* Submission is a memcpy: the parent pickles the (tiny — under shm
-  transport the heavy fields are :class:`~repro.host.shm.ShmArrayRef`
-  descriptors, and store-backed datasets ship as
-  :class:`~repro.core.dataset.DatasetSliceRef` path/window handles the
-  worker attaches itself) task into the next free slot, publishes the
-  slot's sequence number, and sets the worker's wake event — a
-  semaphore post, no pipe, no executor thread.  Target: ≤100 µs
-  per-task dispatch against the executor's ~0.5 ms.
+* Submission is a memcpy: the parent pickles the task (small — the
+  dataset ships as a :class:`~repro.core.dataset.DatasetSliceRef`
+  path/segment window the worker attaches itself; a task carrying a
+  warm-cache artifact by value may exceed a slot and spill, like a
+  result) into the next free slot, publishes the slot's sequence
+  number, and sets the worker's wake event — a semaphore post, no
+  pipe, no executor thread.  Target: ≤100 µs per-task dispatch
+  against the executor's ~0.5 ms.
 * Results return through the completion ring the same way; a result
   too large for a slot **spills** to a dedicated shared-memory segment
   whose name rides in the slot header (the worker announces the name
@@ -33,9 +33,9 @@ server's request ring.
   killed mid-spill can never strand an anonymous segment).
 * Workers execute tasks through the exact
   :func:`repro.host.parallel.execute_partition` entry the executor
-  backends call — the PR 6 workload registry, the PR 4 artifact
-  shuttle and shm transport all apply unchanged, so results are
-  bit-identical to every other backend by construction.
+  backends call — the workload registry, the artifact shuttle and
+  slice-ref attach all apply unchanged, so results are bit-identical
+  to every other backend by construction.
 
 Robustness: the parent stamps per-worker heartbeats and watches
 sequence progress; a worker killed mid-task is detected (completion
@@ -101,8 +101,8 @@ __all__ = [
 #: in-flight tasks per worker below this, so the completion ring can
 #: never overflow and workers never block on a full ring.
 RING_DEPTH = 4
-#: Inline payload bytes per slot.  Descriptor-sized tasks (the shm
-#: transport's normal case) fit with room to spare; anything larger
+#: Inline payload bytes per slot.  Descriptor-sized tasks (a slice ref
+#: and a small query batch) fit with room to spare; anything larger
 #: spills to its own segment.
 RING_SLOT_PAYLOAD = 1 << 16
 

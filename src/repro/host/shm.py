@@ -1,31 +1,25 @@
-"""Zero-copy shared-memory transport for process fan-out.
+"""Shared-memory segments for out-of-process workers.
 
-``backend="process"`` pays for every :class:`~repro.host.parallel.
-PartitionTask` twice: the parent pickles the partition's dataset slice
-(or its compiled board artifact) into the executor's call pipe, and the
-worker unpickles it into a fresh copy — per task, per search.  The
-paper's whole premise is keeping data movement off the host bottleneck;
-this module restores that premise for the process backend by moving the
-*payload* into :mod:`multiprocessing.shared_memory` segments and
-shipping only tiny descriptors through the pipe:
+The paper's whole premise is keeping data movement off the host
+bottleneck.  A process or pinned worker that received its partition's
+dataset slice by value would pay for it twice — the parent pickles the
+slice into the call pipe and the worker unpickles a fresh copy, per
+task, per cold search — so the dataset crosses the process boundary
+*once*, into a :mod:`multiprocessing.shared_memory` segment, and tasks
+carry descriptors:
 
+* :func:`export_array` — the one place a dataset segment is created:
+  copies an ndarray into a new segment of its own, with every page
+  reserved up front, and hands back the descriptor plus the creator's
+  read-only view.  The view owns the segment: the name is unlinked and
+  the mapping closed when the view (and every slice of it) is
+  garbage-collected, or at interpreter exit — ``/dev/shm`` residue is
+  bounded by the *creator*, whatever the workers are doing.
 * :class:`ShmArrayRef` — ``(segment, offset, shape, dtype)`` naming an
-  ndarray that lives in a shared segment.  Workers
-  :func:`resolve_array` it into a **view** (no copy, marked read-only
-  so a worker bug cannot corrupt a segment other workers read).
-* :class:`ShmPickle` — an arbitrary artifact serialized with pickle
-  protocol 5: the big contiguous buffers (a functional board's packed
-  dataset, say) are hoisted **out of band** into shared memory while
-  only the small object skeleton travels as bytes.
-  :func:`load_pickled` reassembles the object around zero-copy views.
-* :class:`ShmExporter` — the parent-side owner of the segments: a
-  bump-pointer arena with identity-based deduplication, so a stable
-  payload (an engine's dataset slices, a warm cache's artifacts) is
-  copied into shared memory **once per exporter lifetime** no matter
-  how many searches fan out through it.  :meth:`ShmExporter.close`
-  unlinks every segment; a :func:`weakref.finalize` guard does the
-  same if the exporter is dropped (or the interpreter exits) without
-  ``close()``, so segments never outlive their owner.
+  ndarray that lives in a shared segment.  Any process on the host
+  turns it into a **view** with :func:`resolve_array` (no copy, marked
+  read-only so a worker bug cannot corrupt a segment other workers
+  read).
 
 Worker-side attachments go through a process-global ref-counted
 :class:`SegmentRegistry`: the first reference to a segment attaches it
@@ -34,27 +28,25 @@ segments, gh-82300), later references share the mapping, and a
 ``weakref.finalize`` on each resolved view releases its reference when
 the view dies — the registry drops its handle at refcount zero and the
 :class:`~multiprocessing.shared_memory.SharedMemory` destructor unmaps
-it.  ``/dev/shm`` residue is therefore bounded by the *creator*: once
-the exporter unlinks, the name is gone regardless of worker state.
+it.
+
+:class:`~repro.core.dataset.ShmStore` is the consumer: it wraps an
+exported segment behind the :class:`~repro.core.dataset.PackedDataset`
+interface and hands out :class:`~repro.core.dataset.DatasetSliceRef`
+descriptors, exactly as an mmap-backed dataset hands out path/window
+descriptors for its ``.pds`` file.  Query batches and compiled board
+artifacts travel by value.  The pinned-worker ring
+(:mod:`repro.host.ring`) builds its control and spill segments from the
+same primitives.
 
 Platforms without ``multiprocessing.shared_memory`` (or without a
 usable ``/dev/shm``) report :func:`shm_available()` → ``False`` and the
-parallel layer transparently falls back to the pickle path.
-
-This transport serves *in-memory* (``ArrayStore``) datasets.  Store-
-backed datasets go one step further: :class:`~repro.core.dataset.
-ShmStore` wraps an exported :class:`ShmArrayRef` behind the
-:class:`~repro.core.dataset.PackedDataset` interface, and mmap-backed
-datasets skip this module entirely — their tasks carry a
-:class:`~repro.core.dataset.DatasetSliceRef` naming the ``.pds`` file,
-which workers map themselves (no export step, no segment, no arena
-cap), shipping zero dataset bytes through any transport.
+dataset travels by value as well.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import uuid
 import weakref
@@ -73,12 +65,10 @@ __all__ = [
     "SHM_SEGMENT_PREFIX",
     "SHM_UNAVAILABLE_REASON",
     "ShmArrayRef",
-    "ShmPickle",
-    "ShmExporter",
     "SegmentRegistry",
+    "export_array",
     "shm_available",
     "resolve_array",
-    "load_pickled",
 ]
 
 # Canonical human-readable reason for "shm_available() is False" —
@@ -92,11 +82,6 @@ SHM_UNAVAILABLE_REASON = (
 # Segment names are flat (no '/') and include the creating pid so leak
 # tests can tell their own residue from another process's segments.
 SHM_SEGMENT_PREFIX = "repro_shm"
-
-# Arena segments grow geometrically from this floor so many small
-# exports share a few segments instead of spawning one file each.
-_MIN_SEGMENT_BYTES = 1 << 20
-_ALIGN = 64
 
 _available_lock = threading.Lock()
 _available: bool | None = None
@@ -150,25 +135,6 @@ class ShmArrayRef:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
-@dataclass(frozen=True)
-class ShmPickle:
-    """A pickle-protocol-5 payload whose big buffers live in shared memory.
-
-    ``payload`` holds only the object skeleton; every out-of-band
-    buffer is a :class:`ShmArrayRef` resolved to a zero-copy view at
-    load time.  Objects reconstructed this way hold **read-only** views
-    of the shared segments.
-    """
-
-    payload: bytes
-    buffers: tuple[ShmArrayRef, ...]
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size: skeleton bytes (buffer payloads stay in shm)."""
-        return len(self.payload)
-
-
 # -- worker-side attachment registry ---------------------------------------
 
 
@@ -179,7 +145,7 @@ def _attach_untracked(name: str):
     it (gh-82300): under spawn/forkserver the attacher's tracker then
     unlinks it at exit while the creator still needs it, and under fork
     the duplicate (un)registrations make the shared tracker spew
-    ``KeyError`` noise at shutdown.  Only the *creator* (the exporter)
+    ``KeyError`` noise at shutdown.  Only the *creator*
     should own tracker state.  Python 3.13+ exposes ``track=False``;
     earlier versions get a scoped no-op patch of the register hook
     (attaches are serialized under the registry lock).
@@ -214,8 +180,8 @@ class SegmentRegistry:
     mappings; evicted handles unmap via the
     :class:`~multiprocessing.shared_memory.SharedMemory` destructor
     once their last view dies.  Unlinking is never done here: that is
-    the creator's (exporter's) job — segment *names* never outlive the
-    exporter regardless of what this cache holds mapped.
+    the creator's job (:func:`export_array`) — segment *names* never
+    outlive it regardless of what this cache holds mapped.
     """
 
     DEFAULT_KEEP_ALIVE = 8
@@ -292,203 +258,61 @@ def resolve_array(ref: ShmArrayRef, registry: SegmentRegistry | None = None) -> 
     return view
 
 
-def load_pickled(shmp: ShmPickle, registry: SegmentRegistry | None = None) -> Any:
-    """Reconstruct an artifact around zero-copy shared-memory buffers."""
-    views = [resolve_array(ref, registry) for ref in shmp.buffers]
-    return pickle.loads(shmp.payload, buffers=views)
+# -- parent-side segment creation ------------------------------------------
 
 
-# -- parent-side exporter --------------------------------------------------
+def _reserve_pages(segment) -> None:
+    """Back every page of a freshly created segment now.
 
-
-@dataclass
-class ExporterStats:
-    """Accounting for one :class:`ShmExporter`."""
-
-    segments: int = 0
-    segment_bytes: int = 0  # total shared-memory capacity created
-    arrays_exported: int = 0  # distinct arrays copied into segments
-    bytes_exported: int = 0  # payload bytes living in shared memory
-    dedupe_hits: int = 0  # exports served by an earlier identical export
-    pickles_exported: int = 0
-
-
-def _cleanup_segments(segments: list) -> None:
-    """Finalizer target (must not reference the exporter): unlink and
-    close every owned segment, tolerating double-cleanup and races."""
-    while segments:
-        shm = segments.pop()
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        try:
-            shm.close()
-        except (BufferError, OSError):
-            # A still-referenced memoryview keeps the mapping alive; the
-            # SharedMemory destructor closes it when the view dies.  The
-            # name is already unlinked, so nothing persists either way.
-            pass
-
-
-class ShmExporter:
-    """Parent-side arena of shared-memory segments with deduplication.
-
-    ``export_array`` copies an ndarray into the arena **once** and
-    returns its descriptor; re-exporting the same array (same memory,
-    shape, and dtype — e.g. an engine's partition slices on every
-    search through a persistent pool) returns the cached descriptor
-    without touching the data.  ``export_pickled`` does the same for
-    whole artifacts via pickle protocol 5 (dedup keyed on object
-    identity).  The dedup table holds references to its sources, so a
-    pointer is never reused for a different live array.
-
-    ``max_bytes`` bounds the arena: exports beyond it raise
-    ``RuntimeError``, which the parallel layer treats like any other
-    shm failure — the oversized payload degrades to the pickle path —
-    so a persistent config serving rotating datasets can never grow
-    shared memory (or the dedup table pinning the sources) without
-    bound.  Size it to the stable working set: dataset bytes plus the
-    packed functional artifacts (``n·d/8``) of every dataset the pool
-    serves.
-
-    Not thread-safe per call — the parallel layer serializes exports
-    under the config's pool lock; create one exporter per concurrency
-    domain otherwise.
+    ``ftruncate`` (all :class:`~multiprocessing.shared_memory.
+    SharedMemory` does) only sets the size: on a size-limited
+    ``/dev/shm`` — Docker's default is 64 MiB — the first write to a
+    page tmpfs cannot back is a SIGBUS that kills the *parent*.
+    ``posix_fallocate`` fails with ``ENOSPC`` instead, which callers
+    handle like any other refused segment.  Platforms without it keep
+    the unreserved behaviour.
     """
+    if hasattr(os, "posix_fallocate"):
+        os.posix_fallocate(segment._fd, 0, segment.size)
 
-    DEFAULT_MAX_BYTES = 2 << 30  # 2 GiB arena ceiling
 
-    def __init__(self, max_bytes: int | None = None):
-        if not shm_available():
-            raise RuntimeError("shared memory is not available on this platform")
-        if max_bytes is None:
-            max_bytes = self.DEFAULT_MAX_BYTES
-        if max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        self.max_bytes = int(max_bytes)
-        self.stats = ExporterStats()
-        self._segments: list = []  # SharedMemory handles, newest last
-        self._head = 0  # bump pointer into the newest segment
-        self._arrays: dict[tuple, tuple] = {}  # id key -> (source, ref)
-        self._pickles: dict[int, tuple] = {}  # id(obj) -> (obj, ShmPickle)
-        self._lock = threading.Lock()
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _cleanup_segments, self._segments)
+def _cleanup_segment(segment) -> None:
+    """Finalizer target: unlink and close one owned segment, tolerating
+    double-cleanup and races."""
+    try:
+        segment.unlink()
+    except (FileNotFoundError, OSError):
+        pass
+    try:
+        segment.close()
+    except (BufferError, OSError):
+        pass
 
-    # -- arena ------------------------------------------------------------
 
-    def _alloc(self, nbytes: int) -> tuple[str, int, memoryview]:
-        """Reserve ``nbytes`` (64-byte aligned) in the newest segment,
-        growing the arena geometrically when it does not fit."""
-        if self._segments:
-            seg = self._segments[-1]
-            start = (self._head + _ALIGN - 1) & ~(_ALIGN - 1)
-            if start + nbytes <= seg.size:
-                self._head = start + nbytes
-                return seg.name, start, seg.buf[start : start + nbytes]
-        if self.stats.segment_bytes + nbytes > self.max_bytes:
-            raise RuntimeError(
-                f"shm arena would exceed max_bytes={self.max_bytes} "
-                f"({self.stats.segment_bytes} allocated, {nbytes} requested)"
-            )
-        size = max(_MIN_SEGMENT_BYTES, self.stats.segment_bytes, nbytes)
-        size = min(size, max(self.max_bytes - self.stats.segment_bytes, nbytes))
-        seg = _shared_memory.SharedMemory(
-            name=_new_segment_name(), create=True, size=size
-        )
-        self._segments.append(seg)
-        self.stats.segments += 1
-        self.stats.segment_bytes += seg.size
-        self._head = nbytes
-        return seg.name, 0, seg.buf[0:nbytes]
+def export_array(array: np.ndarray) -> tuple[ShmArrayRef, np.ndarray]:
+    """Copy ``array`` into a new shared-memory segment of its own.
 
-    # -- exports ----------------------------------------------------------
-
-    @staticmethod
-    def _identity_key(arr: np.ndarray) -> tuple:
-        iface = arr.__array_interface__
-        return (iface["data"][0], arr.shape, arr.strides, arr.dtype.str)
-
-    def export_array(self, arr: np.ndarray) -> ShmArrayRef:
-        """Place an array in shared memory (or reuse an earlier export)."""
-        arr = np.asarray(arr)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("exporter is closed")
-            if arr.nbytes == 0:
-                return ShmArrayRef("", 0, arr.shape, arr.dtype.str)
-            key = self._identity_key(arr)
-            hit = self._arrays.get(key)
-            if hit is not None:
-                self.stats.dedupe_hits += 1
-                return hit[1]
-            contig = np.ascontiguousarray(arr)
-            name, offset, buf = self._alloc(contig.nbytes)
-            dst = np.ndarray(contig.shape, dtype=contig.dtype, buffer=buf)
-            dst[...] = contig
-            del dst, buf  # drop exported views so close() can unmap
-            ref = ShmArrayRef(name, offset, arr.shape, arr.dtype.str)
-            # Holding `arr` pins the source memory: its address cannot be
-            # recycled for a different array while the dedup entry lives.
-            self._arrays[key] = (arr, ref)
-            self.stats.arrays_exported += 1
-            self.stats.bytes_exported += contig.nbytes
-            return ref
-
-    def export_pickled(self, obj: Any) -> ShmPickle:
-        """Serialize an artifact with its big buffers hoisted into shm.
-
-        Pickle protocol 5 extracts every contiguous ndarray buffer out
-        of band; each lands in the arena (deduplicated like any other
-        array) and the skeleton bytes travel in the descriptor.  The
-        same *object* (by identity) exports once per exporter lifetime.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("exporter is closed")
-            hit = self._pickles.get(id(obj))
-            if hit is not None and hit[0] is obj:
-                self.stats.dedupe_hits += 1
-                return hit[1]
-        raw_buffers: list[pickle.PickleBuffer] = []
-        payload = pickle.dumps(
-            obj, protocol=5, buffer_callback=raw_buffers.append
-        )
-        refs = []
-        for pb in raw_buffers:
-            # The flat uint8 view shares the source object's memory, so
-            # identity dedup applies across repeated exports even when
-            # the skeleton is re-pickled.  (No context manager: the view
-            # must outlive this scope inside the dedup table.)
-            flat = np.frombuffer(pb.raw(), dtype=np.uint8)
-            refs.append(self.export_array(flat))
-        shmp = ShmPickle(payload=payload, buffers=tuple(refs))
-        with self._lock:
-            if not self._closed:
-                self._pickles[id(obj)] = (obj, shmp)
-                self.stats.pickles_exported += 1
-        return shmp
-
-    # -- lifecycle --------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Unlink and release every owned segment (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._arrays.clear()
-            self._pickles.clear()
-        self._finalizer.detach()
-        _cleanup_segments(self._segments)
-
-    def __enter__(self) -> "ShmExporter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    Returns the descriptor other processes attach by and the creator's
+    read-only view of the segment.  The view *is* the segment's
+    lifetime: when it and every slice of it are gone (or the
+    interpreter exits) the name is unlinked and the mapping closed, so
+    hold the view for as long as descriptors are in flight.  Raises
+    ``OSError`` when the segment cannot be created or its pages cannot
+    be reserved; nothing is left behind in that case.
+    """
+    array = np.ascontiguousarray(array)
+    if array.nbytes == 0:  # nothing to share; resolve_array builds it locally
+        return ShmArrayRef("", 0, array.shape, array.dtype.str), array
+    segment = _shared_memory.SharedMemory(
+        name=_new_segment_name(), create=True, size=array.nbytes
+    )
+    try:
+        _reserve_pages(segment)
+        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        view[...] = array
+    except BaseException:
+        _cleanup_segment(segment)
+        raise
+    view.flags.writeable = False
+    weakref.finalize(view, _cleanup_segment, segment)
+    return ShmArrayRef(segment.name, 0, array.shape, array.dtype.str), view

@@ -34,7 +34,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if shm_skips:
         terminalreporter.write_line(
             f"[shm] {len(shm_skips)} shared-memory test(s) SKIPPED on this "
-            "platform — shm transport paths were NOT exercised",
+            "platform — shared-memory dataset paths were NOT exercised",
             yellow=True,
         )
     elif ran:

@@ -24,7 +24,7 @@ from repro.core.dataset import (
     read_pds_header,
     write_pds,
 )
-from repro.host.shm import ShmExporter, shm_available
+from repro.host.shm import shm_available
 
 
 @pytest.fixture
@@ -269,15 +269,13 @@ def test_rows_views_are_readonly(pds_path):
 def test_shm_store_roundtrip(dataset):
     from repro.core.dataset import ShmStore
 
-    with ShmExporter() as exporter:
-        store = ShmStore.export(dataset, exporter)
-        ds = PackedDataset(store)
-        assert ds.kind == "shm"
-        assert np.array_equal(ds.rows(0, ds.n), dataset)
-        assert ds.digest == dataset_digest(dataset)
-        ref = ds.slice_ref(3, 80)
-        assert ref.kind == "shm"
-        assert np.array_equal(ref.resolve(), dataset[3:80])
+    ds = PackedDataset(ShmStore.export(dataset))
+    assert ds.kind == "shm"
+    assert np.array_equal(ds.rows(0, ds.n), dataset)
+    assert ds.digest == dataset_digest(dataset)
+    ref = ds.slice_ref(3, 80)
+    assert ref.kind == "shm"
+    assert np.array_equal(ref.resolve(), dataset[3:80])
 
 
 # -- leak guards -------------------------------------------------------------

@@ -7,7 +7,8 @@ The load-bearing claims:
   (the PR's zero-behavior-change refactor contract);
 * Jaccard and range search through :class:`WorkloadSearch` match their
   single-engine references exactly, for every backend (serial/thread/
-  process), transport (pickle/shm), and through the batching layer;
+  process), dataset carrier (by value / shm slice ref), and through the
+  batching layer;
 * merges are associative and permutation-invariant (hypothesis), so
   shard trees of any shape agree;
 * pack/unpack/split roundtrip every workload's result.
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import dataset as dataset_mod
 from repro.core.engine import APSimilaritySearch
 from repro.core.jaccard import JaccardAPSearch
 from repro.core.range_search import HammingRangeSearch
@@ -225,16 +227,18 @@ class TestWorkloadParity:
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     @pytest.mark.skipif(not shm_available(), reason=SHM_UNAVAILABLE_REASON)
-    def test_shm_transport_bit_identical(self, name, params):
+    def test_shm_transport_bit_identical(self, name, params, monkeypatch):
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1)
         data, queries = _data(n=256, d=64)
         serial = WorkloadSearch(data, name, params,
                                 board_capacity=64).search(queries)
-        res = WorkloadSearch(
+        engine = WorkloadSearch(
             data, name, params, board_capacity=64,
-            parallel=ParallelConfig(n_workers=2, backend="process",
-                                    transport="shm"),
-        ).search(queries)
-        assert res.transport == "shm"
+            parallel=ParallelConfig(n_workers=2, backend="process"),
+        )
+        assert engine.dataset.kind == "shm"  # promoted: slice-ref tasks
+        res = engine.search(queries)
+        assert res.transport == "pickle"
         _assert_value_equal(get_workload(name), res.value, serial.value)
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ap.runtime import RuntimeCounters
+from repro.core import dataset as dataset_mod
 from repro.core.engine import APSimilaritySearch
 from repro.host.parallel import (
     ParallelConfig,
@@ -488,12 +489,6 @@ class TestProcessCacheShipback:
         seq = APSimilaritySearch(
             data, k=3, board_capacity=12, execution="functional"
         ).search(queries)
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(n_workers=2, backend="process"),
-            cache=BoardImageCache(max_entries=1),  # evicts aggressively
-        )
-        assert (eng.search(queries).indices == seq.indices).all()
 
         class BrokenPool:
             def submit(self, fn, *args, **kwargs):
@@ -502,12 +497,27 @@ class TestProcessCacheShipback:
             def shutdown(self, *args, **kwargs):
                 pass
 
-        monkeypatch.setattr(
-            ParallelConfig, "_spawn_pool", lambda self, n: BrokenPool()
-        )
-        fallback = eng.search(queries)
-        assert (fallback.indices == seq.indices).all()
-        assert (fallback.distances == seq.distances).all()
+        # by value, and (where shm works) by slice ref into the
+        # promoted segment: the original tasks keep their refs intact
+        carriers = [("array", dataset_mod.SHM_PROMOTE_MIN_BYTES)]
+        if shm_available():
+            carriers.append(("shm", 1))
+        for kind, floor in carriers:
+            with monkeypatch.context() as m:
+                m.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", floor)
+                eng = APSimilaritySearch(
+                    data, k=3, board_capacity=12, execution="functional",
+                    parallel=ParallelConfig(n_workers=2, backend="process"),
+                    cache=BoardImageCache(max_entries=1),  # evicts aggressively
+                )
+                assert eng.dataset.kind == kind
+                assert (eng.search(queries).indices == seq.indices).all()
+                m.setattr(
+                    ParallelConfig, "_spawn_pool", lambda self, n: BrokenPool()
+                )
+                fallback = eng.search(queries)
+                assert (fallback.indices == seq.indices).all(), kind
+                assert (fallback.distances == seq.distances).all(), kind
 
     def test_shipped_artifact_is_reused_not_rebuilt(self, monkeypatch):
         """On a warm run no worker-side board construction happens (the

@@ -2,7 +2,7 @@
 
 Covers the acceptance properties of the pinned backend: bit-identity
 to serial for every registered workload, composition with ``cache=``,
-``batched()``, the shm transport and multiboard, lifecycle hygiene
+``batched()``, shared-memory datasets and multiboard, lifecycle hygiene
 (no ``/dev/shm`` residue, no fd leaks, no exit hangs, finalizer on a
 dropped config), crash robustness (a worker killed mid-task respawns
 and resubmits; a task that keeps killing workers raises cleanly), and
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ap.runtime import RuntimeCounters
+from repro.core.dataset import PackedDataset, ShmStore
 from repro.core.engine import APSimilaritySearch
 from repro.core.multiboard import MultiBoardSearch
 from repro.core.workload import Workload, WorkloadSearch, register_workload
@@ -308,13 +309,20 @@ class TestPinnedComposition:
 
     def test_composes_with_shm_transport(self):
         data, queries = _workload(n=60, d=16, n_queries=4)
-        tasks = _knn_tasks(data, cap=12)
+        # a shared-memory dataset: tasks carry slice refs the pinned
+        # workers attach
+        eng = APSimilaritySearch(
+            PackedDataset(ShmStore.export(data)), k=3, board_capacity=12,
+            execution="functional",
+        )
+        tasks = eng._partition_tasks(eng.params)
+        assert all(t.dataset_slice.kind == "shm" for t in tasks)
         serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
         with ParallelConfig(
-            n_workers=2, backend="pinned", transport="shm", persistent=True
+            n_workers=2, backend="pinned", persistent=True
         ) as cfg:
             report = run_partitions(tasks, queries, cfg)
-        assert report.transport == "shm"
+        assert report.transport == "pickle"
         assert report.n_workers == 2
         for rs, rp in zip(serial.results, report.results):
             assert np.array_equal(rs.payload.indices, rp.payload.indices)

@@ -821,9 +821,7 @@ class TestResourceHygiene:
             data,
             execution="functional",
             board_capacity=16,
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="shm"
-            ),
+            parallel=ParallelConfig(n_workers=2, backend="process"),
         ).start()
         try:
             with RemoteMultiBoardSearch(

@@ -1,9 +1,11 @@
-"""Tests for the shared-memory task transport (repro.host.shm).
+"""Tests for shared-memory dataset segments (repro.host.shm) and the
+promotion of in-memory datasets onto them for out-of-process workers.
 
 Platforms without a usable ``multiprocessing.shared_memory`` skip the
 shm-dependent classes gracefully; the fallback tests run everywhere.
 """
 
+import errno
 import gc
 import glob
 import os
@@ -14,20 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ap.compiler import (
-    BoardImageCache,
-    export_artifact_shm,
-    import_artifact_shm,
-)
-from repro.core.engine import APSimilaritySearch, build_functional_board
-from repro.core.stream import StreamLayout
-from repro.host import parallel as parallel_mod
+from repro.ap.compiler import BoardImageCache
+from repro.core import dataset as dataset_mod
+from repro.core.dataset import PackedDataset, ShmStore
+from repro.core.engine import APSimilaritySearch
+from repro.core.workload import WorkloadSearch
+from repro.host import shm as shm_mod
 from repro.host.parallel import ParallelConfig, run_partitions
+from repro.host.rpc import ShardServer
 from repro.host.shm import (
     SHM_SEGMENT_PREFIX,
     SHM_UNAVAILABLE_REASON,
     SegmentRegistry,
-    ShmExporter,
+    export_array,
     resolve_array,
     shm_available,
 )
@@ -51,9 +52,25 @@ def _workload(n=40, d=16, n_queries=5, seed=7):
 
 def _own_segments():
     """This process's live /dev/shm segment names (Linux observability;
-    empty set elsewhere — the GC/close assertions still hold via the
-    exporter's own bookkeeping)."""
+    empty set elsewhere)."""
     return set(glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}_{os.getpid()}_*"))
+
+
+def _open_fds():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("/proc/self/fd unavailable (fd accounting is Linux-only)")
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def tiny_floor(monkeypatch):
+    """Promote test-sized datasets: the 1 MiB floor is policy, not
+    mechanism, and nothing below exercises it except the floor test."""
+    monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1)
+
+
+def _process(**kw):
+    return ParallelConfig(n_workers=2, backend="process", **kw)
 
 
 @needs_shm
@@ -61,28 +78,26 @@ class TestArrayRoundTrip:
     @pytest.mark.parametrize("dtype", ["uint8", "int64", "uint64", "float32"])
     def test_round_trip_dtypes(self, dtype):
         arr = (np.arange(60).reshape(5, 12) % 7).astype(dtype)
-        with ShmExporter() as exp:
-            ref = exp.export_array(arr)
-            out = resolve_array(ref)
-            assert out.dtype == arr.dtype
-            assert out.shape == arr.shape
-            assert (out == arr).all()
-            assert not out.flags.writeable
+        ref, view = export_array(arr)
+        out = resolve_array(ref)
+        for got in (out, view):
+            assert got.dtype == arr.dtype
+            assert got.shape == arr.shape
+            assert (got == arr).all()
+            assert not got.flags.writeable
 
     def test_round_trip_strided_source(self):
         base = np.arange(200, dtype=np.int64).reshape(10, 20)
-        views = [base[::2], base[:, ::3], base.T, base[1:7, 3:15]]
-        with ShmExporter() as exp:
-            for v in views:
-                out = resolve_array(exp.export_array(v))
-                assert (out == v).all()
+        for v in [base[::2], base[:, ::3], base.T, base[1:7, 3:15]]:
+            ref, view = export_array(v)
+            assert (resolve_array(ref) == v).all()
 
     def test_empty_array_needs_no_segment(self):
-        with ShmExporter() as exp:
-            ref = exp.export_array(np.empty((0, 8), dtype=np.uint8))
-            assert ref.segment == ""
-            out = resolve_array(ref)
-            assert out.shape == (0, 8)
+        before = _own_segments()
+        ref, _ = export_array(np.empty((0, 8), dtype=np.uint8))
+        assert ref.segment == ""
+        assert resolve_array(ref).shape == (0, 8)
+        assert _own_segments() == before
 
     @given(
         st.integers(0, 30),
@@ -94,87 +109,54 @@ class TestArrayRoundTrip:
     def test_round_trip_property(self, n, d, dtype, seed):
         rng = np.random.default_rng(seed)
         arr = rng.integers(0, 100, (n, d)).astype(dtype)
-        with ShmExporter() as exp:
-            out = resolve_array(exp.export_array(arr))
-            assert out.shape == arr.shape and out.dtype == arr.dtype
-            assert (out == arr).all()
+        ref, view = export_array(arr)
+        out = resolve_array(ref)
+        assert out.shape == arr.shape and out.dtype == arr.dtype
+        assert (out == arr).all()
 
     def test_views_are_read_only(self):
-        with ShmExporter() as exp:
-            out = resolve_array(exp.export_array(np.ones((3, 3))))
+        ref, view = export_array(np.ones((3, 3)))
+        for arr in (view, resolve_array(ref)):
             with pytest.raises(ValueError):
-                out[0, 0] = 5.0
+                arr[0, 0] = 5.0
 
 
 @needs_shm
 class TestExporter:
-    def test_dedupe_same_array_exports_once(self):
-        data = np.arange(1024, dtype=np.uint8).reshape(32, 32)
-        with ShmExporter() as exp:
-            r1 = exp.export_array(data)
-            r2 = exp.export_array(data)
-            assert r1 == r2
-            assert exp.stats.arrays_exported == 1
-            assert exp.stats.dedupe_hits == 1
+    """``ArrayStore.promote`` is the one exporter of dataset segments."""
 
-    def test_slices_of_one_dataset_export_separately_but_stably(self):
-        data = np.arange(4096, dtype=np.uint8).reshape(64, 64)
-        with ShmExporter() as exp:
-            refs_a = [exp.export_array(data[i : i + 16]) for i in (0, 16, 32)]
-            refs_b = [exp.export_array(data[i : i + 16]) for i in (0, 16, 32)]
-            assert refs_a == refs_b
-            assert exp.stats.arrays_exported == 3
+    def test_dedupe_same_array_exports_once(self, tiny_floor):
+        data, _ = _workload()
+        before = _own_segments()
+        store = PackedDataset.ensure(data).store
+        twin = store.promote(0, store.n)
+        assert store.promote(0, store.n) is twin
+        assert len(_own_segments()) == len(before) + 1
+        assert np.array_equal(twin.rows(0, twin.n), data)
+        # the memo is weak: the segment goes with its last holder
+        del twin
+        gc.collect()
+        assert _own_segments() == before
 
-    def test_pickled_artifact_round_trip(self):
-        data, queries = _workload(n=24, d=16)
-        layout = StreamLayout(16, 2)
-        board = build_functional_board(data, layout)
-        with ShmExporter() as exp:
-            shmp = export_artifact_shm(board, exp)
-            # big buffers are out of band: skeleton stays small
-            assert shmp.nbytes < board.nbytes + 1024
-            clone = import_artifact_shm(shmp)
-            codes_a, cycles_a = board.query_topk(queries, 5)
-            codes_b, cycles_b = clone.query_topk(queries, 5)
-            assert (codes_a == codes_b).all()
-            assert (cycles_a == cycles_b).all()
-
-    def test_pickled_artifact_dedupes_by_identity(self):
-        data, _ = _workload(n=24, d=16)
-        board = build_functional_board(data, StreamLayout(16, 2))
-        with ShmExporter() as exp:
-            s1 = export_artifact_shm(board, exp)
-            s2 = export_artifact_shm(board, exp)
-            assert s1 is s2
-            assert exp.stats.pickles_exported == 1
-
-    def test_export_after_close_raises(self):
-        exp = ShmExporter()
-        exp.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            exp.export_array(np.ones(4))
-
-    def test_max_bytes_bounds_the_arena(self):
-        with ShmExporter(max_bytes=1 << 16) as exp:
-            exp.export_array(np.zeros(1 << 12, dtype=np.uint8))
-            with pytest.raises(RuntimeError, match="max_bytes"):
-                exp.export_array(np.zeros(1 << 20, dtype=np.uint8))
-            # the exporter stays usable for payloads that fit
-            ref = exp.export_array(np.arange(16, dtype=np.uint8))
-            assert (resolve_array(ref) == np.arange(16)).all()
-
-    def test_arena_overflow_degrades_search_to_pickle(self, monkeypatch):
-        monkeypatch.setattr(ShmExporter, "DEFAULT_MAX_BYTES", 1024)
+    def test_arena_overflow_degrades_search_to_pickle(
+        self, tiny_floor, monkeypatch
+    ):
+        """The shared-memory budget (once the exporter arena's cap, now
+        the promotion ceiling) is never exceeded: a dataset over it
+        runs by value."""
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MAX_BYTES", 1024)
         data, queries = _workload(n=200, d=32)
         seq = APSimilaritySearch(
             data, k=3, board_capacity=32, execution="functional"
         ).search(queries)
-        res = APSimilaritySearch(
+        before = _own_segments()
+        eng = APSimilaritySearch(
             data, k=3, board_capacity=32, execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="shm"
-            ),
-        ).search(queries)
+            parallel=_process(),
+        )
+        res = eng.search(queries)
+        assert eng.dataset.kind == "array"
+        assert _own_segments() == before
         assert res.transport == "pickle"
         assert (res.indices == seq.indices).all()
 
@@ -185,67 +167,191 @@ class TestSegmentLeaks:
 
     def test_close_unlinks_segments(self):
         before = _own_segments()
-        exp = ShmExporter()
-        exp.export_array(np.ones((256, 256)))
-        assert len(_own_segments()) > len(before)
-        exp.close()
+        store = ShmStore.export(np.ones((256, 256), dtype=np.uint8))
+        assert len(_own_segments()) == len(before) + 1
+        store.close()
         assert _own_segments() == before
 
     def test_dropped_exporter_cleans_via_finalizer(self):
+        """Whoever exported owns the segment through the returned view:
+        dropping it — with no close() anywhere — unlinks."""
         before = _own_segments()
-        exp = ShmExporter()
-        exp.export_array(np.ones((64, 64)))
-        assert len(_own_segments()) > len(before)
-        del exp
+        ref, view = export_array(np.ones((64, 64)))
+        rows = view[3:9]
+        assert len(_own_segments()) == len(before) + 1
+        del view
+        # a surviving slice keeps the mapping (and the name) alive
+        assert len(_own_segments()) == len(before) + 1
+        assert (rows == 1).all()
+        del rows
         gc.collect()
         assert _own_segments() == before
 
-    def test_pool_close_leaves_no_residue(self):
+    def test_pool_close_leaves_no_residue(self, tiny_floor):
         data, queries = _workload(n=64, d=16)
         before = _own_segments()
-        cfg = ParallelConfig(
-            n_workers=2, backend="process", transport="shm", persistent=True
-        )
+        cfg = _process(persistent=True)
         with cfg:
-            res = APSimilaritySearch(
+            eng = APSimilaritySearch(
                 data, k=3, board_capacity=16, execution="functional",
                 parallel=cfg,
-            ).search(queries)
-            assert res.transport == "shm"
+            )
+            assert eng.dataset.kind == "shm"
+            eng.search(queries)
+        del eng
         gc.collect()
         assert _own_segments() == before
 
-    def test_one_shot_run_leaves_no_residue(self):
+    def test_one_shot_run_leaves_no_residue(self, tiny_floor):
         data, queries = _workload(n=64, d=16)
         before = _own_segments()
-        res = APSimilaritySearch(
+        eng = APSimilaritySearch(
             data, k=3, board_capacity=16, execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="shm"
-            ),
-        ).search(queries)
-        assert res.transport == "shm"
+            parallel=_process(),
+        )
+        assert eng.dataset.kind == "shm"
+        eng.search(queries)
+        del eng
         gc.collect()
         assert _own_segments() == before
 
     def test_registry_refcounts_and_releases(self):
         reg = SegmentRegistry(keep_alive=0)
-        with ShmExporter() as exp:
-            ref = exp.export_array(np.arange(32, dtype=np.int64))
-            a = resolve_array(ref, reg)
-            b = resolve_array(ref, reg)
-            assert len(reg) == 1  # one segment, two references
+        ref, view = export_array(np.arange(32, dtype=np.int64))
+        a = resolve_array(ref, reg)
+        b = resolve_array(ref, reg)
+        assert len(reg) == 1  # one segment, two references
+        del a
+        gc.collect()
+        assert len(reg) == 1
+        del b
+        gc.collect()
+        assert len(reg) == 0
+
+
+@needs_shm
+class TestPromotion:
+    """An in-memory dataset moves to shared memory exactly when an
+    engine's workers are out of process — once per store, for as long
+    as an engine uses it."""
+
+    def test_engines_over_one_handle_share_one_segment(self, tiny_floor):
+        data, queries = _workload(n=96, d=16)
+        handle = PackedDataset.ensure(data)
+        seq = WorkloadSearch(handle, "knn", {"k": 3}, board_capacity=16).search(
+            queries
+        )
+        before = _own_segments()
+        cfg = _process(persistent=True)
+        with cfg:
+            knn = WorkloadSearch(
+                handle, "knn", {"k": 3}, board_capacity=16, parallel=cfg
+            )
+            rng = WorkloadSearch(
+                handle, "range", {"radius": 4}, board_capacity=16, parallel=cfg
+            )
+            # a shard server builds one engine per (workload, params)
+            # over its handle: all of them ride the same segment
+            with ShardServer(handle, parallel=cfg, board_capacity=16) as server:
+                served = [
+                    server._engine("knn", {"k": 3}),
+                    server._engine("knn", {"k": 5}),
+                    server._engine("jaccard", {"k": 3}),
+                ]
+                engines = [knn, rng, *served]
+                assert {e.dataset.kind for e in engines} == {"shm"}
+                assert len({id(e.dataset.store) for e in engines}) == 1
+                assert len(_own_segments()) == len(before) + 1
+                res = knn.search(queries)
+                assert (res.indices == seq.indices).all()
+                assert (res.distances == seq.distances).all()
+                assert (
+                    served[0].search(queries).indices == seq.indices
+                ).all()
+                del served, engines
+        assert handle.kind == "array"  # the caller's handle is untouched
+        del knn, rng, server
+        gc.collect()
+        assert _own_segments() == before
+
+    def test_dropped_engines_release_segment_and_fds(self, tiny_floor):
+        data, queries = _workload(n=96, d=16)
+        handle = PackedDataset.ensure(data)
+        cfg = _process(persistent=True)
+        with cfg:
+            # warm-up: pool, resource tracker and attach caches settle
+            WorkloadSearch(
+                handle, "knn", {"k": 3}, board_capacity=16, parallel=cfg
+            ).search(queries)
+            gc.collect()
+            before, fds = _own_segments(), _open_fds()
+            a = WorkloadSearch(
+                handle, "knn", {"k": 3}, board_capacity=16, parallel=cfg
+            )
+            b = WorkloadSearch(
+                handle, "jaccard", {"k": 3}, board_capacity=16, parallel=cfg
+            )
+            a.search(queries)
+            b.search(queries)
+            assert len(_own_segments()) == len(before) + 1
             del a
             gc.collect()
-            assert len(reg) == 1
+            assert len(_own_segments()) == len(before) + 1  # b still uses it
             del b
             gc.collect()
-            assert len(reg) == 0
+            assert _own_segments() == before
+            assert _open_fds() <= fds
+            # the memo was weak: a later engine promotes afresh
+            c = WorkloadSearch(
+                handle, "knn", {"k": 3}, board_capacity=16, parallel=cfg
+            )
+            assert c.dataset.kind == "shm"
+            assert len(_own_segments()) == len(before) + 1
+            del c
+        gc.collect()
+        assert _own_segments() == before
+
+    @pytest.mark.parametrize(
+        "parallel",
+        [
+            None,
+            ParallelConfig(n_workers=2, backend="serial"),
+            ParallelConfig(n_workers=2, backend="thread"),
+            ParallelConfig(n_workers=1, backend="process"),
+            ParallelConfig(n_workers=1, backend="pinned"),
+        ],
+        ids=["default", "serial", "thread", "process-1", "pinned-1"],
+    )
+    def test_in_process_engines_never_create_a_segment(
+        self, tiny_floor, parallel
+    ):
+        data, queries = _workload(n=64, d=16)
+        before = _own_segments()
+        eng = APSimilaritySearch(
+            data, k=3, board_capacity=16, execution="functional",
+            parallel=parallel,
+        )
+        eng.search(queries)
+        assert eng.dataset.kind == "array"
+        assert _own_segments() == before
+
+    def test_store_backed_handles_pass_through(self, tiny_floor, tmp_path):
+        data, _ = _workload(n=64, d=16)
+        dataset_mod.write_pds(tmp_path / "d.pds", data)
+        mm = PackedDataset.open(tmp_path / "d.pds")
+        shm = PackedDataset(ShmStore.export(data))
+        assert mm.attachable() is mm
+        assert shm.attachable() is shm
+        # a sub-window (a shard cut from a bigger array) exports only
+        # its own rows
+        sub = PackedDataset.ensure(data).slice_rows(8, 40).attachable()
+        assert (sub.kind, sub.store.n, sub.n) == ("shm", 32, 32)
+        assert np.array_equal(sub.rows(0, 32), data[8:40])
 
 
 @needs_shm
 class TestTransportParity:
-    """serial ≡ thread ≡ process ≡ shm-process, bit for bit."""
+    """serial ≡ thread ≡ process by value ≡ process by slice ref."""
 
     @pytest.mark.parametrize("execution", ["functional", "simulate"])
     def test_four_way_parity(self, execution):
@@ -254,16 +360,14 @@ class TestTransportParity:
         cap = 12 if execution == "functional" else 7
         data, queries = _workload(n=n, d=d, n_queries=3)
         results = {}
-        for name, parallel in [
-            ("sequential", None),
-            ("thread", ParallelConfig(n_workers=2, backend="thread")),
-            ("process", ParallelConfig(
-                n_workers=2, backend="process", transport="pickle")),
-            ("shm-process", ParallelConfig(
-                n_workers=2, backend="process", transport="shm")),
+        for name, dataset, parallel in [
+            ("sequential", data, None),
+            ("thread", data, ParallelConfig(n_workers=2, backend="thread")),
+            ("process", data, _process()),  # below the floor: by value
+            ("shm-process", PackedDataset(ShmStore.export(data)), _process()),
         ]:
             results[name] = APSimilaritySearch(
-                data, k=4, board_capacity=cap, execution=execution,
+                dataset, k=4, board_capacity=cap, execution=execution,
                 parallel=parallel,
             ).search(queries)
         seq = results["sequential"]
@@ -272,22 +376,21 @@ class TestTransportParity:
             assert (res.indices == seq.indices).all(), name
             assert (res.distances == seq.distances).all(), name
             assert res.counters == seq.counters, name
-        assert results["shm-process"].transport == "shm"
-        assert results["process"].transport == "pickle"
+        assert results["shm-process"].transport == "pickle"
+        assert results["thread"].transport == "none"
 
-    def test_warm_cache_shm_parity_and_artifact_reuse(self):
+    def test_warm_cache_shm_parity_and_artifact_reuse(self, tiny_floor):
         data, queries = _workload()
         seq = APSimilaritySearch(
             data, k=4, board_capacity=12, execution="functional"
         ).search(queries)
-        cfg = ParallelConfig(
-            n_workers=2, backend="process", transport="shm", persistent=True
-        )
+        cfg = _process(persistent=True)
         with cfg:
             eng = APSimilaritySearch(
                 data, k=4, board_capacity=12, execution="functional",
                 parallel=cfg, cache=BoardImageCache(),
             )
+            assert eng.dataset.kind == "shm"
             eng.search(queries)  # cold: workers build, artifacts ship back
             warm = eng.search(queries)
             again = eng.search(queries)
@@ -296,104 +399,104 @@ class TestTransportParity:
         assert warm.counters.image_cache_hits == warm.n_partitions
         assert (again.indices == seq.indices).all()
 
-    def test_persistent_pool_exports_once(self):
-        """Stable payloads cross into shared memory once per pool
-        lifetime: repeated searches re-ship descriptors only."""
+    def test_persistent_pool_exports_once(self, tiny_floor):
+        """The dataset crosses into shared memory once per store:
+        repeated searches re-ship descriptors only."""
         data, queries = _workload(n=60, d=16)
-        cfg = ParallelConfig(
-            n_workers=2, backend="process", transport="shm", persistent=True
-        )
+        before = _own_segments()
+        cfg = _process(persistent=True, measure_ipc=True)
         with cfg:
             eng = APSimilaritySearch(
                 data, k=3, board_capacity=16, execution="functional",
                 parallel=cfg,
             )
-            eng.search(queries)
-            exported_after_first = cfg._exporter.stats.arrays_exported
-            eng.search(queries)
-            eng.search(queries)
-            assert cfg._exporter.stats.arrays_exported == exported_after_first
-            assert cfg._exporter.stats.dedupe_hits > 0
+            segments = _own_segments() - before
+            assert len(segments) == 1
+            first = eng.search(queries)
+            for _ in range(2):
+                again = eng.search(queries)
+                assert _own_segments() - before == segments
+                assert again.ipc_payload_bytes == first.ipc_payload_bytes
 
-    def test_multiboard_shm_parity(self):
+    def test_multiboard_shm_parity(self, tiny_floor):
         from repro.core.multiboard import MultiBoardSearch
 
         data, queries = _workload(n=90, d=16, n_queries=4)
         seq = APSimilaritySearch(
             data, k=5, board_capacity=16, execution="functional"
         ).search(queries)
-        res = MultiBoardSearch(
+        eng = MultiBoardSearch(
             data, k=5, n_devices=3, board_capacity=16,
-            execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="shm"
-            ),
-        ).search(queries)
+            execution="functional", parallel=_process(),
+        )
+        res = eng.search(queries)
+        assert eng.dataset.kind == "shm"
         assert (res.indices == seq.indices).all()
         assert (res.distances == seq.distances).all()
-        assert res.transport == "shm"
 
 
 class TestFallback:
-    """The pickle path serves whenever shm cannot."""
+    """The dataset travels by value whenever shared memory cannot
+    carry it — same answers, no segment."""
 
-    def test_transport_validation(self):
-        with pytest.raises(ValueError, match="transport"):
-            ParallelConfig(transport="carrier-pigeon")
+    def _parity(self, data, queries):
+        seq = APSimilaritySearch(
+            data, k=3, board_capacity=12, execution="functional"
+        ).search(queries)
+        before = _own_segments()
+        eng = APSimilaritySearch(
+            data, k=3, board_capacity=12, execution="functional",
+            parallel=_process(),
+        )
+        res = eng.search(queries)
+        assert eng.dataset.kind == "array"
+        assert res.transport == "pickle"
+        assert (res.indices == seq.indices).all()
+        assert (res.distances == seq.distances).all()
+        assert _own_segments() == before
 
     def test_auto_small_payload_stays_pickle(self):
+        """Below the 1 MiB floor promotion never happens: small
+        searches never pay segment setup."""
         data, queries = _workload()
-        res = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="auto"
-            ),
-        ).search(queries)
-        assert res.transport == "pickle"
+        assert data.nbytes < dataset_mod.SHM_PROMOTE_MIN_BYTES
+        self._parity(data, queries)
 
     def test_thread_backend_reports_no_transport(self):
         data, queries = _workload()
         res = APSimilaritySearch(
             data, k=3, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="thread", transport="shm"
-            ),
+            parallel=ParallelConfig(n_workers=2, backend="thread"),
         ).search(queries)
         assert res.transport == "none"
 
-    def test_shm_unavailable_falls_back_to_pickle(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "shm_available", lambda: False)
-        data, queries = _workload()
-        seq = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional"
-        ).search(queries)
-        res = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="shm"
-            ),
-        ).search(queries)
-        assert res.transport == "pickle"
-        assert (res.indices == seq.indices).all()
-        assert (res.distances == seq.distances).all()
+    def test_transport_validation(self):
+        """The transport axis is gone: nothing accepts the knob."""
+        with pytest.raises(TypeError):
+            ParallelConfig(transport="shm")
+
+    def test_shm_unavailable_falls_back_to_pickle(self, tiny_floor, monkeypatch):
+        monkeypatch.setattr(dataset_mod, "shm_available", lambda: False)
+        self._parity(*_workload())
 
     def test_export_failure_degrades_to_pickle(self, monkeypatch):
-        def broken_export(self, arr):
-            raise OSError("no space on /dev/shm")
+        """A size-limited /dev/shm refuses the page reservation
+        (ENOSPC) instead of SIGBUS-ing the parent mid-copy: the store
+        stays an ArrayStore, the search runs by value, and the
+        half-made segment is gone."""
+        if not shm_available():
+            pytest.skip(SHM_SKIP_REASON)
+        reserved = []
 
-        monkeypatch.setattr(ShmExporter, "export_array", broken_export)
-        data, queries = _workload()
-        seq = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional"
-        ).search(queries)
-        res = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(
-                n_workers=2, backend="process", transport="shm"
-            ),
-        ).search(queries)
-        assert res.transport == "pickle"
-        assert (res.indices == seq.indices).all()
+        def no_space(segment):
+            reserved.append(segment.name)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shm_mod, "_reserve_pages", no_space)
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1)
+        self._parity(*_workload())
+        assert len(reserved) == 1
+        assert not os.path.exists(f"/dev/shm/{reserved[0]}")
 
     def test_measure_ipc_records_payload(self):
         data, queries = _workload()
@@ -403,31 +506,24 @@ class TestFallback:
         run = run_partitions(
             eng._partition_tasks(eng.params),
             queries,
-            ParallelConfig(
-                n_workers=2, backend="process", transport="pickle",
-                measure_ipc=True,
-            ),
+            _process(measure_ipc=True),
         )
         assert run.transport == "pickle"
         assert run.ipc_payload_bytes > 0
 
-    def test_descriptor_smaller_than_pickled_payload(self):
+    def test_descriptor_smaller_than_pickled_payload(self, tiny_floor):
         if not shm_available():
             pytest.skip(SHM_SKIP_REASON)
         data, queries = _workload(n=400, d=64, n_queries=8, seed=3)
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=64, execution="functional"
-        )
-        tasks = eng._partition_tasks(eng.params)
-        pickled = sum(
-            len(pickle.dumps((t, queries), protocol=pickle.HIGHEST_PROTOCOL))
-            for t in tasks
-        )
-        with ShmExporter() as exp:
-            qref = exp.export_array(queries)
-            stubs = [parallel_mod._export_task(t, exp) for t in tasks]
-            shm_bytes = sum(
-                len(pickle.dumps((t, qref), protocol=pickle.HIGHEST_PROTOCOL))
-                for t in stubs
+
+        def submitted_bytes(parallel):
+            eng = APSimilaritySearch(
+                data, k=3, board_capacity=64, execution="functional",
+                parallel=parallel,
             )
-        assert shm_bytes * 3 < pickled
+            return sum(
+                len(pickle.dumps((t, queries), protocol=pickle.HIGHEST_PROTOCOL))
+                for t in eng._partition_tasks(eng.params)
+            )
+
+        assert submitted_bytes(_process()) * 3 < submitted_bytes(None)

@@ -10,18 +10,20 @@ demand byte equality, plus fail-fast construction for bad inputs.
 
 import dataclasses
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import PackedDataset, ShmStore, write_pds
+from repro.core import dataset as dataset_mod
+from repro.core.dataset import PackedDataset, write_pds
 from repro.core.engine import APSimilaritySearch
 from repro.core.multiboard import MultiBoardSearch
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
-from repro.host.shm import ShmExporter, shm_available
+from repro.host.shm import shm_available
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory"
@@ -41,16 +43,19 @@ def _make(rng_seed: int, n: int, d: int, n_q: int):
     return data, queries
 
 
-def _stores(data, tmp_path, exporter=None):
-    """The same bytes behind every available store kind."""
+def _stores(data, tmp_path):
+    """The same bytes behind every available store kind; ``shm`` is the
+    twin an out-of-process engine promotes an in-memory handle to."""
     path = tmp_path / "parity.pds"
     write_pds(path, data)
     stores = {
         "array": PackedDataset.ensure(data),
         "mmap": PackedDataset.open(path),
     }
-    if exporter is not None:
-        stores["shm"] = PackedDataset(ShmStore.export(data, exporter))
+    if shm_available():
+        with mock.patch.object(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1):
+            stores["shm"] = PackedDataset.ensure(data).attachable()
+        assert stores["shm"].kind == "shm"
     return stores
 
 
@@ -83,28 +88,21 @@ class TestSerialParity:
     def test_all_stores_bit_identical(self, tmp_path_factory, seed, n, d, n_q):
         data, queries = _make(seed, n, d, n_q)
         tmp_path = tmp_path_factory.mktemp("stores")
-        exporter = ShmExporter() if shm_available() else None
-        try:
-            stores = _stores(data, tmp_path, exporter)
-            for wl, params in [
-                ("knn", {"k": 4}),
-                ("jaccard", {"k": 4}),
-                ("range", {"radius": d // 2}),
-            ]:
-                results = {
-                    kind: WorkloadSearch(
-                        ds, wl, params, board_capacity=max(8, n // 3)
-                    ).search(queries)
-                    for kind, ds in stores.items()
-                }
-                base = results["array"]
-                for kind, res in results.items():
-                    _assert_same_result(
-                        base.value, res.value, f"{wl}/{kind}"
-                    )
-        finally:
-            if exporter is not None:
-                exporter.close()
+        stores = _stores(data, tmp_path)
+        for wl, params in [
+            ("knn", {"k": 4}),
+            ("jaccard", {"k": 4}),
+            ("range", {"radius": d // 2}),
+        ]:
+            results = {
+                kind: WorkloadSearch(
+                    ds, wl, params, board_capacity=max(8, n // 3)
+                ).search(queries)
+                for kind, ds in stores.items()
+            }
+            base = results["array"]
+            for kind, res in results.items():
+                _assert_same_result(base.value, res.value, f"{wl}/{kind}")
 
 
 # -- backend sweep over the mmap store ---------------------------------------
@@ -171,15 +169,13 @@ class TestBackendParity:
         path = tmp_path / "ipc.pds"
         write_pds(path, data)
         with ParallelConfig(
-            n_workers=2, backend="process", transport="pickle",
-            measure_ipc=True,
+            n_workers=2, backend="process", measure_ipc=True
         ) as pc:
             mm = APSimilaritySearch(
                 str(path), k=3, board_capacity=64, parallel=pc
             ).search(queries)
         with ParallelConfig(
-            n_workers=2, backend="process", transport="pickle",
-            measure_ipc=True,
+            n_workers=2, backend="process", measure_ipc=True
         ) as pc:
             arr = APSimilaritySearch(
                 data, k=3, board_capacity=64, parallel=pc

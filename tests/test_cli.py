@@ -116,6 +116,15 @@ class TestSearch:
         assert main(["search", d, q, "--devices", "65"]) == 2
         assert "exceeds the dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_transport_flag_is_gone(self, command, dataset_files, capsys):
+        d, q, *_ = dataset_files
+        argv = [command, d] + ([q] if command == "search" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--transport", "pickle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
     def test_cache_dir_warm_start_reports_zero_recompiles(
         self, dataset_files, tmp_path, capsys
     ):
