@@ -6,9 +6,9 @@ latency.  This benchmark freezes the pre-PR hot path — full
 ``(q, n, w)`` broadcast with table popcounts, a stable argsort of the
 *entire* report set per partition, a per-report Python
 ``decode_report_offset`` loop, and a per-query ``merge_topk`` loop —
-and races it against the shipped path (``np.bitwise_count`` tiled
-kernels, ``query_topk`` argpartition selection, vectorized decode,
-one batched cross-partition merge) at several ``n``:
+and races it against the shipped path (column-wise ``np.bitwise_count``
+kernel, narrow-key ``topk_block`` partition selection, one batched
+cross-partition merge) at several ``n``:
 
 * kernel rows: all-pairs Hamming cdist, old vs new, peak-bounded tiles;
 * search rows: end-to-end ``APSimilaritySearch`` functional search,

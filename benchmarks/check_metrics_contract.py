@@ -86,9 +86,9 @@ def smoke_run(include_ring=True):
 
     # 5. Pinned-worker ring: families register at pool construction.
     if include_ring:
-        from repro.host.shm import SHM_UNAVAILABLE_REASON
+        from repro.host.shm import SHM_UNAVAILABLE_REASON, shm_available
 
-        if SHM_UNAVAILABLE_REASON is None:
+        if shm_available():
             from repro.host.ring import PinnedWorkerPool
 
             PinnedWorkerPool(n_workers=1).shutdown()

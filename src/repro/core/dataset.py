@@ -75,6 +75,7 @@ from typing import Any
 import numpy as np
 
 from ..host.shm import ShmArrayRef, export_array, resolve_array, shm_available
+from ..util.bitops import is_binary
 
 __all__ = [
     "ArrayStore",
@@ -498,7 +499,7 @@ class PackedDataset:
         data was validated when packed/exported); a ``str``/``PathLike``
         opens the ``.pds`` via the process attach cache; everything
         else is coerced to a uint8 ndarray, shape-checked, binary-
-        checked in chunks (when ``validate``), and wrapped in an
+        checked (when ``validate``), and wrapped in an
         :class:`ArrayStore`.
         """
         if isinstance(obj, PackedDataset):
@@ -508,12 +509,8 @@ class PackedDataset:
         array = np.asarray(obj, dtype=np.uint8)
         if array.ndim != 2 or array.shape[0] == 0:
             raise ValueError(f"{name} must be a non-empty (n, d) array")
-        if validate:
-            chunk = _scan_chunk_rows(array.shape[1])
-            for base in range(0, array.shape[0], chunk):
-                part = array[base : base + chunk]
-                if part.size and int(part.max()) > 1:
-                    raise ValueError(f"{name} must be binary (0/1)")
+        if validate and not is_binary(array):
+            raise ValueError(f"{name} must be binary (0/1)")
         return cls(ArrayStore(array))
 
     @classmethod

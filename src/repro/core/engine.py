@@ -49,6 +49,7 @@ __all__ = [
     "PAD_DISTANCE",
     "build_functional_board",
     "decode_partition_topk",
+    "functional_pass_counters",
     "run_partition_functional_topk",
     "run_partition_simulated",
 ]
@@ -92,6 +93,22 @@ def build_functional_board(
     return FunctionalKnnBoard(dataset_slice, layout, report_code_base=0)
 
 
+def functional_pass_counters(
+    n_q: int, n: int, layout: StreamLayout
+) -> RuntimeCounters:
+    """What :class:`~repro.ap.runtime.APRuntime` records for one
+    configure + stream + report pass of ``n_q`` queries over ``n``
+    vectors: the (modeled) board emits one report per vector per query
+    — the temporal sort has no early-out — so the report counters cover
+    the full stream, however few records the host keeps."""
+    counters = RuntimeCounters()
+    counters.configurations += 1
+    counters.symbols_streamed += n_q * layout.block_length
+    counters.reports_received += n_q * n
+    counters.report_payload_bits += n_q * n * REPORT_RECORD_BITS
+    return counters
+
+
 def run_partition_functional_topk(
     board: FunctionalKnnBoard,
     queries: np.ndarray,
@@ -99,28 +116,21 @@ def run_partition_functional_topk(
     start: int,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RuntimeCounters]:
-    """Top-k-aware functional back-end: only the ``k`` earliest reports
-    per query flow to the decoder (``~n/k`` less report traffic), via
+    """Top-k-aware functional back-end as a report stream: only the
+    ``k`` earliest reports per query flow to the decoder (``~n/k`` less
+    report traffic), via
     :meth:`~repro.core.functional.FunctionalKnnBoard.query_topk`.
 
-    Counter accounting mirrors what :class:`~repro.ap.runtime.APRuntime`
-    records for the same configure + stream + report flow: the
-    (modeled) board still emits one report per vector per query —
-    the temporal sort has no early-out — so ``reports_received`` and
-    the payload bits count the full stream; only the *host-side*
-    decode traffic shrinks.  The returned flat arrays are exactly the
-    first ``min(k, n)`` records per query of the full report stream.
+    The flat ``(q_idx, codes, cycles)`` arrays are exactly the first
+    ``min(k, n)`` records per query of the full report stream, codes
+    re-based by ``start``.  (The kNN workload skips this flatten/decode
+    round trip and takes the board's ``topk_block`` — the same block.)
     """
-    counters = RuntimeCounters()
     codes2d, cycles2d = board.query_topk(queries, k)
     n_q, k_eff = codes2d.shape
     q_idx = np.repeat(np.arange(n_q, dtype=np.int64), k_eff)
     codes = codes2d.ravel() + start  # re-base partition-local report codes
-    counters.configurations += 1
-    counters.symbols_streamed += n_q * layout.block_length
-    n_emitted = n_q * board.n  # full stream, not the k kept
-    counters.reports_received += n_emitted
-    counters.report_payload_bits += n_emitted * REPORT_RECORD_BITS
+    counters = functional_pass_counters(n_q, board.n, layout)
     return q_idx, codes, cycles2d.ravel(), counters
 
 

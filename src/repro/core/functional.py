@@ -13,35 +13,39 @@ uses it for datasets too large to cycle-simulate (the paper's 2^20
 points), exactly as the paper itself uses the AP SDK's functional
 simulation for run-time estimates (Section IV-B).
 
-Two query entry points with different complexity/memory envelopes:
+A board holds its partition bit-packed (``n * ceil(d/64)`` uint64 words,
+packed once at construction) and answers through one kernel,
+:func:`~repro.util.bitops.popcount_cdist`, whose ``(q, n)`` distances
+are ``uint8``/``uint16``.  Three query entry points:
 
 * :meth:`FunctionalKnnBoard.query_reports` reproduces the *full*
   report stream (one record per dataset vector per query) — ``O(q n)``
-  records, ``O(q n log n)`` sort work.  The simulator cross-validation
-  tests need every record, so this path stays.
-* :meth:`FunctionalKnnBoard.query_topk` returns only the ``k``
-  *earliest* reports per query — what the engine's decoder actually
-  keeps — via ``np.argpartition`` on a combined ``(cycle, code)`` key:
-  ``O(q n)`` selection plus an ``O(q k log k)`` bounded tie-break
-  sort, and ``~n/k`` less report traffic into the decoder.
-
-``query_topk`` processes queries in tiles (:func:`~repro.util.bitops.
-default_cdist_tile`), so its peak memory is one tile's ``(tile_q, n)``
-distance/key arrays plus the cdist kernel's own bounded intermediate —
-never a ``q``-proportional blow-up at the paper's ``n = 2**20`` scale.
-``query_reports`` necessarily materializes full ``(q, n)`` report
-arrays (its output *is* every record), so only its cdist intermediate
-is tiled; size query batches accordingly when cross-validating.
+  records, a stable (radix) argsort of the narrow distances.  The
+  simulator cross-validation tests need every record, so this path
+  stays; it necessarily materializes ``(q, n)`` int64 report arrays.
+* :meth:`FunctionalKnnBoard.topk_block` returns only the ``k``
+  *nearest* per query — ``O(q n)`` selection on 4-byte
+  ``distance * n + index`` keys plus an ``O(q k log k)`` sort of the
+  kept ones.  Queries run in tiles
+  (:func:`~repro.util.bitops.default_cdist_tile`), so peak memory is
+  one tile's ``(tile_q, n)`` kernel transients plus its keys — never a
+  ``q``-proportional blow-up at the paper's ``n = 2**20`` scale.
+* :meth:`FunctionalKnnBoard.query_topk` is ``topk_block`` spelled as
+  report records: the ``k`` earliest ``(code, cycle)`` per query.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..util.bitops import default_cdist_tile, hamming_cdist_packed, pack_bits
+from ..util.bitops import default_cdist_tile, pack_bits, popcount_cdist
 from .stream import StreamLayout
 
 __all__ = ["FunctionalKnnBoard"]
+
+# Selection keys ``distance * n + index`` are uint32 while every key of
+# the partition fits, uint64 beyond.
+_KEY32_LIMIT = 2**32
 
 
 class FunctionalKnnBoard:
@@ -65,6 +69,14 @@ class FunctionalKnnBoard:
         self.report_code_base = int(report_code_base)
         self._packed = pack_bits(dataset_bits)
 
+    def _cycles(self, dist: np.ndarray) -> np.ndarray:
+        """Global report cycles of ``(q, ·)`` distances, queries
+        streamed back to back: a vector at distance ``h`` reports at
+        block-local offset ``d + L + 2 + h``."""
+        first = self.layout.d + self.layout.collector_depth + 2
+        blocks = np.arange(dist.shape[0], dtype=np.int64)[:, None]
+        return dist + (first + blocks * self.layout.block_length)
+
     def query_reports(
         self, queries_bits: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,28 +88,52 @@ class FunctionalKnnBoard:
         activations resolved by state ID).  Cycles are global stream
         offsets assuming queries are streamed back to back.
         """
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        qp = pack_bits(queries_bits)
-        dist = hamming_cdist_packed(qp, self._packed)  # (q, n)
-        m = self.layout.d - dist  # inverted Hamming distance
-        base_offset = 2 * self.layout.d + self.layout.collector_depth + 2
-        local = base_offset - m  # (q, n) block-local report cycles
-
-        n_q = queries_bits.shape[0]
-        codes = np.arange(self.n, dtype=np.int64) + self.report_code_base
+        qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
+        dist = popcount_cdist(qp, self._packed)
         # Sort each query's reports by (cycle, code); codes are already
-        # ascending per row, so a stable argsort on cycle suffices.
-        order = np.argsort(local, axis=1, kind="stable")
-        cycles_sorted = np.take_along_axis(local, order, axis=1)
-        codes_sorted = codes[order]
+        # ascending per row, so a stable argsort on distance suffices.
+        order = np.argsort(dist, axis=1, kind="stable")
+        cycles = self._cycles(np.take_along_axis(dist, order, axis=1))
+        query_idx = np.repeat(np.arange(dist.shape[0], dtype=np.int64), self.n)
+        return query_idx, (order + self.report_code_base).ravel(), cycles.ravel()
 
-        query_idx = np.repeat(np.arange(n_q, dtype=np.int64), self.n)
-        global_cycles = (
-            cycles_sorted + np.arange(n_q, dtype=np.int64)[:, None] * self.layout.block_length
+    def topk_block(
+        self, queries_bits: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest vectors per query: ``(indices, distances)``,
+        ``(q, k_eff)`` int64, ``k_eff = min(k, n)``, rows ordered by
+        (distance, partition-local index) — the library-wide tie-break.
+
+        Selection packs each ``(distance, index)`` pair into one unique
+        key ``distance * n + index`` (uint32 while ``(d + 1) * n`` fits,
+        else uint64), partitions the ``k_eff`` smallest to the front of
+        each row in ``O(n)``, sorts only those and divmods them back —
+        never a full ``O(n log n)`` sort, and the tie-break at the
+        ``k``-th distance is exact rather than partition's arbitrary
+        boundary subset.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
+        n_q, n = qp.shape[0], self.n
+        k_eff = min(int(k), n)
+        key_dtype = (
+            np.uint32 if (self.layout.d + 1) * n < _KEY32_LIMIT else np.uint64
         )
-        return query_idx, codes_sorted.ravel(), global_cycles.ravel()
+        indices = np.empty((n_q, k_eff), dtype=np.int64)
+        distances = np.empty((n_q, k_eff), dtype=np.int64)
+        idx = np.arange(n, dtype=key_dtype)
+        tile = default_cdist_tile(n, self._packed.shape[1])
+        for lo in range(0, n_q, tile):
+            dist = popcount_cdist(qp[lo : lo + tile], self._packed)
+            keys = np.multiply(dist, n, dtype=key_dtype)
+            keys += idx
+            if k_eff < n:
+                keys.partition(k_eff - 1, axis=1)
+                keys = keys[:, :k_eff]
+            keys.sort(axis=1)
+            np.divmod(keys, n, distances[lo : lo + tile], indices[lo : lo + tile])
+        return indices, distances
 
     def query_topk(
         self, queries_bits: np.ndarray, k: int
@@ -108,45 +144,9 @@ class FunctionalKnnBoard:
         ``k_eff = min(k, n)`` earliest reports in (cycle, code) order —
         exactly the first ``k_eff`` records :meth:`query_reports` would
         yield for the query, because the temporal sort makes "earliest
-        reports" and "nearest neighbors" the same set.  Selection packs
-        each report's ``(cycle, code)`` pair into one unique int64 key
-        (``cycle * n + code``; codes are distinct, so keys are too),
-        ``np.argpartition``\\ s the ``k_eff`` smallest keys per row in
-        ``O(n)``, and sorts only those — never a full ``O(n log n)``
-        argsort, and the tie-break at the ``k``-th distance is exact
-        rather than argpartition's arbitrary boundary subset.
-
-        Peak memory is one query tile's ``(tile_q, n)`` int64 distance
-        and key arrays (plus the cdist kernel's bounded intermediate);
-        tiles are sized by :func:`~repro.util.bitops.default_cdist_tile`.
+        reports" and "nearest neighbors" the same set
+        (:meth:`topk_block`, re-based to codes and global cycles).
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        qp = pack_bits(queries_bits)
-        n_q = queries_bits.shape[0]
-        n = self.n
-        k_eff = min(int(k), n)
-        base_offset = 2 * self.layout.d + self.layout.collector_depth + 2
-
-        codes_out = np.empty((n_q, k_eff), dtype=np.int64)
-        cycles_out = np.empty((n_q, k_eff), dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        tile = default_cdist_tile(n, self._packed.shape[1])
-        for lo in range(0, n_q, tile):
-            hi = min(lo + tile, n_q)
-            dist = hamming_cdist_packed(qp[lo:hi], self._packed, tile_q=tile)
-            # block-local report cycle of each vector; see query_reports
-            local = (base_offset - self.layout.d) + dist
-            keys = local * n + idx  # unique (cycle, code) sort keys
-            if k_eff < n:
-                part = np.argpartition(keys, k_eff - 1, axis=1)[:, :k_eff]
-                keys = np.take_along_axis(keys, part, axis=1)
-            keys = np.sort(keys, axis=1)
-            codes_out[lo:hi] = keys % n
-            cycles_out[lo:hi] = keys // n
-        cycles_out += np.arange(n_q, dtype=np.int64)[:, None] * self.layout.block_length
-        codes_out += self.report_code_base
-        return codes_out, cycles_out
+        indices, distances = self.topk_block(queries_bits, k)
+        indices += self.report_code_base
+        return indices, self._cycles(distances)

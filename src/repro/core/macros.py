@@ -44,6 +44,7 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
+from ..util.bitops import is_binary
 
 __all__ = ["MacroConfig", "MacroHandles", "build_vector_macro", "build_knn_network",
            "collector_tree_depth", "macro_ste_cost"]
@@ -128,7 +129,7 @@ def build_vector_macro(
     d = vector.shape[0]
     if d < 1:
         raise ValueError("vector must have at least one dimension")
-    if not np.isin(vector, (0, 1)).all():
+    if not is_binary(vector):
         raise ValueError("vector bits must be 0/1")
 
     guard = network.add_ste(

@@ -30,6 +30,7 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
+from ..util.bitops import is_binary
 from .macros import MacroConfig, collector_tree_depth, macro_ste_cost
 
 __all__ = ["PackedGroupHandles", "build_packed_group", "build_packed_network",
@@ -67,7 +68,7 @@ def build_packed_group(
     p, d = vectors.shape
     if len(report_codes) != p:
         raise ValueError("need one report code per packed vector")
-    if not np.isin(vectors, (0, 1)).all():
+    if not is_binary(vectors):
         raise ValueError("vectors must be binary")
 
     guard = network.add_ste(STE(f"{prefix}guard", _SOF_SET, start=StartMode.ALL_INPUT))

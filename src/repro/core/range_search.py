@@ -23,7 +23,7 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, PAD, SOF, SymbolSet
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import hamming_cdist_packed, is_binary, pack_bits
 from .macros import MacroConfig, collector_tree_depth
 
 __all__ = ["RangeSearchResult", "HammingRangeSearch"]
@@ -60,7 +60,7 @@ class HammingRangeSearch:
         dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
-        if not np.isin(dataset_bits, (0, 1)).all():
+        if not is_binary(dataset_bits):
             raise ValueError("dataset must be binary")
         self.dataset = dataset_bits
         self.n, self.d = dataset_bits.shape

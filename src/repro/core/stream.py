@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..automata.symbols import EOF, PAD, SOF
+from ..util.bitops import is_binary
 
 __all__ = [
     "StreamLayout",
@@ -95,7 +96,7 @@ def encode_query(bits: np.ndarray, layout: StreamLayout) -> np.ndarray:
     bits = np.asarray(bits).ravel()
     if bits.shape[0] != layout.d:
         raise ValueError(f"query has {bits.shape[0]} dims, layout expects {layout.d}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not is_binary(bits):
         raise ValueError("query bits must be 0/1")
     block = np.empty(layout.block_length, dtype=np.uint8)
     block[0] = SOF

@@ -70,7 +70,7 @@ from ..host.parallel import (
 )
 from ..perf import metrics as _metrics
 from ..perf.models import APModel
-from ..util.bitops import hamming_cdist_packed, pack_bits, popcount_u64
+from ..util.bitops import is_binary, pack_bits, popcount_cdist, popcount_u64
 from ..util.topk import merge_ragged_blocks, merge_topk_blocks
 from .dataset import PackedDataset
 from .macros import MacroConfig, build_knn_network, collector_tree_depth
@@ -131,7 +131,7 @@ def normalize_queries(queries_bits, d: int) -> np.ndarray:
         raise ValueError(
             f"queries have d={queries_bits.shape[1]}, dataset d={d}"
         )
-    if not np.isin(queries_bits, (0, 1)).all():
+    if not is_binary(queries_bits):
         raise ValueError("queries must be binary (0/1)")
     return queries_bits
 
@@ -476,24 +476,23 @@ class HammingKnnWorkload(Workload):
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
         from .engine import (
             decode_partition_topk,
-            run_partition_functional_topk,
+            functional_pass_counters,
             run_partition_simulated,
         )
 
         params = _KNN_DEFAULTS | params
         k = int(params["k"])
-        if params["execution"] == "simulate":
-            layout = _knn_layout(queries_bits.shape[1], params["macro_config"])
-            q_idx, codes, cycles, counters = run_partition_simulated(
-                artifact, queries_bits, layout, params["device"]
-            )
-        else:
-            layout = artifact.layout
-            k = min(k, artifact.n)
-            q_idx, codes, cycles, counters = run_partition_functional_topk(
-                artifact, queries_bits, layout, start=0, k=k
-            )
         n_q = queries_bits.shape[0]
+        if params["execution"] != "simulate":
+            # The board's (q, min(k, n)) arrays are already the decoded,
+            # (distance, index)-ordered, pad-free block.
+            block = artifact.topk_block(queries_bits, k)
+            counters = functional_pass_counters(n_q, artifact.n, artifact.layout)
+            return KnnWorkloadResult(*block), counters
+        layout = _knn_layout(queries_bits.shape[1], params["macro_config"])
+        q_idx, codes, cycles, counters = run_partition_simulated(
+            artifact, queries_bits, layout, params["device"]
+        )
         block = decode_partition_topk(q_idx, codes, cycles, n_q, k, layout)
         if block is None:
             return self.empty(n_q, {"k": k}), counters
@@ -614,32 +613,43 @@ class JaccardTopkWorkload(Workload):
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
         dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        packed = pack_bits(dataset_bits)
         return JaccardBoardArtifact(
-            packed=pack_bits(dataset_bits),
-            sizes=dataset_bits.sum(axis=1).astype(np.int64),
+            packed=packed,
+            sizes=popcount_u64(packed).sum(axis=1),
             d=int(dataset_bits.shape[1]),
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
         queries_bits = np.asarray(queries_bits, dtype=np.uint8)
         k = min(int(params["k"]), artifact.n)
-        qp = pack_bits(queries_bits)
-        inter = popcount_u64(qp[:, None, :] & artifact.packed[None, :, :]).sum(
-            axis=-1
+        n = artifact.n
+        inter = popcount_cdist(
+            pack_bits(queries_bits), artifact.packed, np.bitwise_and
         )
         q_sizes = queries_bits.sum(axis=1).astype(np.int64)
         union = artifact.sizes[None, :] + q_sizes[:, None] - inter
         sim = np.ones(inter.shape, dtype=np.float64)
-        nz = union > 0
-        sim[nz] = inter[nz] / union[nz]
-        ids = np.broadcast_to(
-            np.arange(artifact.n, dtype=np.int64), sim.shape
-        )
-        order = np.lexsort((ids, -sim), axis=-1)[:, :k]
+        np.divide(inter, union, out=sim, where=union > 0)
+        # Top-k by selection, not a full sort: the k-th best similarity
+        # splits each row into strict winners / ties / the rest, and an
+        # integer (class, index) key in the narrowest dtype that holds
+        # 3n picks every winner plus the lowest-index ties.  Only the k
+        # kept are then ordered.
+        kth = np.partition(sim, n - k, axis=1)[:, n - k, None]
+        key_dtype = np.min_scalar_type(3 * n)
+        rank = (sim <= kth).astype(key_dtype)
+        rank += sim < kth
+        rank *= n
+        rank += np.arange(n, dtype=key_dtype)
+        rank.partition(k - 1, axis=1)
+        ids = (rank[:, :k] % n).astype(np.int64)
+        kept = np.take_along_axis(sim, ids, axis=1)
+        ids = np.take_along_axis(ids, np.lexsort((ids, -kept), axis=-1), axis=1)
         partial = JaccardWorkloadResult(
-            indices=np.take_along_axis(ids, order, axis=1),
-            similarities=np.take_along_axis(sim, order, axis=1),
-            intersections=np.take_along_axis(inter, order, axis=1),
+            indices=ids,
+            similarities=np.take_along_axis(sim, ids, axis=1),
+            intersections=np.take_along_axis(inter, ids, axis=1).astype(np.int64),
         )
         # Counter accounting for the modeled board: one configuration,
         # the standard sort-phase stream per query block, one report
@@ -772,7 +782,7 @@ class HammingRangeWorkload(Workload):
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
         queries_bits = np.asarray(queries_bits, dtype=np.uint8)
         radius = int(params["radius"])
-        dist = hamming_cdist_packed(pack_bits(queries_bits), artifact.packed)
+        dist = popcount_cdist(pack_bits(queries_bits), artifact.packed)
         hit = dist <= radius
         counts = hit.sum(axis=1).astype(np.int64)
         width = int(counts.max(initial=0))

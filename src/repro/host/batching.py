@@ -49,6 +49,7 @@ from typing import Any
 import numpy as np
 
 from ..perf import metrics as _metrics
+from ..util.bitops import is_binary
 
 __all__ = [
     "BatchRouter",
@@ -214,7 +215,7 @@ class BatchRouter:
                 raise ValueError(
                     f"queries have d={queries_bits.shape[1]}, searcher d={d}"
                 )
-            if not np.isin(queries_bits, (0, 1)).all():
+            if not is_binary(queries_bits):
                 raise ValueError("queries must be binary (0/1)")
         req = _Request(queries=queries_bits, admitted_at=time.perf_counter())
         # Blocks when max_pending is reached (backpressure) — but in

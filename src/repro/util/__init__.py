@@ -4,6 +4,7 @@ from .bitops import (
     hamming_cdist_packed,
     hamming_distance_packed,
     hamming_distance_unpacked,
+    is_binary,
     pack_bits,
     popcount_u64,
     random_binary_vectors,
@@ -15,6 +16,7 @@ __all__ = [
     "hamming_cdist_packed",
     "hamming_distance_packed",
     "hamming_distance_unpacked",
+    "is_binary",
     "pack_bits",
     "popcount_u64",
     "random_binary_vectors",

@@ -9,17 +9,17 @@ Hamming distance.  Two memory layouts are used throughout the library:
   byte.  This is the layout the automata simulator consumes (each bit
   becomes one input symbol).
 * **packed**: ``uint64`` arrays of shape ``(n, ceil(d / 64))`` holding 64
-  bits per word.  This is the layout the CPU/GPU baselines consume; a
-  Hamming distance is then XOR + POPCOUNT over words, exactly like the
-  FLANN and CUDA baselines in the paper (Section IV-C).
+  bits per word, row-major.  This is the layout the CPU/GPU baselines
+  and the functional board model consume; a Hamming distance is then
+  XOR + POPCOUNT over words, exactly like the FLANN and CUDA baselines
+  in the paper (Section IV-C).
 
-All functions are vectorized NumPy; none of them allocate per-row
-Python objects, so they stay fast for the paper's ``n = 2**20`` large
-dataset.  Popcounts use the hardware ``np.bitwise_count`` ufunc when
-NumPy >= 2.0 provides it (16-bit-table fallback otherwise), and the
-all-pairs kernel tiles its query axis so peak transient memory is
-bounded by one tile's ``(tile_q, n, w)`` intermediate — see
-:func:`hamming_cdist_packed` for the exact contract.
+Each byte moves once, in the narrowest exact dtype: :func:`pack_bits`
+goes bits -> bytes -> words with no widened staging copy, and the
+all-pairs kernel :func:`popcount_cdist` accumulates one word column at
+a time into a ``uint8``/``uint16`` ``(q, n)`` array — ``O(q n w)`` word
+ops.  Popcounts use the hardware ``np.bitwise_count`` ufunc when
+NumPy >= 2.0 provides it (16-bit-table fallback otherwise).
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "is_binary",
     "pack_bits",
     "unpack_bits",
     "popcount_u64",
+    "popcount_cdist",
     "hamming_distance_packed",
     "hamming_distance_unpacked",
     "hamming_cdist_packed",
@@ -48,9 +50,8 @@ _POPCOUNT16 = np.array(
     [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
 )
 
-# Peak-memory budget for the auto-tiled cdist kernel: the per-tile
-# intermediates (one (tile_q, n, w) uint64 XOR buffer plus its uint8
-# popcount) stay within roughly this many bytes.
+# Peak-memory budget for the auto-tiled cdist kernel: one tile's
+# (tile_q, n) intermediates stay within roughly this many bytes.
 _CDIST_TILE_BYTES = 32 * 2**20
 
 
@@ -66,15 +67,24 @@ def _popcount_table_u8(words: np.ndarray) -> np.ndarray:
 
 
 def _popcount_words_u8(words: np.ndarray) -> np.ndarray:
-    """Popcount of uint64 words as ``uint8`` (the narrowest exact dtype).
-
-    The uint8 result is what keeps the tiled cdist kernel's per-tile
-    intermediate small: 1 byte per (query, vector, word) instead of the
-    8 bytes an int64 count array would occupy.
-    """
+    """Popcount of uint64 words as ``uint8`` (the narrowest exact dtype)."""
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(words)
     return _popcount_table_u8(words)
+
+
+def is_binary(arr) -> bool:
+    """True iff every element of ``arr`` is exactly 0 or 1 (vacuously
+    for an empty array) — the library's one binary-input check.
+
+    ``uint8``/``bool``, what every hot path holds, is one ``max()``
+    reduction with no temporary; any other dtype goes through
+    ``np.isin``, so ``-1``, ``2``, ``0.5`` and NaN are rejected.
+    """
+    arr = np.asarray(arr)
+    if arr.dtype == np.uint8 or arr.dtype == np.bool_:
+        return bool(arr.max(initial=0) <= 1)
+    return bool(np.isin(arr, (0, 1)).all())
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -84,22 +94,33 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     ``j % 64`` (little-endian within the word).  Trailing pad bits are
     zero, so Hamming distances computed on packed words equal distances
     on the unpacked rows.
+
+    Memory contract: the input is read once by :func:`is_binary`
+    (``ValueError`` on anything but 0/1) and once by ``np.packbits``;
+    the only allocations are the ``(n, ceil(d/8))`` packed bytes and,
+    when ``d % 64 != 0``, the ``(n, 8w)`` zero-tailed buffer they are
+    copied into.  Read-only and non-contiguous inputs are fine.
     """
     bits = np.asarray(bits)
     if bits.ndim == 1:
         bits = bits[None, :]
     if bits.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D bit array, got ndim={bits.ndim}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not is_binary(bits):
         raise ValueError("bit array must contain only 0 and 1")
+    if bits.dtype != np.uint8 and bits.dtype != np.bool_:
+        bits = bits.astype(np.uint8)  # validated 0/1, so the cast is exact
     n, d = bits.shape
     n_words = (d + 63) // 64
-    padded = np.zeros((n, n_words * 64), dtype=np.uint8)
-    padded[:, :d] = bits
     # np.packbits packs most-significant-bit first per byte; request
     # little-endian bit order so bit j lands at position j % 8.
-    as_bytes = np.packbits(padded, axis=1, bitorder="little")
-    return as_bytes.reshape(n, n_words, 8).view(np.uint64).reshape(n, n_words)
+    as_bytes = np.packbits(bits, axis=1, bitorder="little")
+    if as_bytes.shape[1] != n_words * 8:
+        padded = np.empty((n, n_words * 8), dtype=np.uint8)
+        padded[:, : as_bytes.shape[1]] = as_bytes
+        padded[:, as_bytes.shape[1] :] = 0
+        as_bytes = padded
+    return as_bytes.view(np.uint64)
 
 
 def unpack_bits(words: np.ndarray, d: int) -> np.ndarray:
@@ -143,14 +164,42 @@ def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.count_nonzero(a != b, axis=-1)
 
 
+def popcount_cdist(
+    queries: np.ndarray, dataset: np.ndarray, op=np.bitwise_xor
+) -> np.ndarray:
+    """All-pairs ``popcount(q op x)``: ``(q, w) x (n, w) -> (q, n)``.
+
+    The one inner loop of every functional workload — ``op`` is XOR for
+    Hamming/range distances, AND for Jaccard intersections.  One word
+    column at a time: ``op``, popcount, in-place add, so the
+    ``(q, n, w)`` broadcast never exists and no length-``w`` axis is
+    reduced.  The result is ``uint8`` when ``64 * w <= 255`` (it cannot
+    overflow), else ``uint16`` — 1–2 bytes per pair instead of 8.
+    ``dataset`` columns are read strided, in place, so read-only and
+    non-contiguous inputs are fine.
+
+    Not tiled: each step holds a ``(q, n)`` word buffer and its popcount
+    beside the result; callers bound ``q`` (:func:`default_cdist_tile`).
+    """
+    (q, w), n = queries.shape, dataset.shape[0]
+    dtype = np.uint8 if 64 * w <= 255 else np.uint16
+    if w == 0:
+        return np.zeros((q, n), dtype=dtype)
+    acc = _popcount_words_u8(op(queries[:, 0, None], dataset[None, :, 0]))
+    acc = acc.astype(dtype, copy=False)
+    for j in range(1, w):
+        acc += _popcount_words_u8(op(queries[:, j, None], dataset[None, :, j]))
+    return acc
+
+
 def default_cdist_tile(n: int, n_words: int) -> int:
     """Auto tile height (query rows per pass) for :func:`hamming_cdist_packed`.
 
-    Sized so one tile's intermediates — the ``(tile_q, n, w)`` uint64
-    XOR buffer (8 bytes/entry) plus its uint8 popcount (1 byte/entry) —
-    fit in :data:`_CDIST_TILE_BYTES`.
+    Sized so one tile's ``(tile_q, n)`` intermediates — the uint64 word
+    buffer (8 bytes/entry), its uint8 popcount (1) and the uint8/uint16
+    accumulator (1 or 2) — fit in :data:`_CDIST_TILE_BYTES`.
     """
-    per_row = max(1, n * n_words * 9)
+    per_row = max(1, n * (9 + (1 if 64 * n_words <= 255 else 2)))
     return max(1, _CDIST_TILE_BYTES // per_row)
 
 
@@ -163,19 +212,18 @@ def hamming_cdist_packed(
 ) -> np.ndarray:
     """All-pairs Hamming distances, ``(q, w) x (n, w) -> (q, n)`` int64.
 
-    This is the XOR/POPCOUNT inner loop of the CPU and GPU baselines.
+    This is the XOR/POPCOUNT inner loop of the CPU and GPU baselines:
+    :func:`popcount_cdist` per query tile, widened to int64 only on the
+    way into ``out``.
 
-    Memory contract: the kernel never materializes the full
-    ``(q, n, w)`` broadcast.  Queries are processed in tiles of
-    ``tile_q`` rows, so peak transient memory is
-    ``tile_q * n * w * 9`` bytes (an 8-byte XOR word plus a 1-byte
-    popcount per entry) regardless of ``q`` — at the paper's
-    ``n = 2**20``, ``d = 64`` that is ~9 MiB per tile row instead of a
-    ``q``-proportional blow-up.  ``tile_q=None`` picks the largest tile
-    whose intermediates stay within a fixed 32 MiB budget
-    (:func:`default_cdist_tile`); results are bit-identical for every
-    tile size.  ``out`` (shape ``(q, n)``, dtype int64) lets callers
-    reuse a distance buffer across batches.
+    Memory contract: queries are processed in tiles of ``tile_q`` rows,
+    so peak transient memory is at most ``tile_q * n * 11`` bytes
+    (8-byte word, 1-byte popcount, 1–2-byte accumulator per pair)
+    whatever ``q`` and ``w`` — ~11 MiB per tile row at the paper's
+    ``n = 2**20``.  ``tile_q=None`` picks the largest tile within a
+    fixed 32 MiB budget (:func:`default_cdist_tile`); results are
+    bit-identical for every tile size.  ``out`` (shape ``(q, n)``,
+    dtype int64) lets callers reuse a distance buffer across batches.
     """
     queries = np.asarray(queries, dtype=np.uint64)
     dataset = np.asarray(dataset, dtype=np.uint64)
@@ -199,9 +247,7 @@ def hamming_cdist_packed(
     if tile_q < 1:
         raise ValueError(f"tile_q must be >= 1, got {tile_q}")
     for lo in range(0, q, tile_q):
-        hi = min(lo + tile_q, q)
-        xored = queries[lo:hi, None, :] ^ dataset[None, :, :]
-        np.sum(_popcount_words_u8(xored), axis=-1, dtype=np.int64, out=out[lo:hi])
+        out[lo : lo + tile_q] = popcount_cdist(queries[lo : lo + tile_q], dataset)
     return out
 
 

@@ -9,6 +9,7 @@ import repro.core.engine as engine_mod
 import repro.core.workload as workload_mod
 from repro.ap.device import GEN1, GEN2
 from repro.core.engine import PAD_DISTANCE, PAD_INDEX, APSimilaritySearch
+from repro.core.functional import FunctionalKnnBoard
 from tests.conftest import brute_force_knn
 
 
@@ -134,21 +135,39 @@ class TestShortTopkRegression:
     def test_short_merge_pads_instead_of_crashing(self, monkeypatch):
         """A back-end returning fewer reports than vectors must pad, not
         raise the historical broadcast error."""
-        real = engine_mod.run_partition_functional_topk
-
-        def lossy(*args, **kwargs):
-            q_idx, codes, cycles, counters = real(*args, **kwargs)
-            return q_idx[:1], codes[:1], cycles[:1], counters  # drop most
-
-        monkeypatch.setattr(engine_mod, "run_partition_functional_topk", lossy)
         rng = np.random.default_rng(14)
         data = rng.integers(0, 2, (6, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (2, 8), dtype=np.uint8)
-        res = APSimilaritySearch(
+        engine = APSimilaritySearch(
             data, k=4, board_capacity=6, execution="functional"
-        ).search(queries)
+        )
+
+        # The report-stream seam (simulate back-end, harness replays):
+        # a lossy stream through the one decode.
+        board = engine_mod.build_functional_board(data, engine.layout)
+        q_idx, codes, cycles, _ = engine_mod.run_partition_functional_topk(
+            board, queries, engine.layout, 0, 4
+        )
+        indices, distances = engine_mod.decode_partition_topk(
+            q_idx[:1], codes[:1], cycles[:1], 2, 4, engine.layout  # drop most
+        )
+        assert indices.shape == (2, 4)
+        assert (indices.ravel()[1:] == PAD_INDEX).all()
+        assert (distances.ravel()[1:] == PAD_DISTANCE).all()
+        assert indices[0, 0] != PAD_INDEX
+
+        # The block seam the functional workload takes: a short block
+        # through the merge.
+        real = FunctionalKnnBoard.topk_block
+
+        def lossy(self, queries_bits, k):
+            indices, distances = real(self, queries_bits, k)
+            return indices[:, :1], distances[:, :1]  # drop most
+
+        monkeypatch.setattr(FunctionalKnnBoard, "topk_block", lossy)
+        res = engine.search(queries)
         assert res.indices.shape == (2, 4)
-        # query 0 kept one real candidate, the rest are pad slots
+        # each query kept one real candidate, the rest are pad slots
         assert (res.indices[:, 1:] == PAD_INDEX).all()
         assert (res.distances[:, 1:] == PAD_DISTANCE).all()
         assert res.indices[0, 0] != PAD_INDEX

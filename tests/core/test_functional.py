@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.functional as functional_mod
 from repro.automata.simulator import CompiledSimulator
+from repro.core.engine import (
+    build_functional_board,
+    decode_partition_topk,
+    run_partition_functional_topk,
+)
 from repro.core.functional import FunctionalKnnBoard
 from repro.core.macros import build_knn_network
 from repro.core.stream import StreamLayout, encode_query_batch
@@ -94,6 +100,65 @@ class TestQueryTopk:
             mask = q_idx == qi
             assert top_codes[qi].tolist() == codes[mask][:k_eff].tolist()
             assert top_cycles[qi].tolist() == cycles[mask][:k_eff].tolist()
+
+    @given(
+        st.integers(1, 30),  # n (1 = the single-vector board)
+        st.sampled_from([2, 63, 64, 65, 193, 257]),  # d
+        st.integers(1, 40),  # k (often >= n)
+        st.integers(0, 10_000),
+        st.booleans(),  # uint64 keys, forced through a tiny limit
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_forced_ties_at_kth_distance(self, n, d, k, seed, wide_keys):
+        """Rows at only two distinct distances from the query, so the
+        k-th neighbour almost always sits inside a tie: the kept set
+        must be the lowest-index ties, for both key widths."""
+        rng = np.random.default_rng(seed)
+        near, far = rng.integers(0, 2, (2, d), dtype=np.uint8)
+        data = np.where(rng.integers(0, 2, (n, 1)) == 1, near, far).astype(np.uint8)
+        queries = np.stack([near, far, 1 - near])
+        board = FunctionalKnnBoard(data, StreamLayout(d, 2))
+        q_idx, codes, cycles = board.query_reports(queries)
+        limit = 1 if wide_keys else functional_mod._KEY32_LIMIT
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(functional_mod, "_KEY32_LIMIT", limit)
+            top_codes, top_cycles = board.query_topk(queries, k)
+        k_eff = min(k, n)
+        expected_codes = codes.reshape(3, n)[:, :k_eff]
+        expected_cycles = cycles.reshape(3, n)[:, :k_eff]
+        assert (top_codes == expected_codes).all()
+        assert (top_cycles == expected_cycles).all()
+
+    @given(
+        st.integers(1, 30),  # n
+        st.sampled_from([3, 64, 100, 256]),  # d
+        st.integers(0, 4),  # q (0 = empty batch)
+        st.integers(1, 40),  # k
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_direct_block_equals_decoded_report_stream(self, n, d, q, k, seed):
+        """The workload's direct block is what the report-stream route
+        (flatten -> the one decode) produces, pads included."""
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
+        data[n // 2 :] = data[0]  # ties across the k-th distance
+        queries = rng.integers(0, 2, (q, d), dtype=np.uint8)
+        layout = StreamLayout(d, 2)
+        board = build_functional_board(data, layout)
+        indices, distances = board.topk_block(queries, k)
+        k_eff = min(k, n)
+        assert indices.shape == distances.shape == (q, k_eff)
+        assert indices.dtype == distances.dtype == np.int64
+        q_idx, codes, cycles, _ = run_partition_functional_topk(
+            board, queries, layout, 0, k
+        )
+        decoded = decode_partition_topk(q_idx, codes, cycles, q, k_eff, layout)
+        if q == 0:
+            assert decoded is None
+        else:
+            assert (decoded[0] == indices).all()
+            assert (decoded[1] == distances).all()
 
     def test_report_code_base_applied(self):
         data = np.zeros((4, 6), dtype=np.uint8)

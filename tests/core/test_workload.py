@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import dataset as dataset_mod
 from repro.core.engine import APSimilaritySearch
-from repro.core.jaccard import JaccardAPSearch
+from repro.core.jaccard import JaccardAPSearch, jaccard_similarity_matrix
 from repro.core.range_search import HammingRangeSearch
 from repro.core.workload import (
     HammingKnnWorkload,
@@ -181,6 +181,37 @@ class TestWorkloadParity:
         assert (res.value.indices == ref.indices).all()
         assert (res.value.similarities == ref.similarities).all()
         assert (res.value.intersections == ref.intersections).all()
+
+    @given(
+        st.integers(1, 40),  # n
+        st.integers(1, 70),  # d (one and two words)
+        st.integers(1, 45),  # k (often >= n)
+        st.integers(0, 10_000),
+        st.sampled_from(["random", "duplicates", "empty-sets"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jaccard_selection_equals_full_sort(self, n, d, k, seed, flavor):
+        """Top-k by selection keeps exactly the first k of the full
+        (descending similarity, ascending index) order — with the k-th
+        similarity inside a tie, and for empty-vs-empty (similarity 1)."""
+        rng = np.random.default_rng(seed)
+        data = (rng.random((n, d)) < 0.4).astype(np.uint8)
+        if flavor == "duplicates":
+            data = data[rng.integers(0, max(1, n // 4), n)]
+        elif flavor == "empty-sets":
+            data[rng.random(n) < 0.5] = 0
+        queries = (rng.random((3, d)) < 0.4).astype(np.uint8)
+        queries[0] = 0
+        workload = get_workload("jaccard")
+        got, _ = workload.execute(workload.compile(data, {}), queries, {"k": k})
+        sim = jaccard_similarity_matrix(queries, data)
+        inter = (queries[:, None, :] & data[None, :, :]).sum(axis=-1)
+        ids = np.broadcast_to(np.arange(n), sim.shape)
+        order = np.lexsort((ids, -sim), axis=-1)[:, : min(k, n)]
+        assert (got.indices == order).all()
+        assert (got.similarities == np.take_along_axis(sim, order, axis=1)).all()
+        assert (got.intersections == np.take_along_axis(inter, order, axis=1)).all()
+        assert got.indices.dtype == got.intersections.dtype == np.int64
 
     def test_range_matches_reference_engine(self):
         data, queries = _data()

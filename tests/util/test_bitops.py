@@ -12,7 +12,9 @@ from repro.util.bitops import (
     hamming_cdist_packed,
     hamming_distance_packed,
     hamming_distance_unpacked,
+    is_binary,
     pack_bits,
+    popcount_cdist,
     popcount_u64,
     random_binary_vectors,
     unpack_bits,
@@ -197,6 +199,117 @@ class TestTiledCdist:
         assert 1 <= tile < 1024
         # even absurd n never drops below one row
         assert default_cdist_tile(2**40, 64) == 1
+
+
+# Word-count and accumulator boundaries: d = 191..193 straddles w = 3 -> 4,
+# where the narrow kernel's accumulator goes uint8 -> uint16.
+_BOUNDARY_DIMS = [1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 1000]
+
+
+class TestIsBinary:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int8, np.int64, np.float64])
+    def test_accepts_zero_one_of_any_dtype(self, dtype):
+        assert is_binary(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert pack_bits(np.array([[1, 0, 1]], dtype=dtype))[0, 0] == 5
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0, 2]], dtype=np.uint8),
+            np.array([[0, 255]], dtype=np.uint8),
+            np.array([[0, -1]], dtype=np.int64),
+            np.array([[1, 2]], dtype=np.int64),
+            np.array([[0, 256]], dtype=np.int64),  # would wrap to 0 as uint8
+            np.array([[0.5, 1.0]]),
+            np.array([[np.nan, 1.0]]),
+        ],
+    )
+    def test_rejects_everything_else(self, bad):
+        assert not is_binary(bad)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            pack_bits(bad)
+
+    def test_empty_is_binary(self):
+        assert is_binary(np.empty((0, 8), dtype=np.uint8))
+        assert is_binary(np.empty((0,), dtype=np.float64))
+        assert pack_bits(np.empty((0, 70), dtype=np.uint8)).shape == (0, 2)
+
+    @given(
+        st.sampled_from([np.uint8, np.int16, np.int64, np.float32]),
+        st.lists(st.integers(-2, 3), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_accept_set_as_isin(self, dtype, values):
+        arr = np.array(values).astype(dtype)  # uint8 wraps negatives, as callers do
+        assert is_binary(arr) == bool(np.isin(arr, (0, 1)).all())
+
+
+class TestPackBitsLayout:
+    @given(st.integers(1, 6), st.sampled_from(_BOUNDARY_DIMS + [7, 9, 100]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_and_zero_tail(self, n, d, seed, as_bool):
+        bits = random_binary_vectors(n, d, seed)
+        packed = pack_bits(bits.astype(bool) if as_bool else bits)
+        assert packed.dtype == np.uint64 and packed.shape == (n, (d + 63) // 64)
+        assert (unpack_bits(packed, d) == bits).all()
+        # pad bits beyond d are zero: a row's popcount is its bit count
+        assert (popcount_u64(packed).sum(axis=1) == bits.sum(axis=1)).all()
+
+    def test_readonly_and_strided_inputs(self):
+        bits = random_binary_vectors(12, 100, 5)
+        frozen = bits.copy()
+        frozen.setflags(write=False)
+        assert (pack_bits(frozen) == pack_bits(bits)).all()
+        wide = random_binary_vectors(12, 200, 6)
+        assert (pack_bits(wide[::2, ::2]) == pack_bits(wide[::2, ::2].copy())).all()
+
+
+class TestNarrowKernel:
+    @given(
+        st.integers(1, 9),  # q
+        st.integers(1, 33),  # n
+        st.sampled_from(_BOUNDARY_DIMS),
+        st.integers(1, 10),  # tile_q
+        st.integers(0, 10_000),
+        st.sampled_from(["contiguous", "strided", "readonly"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unpacked_distances(self, q, n, d, tile_q, seed, layout):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 2, (q, d), dtype=np.uint8)
+        b = rng.integers(0, 2, (n, d), dtype=np.uint8)
+        b[0] = 1 - a[0]  # distance d: the accumulator's maximum
+        expected = hamming_distance_unpacked(a[:, None, :], b[None, :, :])
+        qp, bp = pack_bits(a), pack_bits(b)
+        if layout == "strided":  # every other row and word of a larger array
+            big = np.zeros((2 * n, 2 * bp.shape[1]), dtype=np.uint64)
+            big[::2, ::2] = bp
+            bp = big[::2, ::2]
+            assert n == 1 or not bp.flags.c_contiguous
+        elif layout == "readonly":
+            bp.setflags(write=False)
+        narrow = popcount_cdist(qp, bp)
+        assert narrow.dtype == (np.uint8 if bp.shape[1] <= 3 else np.uint16)
+        assert (narrow == expected).all()
+        wide = hamming_cdist_packed(qp, bp, tile_q=tile_q)
+        assert wide.dtype == np.int64 and (wide == expected).all()
+
+    def test_mmap_backed_dataset(self, tmp_path):
+        bits = random_binary_vectors(50, 193, 7)
+        path = tmp_path / "packed.bin"
+        pack_bits(bits).tofile(path)
+        mapped = np.memmap(path, dtype=np.uint64, mode="r", shape=(50, 4))
+        queries = random_binary_vectors(3, 193, 8)
+        expected = hamming_distance_unpacked(queries[:, None, :], bits[None, :, :])
+        assert (popcount_cdist(pack_bits(queries), mapped) == expected).all()
+        assert (hamming_cdist_packed(pack_bits(queries), mapped) == expected).all()
+
+    def test_and_op_counts_intersections(self):
+        a = random_binary_vectors(4, 130, 1)
+        b = random_binary_vectors(9, 130, 2)
+        inter = popcount_cdist(pack_bits(a), pack_bits(b), np.bitwise_and)
+        assert (inter == (a[:, None, :] & b[None, :, :]).sum(axis=-1)).all()
 
 
 class TestRandomVectors:
