@@ -19,9 +19,10 @@ deterministic fault harness (:mod:`repro.host.faults`):
   slow requests.  ``p99_cut`` is baseline p99 over hedged p99; the
   gate requires >= 2x.
 
-Results land in ``BENCH_availability.json``; CI runs ``--quick`` and
-gates the booleans plus ``p99_cut`` through
-``benchmarks/check_regression.py``.
+Results land in ``BENCH_availability.json``.  Every gate is absolute
+(never partial, bit-identical, a failover and a hedge recorded, p99
+cut >= 2x), so the script needs no baseline: CI runs ``--quick`` and a
+false invariant exits non-zero.
 """
 
 import json
@@ -262,6 +263,8 @@ def main(argv=None):
         raise SystemExit("FAIL: replica death leaked into results")
     if not kill["failover_absorbed"]:
         raise SystemExit("FAIL: no failover recorded around the kill")
+    if tail["hedges_fired"] < 1:
+        raise SystemExit("FAIL: no hedged read fired against the slow replica")
     if tail["p99_cut"] < 2.0:
         raise SystemExit(
             f"FAIL: hedging cut p99 only {tail['p99_cut']:.2f}x (need >= 2x)"

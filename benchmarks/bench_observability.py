@@ -18,9 +18,9 @@ that contract into CI:
 * **trace** — a ``trace_request`` around a search captures the
   execute/merge stage spans, and the stage histogram aggregates them.
 
-Results land in ``BENCH_observability.json`` for
-``check_regression.py``.  Runs under pytest-benchmark like the other
-benchmarks, or standalone:
+Results land in ``BENCH_observability.json``; every gate is absolute,
+so a false invariant exits non-zero with no baseline to compare to.
+Runs under pytest-benchmark like the other benchmarks, or standalone:
 ``python benchmarks/bench_observability.py [--quick] [--out PATH]``.
 """
 

@@ -242,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_dataset(path: str):
     """A search/serve ``dataset`` argument as an engine-ready object:
     ``.pds`` opens as a file-backed handle (mmap, payload never loads),
-    anything else loads as a uint8 ndarray."""
+    anything else loads as saved — the engine validates it as 0/1
+    before narrowing to uint8."""
     from repro.core.dataset import PDS_SUFFIX, PackedDataset
 
     if path.endswith(PDS_SUFFIX):
         return PackedDataset.open(path)
-    return np.load(path).astype(np.uint8)
+    return np.load(path)
 
 
 def _cache_from_args(args):
@@ -401,9 +402,14 @@ def _cmd_search(args) -> int:
 
 def _search_and_report(engine, args, params: dict) -> int:
     """Run the batch on a local or remote engine and print the report."""
+    from repro.core.workload import normalize_queries
     from repro.host.rpc import RemoteShardError
 
-    queries = np.load(args.queries).astype(np.uint8)
+    try:
+        queries = normalize_queries(np.load(args.queries), engine.d)
+    except ValueError as exc:
+        print(f"error: {args.queries}: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.batch > 0:
             result = _batched_search(engine, queries, args)

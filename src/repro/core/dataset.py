@@ -58,7 +58,9 @@ per-partition compile) would otherwise fault the whole file resident.
 Store-aware digests and :meth:`PackedDataset.release` drop consumed
 page ranges back to the page cache (``madvise(MADV_DONTNEED)``) as the
 scan advances, so peak RSS stays bounded by a partition, not the
-payload — the property ``benchmarks/bench_dataset_stores.py`` gates.
+payload — the property
+``tests/integration/test_store_parity.py::test_mmap_serving_stays_out_of_core``
+asserts.
 """
 
 from __future__ import annotations
@@ -498,20 +500,20 @@ class PackedDataset:
         A :class:`PackedDataset` passes through untouched (store-backed
         data was validated when packed/exported); a ``str``/``PathLike``
         opens the ``.pds`` via the process attach cache; everything
-        else is coerced to a uint8 ndarray, shape-checked, binary-
-        checked (when ``validate``), and wrapped in an
+        else is shape-checked and binary-checked (when ``validate``)
+        in the dtype it arrived in, then narrowed to uint8 inside an
         :class:`ArrayStore`.
         """
         if isinstance(obj, PackedDataset):
             return obj
         if isinstance(obj, (str, os.PathLike)):
             return cls.open(obj)
-        array = np.asarray(obj, dtype=np.uint8)
+        array = np.asarray(obj)
         if array.ndim != 2 or array.shape[0] == 0:
             raise ValueError(f"{name} must be a non-empty (n, d) array")
         if validate and not is_binary(array):
             raise ValueError(f"{name} must be binary (0/1)")
-        return cls(ArrayStore(array))
+        return cls(ArrayStore(array))  # narrows to uint8 after the check
 
     @classmethod
     def open(cls, path: str | os.PathLike) -> "PackedDataset":

@@ -38,7 +38,7 @@ falls as the shard shrinks:
 
 Scaling is near-linear until a shard fits in one configuration, after
 which more devices only buy idle silicon — the crossover
-``benchmarks/bench_multiboard_scaling.py`` sweeps.
+``benchmarks/bench_multiboard.py`` sweeps.
 """
 
 from __future__ import annotations

@@ -57,11 +57,12 @@ class HammingRangeSearch:
         radius: int,
         config: MacroConfig = MacroConfig(),
     ):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = np.asarray(dataset_bits)
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         if not is_binary(dataset_bits):
             raise ValueError("dataset must be binary")
+        dataset_bits = dataset_bits.astype(np.uint8, copy=False)
         self.dataset = dataset_bits
         self.n, self.d = dataset_bits.shape
         if not 0 <= radius < self.d:
@@ -148,7 +149,7 @@ class HammingRangeSearch:
 
     def search(self, queries_bits: np.ndarray) -> RangeSearchResult:
         """Exact functional model of the threshold automata."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = np.asarray(queries_bits)  # pack_bits validates it
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:

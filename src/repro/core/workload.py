@@ -122,7 +122,7 @@ SERVER_OWNED_PARAMS = frozenset(
 def normalize_queries(queries_bits, d: int) -> np.ndarray:
     """The pipeline's one entry check: a ``(q, d)`` uint8 0/1 batch
     (a single ``(d,)`` row is promoted), or ``ValueError``."""
-    queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+    queries_bits = np.asarray(queries_bits)
     if queries_bits.ndim == 1:
         queries_bits = queries_bits[None, :]
     if queries_bits.ndim != 2:
@@ -133,7 +133,7 @@ def normalize_queries(queries_bits, d: int) -> np.ndarray:
         )
     if not is_binary(queries_bits):
         raise ValueError("queries must be binary (0/1)")
-    return queries_bits
+    return queries_bits.astype(np.uint8, copy=False)
 
 
 def balanced_shard_bounds(n: int, n_devices: int) -> np.ndarray:

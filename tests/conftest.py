@@ -61,6 +61,28 @@ def small_queries(rng):
     return rng.integers(0, 2, size=(6, 16), dtype=np.uint8)
 
 
+@pytest.fixture(
+    params=[
+        (0.5, np.float64), (257, np.float64), (-255, np.float64),
+        (np.nan, np.float64), (257, np.int64), (-255, np.int64),
+    ],
+    ids=["0.5-f8", "257-f8", "-255-f8", "nan-f8", "257-i8", "-255-i8"],
+)
+def non_binary(request):
+    """``non_binary(bits)``: a wide-dtype copy of a 0/1 array with one
+    element that is not a bit but that a cast to uint8 would turn into
+    one (0.5 -> 0, 257 -> 1, -255 -> 1, nan -> 0).  Every entry point
+    must reject it: validation runs on the array as given."""
+    value, dtype = request.param
+
+    def poison(bits):
+        out = np.array(bits, dtype=dtype)
+        out.flat[0] = value
+        return out
+
+    return poison
+
+
 def brute_force_knn(data, queries, k):
     """Independent oracle: O(qnd) scan with (distance, index) tie-break."""
     data = np.asarray(data, dtype=np.int64)

@@ -151,6 +151,14 @@ def test_ensure_rejects_non_binary():
         PackedDataset.ensure(np.full((4, 4), 3, dtype=np.uint8))
 
 
+def test_ensure_rejects_non_bits_before_narrowing(dataset, non_binary):
+    with pytest.raises(ValueError, match="binary"):
+        PackedDataset.ensure(non_binary(dataset))
+    wide = PackedDataset.ensure(dataset.astype(np.float64))
+    assert wide.rows(0, wide.n).dtype == np.uint8
+    assert (wide.rows(0, wide.n) == dataset).all()
+
+
 # -- .pds structural validation ----------------------------------------------
 
 

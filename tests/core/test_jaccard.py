@@ -93,6 +93,13 @@ class TestTopKSearch:
         with pytest.raises(ValueError):
             s.search(np.ones((1, 5), dtype=np.uint8))
 
+    def test_non_bit_values_rejected_before_narrowing(self, non_binary):
+        bits = np.ones((2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="binary"):
+            JaccardAPSearch(non_binary(bits), k=1)
+        with pytest.raises(ValueError, match="0 and 1"):
+            JaccardAPSearch(bits, k=1).search(non_binary(bits))
+
 
 class TestThresholdFilter:
     def test_functional_candidates(self):

@@ -42,6 +42,13 @@ class TestFunctional:
         with pytest.raises(ValueError):
             rs.search(np.zeros((1, 5), dtype=np.uint8))
 
+    def test_non_bit_values_rejected_before_narrowing(self, rng, non_binary):
+        data = rng.integers(0, 2, (4, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="binary"):
+            HammingRangeSearch(non_binary(data), radius=2)
+        with pytest.raises(ValueError, match="0 and 1"):
+            HammingRangeSearch(data, radius=2).search(non_binary(data))
+
 
 class TestCycleAccurate:
     @pytest.mark.parametrize("radius", [0, 2, 5])

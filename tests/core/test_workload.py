@@ -29,6 +29,7 @@ from repro.core.workload import (
     WorkloadSearch,
     available_workloads,
     get_workload,
+    normalize_queries,
     register_workload,
 )
 from repro.host.parallel import ParallelConfig
@@ -340,6 +341,16 @@ class TestParamValidation:
         engine = WorkloadSearch(data, "knn", {"k": 3})
         with pytest.raises(ValueError, match="binary"):
             engine.search(queries + 2)
+
+    def test_non_bit_values_rejected_before_narrowing(self, non_binary):
+        data, queries = _data()
+        with pytest.raises(ValueError, match="binary"):
+            WorkloadSearch(non_binary(data), "knn", {"k": 3})
+        with pytest.raises(ValueError, match="binary"):
+            normalize_queries(non_binary(queries), queries.shape[1])
+        # a wide dtype holding only bits is still a legal batch
+        wide = normalize_queries(queries.astype(np.int64), queries.shape[1])
+        assert wide.dtype == np.uint8 and (wide == queries).all()
 
     def test_query_d_mismatch_rejected(self):
         data, _ = _data(d=32)

@@ -11,8 +11,10 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.core.multiboard import balanced_shard_bounds
 from repro.core.workload import WorkloadSearch, get_workload
 from repro.host.rpc import (
+    MSG_WL_SEARCH,
     MSG_WL_SEARCH_REQ,
     RemoteShard,
     RemoteShardError,
@@ -22,7 +24,9 @@ from repro.host.rpc import (
     ShardServer,
     _ARRAY_HEAD,
     pack_array,
+    pack_frame,
     pack_workload_request,
+    pack_workload_response,
     serve_shard,
     unpack_array,
     unpack_workload_request,
@@ -239,6 +243,43 @@ class TestRemoteWorkloadParity:
         finally:
             for s in servers:
                 s.close()
+
+    @pytest.mark.parametrize("name,params", ALL_PARAMS)
+    def test_warm_batch_wire_bytes_are_exactly_the_codec(self, name, params):
+        """Wire traffic is deterministic: a warm batch moves one request
+        frame out and one response frame back per shard, byte for byte
+        what the public codec produces for that shard's local result."""
+        data, queries = _data()
+        workload = get_workload(name)
+        bounds = balanced_shard_bounds(data.shape[0], 2)
+        # execution="auto" is the ShardServer default; the resolved tag
+        # travels in the response
+        shard_results = [
+            WorkloadSearch(
+                data[lo:hi], name, {**params, "execution": "auto"}
+            ).search(queries)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        out = len(shard_results) * len(pack_frame(
+            MSG_WL_SEARCH_REQ, pack_workload_request(name, params, queries)
+        ))
+        back = sum(
+            len(pack_frame(
+                MSG_WL_SEARCH, pack_workload_response(result, workload)
+            ))
+            for result in shard_results
+        )
+        servers, addresses = _start_rack(data, 2)
+        try:
+            with RemoteWorkloadSearch(addresses, name, params) as remote:
+                remote.search(queries)  # handshake + shard compiles
+                sent0, received0 = remote.pool.wire_bytes
+                assert not remote.search(queries).partial
+                sent1, received1 = remote.pool.wire_bytes
+        finally:
+            for s in servers:
+                s.close()
+        assert (sent1 - sent0, received1 - received0) == (out, back)
 
     def test_unknown_workload_rejected_over_wire(self):
         data, _ = _data(n=40)

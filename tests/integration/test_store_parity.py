@@ -10,6 +10,8 @@ demand byte equality, plus fail-fast construction for bad inputs.
 
 import dataclasses
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -317,3 +319,64 @@ def test_no_fd_leak_across_mmap_parallel_runs(tmp_path):
         APSimilaritySearch(str(path), k=3, board_capacity=64).search(queries)
     assert pds_fds() == before
     assert before <= 1  # the attach cache holds at most one
+
+
+# -- out-of-core budget -------------------------------------------------------
+
+_RSS_PROBE = r"""
+import sys
+import numpy as np
+from repro.core.engine import APSimilaritySearch
+
+
+def peak_rss_bytes():
+    # VmHWM is per address space, so it starts fresh after exec;
+    # ru_maxrss is inherited from the (large) pytest parent and would
+    # never move.
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+
+path, d, cap = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+queries = (np.random.default_rng(7).random((4, d)) < 0.5).astype(np.uint8)
+# Baseline AFTER imports and query setup: everything from here on is
+# the engine's footprint over the file-backed shard.
+before = peak_rss_bytes()
+engine = APSimilaritySearch(
+    path, k=8, board_capacity=cap, execution="functional", cache=True
+)
+cold = engine.search(queries)   # digests + compiles + executes
+warm = engine.search(queries)   # cache hits only
+assert (cold.indices == warm.indices).all()
+print(peak_rss_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs /proc/self/status VmHWM")
+def test_mmap_serving_stays_out_of_core(tmp_path):
+    """A fresh process that attaches a ``.pds``, compiles and searches
+    all of it grows its peak RSS by < 25% of the payload: the shard is
+    paged through, never loaded."""
+    d, cap = 128, 1 << 10
+    data, _ = _make(47, 1 << 18, d, 1)  # 32 MiB payload
+    path = tmp_path / "rss.pds"
+    write_pds(path, data)
+    payload = data.nbytes
+    del data
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(path), str(d), str(cap)],
+        capture_output=True, text=True, env=env, cwd=os.getcwd(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout)
+    assert growth < 0.25 * payload, (
+        f"peak RSS grew {growth / (1 << 20):.1f} MiB serving a "
+        f"{payload / (1 << 20):.0f} MiB .pds shard"
+    )

@@ -106,6 +106,22 @@ class TestSearch:
             assert rows[label][0] == rows["plain"][0]
             assert (rows[label][1] == rows["plain"][1]).all()
 
+    def test_non_bit_inputs_rejected_not_narrowed(
+        self, dataset_files, tmp_path, capsys, non_binary
+    ):
+        d, q, data, queries = dataset_files
+        bad_d, bad_q = str(tmp_path / "bad_d.npy"), str(tmp_path / "bad_q.npy")
+        np.save(bad_d, non_binary(data))
+        np.save(bad_q, non_binary(queries))
+        assert main(["search", bad_d, q]) == 2
+        assert "dataset must be binary" in capsys.readouterr().err
+        assert main(["search", d, bad_q]) == 2
+        assert "queries must be binary" in capsys.readouterr().err
+        out = tmp_path / "bad_d.pds"
+        assert main(["pack", bad_d, str(out)]) == 1
+        assert "dataset must be binary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_devices_below_one_rejected(self, dataset_files, capsys):
         d, q, *_ = dataset_files
         assert main(["search", d, q, "--devices", "0"]) == 2
