@@ -60,6 +60,11 @@ class OverlapTopkWorkload(Workload):
         # Picklable + position-independent: just the packed slice.
         return pack_bits(np.asarray(dataset_bits, dtype=np.uint8))
 
+    def fuse(self, artifacts):
+        # Optional: results are ordered by (overlap, row index), so a
+        # run of boards answers as one — let the host run it as one pass.
+        return np.concatenate(artifacts)
+
     def execute(self, artifact, queries_bits, params):
         qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
         inter = popcount_u64(qp[:, None, :] & artifact[None, :, :]).sum(-1)

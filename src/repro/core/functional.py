@@ -69,6 +69,24 @@ class FunctionalKnnBoard:
         self.report_code_base = int(report_code_base)
         self._packed = pack_bits(dataset_bits)
 
+    @classmethod
+    def from_packed(
+        cls, packed: np.ndarray, layout: StreamLayout, report_code_base: int = 0
+    ) -> "FunctionalKnnBoard":
+        """A board over row words another board already validated and
+        packed (:attr:`packed`) — nothing is re-checked or copied."""
+        board = cls.__new__(cls)
+        board.layout = layout
+        board.n = packed.shape[0]
+        board.report_code_base = int(report_code_base)
+        board._packed = packed
+        return board
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The partition's ``(n, ceil(d/64))`` uint64 row words."""
+        return self._packed
+
     def _cycles(self, dist: np.ndarray) -> np.ndarray:
         """Global report cycles of ``(q, ·)`` distances, queries
         streamed back to back: a vector at distance ``h`` reports at

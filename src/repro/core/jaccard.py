@@ -53,9 +53,7 @@ def jaccard_similarity_matrix(queries: np.ndarray, dataset: np.ndarray) -> np.nd
 
     Empty-vs-empty pairs are defined as similarity 1.0.
     """
-    qp, dp = pack_bits(np.asarray(queries, dtype=np.uint8)), pack_bits(
-        np.asarray(dataset, dtype=np.uint8)
-    )
+    qp, dp = pack_bits(queries), pack_bits(dataset)  # pack_bits validates
     inter = popcount_u64(qp[:, None, :] & dp[None, :, :]).sum(axis=-1)
     union = popcount_u64(qp[:, None, :] | dp[None, :, :]).sum(axis=-1)
     out = np.ones(inter.shape, dtype=np.float64)
@@ -230,9 +228,12 @@ class JaccardThresholdFilter:
 
     def __init__(self, dataset_bits: np.ndarray, tau: int,
                  config: MacroConfig = MacroConfig()):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = np.asarray(dataset_bits)
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
+        if not is_binary(dataset_bits):
+            raise ValueError("dataset must be binary")
+        dataset_bits = dataset_bits.astype(np.uint8, copy=False)
         if tau < 1:
             raise ValueError("tau must be >= 1")
         self.dataset = dataset_bits
@@ -255,14 +256,11 @@ class JaccardThresholdFilter:
         layout = StreamLayout(
             self.d, collector_tree_depth(self.d, self.config.max_fan_in)
         )
-        return encode_query_batch(np.asarray(queries_bits, dtype=np.uint8), layout)
+        return encode_query_batch(queries_bits, layout)  # validates each row
 
     def candidates(self, queries_bits: np.ndarray) -> list[np.ndarray]:
         """Functional filter: per query, indices with intersection >= tau."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        qp = pack_bits(queries_bits)
+        qp = pack_bits(queries_bits)  # validates; promotes a single row
         inter = popcount_u64(qp[:, None, :] & self._packed[None, :, :]).sum(axis=-1)
         return [np.nonzero(inter[qi] >= self.tau)[0] for qi in range(inter.shape[0])]
 

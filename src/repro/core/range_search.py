@@ -81,11 +81,13 @@ class HammingRangeSearch:
         return self.d + self.collector_depth + 4
 
     def encode_queries(self, queries_bits: np.ndarray) -> np.ndarray:
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = np.asarray(queries_bits)
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:
             raise ValueError(f"queries have d={queries_bits.shape[1]}, want {self.d}")
+        if not is_binary(queries_bits):
+            raise ValueError("queries must be binary")
         q = queries_bits.shape[0]
         out = np.empty(q * self.block_length, dtype=np.uint8)
         for i in range(q):

@@ -16,6 +16,11 @@ layers actually rely on into a :class:`Workload` protocol:
   partition pass producing a *partition-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
   record;
+* ``fuse(artifacts) → artifact | None`` — optional: row-concatenate the
+  artifacts of row-consecutive boards so the host runs them as ONE
+  ``execute`` (a *host pass*).  The board stays the unit of caching,
+  counters and the AP model; the default ``None`` keeps one pass per
+  board (cycle-accurate images, workloads that do not opt in);
 * ``merge(partials, offsets, params) → result`` — the offset-aware
   host merge.  Merging must be **associative** and every merged result
   must itself be a valid partial (with offset 0), which is what lets
@@ -38,8 +43,9 @@ custom_workload.py`` and the README's "Writing a custom workload".
 
 :class:`WorkloadSearch` is the one engine loop: it partitions the
 dataset into board-sized slices (never straddling a device boundary
-when ``n_devices > 1``), fans
-:class:`~repro.host.parallel.PartitionTask`\\ s out through
+when ``n_devices > 1``), groups runs of them into host passes sized
+for the host rather than the AP fabric, fans the passes out as
+:class:`~repro.host.parallel.PartitionTask`\\ s through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
 persistent pools, slice-ref datasets, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
@@ -56,6 +62,7 @@ import numpy as np
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from ..ap.compiler import APCompiler, BoardImageCache, partition_cache_key
 from ..ap.device import GEN1, APDeviceSpec
@@ -73,6 +80,7 @@ from ..perf.models import APModel
 from ..util.bitops import is_binary, pack_bits, popcount_cdist, popcount_u64
 from ..util.topk import merge_ragged_blocks, merge_topk_blocks
 from .dataset import PackedDataset
+from .functional import FunctionalKnnBoard
 from .macros import MacroConfig, build_knn_network, collector_tree_depth
 from .stream import StreamLayout
 
@@ -109,6 +117,17 @@ _CAPACITY_D_CUTOFF = 128
 # passes, kNN's execution="auto" picks the functional model over cycle
 # simulation.
 _AUTO_SIM_LIMIT = 50_000_000
+
+# Host pass budgets: how many row-consecutive boards the engine hands a
+# worker as ONE functional pass.  Board capacity is a constraint of the
+# AP fabric; on the host a ~1024-row pass is almost all Python, so
+# boards are run fused while the pass's packed row words stay within
+# the per-core cache share and its (query x row) pair count bounds the
+# widest per-pair transient (Jaccard's ~30 B/pair) to ~8 MiB at any
+# batch size.  Constants, not options — README "Host passes" has the
+# sweep that chose them (and why the byte budget stops at 64 KiB).
+_PASS_PACKED_BYTES = 64 * 2**10
+_PASS_PAIRS = 2**18
 
 #: Engine settings a deployment owns.  Constructors and the shard
 #: server's own configuration set them; a wire request naming one is
@@ -301,43 +320,85 @@ class Workload(ABC):
             raise RpcProtocolError("trailing bytes after workload result")
         return self.result_type(*arrays)
 
+    def fuse(self, artifacts: list):
+        """Row-concatenate the compiled artifacts of row-consecutive
+        boards into one artifact :meth:`execute` can run in a single
+        pass, or ``None`` (the default) when they cannot be — the
+        boards then run one :meth:`execute` each, as on the AP.
+
+        Board capacity is a constraint of the AP fabric, not of the
+        host: a functional model whose ``execute`` orders results by a
+        total order ending in the row index answers the union of
+        ``b`` boards exactly as the merge of the ``b`` per-board
+        answers, in one NumPy pass instead of ``b``.  Implementing this
+        promises exactly that, plus the counter shape the worker body
+        relies on: ``configurations`` and ``symbols_streamed`` of a
+        pass do not depend on the rows (the fused pass's are multiplied
+        by ``b``), the report counters are additive over rows.  The
+        fused artifact is transient — caching stays per board.
+        """
+        return None
+
     def execute_task(
         self, task: PartitionTask, queries_bits: np.ndarray, cache
     ) -> PartitionResult:
-        """Worker-side entry — the one worker body: run one
-        :class:`~repro.host.parallel.PartitionTask` through compile
-        (cache-aware) + execute.
+        """Worker-side entry — the one worker body: resolve each board
+        of a :class:`~repro.host.parallel.PartitionTask` through compile
+        (cache-aware, per board), :meth:`fuse` the run, execute.
 
         In-process callers pass a shared :class:`~repro.ap.compiler.
         BoardImageCache`; process workers get an artifact shuttle that
-        serves the artifact shipped with the task and captures a fresh
-        build for the return trip, keeping process pools cache-aware
-        through artifact shipping.
+        serves the artifacts shipped with the task and captures fresh
+        builds for the return trip, keeping process pools cache-aware
+        through artifact shipping.  The task's dataset rows are touched
+        (a slice ref resolved, and its mmap pages released) only when
+        some board misses.
         """
         params = dict(task.params)
-        key = task.cache_key
+        boards = task.board_list()
         shuttle = None
-        if key is not None and cache is None:
-            shuttle = _ArtifactShuttle(task.artifact)
-            cache = shuttle
-        artifact = (
-            cache.get(key) if (cache is not None and key is not None) else None
-        )
-        cache_hit = artifact is not None
-        if artifact is None:
-            artifact = self.compile(task.dataset_bits, params)
-            if cache is not None and key is not None:
-                cache.put(key, artifact)
-        partial, counters = self.execute(artifact, queries_bits, params)
-        if cache_hit:
-            counters.image_cache_hits += 1
-        built = shuttle.built if shuttle is not None else None
+        if cache is None and boards[0][1] is not None:
+            cache = shuttle = _ArtifactShuttle(task.artifacts)
+        # Task-local first row of each board (and the run's length).
+        starts = list(accumulate((n_rows for n_rows, _ in boards), initial=0))
+        artifacts, rows_bits, hits = [], None, 0
+        for (_, key), lo, hi in zip(boards, starts, starts[1:]):
+            cached = cache is not None and key is not None
+            artifact = cache.get(key) if cached else None
+            if artifact is not None:
+                hits += 1
+            else:
+                if rows_bits is None:
+                    rows_bits = task.rows()
+                artifact = self.compile(rows_bits[lo:hi], params)
+                if cached:
+                    cache.put(key, artifact)
+            artifacts.append(artifact)
+        if rows_bits is not None and task.dataset_slice is not None:
+            # Drop the run's freshly faulted mmap pages back to the page
+            # cache so a worker's RSS stays bounded by one pass, not the
+            # whole shard it walks over a run.
+            task.dataset_slice.release()
+        fused = artifacts[0] if len(artifacts) == 1 else self.fuse(artifacts)
+        if fused is not None:
+            partial, counters = self.execute(fused, queries_bits, params)
+            counters.configurations *= len(boards)
+            counters.symbols_streamed *= len(boards)
+        else:
+            counters = RuntimeCounters()
+            partials = []
+            for artifact in artifacts:
+                board_partial, delta = self.execute(artifact, queries_bits, params)
+                counters.merge(delta)
+                partials.append(board_partial)
+            partial = self.merge(partials, starts[:-1], params)
+        counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,
             counters=counters,
             payload=partial,
-            artifact=built,
-            cache_key=key if built is not None else None,
+            artifacts=(shuttle.built or None) if shuttle is not None else None,
+            passes=1 if fused is not None else len(boards),
         )
 
 
@@ -471,6 +532,14 @@ class HammingKnnWorkload(Workload):
         return build_functional_board(
             dataset_bits,
             _knn_layout(dataset_bits.shape[1], params["macro_config"]),
+        )
+
+    def fuse(self, artifacts: list):
+        # Functional boards only: a cycle-accurate image IS one board.
+        if not all(isinstance(a, FunctionalKnnBoard) for a in artifacts):
+            return None
+        return FunctionalKnnBoard.from_packed(
+            np.concatenate([a.packed for a in artifacts]), artifacts[0].layout
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
@@ -618,6 +687,13 @@ class JaccardTopkWorkload(Workload):
             packed=packed,
             sizes=popcount_u64(packed).sum(axis=1),
             d=int(dataset_bits.shape[1]),
+        )
+
+    def fuse(self, artifacts: list):
+        return JaccardBoardArtifact(
+            packed=np.concatenate([a.packed for a in artifacts]),
+            sizes=np.concatenate([a.sizes for a in artifacts]),
+            d=artifacts[0].d,
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
@@ -777,6 +853,13 @@ class HammingRangeWorkload(Workload):
             packed=pack_bits(dataset_bits),
             d=int(dataset_bits.shape[1]),
             n=int(dataset_bits.shape[0]),
+        )
+
+    def fuse(self, artifacts: list):
+        return RangeBoardArtifact(
+            packed=np.concatenate([a.packed for a in artifacts]),
+            d=artifacts[0].d,
+            n=sum(a.n for a in artifacts),
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
@@ -990,8 +1073,14 @@ class WorkloadSearch(Batchable):
         self.per_device_partitions = tuple(len(shard) for shard in shards)
         self.partitions = [bounds for shard in shards for bounds in shard]
         # Task lists are a pure function of (immutable engine state,
-        # resolved params): built once per resolved params, not per search.
+        # resolved params, boards per pass): built once per such pair,
+        # not per search.
         self._tasks: dict[tuple, list[PartitionTask]] = {}
+        self._m_passes = _metrics.get_registry().counter(
+            "repro_engine_host_passes_total",
+            "Functional/simulated execute passes run by engine searches "
+            "(a pass may span several boards; boards are configurations).",
+        )
 
     @staticmethod
     def _normalize_parallel(
@@ -1025,49 +1114,77 @@ class WorkloadSearch(Batchable):
             f"cache must be None, bool, an int, or BoardImageCache, got {cache!r}"
         )
 
-    def _partition_tasks(self, params: dict) -> list[PartitionTask]:
+    def _boards_per_pass(self, params: dict, n_q: int) -> int:
+        """How many boards one host pass spans for an ``n_q``-row batch
+        under the pass budgets — 1 for a cycle-accurate run (an image
+        is one board), and never so many that a configured worker lane
+        would be left without a pass."""
+        if params.get("execution") == "simulate":
+            return 1
+        rows = min(
+            _PASS_PACKED_BYTES // (8 * ((self.d + 63) // 64)),
+            _PASS_PAIRS // max(1, n_q),
+        )
+        lanes = max(1, self.parallel.effective_workers)
+        return max(
+            1, min(rows // self.board_capacity, len(self.partitions) // lanes)
+        )
+
+    def _partition_tasks(
+        self, params: dict, boards_per_pass: int = 1
+    ) -> list[PartitionTask]:
         """Self-contained, picklable work units for ``params`` (already
-        resolved by ``workload.batch_params``)."""
+        resolved by ``workload.batch_params``): one task per run of up
+        to ``boards_per_pass`` row-consecutive boards, never crossing a
+        device-shard boundary."""
         items = tuple(sorted(params.items()))
-        tasks = self._tasks.get(items)
+        tasks = self._tasks.get((items, boards_per_pass))
         if tasks is not None:
             return tasks
         macro = params.get("macro_config", MacroConfig())
         flavor = ("workload", self.workload.name) + self.workload.cache_params(
             params
         )
+
+        def board_key(start: int, end: int) -> tuple | None:
+            # Content-addressed per board: no positional component, and
+            # the handle's streaming digest is store-independent, so
+            # identical board content shares compiled artifacts across
+            # engines, offsets, stores and pass sizes.
+            if self.cache is None:
+                return None
+            return partition_cache_key(
+                None, macro, self.device, extra=flavor,
+                digest=self.dataset.partition_digest(start, end),
+            )
+
         # Store-backed datasets (mmap/shm) ship descriptor-sized slice
         # refs — workers attach the store themselves — with an empty
         # stub where the array slice would go; in-memory datasets ship
         # real views, by value when a worker is out of process.
         stub = np.empty((0, self.d), dtype=np.uint8)
         tasks = []
-        for p_idx, (start, end) in enumerate(self.partitions):
-            ref = self.dataset.slice_ref(start, end)
-            tasks.append(PartitionTask(
-                p_idx=p_idx,
-                start=start,
-                end=end,
-                dataset_bits=(
-                    stub if ref is not None else self.dataset.rows(start, end)
-                ),
-                dataset_slice=ref,
-                # Content-addressed: no positional component, and the
-                # handle's streaming digest is store-independent, so
-                # identical partition content shares compiled artifacts
-                # across engines, offsets and stores.
-                cache_key=(
-                    partition_cache_key(
-                        None, macro, self.device, extra=flavor,
-                        digest=self.dataset.partition_digest(start, end),
-                    )
-                    if self.cache is not None
-                    else None
-                ),
-                workload=self.workload.name,
-                params=items,
-            ))
-        self._tasks[items] = tasks
+        shard_lo = 0  # index of the device shard's first board
+        for n_boards in self.per_device_partitions:
+            shard_hi = shard_lo + n_boards
+            for lo in range(shard_lo, shard_hi, boards_per_pass):
+                run = self.partitions[lo : min(lo + boards_per_pass, shard_hi)]
+                start, end = run[0][0], run[-1][1]
+                ref = self.dataset.slice_ref(start, end)
+                tasks.append(PartitionTask(
+                    p_idx=len(tasks),
+                    start=start,
+                    end=end,
+                    dataset_bits=(
+                        stub if ref is not None else self.dataset.rows(start, end)
+                    ),
+                    dataset_slice=ref,
+                    boards=tuple((b - a, board_key(a, b)) for a, b in run),
+                    workload=self.workload.name,
+                    params=items,
+                ))
+            shard_lo = shard_hi
+        self._tasks[(items, boards_per_pass)] = tasks
         return tasks
 
     def search(self, queries_bits: np.ndarray) -> WorkloadRunResult:
@@ -1075,18 +1192,23 @@ class WorkloadSearch(Batchable):
         queries_bits = normalize_queries(queries_bits, self.d)
         n_q = queries_bits.shape[0]
         params = self.workload.batch_params(self.params, n_q, self.n, self.d)
-        tasks = self._partition_tasks(params)
+        tasks = self._partition_tasks(
+            params, self._boards_per_pass(params, n_q)
+        )
         counters = RuntimeCounters()
         partials, offsets = [], []
+        passes = 0
         with _metrics.stage("execute"):
             run = run_partitions(
                 tasks, queries_bits, self.parallel, cache=self.cache
             )
             for task, res in zip(tasks, run.results):  # both in p_idx order
                 counters.merge(res.counters)
+                passes += res.passes
                 if res.payload is not None:
                     partials.append(res.payload)
                     offsets.append(task.start)
+        self._m_passes.inc(passes)
         # Host-side merge (Section III-C: "the host processor ...
         # keep[s] track of intermediary results per query across board
         # reconfigurations"), in ONE batched offset-aware pass.

@@ -23,9 +23,16 @@ Admission policy
 * ``max_batch`` — a collection round closes once the merged batch
   reaches this many query rows.  A single caller bringing more rows
   than ``max_batch`` is never split: it runs as its own batch.
-* ``max_wait_ms`` — how long the collector waits for more callers
-  after the first request of a round arrives.  ``0`` coalesces only
-  what is already queued (greedy drain, no added latency).
+* ``max_wait_ms`` — a **cap**, not a delay: the longest the collector
+  waits for more callers after the first request of a round arrives.
+  A round closes as soon as it holds as many callers as were inside
+  ``search()`` at once since the previous dispatch began (the
+  *head-count*), then takes whatever else is already queued.  So a
+  lone caller is dispatched immediately; ``C`` closed-loop callers
+  coalesce to ``C`` per batch from their second cycle on without
+  waiting out the linger; a caller that leaves costs the others one
+  capped round, after which the head-count has shrunk.  ``0``
+  coalesces only what is already queued (greedy drain).
 * ``max_pending`` — backpressure: the admission queue holds at most
   this many waiting requests; further ``search()`` calls **block** in
   the caller's thread until the collector drains the queue.  Overload
@@ -68,6 +75,7 @@ class BatchRouterStats:
     batches: int = 0  # engine searches actually issued
     rows: int = 0  # total query rows routed
     max_batch_rows: int = 0  # largest merged batch seen
+    early_dispatches: int = 0  # rounds closed on head-count before the cap
 
     @property
     def coalescing_ratio(self) -> float:
@@ -136,8 +144,9 @@ class BatchRouter:
     max_batch:
         Close a collection round at this many merged query rows.
     max_wait_ms:
-        Linger after a round's first request before dispatching, giving
-        concurrent callers time to coalesce.  ``0`` = drain-only.
+        Cap on the linger after a round's first request: the round
+        closes earlier, as soon as every caller seen in flight since
+        the previous dispatch began is in it.  ``0`` = drain-only.
     max_pending:
         Bound of the admission queue; full ⇒ ``search()`` blocks
         (backpressure at the caller).
@@ -163,6 +172,14 @@ class BatchRouter:
         self._queue: queue.Queue = queue.Queue(maxsize=int(max_pending))
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
+        # Head-count admission: callers inside search() (admitted, not
+        # yet answered) and the most there were since the previous
+        # dispatch began.  The peak, not the last batch size: "as many
+        # as last time" has a stable bad equilibrium of alternating
+        # one-caller batches.
+        self._head_lock = threading.Lock()
+        self._in_flight = 0
+        self._in_flight_peak = 0
         # Registry children captured once; mutators are no-ops when the
         # process registry is disabled (zero-hot-path contract).
         reg = _metrics.get_registry()
@@ -184,6 +201,10 @@ class BatchRouter:
         self._m_wait = reg.histogram(
             "repro_router_wait_seconds",
             "Admission-to-dispatch wait per caller request.",
+        )
+        self._m_early = reg.counter(
+            "repro_router_early_dispatch_total",
+            "Collection rounds closed on head-count before the max_wait cap.",
         )
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-batch-router", daemon=True
@@ -218,6 +239,17 @@ class BatchRouter:
             if not is_binary(queries_bits):
                 raise ValueError("queries must be binary (0/1)")
         req = _Request(queries=queries_bits, admitted_at=time.perf_counter())
+        with self._head_lock:
+            self._in_flight += 1
+            self._in_flight_peak = max(self._in_flight_peak, self._in_flight)
+        try:
+            return self._await(req)
+        finally:
+            with self._head_lock:
+                self._in_flight -= 1
+
+    def _await(self, req: _Request) -> BatchedResult:
+        """Queue an admitted request and block until it is answered."""
         # Blocks when max_pending is reached (backpressure) — but in
         # bounded slices, so a caller racing close() against a full
         # queue with no collector left to drain it fails instead of
@@ -257,12 +289,18 @@ class BatchRouter:
             batch = [item]
             rows = item.queries.shape[0]
             deadline = time.monotonic() + self.max_wait_ms / 1000.0
+            early = False
             while rows < self.max_batch:
                 timeout = deadline - time.monotonic()
+                # Everyone seen in flight is here: stop waiting, take
+                # only what is already queued.
+                full_house = len(batch) >= self._in_flight_peak
+                if full_house and timeout > 0:
+                    early = True
                 try:
                     nxt = (
                         self._queue.get_nowait()
-                        if timeout <= 0
+                        if timeout <= 0 or full_house
                         else self._queue.get(timeout=timeout)
                     )
                 except queue.Empty:
@@ -270,13 +308,17 @@ class BatchRouter:
                 if nxt is _CLOSE:
                     # Dispatch what we have, then exit; close() already
                     # stopped admissions, so nothing can arrive after.
-                    self._dispatch(batch, rows)
+                    self._dispatch(batch, rows, early)
                     return
                 batch.append(nxt)
                 rows += nxt.queries.shape[0]
-            self._dispatch(batch, rows)
+            self._dispatch(batch, rows, early)
 
-    def _dispatch(self, batch: list[_Request], rows: int) -> None:
+    def _dispatch(self, batch: list[_Request], rows: int, early: bool) -> None:
+        with self._head_lock:
+            # The next round's head-count starts from who is in flight
+            # now; callers arriving while this batch runs raise it.
+            self._in_flight_peak = self._in_flight
         try:
             self._m_depth.set(self._queue.qsize())
             if _metrics.get_registry().enabled:
@@ -300,7 +342,10 @@ class BatchRouter:
                 self.stats.batches += 1
                 self.stats.rows += rows
                 self.stats.max_batch_rows = max(self.stats.max_batch_rows, rows)
+                self.stats.early_dispatches += early
             self._m_calls.inc(len(batch))
+            if early:
+                self._m_early.inc()
             self._m_batches.inc()
             self._m_rows.inc(rows)
             # Searchers with workload-typed results (WorkloadSearch,

@@ -11,6 +11,12 @@ the partition-local partial result plus the partition's
 both in partition order, so results are bit-identical to sequential
 execution, counter aggregation is exact and tie-breaks are untouched.
 
+A task is one *host pass*: a run of row-consecutive boards the engine
+sized for the host (``repro.core.workload``: board capacity is an AP
+constraint, and a ~1024-row NumPy pass is mostly Python), which the
+worker body resolves board by board through the cache, fuses and
+executes once.  Hand-built tasks are one board.
+
 Backends
 --------
 
@@ -252,17 +258,20 @@ class ParallelConfig:
 
 @dataclass(frozen=True)
 class PartitionTask:
-    """One board partition's worth of work, self-contained and picklable.
+    """One host pass's worth of work, self-contained and picklable: a
+    run of row-consecutive board partitions ``[start, end)`` (one board
+    for a hand-built task).
 
     ``workload`` names the registered :class:`~repro.core.workload.
     Workload` that executes it and ``params`` carries that workload's
-    resolved parameters.  ``cache_key`` is the engine's
-    content-addressed board-image key: in-process workers (thread
-    backend / serial fallback) use it to share the parent's cache
-    directly; for process workers :func:`run_partitions` resolves it
-    against the parent cache up front and ships the compiled artifact
-    along in ``artifact`` so a warm cache skips worker-side rebuilds
-    too.
+    resolved parameters.  Caching stays per board: ``boards`` lists each
+    board's ``(rows, cache_key)`` in row order, the keys being the
+    engine's content-addressed board-image keys.  In-process workers
+    (thread backend / serial fallback) look them up in the parent's
+    cache directly; for process workers :func:`run_partitions` resolves
+    them against the parent cache up front and ships the compiled
+    artifacts along in ``artifacts`` so a warm cache skips worker-side
+    rebuilds too.
     """
 
     p_idx: int
@@ -279,15 +288,21 @@ class PartitionTask:
     counter_max_increment: int = 1
     device: APDeviceSpec = GEN1
     k: int | None = None
+    # A one-board task's cache key (hand-built tasks); engine-built
+    # tasks carry ``boards`` instead.
     cache_key: tuple | None = None
+    # Per-board ``(rows, cache_key)`` of the run, in row order; empty =
+    # one board of ``end - start`` rows under ``cache_key``.
+    boards: tuple = ()
     # Which registered workload executes this task (repro.core.workload).
     workload: str = "knn"
     # Workload parameters as sorted (key, value) items — hashable, and
     # rebuilt into a dict worker-side.
     params: tuple = ()
-    # Prebuilt board artifact shipped *to* a process worker from a warm
-    # parent cache (None = build from dataset_bits on a miss).
-    artifact: Any = None
+    # Prebuilt board artifacts, by cache key, shipped *to* a process
+    # worker from a warm parent cache (a board not in it is built from
+    # the task's rows).
+    artifacts: dict | None = None
     # Store-backed dataset descriptor (repro.core.dataset.DatasetSliceRef):
     # for mmap/shm-backed PackedDatasets the engine stubs dataset_bits
     # empty and ships this descriptor-sized handle instead — workers
@@ -297,45 +312,59 @@ class PartitionTask:
     # dataset_bits by value.
     dataset_slice: Any = None
 
+    def board_list(self) -> tuple:
+        """``boards``, with a one-board task spelled out."""
+        return self.boards or ((self.end - self.start, self.cache_key),)
+
+    def rows(self) -> np.ndarray:
+        """The run's ``(end - start, d)`` dataset rows: the attached
+        store window (one mapping per process, cached; zero-copy) when
+        the task carries a slice ref, else ``dataset_bits``."""
+        if self.dataset_slice is not None:
+            return self.dataset_slice.resolve()
+        return self.dataset_bits
+
 
 class _ArtifactShuttle:
-    """Minimal cache façade for one process-worker partition.
+    """Minimal cache façade for one process-worker task.
 
-    Serves the artifact the parent shipped with the task (a warm-cache
+    Serves the artifacts the parent shipped with the task (a warm-cache
     hit crosses the process boundary as data, not shared memory) and
-    captures a freshly built artifact so the worker can ship it back —
-    the parent then :meth:`~repro.ap.compiler.BoardImageCache.put`\\ s
-    it, warming the cache for the next call.
+    captures freshly built ones so the worker can ship them back — the
+    parent then :meth:`~repro.ap.compiler.BoardImageCache.put`\\ s
+    them, warming the cache for the next call.
     """
 
-    def __init__(self, artifact: Any = None):
-        self.artifact = artifact
-        self.built: Any = None
+    def __init__(self, shipped: dict | None = None):
+        self.shipped = shipped or {}
+        self.built: dict = {}
 
     def get(self, key: tuple) -> Any:
-        return self.artifact
+        return self.shipped.get(key)
 
     def put(self, key: tuple, value: Any) -> None:
-        self.built = value
+        self.built[key] = value
 
 
 @dataclass
 class PartitionResult:
-    """Partial result + counter delta for one executed partition.
+    """Partial result + counter delta for one executed task.
 
-    ``payload`` is the workload's partition-LOCAL partial (``None`` if
-    the pass produced nothing to merge).  ``artifact``/``cache_key``
-    carry a board artifact a *process* worker had to build back to the
-    parent, which installs it in its
+    ``payload`` is the workload's task-LOCAL partial (indices relative
+    to ``task.start``; ``None`` if the task produced nothing to merge).
+    ``artifacts`` carries the board artifacts a *process* worker had to
+    build, by cache key, back to the parent, which installs them in its
     :class:`~repro.ap.compiler.BoardImageCache`; in-process workers
-    write the shared cache directly and leave both ``None``.
+    write the shared cache directly and leave it ``None``.
     """
 
     p_idx: int
     counters: RuntimeCounters
     payload: Any = None
-    artifact: Any = None
-    cache_key: tuple | None = None
+    artifacts: dict | None = None
+    # ``execute`` calls the task took: 1 when its boards ran fused,
+    # else one per board.
+    passes: int = 1
     # Worker-side monotonic timestamp taken when execution began.
     # CLOCK_MONOTONIC is system-wide on all supported platforms, so the
     # parent subtracts its submit timestamp to get per-task dispatch
@@ -346,12 +375,11 @@ class PartitionResult:
 def execute_partition(
     task: PartitionTask, queries_bits: np.ndarray, cache=None
 ) -> PartitionResult:
-    """Run one partition end to end (worker-side entry point).
+    """Run one task end to end (worker-side entry point).
 
-    Attaches a store-backed task's dataset window, then runs the task's
-    :class:`~repro.core.workload.Workload`'s ``execute_task`` — the
-    same body the serial path calls, so parallel results stay
-    bit-identical by construction.  ``cache`` is a
+    Runs the task's :class:`~repro.core.workload.Workload`'s
+    ``execute_task`` — the same body the serial path calls, so parallel
+    results stay bit-identical by construction.  ``cache`` is a
     :class:`~repro.ap.compiler.BoardImageCache` shared by in-process
     callers (thread workers, serial fallback).  The workload import is
     deferred: :mod:`repro.core.workload` imports this module.
@@ -359,20 +387,8 @@ def execute_partition(
     t_start = time.monotonic()
     from ..core.workload import get_workload
 
-    dataset_slice = task.dataset_slice
-    if dataset_slice is not None:
-        # Store-backed partition: attach the store (one mapping per
-        # process, cached) and resolve the zero-copy row window.
-        task = replace(
-            task, dataset_bits=dataset_slice.resolve(), dataset_slice=None
-        )
     result = get_workload(task.workload).execute_task(task, queries_bits, cache)
     result.t_start = t_start
-    if dataset_slice is not None:
-        # Drop the partition's freshly faulted mmap pages back to the
-        # page cache so a worker's RSS stays bounded by one partition,
-        # not the whole shard it walks over a run.
-        dataset_slice.release()
     return result
 
 
@@ -407,22 +423,27 @@ class PartitionRunReport:
     queue_depth: int = 0
 
 
-def _attach_cached_artifact(task: PartitionTask, cache) -> PartitionTask:
-    """Ship a cached board to a process worker instead of raw data.
+def _attach_cached_artifacts(task: PartitionTask, cache) -> PartitionTask:
+    """Ship cached boards to a process worker instead of raw data.
 
-    On a hit the artifact fully supersedes the dataset slice (workers
-    only touch ``dataset_bits`` to *build*), so the slice is replaced
-    by an empty stub — pickling both would double the IPC payload the
-    artifact shipping exists to avoid.
+    When every board of the task hits, the artifacts fully supersede
+    the dataset rows (workers only touch them to *build*), so the rows
+    are replaced by an empty stub — pickling both would double the IPC
+    payload the artifact shipping exists to avoid.
     """
-    if task.cache_key is None:
+    keys = [key for _, key in task.board_list() if key is not None]
+    shipped = {}
+    for key in keys:
+        artifact = cache.get(key)
+        if artifact is not None:
+            shipped[key] = artifact
+    if not shipped:
         return task
-    artifact = cache.get(task.cache_key)
-    if artifact is None:
-        return task
+    if len(shipped) < len(set(keys)):
+        return replace(task, artifacts=shipped)
     return replace(
         task,
-        artifact=artifact,
+        artifacts=shipped,
         dataset_bits=task.dataset_bits[:0],
         dataset_slice=None,
     )
@@ -533,7 +554,7 @@ def run_partitions(
     if cache is not None and worker_cache is None:
         # Process backend with a cache-aware parent: attach each
         # cached artifact to its task so warm workers skip the build.
-        worker_tasks = [_attach_cached_artifact(t, cache) for t in tasks]
+        worker_tasks = [_attach_cached_artifacts(t, cache) for t in tasks]
 
     payload_bytes = None
     if config.measure_ipc:
@@ -605,8 +626,8 @@ def run_partitions(
         # Install boards the workers had to build: the parent cache
         # warms up even though the build happened out of process.
         for res in results:
-            if res.artifact is not None and res.cache_key is not None:
-                cache.put(res.cache_key, res.artifact)
+            for key, artifact in (res.artifacts or {}).items():
+                cache.put(key, artifact)
     if submit_times:
         # Executor paths: pair each submission timestamp with the
         # worker-recorded start of the matching result (same order).

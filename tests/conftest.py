@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,3 +104,61 @@ def brute_force_knn(data, queries, k):
 @pytest.fixture
 def oracle():
     return brute_force_knn
+
+
+@pytest.fixture
+def unfused():
+    """``with unfused(): ...`` — inside it no workload fuses boards, so
+    the worker body runs one ``execute`` per board: the
+    one-board-per-pass reference every fused run must equal."""
+    from repro.core.workload import Workload, available_workloads
+
+    @contextlib.contextmanager
+    def per_board():
+        with pytest.MonkeyPatch.context() as patch:
+            for workload in available_workloads().values():
+                patch.setattr(type(workload), "fuse", Workload.fuse)
+            yield
+
+    return per_board
+
+
+def run_snapshot(engine, queries, searches=2):
+    """Everything a search exposes that must not depend on how boards
+    are grouped into host passes: per search the value arrays, every
+    counter field and the partition counts; then the cache's stats and
+    size."""
+    out = []
+    for _ in range(searches):
+        res = engine.search(queries)
+        out.append({
+            "value": {
+                f.name: np.array(getattr(res.value, f.name))
+                for f in dataclasses.fields(res.value)
+            },
+            "counters": dataclasses.asdict(res.counters),
+            "partitions": (res.n_partitions, res.per_device_partitions),
+            "execution": res.execution,
+        })
+    if engine.cache is not None:
+        stats = engine.cache.stats
+        out.append({
+            "cache": (stats.hits, stats.misses, stats.evictions,
+                      len(engine.cache)),
+        })
+    return out
+
+
+def assert_snapshots_equal(got, ref, label=""):
+    assert len(got) == len(ref), label
+    for i, (g, r) in enumerate(zip(got, ref)):
+        assert g.keys() == r.keys(), (label, i)
+        for key in g:
+            if key == "value":
+                assert g[key].keys() == r[key].keys(), (label, i)
+                for name in g[key]:
+                    assert np.array_equal(g[key][name], r[key][name]), (
+                        label, i, name,
+                    )
+            else:
+                assert g[key] == r[key], (label, i, key, g[key], r[key])

@@ -99,6 +99,17 @@ class TestTopKSearch:
             JaccardAPSearch(non_binary(bits), k=1)
         with pytest.raises(ValueError, match="0 and 1"):
             JaccardAPSearch(bits, k=1).search(non_binary(bits))
+        with pytest.raises(ValueError, match="0 and 1"):
+            jaccard_similarity_matrix(non_binary(bits), bits)
+        with pytest.raises(ValueError, match="0 and 1"):
+            jaccard_similarity_matrix(bits, non_binary(bits))
+        with pytest.raises(ValueError, match="binary"):
+            JaccardThresholdFilter(non_binary(bits), tau=1)
+        filt = JaccardThresholdFilter(bits, tau=1)
+        with pytest.raises(ValueError, match="0 and 1"):
+            filt.candidates(non_binary(bits))
+        with pytest.raises(ValueError, match="0/1"):
+            filt.stream_for(non_binary(bits))
 
 
 class TestThresholdFilter:

@@ -48,6 +48,8 @@ class TestFunctional:
             HammingRangeSearch(non_binary(data), radius=2)
         with pytest.raises(ValueError, match="0 and 1"):
             HammingRangeSearch(data, radius=2).search(non_binary(data))
+        with pytest.raises(ValueError, match="binary"):
+            HammingRangeSearch(data, radius=2).encode_queries(non_binary(data))
 
 
 class TestCycleAccurate:

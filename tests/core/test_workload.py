@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import dataset as dataset_mod
+from repro.core import workload as wl_mod
 from repro.core.engine import APSimilaritySearch
 from repro.core.jaccard import JaccardAPSearch, jaccard_similarity_matrix
 from repro.core.range_search import HammingRangeSearch
@@ -34,6 +35,7 @@ from repro.core.workload import (
 )
 from repro.host.parallel import ParallelConfig
 from repro.host.shm import SHM_UNAVAILABLE_REASON, shm_available
+from tests.conftest import assert_snapshots_equal, run_snapshot
 
 
 def _data(n=200, d=32, n_queries=7, seed=11):
@@ -52,6 +54,30 @@ def _assert_value_equal(workload, a, b):
 
 
 ALL_PARAMS = [("knn", {"k": 9}), ("jaccard", {"k": 9}), ("range", {"radius": 11})]
+
+
+def _tied_data(n, d=32, distinct=5, seed=3):
+    """Few distinct rows laid out in runs that straddle every board
+    boundary, queried by the rows themselves: each query's k-th place
+    falls inside a tie between boards."""
+    rng = np.random.default_rng(seed)
+    base = (rng.random((distinct, d)) < 0.4).astype(np.uint8)
+    data = base[(np.arange(n) // 5) % distinct]
+    return data, base
+
+
+# Geometries whose host passes span several boards (engine kwargs, k):
+# what the fused worker body must get right that one board never showed.
+FUSED_GEOMETRIES = [
+    pytest.param(_data(n=200), dict(board_capacity=32), 9,
+                 id="short-last-board"),
+    pytest.param(_data(n=96), dict(board_capacity=8), 20,
+                 id="k-beyond-board-rows"),
+    pytest.param(_tied_data(128), dict(board_capacity=16), 7,
+                 id="ties-straddle-boards"),
+    pytest.param(_data(n=200), dict(board_capacity=16, n_devices=3), 9,
+                 id="multi-device"),
+]
 
 
 class TestRegistry:
@@ -256,6 +282,113 @@ class TestWorkloadParity:
         for start, end in engine.partitions:
             assert any(lo <= start and end <= hi
                        for lo, hi in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("name", ["knn", "jaccard", "range"])
+    @pytest.mark.parametrize("inputs,kwargs,k", FUSED_GEOMETRIES)
+    def test_fused_passes_equal_one_board_per_pass(
+        self, name, inputs, kwargs, k, unfused
+    ):
+        """A pass over a run of boards answers, counts and caches
+        exactly as the boards run one by one."""
+        data, queries = inputs
+        params = {"radius": 11} if name == "range" else {"k": k}
+
+        def engine():
+            return WorkloadSearch(data, name, params, cache=True, **kwargs)
+
+        with unfused():
+            ref = run_snapshot(engine(), queries)
+        fused = engine()
+        bounds = fused.shard_bounds.tolist()
+        tasks = fused._partition_tasks(
+            fused.params, fused._boards_per_pass(fused.params, len(queries))
+        )
+        assert len(tasks) == fused.n_devices < len(fused.partitions)
+        assert [(t.start, t.end) for t in tasks] == list(zip(bounds, bounds[1:]))
+        assert_snapshots_equal(run_snapshot(fused, queries), ref, name)
+
+    @pytest.mark.parametrize("name,params", ALL_PARAMS)
+    def test_evicted_board_inside_a_hit_pass_is_rebuilt_alone(
+        self, name, params, unfused
+    ):
+        from repro.ap.compiler import BoardImageCache
+
+        data, queries = _data(n=64)
+
+        def scenario():
+            cache = BoardImageCache(max_entries=4)
+            engine = WorkloadSearch(data, name, params, board_capacity=16,
+                                    cache=cache)
+            engine.search(queries)  # 4 boards, all resident
+            cache.put(("foreign",), object())  # evicts board 0 ...
+            # ... and a second engine over boards 1-3 (same content, same
+            # keys) refreshes them, so board 0 alone is missing.
+            tail = WorkloadSearch(data[16:], name, params, board_capacity=16,
+                                  cache=cache)
+            assert tail.search(queries).counters.image_cache_hits == 3
+            return run_snapshot(engine, queries, searches=1)
+
+        with unfused():
+            ref = scenario()
+        got = scenario()
+        assert got[0]["counters"]["image_cache_hits"] == 3
+        assert got[-1]["cache"] == (6, 5, 2, 4)  # hits, misses, evictions, len
+        assert_snapshots_equal(got, ref, name)
+
+    @pytest.mark.parametrize("execution,n_q,fused", [
+        ("simulate", 2, False), ("auto", 1, False), ("auto", 64, True),
+    ])
+    def test_simulate_tasks_stay_one_board(
+        self, execution, n_q, fused, unfused, monkeypatch
+    ):
+        """A cycle-accurate image IS one board: only functional runs
+        are handed to workers as multi-board passes."""
+        import repro.host.parallel as hp
+
+        data, _ = _data(n=24, d=8)
+        queries = _data(n=24, d=8, n_queries=n_q, seed=5)[1]
+        monkeypatch.setattr(wl_mod, "_AUTO_SIM_LIMIT", 400_000)
+
+        def engine():
+            return WorkloadSearch(
+                data, "knn", {"k": 3, "execution": execution},
+                board_capacity=6, cache=True,
+            )
+
+        with unfused():
+            ref = run_snapshot(engine(), queries)
+        seen = []
+        real = hp.execute_partition
+
+        def spy(task, queries_bits, cache=None):
+            seen.append(len(task.board_list()))
+            return real(task, queries_bits, cache)
+
+        monkeypatch.setattr(hp, "execute_partition", spy)
+        got = run_snapshot(engine(), queries, searches=1)
+        assert seen == ([4] if fused else [1, 1, 1, 1])
+        assert got[0]["execution"] == ("functional" if fused else "simulate")
+        assert_snapshots_equal(got[:1], ref[:1], execution)
+
+    def test_large_jaccard_batch_stays_within_the_pair_budget(self):
+        """q x rows per pass is capped, so the widest per-pair transient
+        (Jaccard's ~30 B) never scales with the batch: a 256-row batch
+        over 2^14 rows (2^22 pairs, ~128 MiB unfettered) peaks under
+        twice the budget's 8 MiB."""
+        import tracemalloc
+
+        data, queries = _data(n=1 << 14, d=64, n_queries=256)
+        engine = WorkloadSearch(data, "jaccard", {"k": 10},
+                                board_capacity=256, cache=True)
+        assert engine._boards_per_pass(engine.params, 256) == 4
+        engine.search(queries)  # compile outside the measured search
+        tracemalloc.start()
+        try:
+            engine.search(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * wl_mod._PASS_PAIRS, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     @pytest.mark.skipif(not shm_available(), reason=SHM_UNAVAILABLE_REASON)

@@ -200,6 +200,126 @@ class TestCoalescing:
         assert out.counters.configurations > 0
 
 
+class _StubSearcher:
+    """A searcher that answers instantly — or, while ``hold`` is
+    cleared, keeps the collector inside ``search()`` until the test
+    lets go — and logs the caller rows of every batch it was handed."""
+
+    d = 4
+
+    def __init__(self):
+        self.batches = []
+        self.entered = threading.Event()
+        self.hold = threading.Event()
+        self.hold.set()
+
+    def search(self, queries):
+        from types import SimpleNamespace
+
+        self.batches.append(queries.shape[0])
+        self.entered.set()
+        assert self.hold.wait(timeout=30)
+        block = np.zeros((queries.shape[0], 1), dtype=np.int64)
+        return SimpleNamespace(
+            indices=block, distances=block, k=1, counters=None,
+            execution="stub",
+        )
+
+
+def _until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestHeadCountAdmission:
+    """``max_wait_ms`` is a cap: a round closes once it holds every
+    caller seen in flight since the previous dispatch began."""
+
+    CAP_MS = 200.0
+    QUERY = np.zeros((1, 4), dtype=np.uint8)
+
+    def test_lone_caller_is_dispatched_without_waiting(self):
+        searcher = _StubSearcher()
+        with BatchRouter(searcher, max_wait_ms=self.CAP_MS) as router:
+            for _ in range(3):
+                began = time.monotonic()
+                out = router.search(self.QUERY)
+                assert time.monotonic() - began < self.CAP_MS / 2e3
+                assert out.batch_calls == 1
+        assert searcher.batches == [1, 1, 1]
+        assert router.stats.early_dispatches == 3
+
+    def test_closed_loop_callers_coalesce_and_a_departure_costs_one_cap(self):
+        callers = 4
+        searcher = _StubSearcher()
+        searcher.hold.clear()  # the first dispatch waits for everyone
+        router = BatchRouter(searcher, max_wait_ms=self.CAP_MS)
+        log = [[] for _ in range(callers)]  # (batch_calls, seconds) per cycle
+        stop = [threading.Event() for _ in range(callers)]
+
+        def caller(i):
+            while not stop[i].is_set():
+                began = time.monotonic()
+                out = router.search(self.QUERY)
+                log[i].append((out.batch_calls, time.monotonic() - began))
+
+        threads = [
+            threading.Thread(target=caller, args=(i,), daemon=True)
+            for i in range(callers)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            assert searcher.entered.wait(timeout=30)
+            # everyone is inside search(): in the held batch or queued
+            _until(lambda: searcher.batches[0] + router._queue.qsize() == callers)
+            searcher.hold.set()
+            _until(lambda: all(len(cycles) >= 6 for cycles in log))
+            stop[-1].set()  # one caller leaves after its current reply
+            threads[-1].join(timeout=30)
+            assert not threads[-1].is_alive()
+            before = [len(cycles) for cycles in log[:-1]]
+            _until(lambda: all(
+                len(cycles) >= n + 5 for cycles, n in zip(log[:-1], before)
+            ))
+            # freeze the record here: winding the callers down one by
+            # one below produces short rounds of its own
+            with router._stats_lock:
+                capped = router.stats.batches - router.stats.early_dispatches
+            batches = list(searcher.batches)
+            seen = [list(cycles) for cycles in log]
+        finally:
+            searcher.hold.set()
+            for event in stop:
+                event.set()
+            for t in threads:
+                t.join(timeout=30)
+            router.close()
+        assert not any(t.is_alive() for t in threads)
+        assert router._in_flight == 0  # every admission was paired
+        # whoever the first round held, the second holds everyone, and
+        # so does every round until the departure; from then on, three
+        first, rest = batches[0], batches[1:]
+        assert 1 <= first <= callers
+        full = rest.index(callers - 1)
+        assert full >= 5
+        assert rest[:full] == [callers] * full
+        assert rest[full:] == [callers - 1] * (len(rest) - full)
+        for cycles in seen:
+            assert all(calls == callers for calls, _ in cycles[1:5])
+        # exactly one round ran to the cap — the first one short a
+        # caller — and no request ever waited longer than the cap
+        slow = [
+            [seconds for _, seconds in cycles if seconds > self.CAP_MS / 2e3]
+            for cycles in seen
+        ]
+        assert [len(s) for s in slow] == [1] * (callers - 1) + [0]
+        assert max(max(s) for s in slow[:-1]) < self.CAP_MS / 1e3 + 0.15
+        assert capped == 1
+
+
 class TestBackpressureAndLifecycle:
     def test_backpressure_blocks_at_max_pending(self):
         release = threading.Event()

@@ -545,6 +545,78 @@ class TestProcessCacheShipback:
         assert not builds
 
 
+    @pytest.mark.parametrize("backend", [
+        "serial", "thread", "process",
+        pytest.param("pinned", marks=pytest.mark.skipif(
+            not shm_available(), reason=SHM_UNAVAILABLE_REASON)),
+    ])
+    def test_multi_board_tasks_keep_the_cache_per_board(self, backend, unfused):
+        """One task spanning several boards: every backend returns one
+        result per task equal to serial's, the cache still holds one
+        entry per board, and a pass that finds only some of its boards
+        cached (shipped, for process workers) rebuilds just the rest."""
+        from repro.ap.compiler import BoardImageCache
+
+        data, queries = _workload(n=72, d=16)  # 6 boards of 12
+        cache = BoardImageCache()
+        eng = APSimilaritySearch(
+            data, k=3, board_capacity=12, execution="functional", cache=cache
+        )
+        tasks = eng._partition_tasks(eng.params, boards_per_pass=3)
+        assert [len(t.boards) for t in tasks] == [3, 3]
+        with unfused():
+            ref = run_partitions(tasks, queries, cache=BoardImageCache()).results
+        config = ParallelConfig(n_workers=2, backend=backend)
+        cold = run_partitions(tasks, queries, config, cache)
+        assert len(cache) == 6 and cache.stats.misses == 6
+        # a cache holding every board but the middle one of each task
+        holey = BoardImageCache()
+        for task in tasks:
+            for _, key in task.boards[::2]:
+                holey.put(key, cache.get(key))
+        partial = run_partitions(tasks, queries, config, holey)
+        assert len(holey) == 6  # the two rebuilt boards are in
+        assert (holey.stats.hits, holey.stats.misses) == (4, 2)
+        for run, hits in ((cold, 0), (partial, 2)):
+            assert [r.p_idx for r in run.results] == [0, 1]
+            for got, exp in zip(run.results, ref):
+                assert np.array_equal(got.payload.indices, exp.payload.indices)
+                assert np.array_equal(got.payload.distances, exp.payload.distances)
+                assert got.counters.image_cache_hits == hits
+                exp.counters.image_cache_hits = hits
+                assert got.counters == exp.counters
+                assert (got.passes, exp.passes) == (1, 3)
+
+    def test_slice_ref_is_resolved_only_on_a_miss(self, tmp_path, monkeypatch):
+        """A warm pass never touches the dataset: its slice ref is
+        neither resolved nor released; a cold one resolves it once per
+        task, not per board."""
+        from repro.core.dataset import DatasetSliceRef, write_pds
+
+        data, queries = _workload(n=72, d=16)
+        path = tmp_path / "warm.pds"
+        write_pds(path, data)
+        eng = APSimilaritySearch(
+            str(path), k=3, board_capacity=12, execution="functional",
+            cache=True,
+        )
+        touched = []
+        for name in ("resolve", "release"):
+            real = getattr(DatasetSliceRef, name)
+
+            def spy(self, _real=real, _name=name):
+                touched.append(_name)
+                return _real(self)
+
+            monkeypatch.setattr(DatasetSliceRef, name, spy)
+        cold = eng.search(queries)
+        assert touched == ["resolve", "release"]  # 6 boards, one pass
+        warm = eng.search(queries)
+        assert touched == ["resolve", "release"]
+        assert warm.counters.image_cache_hits == 6
+        assert (warm.indices == cold.indices).all()
+
+
 class TestChunkedDispatch:
     """The stock process backend amortizes dispatch: task lists larger
     than the worker count ride one executor.submit per worker chunk."""

@@ -26,6 +26,7 @@ from repro.core.multiboard import MultiBoardSearch
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.shm import shm_available
+from tests.conftest import assert_snapshots_equal, run_snapshot
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory"
@@ -162,6 +163,44 @@ class TestBackendParity:
             if parallel is not None:
                 parallel.close()
         _assert_same_result(ref.value, res.value, f"{wl}/{backend}")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("wl,params", WORKLOADS,
+                             ids=[w for w, _ in WORKLOADS])
+    def test_fused_passes_match_one_board_per_pass_on_every_store(
+        self, tmp_path, backend, wl, params, unfused
+    ):
+        """Runs of boards executed as one host pass — over every store,
+        on every backend — answer, count and cache (cold, then warm)
+        exactly as a serial engine running one board per pass."""
+        data, queries = _make(53, 150, 16, 5)  # 10 boards, the last short
+        with unfused():
+            ref = run_snapshot(
+                WorkloadSearch(data, wl, params, board_capacity=16, cache=True),
+                queries,
+            )
+        assert ref[1]["counters"]["image_cache_hits"] == 10
+        for kind, dataset in _stores(data, tmp_path).items():
+            parallel = (
+                None if backend == "serial"
+                else ParallelConfig(n_workers=2, backend=backend, persistent=True)
+            )
+            try:
+                engine = WorkloadSearch(
+                    dataset, wl, params, board_capacity=16, cache=True,
+                    parallel=parallel,
+                )
+                tasks = engine._partition_tasks(
+                    engine.params, engine._boards_per_pass(engine.params, 5)
+                )
+                assert [len(t.boards) for t in tasks] == (
+                    [10] if backend == "serial" else [5, 5]
+                )
+                got = run_snapshot(engine, queries)
+            finally:
+                if parallel is not None:
+                    parallel.close()
+            assert_snapshots_equal(got, ref, f"{wl}/{kind}/{backend}")
 
     def test_process_workers_ship_zero_dataset_bytes(self, tmp_path):
         # The acceptance criterion's accounting check: an mmap-backed
