@@ -31,7 +31,7 @@ from repro.core.workload import (
     register_workload,
 )
 from repro.host.rpc import RemoteWorkloadSearch, serve_shard
-from repro.util.bitops import pack_bits, popcount_u64
+from repro.util.bitops import pack_bits, popcount_cdist
 
 PAD = -1
 
@@ -67,7 +67,8 @@ class OverlapTopkWorkload(Workload):
 
     def execute(self, artifact, queries_bits, params):
         qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
-        inter = popcount_u64(qp[:, None, :] & artifact[None, :, :]).sum(-1)
+        # int64: the narrow unsigned counts would wrap under the ``-inter`` key
+        inter = popcount_cdist(qp, artifact, op=np.bitwise_and).astype(np.int64)
         n = inter.shape[1]
         k = min(int(params["k"]), n)
         ids = np.broadcast_to(np.arange(n, dtype=np.int64), inter.shape)

@@ -98,7 +98,8 @@ class APRuntime:
         return BoardImage(
             name=name or network.name,
             network=network,
-            simulator=CompiledSimulator(network),
+            # compile() has just validated this network
+            simulator=CompiledSimulator(network, validate=False),
             compilation=report,
             metadata=metadata,
         )

@@ -18,9 +18,8 @@ validated structurally here, compiled to AP resources by
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .elements import STE, BooleanElement, BooleanOp, Counter, Element, StartMode
 
@@ -167,19 +166,61 @@ class AutomataNetwork:
             max_fan_out=max(fan_out.values(), default=0),
         )
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a networkx graph (used by the compiler's clustering)."""
-        g = nx.MultiDiGraph(name=self.name)
-        for name, el in self.elements.items():
-            g.add_node(name, kind=type(el).__name__, element=el)
-        for e in self.edges:
-            g.add_edge(e.src, e.dst, port=e.port)
-        return g
-
     def connected_components(self) -> list[set[str]]:
-        """Weakly connected components = independent NFAs on the stream."""
-        g = self.to_networkx()
-        return [set(c) for c in nx.weakly_connected_components(g)]
+        """Weakly connected components = independent NFAs on the stream.
+
+        Components are listed in order of their first element in
+        insertion order; the compiler's stable first-fit-decreasing
+        placement depends on that order.
+        """
+        seen: set[str] = set()
+        components: list[set[str]] = []
+        for root in self.elements:
+            if root not in seen:
+                components.append(self.reachable_from([root], undirected=True))
+                seen |= components[-1]
+        return components
+
+    def reachable_from(self, starts: Iterable[str], undirected: bool = False) -> set[str]:
+        """``starts`` plus every element an edge path leads to from them
+        (``undirected``: following edges against their direction too)."""
+        reachable = set(starts)
+        stack = list(reachable)
+        while stack:
+            name = stack.pop()
+            for e in self._out.get(name, ()):
+                if e.dst not in reachable:
+                    reachable.add(e.dst)
+                    stack.append(e.dst)
+            if undirected:
+                for e in self._in.get(name, ()):
+                    if e.src not in reachable:
+                        reachable.add(e.src)
+                        stack.append(e.src)
+        return reachable
+
+    def topological_order(self, names: Iterable[str]) -> list[str]:
+        """Order ``names`` so every edge between two of them runs forward.
+
+        Used on the boolean elements, which evaluate combinationally
+        within a cycle; raises :class:`ValidationError` if they form a
+        cycle (self-loops included).
+        """
+        indegree = dict.fromkeys(names, 0)
+        for name in indegree:
+            for e in self._out.get(name, ()):
+                if e.dst in indegree:
+                    indegree[e.dst] += 1
+        order = [name for name, deg in indegree.items() if deg == 0]
+        for name in order:  # grows while iterated: Kahn's queue
+            for e in self._out.get(name, ()):
+                if e.dst in indegree:
+                    indegree[e.dst] -= 1
+                    if indegree[e.dst] == 0:
+                        order.append(e.dst)
+        if len(order) != len(indegree):
+            raise ValidationError("boolean elements form a combinational cycle")
+        return order
 
     # -- validation ------------------------------------------------------
 
@@ -217,19 +258,14 @@ class AutomataNetwork:
                 )
             codes.setdefault(code, (el.name, group))
 
-        bool_graph = nx.DiGraph()
-        for b in self.booleans():
-            bool_graph.add_node(b.name)
+        booleans = self.booleans()
+        for b in booleans:
             n_inputs = len(self._in.get(b.name, []))
             if b.op is BooleanOp.NOT and n_inputs != 1:
                 raise ValidationError(f"NOT gate {b.name!r} must have exactly 1 input")
             if n_inputs == 0:
                 raise ValidationError(f"boolean {b.name!r} has no inputs")
-        for e in self.edges:
-            if e.src in bool_graph and e.dst in bool_graph:
-                bool_graph.add_edge(e.src, e.dst)
-        if not nx.is_directed_acyclic_graph(bool_graph):
-            raise ValidationError("boolean elements form a combinational cycle")
+        self.topological_order(b.name for b in booleans)
 
         for c in self.counters():
             drivers = [e for e in self._in.get(c.name, []) if e.port == "count"]
@@ -241,14 +277,9 @@ class AutomataNetwork:
                 )
 
         # Reachability from start states over activation edges.
-        g = nx.DiGraph()
-        g.add_nodes_from(self.elements)
-        for e in self.edges:
-            g.add_edge(e.src, e.dst)
-        starts = [s.name for s in self.stes() if s.start is not StartMode.NONE]
-        reachable: set[str] = set(starts)
-        for s in starts:
-            reachable |= nx.descendants(g, s)
+        reachable = self.reachable_from(
+            s.name for s in self.stes() if s.start is not StartMode.NONE
+        )
         for ste in self.stes():
             if ste.name not in reachable:
                 raise ValidationError(f"STE {ste.name!r} unreachable from any start state")

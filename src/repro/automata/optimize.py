@@ -27,8 +27,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .elements import STE, StartMode
 from .network import AutomataNetwork
 
@@ -119,16 +117,9 @@ def merge_prefix_states(network: AutomataNetwork) -> tuple[AutomataNetwork, int]
 
 def remove_unreachable(network: AutomataNetwork) -> tuple[AutomataNetwork, int]:
     """Drop STEs unreachable from any start state."""
-    g = nx.DiGraph()
-    g.add_nodes_from(network.elements)
-    for e in network.edges:
-        g.add_edge(e.src, e.dst)
-    starts = [
+    reachable = network.reachable_from(
         s.name for s in network.stes() if s.start is not StartMode.NONE
-    ]
-    reachable = set(starts)
-    for s in starts:
-        reachable |= nx.descendants(g, s)
+    )
     removable = {
         name
         for name, el in network.elements.items()

@@ -40,7 +40,7 @@ def reference_run(network: AutomataNetwork, stream) -> list[Report]:
     booleans = {e.name: e for e in network.booleans()}
 
     in_edges: dict[str, list] = {name: network.in_edges(name) for name in network.elements}
-    bool_order = _topo_booleans(network, list(booleans))
+    bool_order = network.topological_order(booleans)
 
     active: set[str] = set()
     counts: dict[str, int] = {name: 0 for name in counters}
@@ -124,15 +124,3 @@ def reference_run(network: AutomataNetwork, stream) -> list[Report]:
 
     reports.sort(key=lambda r: (r.cycle, r.code))
     return reports
-
-
-def _topo_booleans(network: AutomataNetwork, names: list[str]) -> list[str]:
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(names)
-    name_set = set(names)
-    for e in network.edges:
-        if e.src in name_set and e.dst in name_set:
-            g.add_edge(e.src, e.dst)
-    return list(nx.topological_sort(g))

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .elements import BooleanElement, BooleanOp, Counter, CounterMode, StartMode
 from .network import AutomataNetwork
@@ -91,6 +90,10 @@ class CompiledSimulator:
     """
 
     def __init__(self, network: AutomataNetwork, validate: bool = True):
+        # Imported here, not at module scope: only a process that builds
+        # a simulator pays for scipy; functional serving never does.
+        from scipy import sparse
+
         if validate:
             network.validate()
         self.network = network
@@ -172,9 +175,7 @@ class CompiledSimulator:
 
         # Boolean evaluation plan: topological order with input indices.
         self._bool_plan: list[tuple[int, BooleanOp, np.ndarray]] = []
-        bool_names = [b.name for b in booleans]
-        order = self._boolean_topo_order(network, bool_names)
-        for name in order:
+        for name in network.topological_order(b.name for b in booleans):
             b = network.elements[name]
             assert isinstance(b, BooleanElement)
             inputs = np.array(
@@ -196,18 +197,6 @@ class CompiledSimulator:
     def _counter_pos(self, name: str) -> int:
         """Index of a counter within the counter block (0..n_counters-1)."""
         return self._index[name] - self.n_stes
-
-    @staticmethod
-    def _boolean_topo_order(network: AutomataNetwork, names: list[str]) -> list[str]:
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(names)
-        name_set = set(names)
-        for e in network.edges:
-            if e.src in name_set and e.dst in name_set:
-                g.add_edge(e.src, e.dst)
-        return list(nx.topological_sort(g))
 
     # -- execution -----------------------------------------------------
 

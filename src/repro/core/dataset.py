@@ -72,7 +72,6 @@ import struct
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 

@@ -34,7 +34,7 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
-from ..util.bitops import is_binary, pack_bits, popcount_u64
+from ..util.bitops import is_binary, pack_bits, popcount_cdist
 from .macros import MacroConfig, collector_tree_depth
 from .stream import StreamLayout, encode_query_batch
 
@@ -54,8 +54,8 @@ def jaccard_similarity_matrix(queries: np.ndarray, dataset: np.ndarray) -> np.nd
     Empty-vs-empty pairs are defined as similarity 1.0.
     """
     qp, dp = pack_bits(queries), pack_bits(dataset)  # pack_bits validates
-    inter = popcount_u64(qp[:, None, :] & dp[None, :, :]).sum(axis=-1)
-    union = popcount_u64(qp[:, None, :] | dp[None, :, :]).sum(axis=-1)
+    inter = popcount_cdist(qp, dp, op=np.bitwise_and)
+    union = popcount_cdist(qp, dp, op=np.bitwise_or)
     out = np.ones(inter.shape, dtype=np.float64)
     nz = union > 0
     out[nz] = inter[nz] / union[nz]
@@ -190,7 +190,7 @@ class JaccardAPSearch:
 
     def _intersections(self, queries: np.ndarray) -> np.ndarray:
         qp = pack_bits(queries)
-        return popcount_u64(qp[:, None, :] & self._packed[None, :, :]).sum(axis=-1)
+        return popcount_cdist(qp, self._packed, op=np.bitwise_and)
 
     def search(self, queries_bits: np.ndarray) -> JaccardResult:
         """Functional search: exactly the reports the automata produce."""
@@ -261,7 +261,7 @@ class JaccardThresholdFilter:
     def candidates(self, queries_bits: np.ndarray) -> list[np.ndarray]:
         """Functional filter: per query, indices with intersection >= tau."""
         qp = pack_bits(queries_bits)  # validates; promotes a single row
-        inter = popcount_u64(qp[:, None, :] & self._packed[None, :, :]).sum(axis=-1)
+        inter = popcount_cdist(qp, self._packed, op=np.bitwise_and)
         return [np.nonzero(inter[qi] >= self.tau)[0] for qi in range(inter.shape[0])]
 
     def reduction_factor(self, queries_bits: np.ndarray) -> float:

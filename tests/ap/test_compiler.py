@@ -27,6 +27,20 @@ class TestPlacement:
         assert report.fits and report.n_components == 1
         assert report.n_counters == 1 and report.n_reporting == 1
 
+    def test_placements_follow_component_insertion_order(self):
+        """placements[i] is the i-th NFA by first-inserted element, so
+        equal-sized NFAs tie-break the same way on every build."""
+        net = AutomataNetwork("chains")
+        lengths = [5, 2, 9, 2]
+        for c in range(len(lengths)):  # heads first: insertion order != chain order
+            net.add_ste(STE(f"c{c}_0", SymbolSet.wildcard(), start=StartMode.ALL_INPUT))
+        for c, length in enumerate(lengths):
+            for i in range(1, length):
+                net.add_ste(STE(f"c{c}_{i}", SymbolSet.wildcard()))
+                net.connect(f"c{c}_{i-1}", f"c{c}_{i}")
+        report = APCompiler().compile(net)
+        assert [p.n_stes for p in report.placements] == lengths
+
     def test_component_per_macro(self):
         net, _ = build_knn_network(np.zeros((5, 8), dtype=np.uint8))
         report = APCompiler().compile(net)
@@ -105,6 +119,16 @@ class TestMaxInstances:
             template, _ = build_knn_network(np.zeros((1, d), dtype=np.uint8))
             cap = APCompiler().max_instances(template)
             assert 0.7 * paper_cap < cap < 1.6 * paper_cap, (d, cap)
+
+    @pytest.mark.parametrize("d,capacity", [(64, 2368), (128, 1216), (256, 576)])
+    def test_knn_template_capacity_is_pinned(self, d, capacity):
+        """The engine sizes partitions (and keys caches) off these exact
+        values; they must not move with the graph implementation."""
+        template, _ = build_knn_network(np.zeros((1, d), dtype=np.uint8))
+        compiler = APCompiler()
+        report = compiler.compile(template)
+        assert [p.half_core for p in report.placements] == [0]
+        assert compiler.max_instances(template) == capacity
 
     def test_too_large_template(self):
         compiler = APCompiler(routing=RoutingModel(base_efficiency=0.001))

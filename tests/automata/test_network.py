@@ -94,9 +94,34 @@ class TestQueries:
         comps = net.connected_components()
         assert sorted(sorted(c) for c in comps) == [["s0", "s1"], ["s2", "s3"]]
 
-    def test_to_networkx(self, simple_net):
-        g = simple_net.to_networkx()
-        assert g.number_of_nodes() == 3 and g.number_of_edges() == 2
+    def test_components_listed_by_first_element(self):
+        """The compiler's stable first-fit-decreasing placement depends
+        on this order: a component sits where its first-inserted element
+        does, whichever way its edges point."""
+        net = AutomataNetwork("t")
+        for name in "abcde":
+            net.add_ste(STE(name, SymbolSet.wildcard(), start=StartMode.ALL_INPUT))
+        net.connect("d", "a")
+        net.connect("c", "b")
+        assert net.connected_components() == [{"a", "d"}, {"b", "c"}, {"e"}]
+
+    def test_reachable_from(self, simple_net):
+        simple_net.add_ste(STE("island", SymbolSet.wildcard()))
+        assert simple_net.reachable_from(["mid"]) == {"mid", "end"}
+        assert simple_net.reachable_from(["start", "island"]) == set(simple_net.elements)
+        assert simple_net.reachable_from([]) == set()
+
+    def test_topological_order_covers_only_named_elements(self):
+        net = AutomataNetwork("t")
+        net.add_ste(STE("s", SymbolSet.wildcard(), start=StartMode.ALL_INPUT))
+        for name in ("z", "y", "x"):
+            net.add_boolean(BooleanElement(name, BooleanOp.OR))
+        net.connect("s", "x")
+        net.connect("x", "y")
+        net.connect("y", "z")
+        net.connect("z", "s")  # back through an STE: registered, not a cycle
+        assert net.topological_order(["z", "y", "x"]) == ["x", "y", "z"]
+        assert net.topological_order([]) == []
 
 
 class TestMerge:
@@ -171,6 +196,17 @@ class TestValidation:
         net.connect("x", "y")
         net.connect("y", "x")
         with pytest.raises(ValidationError, match="combinational cycle"):
+            net.validate()
+
+    def test_boolean_self_loop_is_a_cycle(self):
+        net = AutomataNetwork("t")
+        net.add_ste(STE("s", SymbolSet.wildcard(), start=StartMode.ALL_INPUT))
+        net.add_boolean(BooleanElement("x", BooleanOp.OR))
+        net.connect("s", "x")
+        net.connect("x", "x")
+        with pytest.raises(
+            ValidationError, match="^boolean elements form a combinational cycle$"
+        ):
             net.validate()
 
     def test_not_gate_arity(self):
