@@ -60,6 +60,12 @@ class OverlapTopkWorkload(Workload):
         # Picklable + position-independent: just the packed slice.
         return pack_bits(np.asarray(dataset_bits, dtype=np.uint8))
 
+    def compile_packed(self, words, d, params):
+        # Optional: the artifact IS the packed slice, so over a store
+        # that already holds packed row words (a .pds, shared memory) a
+        # pass is a view of them — nothing to pack, hash or cache.
+        return words
+
     def fuse(self, artifacts):
         # Optional: results are ordered by (overlap, row index), so a
         # run of boards answers as one — let the host run it as one pass.

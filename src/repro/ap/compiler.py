@@ -613,6 +613,16 @@ class BoardImageCache:
         self._m_miss.inc()
         return None
 
+    def record_hits(self, n_boards: int) -> None:
+        """Count ``n_boards`` boards an engine served without a compile
+        and without a lookup: a functional pass over a packed store
+        runs on a view of the stored row words, so there is no artifact
+        to hold — but the boards were not recompiled, which is what
+        ``hits`` (and ``repro_cache_hits_total``) report."""
+        with self._lock:
+            self.stats.hits += n_boards
+        self._m_hit_mem.inc(n_boards)
+
     def _insert(self, key: tuple, value: Any) -> None:
         """Memory-tier insert + LRU eviction (callers hold the lock)."""
         if key in self._entries:

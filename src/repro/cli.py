@@ -206,17 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("pack", help="pack a dataset into the mmap-able "
                                     ".pds shard format")
     g.add_argument("src", help=".npy uint8 (n, d) binary array — or an "
-                              "existing .pds to re-shard/inspect")
+                              "existing .pds (either format version) to "
+                              "convert/re-shard/inspect")
     g.add_argument("out", nargs="?", default=None,
                    help="output .pds path (default: src with a .pds "
                         "suffix; required when src is already .pds "
-                        "unless --info)")
+                        "unless --info/--verify)")
     g.add_argument("--shard", default=None, metavar="I/N",
                    help="pack only balanced shard I of N — provisioning "
                         "a shard host becomes copying just its slice")
     g.add_argument("--info", action="store_true",
                    help="print the validated .pds header of SRC and exit "
                         "(no output file)")
+    g.add_argument("--verify", action="store_true",
+                   help="hash every payload chunk of SRC against its chunk "
+                        "table and the rows against the header digest; "
+                        "exit 1 naming the first bad chunk (no output file)")
 
     sub.add_parser("workloads",
                    help="list registered workloads (the --workload names)")
@@ -477,19 +482,28 @@ def _cmd_pack(args) -> int:
         DatasetFormatError,
         PackedDataset,
         read_pds_header,
+        verify_pds,
         write_pds,
     )
 
-    if args.info:
+    if args.info or args.verify:
         try:
-            hdr = read_pds_header(args.src)
+            hdr = (verify_pds if args.verify else read_pds_header)(args.src)
         except DatasetFormatError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        if args.verify:
+            print(f"{args.src}: ok — {hdr.n_chunks} chunk(s) and the header "
+                  f"digest {hdr.digest} match the payload")
+            return 0
         payload_mib = hdr.payload_nbytes / (1 << 20)
-        print(f"{args.src}: .pds v{hdr.version}, n={hdr.n}, d={hdr.d}, "
-              f"payload={hdr.payload_nbytes} bytes ({payload_mib:.1f} MiB) "
-              f"at offset {hdr.payload_offset}, digest={hdr.digest}")
+        print(f"{args.src}: .pds v{hdr.version}, layout {hdr.layout}, "
+              f"n={hdr.n}, d={hdr.d}, "
+              f"payload={hdr.payload_nbytes} bytes ({payload_mib:.1f} MiB, "
+              f"{hdr.row_nbytes / hdr.d:g} stored bytes per bit) "
+              f"at offset {hdr.payload_offset}, "
+              f"{hdr.n_chunks} chunk(s) of {hdr.chunk_rows} rows, "
+              f"digest={hdr.digest}")
         return 0
     out = args.out
     if out is None:
@@ -522,7 +536,11 @@ def _cmd_pack(args) -> int:
         dataset = dataset.slice_rows(
             int(bounds[shard_index]), int(bounds[shard_index + 1])
         )
-    hdr = write_pds(out, dataset)
+    try:
+        hdr = write_pds(out, dataset)
+    except DatasetFormatError as exc:  # a corrupt chunk of a .pds source
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"# packed {hdr.n} x {hdr.d} ({hdr.payload_nbytes} payload "
           f"bytes) -> {out}, digest={hdr.digest}")
     return 0

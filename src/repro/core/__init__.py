@@ -10,6 +10,7 @@ from .dataset import (
     DatasetSliceRef,
     PackedDataset,
     read_pds_header,
+    verify_pds,
     write_pds,
 )
 from .engine import APSimilaritySearch, KnnResult
@@ -42,6 +43,7 @@ __all__ = [
     "DatasetSliceRef",
     "PackedDataset",
     "read_pds_header",
+    "verify_pds",
     "write_pds",
     "ImageManifest",
     "export_image_library",

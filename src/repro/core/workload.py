@@ -16,6 +16,11 @@ layers actually rely on into a :class:`Workload` protocol:
   partition pass producing a *partition-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
   record;
+* ``compile_packed(words, d, params) → artifact | None`` — optional:
+  the artifact of a whole run of boards as a *view* of the packed row
+  words a store already holds (``.pds`` files, shared-memory segments),
+  so a functional pass over such a store packs, hashes, caches and
+  copies nothing.  The default ``None`` keeps the per-board path;
 * ``fuse(artifacts) → artifact | None`` — optional: row-concatenate the
   artifacts of row-consecutive boards so the host runs them as ONE
   ``execute`` (a *host pass*).  The board stays the unit of caching,
@@ -320,6 +325,25 @@ class Workload(ABC):
             raise RpcProtocolError("trailing bytes after workload result")
         return self.result_type(*arrays)
 
+    def compile_packed(self, words: np.ndarray, d: int, params: dict):
+        """The artifact of a run of row-consecutive boards, built over
+        ``words`` — the ``(rows, ceil(d/64))`` uint64 row words a packed
+        store holds for them (:func:`~repro.util.bitops.pack_bits`
+        layout) — **without copying them**, or ``None`` (the default)
+        to have the run compiled board by board from unpacked rows.
+
+        Answering promises what :meth:`fuse` promises — one
+        :meth:`execute` over the run equals the merge of its boards'
+        answers, ``configurations`` and ``symbols_streamed`` of a pass
+        do not depend on the rows, report counters are additive over
+        rows — and that the artifact only *reads* ``words``: they are a
+        read-only view of a file mapping or shared segment whose pages
+        are dropped once :meth:`execute` returns, so the artifact is
+        never cached, shipped or kept.  A workload whose artifact is a
+        real compiled image (kNN under ``"simulate"``) answers ``None``.
+        """
+        return None
+
     def fuse(self, artifacts: list):
         """Row-concatenate the compiled artifacts of row-consecutive
         boards into one artifact :meth:`execute` can run in a single
@@ -342,44 +366,54 @@ class Workload(ABC):
     def execute_task(
         self, task: PartitionTask, queries_bits: np.ndarray, cache
     ) -> PartitionResult:
-        """Worker-side entry — the one worker body: resolve each board
-        of a :class:`~repro.host.parallel.PartitionTask` through compile
-        (cache-aware, per board), :meth:`fuse` the run, execute.
+        """Worker-side entry — the one worker body: turn a
+        :class:`~repro.host.parallel.PartitionTask`'s run of boards into
+        one artifact, execute it.
 
-        In-process callers pass a shared :class:`~repro.ap.compiler.
-        BoardImageCache`; process workers get an artifact shuttle that
-        serves the artifacts shipped with the task and captures fresh
-        builds for the return trip, keeping process pools cache-aware
-        through artifact shipping.  The task's dataset rows are touched
-        (a slice ref resolved, and its mmap pages released) only when
-        some board misses.
+        Where the task's slice ref offers the store's packed row words
+        and :meth:`compile_packed` answers, the artifact is a view of
+        them: nothing is unpacked, packed, hashed, looked up or cached,
+        and every board counts as served without a compile.  Otherwise
+        each board resolves through compile (cache-aware, per board)
+        and :meth:`fuse` joins the run.  In-process callers pass a
+        shared :class:`~repro.ap.compiler.BoardImageCache`; process
+        workers get an artifact shuttle that serves the artifacts
+        shipped with the task and captures fresh builds for the return
+        trip, keeping process pools cache-aware through artifact
+        shipping.  The task's dataset rows are touched (a slice ref
+        resolved) only for a view pass or when some board misses, and
+        its mmap pages are released behind the pass.
         """
         params = dict(task.params)
         boards = task.board_list()
-        shuttle = None
-        if cache is None and boards[0][1] is not None:
-            cache = shuttle = _ArtifactShuttle(task.artifacts)
+        ref = task.dataset_slice
         # Task-local first row of each board (and the run's length).
         starts = list(accumulate((n_rows for n_rows, _ in boards), initial=0))
-        artifacts, rows_bits, hits = [], None, 0
-        for (_, key), lo, hi in zip(boards, starts, starts[1:]):
-            cached = cache is not None and key is not None
-            artifact = cache.get(key) if cached else None
-            if artifact is not None:
-                hits += 1
-            else:
-                if rows_bits is None:
-                    rows_bits = task.rows()
-                artifact = self.compile(rows_bits[lo:hi], params)
-                if cached:
-                    cache.put(key, artifact)
-            artifacts.append(artifact)
-        if rows_bits is not None and task.dataset_slice is not None:
-            # Drop the run's freshly faulted mmap pages back to the page
-            # cache so a worker's RSS stays bounded by one pass, not the
-            # whole shard it walks over a run.
-            task.dataset_slice.release()
-        fused = artifacts[0] if len(artifacts) == 1 else self.fuse(artifacts)
+        words = ref.packed_window() if ref is not None else None
+        fused = (
+            self.compile_packed(words, ref.d, params)
+            if words is not None else None
+        )
+        shuttle, artifacts, rows_bits = None, [], None
+        if fused is not None:
+            hits = len(boards)
+        else:
+            if cache is None and boards[0][1] is not None:
+                cache = shuttle = _ArtifactShuttle(task.artifacts)
+            hits = 0
+            for (_, key), lo, hi in zip(boards, starts, starts[1:]):
+                cached = cache is not None and key is not None
+                artifact = cache.get(key) if cached else None
+                if artifact is not None:
+                    hits += 1
+                else:
+                    if rows_bits is None:
+                        rows_bits = task.rows()
+                    artifact = self.compile(rows_bits[lo:hi], params)
+                    if cached:
+                        cache.put(key, artifact)
+                artifacts.append(artifact)
+            fused = artifacts[0] if len(artifacts) == 1 else self.fuse(artifacts)
         if fused is not None:
             partial, counters = self.execute(fused, queries_bits, params)
             counters.configurations *= len(boards)
@@ -392,6 +426,11 @@ class Workload(ABC):
                 counters.merge(delta)
                 partials.append(board_partial)
             partial = self.merge(partials, starts[:-1], params)
+        if ref is not None and (words is not None or rows_bits is not None):
+            # Drop the run's freshly faulted mmap pages back to the page
+            # cache so a worker's RSS stays bounded by one pass, not the
+            # whole shard it walks over a run.
+            ref.release()
         counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,
@@ -532,6 +571,14 @@ class HammingKnnWorkload(Workload):
         return build_functional_board(
             dataset_bits,
             _knn_layout(dataset_bits.shape[1], params["macro_config"]),
+        )
+
+    def compile_packed(self, words: np.ndarray, d: int, params: dict):
+        params = _KNN_DEFAULTS | params
+        if params["execution"] == "simulate":
+            return None  # a cycle-accurate image is compiled from bits
+        return FunctionalKnnBoard.from_packed(
+            words, _knn_layout(d, params["macro_config"])
         )
 
     def fuse(self, artifacts: list):
@@ -682,11 +729,13 @@ class JaccardTopkWorkload(Workload):
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
         dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
-        packed = pack_bits(dataset_bits)
+        return self.compile_packed(
+            pack_bits(dataset_bits), dataset_bits.shape[1], params
+        )
+
+    def compile_packed(self, words: np.ndarray, d: int, params: dict):
         return JaccardBoardArtifact(
-            packed=packed,
-            sizes=popcount_u64(packed).sum(axis=1),
-            d=int(dataset_bits.shape[1]),
+            packed=words, sizes=popcount_u64(words).sum(axis=1), d=int(d)
         )
 
     def fuse(self, artifacts: list):
@@ -849,11 +898,12 @@ class HammingRangeWorkload(Workload):
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
         dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
-        return RangeBoardArtifact(
-            packed=pack_bits(dataset_bits),
-            d=int(dataset_bits.shape[1]),
-            n=int(dataset_bits.shape[0]),
+        return self.compile_packed(
+            pack_bits(dataset_bits), dataset_bits.shape[1], params
         )
+
+    def compile_packed(self, words: np.ndarray, d: int, params: dict):
+        return RangeBoardArtifact(packed=words, d=int(d), n=int(words.shape[0]))
 
     def fuse(self, artifacts: list):
         return RangeBoardArtifact(
@@ -1130,6 +1180,17 @@ class WorkloadSearch(Batchable):
             1, min(rows // self.board_capacity, len(self.partitions) // lanes)
         )
 
+    def _view_passes(self, params: dict) -> bool:
+        """Will a pass under ``params`` run on a view of the store's
+        packed row words (the store holds them and the workload's
+        ``compile_packed`` answers)?  The worker body takes the same
+        two decisions per task; asked here on one row, so view passes
+        are built without cache keys and counted as hits."""
+        words = self.dataset.packed_window(0, 1)
+        return words is not None and (
+            self.workload.compile_packed(words, self.d, params) is not None
+        )
+
     def _partition_tasks(
         self, params: dict, boards_per_pass: int = 1
     ) -> list[PartitionTask]:
@@ -1145,13 +1206,16 @@ class WorkloadSearch(Batchable):
         flavor = ("workload", self.workload.name) + self.workload.cache_params(
             params
         )
+        # Only a pass that will consult the cache needs keys (and the
+        # digest scan behind them): a view pass compiles nothing.
+        keyed = self.cache is not None and not self._view_passes(params)
 
         def board_key(start: int, end: int) -> tuple | None:
             # Content-addressed per board: no positional component, and
             # the handle's streaming digest is store-independent, so
             # identical board content shares compiled artifacts across
             # engines, offsets, stores and pass sizes.
-            if self.cache is None:
+            if not keyed:
                 return None
             return partition_cache_key(
                 None, macro, self.device, extra=flavor,
@@ -1209,6 +1273,11 @@ class WorkloadSearch(Batchable):
                     partials.append(res.payload)
                     offsets.append(task.start)
         self._m_passes.inc(passes)
+        if self.cache is not None and self._view_passes(params):
+            # Boards served without a compile are hits, whoever held the
+            # bytes: one bump per search, where every backend can see
+            # the engine's cache.
+            self.cache.record_hits(len(self.partitions))
         # Host-side merge (Section III-C: "the host processor ...
         # keep[s] track of intermediary results per query across board
         # reconfigurations"), in ONE batched offset-aware pass.

@@ -14,8 +14,9 @@ execution, counter aggregation is exact and tie-breaks are untouched.
 A task is one *host pass*: a run of row-consecutive boards the engine
 sized for the host (``repro.core.workload``: board capacity is an AP
 constraint, and a ~1024-row NumPy pass is mostly Python), which the
-worker body resolves board by board through the cache, fuses and
-executes once.  Hand-built tasks are one board.
+worker body runs as a view of the store's packed row words where there
+are any, and otherwise resolves board by board through the cache and
+fuses, and executes once.  Hand-built tasks are one board.
 
 Backends
 --------
@@ -68,8 +69,11 @@ naming a row window of a store the worker attaches itself — the
 an in-memory dataset is promoted to when its engine fans out across
 processes (:meth:`~repro.core.dataset.PackedDataset.attachable`) — so
 dataset bytes cross the process boundary once per store, not once per
-task.  **Everything else travels by value** through the task pickle:
-query batches, and board artifacts both ways.  ``dataset_bits`` by
+task.  A *functional* artifact over such a store's packed row words is
+a view the worker builds in place (``Workload.compile_packed``), so it
+does not travel either.  **Everything else travels by value** through
+the task pickle: query batches, and compiled board artifacts both ways
+(cycle-accurate images, by-value datasets).  ``dataset_bits`` by
 value remains as the platform fallback (no usable ``/dev/shm``, segment
 refused, dataset outside the promotion size band) and for hand-built
 tasks.  Thread/serial workers share the parent's memory and move

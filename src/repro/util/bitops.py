@@ -132,8 +132,7 @@ def unpack_bits(words: np.ndarray, d: int) -> np.ndarray:
     if d > n_words * 64:
         raise ValueError(f"d={d} exceeds capacity of {n_words} words")
     as_bytes = words.view(np.uint8).reshape(n, n_words * 8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :d].astype(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=d, bitorder="little")
 
 
 def popcount_u64(words: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -121,6 +122,32 @@ def unfused():
             yield
 
     return per_board
+
+
+def write_pds_v1(path, data):
+    """A version-1 ``.pds`` (layout 1: one byte per bit at offset 4096,
+    88-byte header, no chunk table), as the previous release wrote it —
+    the library only reads this version now, so the writer lives here."""
+    from repro.ap.compiler import dataset_digest
+
+    data = np.ascontiguousarray(data, dtype=np.uint8)
+    n, d = data.shape
+    header = struct.pack(
+        "<8sHHBB2xQQQQ40s", b"REPROPDS", 1, 88, 1, 1, n, d, 4096, n * d,
+        dataset_digest(data).encode("ascii"),
+    )
+    with open(path, "wb") as f:
+        f.write(header.ljust(4096, b"\x00"))
+        f.write(data.tobytes())
+    return str(path)
+
+
+def counters_but_cache_hits(counters):
+    """Every ``RuntimeCounters`` field a store may not change:
+    ``image_cache_hits`` counts boards served without a compile, which
+    a packed store's view passes all are (README "Board-image cache
+    hygiene")."""
+    return dataclasses.replace(counters, image_cache_hits=0)
 
 
 def run_snapshot(engine, queries, searches=2):

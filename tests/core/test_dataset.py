@@ -2,9 +2,11 @@
 
 Covers the dataset-plane contract on its own (cross-store *search*
 parity lives in tests/integration/test_store_parity.py): pack/open
-roundtrips, digest equality between the streaming store digests and
-the reference ``dataset_digest``, structural rejection of corrupt
-``.pds`` files, slice-ref resolution, and mmap/fd leak guards.
+roundtrips, packed windows, digest equality between the streaming store
+digests and the reference ``dataset_digest``, structural rejection of
+corrupt ``.pds`` files, lazy chunk verification, version-1 reading,
+slice-ref resolution, the attach cache across re-packs, and mmap/fd
+leak guards.
 """
 
 import hashlib
@@ -16,15 +18,19 @@ import numpy as np
 import pytest
 
 from repro.ap.compiler import dataset_digest
+from repro.core import dataset as dataset_mod
 from repro.core.dataset import (
     PDS_MAGIC,
     DatasetFormatError,
     PackedDataset,
     attach_mmap_store,
     read_pds_header,
+    verify_pds,
     write_pds,
 )
 from repro.host.shm import shm_available
+from repro.util.bitops import pack_bits
+from tests.conftest import write_pds_v1
 
 
 @pytest.fixture
@@ -53,8 +59,28 @@ def test_roundtrip_bytes_and_geometry(dataset, pds_path):
 def test_header_digest_matches_reference(dataset, pds_path):
     hdr = read_pds_header(pds_path)
     assert hdr.digest == dataset_digest(dataset)
-    assert hdr.n, hdr.d == dataset.shape
-    assert hdr.payload_nbytes == dataset.size
+    assert (hdr.version, hdr.layout) == (2, 2)
+    assert (hdr.n, hdr.d) == dataset.shape
+    # 37 bits round up to one 8-byte word per row: an eighth of the
+    # byte-per-bit size, rounded up to whole words
+    assert hdr.row_nbytes == 8
+    assert hdr.payload_nbytes == 8 * dataset.shape[0]
+    assert hdr.payload_offset % 4096 == 0
+    assert os.path.getsize(pds_path) == hdr.payload_offset + hdr.payload_nbytes
+
+
+def test_packed_window_is_a_view_of_the_file_words(dataset, pds_path):
+    ds = PackedDataset.open(pds_path)
+    words = ds.packed_window(17, 301)
+    assert words.dtype == np.uint64 and not words.flags.writeable
+    assert not words.flags.owndata  # the mapping, not a copy
+    assert np.array_equal(words, pack_bits(dataset[17:301]))
+    sub = ds.slice_rows(100, 400)
+    assert np.array_equal(sub.packed_window(5, 9), pack_bits(dataset[105:109]))
+    assert (ds.nbytes, ds.stored_nbytes) == (500 * 37, 500 * 8)
+    arr = PackedDataset.ensure(dataset)
+    assert arr.packed_window(0, 10) is None  # bytes per bit: nothing packed
+    assert arr.stored_nbytes == arr.nbytes == dataset.size
 
 
 def test_write_is_atomic_no_tmp_residue(tmp_path, dataset):
@@ -212,6 +238,25 @@ def test_rejects_geometry_payload_mismatch(pds_path, tmp_path):
         read_pds_header(bad)
 
 
+def test_rejects_bad_chunk_table(pds_path, tmp_path):
+    def zero_chunk_rows(b):
+        struct.pack_into("<Q", b, 88, 0)
+
+    def table_over_payload(b):
+        struct.pack_into("<Q", b, 96, 4090)
+
+    for name, mutate in [("cr.pds", zero_chunk_rows), ("to.pds", table_over_payload)]:
+        with pytest.raises(DatasetFormatError, match="chunk table"):
+            read_pds_header(_clone(pds_path, tmp_path, name, mutate))
+
+
+def test_rejects_layout_of_another_version(pds_path, tmp_path):
+    bad = _clone(pds_path, tmp_path, "lay.pds",
+                 lambda b: b.__setitem__(13, 1))
+    with pytest.raises(DatasetFormatError, match="layout"):
+        read_pds_header(bad)
+
+
 def test_rejects_unsupported_dtype_code(pds_path, tmp_path):
     bad = _clone(pds_path, tmp_path, "dt.pds",
                  lambda b: b.__setitem__(12, 7))
@@ -229,6 +274,197 @@ def test_open_rejects_corrupt_file(pds_path, tmp_path):
                  lambda b: b.__setitem__(0, 0))
     with pytest.raises(DatasetFormatError):
         PackedDataset.open(bad)
+
+
+# -- payload verification ----------------------------------------------------
+
+
+@pytest.fixture
+def chunked(tmp_path, dataset):
+    """The dataset in five verification chunks of 100 rows."""
+    path = tmp_path / "chunked.pds"
+    hdr = write_pds(path, dataset, chunk_rows=100)
+    assert hdr.n_chunks == 5
+    return str(path), hdr
+
+
+def test_flipped_payload_byte_fails_on_first_touch_of_its_chunk(
+    chunked, tmp_path, dataset
+):
+    path, hdr = chunked
+    bad = _clone(path, tmp_path, "flip.pds",
+                 lambda b: b.__setitem__(hdr.payload_offset + 8 * 250, b[
+                     hdr.payload_offset + 8 * 250] ^ 0x01))
+    assert read_pds_header(bad) == hdr  # structurally fine: attaches
+    ds = PackedDataset.open(bad)
+    # lazily, chunk by chunk: rows of the other chunks serve...
+    assert np.array_equal(ds.rows(0, 200), dataset[:200])
+    assert np.array_equal(ds.packed_window(300, 500), pack_bits(dataset[300:]))
+    # ...and every way into chunk 2 raises instead of answering
+    for touch in (
+        lambda: ds.rows(250, 251),
+        lambda: ds.packed_window(199, 201),
+        lambda: ds.slice_ref(0, 500).packed_window(),
+        lambda: ds.slice_rows(200, 300).digest,
+    ):
+        with pytest.raises(DatasetFormatError, match=r"chunk 2 \(rows \[200, 300\)\)"):
+            touch()
+    with pytest.raises(DatasetFormatError, match="chunk 2"):
+        verify_pds(bad)
+
+
+def test_pad_bit_beyond_d_is_rejected(chunked, tmp_path):
+    """A set bit beyond ``d`` in a row's last word would add to every
+    distance: rejected even when the chunk digest covers it (a writer
+    bug, not bit rot)."""
+    path, hdr = chunked
+
+    def set_pad_bit(b):
+        at = hdr.payload_offset + 8 * 340 + 7  # row 340, bits 56..63
+        b[at] |= 0x80
+        lo = hdr.payload_offset + 8 * 300
+        words = np.frombuffer(bytes(b[lo:lo + 800]), dtype=np.uint64)
+        entry = hdr.chunk_table_offset + 3 * 20
+        b[entry:entry + 20] = dataset_mod._chunk_digest(3, words)
+
+    bad = _clone(path, tmp_path, "pad.pds", set_pad_bit)
+    ds = PackedDataset.open(bad)
+    ds.rows(0, 300)
+    with pytest.raises(DatasetFormatError, match=r"chunk 3 .* beyond d=37"):
+        ds.packed_window(340, 341)
+
+
+def test_chunks_are_hashed_once_per_attached_store(chunked, monkeypatch):
+    path, _ = chunked
+    hashed = []
+    real = dataset_mod._chunk_digest
+
+    def spy(index, words):
+        hashed.append(index)
+        return real(index, words)
+
+    monkeypatch.setattr(dataset_mod, "_chunk_digest", spy)
+    ds = PackedDataset.open(path)
+    ds.packed_window(150, 160)
+    ds.rows(100, 320)
+    ds.slice_ref(0, 500).resolve()
+    ds.digest
+    assert hashed == [1, 2, 3, 0, 4]
+
+
+def test_concurrent_first_touches_hash_each_chunk_once(
+    chunked, dataset, monkeypatch
+):
+    """Thread workers share one attached store: racing first touches
+    must neither hash a chunk twice nor hand out an unverified window."""
+    import threading
+
+    path, _ = chunked
+    hashed = []
+    real = dataset_mod._chunk_digest
+
+    def spy(index, words):
+        hashed.append(index)
+        return real(index, words)
+
+    monkeypatch.setattr(dataset_mod, "_chunk_digest", spy)
+    ds = PackedDataset.open(path)
+    want = pack_bits(dataset)
+    wrong = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            lo = int(rng.integers(0, 499))
+            hi = int(rng.integers(lo + 1, 501))
+            if not np.array_equal(ds.packed_window(lo, hi), want[lo:hi]):
+                wrong.append((lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert sorted(hashed) == [0, 1, 2, 3, 4]
+
+
+def test_verify_pds_checks_the_header_digest_too(pds_path, tmp_path):
+    assert verify_pds(pds_path) == read_pds_header(pds_path)
+
+    def other_digest(b):
+        b[48:88] = b"0" * 40
+
+    bad = _clone(pds_path, tmp_path, "hd.pds", other_digest)
+    with pytest.raises(DatasetFormatError, match="header digest"):
+        verify_pds(bad)
+
+
+# -- version 1 ---------------------------------------------------------------
+
+
+def test_version_1_file_still_opens_serves_and_converts(tmp_path, dataset):
+    old = write_pds_v1(tmp_path / "old.pds", dataset)
+    hdr = read_pds_header(old)
+    assert (hdr.version, hdr.layout, hdr.n_chunks) == (1, 1, 0)
+    assert hdr.payload_nbytes == dataset.size
+    ds = PackedDataset.open(old)
+    assert ds.kind == "mmap" and ds.stored_nbytes == ds.nbytes
+    assert ds.packed_window(0, 10) is None  # the per-board path serves it
+    assert np.array_equal(ds.rows(3, 400), dataset[3:400])
+    assert ds.partition_digest(10, 90) == dataset_digest(dataset[10:90])
+    assert verify_pds(old) == hdr
+    new = write_pds(tmp_path / "new.pds", old)  # the conversion
+    assert (new.version, new.digest) == (2, hdr.digest)
+    assert new.payload_nbytes * 37 == hdr.payload_nbytes * 8
+    assert np.array_equal(PackedDataset.open(tmp_path / "new.pds").rows(0, 500),
+                          dataset)
+
+
+# -- the attach cache across re-packs -----------------------------------------
+
+
+def test_repacked_path_is_picked_up_by_the_next_attach(tmp_path):
+    """Regression: the attach cache was keyed by path alone, so after
+    an atomic re-pack the process kept serving the old mapping."""
+    path = tmp_path / "live.pds"
+    write_pds(path, np.zeros((100, 32), dtype=np.uint8))
+    old = PackedDataset.open(path)
+    assert old.shape == (100, 32)
+    ones = np.ones((200, 32), dtype=np.uint8)
+    write_pds(path, ones)
+    new = PackedDataset.open(path)
+    assert new.shape == (200, 32)
+    assert new.digest == read_pds_header(path).digest == dataset_digest(ones)
+    assert np.array_equal(new.rows(0, 200), ones)
+    assert new.store is not old.store
+    assert PackedDataset.open(path).store is new.store
+
+
+def test_slice_refs_are_pinned_to_the_file_their_engine_attached(tmp_path):
+    """A ref cut before a re-pack keeps resolving against the mapping
+    this process still holds, and fails loudly — never answers from the
+    new file's rows — where that mapping is gone (a fresh worker)."""
+    path = tmp_path / "pinned.pds"
+    zeros = np.zeros((100, 32), dtype=np.uint8)
+    write_pds(path, zeros)
+    ref = PackedDataset.open(path).slice_ref(10, 60)
+    write_pds(path, np.ones((200, 32), dtype=np.uint8))
+    assert PackedDataset.open(path).shape == (200, 32)
+    assert np.array_equal(ref.resolve(), zeros[10:60])
+    ref.release()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_mod, "_ATTACHED_MMAPS", {})  # a fresh process
+        with pytest.raises(DatasetFormatError, match="was replaced"):
+            ref.resolve()
+        with pytest.raises(DatasetFormatError, match="was replaced"):
+            ref.packed_window()
 
 
 # -- slice refs and release --------------------------------------------------
@@ -264,6 +500,39 @@ def test_release_keeps_data_intact(dataset, pds_path):
     assert np.array_equal(ds.rows(0, ds.n), before)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
+def test_release_drops_the_whole_chunks_a_scan_has_completed(tmp_path):
+    """Passes are smaller than verification chunks: a release behind a
+    pass drops nothing until the scan completes a chunk, then the whole
+    chunk — one ``madvise`` per chunk, not per pass."""
+    from repro.core.dataset import MmapStore
+
+    data = np.random.default_rng(3).integers(0, 2, (1 << 14, 64), dtype=np.uint8)
+    path = tmp_path / "resident.pds"
+    write_pds(path, data, chunk_rows=4096)  # four chunks of 32 KiB
+
+    def resident_kb():
+        with open("/proc/self/smaps") as f:
+            lines = f.read().splitlines()
+        at = next(i for i, ln in enumerate(lines) if "resident.pds" in ln)
+        return int(next(ln for ln in lines[at:] if ln.startswith("Rss:")).split()[1])
+
+    store = MmapStore(path)
+    try:
+        assert int(store.packed_window(0, store.n).sum(dtype=np.uint64)) > 0
+        full = resident_kb()  # 128 KiB of words + the header page
+        assert full >= 128
+        store.release(0, 2048)  # half of chunk 0: nothing to drop yet
+        assert resident_kb() == full
+        store.release(2048, 4096)  # completes chunk 0: all of it goes
+        assert resident_kb() == full - 32
+        store.release(4200, store.n)  # completes 1..3, rows before 4200 too
+        assert resident_kb() == full - 128
+        assert np.array_equal(store.rows(0, store.n), data)  # intact
+    finally:
+        store.close()
+
+
 def test_rows_views_are_readonly(pds_path):
     ds = PackedDataset.open(pds_path)
     with pytest.raises(ValueError):
@@ -281,9 +550,13 @@ def test_shm_store_roundtrip(dataset):
     assert ds.kind == "shm"
     assert np.array_equal(ds.rows(0, ds.n), dataset)
     assert ds.digest == dataset_digest(dataset)
+    # the segment holds the packed words: an eighth of the rows' bytes
+    assert ds.stored_nbytes == ds.store.ref.nbytes == 500 * 8
+    assert np.array_equal(ds.packed_window(3, 80), pack_bits(dataset[3:80]))
     ref = ds.slice_ref(3, 80)
     assert ref.kind == "shm"
     assert np.array_equal(ref.resolve(), dataset[3:80])
+    assert np.array_equal(ref.packed_window(), pack_bits(dataset[3:80]))
 
 
 # -- leak guards -------------------------------------------------------------

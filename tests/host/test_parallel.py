@@ -587,15 +587,21 @@ class TestProcessCacheShipback:
                 assert got.counters == exp.counters
                 assert (got.passes, exp.passes) == (1, 3)
 
-    def test_slice_ref_is_resolved_only_on_a_miss(self, tmp_path, monkeypatch):
-        """A warm pass never touches the dataset: its slice ref is
-        neither resolved nor released; a cold one resolves it once per
-        task, not per board."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
+        self, tmp_path, monkeypatch, version
+    ):
+        """Over a byte-per-bit (version-1) file a warm pass never
+        touches the dataset — its slice ref is neither resolved nor
+        released — and a cold one resolves it once per task, not per
+        board.  Over packed words every pass is one view and one
+        release, and no row is ever unpacked."""
         from repro.core.dataset import DatasetSliceRef, write_pds
+        from tests.conftest import write_pds_v1
 
         data, queries = _workload(n=72, d=16)
         path = tmp_path / "warm.pds"
-        write_pds(path, data)
+        (write_pds_v1 if version == 1 else write_pds)(path, data)
         eng = APSimilaritySearch(
             str(path), k=3, board_capacity=12, execution="functional",
             cache=True,
@@ -609,10 +615,12 @@ class TestProcessCacheShipback:
                 return _real(self)
 
             monkeypatch.setattr(DatasetSliceRef, name, spy)
-        cold = eng.search(queries)
-        assert touched == ["resolve", "release"]  # 6 boards, one pass
+        cold = eng.search(queries)  # 6 boards, one pass
+        assert touched == (["resolve", "release"] if version == 1 else ["release"])
         warm = eng.search(queries)
-        assert touched == ["resolve", "release"]
+        assert touched == (
+            ["resolve", "release"] if version == 1 else ["release"] * 2
+        )
         assert warm.counters.image_cache_hits == 6
         assert (warm.indices == cold.indices).all()
 

@@ -32,6 +32,7 @@ from repro.host.shm import (
     resolve_array,
     shm_available,
 )
+from tests.conftest import counters_but_cache_hits
 
 # One explicit reason string shared by every shm-dependent skip: the
 # conftest terminal-summary hook keys off it to report how many
@@ -64,7 +65,7 @@ def _open_fds():
 
 @pytest.fixture
 def tiny_floor(monkeypatch):
-    """Promote test-sized datasets: the 1 MiB floor is policy, not
+    """Promote test-sized datasets: the size floor is policy, not
     mechanism, and nothing below exercises it except the floor test."""
     monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1)
 
@@ -137,6 +138,23 @@ class TestExporter:
         del twin
         gc.collect()
         assert _own_segments() == before
+
+    def test_size_band_measures_the_bytes_the_segment_pins(self, monkeypatch):
+        """The segment holds packed words, so the band is compared with
+        those: 200 x 32 bits pin 1600 bytes of /dev/shm, not 6400."""
+        data, _ = _workload(n=200, d=32)
+        handle = PackedDataset.ensure(data)
+        assert (handle.nbytes, handle.stored_nbytes) == (6400, 6400)
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1601)
+        assert handle.attachable() is handle  # below the floor
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1600)
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MAX_BYTES", 1599)
+        assert handle.attachable() is handle  # above the ceiling
+        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MAX_BYTES", 1600)
+        twin = handle.attachable()
+        assert twin.kind == "shm"
+        assert twin.stored_nbytes == twin.store.ref.nbytes == 1600
+        assert twin.nbytes == 6400
 
     def test_arena_overflow_degrades_search_to_pickle(
         self, tiny_floor, monkeypatch
@@ -375,7 +393,12 @@ class TestTransportParity:
             res = results[name]
             assert (res.indices == seq.indices).all(), name
             assert (res.distances == seq.distances).all(), name
-            assert res.counters == seq.counters, name
+            assert counters_but_cache_hits(res.counters) == seq.counters, name
+        # only a functional pass over the segment's packed words serves
+        # its boards without a compile
+        assert [r.counters.image_cache_hits for r in results.values()] == [
+            0, 0, 0, seq.n_partitions if execution == "functional" else 0,
+        ]
         assert results["shm-process"].transport == "pickle"
         assert results["thread"].transport == "none"
 
@@ -391,13 +414,17 @@ class TestTransportParity:
                 parallel=cfg, cache=BoardImageCache(),
             )
             assert eng.dataset.kind == "shm"
-            eng.search(queries)  # cold: workers build, artifacts ship back
+            cold = eng.search(queries)  # views of the segment: no build
             warm = eng.search(queries)
             again = eng.search(queries)
         assert (warm.indices == seq.indices).all()
         assert (warm.distances == seq.distances).all()
+        assert cold.counters == warm.counters
         assert warm.counters.image_cache_hits == warm.n_partitions
         assert (again.indices == seq.indices).all()
+        # nothing was compiled, so nothing shipped back into the cache
+        assert len(eng.cache) == 0
+        assert eng.cache.stats.hits == 3 * warm.n_partitions
 
     def test_persistent_pool_exports_once(self, tiny_floor):
         """The dataset crosses into shared memory once per store:
@@ -456,8 +483,8 @@ class TestFallback:
         assert _own_segments() == before
 
     def test_auto_small_payload_stays_pickle(self):
-        """Below the 1 MiB floor promotion never happens: small
-        searches never pay segment setup."""
+        """Below the floor promotion never happens: small searches
+        never pay segment setup."""
         data, queries = _workload()
         assert data.nbytes < dataset_mod.SHM_PROMOTE_MIN_BYTES
         self._parity(data, queries)

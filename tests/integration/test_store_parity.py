@@ -1,11 +1,14 @@
 """Cross-store parity: ArrayStore ≡ ShmStore ≡ MmapStore, bit for bit.
 
 The PackedDataset refactor's non-negotiable property: where the
-dataset's bytes *live* (in-memory array, shared-memory segment,
-mmap-backed ``.pds`` file) must be invisible to every result — for
-every workload, every backend, the multi-board layer, and the shard
-server.  These tests drive the same data through all three stores and
-demand byte equality, plus fail-fast construction for bad inputs.
+dataset's bytes *live* and how they are laid out (in-memory array,
+packed shared-memory segment, mmap-backed ``.pds`` file of either
+version) must be invisible to every result — for every workload, every
+backend, the multi-board layer, and the shard server.  These tests
+drive the same data through all the stores and demand byte equality of
+answers and of every counter but ``image_cache_hits`` (a packed store's
+functional passes are views: every board is served without a compile),
+plus fail-fast construction for bad inputs.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ap.compiler import BoardImageCache
 from repro.core import dataset as dataset_mod
 from repro.core.dataset import PackedDataset, write_pds
 from repro.core.engine import APSimilaritySearch
@@ -26,7 +30,12 @@ from repro.core.multiboard import MultiBoardSearch
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.shm import shm_available
-from tests.conftest import assert_snapshots_equal, run_snapshot
+from tests.conftest import (
+    assert_snapshots_equal,
+    counters_but_cache_hits,
+    run_snapshot,
+    write_pds_v1,
+)
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory"
@@ -46,20 +55,41 @@ def _make(rng_seed: int, n: int, d: int, n_q: int):
     return data, queries
 
 
+# Stores that hold packed row words: their functional passes are views.
+PACKED = ("mmap", "shm")
+
+
 def _stores(data, tmp_path):
-    """The same bytes behind every available store kind; ``shm`` is the
-    twin an out-of-process engine promotes an in-memory handle to."""
+    """The same rows behind every available store: the in-memory array,
+    a ``.pds`` of each version (``mmap`` packed words, ``mmap-v1`` one
+    byte per bit), and ``shm``, the packed twin an out-of-process engine
+    promotes an in-memory handle to."""
     path = tmp_path / "parity.pds"
-    write_pds(path, data)
+    write_pds(path, data, chunk_rows=max(1, len(data) // 3))
     stores = {
         "array": PackedDataset.ensure(data),
         "mmap": PackedDataset.open(path),
+        "mmap-v1": PackedDataset.open(write_pds_v1(tmp_path / "v1.pds", data)),
     }
     if shm_available():
         with mock.patch.object(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1):
             stores["shm"] = PackedDataset.ensure(data).attachable()
         assert stores["shm"].kind == "shm"
     return stores
+
+
+def _assert_same_run(ref, res, kind, label):
+    """Same answers and counters; ``image_cache_hits`` by the rule."""
+    _assert_same_result(ref.value, res.value, label)
+    assert counters_but_cache_hits(res.counters) == counters_but_cache_hits(
+        ref.counters
+    ), label
+    assert res.per_device_partitions == ref.per_device_partitions, label
+    functional = res.execution == "functional"
+    assert res.counters.image_cache_hits == (
+        res.n_partitions if kind in PACKED and functional
+        else ref.counters.image_cache_hits
+    ), label
 
 
 def _result_fields(value):
@@ -85,27 +115,63 @@ class TestSerialParity:
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(30, 200),
-        d=st.sampled_from([8, 16, 33]),
+        d=st.sampled_from([8, 33, 64, 100, 130]),
         n_q=st.integers(1, 6),
+        k=st.sampled_from([1, 4, 500]),  # 500: k >= n
+        cut=st.tuples(st.integers(0, 14), st.integers(0, 14)),
     )
-    def test_all_stores_bit_identical(self, tmp_path_factory, seed, n, d, n_q):
+    def test_all_stores_bit_identical(
+        self, tmp_path_factory, seed, n, d, n_q, k, cut
+    ):
         data, queries = _make(seed, n, d, n_q)
         tmp_path = tmp_path_factory.mktemp("stores")
         stores = _stores(data, tmp_path)
+        # the whole store, and a window cut out of it by slice_rows
+        # (unaligned to boards, words' chunks and pages alike)
+        windows = [(0, n), (cut[0], n - cut[1])]
         for wl, params in [
-            ("knn", {"k": 4}),
-            ("jaccard", {"k": 4}),
+            ("knn", {"k": k}),
+            ("jaccard", {"k": k}),
             ("range", {"radius": d // 2}),
         ]:
-            results = {
-                kind: WorkloadSearch(
-                    ds, wl, params, board_capacity=max(8, n // 3)
-                ).search(queries)
-                for kind, ds in stores.items()
-            }
-            base = results["array"]
-            for kind, res in results.items():
-                _assert_same_result(base.value, res.value, f"{wl}/{kind}")
+            for lo, hi in windows:
+                results = {
+                    kind: WorkloadSearch(
+                        ds.slice_rows(lo, hi), wl, params,
+                        board_capacity=max(8, n // 3),
+                    ).search(queries)
+                    for kind, ds in stores.items()
+                }
+                for kind, res in results.items():
+                    _assert_same_run(
+                        results["array"], res, kind, f"{wl}/{kind}/[{lo},{hi})"
+                    )
+
+    def test_simulate_over_a_packed_store_unpacks_and_shares_the_cache(
+        self, tmp_path
+    ):
+        """``execution="simulate"`` compiles real board images from
+        rows a packed store unpacks on demand; the images are keyed by
+        content digest, so they are shared with an array engine."""
+        data, queries = _make(5, 40, 8, 2)
+        cache = BoardImageCache()
+        ref = APSimilaritySearch(
+            data, k=3, board_capacity=16, execution="simulate", cache=cache
+        ).search(queries)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 3)
+        for kind, ds in _stores(data, tmp_path).items():
+            hits = cache.stats.hits
+            res = APSimilaritySearch(
+                ds, k=3, board_capacity=16, execution="simulate", cache=cache
+            ).search(queries)
+            assert res.execution == "simulate"
+            _assert_same_result(ref.value, res.value, kind)
+            assert counters_but_cache_hits(res.counters) == (
+                counters_but_cache_hits(ref.counters)
+            )
+            # all three images came out of the array engine's cache
+            assert res.counters.image_cache_hits == 3, kind
+            assert (cache.stats.hits, cache.stats.misses) == (hits + 3, 3)
 
 
 # -- backend sweep over the mmap store ---------------------------------------
@@ -137,32 +203,31 @@ class TestBackendParity:
         finally:
             if parallel is not None:
                 parallel.close()
-        assert np.array_equal(res.indices, ref.indices)
-        assert np.array_equal(res.distances, ref.distances)
-        assert res.counters == ref.counters
+        _assert_same_run(ref, res, "mmap", backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("wl,params", WORKLOADS,
                              ids=[w for w, _ in WORKLOADS])
-    def test_workloads_mmap_matches_array(self, tmp_path, backend, wl, params):
-        data, queries = _make(13, 120, 16, 4)
-        path = tmp_path / "w.pds"
-        write_pds(path, data)
+    def test_workloads_every_store_matches_array(
+        self, tmp_path, backend, wl, params
+    ):
+        data, queries = _make(13, 120, 70, 4)  # two words a row, one padded
         ref = WorkloadSearch(data, wl, params, board_capacity=32).search(
             queries
         )
-        parallel = (
-            None if backend == "serial"
-            else ParallelConfig(n_workers=2, backend=backend)
-        )
-        try:
-            res = WorkloadSearch(
-                str(path), wl, params, board_capacity=32, parallel=parallel
-            ).search(queries)
-        finally:
-            if parallel is not None:
-                parallel.close()
-        _assert_same_result(ref.value, res.value, f"{wl}/{backend}")
+        for kind, dataset in _stores(data, tmp_path).items():
+            parallel = (
+                None if backend == "serial"
+                else ParallelConfig(n_workers=2, backend=backend)
+            )
+            try:
+                res = WorkloadSearch(
+                    dataset, wl, params, board_capacity=32, parallel=parallel
+                ).search(queries)
+            finally:
+                if parallel is not None:
+                    parallel.close()
+            _assert_same_run(ref, res, kind, f"{wl}/{kind}/{backend}")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("wl,params", WORKLOADS,
@@ -200,26 +265,81 @@ class TestBackendParity:
             finally:
                 if parallel is not None:
                     parallel.close()
+            if kind in PACKED:
+                # View passes: no board is compiled, looked up or held —
+                # each search counts all ten as served, in the counters
+                # and (one bump per search) in the engine's cache.
+                assert got[2] == {"cache": (20, 0, 0, 0)}
+                got[2] = ref[2]
+                for search, ref_search in zip(got[:2], ref):
+                    assert search["counters"]["image_cache_hits"] == 10
+                    search["counters"]["image_cache_hits"] = (
+                        ref_search["counters"]["image_cache_hits"]
+                    )
             assert_snapshots_equal(got, ref, f"{wl}/{kind}/{backend}")
+
+    @pytest.mark.parametrize("wl,params", WORKLOADS,
+                             ids=[w for w, _ in WORKLOADS])
+    def test_functional_pass_over_packed_words_is_a_view(
+        self, tmp_path, monkeypatch, wl, params
+    ):
+        """A functional search over a version-2 store packs no dataset
+        row, hashes no partition and never asks the cache for a board:
+        the stored words are the artifact."""
+        import repro.core.functional as functional_mod
+        import repro.core.workload as workload_mod
+
+        data, queries = _make(59, 150, 16, 5)
+        path = tmp_path / "view.pds"
+        write_pds(path, data)
+        expected = WorkloadSearch(data, wl, params, board_capacity=16).search(
+            queries
+        )
+        packed_rows, cache_calls, digests = [], [], []
+        for module in (workload_mod, functional_mod, dataset_mod):
+            def pack_spy(bits, _real=module.pack_bits):
+                packed_rows.append(np.shape(bits)[0])
+                return _real(bits)
+
+            monkeypatch.setattr(module, "pack_bits", pack_spy)
+        for name in ("get", "put"):
+            monkeypatch.setattr(
+                BoardImageCache, name,
+                lambda self, *a, _name=name: cache_calls.append(_name),
+            )
+        monkeypatch.setattr(
+            PackedDataset, "partition_digest",
+            lambda self, lo, hi: digests.append((lo, hi)) or "0" * 40,
+        )
+        engine = WorkloadSearch(
+            str(path), wl, params, board_capacity=16, cache=True
+        )
+        for _ in range(2):
+            _assert_same_run(expected, engine.search(queries), "mmap", wl)
+        assert set(packed_rows) <= {5}  # the query batch, nothing else
+        assert cache_calls == [] and digests == []
+        assert engine.cache.stats.hits == 20 and len(engine.cache) == 0
 
     def test_process_workers_ship_zero_dataset_bytes(self, tmp_path):
         # The acceptance criterion's accounting check: an mmap-backed
         # run's measured IPC payload must not scale with the dataset —
         # workers attach the store by path.
-        data, queries = _make(17, 400, 32, 3)
+        data, queries = _make(17, 1600, 32, 3)
         path = tmp_path / "ipc.pds"
         write_pds(path, data)
         with ParallelConfig(
             n_workers=2, backend="process", measure_ipc=True
         ) as pc:
             mm = APSimilaritySearch(
-                str(path), k=3, board_capacity=64, parallel=pc
+                str(path), k=3, board_capacity=64, parallel=pc,
+                execution="functional",
             ).search(queries)
         with ParallelConfig(
             n_workers=2, backend="process", measure_ipc=True
         ) as pc:
             arr = APSimilaritySearch(
-                data, k=3, board_capacity=64, parallel=pc
+                data, k=3, board_capacity=64, parallel=pc,
+                execution="functional",
             ).search(queries)
         assert np.array_equal(mm.indices, arr.indices)
         assert mm.ipc_payload_bytes is not None
@@ -386,8 +506,8 @@ before = peak_rss_bytes()
 engine = APSimilaritySearch(
     path, k=8, board_capacity=cap, execution="functional", cache=True
 )
-cold = engine.search(queries)   # digests + compiles + executes
-warm = engine.search(queries)   # cache hits only
+cold = engine.search(queries)   # verifies every chunk, executes
+warm = engine.search(queries)   # executes
 assert (cold.indices == warm.indices).all()
 print(peak_rss_bytes() - before)
 """
@@ -396,14 +516,15 @@ print(peak_rss_bytes() - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs /proc/self/status VmHWM")
 def test_mmap_serving_stays_out_of_core(tmp_path):
-    """A fresh process that attaches a ``.pds``, compiles and searches
-    all of it grows its peak RSS by < 25% of the payload: the shard is
-    paged through, never loaded."""
+    """A fresh process that attaches a ``.pds``, verifies and searches
+    all of it grows its peak RSS by < 25% of the *stored* payload: the
+    shard is paged through — chunk by chunk to verify, pass by pass to
+    search — never loaded."""
     d, cap = 128, 1 << 10
-    data, _ = _make(47, 1 << 18, d, 1)  # 32 MiB payload
+    data = np.random.default_rng(47).integers(0, 2, (1 << 20, d), dtype=np.uint8)
     path = tmp_path / "rss.pds"
-    write_pds(path, data)
-    payload = data.nbytes
+    payload = write_pds(path, data).payload_nbytes
+    assert payload == 16 << 20  # 25% of it is 4 MiB: ~64 passes' worth
     del data
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -157,6 +157,82 @@ class TestSearch:
         assert "(4 from disk)" in warm
 
 
+class TestPack:
+    def test_pack_info_and_verify(self, dataset_files, tmp_path, capsys):
+        d, q, data, queries = dataset_files
+        out = tmp_path / "data.pds"
+        assert main(["pack", d]) == 0  # default output: src with .pds
+        assert "# packed 64 x 16 (512 payload bytes)" in capsys.readouterr().out
+        assert main(["pack", "--info", str(out)]) == 0
+        info = capsys.readouterr().out
+        for field in (".pds v2", "layout 2", "n=64, d=16",
+                      "0.5 stored bytes per bit", "1 chunk(s) of 32768 rows"):
+            assert field in info
+        assert main(["pack", "--verify", str(out)]) == 0
+        assert "ok — 1 chunk(s)" in capsys.readouterr().out
+        # a search over the packed file prints what the .npy search does
+        main(["search", d, q, "-k", "3", "--execution", "functional"])
+        want = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("q")]
+        main(["search", str(out), q, "-k", "3", "--execution", "functional",
+              "--cache-size", "8"])
+        got = capsys.readouterr().out
+        assert [ln for ln in got.splitlines() if ln.startswith("q")] == want
+        assert "0 recompile(s)" in got  # view passes compile nothing
+
+    def test_verify_names_the_first_bad_chunk(
+        self, dataset_files, tmp_path, capsys
+    ):
+        from repro.core.dataset import write_pds
+
+        _, _, data, _ = dataset_files
+        out = tmp_path / "chunks.pds"
+        hdr = write_pds(out, data, chunk_rows=16)
+        blob = bytearray(out.read_bytes())
+        for row in (40, 60):  # chunks 2 and 3
+            blob[hdr.payload_offset + 8 * row] ^= 0x04
+        out.write_bytes(bytes(blob))
+        assert main(["pack", "--info", str(out)]) == 0  # the header is fine
+        capsys.readouterr()
+        assert main(["pack", "--verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "chunk 2 (rows [32, 48))" in err and "chunk 3" not in err
+        # neither converting nor serving a corrupt file merges an answer
+        assert main(["pack", str(out), str(tmp_path / "copy.pds")]) == 1
+        assert "chunk 2" in capsys.readouterr().err
+        assert not (tmp_path / "copy.pds").exists()
+
+    def test_pack_converts_a_version_1_file(
+        self, dataset_files, tmp_path, capsys
+    ):
+        from repro.core.dataset import PackedDataset
+        from tests.conftest import write_pds_v1
+
+        _, q, data, _ = dataset_files
+        old = write_pds_v1(tmp_path / "old.pds", data)
+        assert main(["pack", "--info", old]) == 0
+        info = capsys.readouterr().out
+        assert ".pds v1, layout 1" in info and "1 stored bytes per bit" in info
+        assert "0 chunk(s)" in info
+        assert main(["pack", "--verify", old]) == 0
+        assert main(["pack", old]) == 2  # onto itself: needs an output
+        new = tmp_path / "new.pds"
+        capsys.readouterr()
+        assert main(["pack", old, str(new)]) == 0
+        assert main(["pack", "--info", str(new)]) == 0
+        assert ".pds v2, layout 2" in capsys.readouterr().out
+        assert new.stat().st_size < (tmp_path / "old.pds").stat().st_size
+        assert np.array_equal(PackedDataset.open(new).rows(0, 64), data)
+        assert PackedDataset.open(new).digest == PackedDataset.open(old).digest
+        main(["search", old, q, "-k", "3", "--execution", "functional"])
+        served_old = capsys.readouterr().out
+        main(["search", str(new), q, "-k", "3", "--execution", "functional"])
+        served_new = capsys.readouterr().out
+        assert [ln for ln in served_old.splitlines() if ln.startswith("q")] == [
+            ln for ln in served_new.splitlines() if ln.startswith("q")
+        ]
+
+
 class TestCompileSimulate:
     def test_compile_to_stdout(self, capsys):
         assert main(["compile", "ab+c"]) == 0
