@@ -7,9 +7,8 @@ change breaks a client.  This gate makes such changes fail the PR:
 
 * a **smoke run** exercises every instrumented layer in-process
   (sequential cached search with a trace, a thread-parallel run, the
-  batch router, a loopback ShardServer + RemoteShard round trip, a
-  ReplicaGroup, and — where shared memory works — a pinned-worker
-  ring) so each metric family registers;
+  batch router, a loopback ShardServer + RemoteShard round trip, and a
+  ReplicaGroup) so each metric family registers;
 * the live ``MetricsSnapshot.schema()`` is validated against the
   committed ``benchmarks/baselines/metrics_schema.json`` with
   :func:`repro.perf.metrics.validate_schema`: a missing/renamed
@@ -36,19 +35,14 @@ import numpy as np
 BASELINE = Path(__file__).parent / "baselines" / "metrics_schema.json"
 
 
-def smoke_run(include_ring=True):
-    """Exercise every instrumented layer so all families register.
-
-    Returns the set of name prefixes that could NOT be exercised on
-    this platform (the validator skips baseline entries under them).
-    """
+def smoke_run():
+    """Exercise every instrumented layer so all families register."""
     from repro.core.engine import APSimilaritySearch
     from repro.host.parallel import ParallelConfig
     from repro.host.replication import ReplicaGroup
     from repro.host.rpc import ShardServer
     from repro.perf import metrics
 
-    skipped_prefixes: set[str] = set()
     rng = np.random.default_rng(2017)
     data = rng.integers(0, 2, (2048, 64), dtype=np.uint8)
     queries = rng.integers(0, 2, (8, 64), dtype=np.uint8)
@@ -84,23 +78,6 @@ def smoke_run(include_ring=True):
     finally:
         server.close()
 
-    # 5. Pinned-worker ring: families register at pool construction.
-    if include_ring:
-        from repro.host.shm import SHM_UNAVAILABLE_REASON, shm_available
-
-        if shm_available():
-            from repro.host.ring import PinnedWorkerPool
-
-            PinnedWorkerPool(n_workers=1).shutdown()
-        else:
-            print(f"# shared memory unavailable "
-                  f"({SHM_UNAVAILABLE_REASON}): skipping ring metrics",
-                  file=sys.stderr)
-            skipped_prefixes.add("repro_ring_")
-    else:
-        skipped_prefixes.add("repro_ring_")
-    return skipped_prefixes
-
 
 def main(argv=None) -> int:
     from repro.perf import metrics
@@ -114,12 +91,9 @@ def main(argv=None) -> int:
     parser.add_argument("--dump", type=Path, default=None,
                         help="also write the full snapshot JSON here "
                              "(CI artifact)")
-    parser.add_argument("--no-ring", action="store_true",
-                        help="skip the pinned-worker ring smoke (its "
-                             "baseline entries are then not enforced)")
     args = parser.parse_args(argv)
 
-    skipped = smoke_run(include_ring=not args.no_ring)
+    smoke_run()
     snap = metrics.get_registry().snapshot()
     schema = snap.schema()
 
@@ -138,11 +112,7 @@ def main(argv=None) -> int:
               f"commit the result", file=sys.stderr)
         return 1
     baseline = json.loads(args.baseline.read_text())
-    enforced = [
-        m for m in baseline
-        if not any(m["name"].startswith(p) for p in skipped)
-    ]
-    problems = metrics.validate_schema(schema, enforced)
+    problems = metrics.validate_schema(schema, baseline)
     for p in problems:
         print(f"  [FAIL] {p}")
     if problems:
@@ -152,8 +122,8 @@ def main(argv=None) -> int:
               "`python benchmarks/check_metrics_contract.py --update` "
               "and commit the refreshed schema", file=sys.stderr)
         return 1
-    extra = len(schema) - len(enforced)
-    print(f"metrics contract: {len(enforced)} metrics match "
+    extra = len(schema) - len(baseline)
+    print(f"metrics contract: {len(baseline)} metrics match "
           f"{args.baseline.name}"
           + (f" (+{extra} new, allowed)" if extra > 0 else ""))
     return 0

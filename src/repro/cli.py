@@ -98,16 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--workers", type=int, default=1,
                    help="worker lanes for sharded partition execution "
                         "(1 = sequential)")
-    s.add_argument("--backend", choices=["process", "thread", "pinned"],
+    s.add_argument("--backend", choices=["process", "thread"],
                    default="process",
                    help="worker pool flavor: processes (true multi-core "
                         "for the cycle simulator; cache-aware via "
-                        "artifact shipping), threads (functional "
+                        "artifact shipping) or threads (functional "
                         "kernels release the GIL; share the board-image "
-                        "cache with the parent directly), or pinned "
-                        "(persistent processes on a shared-memory task "
-                        "ring — process semantics with ~executor-free "
-                        "per-task dispatch; needs working shared memory)")
+                        "cache with the parent directly)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -115,8 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "pass (serving-path demo; results stay "
                         "bit-identical; 0 = direct batch search)")
     s.add_argument("--batch-wait-ms", type=float, default=2.0,
-                   help="how long the admission layer lingers for more "
-                        "callers after a batch opens (with --batch)")
+                   help="longest the admission layer waits for more "
+                        "callers after a batch opens (with --batch); a "
+                        "cap, not a delay: a batch is dispatched as soon "
+                        "as every concurrent caller has joined it")
     s.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = no cache "
                         "unless --cache-dir is set); sequential runs and "
@@ -166,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "every admitted workload)")
     v.add_argument("--workers", type=int, default=1,
                    help="worker lanes for the shard's partition execution")
-    v.add_argument("--backend", choices=["process", "thread", "pinned"],
+    v.add_argument("--backend", choices=["process", "thread"],
                    default="process")
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "

@@ -35,7 +35,7 @@ and :meth:`~PackedDataset.partition_digest` hashes those rows, so
 every store of the same data hashes identically and they *share*
 compile caches.  The parallel layer ships :class:`DatasetSliceRef`
 descriptors instead of arrays for stores that support remote attach: a
-process/pinned worker re-opens the mmap store by path (zero-copy, no
+process worker re-opens the mmap store by path (zero-copy, no
 export step) or re-attaches the shm segment, so per-task dataset bytes
 on the wire drop to the size of a descriptor.  Only a dataset that
 cannot be promoted (below :data:`SHM_PROMOTE_MIN_BYTES`, no usable
@@ -246,10 +246,10 @@ class ArrayStore:
         refused (``/dev/shm`` full)."""
         with _PROMOTE_LOCK:
             twin = self._promoted.get((lo, hi))
-            pinned = (hi - lo) * _packed_row_nbytes(self.d)
+            segment_bytes = (hi - lo) * _packed_row_nbytes(self.d)
             if (
                 twin is None
-                and SHM_PROMOTE_MIN_BYTES <= pinned <= SHM_PROMOTE_MAX_BYTES
+                and SHM_PROMOTE_MIN_BYTES <= segment_bytes <= SHM_PROMOTE_MAX_BYTES
                 and shm_available()
             ):
                 try:

@@ -42,7 +42,7 @@ layers actually rely on into a :class:`Workload` protocol:
 Workloads register by name (:func:`register_workload`), mirroring the
 pluggable-extension registry idiom of reinforced_lib's ``BaseExt``:
 built-ins ship registered, and a custom workload is one subclass plus
-one ``register_workload`` call away from thread/process/pinned
+one ``register_workload`` call away from thread/process
 parallelism, batching, and remote shards — see ``examples/
 custom_workload.py`` and the README's "Writing a custom workload".
 
@@ -991,7 +991,7 @@ class WorkloadRunResult:
     execution: str = "functional"
     n_workers: int = 1  # worker lanes (or shards) that actually ran
     # Which boundary tasks crossed: "none" (in-process), "pickle"
-    # (process/pinned workers), or "rpc" for the network fan-out.
+    # (process workers), or "rpc" for the network fan-out.
     transport: str = "none"
     # Parent->worker submission bytes (ParallelConfig(measure_ipc=True)).
     ipc_payload_bytes: int | None = None
@@ -1039,7 +1039,7 @@ class WorkloadSearch(Batchable):
     Partitions the dataset into board-sized slices, compiles each
     through the workload (cache-aware, content-addressed), executes
     partitions serially or across a :class:`~repro.host.parallel.
-    ParallelConfig` worker pool (thread/process/pinned, persistent
+    ParallelConfig` worker pool (thread/process, persistent
     pools, artifact shipping), and merges through the workload's
     associative ``merge`` — so results are bit-identical to a single
     sequential pass for every backend × store combination.

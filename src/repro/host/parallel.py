@@ -36,22 +36,14 @@ Backends
   because threads share the parent's memory, workers consult and fill
   the engine's board-image cache directly: ``parallel=`` and
   ``cache=`` finally compose.
-* ``backend="pinned"`` — a :class:`~repro.host.ring.PinnedWorkerPool`:
-  long-lived worker processes pinned to shared-memory task-descriptor
-  rings.  Submission is a slot memcpy plus an event post instead of
-  executor machinery (~0.5 ms/task observed on the process backend),
-  so small/medium fan-outs keep true multi-core without paying
-  dispatch.  Same cache-awareness as ``"process"`` (artifact shipping
-  both ways), same data path.  Requires working shared memory; where
-  it is unavailable the usual pool-failure fallback applies.
 * ``backend="serial"`` — in-process loop regardless of ``n_workers``
   (debugging aid, and the silent fallback when a pool cannot be
   created).
 
-The stock process backend additionally *chunks* task lists larger than
-the worker count — one ``executor.submit`` carries a contiguous task
-sublist per worker — so executor dispatch is paid per worker, not per
-partition, even where the pinned backend is unavailable.
+The process backend submits one contiguous chunk of tasks per worker —
+one ``executor.submit`` per worker, a one-task chunk when there are no
+more tasks than workers — so executor dispatch is paid per worker, not
+per partition.
 
 Every run records its dispatch cost: :class:`PartitionRunReport.
 dispatch_overhead_s` is the mean per-task submit→start latency and
@@ -61,8 +53,8 @@ engine as ``WorkloadRunResult.dispatch_overhead_s``.
 Data movement
 -------------
 
-There is one path to an out-of-process worker (``"process"``,
-``"pinned"``).  The **dataset** travels by reference: a task's
+There is one path to an out-of-process worker (``"process"``).  The
+**dataset** travels by reference: a task's
 ``dataset_slice`` is a :class:`~repro.core.dataset.DatasetSliceRef`
 naming a row window of a store the worker attaches itself — the
 ``.pds`` file of an mmap-backed dataset, or the shared-memory segment
@@ -111,7 +103,6 @@ import numpy as np
 from ..ap.device import APDeviceSpec, GEN1
 from ..ap.runtime import RuntimeCounters
 from ..perf import metrics as _metrics
-from .ring import PinnedWorkerPool, RingBrokenError
 
 __all__ = [
     "ParallelConfig",
@@ -124,11 +115,9 @@ __all__ = [
 _POOL_ERRORS = (OSError, PermissionError, ImportError)
 
 
-def _shutdown_executor(pool: Any) -> None:
+def _shutdown_executor(pool: Executor) -> None:
     """Finalizer target: must not reference the owning config (a bound
-    method would keep it alive and the finalizer would never fire).
-    ``pool`` is an :class:`~concurrent.futures.Executor` or a
-    :class:`~repro.host.ring.PinnedWorkerPool` (same signature)."""
+    method would keep it alive and the finalizer would never fire)."""
     pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -137,14 +126,10 @@ class ParallelConfig:
     """How the engine fans partitions out across workers.
 
     ``n_workers <= 1`` means serial in-process execution; ``backend``
-    picks ``"process"``, ``"thread"``, ``"pinned"`` (persistent worker
-    processes on a shared-memory task ring — process-backend semantics
-    with ~executor-free dispatch), or ``"serial"`` (forces serial
+    picks ``"process"``, ``"thread"``, or ``"serial"`` (forces serial
     regardless of ``n_workers``; useful for debugging).
     ``fallback_serial`` controls what happens when a pool cannot be
-    created: degrade gracefully (default) or raise.  A pinned pool
-    where shared memory is unavailable counts as pool-creation failure
-    and follows the same rule.
+    created: degrade gracefully (default) or raise.
 
     ``measure_ipc=True`` makes :func:`run_partitions` record the
     submitted task payload bytes in its report — benchmarking aid; it
@@ -182,33 +167,33 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
-        if self.backend not in ("process", "thread", "pinned", "serial"):
+        # "pinned" is a removed backend still accepted here so that the
+        # request-path benchmark, which builds one outside its error
+        # handling, gets the RuntimeError from run_partitions instead
+        # of a ValueError.  Delete it with that benchmark's
+        # `parallel.*.pinned` rows when the benchmark is re-anchored
+        # (ROADMAP item 1).
+        if self.backend not in ("process", "thread", "serial", "pinned"):
             raise ValueError(f"unknown parallel backend {self.backend!r}")
 
     @property
     def effective_workers(self) -> int:
-        return (
-            self.n_workers
-            if self.backend in ("process", "thread", "pinned")
-            else 1
-        )
+        return self.n_workers if self.backend in ("process", "thread") else 1
 
     @property
     def shares_memory(self) -> bool:
         """True when workers run in this process (thread/serial): they
         can read the parent's board-image cache instead of rebuilding."""
-        return self.backend not in ("process", "pinned")
+        return self.backend != "process"
 
     # -- pool lifecycle ---------------------------------------------------
 
-    def _spawn_pool(self, n_workers: int) -> Any:
+    def _spawn_pool(self, n_workers: int) -> Executor:
         if self.backend == "thread":
             return ThreadPoolExecutor(max_workers=n_workers)
-        if self.backend == "pinned":
-            return PinnedWorkerPool(n_workers)
         return ProcessPoolExecutor(max_workers=n_workers)
 
-    def _acquire_pool(self, n_workers: int) -> tuple[Any, bool]:
+    def _acquire_pool(self, n_workers: int) -> tuple[Executor, bool]:
         """Return ``(executor, owned_by_call)``.  Persistent configs
         hand out their lazily-created shared pool (spawned at full
         ``n_workers`` so later, larger searches reuse it too); one-shot
@@ -405,7 +390,7 @@ class PartitionRunReport:
     so callers can report true concurrency instead of the requested
     figure.  ``transport`` records whether tasks crossed a process
     boundary: ``"none"`` (in-process: serial/thread, or serial
-    fallback) or ``"pickle"`` (process/pinned workers).
+    fallback) or ``"pickle"`` (process workers).
     ``ipc_payload_bytes`` is the summed parent→worker submission size,
     recorded only under ``measure_ipc=True`` — descriptor-sized per
     task when the dataset rides a slice ref.
@@ -414,9 +399,8 @@ class PartitionRunReport:
     (parent submit timestamp to worker pickup) across the run — the
     cost of getting work *to* a worker, separate from the work itself —
     and ``queue_depth`` the peak number of submissions in flight
-    (chunked process runs count chunks; the pinned backend reports its
-    ring occupancy).  Serial runs record ``None``/``0``: nothing is
-    dispatched.
+    (process runs count chunks, thread runs tasks).  Serial runs
+    record ``None``/``0``: nothing is dispatched.
     """
 
     results: list[PartitionResult]
@@ -503,12 +487,12 @@ def _chunk_bounds(n_items: int, n_chunks: int) -> list[int]:
 
 
 def _execute_chunk(
-    tasks: list[PartitionTask], queries_bits: np.ndarray, cache=None
+    tasks: list[PartitionTask], queries_bits: np.ndarray
 ) -> list[PartitionResult]:
-    """One worker's amortized submission: a whole task sublist rides a
-    single ``executor.submit``, so the stock process backend pays
-    dispatch once per worker instead of once per partition."""
-    return [execute_partition(t, queries_bits, cache) for t in tasks]
+    """One process worker's submission: a whole task sublist rides a
+    single ``executor.submit``, so dispatch is paid once per worker
+    instead of once per partition."""
+    return [execute_partition(t, queries_bits) for t in tasks]
 
 
 def _run_serial(
@@ -540,6 +524,14 @@ def run_partitions(
     second process-backed engine sharing the cache) recompiles
     nothing.
     """
+    if config.backend == "pinned":
+        # Raised on every call, whatever n_workers and fallback_serial
+        # say: a caller asking for the removed backend never silently
+        # gets a serial run instead (see ParallelConfig.__post_init__).
+        raise RuntimeError(
+            'parallel backend "pinned" has been removed; '
+            'use backend="thread" or backend="process"'
+        )
     queries_bits = np.ascontiguousarray(queries_bits, dtype=np.uint8)
     # Thread workers share the parent's memory, so they may use the
     # cache; serial execution (including fallback) is in-process by
@@ -574,34 +566,21 @@ def run_partitions(
     # Dispatch accounting: submit timestamps aligned with results in
     # submission order; worker-side t_start closes each measurement.
     submit_times: list[float] = []
-    dispatch_latencies: list[float] = []
-    queue_depth = 0
+    futures = []
     try:
-        if config.backend == "pinned":
-            ring_report = executor.run_tasks(worker_tasks, queries_bits)
-            results = ring_report.results
-            dispatch_latencies = [
-                lat for lat in ring_report.dispatch_latencies_s if lat is not None
-            ]
-            queue_depth = ring_report.max_queue_depth
-        elif config.backend == "process" and len(worker_tasks) > n_workers:
-            # Chunked dispatch: one submit per worker-sized sublist, so
-            # executor overhead is paid per worker, not per partition.
+        if config.backend == "process":
+            # One submit per worker-sized sublist (n_workers <= tasks,
+            # so none is empty): executor overhead is paid per worker,
+            # not per partition.
             bounds = _chunk_bounds(len(worker_tasks), n_workers)
-            chunks = [
-                worker_tasks[a:b] for a, b in zip(bounds, bounds[1:]) if b > a
-            ]
-            futures = []
-            for chunk in chunks:
+            for a, b in zip(bounds, bounds[1:]):
                 t_sub = time.monotonic()
                 futures.append(
-                    executor.submit(_execute_chunk, chunk, queries_bits)
+                    executor.submit(_execute_chunk, worker_tasks[a:b], queries_bits)
                 )
-                submit_times.extend([t_sub] * len(chunk))
+                submit_times.extend([t_sub] * (b - a))
             results = [r for f in futures for r in f.result()]
-            queue_depth = len(chunks)
         else:
-            futures = []
             for t in worker_tasks:
                 submit_times.append(time.monotonic())
                 futures.append(
@@ -610,8 +589,7 @@ def run_partitions(
                     )
                 )
             results = [f.result() for f in futures]
-            queue_depth = len(worker_tasks)
-    except (*_POOL_ERRORS, RingBrokenError, BrokenProcessPool) as exc:
+    except (*_POOL_ERRORS, BrokenProcessPool) as exc:
         # Pool creation can succeed but worker spawn still fail (e.g.
         # blocked semaphores); degrade the same way.  A broken
         # persistent pool is discarded so the next call respawns.
@@ -632,16 +610,13 @@ def run_partitions(
         for res in results:
             for key, artifact in (res.artifacts or {}).items():
                 cache.put(key, artifact)
-    if submit_times:
-        # Executor paths: pair each submission timestamp with the
-        # worker-recorded start of the matching result (same order).
-        dispatch_latencies = [
-            max(0.0, res.t_start - t_sub)
-            for res, t_sub in zip(results, submit_times)
-            if res.t_start is not None
-        ]
+    dispatch_latencies = [
+        max(0.0, res.t_start - t_sub)
+        for res, t_sub in zip(results, submit_times)
+        if res.t_start is not None
+    ]
     dispatch_overhead = _record_dispatch(
-        dispatch_latencies, queue_depth, payload_bytes
+        dispatch_latencies, len(futures), payload_bytes
     )
     return PartitionRunReport(
         results=sorted(results, key=lambda r: r.p_idx),
@@ -649,5 +624,5 @@ def run_partitions(
         transport="none" if config.shares_memory else "pickle",
         ipc_payload_bytes=payload_bytes,
         dispatch_overhead_s=dispatch_overhead,
-        queue_depth=queue_depth,
+        queue_depth=len(futures),
     )

@@ -487,8 +487,8 @@ class ShardServer:
     ``engine_kwargs`` the ``board_capacity``, ``device``,
     ``macro_config``, ``execution`` back-end, ``cache`` and the
     :class:`~repro.host.parallel.ParallelConfig` for local fan-out
-    (``repro serve --backend pinned`` keeps persistent ring workers hot
-    across requests).  Requests choose only the workload and its
+    (``repro serve --workers N`` keeps a persistent pool hot across
+    requests).  Requests choose only the workload and its
     request parameters.
 
     ``offset`` is the shard's global index base: responses carry

@@ -1,7 +1,7 @@
 """Shared-memory segments for out-of-process workers.
 
 The paper's whole premise is keeping data movement off the host
-bottleneck.  A process or pinned worker that received its partition's
+bottleneck.  A process worker that received its partition's
 dataset slice by value would pay for it twice — the parent pickles the
 slice into the call pipe and the worker unpickles a fresh copy, per
 task, per cold search — so the dataset crosses the process boundary
@@ -35,9 +35,7 @@ exported segment behind the :class:`~repro.core.dataset.PackedDataset`
 interface and hands out :class:`~repro.core.dataset.DatasetSliceRef`
 descriptors, exactly as an mmap-backed dataset hands out path/window
 descriptors for its ``.pds`` file.  Query batches and compiled board
-artifacts travel by value.  The pinned-worker ring
-(:mod:`repro.host.ring`) builds its control and spill segments from the
-same primitives.
+artifacts travel by value.
 
 Platforms without ``multiprocessing.shared_memory`` (or without a
 usable ``/dev/shm``) report :func:`shm_available()` → ``False`` and the

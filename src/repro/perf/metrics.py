@@ -3,7 +3,7 @@
 The observability plane for the serving stack.  Three primitives —
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` (fixed log-scale
 buckets) — live in a :class:`MetricsRegistry`; every layer of the stack
-(admission router, pinned rings, board-image cache, RPC clients,
+(admission router, worker-pool dispatch, board-image cache, RPC clients,
 replica groups, shard servers) increments them at the same sites that
 already feed the ad-hoc ``*Result`` diagnostic fields, so the registry
 is the one source of truth for queue depths, coalescing ratios,
@@ -81,8 +81,8 @@ def default_time_buckets() -> tuple[float, ...]:
 
     22 finite bounds; observations above the last land in the implicit
     +Inf overflow bucket.  Chosen so one layout covers everything the
-    stack times — ring dispatch (~50 us), batch linger (~ms), RPC
-    round trips (~ms-s), drains (~s).
+    stack times — pool dispatch (~us-ms), admission waits (~ms),
+    RPC round trips (~ms-s), drains (~s).
     """
     return tuple(
         round(m * 10.0**e, 12) for e in range(-6, 1) for m in (1.0, 2.5, 5.0)

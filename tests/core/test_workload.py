@@ -14,6 +14,9 @@ The load-bearing claims:
 * pack/unpack/split roundtrip every workload's result.
 """
 
+import multiprocessing
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -606,66 +609,71 @@ class TestMergeProperties:
             assert (value.counts == 0).all()
 
 
+@dataclass
+class _CountResult:
+    indices: np.ndarray  # (q, 1) popcount-nearest index
+    distances: np.ndarray
+
+
+class _PopcountNearest(Workload):
+    """Toy: the single vector whose popcount is closest.  Module-level
+    so its results pickle back from a process worker."""
+
+    name = "test-popcount"
+    description = "test-only workload"
+    wire_fields = ("indices", "distances")
+    result_type = _CountResult
+
+    def compile(self, dataset_bits, params):
+        return dataset_bits.sum(axis=1).astype(np.int64)
+
+    def execute(self, artifact, queries_bits, params):
+        from repro.ap.runtime import RuntimeCounters
+
+        qc = queries_bits.sum(axis=1).astype(np.int64)
+        dist = np.abs(artifact[None, :] - qc[:, None])
+        ids = np.broadcast_to(
+            np.arange(artifact.shape[0]), dist.shape
+        )
+        order = np.lexsort((ids, dist), axis=-1)[:, :1]
+        return _CountResult(
+            np.take_along_axis(ids, order, axis=1),
+            np.take_along_axis(dist, order, axis=1),
+        ), RuntimeCounters()
+
+    def merge(self, partials, offsets, params):
+        from repro.util.topk import merge_topk_blocks
+
+        blocks = [(p.indices, p.distances) for p in partials]
+        return _CountResult(*merge_topk_blocks(
+            blocks, 1, offsets=offsets
+        ))
+
+    def empty(self, n_q, params):
+        return _CountResult(
+            np.full((n_q, 1), -1, dtype=np.int64),
+            np.full((n_q, 1), -1, dtype=np.int64),
+        )
+
+
 class TestCustomWorkload:
     """The extension story: a subclass + register() gains the host stack."""
 
-    def test_custom_workload_runs_parallel(self):
-        from dataclasses import dataclass as dc
-
-        @dc
-        class CountResult:
-            indices: np.ndarray  # (q, 1) popcount-nearest index
-            distances: np.ndarray
-
-        class PopcountNearest(Workload):
-            """Toy: the single vector whose popcount is closest."""
-
-            name = "test-popcount"
-            description = "test-only workload"
-            wire_fields = ("indices", "distances")
-            result_type = CountResult
-
-            def compile(self, dataset_bits, params):
-                return dataset_bits.sum(axis=1).astype(np.int64)
-
-            def execute(self, artifact, queries_bits, params):
-                from repro.ap.runtime import RuntimeCounters
-
-                qc = queries_bits.sum(axis=1).astype(np.int64)
-                dist = np.abs(artifact[None, :] - qc[:, None])
-                ids = np.broadcast_to(
-                    np.arange(artifact.shape[0]), dist.shape
-                )
-                order = np.lexsort((ids, dist), axis=-1)[:, :1]
-                return CountResult(
-                    np.take_along_axis(ids, order, axis=1),
-                    np.take_along_axis(dist, order, axis=1),
-                ), RuntimeCounters()
-
-            def merge(self, partials, offsets, params):
-                from repro.util.topk import merge_topk_blocks
-
-                blocks = [(p.indices, p.distances) for p in partials]
-                return CountResult(*merge_topk_blocks(
-                    blocks, 1, offsets=offsets
-                ))
-
-            def empty(self, n_q, params):
-                return CountResult(
-                    np.full((n_q, 1), -1, dtype=np.int64),
-                    np.full((n_q, 1), -1, dtype=np.int64),
-                )
-
-        register_workload(PopcountNearest())
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_custom_workload_runs_parallel(self, backend):
+        if backend == "process" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("process workers see a test-time registration only by fork")
+        register_workload(_PopcountNearest())
         try:
             data, queries = _data(n=90, d=16)
             serial = WorkloadSearch(data, "test-popcount",
                                     board_capacity=16).search(queries)
-            threaded = WorkloadSearch(
+            pooled = WorkloadSearch(
                 data, "test-popcount", board_capacity=16,
-                parallel=ParallelConfig(n_workers=3, backend="thread"),
+                parallel=ParallelConfig(n_workers=3, backend=backend),
             ).search(queries)
-            assert (serial.value.indices == threaded.value.indices).all()
+            assert pooled.n_workers == 3
+            assert (serial.value.indices == pooled.value.indices).all()
             # oracle: global popcount scan with (distance, index) ties
             pc = data.sum(axis=1).astype(np.int64)
             qc = queries.sum(axis=1).astype(np.int64)

@@ -398,13 +398,14 @@ class TestBackpressureAndLifecycle:
         finally:
             router.close()
 
-    def test_batched_composes_with_parallel_and_cache(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_batched_composes_with_parallel_and_cache(self, backend):
         from repro.ap.compiler import BoardImageCache
         from repro.host.parallel import ParallelConfig
 
         data, queries = _workload()
         seq = _engine(data).search(queries)
-        cfg = ParallelConfig(n_workers=2, backend="thread", persistent=True)
+        cfg = ParallelConfig(n_workers=2, backend=backend, persistent=True)
         with cfg:
             eng = _engine(data, parallel=cfg, cache=BoardImageCache())
             with eng.batched(max_batch=8, max_wait_ms=25.0) as router:

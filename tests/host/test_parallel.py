@@ -14,7 +14,7 @@ from repro.host.parallel import (
     execute_partition,
     run_partitions,
 )
-from repro.host.shm import SHM_UNAVAILABLE_REASON, shm_available
+from repro.host.shm import shm_available
 from tests.conftest import brute_force_knn
 
 
@@ -90,10 +90,12 @@ class TestShardedParity:
             data, k=2, board_capacity=12, execution="functional", parallel=2
         ).search(queries)
         assert par.n_workers == 2
+        assert par.dispatch_overhead_s >= 0.0  # the envelope carries it
         seq = APSimilaritySearch(
             data, k=2, board_capacity=12, execution="functional"
         ).search(queries)
         assert seq.n_workers == 1
+        assert seq.dispatch_overhead_s is None
         # single-partition dataset: the parallel path is never taken
         one = APSimilaritySearch(
             data, k=2, board_capacity=100, execution="functional", parallel=4
@@ -164,9 +166,8 @@ class TestRunPartitions:
         self._serial_equals(mode="functional", backend="process")
 
     @pytest.mark.parametrize("mode,backend", [
-        ("functional", "thread"), ("functional", "pinned"),
+        ("functional", "thread"),
         ("simulate", "thread"), ("simulate", "process"),
-        ("simulate", "pinned"),
     ])
     def test_both_back_ends_ride_every_pool(self, mode, backend):
         self._serial_equals(mode, backend)
@@ -175,8 +176,6 @@ class TestRunPartitions:
         """Both kNN back-ends ride the one task path on every backend:
         decoded partials and counters are bit-identical to serial, and
         the two back-ends agree with each other."""
-        if backend == "pinned" and not shm_available():
-            pytest.skip(SHM_UNAVAILABLE_REASON)
         data, queries = _workload(n=40, d=8, n_queries=3)
         tasks = self._tasks(data, 12, mode=mode)
         serial = run_partitions(tasks, queries, ParallelConfig(n_workers=1)).results
@@ -379,15 +378,19 @@ class TestPersistentPool:
 class TestPoolLeakGuard:
     """A persistent pool must not outlive a config dropped without close()."""
 
-    def test_dropped_config_shuts_pool_via_finalizer(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_dropped_config_shuts_pool_via_finalizer(self, backend):
         import gc
 
-        cfg = ParallelConfig(n_workers=2, backend="thread", persistent=True)
+        cfg = ParallelConfig(n_workers=2, backend=backend, persistent=True)
         pool, owned = cfg._acquire_pool(2)
         assert not owned and cfg._pool_finalizer is not None
+        assert pool.submit(int).result() == 0
         del cfg
         gc.collect()
-        assert pool._shutdown  # finalizer fired, workers released
+        # finalizer fired, workers released: the pool takes no more work
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(int)
 
     def test_close_detaches_finalizer(self):
         cfg = ParallelConfig(n_workers=2, backend="thread", persistent=True)
@@ -545,11 +548,7 @@ class TestProcessCacheShipback:
         assert not builds
 
 
-    @pytest.mark.parametrize("backend", [
-        "serial", "thread", "process",
-        pytest.param("pinned", marks=pytest.mark.skipif(
-            not shm_available(), reason=SHM_UNAVAILABLE_REASON)),
-    ])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_multi_board_tasks_keep_the_cache_per_board(self, backend, unfused):
         """One task spanning several boards: every backend returns one
         result per task equal to serial's, the cache still holds one
@@ -710,7 +709,17 @@ class TestDispatchAccountingBackends:
         assert run.dispatch_overhead_s is None
         assert run.queue_depth == 0
 
-    def test_pinned_backend_validates(self):
-        cfg = ParallelConfig(n_workers=4, backend="pinned")
-        assert cfg.effective_workers == 4
-        assert not cfg.shares_memory
+    @pytest.mark.parametrize(
+        "n_workers,fallback_serial", [(4, True), (4, False), (1, True)]
+    )
+    def test_removed_pinned_backend_raises(self, n_workers, fallback_serial):
+        """The removed backend's name still constructs (no ValueError)
+        but every run raises: never a silent serial run instead."""
+        data, queries = _workload()
+        cfg = ParallelConfig(
+            n_workers=n_workers, backend="pinned",
+            fallback_serial=fallback_serial,
+        )
+        tasks = TestChunkedDispatch()._tasks(data, 12)
+        with pytest.raises(RuntimeError, match='"pinned" has been removed'):
+            run_partitions(tasks, queries, cfg)

@@ -336,9 +336,8 @@ class TestPromotion:
             ParallelConfig(n_workers=2, backend="serial"),
             ParallelConfig(n_workers=2, backend="thread"),
             ParallelConfig(n_workers=1, backend="process"),
-            ParallelConfig(n_workers=1, backend="pinned"),
         ],
-        ids=["default", "serial", "thread", "process-1", "pinned-1"],
+        ids=["default", "serial", "thread", "process-1"],
     )
     def test_in_process_engines_never_create_a_segment(
         self, tiny_floor, parallel

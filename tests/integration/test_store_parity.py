@@ -37,10 +37,6 @@ from tests.conftest import (
     write_pds_v1,
 )
 
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="no usable shared memory"
-)
-
 WORKLOADS = [
     ("knn", {"k": 4}),
     ("jaccard", {"k": 4}),
@@ -181,7 +177,6 @@ BACKENDS = [
     pytest.param("serial", id="serial"),
     pytest.param("thread", id="thread"),
     pytest.param("process", id="process"),
-    pytest.param("pinned", id="pinned", marks=needs_shm),
 ]
 
 

@@ -141,6 +141,18 @@ class TestSearch:
         assert exc.value.code == 2
         assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_pinned_backend_is_gone(self, command, dataset_files, capsys):
+        d, q, *_ = dataset_files
+        argv = [command, d] + ([q] if command == "search" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "pinned"])
+        assert exc.value.code == 2
+        assert (
+            "argument --backend: invalid choice: 'pinned'"
+            in capsys.readouterr().err
+        )
+
     def test_cache_dir_warm_start_reports_zero_recompiles(
         self, dataset_files, tmp_path, capsys
     ):
