@@ -1,13 +1,22 @@
 """Tests for sharded parallel partition execution (repro.host.parallel)."""
 
+import dataclasses
+import gc
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ap.runtime import RuntimeCounters
 from repro.core import dataset as dataset_mod
 from repro.core.engine import APSimilaritySearch
+from repro.core.workload import Workload, WorkloadSearch, register_workload
 from repro.host.parallel import (
     ParallelConfig,
     PartitionTask,
@@ -723,3 +732,416 @@ class TestDispatchAccountingBackends:
         tasks = TestChunkedDispatch()._tasks(data, 12)
         with pytest.raises(RuntimeError, match='"pinned" has been removed'):
             run_partitions(tasks, queries, cfg)
+
+
+# -- the pool contract --------------------------------------------------------
+# What every worker pool owes its callers whatever its backend: answers
+# equal to serial under random shapes, one submission path per backend,
+# graceful or loud failure, and no workers, pools or fds left behind.
+
+POOLS = ["thread", "process"]
+
+
+def _assert_same_results(got, ref):
+    """Same partitions in the same order, same partials, same counters."""
+    assert [r.p_idx for r in got] == [r.p_idx for r in ref]
+    for a, b in zip(got, ref):
+        assert np.array_equal(a.payload.indices, b.payload.indices)
+        assert np.array_equal(a.payload.distances, b.payload.distances)
+        assert a.counters == b.counters
+
+
+def _no_new_children(before, timeout_s=10.0):
+    """Wait until every child process started since ``before`` is gone
+    (a discarded pool reaps its workers on its own thread)."""
+    deadline = time.monotonic() + timeout_s
+    while set(multiprocessing.active_children()) - before:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.fixture(scope="class", params=POOLS)
+def persistent_pool(request):
+    """One persistent two-worker pool per backend, shared by every
+    example of a property test: a spawn per example would dominate it."""
+    with ParallelConfig(
+        n_workers=2, backend=request.param, persistent=True
+    ) as cfg:
+        yield cfg
+
+
+class TestPersistentPoolProperty:
+    """Random shapes, every built-in workload: a persistent pool reused
+    across searches answers exactly as the serial path does."""
+
+    @pytest.mark.parametrize("workload", ["knn", "jaccard", "range"])
+    @settings(
+        max_examples=8, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(8, 60),
+        d=st.integers(4, 24),
+        n_q=st.integers(1, 5),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_serial(
+        self, persistent_pool, workload, n, d, n_q, k, seed
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
+        queries = rng.integers(0, 2, (n_q, d), dtype=np.uint8)
+        params = {"radius": k % d} if workload == "range" else {"k": k}
+        cap = max(2, n // 4)
+        serial = WorkloadSearch(
+            data, workload, params, board_capacity=cap
+        ).search(queries)
+        pooled = WorkloadSearch(
+            data, workload, params, board_capacity=cap,
+            parallel=persistent_pool,
+        ).search(queries)
+        for f in dataclasses.fields(serial.value):
+            assert np.array_equal(
+                getattr(serial.value, f.name), getattr(pooled.value, f.name)
+            ), f.name
+        assert pooled.counters == serial.counters
+        assert pooled.n_workers == 2
+        assert persistent_pool._pool is not None  # kept for the next example
+
+
+class TestSubmissionShapes:
+    """One submission path per backend whatever the task/worker ratio:
+    a process pool gets one contiguous chunk per worker (a one-task
+    chunk when tasks <= workers), a thread pool one submit per task."""
+
+    @pytest.mark.parametrize(
+        "n_tasks,n_workers", [(2, 2), (3, 2), (4, 3), (5, 3)]
+    )
+    @pytest.mark.parametrize("backend", POOLS)
+    def test_queue_depth_and_parity(self, backend, n_tasks, n_workers):
+        data, queries = _workload(n=8 * n_tasks, d=16, n_queries=3)
+        tasks = TestChunkedDispatch()._tasks(data, 8)
+        assert len(tasks) == n_tasks
+        serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
+        report = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=n_workers, backend=backend)
+        )
+        assert report.n_workers == n_workers
+        assert report.queue_depth == (
+            n_workers if backend == "process" else n_tasks
+        )
+        assert report.dispatch_overhead_s >= 0.0
+        _assert_same_results(report.results, serial.results)
+
+
+class TestPoolLifecycle:
+    @pytest.mark.parametrize("backend", POOLS)
+    def test_pool_creation_failure_falls_back_serial(self, backend, monkeypatch):
+        data, queries = _workload()
+        tasks = TestChunkedDispatch()._tasks(data, 12)
+        serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
+
+        def refuse(self, n_workers):
+            raise OSError("no workers available")
+
+        monkeypatch.setattr(ParallelConfig, "_spawn_pool", refuse)
+        report = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=2, backend=backend)
+        )
+        assert report.n_workers == 1 and report.transport == "none"
+        _assert_same_results(report.results, serial.results)
+
+    @pytest.mark.parametrize("backend", POOLS)
+    def test_pool_creation_failure_raises_without_fallback(
+        self, backend, monkeypatch
+    ):
+        data, queries = _workload()
+
+        def refuse(self, n_workers):
+            raise OSError("no workers available")
+
+        monkeypatch.setattr(ParallelConfig, "_spawn_pool", refuse)
+        with pytest.raises(OSError, match="no workers"):
+            run_partitions(
+                TestChunkedDispatch()._tasks(data, 12), queries,
+                ParallelConfig(
+                    n_workers=2, backend=backend, fallback_serial=False
+                ),
+            )
+
+    @pytest.mark.parametrize("backend", ["serial", *POOLS])
+    def test_empty_task_list_is_a_noop(self, backend):
+        _, queries = _workload()
+        with ParallelConfig(
+            n_workers=2, backend=backend, persistent=True
+        ) as cfg:
+            report = run_partitions([], queries, cfg)
+            assert cfg._pool is None  # nothing to run, nothing spawned
+        assert report.results == [] and report.n_workers == 1
+        assert report.queue_depth == 0 and report.dispatch_overhead_s is None
+
+    @pytest.mark.parametrize("backend", POOLS)
+    def test_close_is_idempotent_and_the_next_run_respawns(self, backend):
+        data, queries = _workload()
+        tasks = TestChunkedDispatch()._tasks(data, 12)
+        cfg = ParallelConfig(n_workers=2, backend=backend, persistent=True)
+        first = run_partitions(tasks, queries, cfg)
+        pool = cfg._pool
+        cfg.close()
+        cfg.close()
+        assert cfg._pool is None
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(int)
+        try:
+            again = run_partitions(tasks, queries, cfg)
+            assert cfg._pool is not None and cfg._pool is not pool
+        finally:
+            cfg.close()
+        assert again.n_workers == 2
+        _assert_same_results(again.results, first.results)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs procfs"
+    )
+    @pytest.mark.parametrize(
+        "persistent", [False, True], ids=["one-shot", "persistent"]
+    )
+    @pytest.mark.parametrize("backend", POOLS)
+    def test_no_fd_leak_across_pool_lifecycles(self, backend, persistent):
+        data, queries = _workload(n=30, d=8, n_queries=2)
+        tasks = TestChunkedDispatch()._tasks(data, 10)
+
+        def lifecycle():
+            cfg = ParallelConfig(
+                n_workers=2, backend=backend, persistent=persistent
+            )
+            for _ in range(2):
+                assert run_partitions(tasks, queries, cfg).n_workers == 2
+            cfg.close()
+
+        lifecycle()  # warm-up: import/allocator side effects open fds once
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            lifecycle()
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) <= before + 2
+
+    @pytest.mark.parametrize("backend", POOLS)
+    def test_workload_result_carries_dispatch_accounting(self, backend):
+        data, queries = _workload(n=50, d=16, n_queries=3, seed=3)
+        res = WorkloadSearch(
+            data, "jaccard", params={"k": 3}, board_capacity=12,
+            parallel=ParallelConfig(n_workers=2, backend=backend),
+        ).search(queries)
+        assert res.n_workers == 2
+        assert res.dispatch_overhead_s is not None
+        assert res.dispatch_overhead_s >= 0.0
+
+
+# -- process workers that die -------------------------------------------------
+
+
+@dataclasses.dataclass
+class _EchoResult:
+    indices: np.ndarray
+    distances: np.ndarray
+
+
+class _CrashWorkload(Workload):
+    """Row-index echo that can kill the process running it.
+
+    ``flag`` names a file: the first execution that finds it missing
+    creates it and ``os._exit``\\ s mid-task, so a rerun of the task
+    succeeds.  ``always=True`` dies every time — never run that
+    in-process (serial, or a serial fallback): it would end the test run.
+    """
+
+    name = "test-crash"
+    description = "test-only workload that kills its worker"
+    wire_fields = ("indices", "distances")
+    result_type = _EchoResult
+
+    def validate_params(self, params, n, d):
+        return {
+            "flag": str(params.get("flag", "")),
+            "always": bool(params.get("always", False)),
+        }
+
+    def compile(self, dataset_bits, params):
+        return np.asarray(dataset_bits, dtype=np.uint8)
+
+    def execute(self, artifact, queries_bits, params):
+        flag = params["flag"]
+        if params["always"]:
+            os._exit(17)
+        if flag and not os.path.exists(flag):
+            open(flag, "w").close()
+            os._exit(17)
+        n, n_q = artifact.shape[0], queries_bits.shape[0]
+        return _EchoResult(
+            indices=np.tile(np.arange(n, dtype=np.int64), (n_q, 1)),
+            distances=np.zeros((n_q, n), dtype=np.int64),
+        ), RuntimeCounters()
+
+    def merge(self, partials, offsets, params):
+        idx = [
+            np.asarray(p.indices, dtype=np.int64)
+            + (0 if offsets is None else int(offsets[i]))
+            for i, p in enumerate(partials)
+        ]
+        return _EchoResult(
+            np.concatenate(idx, axis=1),
+            np.concatenate([p.distances for p in partials], axis=1),
+        )
+
+    def empty(self, n_q, params):
+        return _EchoResult(
+            np.empty((n_q, 0), np.int64), np.empty((n_q, 0), np.int64)
+        )
+
+
+@pytest.fixture
+def crash_workload():
+    """Register the crash workload for one test; process workers see a
+    test-time registration only through a forked registry."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("process workers see a test-time registration only by fork")
+    from repro.core.workload import _REGISTRY
+
+    register_workload(_CrashWorkload(), replace=True)
+    yield _CrashWorkload.name
+    _REGISTRY.pop(_CrashWorkload.name, None)
+
+
+def _crash_tasks(data, cap, flag="", always=False, crash_p_idx=0):
+    """One-board tasks of the crash workload; only ``crash_p_idx``
+    carries ``flag``/``always``."""
+    benign = (("always", False), ("flag", ""))
+    crash = (("always", bool(always)), ("flag", str(flag)))
+    return [
+        PartitionTask(
+            p_idx=i, start=s, end=min(s + cap, data.shape[0]),
+            dataset_bits=data[s : min(s + cap, data.shape[0])],
+            workload=_CrashWorkload.name,
+            params=crash if i == crash_p_idx else benign,
+        )
+        for i, s in enumerate(range(0, data.shape[0], cap))
+    ]
+
+
+class TestProcessWorkerDeath:
+    """A process worker that dies mid-task breaks its pool: the run
+    reruns serially or raises, no worker outlives it, and a persistent
+    config never keeps serving from the broken pool."""
+
+    @pytest.mark.parametrize(
+        "crash_p_idx", [0, 3], ids=["first-chunk", "last-chunk"]
+    )
+    def test_death_mid_task_falls_back_serial(
+        self, crash_workload, tmp_path, crash_p_idx
+    ):
+        data, queries = _workload(n=40, d=8, n_queries=2)
+        flag = tmp_path / "crashed"
+        tasks = _crash_tasks(data, 10, flag=flag, crash_p_idx=crash_p_idx)
+        children = set(multiprocessing.active_children())
+        report = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=2, backend="process")
+        )
+        assert flag.exists()  # a worker really died mid-task
+        assert report.n_workers == 1 and report.transport == "none"
+        serial = run_partitions(
+            _crash_tasks(data, 10), queries, ParallelConfig(backend="serial")
+        )
+        _assert_same_results(report.results, serial.results)
+        assert _no_new_children(children)
+
+    @pytest.mark.parametrize(
+        "crash_p_idx", [0, 3], ids=["first-chunk", "last-chunk"]
+    )
+    def test_death_mid_task_raises_without_fallback(
+        self, crash_workload, tmp_path, crash_p_idx
+    ):
+        data, queries = _workload(n=40, d=8, n_queries=2)
+        flag = tmp_path / "crashed"
+        tasks = _crash_tasks(data, 10, flag=flag, crash_p_idx=crash_p_idx)
+        children = set(multiprocessing.active_children())
+        with pytest.raises(
+            RuntimeError, match="parallel partition execution failed"
+        ) as info:
+            run_partitions(
+                tasks, queries,
+                ParallelConfig(
+                    n_workers=2, backend="process", fallback_serial=False
+                ),
+            )
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert flag.exists()
+        assert _no_new_children(children)
+
+    def test_broken_persistent_pool_is_replaced(
+        self, crash_workload, tmp_path, monkeypatch
+    ):
+        data, queries = _workload(n=40, d=8, n_queries=2)
+        spawned = []
+        real = ParallelConfig._spawn_pool
+
+        def spy(self, n_workers):
+            spawned.append(real(self, n_workers))
+            return spawned[-1]
+
+        monkeypatch.setattr(ParallelConfig, "_spawn_pool", spy)
+        with ParallelConfig(
+            n_workers=2, backend="process", persistent=True
+        ) as cfg:
+            broken = run_partitions(
+                _crash_tasks(data, 10, flag=tmp_path / "crashed"), queries, cfg
+            )
+            assert broken.n_workers == 1  # served by the serial rerun
+            assert cfg._pool is None  # the broken pool was dropped
+            healed = run_partitions(_crash_tasks(data, 10), queries, cfg)
+            assert healed.n_workers == 2
+            assert len(spawned) == 2 and cfg._pool is spawned[1]
+        _assert_same_results(healed.results, broken.results)
+
+    def test_idle_worker_death_heals_on_the_next_runs(self):
+        data, queries = _workload(n=30, d=8, n_queries=2)
+        tasks = TestChunkedDispatch()._tasks(data, 10)
+        with ParallelConfig(
+            n_workers=2, backend="process", persistent=True
+        ) as cfg:
+            first = run_partitions(tasks, queries, cfg)
+            pool = cfg._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)  # idle
+            deadline = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            degraded = run_partitions(tasks, queries, cfg)
+            assert degraded.n_workers == 1 and cfg._pool is None
+            healed = run_partitions(tasks, queries, cfg)
+            assert healed.n_workers == 2
+            assert cfg._pool is not None and cfg._pool is not pool
+        for run in (degraded, healed):
+            _assert_same_results(run.results, first.results)
+
+    def test_task_that_always_kills_its_worker_raises_every_call(
+        self, crash_workload
+    ):
+        data, queries = _workload(n=20, d=8, n_queries=2)
+        tasks = _crash_tasks(data, 10, always=True)
+        children = set(multiprocessing.active_children())
+        with ParallelConfig(
+            n_workers=2, backend="process", persistent=True,
+            fallback_serial=False,
+        ) as cfg:
+            for _ in range(2):  # each call spawns a fresh pool and loses it
+                with pytest.raises(
+                    RuntimeError, match="parallel partition execution failed"
+                ):
+                    run_partitions(tasks, queries, cfg)
+                assert cfg._pool is None
+        assert _no_new_children(children)
