@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("pack", help="pack a dataset into the mmap-able "
                                     ".pds shard format")
     g.add_argument("src", help=".npy uint8 (n, d) binary array — or an "
-                              "existing .pds (either format version) to "
-                              "convert/re-shard/inspect")
+                              "existing .pds to re-shard/inspect")
     g.add_argument("out", nargs="?", default=None,
                    help="output .pds path (default: src with a .pds "
                         "suffix; required when src is already .pds "

@@ -62,10 +62,9 @@ cannot be promoted (below :data:`SHM_PROMOTE_MIN_BYTES`, no usable
     payload     n * ceil(d/64) little-endian uint64 words, C order;
                 bits beyond d in a row's last word are zero
 
-Version 1 (layout 1: ``n * d`` raw bytes, one per bit, at offset 4096,
-the 88-byte header above with no chunk table) is still *read* this
-round, on the per-board compile path an :class:`ArrayStore` takes;
-``repro pack old.pds new.pds`` converts.
+Version 1 (one byte per bit, no chunk table) is no longer read: opening
+one raises :class:`DatasetFormatError` naming the version, so it is
+re-packed from its source rows before anything serves it.
 
 Readers validate magic, version, codes, geometry against the file size
 and reject corrupt/truncated/wrong-version files with
@@ -84,8 +83,8 @@ RSS discipline: scanning an mmap-backed payload (chunk verification,
 digest hashing, functional passes) would otherwise fault the whole
 file resident.  Store-aware digests and :meth:`PackedDataset.release`
 drop consumed page ranges back to the page cache
-(``madvise(MADV_DONTNEED)``) as the scan advances — a version-2
-payload one whole verification chunk at a time — so peak RSS stays
+(``madvise(MADV_DONTNEED)``) as the scan advances — one whole
+verification chunk at a time — so peak RSS stays
 bounded by a chunk plus a pass, not the payload — the property
 ``tests/integration/test_store_parity.py::test_mmap_serving_stays_out_of_core``
 asserts.
@@ -129,15 +128,12 @@ PDS_MAGIC = b"REPROPDS"
 PDS_VERSION = 2
 PDS_SUFFIX = ".pds"
 
-# The version-1 header, and the first 88 bytes of the version-2 one,
-# which continues with the chunk-table fields.
+# The fixed header fields, then the chunk-table fields.
 _PDS_HEADER = struct.Struct("<8sHHBB2xQQQQ40s")
 _PDS_CHUNK_FIELDS = struct.Struct("<QQ")  # chunk rows, table offset
 _PDS_HEADER_SIZE = _PDS_HEADER.size + _PDS_CHUNK_FIELDS.size
 _DTYPE_UINT8 = 1
-_LAYOUT_BITS_U8 = 1  # one byte per bit value (0/1), C row-major
 _LAYOUT_WORDS_U64 = 2  # (n, ceil(d/64)) little-endian uint64 row words
-_LAYOUT_OF_VERSION = {1: _LAYOUT_BITS_U8, PDS_VERSION: _LAYOUT_WORDS_U64}
 _CHUNK_DIGEST_BYTES = hashlib.sha1().digest_size
 
 # An in-memory dataset is promoted to a shared-memory segment for
@@ -318,9 +314,8 @@ class ShmStore:
 
 @dataclass(frozen=True)
 class PdsHeader:
-    """Validated ``.pds`` header fields.  ``payload_nbytes`` is what
-    the file stores; ``chunk_rows`` / ``chunk_table_offset`` are 0 for a
-    version-1 file, which has no chunk table."""
+    """Validated ``.pds`` header fields; ``payload_nbytes`` is what
+    the file stores."""
 
     version: int
     n: int
@@ -353,17 +348,17 @@ def _parse_pds_header(raw: bytes, file_size: int, path: str) -> PdsHeader:
      n, d, payload_offset, payload_nbytes, digest_raw) = _PDS_HEADER.unpack_from(raw)
     if magic != PDS_MAGIC:
         raise DatasetFormatError(f"{path!r}: not a .pds file (bad magic)")
-    if version not in _LAYOUT_OF_VERSION:
+    if version != PDS_VERSION:
         raise DatasetFormatError(
-            f"{path!r}: unsupported .pds version {version} "
-            f"(supported: {sorted(_LAYOUT_OF_VERSION)})"
+            f"{path!r}: unsupported .pds version {version} (this release "
+            f"reads version {PDS_VERSION} only): re-pack it from the source "
+            "rows with `repro pack`"
         )
-    min_header = _PDS_HEADER.size if version == 1 else _PDS_HEADER_SIZE
-    if header_size < min_header or len(raw) < min_header:
+    if header_size < _PDS_HEADER_SIZE or len(raw) < _PDS_HEADER_SIZE:
         raise DatasetFormatError(f"{path!r}: header_size {header_size} too small")
     if dtype_code != _DTYPE_UINT8:
         raise DatasetFormatError(f"{path!r}: unsupported dtype code {dtype_code}")
-    if layout_code != _LAYOUT_OF_VERSION[version]:
+    if layout_code != _LAYOUT_WORDS_U64:
         raise DatasetFormatError(
             f"{path!r}: unsupported pack-layout code {layout_code} "
             f"for version {version}"
@@ -372,7 +367,7 @@ def _parse_pds_header(raw: bytes, file_size: int, path: str) -> PdsHeader:
         raise DatasetFormatError(f"{path!r}: empty dataset (n={n}, d={d})")
     if payload_offset < header_size:
         raise DatasetFormatError(f"{path!r}: payload overlaps header")
-    row_nbytes = d if layout_code == _LAYOUT_BITS_U8 else _packed_row_nbytes(d)
+    row_nbytes = _packed_row_nbytes(d)
     if payload_nbytes != n * row_nbytes:
         raise DatasetFormatError(
             f"{path!r}: payload size {payload_nbytes} != "
@@ -388,11 +383,7 @@ def _parse_pds_header(raw: bytes, file_size: int, path: str) -> PdsHeader:
         int(digest, 16)
     except (UnicodeDecodeError, ValueError):
         raise DatasetFormatError(f"{path!r}: malformed digest field") from None
-    chunk_rows = table_offset = 0
-    if layout_code == _LAYOUT_WORDS_U64:
-        chunk_rows, table_offset = _PDS_CHUNK_FIELDS.unpack_from(
-            raw, _PDS_HEADER.size
-        )
+    chunk_rows, table_offset = _PDS_CHUNK_FIELDS.unpack_from(raw, _PDS_HEADER.size)
     header = PdsHeader(
         version=int(version), n=int(n), d=int(d),
         payload_offset=int(payload_offset),
@@ -400,7 +391,7 @@ def _parse_pds_header(raw: bytes, file_size: int, path: str) -> PdsHeader:
         layout=int(layout_code), chunk_rows=int(chunk_rows),
         chunk_table_offset=int(table_offset),
     )
-    if layout_code == _LAYOUT_WORDS_U64 and (
+    if (
         chunk_rows < 1
         or table_offset < header_size
         or table_offset + _CHUNK_DIGEST_BYTES * header.n_chunks > payload_offset
@@ -445,10 +436,9 @@ class MmapStore:
     """Memory-mapped store over an on-disk ``.pds`` packed-shard file.
 
     The payload never loads: :meth:`packed_window` views (and the rows
-    :meth:`rows` unpacks from them; plain views for a version-1 file)
-    read a shared file mapping, faulted in on access and dropped back
-    to the page cache by :meth:`release`.  A version-2 payload is
-    verified chunk by chunk as windows first touch it.
+    :meth:`rows` unpacks from them) read a shared file mapping, faulted
+    in on access and dropped back to the page cache by :meth:`release`.
+    The payload is verified chunk by chunk as windows first touch it.
     :meth:`slice_ref` descriptors carry only the *path* and which
     generation of it this is — a worker process attaches its own
     mapping, so shipping a partition to a worker costs descriptor
@@ -480,27 +470,20 @@ class MmapStore:
         self.digest_memo: dict[tuple[int, int], str] = {
             (0, self.n): self.digest
         }
-        self._array = self._words = None
-        if self.header.layout == _LAYOUT_BITS_U8:
-            self._array = np.frombuffer(
-                self._mmap, dtype=np.uint8, count=self.n * self.d,
-                offset=self.header.payload_offset,
-            ).reshape(self.n, self.d)
-        else:
-            self._words = np.frombuffer(
-                self._mmap, dtype=np.uint64, count=self.header.payload_nbytes // 8,
-                offset=self.header.payload_offset,
-            ).reshape(self.n, -1)
-            self._chunk_digests = np.frombuffer(
-                self._mmap, dtype=np.uint8,
-                count=self.header.n_chunks * _CHUNK_DIGEST_BYTES,
-                offset=self.header.chunk_table_offset,
-            ).reshape(-1, _CHUNK_DIGEST_BYTES)
-            # One flag per chunk, set under the lock once it has
-            # matched its digest: each chunk is hashed at most once per
-            # attached store.
-            self._verified = bytearray(self.header.n_chunks)
-            self._verify_lock = threading.Lock()
+        self._words = np.frombuffer(
+            self._mmap, dtype=np.uint64, count=self.header.payload_nbytes // 8,
+            offset=self.header.payload_offset,
+        ).reshape(self.n, -1)
+        self._chunk_digests = np.frombuffer(
+            self._mmap, dtype=np.uint8,
+            count=self.header.n_chunks * _CHUNK_DIGEST_BYTES,
+            offset=self.header.chunk_table_offset,
+        ).reshape(-1, _CHUNK_DIGEST_BYTES)
+        # One flag per chunk, set under the lock once it has matched
+        # its digest: each chunk is hashed at most once per attached
+        # store.
+        self._verified = bytearray(self.header.n_chunks)
+        self._verify_lock = threading.Lock()
         # The mapping must outlive every numpy view; if the store is
         # dropped without close(), unmap once the views are gone.
         self._finalizer = weakref.finalize(self, _safe_close_mmap, self._mmap)
@@ -535,13 +518,9 @@ class MmapStore:
                 self.release(a, b)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        if self._array is not None:
-            return self._array[lo:hi]
         return _unpacked(self.packed_window(lo, hi), self.d)
 
-    def packed_window(self, lo: int, hi: int) -> np.ndarray | None:
-        if self._array is not None:
-            return None
+    def packed_window(self, lo: int, hi: int) -> np.ndarray:
         if hi > lo:
             self._verify(lo, hi)
         return self._words[lo:hi]
@@ -555,10 +534,9 @@ class MmapStore:
     def release(self, lo: int, hi: int) -> None:
         """Drop resident pages behind a scan that has consumed rows
         ``[lo, hi)`` back to the page cache (data intact; re-access
-        just re-faults).  Over a chunked (version-2) payload the unit
-        is the verification chunk: every chunk whose last row is in the
-        range is dropped whole, and a range that completes none drops
-        nothing — a pass-sized ``madvise`` behind every pass cost
+        just re-faults).  The unit is the verification chunk: every
+        chunk whose last row is in the range is dropped whole, and a
+        range that completes none drops nothing — a pass-sized ``madvise`` behind every pass cost
         ~0.2 ms per MiB scanned, one per 256 KiB chunk a quarter of it
         (README "Footprint and provisioning model").  Rounds inward to
         whole pages so neighboring rows are never evicted, and is a
@@ -566,12 +544,11 @@ class MmapStore:
         if not hasattr(_mmap_module, "MADV_DONTNEED"):
             return
         rows = self.header.chunk_rows
-        if rows:
-            first = lo // rows
-            last = self.header.n_chunks if hi >= self.n else hi // rows
-            if last <= first:
-                return
-            lo, hi = first * rows, min(last * rows, self.n)
+        first = lo // rows
+        last = self.header.n_chunks if hi >= self.n else hi // rows
+        if last <= first:
+            return
+        lo, hi = first * rows, min(last * rows, self.n)
         page = _mmap_module.PAGESIZE
         start = self.header.payload_offset + lo * self.row_nbytes
         end = self.header.payload_offset + hi * self.row_nbytes
@@ -585,7 +562,7 @@ class MmapStore:
             pass
 
     def close(self) -> None:
-        self._array = self._words = self._chunk_digests = None
+        self._words = self._chunk_digests = None
         self._finalizer.detach()
         _safe_close_mmap(self._mmap)
 
@@ -655,9 +632,8 @@ class DatasetSliceRef:
     — zero copy, zero export), ``kind="shm"`` a
     :class:`~repro.host.shm.ShmArrayRef` to the packed words (workers
     re-attach the segment).  :meth:`packed_window` is the read-only
-    zero-copy ``(hi-lo, ceil(d/64))`` view of the window's row words
-    (``None`` over a version-1 file), :meth:`resolve` its ``(hi-lo,
-    d)`` rows, and :meth:`release` drops the window's resident pages in
+    zero-copy ``(hi-lo, ceil(d/64))`` view of the window's row words,
+    :meth:`resolve` its ``(hi-lo, d)`` rows, and :meth:`release` drops the window's resident pages in
     *this* process after use (mmap only).
     """
 
@@ -672,7 +648,7 @@ class DatasetSliceRef:
     def _mmap_store(self) -> MmapStore:
         return attach_mmap_store(self.path, self.file_id)
 
-    def packed_window(self) -> np.ndarray | None:
+    def packed_window(self) -> np.ndarray:
         if self.kind == "mmap":
             return self._mmap_store().packed_window(self.lo, self.hi)
         if self.kind == "shm":
@@ -814,7 +790,7 @@ class PackedDataset:
     def packed_window(self, lo: int, hi: int) -> np.ndarray | None:
         """Zero-copy ``(hi-lo, ceil(d/64))`` uint64 view of the window
         rows' packed words, or ``None`` when the store does not hold
-        them packed (in-memory arrays, version-1 files)."""
+        them packed (an in-memory array)."""
         a, b = self._abs(lo, hi)
         return self.store.packed_window(a, b)
 
@@ -906,8 +882,8 @@ def write_pds(
     *,
     chunk_rows: int | None = None,
 ) -> PdsHeader:
-    """Pack a dataset (ndarray, handle, or ``.pds`` path of either
-    version) into a version-2 ``.pds`` at ``path``.
+    """Pack a dataset (ndarray, handle, or ``.pds`` path) into a
+    version-2 ``.pds`` at ``path``.
 
     Streams one verification chunk of rows at a time — packing an
     mmap-backed source never materializes its payload — computing the
@@ -969,8 +945,7 @@ def write_pds(
 
 def verify_pds(path: str | os.PathLike) -> PdsHeader:
     """Check a whole ``.pds`` against itself: every chunk against the
-    chunk table (version 2), then the unpacked rows against the header
-    digest.  Raises :class:`DatasetFormatError` naming the first bad
+    chunk table, then the unpacked rows against the header digest.  Raises :class:`DatasetFormatError` naming the first bad
     chunk; returns the header.  Streams through a private mapping, so
     it neither loads the payload nor marks the process's attached copy
     verified."""

@@ -112,30 +112,6 @@ class TestBuildImageCached:
 
 
 class TestEngineCacheIntegration:
-    def test_second_search_hits_every_partition(self):
-        data = _bits(n=30, d=8, seed=5)
-        queries = _bits(n=3, d=8, seed=6)
-        cache = BoardImageCache()
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=8, execution="simulate", cache=cache
-        )
-        r1 = eng.search(queries)
-        assert r1.counters.image_cache_hits == 0
-        r2 = eng.search(queries)
-        assert r2.counters.image_cache_hits == r2.n_partitions
-        assert (r1.indices == r2.indices).all()
-        assert (r1.distances == r2.distances).all()
-
-    def test_functional_mode_caches_boards(self):
-        data = _bits(n=30, d=8, seed=5)
-        queries = _bits(n=3, d=8, seed=6)
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=8, execution="functional", cache=True
-        )
-        eng.search(queries)
-        r2 = eng.search(queries)
-        assert r2.counters.image_cache_hits == r2.n_partitions
-
     def test_shared_cache_across_identical_shards(self):
         """Two engines over the same shard share compiled artifacts."""
         data = _bits(n=16, d=8, seed=9)
@@ -208,37 +184,6 @@ class TestEngineCacheIntegration:
     def test_rejects_bad_cache(self):
         with pytest.raises(ValueError, match="cache"):
             APSimilaritySearch(_bits(), k=1, cache="big")
-
-    def test_process_backend_composes_with_cache(self):
-        """Artifact shipping: process workers fill the parent cache on
-        the cold run and reuse shipped artifacts on the warm run."""
-        from repro.host.parallel import ParallelConfig
-
-        data = _bits(n=40, d=8, seed=5)
-        queries = _bits(n=3, d=8, seed=6)
-        cache = BoardImageCache()
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=8, execution="functional", cache=cache,
-            parallel=ParallelConfig(n_workers=2, backend="process"),
-        )
-        eng.search(queries)
-        assert len(cache) == len(eng.partitions)
-        warm = eng.search(queries)
-        assert warm.counters.image_cache_hits == warm.n_partitions
-
-    def test_results_identical_with_and_without_cache(self):
-        data = _bits(n=30, d=8, seed=5)
-        queries = _bits(n=3, d=8, seed=6)
-        plain = APSimilaritySearch(
-            data, k=3, board_capacity=8, execution="simulate"
-        ).search(queries)
-        cached_eng = APSimilaritySearch(
-            data, k=3, board_capacity=8, execution="simulate", cache=True
-        )
-        cached_eng.search(queries)
-        warm = cached_eng.search(queries)
-        assert (warm.indices == plain.indices).all()
-        assert (warm.distances == plain.distances).all()
 
 
 class TestDiskPersistence:

@@ -1,9 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import contextlib
-import dataclasses
-import struct
-
 import numpy as np
 import pytest
 
@@ -105,87 +101,3 @@ def brute_force_knn(data, queries, k):
 @pytest.fixture
 def oracle():
     return brute_force_knn
-
-
-@pytest.fixture
-def unfused():
-    """``with unfused(): ...`` — inside it no workload fuses boards, so
-    the worker body runs one ``execute`` per board: the
-    one-board-per-pass reference every fused run must equal."""
-    from repro.core.workload import Workload, available_workloads
-
-    @contextlib.contextmanager
-    def per_board():
-        with pytest.MonkeyPatch.context() as patch:
-            for workload in available_workloads().values():
-                patch.setattr(type(workload), "fuse", Workload.fuse)
-            yield
-
-    return per_board
-
-
-def write_pds_v1(path, data):
-    """A version-1 ``.pds`` (layout 1: one byte per bit at offset 4096,
-    88-byte header, no chunk table), as the previous release wrote it —
-    the library only reads this version now, so the writer lives here."""
-    from repro.ap.compiler import dataset_digest
-
-    data = np.ascontiguousarray(data, dtype=np.uint8)
-    n, d = data.shape
-    header = struct.pack(
-        "<8sHHBB2xQQQQ40s", b"REPROPDS", 1, 88, 1, 1, n, d, 4096, n * d,
-        dataset_digest(data).encode("ascii"),
-    )
-    with open(path, "wb") as f:
-        f.write(header.ljust(4096, b"\x00"))
-        f.write(data.tobytes())
-    return str(path)
-
-
-def counters_but_cache_hits(counters):
-    """Every ``RuntimeCounters`` field a store may not change:
-    ``image_cache_hits`` counts boards served without a compile, which
-    a packed store's view passes all are (README "Board-image cache
-    hygiene")."""
-    return dataclasses.replace(counters, image_cache_hits=0)
-
-
-def run_snapshot(engine, queries, searches=2):
-    """Everything a search exposes that must not depend on how boards
-    are grouped into host passes: per search the value arrays, every
-    counter field and the partition counts; then the cache's stats and
-    size."""
-    out = []
-    for _ in range(searches):
-        res = engine.search(queries)
-        out.append({
-            "value": {
-                f.name: np.array(getattr(res.value, f.name))
-                for f in dataclasses.fields(res.value)
-            },
-            "counters": dataclasses.asdict(res.counters),
-            "partitions": (res.n_partitions, res.per_device_partitions),
-            "execution": res.execution,
-        })
-    if engine.cache is not None:
-        stats = engine.cache.stats
-        out.append({
-            "cache": (stats.hits, stats.misses, stats.evictions,
-                      len(engine.cache)),
-        })
-    return out
-
-
-def assert_snapshots_equal(got, ref, label=""):
-    assert len(got) == len(ref), label
-    for i, (g, r) in enumerate(zip(got, ref)):
-        assert g.keys() == r.keys(), (label, i)
-        for key in g:
-            if key == "value":
-                assert g[key].keys() == r[key].keys(), (label, i)
-                for name in g[key]:
-                    assert np.array_equal(g[key][name], r[key][name]), (
-                        label, i, name,
-                    )
-            else:
-                assert g[key] == r[key], (label, i, key, g[key], r[key])

@@ -1,16 +1,17 @@
 """PackedDataset / .pds format unit tests.
 
 Covers the dataset-plane contract on its own (cross-store *search*
-parity lives in tests/integration/test_store_parity.py): pack/open
-roundtrips, packed windows, digest equality between the streaming store
-digests and the reference ``dataset_digest``, structural rejection of
-corrupt ``.pds`` files, lazy chunk verification, version-1 reading,
-slice-ref resolution, the attach cache across re-packs, and mmap/fd
-leak guards.
+parity is the oracle's: tests/integration/test_bit_identity.py):
+pack/open roundtrips, packed windows, digest equality between the
+streaming store digests and the reference ``dataset_digest``,
+structural rejection of corrupt ``.pds`` files (version 1 included),
+lazy chunk verification, slice-ref resolution, the attach cache across
+re-packs, and mmap/fd leak guards.
 """
 
 import hashlib
 import os
+import re
 import struct
 import sys
 
@@ -30,7 +31,6 @@ from repro.core.dataset import (
 )
 from repro.host.shm import shm_available
 from repro.util.bitops import pack_bits
-from tests.conftest import write_pds_v1
 
 
 @pytest.fixture
@@ -409,22 +409,31 @@ def test_verify_pds_checks_the_header_digest_too(pds_path, tmp_path):
 # -- version 1 ---------------------------------------------------------------
 
 
-def test_version_1_file_still_opens_serves_and_converts(tmp_path, dataset):
-    old = write_pds_v1(tmp_path / "old.pds", dataset)
-    hdr = read_pds_header(old)
-    assert (hdr.version, hdr.layout, hdr.n_chunks) == (1, 1, 0)
-    assert hdr.payload_nbytes == dataset.size
-    ds = PackedDataset.open(old)
-    assert ds.kind == "mmap" and ds.stored_nbytes == ds.nbytes
-    assert ds.packed_window(0, 10) is None  # the per-board path serves it
-    assert np.array_equal(ds.rows(3, 400), dataset[3:400])
-    assert ds.partition_digest(10, 90) == dataset_digest(dataset[10:90])
-    assert verify_pds(old) == hdr
-    new = write_pds(tmp_path / "new.pds", old)  # the conversion
-    assert (new.version, new.digest) == (2, hdr.digest)
-    assert new.payload_nbytes * 37 == hdr.payload_nbytes * 8
-    assert np.array_equal(PackedDataset.open(tmp_path / "new.pds").rows(0, 500),
-                          dataset)
+def test_version_1_file_is_refused_at_open(tmp_path, dataset, capsys):
+    """A version-1 file (the 88-byte header, one byte per bit at offset
+    4096) fails where it is opened — the header reader, the handle, an
+    engine's constructor and ``repro pack --info`` alike — naming the
+    version and the way out, never at the first query."""
+    from repro.cli import main
+    from repro.core.workload import WorkloadSearch
+
+    n, d = dataset.shape
+    header = struct.pack(
+        "<8sHHBB2xQQQQ40s", PDS_MAGIC, 1, 88, 1, 1, n, d, 4096, n * d,
+        dataset_digest(dataset).encode("ascii"),
+    )
+    path = tmp_path / "old.pds"
+    path.write_bytes(header.ljust(4096, b"\x00") + dataset.tobytes())
+    refused = r"version 1 .*re-pack it from the source rows"
+    for open_it in (
+        read_pds_header,
+        PackedDataset.open,
+        lambda p: WorkloadSearch(str(p), "knn", {"k": 3}),
+    ):
+        with pytest.raises(DatasetFormatError, match=refused):
+            open_it(path)
+    assert main(["pack", "--info", str(path)]) == 1
+    assert re.search(refused, capsys.readouterr().err)
 
 
 # -- the attach cache across re-packs -----------------------------------------

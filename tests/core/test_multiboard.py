@@ -1,33 +1,16 @@
-"""Tests for multi-device scale-out."""
+"""Tests for multi-device scale-out (its answers on every backend and
+store are the oracle's: ``tests/integration/test_bit_identity.py``)."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ap.compiler import BoardImageCache
-from repro.ap.runtime import RuntimeCounters
-from repro.core.engine import APSimilaritySearch
 from repro.core.multiboard import MultiBoardSearch, balanced_shard_bounds
-from repro.host.parallel import ParallelConfig
 from tests.conftest import brute_force_knn
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("n_devices", [1, 2, 3, 5])
-    def test_matches_brute_force(self, rng, n_devices):
-        data = rng.integers(0, 2, (50, 12), dtype=np.uint8)
-        queries = rng.integers(0, 2, (7, 12), dtype=np.uint8)
-        mb = MultiBoardSearch(data, k=4, n_devices=n_devices,
-                              board_capacity=8)
-        res = mb.search(queries)
-        exp_i, exp_d = brute_force_knn(data, queries, 4)
-        assert (res.indices == exp_i).all()
-        assert (res.distances == exp_d).all()
-        assert res.n_devices == n_devices
-
     def test_global_ids_across_shards(self, rng):
         # nearest vector deliberately in the last shard
         data = np.ones((30, 8), dtype=np.uint8)
@@ -137,126 +120,6 @@ class TestPadSafety:
         res = mb.search(queries)
         assert (res.indices == PAD_INDEX).all()
         assert (res.distances == PAD_DISTANCE).all()
-
-    def test_k_beyond_shard_size_stays_exact(self, rng):
-        """k > shard size pads every per-shard block; the offset-aware
-        merge must keep those pads out of the global result."""
-        data = rng.integers(0, 2, (12, 8), dtype=np.uint8)
-        queries = rng.integers(0, 2, (4, 8), dtype=np.uint8)
-        mb = MultiBoardSearch(data, k=9, n_devices=4, board_capacity=2)
-        res = mb.search(queries)
-        exp_i, exp_d = brute_force_knn(data, queries, 9)
-        assert (res.indices == exp_i).all()
-        assert (res.distances == exp_d).all()
-
-
-class TestBackendParity:
-    """Acceptance: serial ≡ thread ≡ process, bit for bit, and exact
-    counter aggregation across devices."""
-
-    def _shard_counter_sum(self, mb, data, queries, k, cap):
-        """Expected counters: per-shard sequential engines, summed."""
-        total = RuntimeCounters()
-        bounds = mb.shard_bounds
-        for di in range(mb.n_devices):
-            shard = data[bounds[di]:bounds[di + 1]]
-            r = APSimilaritySearch(
-                shard, k=k, board_capacity=cap, execution="functional"
-            ).search(queries)
-            total.merge(r.counters)
-        return total
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_three_way_parity(self, rng, backend):
-        data = rng.integers(0, 2, (60, 12), dtype=np.uint8)
-        queries = rng.integers(0, 2, (5, 12), dtype=np.uint8)
-        single = APSimilaritySearch(
-            data, k=5, board_capacity=7, execution="functional"
-        ).search(queries)
-        mb = MultiBoardSearch(
-            data, k=5, n_devices=3, board_capacity=7, execution="functional",
-            parallel=ParallelConfig(n_workers=3, backend=backend),
-        )
-        res = mb.search(queries)
-        assert (res.indices == single.indices).all()
-        assert (res.distances == single.distances).all()
-        assert res.counters == self._shard_counter_sum(mb, data, queries, 5, 7)
-        if backend != "serial":
-            assert res.n_workers == 3
-
-    @given(st.integers(4, 40), st.integers(2, 12), st.integers(1, 4),
-           st.integers(1, 50), st.integers(1, 5), st.integers(0, 1000),
-           st.sampled_from(["serial", "thread"]))
-    @settings(max_examples=25, deadline=None)
-    def test_multiboard_bit_identical_property(self, n, d, q, k, n_devices,
-                                               seed, backend):
-        """Any device count / backend / k (including k > shard size, so
-        pad rows appear) is bit-identical to one engine over the full
-        dataset — (distance, index) tie-breaks included — with exact
-        counter aggregation."""
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
-        queries = rng.integers(0, 2, (q, d), dtype=np.uint8)
-        n_devices = min(n_devices, n)
-        cap = max(1, n // 4)
-        single = APSimilaritySearch(
-            data, k=k, board_capacity=cap, execution="functional"
-        ).search(queries)
-        mb = MultiBoardSearch(
-            data, k=k, n_devices=n_devices, board_capacity=cap,
-            execution="functional",
-            parallel=ParallelConfig(n_workers=3, backend=backend),
-        )
-        res = mb.search(queries)
-        assert (res.indices == single.indices).all()
-        assert (res.distances == single.distances).all()
-        assert res.counters == self._shard_counter_sum(
-            mb, data, queries, k, cap
-        )
-
-
-class TestSharedCache:
-    def test_devices_share_one_cache_and_warm_runs_hit(self, rng):
-        data = rng.integers(0, 2, (40, 8), dtype=np.uint8)
-        queries = rng.integers(0, 2, (3, 8), dtype=np.uint8)
-        cache = BoardImageCache()
-        mb = MultiBoardSearch(data, k=3, n_devices=2, board_capacity=10,
-                              execution="functional", cache=cache)
-        assert mb.cache is cache  # one pipeline, one cache, every device
-        cold = mb.search(queries)
-        assert cold.counters.image_cache_hits == 0
-        assert len(cache) == sum(cold.per_device_partitions)
-        warm = mb.search(queries)
-        assert warm.counters.image_cache_hits == sum(
-            warm.per_device_partitions
-        )
-        assert (warm.indices == cold.indices).all()
-        assert (warm.distances == cold.distances).all()
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_backends_fill_and_hit_the_parent_cache(self, rng, backend):
-        """Thread workers share the cache in place; process workers via
-        artifact shipping — either way the second search recompiles
-        nothing and stays bit-identical."""
-        data = rng.integers(0, 2, (40, 8), dtype=np.uint8)
-        queries = rng.integers(0, 2, (3, 8), dtype=np.uint8)
-        cache = BoardImageCache()
-        mb = MultiBoardSearch(
-            data, k=3, n_devices=2, board_capacity=10, execution="functional",
-            parallel=ParallelConfig(n_workers=2, backend=backend), cache=cache,
-        )
-        plain = MultiBoardSearch(
-            data, k=3, n_devices=2, board_capacity=10, execution="functional"
-        ).search(queries)
-        cold = mb.search(queries)
-        assert len(cache) == sum(cold.per_device_partitions)
-        warm = mb.search(queries)
-        assert warm.counters.image_cache_hits == sum(
-            warm.per_device_partitions
-        )
-        for res in (cold, warm):
-            assert (res.indices == plain.indices).all()
-            assert (res.distances == plain.distances).all()
 
 
 class TestScalingModel:

@@ -3,42 +3,32 @@
 The load-bearing claims:
 
 * the registry resolves the built-ins and rejects duplicates/unknowns;
-* the kNN reference workload is bit-identical to the dedicated engine
-  (the PR's zero-behavior-change refactor contract);
-* Jaccard and range search through :class:`WorkloadSearch` match their
-  single-engine references exactly, for every backend (serial/thread/
-  process), dataset carrier (by value / shm slice ref), and through the
-  batching layer;
+* ``APSimilaritySearch`` is a named constructor over the one pipeline;
+* every execution path answers as the serial engine and a brute-force
+  scan do — held by ``tests/integration/test_bit_identity.py``;
+* fused passes keep caching per board, and simulated passes one board;
 * merges are associative and permutation-invariant (hypothesis), so
   shard trees of any shape agree;
 * pack/unpack/split roundtrip every workload's result.
 """
-
-import multiprocessing
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import dataset as dataset_mod
 from repro.core import workload as wl_mod
 from repro.core.engine import APSimilaritySearch
-from repro.core.jaccard import JaccardAPSearch, jaccard_similarity_matrix
-from repro.core.range_search import HammingRangeSearch
+from repro.core.jaccard import jaccard_similarity_matrix
 from repro.core.workload import (
     HammingKnnWorkload,
-    Workload,
     WorkloadSearch,
     available_workloads,
     get_workload,
     normalize_queries,
     register_workload,
 )
-from repro.host.parallel import ParallelConfig
-from repro.host.shm import SHM_UNAVAILABLE_REASON, shm_available
-from tests.conftest import assert_snapshots_equal, run_snapshot
+from tests.oracle import assert_snapshots_equal, run_snapshot, unfused
 
 
 def _data(n=200, d=32, n_queries=7, seed=11):
@@ -57,30 +47,6 @@ def _assert_value_equal(workload, a, b):
 
 
 ALL_PARAMS = [("knn", {"k": 9}), ("jaccard", {"k": 9}), ("range", {"radius": 11})]
-
-
-def _tied_data(n, d=32, distinct=5, seed=3):
-    """Few distinct rows laid out in runs that straddle every board
-    boundary, queried by the rows themselves: each query's k-th place
-    falls inside a tie between boards."""
-    rng = np.random.default_rng(seed)
-    base = (rng.random((distinct, d)) < 0.4).astype(np.uint8)
-    data = base[(np.arange(n) // 5) % distinct]
-    return data, base
-
-
-# Geometries whose host passes span several boards (engine kwargs, k):
-# what the fused worker body must get right that one board never showed.
-FUSED_GEOMETRIES = [
-    pytest.param(_data(n=200), dict(board_capacity=32), 9,
-                 id="short-last-board"),
-    pytest.param(_data(n=96), dict(board_capacity=8), 20,
-                 id="k-beyond-board-rows"),
-    pytest.param(_tied_data(128), dict(board_capacity=16), 7,
-                 id="ties-straddle-boards"),
-    pytest.param(_data(n=200), dict(board_capacity=16, n_devices=3), 9,
-                 id="multi-device"),
-]
 
 
 class TestRegistry:
@@ -121,17 +87,11 @@ class TestRegistry:
 class TestKnnReferenceWorkload:
     """The refactor contract: kNN through the protocol ≡ the engine."""
 
-    def test_engine_and_workload_paths_bit_identical(self, oracle):
-        self._same_pipeline(oracle, "functional", 16)
-
     @pytest.mark.parametrize("execution,capacity", [
-        ("functional", None), ("simulate", 16), ("simulate", None),
+        ("functional", 16), ("functional", None),
+        ("simulate", 16), ("simulate", None),
     ])
     def test_engine_is_a_named_constructor(self, oracle, execution, capacity):
-        self._same_pipeline(oracle, execution, capacity)
-
-    @staticmethod
-    def _same_pipeline(oracle, execution, capacity):
         """APSimilaritySearch is a named constructor over the one
         pipeline: same partitioning (default capacity included), same
         answers, same counters — in both back-ends."""
@@ -200,17 +160,9 @@ class TestKnnReferenceWorkload:
         assert (ref.indices == brute).all()
 
 
-class TestWorkloadParity:
-    """WorkloadSearch ≡ single-engine references, every host path."""
-
-    def test_jaccard_matches_reference_engine(self):
-        data, queries = _data()
-        ref = JaccardAPSearch(data, k=9).search(queries)
-        res = WorkloadSearch(data, "jaccard", {"k": 9},
-                             board_capacity=64).search(queries)
-        assert (res.value.indices == ref.indices).all()
-        assert (res.value.similarities == ref.similarities).all()
-        assert (res.value.intersections == ref.intersections).all()
+class TestWorkloadPasses:
+    """Top-k selection inside a pass, and what fused and simulated
+    passes owe the cache and the pass budget."""
 
     @given(
         st.integers(1, 40),  # n
@@ -243,76 +195,9 @@ class TestWorkloadParity:
         assert (got.intersections == np.take_along_axis(inter, order, axis=1)).all()
         assert got.indices.dtype == got.intersections.dtype == np.int64
 
-    def test_range_matches_reference_engine(self):
-        data, queries = _data()
-        ref = HammingRangeSearch(data, radius=11).search(queries)
-        res = WorkloadSearch(data, "range", {"radius": 11},
-                             board_capacity=64).search(queries)
-        cands, dists = res.value.to_lists()
-        for qi in range(queries.shape[0]):
-            assert cands[qi].tolist() == ref.candidates[qi].tolist()
-            assert dists[qi].tolist() == ref.distances[qi].tolist()
-
-    @pytest.mark.parametrize("name,params", ALL_PARAMS)
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_bit_identical(self, name, params, backend):
-        data, queries = _data()
-        serial = WorkloadSearch(data, name, params,
-                                board_capacity=32).search(queries)
-        par = WorkloadSearch(
-            data, name, params, board_capacity=32,
-            parallel=ParallelConfig(n_workers=4, backend=backend),
-        )
-        res = par.search(queries)
-        assert res.n_workers == 4
-        _assert_value_equal(get_workload(name), res.value, serial.value)
-
-    @pytest.mark.parametrize("name,params", ALL_PARAMS)
-    @pytest.mark.parametrize("n_devices", [2, 5])
-    def test_multi_device_bit_identical(self, name, params, n_devices):
-        """Every workload shards across boards: partitions never
-        straddle a device boundary, the merge is unchanged."""
-        data, queries = _data()
-        single = WorkloadSearch(data, name, params,
-                                board_capacity=32).search(queries)
-        engine = WorkloadSearch(data, name, params, board_capacity=32,
-                                n_devices=n_devices)
-        res = engine.search(queries)
-        _assert_value_equal(get_workload(name), res.value, single.value)
-        assert res.n_devices == n_devices
-        assert res.n_partitions == len(engine.partitions)
-        bounds = engine.shard_bounds.tolist()
-        for start, end in engine.partitions:
-            assert any(lo <= start and end <= hi
-                       for lo, hi in zip(bounds, bounds[1:]))
-
-    @pytest.mark.parametrize("name", ["knn", "jaccard", "range"])
-    @pytest.mark.parametrize("inputs,kwargs,k", FUSED_GEOMETRIES)
-    def test_fused_passes_equal_one_board_per_pass(
-        self, name, inputs, kwargs, k, unfused
-    ):
-        """A pass over a run of boards answers, counts and caches
-        exactly as the boards run one by one."""
-        data, queries = inputs
-        params = {"radius": 11} if name == "range" else {"k": k}
-
-        def engine():
-            return WorkloadSearch(data, name, params, cache=True, **kwargs)
-
-        with unfused():
-            ref = run_snapshot(engine(), queries)
-        fused = engine()
-        bounds = fused.shard_bounds.tolist()
-        tasks = fused._partition_tasks(
-            fused.params, fused._boards_per_pass(fused.params, len(queries))
-        )
-        assert len(tasks) == fused.n_devices < len(fused.partitions)
-        assert [(t.start, t.end) for t in tasks] == list(zip(bounds, bounds[1:]))
-        assert_snapshots_equal(run_snapshot(fused, queries), ref, name)
-
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     def test_evicted_board_inside_a_hit_pass_is_rebuilt_alone(
-        self, name, params, unfused
+        self, name, params
     ):
         from repro.ap.compiler import BoardImageCache
 
@@ -342,7 +227,7 @@ class TestWorkloadParity:
         ("simulate", 2, False), ("auto", 1, False), ("auto", 64, True),
     ])
     def test_simulate_tasks_stay_one_board(
-        self, execution, n_q, fused, unfused, monkeypatch
+        self, execution, n_q, fused, monkeypatch
     ):
         """A cycle-accurate image IS one board: only functional runs
         are handed to workers as multi-board passes."""
@@ -392,63 +277,6 @@ class TestWorkloadParity:
         finally:
             tracemalloc.stop()
         assert peak < 64 * wl_mod._PASS_PAIRS, f"{peak / 2**20:.1f} MiB"
-
-    @pytest.mark.parametrize("name,params", ALL_PARAMS)
-    @pytest.mark.skipif(not shm_available(), reason=SHM_UNAVAILABLE_REASON)
-    def test_shm_transport_bit_identical(self, name, params, monkeypatch):
-        monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1)
-        data, queries = _data(n=256, d=64)
-        serial = WorkloadSearch(data, name, params,
-                                board_capacity=64).search(queries)
-        engine = WorkloadSearch(
-            data, name, params, board_capacity=64,
-            parallel=ParallelConfig(n_workers=2, backend="process"),
-        )
-        assert engine.dataset.kind == "shm"  # promoted: slice-ref tasks
-        res = engine.search(queries)
-        assert res.transport == "pickle"
-        _assert_value_equal(get_workload(name), res.value, serial.value)
-
-    @pytest.mark.parametrize("name,params", ALL_PARAMS)
-    def test_cache_warm_run_identical(self, name, params):
-        data, queries = _data()
-        engine = WorkloadSearch(data, name, params, board_capacity=32,
-                                cache=True)
-        cold = engine.search(queries)
-        warm = engine.search(queries)
-        assert warm.counters.image_cache_hits == len(engine.partitions)
-        _assert_value_equal(get_workload(name), cold.value, warm.value)
-
-    @pytest.mark.parametrize("name,params", ALL_PARAMS)
-    def test_batched_callers_get_their_rows(self, name, params):
-        from concurrent.futures import ThreadPoolExecutor
-
-        data, queries = _data(n_queries=12)
-        engine = WorkloadSearch(data, name, params, board_capacity=64)
-        direct = engine.search(queries)
-        workload = get_workload(name)
-        with engine.batched(max_batch=12, max_wait_ms=20.0) as router:
-            with ThreadPoolExecutor(max_workers=12) as pool:
-                outs = list(pool.map(
-                    lambda qi: router.search(queries[qi]), range(12)
-                ))
-        assert router.stats.calls == 12
-        for qi, out in enumerate(outs):
-            got = out.result.value
-            exp = workload.split(direct.value, qi, qi + 1)
-            # ragged rows may be narrower than the full-batch block:
-            # compare the valid prefix, require the rest to be pads
-            counts = getattr(exp, "counts", None)
-            if counts is None:
-                _assert_value_equal(workload, got, exp)
-            else:
-                c = int(counts[0])
-                assert int(got.counts[0]) == c
-                assert got.indices[0, :c].tolist() == \
-                    exp.indices[0, :c].tolist()
-                assert got.distances[0, :c].tolist() == \
-                    exp.distances[0, :c].tolist()
-                assert (exp.indices[0, c:] == -1).all()
 
 
 class TestParamValidation:
@@ -609,81 +437,3 @@ class TestMergeProperties:
             assert (value.counts == 0).all()
 
 
-@dataclass
-class _CountResult:
-    indices: np.ndarray  # (q, 1) popcount-nearest index
-    distances: np.ndarray
-
-
-class _PopcountNearest(Workload):
-    """Toy: the single vector whose popcount is closest.  Module-level
-    so its results pickle back from a process worker."""
-
-    name = "test-popcount"
-    description = "test-only workload"
-    wire_fields = ("indices", "distances")
-    result_type = _CountResult
-
-    def compile(self, dataset_bits, params):
-        return dataset_bits.sum(axis=1).astype(np.int64)
-
-    def execute(self, artifact, queries_bits, params):
-        from repro.ap.runtime import RuntimeCounters
-
-        qc = queries_bits.sum(axis=1).astype(np.int64)
-        dist = np.abs(artifact[None, :] - qc[:, None])
-        ids = np.broadcast_to(
-            np.arange(artifact.shape[0]), dist.shape
-        )
-        order = np.lexsort((ids, dist), axis=-1)[:, :1]
-        return _CountResult(
-            np.take_along_axis(ids, order, axis=1),
-            np.take_along_axis(dist, order, axis=1),
-        ), RuntimeCounters()
-
-    def merge(self, partials, offsets, params):
-        from repro.util.topk import merge_topk_blocks
-
-        blocks = [(p.indices, p.distances) for p in partials]
-        return _CountResult(*merge_topk_blocks(
-            blocks, 1, offsets=offsets
-        ))
-
-    def empty(self, n_q, params):
-        return _CountResult(
-            np.full((n_q, 1), -1, dtype=np.int64),
-            np.full((n_q, 1), -1, dtype=np.int64),
-        )
-
-
-class TestCustomWorkload:
-    """The extension story: a subclass + register() gains the host stack."""
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_custom_workload_runs_parallel(self, backend):
-        if backend == "process" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("process workers see a test-time registration only by fork")
-        register_workload(_PopcountNearest())
-        try:
-            data, queries = _data(n=90, d=16)
-            serial = WorkloadSearch(data, "test-popcount",
-                                    board_capacity=16).search(queries)
-            pooled = WorkloadSearch(
-                data, "test-popcount", board_capacity=16,
-                parallel=ParallelConfig(n_workers=3, backend=backend),
-            ).search(queries)
-            assert pooled.n_workers == 3
-            assert (serial.value.indices == pooled.value.indices).all()
-            # oracle: global popcount scan with (distance, index) ties
-            pc = data.sum(axis=1).astype(np.int64)
-            qc = queries.sum(axis=1).astype(np.int64)
-            dist = np.abs(pc[None, :] - qc[:, None])
-            exp = np.lexsort(
-                (np.broadcast_to(np.arange(90), dist.shape), dist),
-                axis=-1,
-            )[:, :1]
-            assert (serial.value.indices == exp).all()
-        finally:
-            from repro.core.workload import _REGISTRY
-
-            _REGISTRY.pop("test-popcount", None)

@@ -6,8 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.engine import APSimilaritySearch
 from repro.core.multiboard import MultiBoardSearch
@@ -69,76 +67,10 @@ class TestValidation:
 
 
 class TestBitIdentity:
-    """batched ≡ unbatched, row for row — tie-breaks included."""
-
-    def test_concurrent_callers_match_direct_searches(self):
-        data, queries = _workload()
-        eng = _engine(data)
-        direct = [eng.search(queries[i : i + 1]) for i in range(len(queries))]
-        with eng.batched(max_batch=8, max_wait_ms=25.0) as router:
-            with ThreadPoolExecutor(8) as pool:
-                outs = list(pool.map(
-                    lambda i: router.search(queries[i]), range(len(queries))
-                ))
-        for d_res, b_res in zip(direct, outs):
-            assert (d_res.indices == b_res.indices).all()
-            assert (d_res.distances == b_res.distances).all()
-            assert b_res.k == d_res.k
-
-    def test_multi_row_callers_match(self):
-        data, queries = _workload(n_queries=30)
-        eng = _engine(data)
-        spans = [(0, 3), (3, 4), (4, 11), (11, 30)]
-        direct = [eng.search(queries[a:b]) for a, b in spans]
-        with eng.batched(max_batch=64, max_wait_ms=25.0) as router:
-            with ThreadPoolExecutor(4) as pool:
-                outs = list(pool.map(
-                    lambda s: router.search(queries[s[0] : s[1]]), spans
-                ))
-        for d_res, b_res in zip(direct, outs):
-            assert (d_res.indices == b_res.indices).all()
-            assert (d_res.distances == b_res.distances).all()
-
-    def test_tie_break_identity_on_duplicate_vectors(self):
-        """Duplicate dataset rows force (distance, index) tie-breaks;
-        coalescing must not disturb them."""
-        rng = np.random.default_rng(0)
-        base = rng.integers(0, 2, (8, 8), dtype=np.uint8)
-        data = np.repeat(base, 6, axis=0)  # every distance ties 6 deep
-        queries = rng.integers(0, 2, (12, 8), dtype=np.uint8)
-        eng = _engine(data, k=10, cap=16)
-        direct = [eng.search(queries[i : i + 1]) for i in range(12)]
-        with eng.batched(max_batch=12, max_wait_ms=25.0) as router:
-            with ThreadPoolExecutor(6) as pool:
-                outs = list(pool.map(
-                    lambda i: router.search(queries[i]), range(12)
-                ))
-        for d_res, b_res in zip(direct, outs):
-            assert (d_res.indices == b_res.indices).all()
-            assert (d_res.distances == b_res.distances).all()
-
-    @given(
-        st.integers(4, 60),
-        st.integers(2, 12),
-        st.integers(1, 12),
-        st.integers(1, 6),
-        st.integers(0, 1000),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_batched_parity_property(self, n, d, q, k, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
-        queries = rng.integers(0, 2, (q, d), dtype=np.uint8)
-        eng = _engine(data, k=k, cap=max(1, n // 3))
-        direct = [eng.search(queries[i : i + 1]) for i in range(q)]
-        with eng.batched(max_batch=max(2, q), max_wait_ms=25.0) as router:
-            with ThreadPoolExecutor(min(8, q)) as pool:
-                outs = list(pool.map(
-                    lambda i: router.search(queries[i]), range(q)
-                ))
-        for d_res, b_res in zip(direct, outs):
-            assert (d_res.indices == b_res.indices).all()
-            assert (d_res.distances == b_res.distances).all()
+    """The router in front of a multi-device engine: two topology
+    layers at once, which the oracle's one-topology cells do not
+    compose (``tests/integration/test_bit_identity.py`` holds the
+    router in front of one device)."""
 
     def test_multiboard_batched_matches_direct(self):
         data, queries = _workload(n=150, n_queries=20)
@@ -398,21 +330,3 @@ class TestBackpressureAndLifecycle:
         finally:
             router.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_batched_composes_with_parallel_and_cache(self, backend):
-        from repro.ap.compiler import BoardImageCache
-        from repro.host.parallel import ParallelConfig
-
-        data, queries = _workload()
-        seq = _engine(data).search(queries)
-        cfg = ParallelConfig(n_workers=2, backend=backend, persistent=True)
-        with cfg:
-            eng = _engine(data, parallel=cfg, cache=BoardImageCache())
-            with eng.batched(max_batch=8, max_wait_ms=25.0) as router:
-                with ThreadPoolExecutor(6) as pool:
-                    outs = list(pool.map(
-                        lambda i: router.search(queries[i]),
-                        range(len(queries)),
-                    ))
-        got = np.vstack([o.indices for o in outs])
-        assert (got == seq.indices).all()

@@ -10,8 +10,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.ap.runtime import RuntimeCounters
 from repro.core import dataset as dataset_mod
@@ -25,6 +23,7 @@ from repro.host.parallel import (
 )
 from repro.host.shm import shm_available
 from tests.conftest import brute_force_knn
+from tests.oracle import unfused
 
 
 def _workload(n=40, d=16, n_queries=5, seed=7):
@@ -33,6 +32,23 @@ def _workload(n=40, d=16, n_queries=5, seed=7):
         rng.integers(0, 2, (n, d), dtype=np.uint8),
         rng.integers(0, 2, (n_queries, d), dtype=np.uint8),
     )
+
+
+def _tasks(data, cap, mode="functional"):
+    """Hand-built one-board kNN tasks of ``cap`` rows."""
+    from repro.core.macros import collector_tree_depth
+
+    d = data.shape[1]
+    depth = collector_tree_depth(d, 16)
+    return [
+        PartitionTask(
+            p_idx=i, start=s, end=min(s + cap, data.shape[0]),
+            dataset_bits=data[s : min(s + cap, data.shape[0])],
+            mode=mode, d=d, collector_depth=depth,
+            max_fan_in=16, counter_max_increment=1,
+        )
+        for i, s in enumerate(range(0, data.shape[0], cap))
+    ]
 
 
 class TestParallelConfig:
@@ -54,44 +70,9 @@ class TestParallelConfig:
         assert ParallelConfig(n_workers=4, backend="thread").effective_workers == 4
 
 
-class TestShardedParity:
-    """Acceptance: sharded search is bit-identical to the sequential path."""
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_functional_bit_identical(self, n_workers):
-        data, queries = _workload()
-        seq = APSimilaritySearch(
-            data, k=4, board_capacity=12, execution="functional"
-        ).search(queries)
-        assert seq.n_partitions >= 3
-        par = APSimilaritySearch(
-            data, k=4, board_capacity=12, execution="functional",
-            parallel=n_workers,
-        ).search(queries)
-        assert (par.indices == seq.indices).all()
-        assert (par.distances == seq.distances).all()
-
-    def test_simulate_bit_identical(self):
-        data, queries = _workload(n=21, d=8, n_queries=3)
-        seq = APSimilaritySearch(
-            data, k=3, board_capacity=7, execution="simulate"
-        ).search(queries)
-        par = APSimilaritySearch(
-            data, k=3, board_capacity=7, execution="simulate", parallel=2
-        ).search(queries)
-        assert (par.indices == seq.indices).all()
-        assert (par.distances == seq.distances).all()
-
-    @pytest.mark.parametrize("backend", ["process", "serial"])
-    def test_matches_brute_force(self, backend):
-        data, queries = _workload(n=50, d=12, n_queries=4, seed=3)
-        res = APSimilaritySearch(
-            data, k=5, board_capacity=9, execution="functional",
-            parallel=ParallelConfig(n_workers=3, backend=backend),
-        ).search(queries)
-        exp_i, exp_d = brute_force_knn(data, queries, 5)
-        assert (res.indices == exp_i).all()
-        assert (res.distances == exp_d).all()
+class TestEngineParallel:
+    """The engine's ``parallel=`` surface (its answers are the oracle's:
+    ``tests/integration/test_bit_identity.py``)."""
 
     def test_result_records_worker_lanes(self):
         data, queries = _workload()
@@ -112,16 +93,6 @@ class TestShardedParity:
         assert one.n_partitions == 1
         assert one.n_workers == 1
 
-    def test_counter_aggregation_exact(self):
-        data, queries = _workload()
-        seq = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional"
-        ).search(queries)
-        par = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional", parallel=2
-        ).search(queries)
-        assert par.counters == seq.counters
-
     def test_int_parallel_shorthand(self):
         data, queries = _workload(n=30)
         eng = APSimilaritySearch(data, k=1, parallel=2, execution="functional")
@@ -137,31 +108,16 @@ class TestShardedParity:
 
 
 class TestRunPartitions:
-    def _tasks(self, data, cap, mode="functional"):
-        from repro.core.macros import collector_tree_depth
-
-        d = data.shape[1]
-        depth = collector_tree_depth(d, 16)
-        return [
-            PartitionTask(
-                p_idx=i, start=s, end=min(s + cap, data.shape[0]),
-                dataset_bits=data[s : min(s + cap, data.shape[0])],
-                mode=mode, d=d, collector_depth=depth,
-                max_fan_in=16, counter_max_increment=1,
-            )
-            for i, s in enumerate(range(0, data.shape[0], cap))
-        ]
-
     def test_results_sorted_by_partition(self):
         data, queries = _workload()
         run = run_partitions(
-            self._tasks(data, 12), queries, ParallelConfig(n_workers=2)
+            _tasks(data, 12), queries, ParallelConfig(n_workers=2)
         )
         assert [r.p_idx for r in run.results] == list(range(len(run.results)))
 
     def test_reports_actual_worker_count(self):
         data, queries = _workload()
-        tasks = self._tasks(data, 12)
+        tasks = _tasks(data, 12)
         assert run_partitions(tasks, queries, ParallelConfig()).n_workers == 1
         assert (
             run_partitions(tasks, queries, ParallelConfig(n_workers=2)).n_workers
@@ -171,49 +127,16 @@ class TestRunPartitions:
         capped = run_partitions(tasks, queries, ParallelConfig(n_workers=64))
         assert capped.n_workers == len(tasks)
 
-    def test_serial_equals_parallel(self):
-        self._serial_equals(mode="functional", backend="process")
-
-    @pytest.mark.parametrize("mode,backend", [
-        ("functional", "thread"),
-        ("simulate", "thread"), ("simulate", "process"),
-    ])
-    def test_both_back_ends_ride_every_pool(self, mode, backend):
-        self._serial_equals(mode, backend)
-
-    def _serial_equals(self, mode, backend):
-        """Both kNN back-ends ride the one task path on every backend:
-        decoded partials and counters are bit-identical to serial, and
-        the two back-ends agree with each other."""
-        data, queries = _workload(n=40, d=8, n_queries=3)
-        tasks = self._tasks(data, 12, mode=mode)
-        serial = run_partitions(tasks, queries, ParallelConfig(n_workers=1)).results
-        pooled = run_partitions(
-            tasks, queries, ParallelConfig(n_workers=3, backend=backend)
-        ).results
-        other = run_partitions(
-            self._tasks(
-                data, 12,
-                mode="simulate" if mode == "functional" else "functional",
-            ),
-            queries,
-        ).results
-        for a, b, c in zip(serial, pooled, other):
-            for x in (b, c):
-                assert np.array_equal(a.payload.indices, x.payload.indices)
-                assert np.array_equal(a.payload.distances, x.payload.distances)
-                assert a.counters == x.counters
-
     def test_execute_partition_counters_functional(self):
         data, queries = _workload(n=10)
-        (task,) = self._tasks(data, 10)
+        (task,) = _tasks(data, 10)
         res = execute_partition(task, queries)
         assert res.counters.configurations == 1
         assert res.counters.reports_received == 10 * queries.shape[0]
 
     def test_execute_partition_rejects_bad_mode(self):
         data, queries = _workload(n=10)
-        (task,) = self._tasks(data, 10)
+        (task,) = _tasks(data, 10)
         bad = PartitionTask(
             p_idx=0, start=0, end=10, dataset_bits=data, mode="warp",
             d=task.d, collector_depth=task.collector_depth,
@@ -221,86 +144,6 @@ class TestRunPartitions:
         )
         with pytest.raises(ValueError, match="mode"):
             execute_partition(bad, queries)
-
-    def test_worker_counters_match_engine_counters(self):
-        """Per-partition deltas sum to exactly the sequential counters."""
-        data, queries = _workload()
-        run = run_partitions(
-            self._tasks(data, 12), queries, ParallelConfig(n_workers=2)
-        )
-        total = RuntimeCounters()
-        for r in run.results:
-            total.merge(r.counters)
-        seq = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional"
-        ).search(queries)
-        assert total == seq.counters
-
-
-class TestThreadBackend:
-    """thread ≡ process ≡ sequential, bit for bit."""
-
-    @pytest.mark.parametrize("execution", ["functional", "simulate"])
-    def test_three_way_parity(self, execution):
-        n = 40 if execution == "functional" else 21
-        d = 16 if execution == "functional" else 8
-        data, queries = _workload(n=n, d=d, n_queries=3)
-        cap = 12 if execution == "functional" else 7
-        results = {}
-        for name, parallel in [
-            ("sequential", None),
-            ("process", ParallelConfig(n_workers=2, backend="process")),
-            ("thread", ParallelConfig(n_workers=2, backend="thread")),
-        ]:
-            results[name] = APSimilaritySearch(
-                data, k=4, board_capacity=cap, execution=execution,
-                parallel=parallel,
-            ).search(queries)
-        seq = results["sequential"]
-        for name in ("process", "thread"):
-            res = results[name]
-            assert (res.indices == seq.indices).all(), name
-            assert (res.distances == seq.distances).all(), name
-            assert res.counters == seq.counters, name
-        assert results["thread"].n_workers == 2
-
-    def test_thread_workers_share_cache(self):
-        """parallel= and cache= compose under the thread backend: the
-        second search hits the parent's cache from worker threads."""
-        from repro.ap.compiler import BoardImageCache
-
-        data, queries = _workload()
-        cache = BoardImageCache()
-        eng = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(n_workers=2, backend="thread"),
-            cache=cache,
-        )
-        cold = eng.search(queries)
-        assert cold.counters.image_cache_hits == 0
-        assert cache.stats.misses == cold.n_partitions
-        warm = eng.search(queries)
-        assert warm.counters.image_cache_hits == warm.n_partitions
-        assert (warm.indices == cold.indices).all()
-        assert (warm.distances == cold.distances).all()
-
-    @given(st.integers(2, 40), st.integers(2, 12), st.integers(1, 4),
-           st.integers(1, 5), st.integers(0, 1000))
-    @settings(max_examples=15, deadline=None)
-    def test_thread_parity_property(self, n, d, q, k, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
-        queries = rng.integers(0, 2, (q, d), dtype=np.uint8)
-        cap = max(1, n // 3)
-        seq = APSimilaritySearch(
-            data, k=k, board_capacity=cap, execution="functional"
-        ).search(queries)
-        thr = APSimilaritySearch(
-            data, k=k, board_capacity=cap, execution="functional",
-            parallel=ParallelConfig(n_workers=3, backend="thread"),
-        ).search(queries)
-        assert (thr.indices == seq.indices).all()
-        assert (thr.distances == seq.distances).all()
 
 
 class TestPersistentPool:
@@ -356,19 +199,6 @@ class TestPersistentPool:
             assert all(not owned for _, owned in seen)
         finally:
             cfg.close()
-
-    def test_persistent_results_match_one_shot(self):
-        data, queries = _workload()
-        one_shot = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional", parallel=2
-        ).search(queries)
-        with ParallelConfig(n_workers=2, persistent=True) as cfg:
-            persistent = APSimilaritySearch(
-                data, k=3, board_capacity=12, execution="functional", parallel=cfg
-            ).search(queries)
-        assert (persistent.indices == one_shot.indices).all()
-        assert (persistent.distances == one_shot.distances).all()
-        assert persistent.counters == one_shot.counters
 
     def test_equality_ignores_pool_state(self):
         data, queries = _workload()
@@ -447,44 +277,6 @@ class TestPoolLeakGuard:
 class TestProcessCacheShipback:
     """backend="process" composes with cache=: artifacts ship both ways."""
 
-    @pytest.mark.parametrize("execution", ["functional", "simulate"])
-    def test_cold_run_fills_parent_cache_warm_run_hits(self, execution):
-        from repro.ap.compiler import BoardImageCache
-
-        n, d, cap = (40, 16, 12) if execution == "functional" else (21, 8, 7)
-        data, queries = _workload(n=n, d=d, n_queries=3)
-        cache = BoardImageCache()
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=cap, execution=execution,
-            parallel=ParallelConfig(n_workers=2, backend="process"),
-            cache=cache,
-        )
-        cold = eng.search(queries)
-        assert cold.counters.image_cache_hits == 0
-        # workers shipped their builds back: the parent cache is warm
-        assert len(cache) == cold.n_partitions
-        warm = eng.search(queries)
-        assert warm.counters.image_cache_hits == warm.n_partitions
-        assert (warm.indices == cold.indices).all()
-        assert (warm.distances == cold.distances).all()
-
-    def test_process_warm_results_match_sequential(self):
-        from repro.ap.compiler import BoardImageCache
-
-        data, queries = _workload()
-        seq = APSimilaritySearch(
-            data, k=4, board_capacity=12, execution="functional"
-        ).search(queries)
-        eng = APSimilaritySearch(
-            data, k=4, board_capacity=12, execution="functional",
-            parallel=ParallelConfig(n_workers=2, backend="process"),
-            cache=BoardImageCache(),
-        )
-        eng.search(queries)
-        warm = eng.search(queries)
-        assert (warm.indices == seq.indices).all()
-        assert (warm.distances == seq.distances).all()
-
     def test_broken_pool_fallback_rebuilds_from_original_tasks(
         self, monkeypatch
     ):
@@ -556,9 +348,8 @@ class TestProcessCacheShipback:
         assert warm.counters.image_cache_hits == warm.n_partitions
         assert not builds
 
-
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_multi_board_tasks_keep_the_cache_per_board(self, backend, unfused):
+    def test_multi_board_tasks_keep_the_cache_per_board(self, backend):
         """One task spanning several boards: every backend returns one
         result per task equal to serial's, the cache still holds one
         entry per board, and a pass that finds only some of its boards
@@ -595,21 +386,16 @@ class TestProcessCacheShipback:
                 assert got.counters == exp.counters
                 assert (got.passes, exp.passes) == (1, 3)
 
-    @pytest.mark.parametrize("version", [1, 2])
     def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
-        self, tmp_path, monkeypatch, version
+        self, tmp_path, monkeypatch
     ):
-        """Over a byte-per-bit (version-1) file a warm pass never
-        touches the dataset — its slice ref is neither resolved nor
-        released — and a cold one resolves it once per task, not per
-        board.  Over packed words every pass is one view and one
-        release, and no row is ever unpacked."""
+        """Over packed words every pass is one view and one release of
+        its slice ref, cold or warm, and no row is ever unpacked."""
         from repro.core.dataset import DatasetSliceRef, write_pds
-        from tests.conftest import write_pds_v1
 
         data, queries = _workload(n=72, d=16)
         path = tmp_path / "warm.pds"
-        (write_pds_v1 if version == 1 else write_pds)(path, data)
+        write_pds(path, data)
         eng = APSimilaritySearch(
             str(path), k=3, board_capacity=12, execution="functional",
             cache=True,
@@ -624,11 +410,9 @@ class TestProcessCacheShipback:
 
             monkeypatch.setattr(DatasetSliceRef, name, spy)
         cold = eng.search(queries)  # 6 boards, one pass
-        assert touched == (["resolve", "release"] if version == 1 else ["release"])
+        assert touched == ["release"]
         warm = eng.search(queries)
-        assert touched == (
-            ["resolve", "release"] if version == 1 else ["release"] * 2
-        )
+        assert touched == ["release"] * 2
         assert warm.counters.image_cache_hits == 6
         assert (warm.indices == cold.indices).all()
 
@@ -636,21 +420,6 @@ class TestProcessCacheShipback:
 class TestChunkedDispatch:
     """The stock process backend amortizes dispatch: task lists larger
     than the worker count ride one executor.submit per worker chunk."""
-
-    def _tasks(self, data, cap, mode="functional"):
-        from repro.core.macros import collector_tree_depth
-
-        d = data.shape[1]
-        depth = collector_tree_depth(d, 16)
-        return [
-            PartitionTask(
-                p_idx=i, start=s, end=min(s + cap, data.shape[0]),
-                dataset_bits=data[s : min(s + cap, data.shape[0])],
-                mode=mode, d=d, collector_depth=depth,
-                max_fan_in=16, counter_max_increment=1,
-            )
-            for i, s in enumerate(range(0, data.shape[0], cap))
-        ]
 
     def test_chunk_bounds_balanced_and_complete(self):
         from repro.host.parallel import _chunk_bounds
@@ -665,7 +434,7 @@ class TestChunkedDispatch:
 
     def test_chunked_process_run_bit_identical(self):
         data, queries = _workload(n=72, d=16, n_queries=4)
-        tasks = self._tasks(data, cap=8)  # 9 tasks >> 2 workers
+        tasks = _tasks(data, cap=8)  # 9 tasks >> 2 workers
         assert len(tasks) > 2
         serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
         chunked = run_partitions(
@@ -681,7 +450,7 @@ class TestChunkedDispatch:
 
     def test_per_task_submits_when_tasks_fit_workers(self):
         data, queries = _workload(n=24, d=16, n_queries=3)
-        tasks = self._tasks(data, cap=12)  # 2 tasks, 2 workers
+        tasks = _tasks(data, cap=12)  # 2 tasks, 2 workers
         report = run_partitions(
             tasks, queries, ParallelConfig(n_workers=2, backend="process")
         )
@@ -689,7 +458,7 @@ class TestChunkedDispatch:
 
     def test_chunked_run_reports_dispatch_overhead(self):
         data, queries = _workload(n=72, d=16, n_queries=3)
-        tasks = self._tasks(data, cap=8)
+        tasks = _tasks(data, cap=8)
         report = run_partitions(
             tasks, queries, ParallelConfig(n_workers=2, backend="process")
         )
@@ -700,7 +469,7 @@ class TestChunkedDispatch:
 class TestDispatchAccountingBackends:
     def test_thread_backend_reports_dispatch(self):
         data, queries = _workload()
-        tasks = TestChunkedDispatch()._tasks(data, 12)
+        tasks = _tasks(data, 12)
         run = run_partitions(
             tasks, queries, ParallelConfig(n_workers=2, backend="thread")
         )
@@ -711,7 +480,7 @@ class TestDispatchAccountingBackends:
     def test_serial_reports_no_dispatch(self):
         data, queries = _workload()
         run = run_partitions(
-            TestChunkedDispatch()._tasks(data, 12),
+            _tasks(data, 12),
             queries,
             ParallelConfig(backend="serial"),
         )
@@ -729,15 +498,15 @@ class TestDispatchAccountingBackends:
             n_workers=n_workers, backend="pinned",
             fallback_serial=fallback_serial,
         )
-        tasks = TestChunkedDispatch()._tasks(data, 12)
+        tasks = _tasks(data, 12)
         with pytest.raises(RuntimeError, match='"pinned" has been removed'):
             run_partitions(tasks, queries, cfg)
 
 
 # -- the pool contract --------------------------------------------------------
-# What every worker pool owes its callers whatever its backend: answers
-# equal to serial under random shapes, one submission path per backend,
-# graceful or loud failure, and no workers, pools or fds left behind.
+# What every worker pool owes its callers whatever its backend, beyond
+# the oracle's answers: one submission path per backend, graceful or
+# loud failure, and no workers, pools or fds left behind.
 
 POOLS = ["thread", "process"]
 
@@ -762,56 +531,6 @@ def _no_new_children(before, timeout_s=10.0):
     return True
 
 
-@pytest.fixture(scope="class", params=POOLS)
-def persistent_pool(request):
-    """One persistent two-worker pool per backend, shared by every
-    example of a property test: a spawn per example would dominate it."""
-    with ParallelConfig(
-        n_workers=2, backend=request.param, persistent=True
-    ) as cfg:
-        yield cfg
-
-
-class TestPersistentPoolProperty:
-    """Random shapes, every built-in workload: a persistent pool reused
-    across searches answers exactly as the serial path does."""
-
-    @pytest.mark.parametrize("workload", ["knn", "jaccard", "range"])
-    @settings(
-        max_examples=8, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        n=st.integers(8, 60),
-        d=st.integers(4, 24),
-        n_q=st.integers(1, 5),
-        k=st.integers(1, 8),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_serial(
-        self, persistent_pool, workload, n, d, n_q, k, seed
-    ):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
-        queries = rng.integers(0, 2, (n_q, d), dtype=np.uint8)
-        params = {"radius": k % d} if workload == "range" else {"k": k}
-        cap = max(2, n // 4)
-        serial = WorkloadSearch(
-            data, workload, params, board_capacity=cap
-        ).search(queries)
-        pooled = WorkloadSearch(
-            data, workload, params, board_capacity=cap,
-            parallel=persistent_pool,
-        ).search(queries)
-        for f in dataclasses.fields(serial.value):
-            assert np.array_equal(
-                getattr(serial.value, f.name), getattr(pooled.value, f.name)
-            ), f.name
-        assert pooled.counters == serial.counters
-        assert pooled.n_workers == 2
-        assert persistent_pool._pool is not None  # kept for the next example
-
-
 class TestSubmissionShapes:
     """One submission path per backend whatever the task/worker ratio:
     a process pool gets one contiguous chunk per worker (a one-task
@@ -823,7 +542,7 @@ class TestSubmissionShapes:
     @pytest.mark.parametrize("backend", POOLS)
     def test_queue_depth_and_parity(self, backend, n_tasks, n_workers):
         data, queries = _workload(n=8 * n_tasks, d=16, n_queries=3)
-        tasks = TestChunkedDispatch()._tasks(data, 8)
+        tasks = _tasks(data, 8)
         assert len(tasks) == n_tasks
         serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
         report = run_partitions(
@@ -841,7 +560,7 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("backend", POOLS)
     def test_pool_creation_failure_falls_back_serial(self, backend, monkeypatch):
         data, queries = _workload()
-        tasks = TestChunkedDispatch()._tasks(data, 12)
+        tasks = _tasks(data, 12)
         serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
 
         def refuse(self, n_workers):
@@ -866,7 +585,7 @@ class TestPoolLifecycle:
         monkeypatch.setattr(ParallelConfig, "_spawn_pool", refuse)
         with pytest.raises(OSError, match="no workers"):
             run_partitions(
-                TestChunkedDispatch()._tasks(data, 12), queries,
+                _tasks(data, 12), queries,
                 ParallelConfig(
                     n_workers=2, backend=backend, fallback_serial=False
                 ),
@@ -886,7 +605,7 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("backend", POOLS)
     def test_close_is_idempotent_and_the_next_run_respawns(self, backend):
         data, queries = _workload()
-        tasks = TestChunkedDispatch()._tasks(data, 12)
+        tasks = _tasks(data, 12)
         cfg = ParallelConfig(n_workers=2, backend=backend, persistent=True)
         first = run_partitions(tasks, queries, cfg)
         pool = cfg._pool
@@ -912,7 +631,7 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("backend", POOLS)
     def test_no_fd_leak_across_pool_lifecycles(self, backend, persistent):
         data, queries = _workload(n=30, d=8, n_queries=2)
-        tasks = TestChunkedDispatch()._tasks(data, 10)
+        tasks = _tasks(data, 10)
 
         def lifecycle():
             cfg = ParallelConfig(
@@ -1109,7 +828,7 @@ class TestProcessWorkerDeath:
 
     def test_idle_worker_death_heals_on_the_next_runs(self):
         data, queries = _workload(n=30, d=8, n_queries=2)
-        tasks = TestChunkedDispatch()._tasks(data, 10)
+        tasks = _tasks(data, 10)
         with ParallelConfig(
             n_workers=2, backend="process", persistent=True
         ) as cfg:

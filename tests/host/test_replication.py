@@ -3,8 +3,9 @@
 Covers the health model (EWMA, breaker transitions closed -> open ->
 half-open -> closed with an injectable clock), candidate ranking, the
 hedge-delay estimator, group failover against real in-thread servers,
-replica-group parity with a plain shard client, pool integration with
-``host:port|host:port`` group specs, and the reconnect backoff
+pool integration with ``host:port|host:port`` group specs (a replicated
+rack's answers are the oracle's: ``tests/integration/
+test_bit_identity.py``), and the reconnect backoff
 satellite (delay schedule, jitter bounds, connect-vs-request failure
 accounting in the final error).
 """
@@ -365,26 +366,6 @@ class TestBackoff:
 
 
 class TestReplicaGroup:
-    def test_two_replica_group_matches_single_shard(self):
-        data, queries = _workload()
-        a = ShardServer(data, execution="functional").start()
-        b = ShardServer(data, execution="functional").start()
-        try:
-            with RemoteShard(_addr(a)) as single:
-                ref = single.search(queries, k=5)
-            with ReplicaGroup(f"{_addr(a)}|{_addr(b)}") as group:
-                assert group.n_replicas == 2
-                info = group.info()
-                assert (info.n, info.d) == (120, 16)
-                indices, distances, counters, execution = group.search(
-                    queries, k=5
-                )
-            assert (indices == ref[0]).all()
-            assert (distances == ref[1]).all()
-        finally:
-            a.close()
-            b.close()
-
     def test_failover_from_dead_primary(self):
         data, queries = _workload()
         live = ShardServer(data, execution="functional").start()
@@ -497,37 +478,6 @@ class TestReplicaGroup:
 
 
 class TestPoolWithReplicaGroups:
-    def test_replicated_rack_bit_identical(self):
-        from repro.core.multiboard import balanced_shard_bounds
-
-        data, queries = _workload(n=90, d=16, n_queries=4, seed=11)
-        ref = APSimilaritySearch(data, k=6, execution="functional").search(
-            queries
-        )
-        bounds = balanced_shard_bounds(90, 2)
-        racks = []
-        specs = []
-        for i in range(2):
-            shard_data = data[bounds[i]: bounds[i + 1]]
-            replicas = [
-                ShardServer(
-                    shard_data, offset=int(bounds[i]), execution="functional"
-                ).start()
-                for _ in range(2)
-            ]
-            racks.extend(replicas)
-            specs.append("|".join(_addr(s) for s in replicas))
-        try:
-            with RemoteMultiBoardSearch(specs, k=6) as remote:
-                res = remote.search(queries)
-            assert not res.partial
-            assert res.failovers == 0
-            assert (res.indices == ref.indices).all()
-            assert (res.distances == ref.distances).all()
-        finally:
-            for s in racks:
-                s.close()
-
     def test_replica_death_mid_service_absorbed_by_group(self):
         """The primary replica dies AFTER serving a batch: the next
         batch must come back complete (not partial) and bit-identical,

@@ -1,8 +1,8 @@
 """Tests for the network-transparent shard service (repro.host.rpc).
 
 Covers the wire protocol (round-trips and hostile-input rejection),
-bit-identical remote fan-out vs a single local engine (property-tested,
-including across real server *processes*), degraded-merge semantics
+a rack of real server *processes* (in-thread racks are oracle cells:
+``tests/integration/test_bit_identity.py``), degraded-merge semantics
 (k > per-shard n, timed-out shards, mid-stream disconnects — all
 correct and correctly flagged partial), the BatchRouter front door,
 and socket / shared-memory leak checks after close.
@@ -359,55 +359,12 @@ class TestShardServer:
             _close_all(servers)
 
 
-# -- remote fan-out parity -------------------------------------------------
+# -- remote fan-out --------------------------------------------------------
 
 
-class TestRemoteParity:
-    """Remote fan-out ≡ one local engine over the concatenated dataset."""
-
-    @given(
-        n=st.integers(4, 60),
-        d=st.sampled_from([8, 16]),
-        k=st.integers(1, 12),
-        n_shards=st.integers(1, 4),
-        n_queries=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_property_bit_identical(self, n, d, k, n_shards, n_queries, seed):
-        n_shards = min(n_shards, n)
-        data, queries = _workload(n=n, d=d, n_queries=n_queries, seed=seed)
-        ref = APSimilaritySearch(data, k=k, execution="functional").search(
-            queries
-        )
-        servers, addresses = _start_rack(data, n_shards)
-        try:
-            with RemoteMultiBoardSearch(addresses, k=k) as remote:
-                res = remote.search(queries)
-        finally:
-            _close_all(servers)
-        # bit-identical: indices, distances, tie-breaks, pad placement
-        assert (res.indices == ref.indices).all()
-        assert (res.distances == ref.distances).all()
-        assert res.k == ref.k
-        assert not res.partial
-        assert res.transport == "rpc"
-
-    def test_k_exceeding_per_shard_n(self):
-        # every shard holds 3-4 vectors; k=10 forces narrow blocks that
-        # must widen (padded) through the merge with global indices
-        data, queries = _workload(n=13, d=8, n_queries=3, seed=3)
-        ref = APSimilaritySearch(data, k=10, execution="functional").search(
-            queries
-        )
-        servers, addresses = _start_rack(data, 4)
-        try:
-            with RemoteMultiBoardSearch(addresses, k=10) as remote:
-                res = remote.search(queries)
-        finally:
-            _close_all(servers)
-        assert (res.indices == ref.indices).all()
-        assert (res.distances == ref.distances).all()
+class TestRemoteFanOut:
+    """The pool around the fan-out: connections, handshakes, and the
+    router in front of a rack."""
 
     def test_connection_reuse_across_batches(self):
         data, queries = _workload()

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ap.compiler import BoardImageCache
 from repro.core import dataset as dataset_mod
 from repro.core.dataset import PackedDataset, ShmStore
 from repro.core.engine import APSimilaritySearch
@@ -32,7 +31,6 @@ from repro.host.shm import (
     resolve_array,
     shm_available,
 )
-from tests.conftest import counters_but_cache_hits
 
 # One explicit reason string shared by every shm-dependent skip: the
 # conftest terminal-summary hook keys off it to report how many
@@ -365,66 +363,6 @@ class TestPromotion:
         assert (sub.kind, sub.store.n, sub.n) == ("shm", 32, 32)
         assert np.array_equal(sub.rows(0, 32), data[8:40])
 
-
-@needs_shm
-class TestTransportParity:
-    """serial ≡ thread ≡ process by value ≡ process by slice ref."""
-
-    @pytest.mark.parametrize("execution", ["functional", "simulate"])
-    def test_four_way_parity(self, execution):
-        n = 40 if execution == "functional" else 21
-        d = 16 if execution == "functional" else 8
-        cap = 12 if execution == "functional" else 7
-        data, queries = _workload(n=n, d=d, n_queries=3)
-        results = {}
-        for name, dataset, parallel in [
-            ("sequential", data, None),
-            ("thread", data, ParallelConfig(n_workers=2, backend="thread")),
-            ("process", data, _process()),  # below the floor: by value
-            ("shm-process", PackedDataset(ShmStore.export(data)), _process()),
-        ]:
-            results[name] = APSimilaritySearch(
-                dataset, k=4, board_capacity=cap, execution=execution,
-                parallel=parallel,
-            ).search(queries)
-        seq = results["sequential"]
-        for name in ("thread", "process", "shm-process"):
-            res = results[name]
-            assert (res.indices == seq.indices).all(), name
-            assert (res.distances == seq.distances).all(), name
-            assert counters_but_cache_hits(res.counters) == seq.counters, name
-        # only a functional pass over the segment's packed words serves
-        # its boards without a compile
-        assert [r.counters.image_cache_hits for r in results.values()] == [
-            0, 0, 0, seq.n_partitions if execution == "functional" else 0,
-        ]
-        assert results["shm-process"].transport == "pickle"
-        assert results["thread"].transport == "none"
-
-    def test_warm_cache_shm_parity_and_artifact_reuse(self, tiny_floor):
-        data, queries = _workload()
-        seq = APSimilaritySearch(
-            data, k=4, board_capacity=12, execution="functional"
-        ).search(queries)
-        cfg = _process(persistent=True)
-        with cfg:
-            eng = APSimilaritySearch(
-                data, k=4, board_capacity=12, execution="functional",
-                parallel=cfg, cache=BoardImageCache(),
-            )
-            assert eng.dataset.kind == "shm"
-            cold = eng.search(queries)  # views of the segment: no build
-            warm = eng.search(queries)
-            again = eng.search(queries)
-        assert (warm.indices == seq.indices).all()
-        assert (warm.distances == seq.distances).all()
-        assert cold.counters == warm.counters
-        assert warm.counters.image_cache_hits == warm.n_partitions
-        assert (again.indices == seq.indices).all()
-        # nothing was compiled, so nothing shipped back into the cache
-        assert len(eng.cache) == 0
-        assert eng.cache.stats.hits == 3 * warm.n_partitions
-
     def test_persistent_pool_exports_once(self, tiny_floor):
         """The dataset crosses into shared memory once per store:
         repeated searches re-ship descriptors only."""
@@ -443,22 +381,6 @@ class TestTransportParity:
                 again = eng.search(queries)
                 assert _own_segments() - before == segments
                 assert again.ipc_payload_bytes == first.ipc_payload_bytes
-
-    def test_multiboard_shm_parity(self, tiny_floor):
-        from repro.core.multiboard import MultiBoardSearch
-
-        data, queries = _workload(n=90, d=16, n_queries=4)
-        seq = APSimilaritySearch(
-            data, k=5, board_capacity=16, execution="functional"
-        ).search(queries)
-        eng = MultiBoardSearch(
-            data, k=5, n_devices=3, board_capacity=16,
-            execution="functional", parallel=_process(),
-        )
-        res = eng.search(queries)
-        assert eng.dataset.kind == "shm"
-        assert (res.indices == seq.indices).all()
-        assert (res.distances == seq.distances).all()
 
 
 class TestFallback:

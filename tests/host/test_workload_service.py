@@ -2,8 +2,8 @@
 
 Covers the wire codec (request/response framing, the extended dtype
 whitelist and its rejection paths), server-side workload admission, and
-the acceptance shape: Jaccard and range search fanned out across a real
-two-process rack, bit-identical to a single local engine.
+the acceptance shape: Jaccard and range search fanned out across one
+real two-process rack, bit-identical to a single local engine.
 """
 
 import multiprocessing
@@ -156,26 +156,21 @@ class TestWorkloadRequestCodec:
             pack_workload_request("", {}, np.zeros((1, 4), dtype=np.uint8))
 
 
-class TestRemoteWorkloadParity:
-    """In-thread rack: remote fan-out ≡ one local engine, per workload."""
-
-    @pytest.mark.parametrize("name,params", ALL_PARAMS)
-    def test_rack_bit_identical(self, name, params):
-        self._rack_matches_local(name, params, n_devices=1)
+class TestRemoteWorkloads:
+    """Racks beyond the oracle's plain and replicated cells
+    (``tests/integration/test_bit_identity.py``): under a second
+    topology layer (multi-device servers, the router in front), the
+    exact wire traffic, and what the client refuses."""
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     def test_rack_multi_device_servers_bit_identical(self, name, params):
         """``n_devices`` is server configuration and shapes every
         admitted workload's partitioning (it used to reach kNN only)."""
-        self._rack_matches_local(name, params, n_devices=2)
-
-    @staticmethod
-    def _rack_matches_local(name, params, n_devices):
         data, queries = _data()
         local = WorkloadSearch(data, name, params,
                                board_capacity=32).search(queries)
         servers, addresses = _start_rack(
-            data, 3, board_capacity=32, n_devices=n_devices
+            data, 3, board_capacity=32, n_devices=2
         )
         try:
             with RemoteWorkloadSearch(addresses, name, params) as remote:
@@ -190,23 +185,7 @@ class TestRemoteWorkloadParity:
                 served = [e for e in server._engines.values()
                           if e.workload.name == name]
                 assert served and all(
-                    len(e.per_device_partitions) == n_devices for e in served
-                )
-        finally:
-            for s in servers:
-                s.close()
-
-    def test_k_wider_than_a_shard_still_exact(self):
-        # per-shard clipping + pool-level clipping compose: k > n/shards
-        data, queries = _data(n=90)
-        local = WorkloadSearch(data, "jaccard", {"k": 50}).search(queries)
-        servers, addresses = _start_rack(data, 3)
-        try:
-            with RemoteWorkloadSearch(addresses, "jaccard",
-                                      {"k": 50}) as remote:
-                res = remote.search(queries)
-                _assert_value_equal(
-                    get_workload("jaccard"), res.value, local.value
+                    len(e.per_device_partitions) == 2 for e in served
                 )
         finally:
             for s in servers:
@@ -370,14 +349,11 @@ def _serve_workload_shard(data, shard_index, n_shards, address_queue):
 
 
 class TestServerProcesses:
-    """The acceptance shape: >= 2 ShardServer *processes* per workload."""
+    """The acceptance shape: one rack of two ShardServer *processes*
+    serves every workload."""
 
-    @pytest.mark.parametrize(
-        "name,params", [("jaccard", {"k": 7}), ("range", {"radius": 11})]
-    )
-    def test_two_process_rack_bit_identical(self, name, params):
+    def test_two_process_rack_bit_identical(self):
         data, queries = _data(n=140, d=32, n_queries=6, seed=21)
-        local = WorkloadSearch(data, name, params).search(queries)
         ctx = multiprocessing.get_context()
         address_queue = ctx.Queue()
         procs = [
@@ -393,13 +369,15 @@ class TestServerProcesses:
         try:
             got = dict(address_queue.get(timeout=30) for _ in range(2))
             addresses = [got[0], got[1]]
-            with RemoteWorkloadSearch(addresses, name, params) as remote:
-                res = remote.search(queries)
-                assert not res.partial
-                assert res.n_workers == 2
-                _assert_value_equal(
-                    get_workload(name), res.value, local.value
-                )
+            for name, params in (("jaccard", {"k": 7}), ("range", {"radius": 11})):
+                local = WorkloadSearch(data, name, params).search(queries)
+                with RemoteWorkloadSearch(addresses, name, params) as remote:
+                    res = remote.search(queries)
+                    assert not res.partial
+                    assert res.n_workers == 2
+                    _assert_value_equal(
+                        get_workload(name), res.value, local.value
+                    )
         finally:
             for p in procs:
                 p.terminate()

@@ -9,8 +9,6 @@ from repro.automata.anml import parse_anml, to_anml
 from repro.automata.network import ValidationError
 from repro.automata.reference import reference_run
 from repro.automata.simulator import CompiledSimulator
-from repro.core.engine import APSimilaritySearch
-from repro.core.multiboard import MultiBoardSearch
 from tests.automata.test_reference_differential import random_network
 
 
@@ -48,40 +46,6 @@ class TestAnmlRoundTripFuzz:
         )
         ref = [(r.cycle, r.code) for r in reference_run(net2, stream)]
         assert fast == ref
-
-
-class TestShardingInvariance:
-    @given(st.integers(10, 60), st.integers(2, 12), st.integers(1, 5),
-           st.integers(1, 4), st.integers(0, 999))
-    @settings(max_examples=15, deadline=None)
-    def test_multiboard_equals_single_engine(self, n, d, k, n_devices, seed):
-        """Sharding across devices is invisible in the results."""
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
-        queries = rng.integers(0, 2, (3, d), dtype=np.uint8)
-        single = APSimilaritySearch(data, k=k, board_capacity=max(1, n // 3),
-                                    execution="functional").search(queries)
-        multi = MultiBoardSearch(data, k=k, n_devices=min(n_devices, n),
-                                 board_capacity=max(1, n // 5)).search(queries)
-        assert (single.indices == multi.indices).all()
-        assert (single.distances == multi.distances).all()
-
-
-class TestPartitionInvariance:
-    @given(st.integers(5, 40), st.integers(2, 10), st.integers(1, 20),
-           st.integers(0, 999))
-    @settings(max_examples=20, deadline=None)
-    def test_capacity_never_changes_results(self, n, d, cap, seed):
-        """Board capacity is a pure performance knob."""
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (n, d), dtype=np.uint8)
-        queries = rng.integers(0, 2, (2, d), dtype=np.uint8)
-        base = APSimilaritySearch(data, k=3, board_capacity=n,
-                                  execution="functional").search(queries)
-        split = APSimilaritySearch(data, k=3, board_capacity=min(cap, n),
-                                   execution="functional").search(queries)
-        assert (base.indices == split.indices).all()
-        assert (base.distances == split.distances).all()
 
 
 class TestOptimizerOnEveryDesign:

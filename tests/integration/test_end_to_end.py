@@ -47,17 +47,6 @@ class TestFullPipeline:
         assert (fpga_i == ref.indices).all()
         assert (gpu_i == ref.indices).all()
 
-    def test_cycle_sim_agrees_at_system_scale(self):
-        """Cycle-accurate AP simulation of a multi-partition workload."""
-        data, _ = clustered_binary(48, 12, n_clusters=4, seed=4)
-        queries = queries_near_dataset(data, 5, seed=5)
-        sim = APSimilaritySearch(data, k=3, board_capacity=16,
-                                 execution="simulate").search(queries)
-        fun = APSimilaritySearch(data, k=3, board_capacity=16,
-                                 execution="functional").search(queries)
-        assert (sim.indices == fun.indices).all()
-        assert (sim.distances == fun.distances).all()
-
     def test_indexed_search_recall_on_clustered_data(self):
         data, _ = clustered_binary(2000, 32, n_clusters=16, flip_prob=0.05,
                                    seed=6)

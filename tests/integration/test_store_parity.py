@@ -1,14 +1,12 @@
-"""Cross-store parity: ArrayStore ≡ ShmStore ≡ MmapStore, bit for bit.
+"""Store properties beyond parity: what a store does with its bytes.
 
-The PackedDataset refactor's non-negotiable property: where the
-dataset's bytes *live* and how they are laid out (in-memory array,
-packed shared-memory segment, mmap-backed ``.pds`` file of either
-version) must be invisible to every result — for every workload, every
-backend, the multi-board layer, and the shard server.  These tests
-drive the same data through all the stores and demand byte equality of
-answers and of every counter but ``image_cache_hits`` (a packed store's
-functional passes are views: every board is served without a compile),
-plus fail-fast construction for bad inputs.
+Answers over every store (array / mmap / shm) are the bit-identity
+oracle's (``tests/integration/test_bit_identity.py``).  These tests
+hold what parity cannot see: a packed store's functional pass is a view
+that packs, hashes and caches nothing, simulated images compiled over
+any store share one content-addressed cache, mmap workers ship
+descriptors instead of rows, and a ``.pds`` shard is paged through,
+never loaded — plus fail-fast construction for bad inputs.
 """
 
 import dataclasses
@@ -19,23 +17,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ap.compiler import BoardImageCache
 from repro.core import dataset as dataset_mod
 from repro.core.dataset import PackedDataset, write_pds
 from repro.core.engine import APSimilaritySearch
-from repro.core.multiboard import MultiBoardSearch
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.shm import shm_available
-from tests.conftest import (
-    assert_snapshots_equal,
-    counters_but_cache_hits,
-    run_snapshot,
-    write_pds_v1,
-)
+from tests.oracle import counters_but_cache_hits
 
 WORKLOADS = [
     ("knn", {"k": 4}),
@@ -51,21 +41,15 @@ def _make(rng_seed: int, n: int, d: int, n_q: int):
     return data, queries
 
 
-# Stores that hold packed row words: their functional passes are views.
-PACKED = ("mmap", "shm")
-
-
 def _stores(data, tmp_path):
     """The same rows behind every available store: the in-memory array,
-    a ``.pds`` of each version (``mmap`` packed words, ``mmap-v1`` one
-    byte per bit), and ``shm``, the packed twin an out-of-process engine
-    promotes an in-memory handle to."""
+    a ``.pds`` file, and ``shm``, the packed twin an out-of-process
+    engine promotes an in-memory handle to."""
     path = tmp_path / "parity.pds"
     write_pds(path, data, chunk_rows=max(1, len(data) // 3))
     stores = {
         "array": PackedDataset.ensure(data),
         "mmap": PackedDataset.open(path),
-        "mmap-v1": PackedDataset.open(write_pds_v1(tmp_path / "v1.pds", data)),
     }
     if shm_available():
         with mock.patch.object(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1):
@@ -74,75 +58,17 @@ def _stores(data, tmp_path):
     return stores
 
 
-def _assert_same_run(ref, res, kind, label):
-    """Same answers and counters; ``image_cache_hits`` by the rule."""
-    _assert_same_result(ref.value, res.value, label)
-    assert counters_but_cache_hits(res.counters) == counters_but_cache_hits(
-        ref.counters
-    ), label
-    assert res.per_device_partitions == ref.per_device_partitions, label
-    functional = res.execution == "functional"
-    assert res.counters.image_cache_hits == (
-        res.n_partitions if kind in PACKED and functional
-        else ref.counters.image_cache_hits
-    ), label
-
-
-def _result_fields(value):
-    return {
-        f.name: getattr(value, f.name)
-        for f in dataclasses.fields(value)
-        if isinstance(getattr(value, f.name), np.ndarray)
-    }
-
-
 def _assert_same_result(a, b, label):
-    fa, fb = _result_fields(a), _result_fields(b)
-    assert fa.keys() == fb.keys()
-    for name in fa:
-        assert np.array_equal(fa[name], fb[name]), f"{label}: {name} differs"
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (
+            f"{label}: {f.name} differs"
+        )
 
 
-# -- serial parity across workloads and stores -------------------------------
+# -- caches and views ----------------------------------------------------------
 
 
-class TestSerialParity:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        n=st.integers(30, 200),
-        d=st.sampled_from([8, 33, 64, 100, 130]),
-        n_q=st.integers(1, 6),
-        k=st.sampled_from([1, 4, 500]),  # 500: k >= n
-        cut=st.tuples(st.integers(0, 14), st.integers(0, 14)),
-    )
-    def test_all_stores_bit_identical(
-        self, tmp_path_factory, seed, n, d, n_q, k, cut
-    ):
-        data, queries = _make(seed, n, d, n_q)
-        tmp_path = tmp_path_factory.mktemp("stores")
-        stores = _stores(data, tmp_path)
-        # the whole store, and a window cut out of it by slice_rows
-        # (unaligned to boards, words' chunks and pages alike)
-        windows = [(0, n), (cut[0], n - cut[1])]
-        for wl, params in [
-            ("knn", {"k": k}),
-            ("jaccard", {"k": k}),
-            ("range", {"radius": d // 2}),
-        ]:
-            for lo, hi in windows:
-                results = {
-                    kind: WorkloadSearch(
-                        ds.slice_rows(lo, hi), wl, params,
-                        board_capacity=max(8, n // 3),
-                    ).search(queries)
-                    for kind, ds in stores.items()
-                }
-                for kind, res in results.items():
-                    _assert_same_run(
-                        results["array"], res, kind, f"{wl}/{kind}/[{lo},{hi})"
-                    )
-
+class TestCachesAndViews:
     def test_simulate_over_a_packed_store_unpacks_and_shares_the_cache(
         self, tmp_path
     ):
@@ -169,116 +95,12 @@ class TestSerialParity:
             assert res.counters.image_cache_hits == 3, kind
             assert (cache.stats.hits, cache.stats.misses) == (hits + 3, 3)
 
-
-# -- backend sweep over the mmap store ---------------------------------------
-
-
-BACKENDS = [
-    pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
-    pytest.param("process", id="process"),
-]
-
-
-class TestBackendParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_knn_engine_mmap_matches_array(self, tmp_path, backend):
-        data, queries = _make(11, 150, 16, 5)
-        path = tmp_path / "b.pds"
-        write_pds(path, data)
-        ref = APSimilaritySearch(data, k=4, board_capacity=32).search(queries)
-        parallel = (
-            None if backend == "serial"
-            else ParallelConfig(n_workers=2, backend=backend)
-        )
-        try:
-            res = APSimilaritySearch(
-                str(path), k=4, board_capacity=32, parallel=parallel
-            ).search(queries)
-        finally:
-            if parallel is not None:
-                parallel.close()
-        _assert_same_run(ref, res, "mmap", backend)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("wl,params", WORKLOADS,
-                             ids=[w for w, _ in WORKLOADS])
-    def test_workloads_every_store_matches_array(
-        self, tmp_path, backend, wl, params
-    ):
-        data, queries = _make(13, 120, 70, 4)  # two words a row, one padded
-        ref = WorkloadSearch(data, wl, params, board_capacity=32).search(
-            queries
-        )
-        for kind, dataset in _stores(data, tmp_path).items():
-            parallel = (
-                None if backend == "serial"
-                else ParallelConfig(n_workers=2, backend=backend)
-            )
-            try:
-                res = WorkloadSearch(
-                    dataset, wl, params, board_capacity=32, parallel=parallel
-                ).search(queries)
-            finally:
-                if parallel is not None:
-                    parallel.close()
-            _assert_same_run(ref, res, kind, f"{wl}/{kind}/{backend}")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("wl,params", WORKLOADS,
-                             ids=[w for w, _ in WORKLOADS])
-    def test_fused_passes_match_one_board_per_pass_on_every_store(
-        self, tmp_path, backend, wl, params, unfused
-    ):
-        """Runs of boards executed as one host pass — over every store,
-        on every backend — answer, count and cache (cold, then warm)
-        exactly as a serial engine running one board per pass."""
-        data, queries = _make(53, 150, 16, 5)  # 10 boards, the last short
-        with unfused():
-            ref = run_snapshot(
-                WorkloadSearch(data, wl, params, board_capacity=16, cache=True),
-                queries,
-            )
-        assert ref[1]["counters"]["image_cache_hits"] == 10
-        for kind, dataset in _stores(data, tmp_path).items():
-            parallel = (
-                None if backend == "serial"
-                else ParallelConfig(n_workers=2, backend=backend, persistent=True)
-            )
-            try:
-                engine = WorkloadSearch(
-                    dataset, wl, params, board_capacity=16, cache=True,
-                    parallel=parallel,
-                )
-                tasks = engine._partition_tasks(
-                    engine.params, engine._boards_per_pass(engine.params, 5)
-                )
-                assert [len(t.boards) for t in tasks] == (
-                    [10] if backend == "serial" else [5, 5]
-                )
-                got = run_snapshot(engine, queries)
-            finally:
-                if parallel is not None:
-                    parallel.close()
-            if kind in PACKED:
-                # View passes: no board is compiled, looked up or held —
-                # each search counts all ten as served, in the counters
-                # and (one bump per search) in the engine's cache.
-                assert got[2] == {"cache": (20, 0, 0, 0)}
-                got[2] = ref[2]
-                for search, ref_search in zip(got[:2], ref):
-                    assert search["counters"]["image_cache_hits"] == 10
-                    search["counters"]["image_cache_hits"] = (
-                        ref_search["counters"]["image_cache_hits"]
-                    )
-            assert_snapshots_equal(got, ref, f"{wl}/{kind}/{backend}")
-
     @pytest.mark.parametrize("wl,params", WORKLOADS,
                              ids=[w for w, _ in WORKLOADS])
     def test_functional_pass_over_packed_words_is_a_view(
         self, tmp_path, monkeypatch, wl, params
     ):
-        """A functional search over a version-2 store packs no dataset
+        """A functional search over a ``.pds`` store packs no dataset
         row, hashes no partition and never asks the cache for a board:
         the stored words are the artifact."""
         import repro.core.functional as functional_mod
@@ -310,7 +132,7 @@ class TestBackendParity:
             str(path), wl, params, board_capacity=16, cache=True
         )
         for _ in range(2):
-            _assert_same_run(expected, engine.search(queries), "mmap", wl)
+            _assert_same_result(expected.value, engine.search(queries).value, wl)
         assert set(packed_rows) <= {5}  # the query batch, nothing else
         assert cache_calls == [] and digests == []
         assert engine.cache.stats.hits == 20 and len(engine.cache) == 0
@@ -346,50 +168,7 @@ class TestBackendParity:
         assert saved >= 0.9 * data.nbytes
 
 
-# -- higher layers -----------------------------------------------------------
-
-
-class TestMultiBoardAndServer:
-    def test_multiboard_over_mmap(self, tmp_path):
-        data, queries = _make(19, 300, 16, 4)
-        path = tmp_path / "mb.pds"
-        write_pds(path, data)
-        ref = MultiBoardSearch(
-            data, k=5, n_devices=3, board_capacity=40
-        ).search(queries)
-        res = MultiBoardSearch(
-            str(path), k=5, n_devices=3, board_capacity=40
-        ).search(queries)
-        assert np.array_equal(res.indices, ref.indices)
-        assert np.array_equal(res.distances, ref.distances)
-
-    def test_shard_server_pds_parity_all_workloads(self, tmp_path):
-        from repro.host.rpc import RemoteShard, ShardServer
-
-        data, queries = _make(23, 260, 16, 4)
-        path = tmp_path / "srv.pds"
-        write_pds(path, data)
-        mem = ShardServer(data, board_capacity=64)
-        disk = ShardServer(str(path), board_capacity=64)
-        mem.start()
-        disk.start()
-        try:
-            c_mem = RemoteShard("%s:%d" % mem.address)
-            c_disk = RemoteShard("%s:%d" % disk.address)
-            mi, md, _, _ = c_mem.search(queries, k=5)
-            di, dd, _, _ = c_disk.search(queries, k=5)
-            assert np.array_equal(mi, di)
-            assert np.array_equal(md, dd)
-            for wl, params in WORKLOADS:
-                vm, _, _ = c_mem.search_workload(queries, wl, params)
-                vd, _, _ = c_disk.search_workload(queries, wl, params)
-                _assert_same_result(vm, vd, f"server/{wl}")
-            c_mem.close()
-            c_disk.close()
-        finally:
-            mem.close()
-            disk.close()
-
+class TestServeShard:
     def test_serve_shard_bounds_from_handle(self, tmp_path):
         from repro.host.rpc import serve_shard
 

@@ -214,36 +214,6 @@ class TestPack:
         assert "chunk 2" in capsys.readouterr().err
         assert not (tmp_path / "copy.pds").exists()
 
-    def test_pack_converts_a_version_1_file(
-        self, dataset_files, tmp_path, capsys
-    ):
-        from repro.core.dataset import PackedDataset
-        from tests.conftest import write_pds_v1
-
-        _, q, data, _ = dataset_files
-        old = write_pds_v1(tmp_path / "old.pds", data)
-        assert main(["pack", "--info", old]) == 0
-        info = capsys.readouterr().out
-        assert ".pds v1, layout 1" in info and "1 stored bytes per bit" in info
-        assert "0 chunk(s)" in info
-        assert main(["pack", "--verify", old]) == 0
-        assert main(["pack", old]) == 2  # onto itself: needs an output
-        new = tmp_path / "new.pds"
-        capsys.readouterr()
-        assert main(["pack", old, str(new)]) == 0
-        assert main(["pack", "--info", str(new)]) == 0
-        assert ".pds v2, layout 2" in capsys.readouterr().out
-        assert new.stat().st_size < (tmp_path / "old.pds").stat().st_size
-        assert np.array_equal(PackedDataset.open(new).rows(0, 64), data)
-        assert PackedDataset.open(new).digest == PackedDataset.open(old).digest
-        main(["search", old, q, "-k", "3", "--execution", "functional"])
-        served_old = capsys.readouterr().out
-        main(["search", str(new), q, "-k", "3", "--execution", "functional"])
-        served_new = capsys.readouterr().out
-        assert [ln for ln in served_old.splitlines() if ln.startswith("q")] == [
-            ln for ln in served_new.splitlines() if ln.startswith("q")
-        ]
-
 
 class TestCompileSimulate:
     def test_compile_to_stdout(self, capsys):
