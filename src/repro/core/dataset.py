@@ -323,9 +323,9 @@ class PdsHeader:
     payload_offset: int
     payload_nbytes: int
     digest: str
+    chunk_rows: int
+    chunk_table_offset: int
     layout: int = _LAYOUT_WORDS_U64
-    chunk_rows: int = 0
-    chunk_table_offset: int = 0
 
     @property
     def dtype(self) -> np.dtype:
@@ -338,7 +338,7 @@ class PdsHeader:
 
     @property
     def n_chunks(self) -> int:
-        return -(-self.n // self.chunk_rows) if self.chunk_rows else 0
+        return -(-self.n // self.chunk_rows)
 
 
 def _parse_pds_header(raw: bytes, file_size: int, path: str) -> PdsHeader:
@@ -384,23 +384,22 @@ def _parse_pds_header(raw: bytes, file_size: int, path: str) -> PdsHeader:
     except (UnicodeDecodeError, ValueError):
         raise DatasetFormatError(f"{path!r}: malformed digest field") from None
     chunk_rows, table_offset = _PDS_CHUNK_FIELDS.unpack_from(raw, _PDS_HEADER.size)
-    header = PdsHeader(
-        version=int(version), n=int(n), d=int(d),
-        payload_offset=int(payload_offset),
-        payload_nbytes=int(payload_nbytes), digest=digest,
-        layout=int(layout_code), chunk_rows=int(chunk_rows),
-        chunk_table_offset=int(table_offset),
-    )
     if (
         chunk_rows < 1
         or table_offset < header_size
-        or table_offset + _CHUNK_DIGEST_BYTES * header.n_chunks > payload_offset
+        or table_offset + _CHUNK_DIGEST_BYTES * -(-n // chunk_rows) > payload_offset
     ):
         raise DatasetFormatError(
             f"{path!r}: bad chunk table ({chunk_rows} rows per chunk "
             f"at offset {table_offset})"
         )
-    return header
+    return PdsHeader(
+        version=int(version), n=int(n), d=int(d),
+        payload_offset=int(payload_offset),
+        payload_nbytes=int(payload_nbytes), digest=digest,
+        chunk_rows=int(chunk_rows), chunk_table_offset=int(table_offset),
+        layout=int(layout_code),
+    )
 
 
 def read_pds_header(path: str | os.PathLike) -> PdsHeader:
@@ -536,8 +535,9 @@ class MmapStore:
         ``[lo, hi)`` back to the page cache (data intact; re-access
         just re-faults).  The unit is the verification chunk: every
         chunk whose last row is in the range is dropped whole, and a
-        range that completes none drops nothing — a pass-sized ``madvise`` behind every pass cost
-        ~0.2 ms per MiB scanned, one per 256 KiB chunk a quarter of it
+        range that completes none drops nothing — a pass-sized
+        ``madvise`` behind every pass cost ~0.2 ms per MiB scanned, one
+        per 256 KiB chunk a quarter of it
         (README "Footprint and provisioning model").  Rounds inward to
         whole pages so neighboring rows are never evicted, and is a
         no-op where ``madvise`` is unavailable."""
@@ -571,8 +571,9 @@ class MmapStore:
 # this process (the engine that opened it, slice-ref resolution in
 # serial/thread paths, forked workers) shares one mapping — and its
 # digest memo and verified-chunk flags.  Keyed by file generation, not
-# path alone: a re-packed path is a different file.  Bounded; evicted
-# stores close once their last numpy view dies.
+# path alone: a re-packed path is a different file.  Bounded; an
+# evicted store is only dropped from the cache — a handle may still
+# serve from it — and unmaps once the last reference to it dies.
 _ATTACH_LOCK = threading.Lock()
 _ATTACHED_MMAPS: dict[tuple, MmapStore] = {}
 _ATTACH_CACHE_MAX = 8
@@ -615,7 +616,7 @@ def attach_mmap_store(
             oldest_key = next(iter(_ATTACHED_MMAPS))
             if oldest_key == key:  # never evict what we just opened
                 break
-            _ATTACHED_MMAPS.pop(oldest_key).close()
+            del _ATTACHED_MMAPS[oldest_key]
         return store
 
 
@@ -633,8 +634,8 @@ class DatasetSliceRef:
     :class:`~repro.host.shm.ShmArrayRef` to the packed words (workers
     re-attach the segment).  :meth:`packed_window` is the read-only
     zero-copy ``(hi-lo, ceil(d/64))`` view of the window's row words,
-    :meth:`resolve` its ``(hi-lo, d)`` rows, and :meth:`release` drops the window's resident pages in
-    *this* process after use (mmap only).
+    :meth:`resolve` its ``(hi-lo, d)`` rows, and :meth:`release` drops
+    the window's resident pages in *this* process after use (mmap only).
     """
 
     kind: str
@@ -945,8 +946,9 @@ def write_pds(
 
 def verify_pds(path: str | os.PathLike) -> PdsHeader:
     """Check a whole ``.pds`` against itself: every chunk against the
-    chunk table, then the unpacked rows against the header digest.  Raises :class:`DatasetFormatError` naming the first bad
-    chunk; returns the header.  Streams through a private mapping, so
+    chunk table, then the unpacked rows against the header digest.
+    Raises :class:`DatasetFormatError` naming the first bad chunk;
+    returns the header.  Streams through a private mapping, so
     it neither loads the payload nor marks the process's attached copy
     verified."""
     store = MmapStore(path)

@@ -616,3 +616,17 @@ def test_store_close_unmaps(tmp_path, rng):
 
 def test_attach_cache_returns_same_store(pds_path):
     assert attach_mmap_store(pds_path) is attach_mmap_store(pds_path)
+
+
+def test_attach_cache_eviction_leaves_open_handles_serving(tmp_path, rng):
+    """Opening more files than the attach cache holds evicts the oldest
+    store from the cache; a handle still open on it keeps serving."""
+    data = (rng.random((20, 16)) < 0.5).astype(np.uint8)
+    paths = [tmp_path / f"e{i}.pds" for i in range(dataset_mod._ATTACH_CACHE_MAX + 2)]
+    for path in paths:
+        write_pds(path, data)
+    first = PackedDataset.open(paths[0])
+    for path in paths[1:]:
+        PackedDataset.open(path)
+    assert (first.store.path, first.store.file_id) not in dataset_mod._ATTACHED_MMAPS
+    assert np.array_equal(first.rows(0, 20), data)

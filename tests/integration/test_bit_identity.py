@@ -3,13 +3,15 @@ serial in-memory reference does (``tests/oracle.py`` states the
 property, its axes, its prunes and its named deltas).
 
 Each cell of workload × store × backend × topology × cache is its own
-case.  Cells run seeded (``derandomize=True``), so a failure reproduces;
-every cell also runs the shared example shapes — a tie split across
-boards at an odd width, and ``k`` beyond ``n`` — which are all the rack
-cells run, so each (shape, store) pays one rack.
+case, run on the oracle's fixed shapes — a tie split across boards, ``k``
+beyond ``n``, and 157 rows of 130 bits over 4 devices or shards — so
+each (shape, store) pays one rack.  Then one cell per axis value runs
+generated shapes, seeded (``derandomize=True``) so a failure
+reproduces, plus one shape for each width the fixed shapes leave out.
 """
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -17,24 +19,45 @@ from hypothesis import HealthCheck, Phase, example, given, settings
 
 from repro.core.workload import WorkloadSearch
 from tests import oracle
-from tests.oracle import EXAMPLES, RACKS, TIED, WIDE_K, Cell, check
+from tests.oracle import (
+    EXAMPLES,
+    SIM_EXAMPLES,
+    TIED,
+    WIDTH_EXAMPLES,
+    Cell,
+    check,
+)
 
 CELLS = oracle.cells()
 
+NEEDS_FORK = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="process workers see a test-time registration only by fork",
+)
+
 
 def _cells(keep):
-    """One case per cell, under its readable id."""
-    return [pytest.param(c, id=c.id) for c in CELLS if keep(c)]
+    """One case per cell, under its readable id.  The toy workload is
+    registered in this process only, so its process cells need fork."""
+    def marks(c):
+        return NEEDS_FORK if (c.workload, c.backend) == ("toy", "process") else ()
+
+    return [pytest.param(c, id=c.id, marks=marks(c)) for c in CELLS if keep(c)]
 
 
-IN_PROCESS = _cells(lambda c: c.topology not in RACKS and c.workload != "knn_sim")
-SIMULATED = _cells(lambda c: c.workload == "knn_sim")
-RACKED = _cells(lambda c: c.topology in RACKS)
-
-SEEDED = settings(
-    derandomize=True, database=None, deadline=None,
+EXPLICIT = settings(database=None, deadline=None, phases=[Phase.explicit])
+GENERATED = settings(
+    derandomize=True, database=None, deadline=None, max_examples=8,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _examples(shapes):
+    def add(test):
+        for shape in shapes:
+            test = example(shape=shape)(test)
+        return test
+    return add
 
 
 @pytest.fixture(scope="module")
@@ -46,41 +69,64 @@ def env(tmp_path_factory):
         env.close()
 
 
-def _examples(test):
-    for shape in EXAMPLES:
-        test = example(shape=shape)(test)
-    return test
-
-
-@pytest.mark.parametrize("cell", IN_PROCESS)
-@settings(SEEDED, max_examples=1)
-@_examples
+@pytest.mark.parametrize("cell", _cells(lambda c: c.workload != "knn_sim"))
+@EXPLICIT
+@_examples(EXAMPLES)
 @given(shape=oracle.shapes())
 def test_cell(env, cell, shape):
     check(cell, shape, env)
 
 
-@pytest.mark.parametrize("cell", SIMULATED)
-@settings(SEEDED, max_examples=1)
-@example(shape=WIDE_K)
+@pytest.mark.parametrize("cell", _cells(lambda c: c.workload == "knn_sim"))
+@EXPLICIT
+@_examples(SIM_EXAMPLES)
 @given(shape=oracle.tiny_shapes)
 def test_simulated_cell(env, cell, shape):
     check(cell, shape, env)
 
 
-@pytest.mark.parametrize("cell", RACKED)
-@settings(SEEDED, phases=[Phase.explicit])
-@_examples
+# -- generated shapes, one cell per axis value --------------------------------
+
+SWEPT = (
+    Cell("knn", "mmap", "process", "multi", "cold"),
+    Cell("knn", "array", "thread", "multi", "none"),
+    Cell("jaccard", "shm", "process", "batched", "warm"),
+    Cell("range", "array", "thread", "local", "none"),
+    Cell("toy", "shm", "serial", "batched", "cold"),
+    Cell("knn", "mmap", "serial", "remote", "warm"),
+    Cell("range", "array", "serial", "replicated", "none"),
+)
+SWEPT_SIM = Cell("knn_sim", "array", "thread", "local", "cold")
+
+
+@pytest.mark.parametrize("cell", [pytest.param(c, id=c.id) for c in SWEPT])
+@GENERATED
+@_examples(WIDTH_EXAMPLES)
 @given(shape=oracle.shapes())
-def test_rack_cell(env, cell, shape):
-    check(cell, shape, env)
+def test_generated_shapes(env, cell, shape):
+    try:
+        check(cell, shape, env)
+    finally:
+        env.release(shape)
 
 
-def test_prunes_keep_every_axis_value():
+@GENERATED
+@given(shape=oracle.tiny_shapes)
+def test_generated_simulated_shapes(env, shape):
+    try:
+        check(SWEPT_SIM, shape, env)
+    finally:
+        env.release(shape)
+
+
+def test_every_axis_value_runs_in_the_matrix_and_the_sweep():
     axes = (oracle.WORKLOADS, oracle.STORES, oracle.BACKENDS, oracle.TOPOLOGIES,
             oracle.CACHES)
+    swept = (*SWEPT, SWEPT_SIM)
+    assert all(c in CELLS for c in swept)
     for field, values in zip(dataclasses.fields(Cell), axes):
-        assert {getattr(c, field.name) for c in CELLS} == set(values), field.name
+        for chosen in (CELLS, swept):
+            assert {getattr(c, field.name) for c in chosen} == set(values), field.name
 
 
 # -- the oracle catches what it exists to catch -------------------------------

@@ -124,10 +124,11 @@ class Shape:
     ``slice_rows`` window of a store holding ``cut[0]`` more rows before
     them and ``cut[1]`` after (aligned with no board and no ``.pds``
     chunk); boards of ``cap`` rows end in a short one; ``devices`` is
-    the multi-device count; ``k`` and ``radius`` are workload
-    parameters.  ``tied`` lays the rows out in runs of ``RUN`` that
-    straddle board boundaries, each run at one distance from the query
-    that owns it, so the k-th place falls inside a tie between boards."""
+    the multi-device count and a rack's shard count; ``k`` and
+    ``radius`` are workload parameters.  ``tied`` lays the rows out in
+    runs of ``RUN`` that straddle board boundaries, each run at one
+    distance from the query that owns it, so the k-th place falls
+    inside a tie between boards."""
 
     n: int
     d: int
@@ -165,10 +166,11 @@ class Shape:
 
 
 @st.composite
-def shapes(draw, widths=WIDTHS, max_cap=24, max_boards=6, max_queries=4):
-    """Every geometry the parity tests used to enumerate by hand: paper
-    and odd widths, a short last board, ``k >= n``, an unaligned window
-    and boundary-straddling ties."""
+def shapes(draw, widths=WIDTHS, max_cap=24, max_boards=8, max_queries=4):
+    """Random geometry: a paper or odd width, up to ``max_boards``
+    boards ending in a short one, 2-5 devices (or shards), ``k`` up to
+    and beyond ``n``, an unaligned window, and (half the time) ties
+    straddling boards."""
     d = draw(st.sampled_from(widths))
     cap = draw(st.integers(3, max_cap))
     n = cap * draw(st.integers(1, max_boards - 1)) + draw(st.integers(1, cap - 1))
@@ -177,7 +179,7 @@ def shapes(draw, widths=WIDTHS, max_cap=24, max_boards=6, max_queries=4):
         k=draw(st.sampled_from((1, 3, 7, n, n + 5))),
         radius=draw(st.sampled_from((0, 2, d // 2 - 2, d // 2))),
         n_q=draw(st.integers(1, max_queries)),
-        devices=draw(st.integers(2, 3)),
+        devices=draw(st.integers(2, 5)),
         cut=(draw(st.integers(0, 13)), draw(st.integers(0, 13))),
         tied=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)),
@@ -187,13 +189,26 @@ def shapes(draw, widths=WIDTHS, max_cap=24, max_boards=6, max_queries=4):
 # Small enough to simulate cycle by cycle.
 tiny_shapes = shapes(widths=(33,), max_cap=5, max_boards=3, max_queries=2)
 
-# Every cell runs these; the rack cells run only these, so each
-# (shape, store) starts one rack.
+# Every cell runs these, so each (shape, store) starts one rack: a tie
+# split across boards at a two-word width, k beyond n (and beyond every
+# shard) at a ragged one-word width, and 157 rows of 130 bits over 4
+# devices or shards, with a wide range radius.
 TIED = Shape(n=37, d=70, cap=8, k=3, radius=2, n_q=3, devices=3, cut=(3, 6),
              tied=True, seed=11)
 WIDE_K = Shape(n=13, d=33, cap=5, k=18, radius=14, n_q=2, devices=2, cut=(0, 4),
                tied=False, seed=5)
-EXAMPLES = (TIED, WIDE_K)
+LARGE = Shape(n=157, d=130, cap=24, k=9, radius=63, n_q=3, devices=4, cut=(7, 10),
+              tied=False, seed=3)
+EXAMPLES = (TIED, WIDE_K, LARGE)
+# Every simulated cell runs these: k beyond n, and a tie across boards.
+TINY_TIED = Shape(n=14, d=33, cap=4, k=3, radius=2, n_q=2, devices=2, cut=(2, 1),
+                  tied=True, seed=7)
+SIM_EXAMPLES = (WIDE_K, TINY_TIED)
+# The widths no example above has, tied, over 5 devices or shards.
+WIDTH_EXAMPLES = tuple(
+    dataclasses.replace(LARGE, d=d, radius=d // 2 - 2, devices=5, tied=True, seed=d)
+    for d in sorted(set(WIDTHS) - {s.d for s in EXAMPLES})
+)
 
 
 # -- workloads: parameters and brute-force truth -----------------------------
@@ -325,18 +340,18 @@ def unfused():
 
 
 class Rack:
-    """Two balanced shards of a store window, each served by two
-    in-thread replicas sharing one board-image cache (or none).
+    """``shape.devices`` balanced shards of a store window, each served
+    by two in-thread replicas sharing one board-image cache (or none).
     ``remote`` talks to each shard's first replica, ``replicated`` to
     both as a replica group; hedging is off, so the first replica serves
     every request and the cache sees one search's boards."""
 
-    def __init__(self, window: PackedDataset, cap: int, cached: bool):
+    def __init__(self, window: PackedDataset, shape: Shape, cached: bool):
         self.cache = BoardImageCache() if cached else None
         self.servers = [
-            serve_shard(window, shard, 2, board_capacity=cap,
+            serve_shard(window, shard, shape.devices, board_capacity=shape.cap,
                         execution="functional", cache=self.cache).start()
-            for shard in (0, 1)
+            for shard in range(shape.devices)
             for _ in range(2)
         ]
 
@@ -344,7 +359,13 @@ class Rack:
         names = ["{}:{}".format(*s.address) for s in self.servers]
         if topology == "remote":
             return names[::2]
-        return ["|".join(names[:2]), "|".join(names[2:])]
+        return ["|".join(pair) for pair in zip(names[::2], names[1::2])]
+
+
+def _close(servers) -> None:
+    """Close servers all at once: each waits out one accept-loop poll."""
+    with ThreadPoolExecutor(max(1, len(servers))) as pool:
+        list(pool.map(lambda server: server.close(), servers))
 
 
 class Env:
@@ -356,6 +377,7 @@ class Env:
         self.tmp_dir = tmp_dir
         self._files = itertools.count()
         self._racks: dict[tuple, Rack] = {}
+        self._retired: list = []  # released racks' servers, not yet closed
         self._references: dict[tuple, list] = {}
         workload_mod.register_workload(PopcountNearest(), replace=True)
         self.process_pool = ParallelConfig(
@@ -363,11 +385,21 @@ class Env:
         )
 
     def close(self) -> None:
-        servers = [s for rack in self._racks.values() for s in rack.servers]
-        with ThreadPoolExecutor(max(1, len(servers))) as pool:
-            list(pool.map(lambda server: server.close(), servers))
+        _close(self._retired + [s for rack in self._racks.values() for s in rack.servers])
         self.process_pool.close()
         workload_mod._REGISTRY.pop(PopcountNearest.name, None)
+
+    def release(self, shape: Shape) -> None:
+        """Retire the racks and drop the references kept for ``shape``:
+        a generated shape is searched by one cell only.  Retired servers
+        close a batch at a time."""
+        for key in [key for key in self._racks if key[0] == shape]:
+            self._retired += self._racks.pop(key).servers
+        for key in [key for key in self._references if key[1] == shape]:
+            del self._references[key]
+        if len(self._retired) >= 64:
+            _close(self._retired)
+            self._retired = []
 
     def store(self, kind: str, shape: Shape) -> PackedDataset:
         """The shape's searched window, cut out of a store of ``kind``."""
@@ -399,7 +431,7 @@ class Env:
         """The shared rack, its cache emptied as a fresh one would be."""
         key = (shape, store, cached)
         if key not in self._racks:
-            self._racks[key] = Rack(self.store(store, shape), shape.cap, cached)
+            self._racks[key] = Rack(self.store(store, shape), shape, cached)
         rack = self._racks[key]
         if rack.cache is not None:
             rack.cache.clear()
@@ -408,11 +440,9 @@ class Env:
 
 
 def _devices(cell: Cell, shape: Shape) -> int:
-    """Device shards of the cell's partitioning: a rack's two shards
-    partition exactly as a two-device engine."""
-    if cell.topology == "multi":
-        return shape.devices
-    return 2 if cell.topology in RACKS else 1
+    """Device shards of the cell's partitioning: a rack's shards
+    partition exactly as that many devices."""
+    return shape.devices if cell.topology in ("multi", *RACKS) else 1
 
 
 def _engine(cell, shape, dataset, parallel=None):
@@ -585,13 +615,11 @@ def counters_but_cache_hits(counters):
 # -- the comparison ---------------------------------------------------------
 
 # How a run is carried: (transport, worker lanes).  Every shape has at
-# least two passes, so a pool always runs two lanes; a rack's lanes are
-# its two shards.
+# least two passes, so a pool always runs two lanes.
 CARRIERS = {
     "serial": ("none", 1),
     "thread": ("none", 2),
     "process": ("pickle", 2),
-    "rack": ("rpc", 2),
 }
 
 
@@ -599,11 +627,14 @@ def expected(reference_snapshot, cell: Cell) -> list:
     """The reference as ``cell`` must see it: the named deltas applied."""
     exp = copy.deepcopy(reference_snapshot)
     searches = exp[: cell.searches]
-    carrier = "rack" if cell.topology in RACKS else cell.backend
     for search in searches:
         # Delta: the carrier — transport and lanes per backend, or the
-        # wire and the shards for a rack.
-        search["run"] = CARRIERS[carrier] + search["run"][2:]
+        # wire and one lane per shard for a rack.
+        carrier = (
+            ("rpc", len(search["partitions"][1])) if cell.topology in RACKS
+            else CARRIERS[cell.backend]
+        )
+        search["run"] = carrier + search["run"][2:]
         if cell.views:
             # Delta: a functional pass over packed words is a view of
             # them, so every board of every engine search is served
