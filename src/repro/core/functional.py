@@ -14,9 +14,12 @@ points), exactly as the paper itself uses the AP SDK's functional
 simulation for run-time estimates (Section IV-B).
 
 A board holds its partition bit-packed (``n * ceil(d/64)`` uint64 words,
-packed once at construction) and answers through one kernel,
+row-major, packed once at construction) and answers through one kernel,
 :func:`~repro.util.bitops.popcount_cdist`, whose ``(q, n)`` distances
-are ``uint8``/``uint16``.  Three query entry points:
+are ``uint8``/``uint16``/``uint32``.  Rows and queries reach
+:func:`~repro.util.bitops.pack_bits` in their arrival dtype, so a value
+other than 0/1 raises ``ValueError`` instead of wrapping to a bit.
+Three query entry points:
 
 * :meth:`FunctionalKnnBoard.query_reports` reproduces the *full*
   report stream (one record per dataset vector per query) — ``O(q n)``
@@ -29,7 +32,10 @@ are ``uint8``/``uint16``.  Three query entry points:
   kept ones.  Queries run in tiles
   (:func:`~repro.util.bitops.default_cdist_tile`), so peak memory is
   one tile's ``(tile_q, n)`` kernel transients plus its keys — never a
-  ``q``-proportional blow-up at the paper's ``n = 2**20`` scale.
+  ``q``-proportional blow-up at the paper's ``n = 2**20`` scale.  Rows
+  wider than one word add the kernel's ``(w, n)`` column-order copy of
+  the partition (``n * w * 8`` bytes), taken once per call before the
+  tile loop, never once per tile.
 * :meth:`FunctionalKnnBoard.query_topk` is ``topk_block`` spelled as
   report records: the ``k`` earliest ``(code, cycle)`` per query.
 """
@@ -38,7 +44,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util.bitops import default_cdist_tile, pack_bits, popcount_cdist
+from ..util.bitops import (
+    _cdist_columns,
+    _word_columns,
+    default_cdist_tile,
+    pack_bits,
+    popcount_cdist,
+)
 from .stream import StreamLayout
 
 __all__ = ["FunctionalKnnBoard"]
@@ -57,7 +69,8 @@ class FunctionalKnnBoard:
         layout: StreamLayout,
         report_code_base: int = 0,
     ):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        # Arrival dtype: pack_bits validates 0/1 first, then narrows.
+        dataset_bits = np.asarray(dataset_bits)
         if dataset_bits.ndim != 2:
             raise ValueError("dataset must be (n, d)")
         if dataset_bits.shape[1] != layout.d:
@@ -106,8 +119,7 @@ class FunctionalKnnBoard:
         activations resolved by state ID).  Cycles are global stream
         offsets assuming queries are streamed back to back.
         """
-        qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
-        dist = popcount_cdist(qp, self._packed)
+        dist = popcount_cdist(pack_bits(queries_bits), self._packed)
         # Sort each query's reports by (cycle, code); codes are already
         # ascending per row, so a stable argsort on distance suffices.
         order = np.argsort(dist, axis=1, kind="stable")
@@ -132,7 +144,7 @@ class FunctionalKnnBoard:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
+        qp = pack_bits(queries_bits)
         n_q, n = qp.shape[0], self.n
         k_eff = min(int(k), n)
         key_dtype = (
@@ -142,8 +154,9 @@ class FunctionalKnnBoard:
         distances = np.empty((n_q, k_eff), dtype=np.int64)
         idx = np.arange(n, dtype=key_dtype)
         tile = default_cdist_tile(n, self._packed.shape[1])
+        columns = _word_columns(qp, self._packed)  # once, not per tile
         for lo in range(0, n_q, tile):
-            dist = popcount_cdist(qp[lo : lo + tile], self._packed)
+            dist = _cdist_columns(qp[lo : lo + tile], columns, np.bitwise_xor)
             keys = np.multiply(dist, n, dtype=key_dtype)
             keys += idx
             if k_eff < n:

@@ -728,7 +728,7 @@ class JaccardTopkWorkload(Workload):
         return {"k": min(k, n)}
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = np.asarray(dataset_bits)  # pack_bits validates, then narrows
         return self.compile_packed(
             pack_bits(dataset_bits), dataset_bits.shape[1], params
         )
@@ -746,13 +746,11 @@ class JaccardTopkWorkload(Workload):
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        qp = pack_bits(queries_bits)
         k = min(int(params["k"]), artifact.n)
         n = artifact.n
-        inter = popcount_cdist(
-            pack_bits(queries_bits), artifact.packed, np.bitwise_and
-        )
-        q_sizes = queries_bits.sum(axis=1).astype(np.int64)
+        inter = popcount_cdist(qp, artifact.packed, np.bitwise_and)
+        q_sizes = popcount_u64(qp).sum(axis=1)
         union = artifact.sizes[None, :] + q_sizes[:, None] - inter
         sim = np.ones(inter.shape, dtype=np.float64)
         np.divide(inter, union, out=sim, where=union > 0)
@@ -784,7 +782,7 @@ class JaccardTopkWorkload(Workload):
         block_length = 2 * d + collector_tree_depth(
             d, MacroConfig().max_fan_in
         ) + 4
-        n_q = queries_bits.shape[0]
+        n_q = qp.shape[0]
         counters.configurations += 1
         counters.symbols_streamed += n_q * block_length
         counters.reports_received += n_q * artifact.n
@@ -897,7 +895,7 @@ class HammingRangeWorkload(Workload):
         return {"radius": radius}
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = np.asarray(dataset_bits)  # pack_bits validates, then narrows
         return self.compile_packed(
             pack_bits(dataset_bits), dataset_bits.shape[1], params
         )
@@ -913,13 +911,13 @@ class HammingRangeWorkload(Workload):
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        qp = pack_bits(queries_bits)
         radius = int(params["radius"])
-        dist = popcount_cdist(pack_bits(queries_bits), artifact.packed)
+        dist = popcount_cdist(qp, artifact.packed)
         hit = dist <= radius
         counts = hit.sum(axis=1).astype(np.int64)
         width = int(counts.max(initial=0))
-        n_q = queries_bits.shape[0]
+        n_q = qp.shape[0]
         indices = np.full((n_q, width), _PAD_INDEX, dtype=np.int64)
         distances = np.full((n_q, width), _PAD_DISTANCE, dtype=np.int64)
         # np.nonzero is row-major: each row's hits come out in ascending

@@ -17,9 +17,14 @@ Hamming distance.  Two memory layouts are used throughout the library:
 Each byte moves once, in the narrowest exact dtype: :func:`pack_bits`
 goes bits -> bytes -> words with no widened staging copy, and the
 all-pairs kernel :func:`popcount_cdist` accumulates one word column at
-a time into a ``uint8``/``uint16`` ``(q, n)`` array — ``O(q n w)`` word
-ops.  Popcounts use the hardware ``np.bitwise_count`` ufunc when
-NumPy >= 2.0 provides it (16-bit-table fallback otherwise).
+a time into a ``uint8``/``uint16``/``uint32`` ``(q, n)`` array —
+``O(q n w)`` word ops.  Rows wider than one word are read through one
+private ``(w, n)`` column-order copy of the dataset per call, so every
+column streams contiguously instead of at a stride of ``8 w`` bytes;
+one-word rows are read in place.  Row-major ``(n, w)`` stays the only
+layout anything stores.  Popcounts use the hardware
+``np.bitwise_count`` ufunc when NumPy >= 2.0 provides it (16-bit-table
+fallback otherwise).
 """
 
 from __future__ import annotations
@@ -66,11 +71,17 @@ def _popcount_table_u8(words: np.ndarray) -> np.ndarray:
     )
 
 
-def _popcount_words_u8(words: np.ndarray) -> np.ndarray:
-    """Popcount of uint64 words as ``uint8`` (the narrowest exact dtype)."""
+def _popcount_words_u8(
+    words: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Popcount of uint64 words as ``uint8`` (the narrowest exact dtype),
+    written into ``out`` when given."""
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words)
-    return _popcount_table_u8(words)
+        return np.bitwise_count(words, out=out)
+    if out is None:
+        return _popcount_table_u8(words)
+    out[...] = _popcount_table_u8(words)
+    return out
 
 
 def is_binary(arr) -> bool:
@@ -163,6 +174,50 @@ def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.count_nonzero(a != b, axis=-1)
 
 
+def _acc_dtype(n_words: int) -> type:
+    """Narrowest unsigned dtype that holds a popcount over ``n_words``
+    words: ``uint8`` to 255 bits, ``uint16`` to 65 535, else ``uint32``."""
+    if 64 * n_words <= 0xFF:
+        return np.uint8
+    if 64 * n_words <= 0xFFFF:
+        return np.uint16
+    return np.uint32
+
+
+def _word_columns(queries: np.ndarray, dataset: np.ndarray) -> np.ndarray:
+    """The kernel's dataset operand: ``(w, n)`` word columns of the
+    ``(n, w)`` row words, after checking ``queries`` has the same word
+    count.  One-word rows are a view (no copy); wider rows are one
+    contiguous column-order copy of ``n * w * 8`` bytes."""
+    if queries.shape[-1] != dataset.shape[-1]:
+        raise ValueError(
+            f"word-count mismatch: {queries.shape} vs {dataset.shape}"
+        )
+    if dataset.shape[1] <= 1:
+        return dataset.T
+    return np.ascontiguousarray(dataset.T)
+
+
+def _cdist_columns(
+    queries: np.ndarray, columns: np.ndarray, op
+) -> np.ndarray:
+    """:func:`popcount_cdist` over :func:`_word_columns`' ``(w, n)``
+    columns.  Columns after the first reuse one ``(q, n)`` word buffer
+    and one popcount buffer."""
+    q, (w, n) = queries.shape[0], columns.shape
+    dtype = _acc_dtype(w)
+    if w == 0:
+        return np.zeros((q, n), dtype=dtype)
+    words = op(queries[:, 0, None], columns[0])
+    acc = _popcount_words_u8(words).astype(dtype, copy=False)
+    if w > 1:
+        counts = np.empty((q, n), dtype=np.uint8)
+        for j in range(1, w):
+            op(queries[:, j, None], columns[j], out=words)
+            acc += _popcount_words_u8(words, out=counts)
+    return acc
+
+
 def popcount_cdist(
     queries: np.ndarray, dataset: np.ndarray, op=np.bitwise_xor
 ) -> np.ndarray:
@@ -172,33 +227,29 @@ def popcount_cdist(
     Hamming/range distances, AND for Jaccard intersections.  One word
     column at a time: ``op``, popcount, in-place add, so the
     ``(q, n, w)`` broadcast never exists and no length-``w`` axis is
-    reduced.  The result is ``uint8`` when ``64 * w <= 255`` (it cannot
-    overflow), else ``uint16`` — 1–2 bytes per pair instead of 8.
-    ``dataset`` columns are read strided, in place, so read-only and
-    non-contiguous inputs are fine.
+    reduced.  The result is the narrowest exact accumulator —
+    ``uint8`` while ``64 * w <= 255``, ``uint16`` to 65 535, else
+    ``uint32`` — 1–4 bytes per pair instead of 8.  ``ValueError`` when
+    the word counts differ.  Read-only, non-contiguous and memory-mapped
+    inputs are fine.
 
-    Not tiled: each step holds a ``(q, n)`` word buffer and its popcount
-    beside the result; callers bound ``q`` (:func:`default_cdist_tile`).
+    Memory contract: one-word rows are read in place; wider rows cost
+    one ``(w, n)`` column-order copy of ``dataset`` (``n * w * 8``
+    bytes) per call, so each column is read contiguously.  Not tiled:
+    beside the result it holds a ``(q, n)`` word buffer and its
+    popcount; callers bound ``q`` (:func:`default_cdist_tile`).
     """
-    (q, w), n = queries.shape, dataset.shape[0]
-    dtype = np.uint8 if 64 * w <= 255 else np.uint16
-    if w == 0:
-        return np.zeros((q, n), dtype=dtype)
-    acc = _popcount_words_u8(op(queries[:, 0, None], dataset[None, :, 0]))
-    acc = acc.astype(dtype, copy=False)
-    for j in range(1, w):
-        acc += _popcount_words_u8(op(queries[:, j, None], dataset[None, :, j]))
-    return acc
+    return _cdist_columns(queries, _word_columns(queries, dataset), op)
 
 
 def default_cdist_tile(n: int, n_words: int) -> int:
     """Auto tile height (query rows per pass) for :func:`hamming_cdist_packed`.
 
     Sized so one tile's ``(tile_q, n)`` intermediates — the uint64 word
-    buffer (8 bytes/entry), its uint8 popcount (1) and the uint8/uint16
-    accumulator (1 or 2) — fit in :data:`_CDIST_TILE_BYTES`.
+    buffer (8 bytes/entry), its uint8 popcount (1) and the accumulator
+    (1, 2 or 4) — fit in :data:`_CDIST_TILE_BYTES`.
     """
-    per_row = max(1, n * (9 + (1 if 64 * n_words <= 255 else 2)))
+    per_row = max(1, n * (9 + np.dtype(_acc_dtype(n_words)).itemsize))
     return max(1, _CDIST_TILE_BYTES // per_row)
 
 
@@ -216,22 +267,22 @@ def hamming_cdist_packed(
     way into ``out``.
 
     Memory contract: queries are processed in tiles of ``tile_q`` rows,
-    so peak transient memory is at most ``tile_q * n * 11`` bytes
-    (8-byte word, 1-byte popcount, 1–2-byte accumulator per pair)
-    whatever ``q`` and ``w`` — ~11 MiB per tile row at the paper's
-    ``n = 2**20``.  ``tile_q=None`` picks the largest tile within a
-    fixed 32 MiB budget (:func:`default_cdist_tile`); results are
-    bit-identical for every tile size.  ``out`` (shape ``(q, n)``,
-    dtype int64) lets callers reuse a distance buffer across batches.
+    so peak transient memory is at most ``tile_q * n * 13`` bytes
+    (8-byte word, 1-byte popcount, 1–4-byte accumulator per pair)
+    whatever ``q`` — ~11 MiB per tile row at the paper's ``n = 2**20``
+    and ``d <= 65 535`` — plus, for rows wider than one word, one
+    ``(w, n)`` column-order copy of ``dataset`` (``n * w * 8`` bytes),
+    taken once per call before the tile loop.  ``tile_q=None`` picks
+    the largest tile within a fixed 32 MiB budget
+    (:func:`default_cdist_tile`); results are bit-identical for every
+    tile size.  ``out`` (shape ``(q, n)``, dtype int64) lets callers
+    reuse a distance buffer across batches.
     """
     queries = np.asarray(queries, dtype=np.uint64)
     dataset = np.asarray(dataset, dtype=np.uint64)
     if queries.ndim == 1:
         queries = queries[None, :]
-    if queries.shape[-1] != dataset.shape[-1]:
-        raise ValueError(
-            f"word-count mismatch: {queries.shape} vs {dataset.shape}"
-        )
+    columns = _word_columns(queries, dataset)
     q = queries.shape[0]
     n, w = dataset.shape
     if out is None:
@@ -246,7 +297,9 @@ def hamming_cdist_packed(
     if tile_q < 1:
         raise ValueError(f"tile_q must be >= 1, got {tile_q}")
     for lo in range(0, q, tile_q):
-        out[lo : lo + tile_q] = popcount_cdist(queries[lo : lo + tile_q], dataset)
+        out[lo : lo + tile_q] = _cdist_columns(
+            queries[lo : lo + tile_q], columns, np.bitwise_xor
+        )
     return out
 
 

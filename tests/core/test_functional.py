@@ -69,6 +69,21 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError):
             FunctionalKnnBoard(np.zeros((2, 4), dtype=np.uint8), StreamLayout(8, 1))
 
+    def test_values_a_uint8_cast_would_wrap_are_rejected(self):
+        """256 would compile as 0 and 257 search as 1 if the board cast
+        to uint8 before validating."""
+        rows = np.zeros((3, 8), dtype=np.int64)
+        rows[1, 2] = 256
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            FunctionalKnnBoard(rows, StreamLayout(8, 1))
+        board = FunctionalKnnBoard(np.zeros((3, 8), dtype=np.int64), StreamLayout(8, 1))
+        query = np.zeros((1, 8), dtype=np.int64)
+        query[0, 5] = 257
+        for search in (board.query_reports, lambda q: board.topk_block(q, 2),
+                       lambda q: board.query_topk(q, 2)):
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                search(query)
+
 
 class TestQueryTopk:
     """query_topk must equal query_reports truncated to k per query."""

@@ -316,6 +316,25 @@ class TestParamValidation:
         wide = normalize_queries(queries.astype(np.int64), queries.shape[1])
         assert wide.dtype == np.uint8 and (wide == queries).all()
 
+    @pytest.mark.parametrize("name,params", [
+        ("knn", {"k": 2, "execution": "functional"}),
+        ("jaccard", {"k": 2}),
+        ("range", {"radius": 3}),
+    ])
+    def test_builtin_compile_and_execute_validate_before_narrowing(self, name, params):
+        """Called directly, a built-in's compile/execute must reject 256
+        in the rows and 257 in a query, not wrap them to 0 and 1."""
+        wl = get_workload(name)
+        rows = np.zeros((4, 8), dtype=np.int64)
+        rows[1, 2] = 256
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            wl.compile(rows, params)
+        artifact = wl.compile(np.zeros((4, 8), dtype=np.int64), params)
+        query = np.zeros((1, 8), dtype=np.int64)
+        query[0, 5] = 257
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            wl.execute(artifact, query, params)
+
     def test_query_d_mismatch_rejected(self):
         data, _ = _data(d=32)
         engine = WorkloadSearch(data, "knn", {"k": 3})

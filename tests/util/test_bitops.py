@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.util import bitops
 from repro.util.bitops import (
     _popcount_table_u8,
     _popcount_words_u8,
@@ -133,6 +134,32 @@ class TestHammingDistance:
             hamming_cdist_packed(
                 np.zeros((1, 1), dtype=np.uint64), np.zeros((2, 2), dtype=np.uint64)
             )
+
+    @pytest.mark.parametrize("dq,dn", [(64, 128), (128, 64)])
+    def test_popcount_cdist_word_mismatch(self, dq, dn):
+        """Fewer query words than dataset words used to answer from the
+        shared words alone; more used to fail with an IndexError."""
+        queries = pack_bits(np.ones((2, dq), dtype=np.uint8))
+        dataset = pack_bits(np.zeros((3, dn), dtype=np.uint8))
+        shapes = rf"\(2, {dq // 64}\) vs \(3, {dn // 64}\)"
+        with pytest.raises(ValueError, match=f"word-count mismatch: {shapes}"):
+            popcount_cdist(queries, dataset)
+        with pytest.raises(ValueError, match=f"word-count mismatch: {shapes}"):
+            hamming_cdist_packed(queries, dataset)
+
+    def test_distances_past_uint16(self):
+        """64 * 1025 = 65 600 bits, every one different: the accumulator
+        must widen to uint32 rather than wrap to 64."""
+        d = 64 * 1025
+        queries = pack_bits(np.ones((2, d), dtype=np.uint8))
+        dataset = pack_bits(np.zeros((3, d), dtype=np.uint8))
+        narrow = popcount_cdist(queries, dataset)
+        assert narrow.dtype == np.uint32 and (narrow == d).all()
+        assert (hamming_cdist_packed(queries, dataset, tile_q=1) == d).all()
+        # the auto tile budgets 9 B of transients + a 4-byte accumulator
+        n = 2**20
+        assert default_cdist_tile(n, 1025) == (32 * 2**20) // (13 * n)
+        assert default_cdist_tile(n, 1024) == (32 * 2**20) // (11 * n)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 150), st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
@@ -265,17 +292,42 @@ class TestPackBitsLayout:
         assert (pack_bits(wide[::2, ::2]) == pack_bits(wide[::2, ::2].copy())).all()
 
 
+@pytest.fixture(params=[True, False], ids=["bitwise_count", "table"])
+def popcount_backend(request, monkeypatch):
+    """Run the kernel on each popcount backend.  The table case removes
+    ``np.bitwise_count`` as NumPy < 2.0 lacks it, so a kernel path that
+    skipped ``_popcount_words_u8`` fails instead of passing unseen."""
+    if request.param and not hasattr(np, "bitwise_count"):
+        pytest.skip("NumPy < 2.0 has no np.bitwise_count")
+    monkeypatch.setattr(bitops, "_HAS_BITWISE_COUNT", request.param)
+    if not request.param:
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+
+
+# (n, d): the word-count boundaries at small n, plus 2-5-word rows over
+# pass-sized partitions (n >= 4096), where the kernel reads word columns.
+_KERNEL_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 33), st.sampled_from(_BOUNDARY_DIMS)),
+    st.tuples(st.integers(4096, 4200), st.integers(65, 320)),
+)
+
+
+@pytest.mark.usefixtures("popcount_backend")
 class TestNarrowKernel:
     @given(
         st.integers(1, 9),  # q
-        st.integers(1, 33),  # n
-        st.sampled_from(_BOUNDARY_DIMS),
+        _KERNEL_SHAPES,
         st.integers(1, 10),  # tile_q
         st.integers(0, 10_000),
         st.sampled_from(["contiguous", "strided", "readonly"]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_unpacked_distances(self, q, n, d, tile_q, seed, layout):
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_unpacked_distances(self, q, shape, tile_q, seed, layout):
+        n, d = shape
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 2, (q, d), dtype=np.uint8)
         b = rng.integers(0, 2, (n, d), dtype=np.uint8)
