@@ -30,6 +30,7 @@ from repro.core.workload import (
     available_workloads,
     register_workload,
 )
+from repro.host.parallel import ParallelConfig
 from repro.host.rpc import RemoteWorkloadSearch, serve_shard
 from repro.util.bitops import pack_bits, popcount_cdist
 
@@ -56,23 +57,15 @@ class OverlapTopkWorkload(Workload):
             raise ValueError("k must be >= 1")
         return {"k": min(k, n)}
 
-    def compile(self, dataset_bits, params):
-        # Picklable + position-independent: just the packed slice.
-        return pack_bits(np.asarray(dataset_bits, dtype=np.uint8))
-
     def compile_packed(self, words, d, params):
-        # Optional: the artifact IS the packed slice, so over a store
-        # that already holds packed row words (a .pds, shared memory) a
-        # pass is a view of them — nothing to pack, hash or cache.
+        # The artifact IS the pass's packed row words (read, never
+        # kept): a view of a .pds or shared-memory store, or the boards'
+        # cached words.  Results are ordered by (overlap, row index), so
+        # a run of boards answers as one pass.
         return words
 
-    def fuse(self, artifacts):
-        # Optional: results are ordered by (overlap, row index), so a
-        # run of boards answers as one — let the host run it as one pass.
-        return np.concatenate(artifacts)
-
     def execute(self, artifact, queries_bits, params):
-        qp = pack_bits(np.asarray(queries_bits, dtype=np.uint8))
+        qp = pack_bits(queries_bits)
         # int64: the narrow unsigned counts would wrap under the ``-inter`` key
         inter = popcount_cdist(qp, artifact, op=np.bitwise_and).astype(np.int64)
         n = inter.shape[1]
@@ -136,8 +129,11 @@ def main():
     # 1+2: generic engine, serial vs thread-parallel — bit-identical
     serial = WorkloadSearch(data, "overlap", params, board_capacity=256)
     ref = serial.search(queries)
+    # Threads share this process's registry; a spawned process worker
+    # would not see the registration made above.
     par = WorkloadSearch(data, "overlap", params, board_capacity=256,
-                         parallel=4, cache=True)
+                         parallel=ParallelConfig(n_workers=4, backend="thread"),
+                         cache=True)
     got = par.search(queries)
     assert (got.value.indices == ref.value.indices).all()
     assert (got.value.overlaps == ref.value.overlaps).all()

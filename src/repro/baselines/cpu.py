@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 from ..util.topk import BoundedPriorityQueue, topk_from_distances
 
 __all__ = ["CPUHammingKnn", "CPUSearchResult"]
@@ -42,7 +42,7 @@ class CPUHammingKnn:
     """Exact linear-scan kNN over binary codes."""
 
     def __init__(self, dataset_bits: np.ndarray, query_tile: int = 64):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.n, self.d = dataset_bits.shape
@@ -53,7 +53,7 @@ class CPUHammingKnn:
 
     def search(self, queries_bits: np.ndarray, k: int) -> CPUSearchResult:
         """Batched XOR/POPCOUNT scan; queries tiled to bound memory."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:
@@ -78,7 +78,7 @@ class CPUHammingKnn:
 
     def search_priority_queue(self, query_bits: np.ndarray, k: int) -> CPUSearchResult:
         """Single-query scan with a bounded max-heap (the textbook path)."""
-        query_bits = np.asarray(query_bits, dtype=np.uint8).ravel()
+        query_bits = as_bits(query_bits, "query").ravel()
         if query_bits.shape[0] != self.d:
             raise ValueError(f"query has d={query_bits.shape[0]}, dataset d={self.d}")
         k = min(int(k), self.n)
@@ -105,7 +105,7 @@ class CPUHammingKnn:
         spatial-index search paths (Section III-D).
         """
         candidate_idx = np.asarray(candidate_idx, dtype=np.int64)
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if candidate_idx.size == 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 from ..util.topk import topk_from_distances
 
 __all__ = ["FPGAExecutionStats", "FPGAKnnAccelerator"]
@@ -67,7 +67,7 @@ class FPGAKnnAccelerator:
         query_lanes: int = 12,
         clock_hz: float = 185e6,
     ):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         if stream_width < 1 or query_lanes < 1:
@@ -83,7 +83,7 @@ class FPGAKnnAccelerator:
         self, queries_bits: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, FPGAExecutionStats]:
         """Run all query batches; return (indices, distances, stats)."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf.models import GPUModel, JETSON_MODEL, TITANX_MODEL
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 from ..util.topk import topk_from_distances
 
 __all__ = ["GPUExecutionStats", "GPUKnnSimulator"]
@@ -66,7 +66,7 @@ class GPUKnnSimulator:
         model: GPUModel = JETSON_MODEL,
         queries_per_block: int = 256,
     ):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.n, self.d = dataset_bits.shape
@@ -79,7 +79,7 @@ class GPUKnnSimulator:
         self, queries_bits: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, GPUExecutionStats]:
         """Run the kernel functionally; return (indices, distances, stats)."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:

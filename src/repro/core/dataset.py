@@ -103,7 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..host.shm import ShmArrayRef, export_array, resolve_array, shm_available
-from ..util.bitops import is_binary, pack_bits, unpack_bits
+from ..util.bitops import as_bits, pack_bits, unpack_bits
 
 __all__ = [
     "ArrayStore",
@@ -208,7 +208,9 @@ class ArrayStore:
     kind = "array"
 
     def __init__(self, array: np.ndarray):
-        array = np.asarray(array, dtype=np.uint8)
+        array = np.asarray(array)
+        if array.dtype != np.uint8:  # narrowing must not wrap 256 to 0
+            array = as_bits(array, "dataset")
         if array.ndim != 2 or array.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self._array = array
@@ -291,7 +293,7 @@ class ShmStore:
     def export(cls, array: np.ndarray) -> "ShmStore":
         """Pack 0/1 ``array`` into a segment of its own and wrap it
         (``OSError`` if the segment cannot be created or backed)."""
-        array = np.asarray(array, dtype=np.uint8)
+        array = np.asarray(array)  # pack_bits validates, then narrows
         return cls(*export_array(pack_bits(array)), array.shape[1])
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
@@ -722,9 +724,9 @@ class PackedDataset:
         array = np.asarray(obj)
         if array.ndim != 2 or array.shape[0] == 0:
             raise ValueError(f"{name} must be a non-empty (n, d) array")
-        if validate and not is_binary(array):
-            raise ValueError(f"{name} must be binary (0/1)")
-        return cls(ArrayStore(array))  # narrows to uint8 after the check
+        if validate:
+            array = as_bits(array, name)
+        return cls(ArrayStore(array))
 
     @classmethod
     def open(cls, path: str | os.PathLike) -> "PackedDataset":

@@ -37,6 +37,7 @@ import numpy as np
 from ..automata.anml import parse_anml, to_anml
 from ..automata.network import AutomataNetwork
 from ..ap.compiler import BoardImageCache
+from ..util.bitops import as_bits
 from .engine import APSimilaritySearch
 from .macros import MacroConfig, build_knn_network, collector_tree_depth
 
@@ -92,7 +93,7 @@ def export_image_library(
     macro_config: MacroConfig = MacroConfig(),
 ) -> ImageManifest:
     """Compile and write the full set of board images for a dataset."""
-    dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+    dataset_bits = as_bits(dataset_bits, "dataset")
     if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (n, d) array")
     if board_capacity < 1:

@@ -36,7 +36,7 @@ import numpy as np
 from ..automata.elements import STE, BooleanElement, BooleanOp, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 from .macros import MacroConfig, build_vector_macro, collector_tree_depth
 from .stream import StreamLayout
 
@@ -61,7 +61,7 @@ class IndexGatedSearch:
         prefix_bits: int,
         config: MacroConfig = MacroConfig(),
     ):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.dataset = dataset_bits
@@ -134,7 +134,7 @@ class IndexGatedSearch:
 
     def query_bucket(self, query_bits: np.ndarray) -> int:
         """Bucket id whose prefix the query matches, or -1."""
-        query_bits = np.asarray(query_bits, dtype=np.uint8).ravel()
+        query_bits = as_bits(query_bits, "query").ravel()
         key = tuple(int(b) for b in query_bits[: self.prefix_bits])
         for bi, bucket in enumerate(self.buckets):
             if bucket.prefix == key:
@@ -145,7 +145,7 @@ class IndexGatedSearch:
         self, queries_bits: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Functional model: per query, top-k among its bucket's reports."""
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         n_q = queries_bits.shape[0]

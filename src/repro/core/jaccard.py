@@ -34,7 +34,7 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
-from ..util.bitops import is_binary, pack_bits, popcount_cdist
+from ..util.bitops import as_bits, pack_bits, popcount_cdist
 from .macros import MacroConfig, collector_tree_depth
 from .stream import StreamLayout, encode_query_batch
 
@@ -160,12 +160,9 @@ class JaccardAPSearch:
 
     def __init__(self, dataset_bits: np.ndarray, k: int,
                  config: MacroConfig = MacroConfig()):
-        dataset_bits = np.asarray(dataset_bits)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
-        if not is_binary(dataset_bits):
-            raise ValueError("dataset must be binary")
-        dataset_bits = dataset_bits.astype(np.uint8, copy=False)
         self.dataset = dataset_bits
         self.n, self.d = dataset_bits.shape
         self.k = min(int(k), self.n)
@@ -228,12 +225,9 @@ class JaccardThresholdFilter:
 
     def __init__(self, dataset_bits: np.ndarray, tau: int,
                  config: MacroConfig = MacroConfig()):
-        dataset_bits = np.asarray(dataset_bits)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
-        if not is_binary(dataset_bits):
-            raise ValueError("dataset must be binary")
-        dataset_bits = dataset_bits.astype(np.uint8, copy=False)
         if tau < 1:
             raise ValueError("tau must be >= 1")
         self.dataset = dataset_bits

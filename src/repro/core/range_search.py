@@ -23,7 +23,7 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, PAD, SOF, SymbolSet
-from ..util.bitops import hamming_cdist_packed, is_binary, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, is_binary, pack_bits
 from .macros import MacroConfig, collector_tree_depth
 
 __all__ = ["RangeSearchResult", "HammingRangeSearch"]
@@ -57,12 +57,9 @@ class HammingRangeSearch:
         radius: int,
         config: MacroConfig = MacroConfig(),
     ):
-        dataset_bits = np.asarray(dataset_bits)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
-        if not is_binary(dataset_bits):
-            raise ValueError("dataset must be binary")
-        dataset_bits = dataset_bits.astype(np.uint8, copy=False)
         self.dataset = dataset_bits
         self.n, self.d = dataset_bits.shape
         if not 0 <= radius < self.d:

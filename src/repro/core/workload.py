@@ -8,24 +8,20 @@ fan-out, shared-memory datasets, query batching, remote shards) around
 the kNN result shape alone.  This module factors the pipeline those
 layers actually rely on into a :class:`Workload` protocol:
 
-* ``compile(dataset_bits, params) → artifact`` — a per-partition
-  compiled object (the "board image"), content-addressed and cacheable
-  in a :class:`~repro.ap.compiler.BoardImageCache`, shipped to process
-  workers by value;
+* ``compile_packed(words, d, params) → artifact | None`` — the
+  artifact of one *host pass* (a run of row-consecutive boards) over
+  their packed row words: a view of a ``.pds`` or shared-memory
+  store's, else the boards' cached words.  Every functional pass is
+  one such artifact and one ``execute``; the board stays the unit of
+  caching, counters and the AP model;
+* ``compile(dataset_bits, params) → artifact`` — one board's artifact
+  when it is not a view of words (cycle-accurate images): cacheable,
+  shipped to process workers by value, executed board by board.
+  Default: ``compile_packed`` over the board's packed rows;
 * ``execute(artifact, queries, params) → (partial, counters)`` — one
-  partition pass producing a *partition-local* partial result plus the
+  pass producing a *pass-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
   record;
-* ``compile_packed(words, d, params) → artifact | None`` — optional:
-  the artifact of a whole run of boards as a *view* of the packed row
-  words a store already holds (``.pds`` files, shared-memory segments),
-  so a functional pass over such a store packs, hashes, caches and
-  copies nothing.  The default ``None`` keeps the per-board path;
-* ``fuse(artifacts) → artifact | None`` — optional: row-concatenate the
-  artifacts of row-consecutive boards so the host runs them as ONE
-  ``execute`` (a *host pass*).  The board stays the unit of caching,
-  counters and the AP model; the default ``None`` keeps one pass per
-  board (cycle-accurate images, workloads that do not opt in);
 * ``merge(partials, offsets, params) → result`` — the offset-aware
   host merge.  Merging must be **associative** and every merged result
   must itself be a valid partial (with offset 0), which is what lets
@@ -67,6 +63,7 @@ import numpy as np
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 from ..ap.compiler import APCompiler, BoardImageCache, partition_cache_key
@@ -82,7 +79,7 @@ from ..host.parallel import (
 )
 from ..perf import metrics as _metrics
 from ..perf.models import APModel
-from ..util.bitops import is_binary, pack_bits, popcount_cdist, popcount_u64
+from ..util.bitops import as_bits, pack_bits, popcount_cdist, popcount_u64
 from ..util.topk import merge_ragged_blocks, merge_topk_blocks
 from .dataset import PackedDataset
 from .functional import FunctionalKnnBoard
@@ -126,7 +123,7 @@ _AUTO_SIM_LIMIT = 50_000_000
 # Host pass budgets: how many row-consecutive boards the engine hands a
 # worker as ONE functional pass.  Board capacity is a constraint of the
 # AP fabric; on the host a ~1024-row pass is almost all Python, so
-# boards are run fused while the pass's packed row words stay within
+# boards run as one pass while the pass's packed row words stay within
 # the per-core cache share and its (query x row) pair count bounds the
 # widest per-pair transient (Jaccard's ~30 B/pair) to ~8 MiB at any
 # batch size.  Constants, not options — README "Host passes" has the
@@ -155,9 +152,7 @@ def normalize_queries(queries_bits, d: int) -> np.ndarray:
         raise ValueError(
             f"queries have d={queries_bits.shape[1]}, dataset d={d}"
         )
-    if not is_binary(queries_bits):
-        raise ValueError("queries must be binary (0/1)")
-    return queries_bits.astype(np.uint8, copy=False)
+    return as_bits(queries_bits, "queries")
 
 
 def balanced_shard_bounds(n: int, n_devices: int) -> np.ndarray:
@@ -256,16 +251,40 @@ class Workload(ABC):
 
     # -- the pipeline -----------------------------------------------------
 
-    @abstractmethod
-    def compile(self, dataset_bits: np.ndarray, params: dict):
-        """Compile one partition slice into an executable artifact.
+    def compile_packed(self, words: np.ndarray, d: int, params: dict):
+        """The artifact of one host pass over ``words``, the
+        ``(rows, ceil(d/64))`` uint64 row words of a run of boards
+        (:func:`~repro.util.bitops.pack_bits` layout), or ``None`` (the
+        default): the boards are then compiled and executed one by one.
 
-        Artifacts must be picklable (they ship to process workers by
-        value) and position-independent: ``execute`` returns
-        partition-local indices, so identical content compiles to
-        identical artifacts regardless of where the slice sits in the
-        dataset.
+        Answering promises that one :meth:`execute` over the run equals
+        the merge of its boards' answers, that ``configurations`` and
+        ``symbols_streamed`` of a pass do not depend on the rows, that
+        report counters are additive over rows, and that the artifact
+        only *reads* ``words`` — a read-only view of a file mapping or
+        shared segment, or a transient concatenation of cached words —
+        and is never cached, shipped or kept.  Whether it answers may
+        depend on ``params`` alone: it is asked once, of one zero row.
         """
+        return None
+
+    def compile(self, dataset_bits: np.ndarray, params: dict):
+        """One board's artifact from its 0/1 rows, for a workload whose
+        artifact is not a view of packed words (kNN's cycle-accurate
+        image).  Artifacts must be picklable (they ship to process
+        workers by value) and position-independent: ``execute`` returns
+        partition-local indices.  Default: :meth:`compile_packed` over
+        the rows' packed words."""
+        dataset_bits = np.asarray(dataset_bits)
+        artifact = self.compile_packed(
+            pack_bits(dataset_bits), dataset_bits.shape[1], params
+        )
+        if artifact is None:
+            raise NotImplementedError(
+                f"workload {self.name!r} implements neither compile nor "
+                "compile_packed"
+            )
+        return artifact
 
     @abstractmethod
     def execute(
@@ -325,77 +344,36 @@ class Workload(ABC):
             raise RpcProtocolError("trailing bytes after workload result")
         return self.result_type(*arrays)
 
-    def compile_packed(self, words: np.ndarray, d: int, params: dict):
-        """The artifact of a run of row-consecutive boards, built over
-        ``words`` — the ``(rows, ceil(d/64))`` uint64 row words a packed
-        store holds for them (:func:`~repro.util.bitops.pack_bits`
-        layout) — **without copying them**, or ``None`` (the default)
-        to have the run compiled board by board from unpacked rows.
-
-        Answering promises what :meth:`fuse` promises — one
-        :meth:`execute` over the run equals the merge of its boards'
-        answers, ``configurations`` and ``symbols_streamed`` of a pass
-        do not depend on the rows, report counters are additive over
-        rows — and that the artifact only *reads* ``words``: they are a
-        read-only view of a file mapping or shared segment whose pages
-        are dropped once :meth:`execute` returns, so the artifact is
-        never cached, shipped or kept.  A workload whose artifact is a
-        real compiled image (kNN under ``"simulate"``) answers ``None``.
-        """
-        return None
-
-    def fuse(self, artifacts: list):
-        """Row-concatenate the compiled artifacts of row-consecutive
-        boards into one artifact :meth:`execute` can run in a single
-        pass, or ``None`` (the default) when they cannot be — the
-        boards then run one :meth:`execute` each, as on the AP.
-
-        Board capacity is a constraint of the AP fabric, not of the
-        host: a functional model whose ``execute`` orders results by a
-        total order ending in the row index answers the union of
-        ``b`` boards exactly as the merge of the ``b`` per-board
-        answers, in one NumPy pass instead of ``b``.  Implementing this
-        promises exactly that, plus the counter shape the worker body
-        relies on: ``configurations`` and ``symbols_streamed`` of a
-        pass do not depend on the rows (the fused pass's are multiplied
-        by ``b``), the report counters are additive over rows.  The
-        fused artifact is transient — caching stays per board.
-        """
-        return None
-
     def execute_task(
         self, task: PartitionTask, queries_bits: np.ndarray, cache
     ) -> PartitionResult:
-        """Worker-side entry — the one worker body: turn a
-        :class:`~repro.host.parallel.PartitionTask`'s run of boards into
-        one artifact, execute it.
+        """Worker-side entry — the one worker body: run a
+        :class:`~repro.host.parallel.PartitionTask`'s run of boards.
 
-        Where the task's slice ref offers the store's packed row words
-        and :meth:`compile_packed` answers, the artifact is a view of
-        them: nothing is unpacked, packed, hashed, looked up or cached,
-        and every board counts as served without a compile.  Otherwise
-        each board resolves through compile (cache-aware, per board)
-        and :meth:`fuse` joins the run.  In-process callers pass a
-        shared :class:`~repro.ap.compiler.BoardImageCache`; process
-        workers get an artifact shuttle that serves the artifacts
-        shipped with the task and captures fresh builds for the return
-        trip, keeping process pools cache-aware through artifact
-        shipping.  The task's dataset rows are touched (a slice ref
-        resolved) only for a view pass or when some board misses, and
-        its mmap pages are released behind the pass.
+        Where :meth:`compile_packed` answers, the run is ONE pass: one
+        ``compile_packed`` over the run's row words, one
+        :meth:`execute`.  The words are a view of the store's when the
+        task's slice ref offers them — nothing is packed, hashed or
+        looked up, and every board counts as served without a compile —
+        else each board's words come from the cache (``pack_bits`` on a
+        miss), row-concatenated.  Otherwise each board resolves through
+        :meth:`compile` (cache-aware) and its own :meth:`execute`, and
+        :meth:`merge` joins them.  Process workers get an artifact
+        shuttle that serves the entries shipped with the task and
+        captures fresh builds for the return trip.  Dataset rows are
+        touched only when some board misses, and mmap pages are
+        released behind the pass.
         """
         params = dict(task.params)
         boards = task.board_list()
         ref = task.dataset_slice
+        d = ref.d if ref is not None else task.dataset_bits.shape[1]
+        packed = _answers_packed(self.compile_packed, d, task.params)
+        view = packed and ref is not None
         # Task-local first row of each board (and the run's length).
         starts = list(accumulate((n_rows for n_rows, _ in boards), initial=0))
-        words = ref.packed_window() if ref is not None else None
-        fused = (
-            self.compile_packed(words, ref.d, params)
-            if words is not None else None
-        )
-        shuttle, artifacts, rows_bits = None, [], None
-        if fused is not None:
+        shuttle, entries, rows_bits = None, [], None
+        if view:
             hits = len(boards)
         else:
             if cache is None and boards[0][1] is not None:
@@ -403,30 +381,38 @@ class Workload(ABC):
             hits = 0
             for (_, key), lo, hi in zip(boards, starts, starts[1:]):
                 cached = cache is not None and key is not None
-                artifact = cache.get(key) if cached else None
-                if artifact is not None:
+                entry = cache.get(key) if cached else None
+                if entry is not None:
                     hits += 1
                 else:
                     if rows_bits is None:
                         rows_bits = task.rows()
-                    artifact = self.compile(rows_bits[lo:hi], params)
+                    entry = (
+                        pack_bits(rows_bits[lo:hi]) if packed
+                        else self.compile(rows_bits[lo:hi], params)
+                    )
                     if cached:
-                        cache.put(key, artifact)
-                artifacts.append(artifact)
-            fused = artifacts[0] if len(artifacts) == 1 else self.fuse(artifacts)
-        if fused is not None:
-            partial, counters = self.execute(fused, queries_bits, params)
+                        cache.put(key, entry)
+                entries.append(entry)
+        if packed:
+            if view:
+                words = ref.packed_window()
+            else:
+                words = entries[0] if len(entries) == 1 else np.concatenate(entries)
+            partial, counters = self.execute(
+                self.compile_packed(words, d, params), queries_bits, params
+            )
             counters.configurations *= len(boards)
             counters.symbols_streamed *= len(boards)
         else:
             counters = RuntimeCounters()
             partials = []
-            for artifact in artifacts:
+            for artifact in entries:
                 board_partial, delta = self.execute(artifact, queries_bits, params)
                 counters.merge(delta)
                 partials.append(board_partial)
             partial = self.merge(partials, starts[:-1], params)
-        if ref is not None and (words is not None or rows_bits is not None):
+        if ref is not None and (view or rows_bits is not None):
             # Drop the run's freshly faulted mmap pages back to the page
             # cache so a worker's RSS stays bounded by one pass, not the
             # whole shard it walks over a run.
@@ -437,8 +423,17 @@ class Workload(ABC):
             counters=counters,
             payload=partial,
             artifacts=(shuttle.built or None) if shuttle is not None else None,
-            passes=1 if fused is not None else len(boards),
+            passes=1 if packed else len(boards),
         )
+
+
+@lru_cache(maxsize=64)
+def _answers_packed(compile_packed, d: int, params: tuple) -> bool:
+    """Does ``compile_packed`` answer for ``params`` (sorted items)?
+    Asked of one zero row, once per process and (hook, d, params): the
+    engine keys and sizes passes from the answer the worker builds by."""
+    probe = np.zeros((1, -(-d // 64)), dtype=np.uint64)
+    return compile_packed(probe, d, dict(params)) is not None
 
 
 # -- registry ---------------------------------------------------------------
@@ -532,11 +527,6 @@ class HammingKnnWorkload(Workload):
             )
         return {"k": min(k, n), **settings}
 
-    def cache_params(self, params: dict) -> tuple:
-        # Board images and functional boards of the same rows must
-        # never collide in a shared cache.
-        return (params["execution"],)
-
     def default_capacity(self, d: int, params: dict) -> int:
         """Compiler-derived vectors-per-board for this dimensionality
         (macro structure depends on ``d`` only, not on the bits)."""
@@ -559,19 +549,14 @@ class HammingKnnWorkload(Workload):
         return {**params, "execution": mode}
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
-        from .engine import build_functional_board
-
         params = _KNN_DEFAULTS | params  # direct callers may pass bare {"k": k}
-        if params["execution"] == "simulate":
-            network, _ = build_knn_network(
-                dataset_bits, config=params["macro_config"], name="partition",
-                report_code_base=0,
-            )
-            return APRuntime(params["device"]).build_image(network)
-        return build_functional_board(
-            dataset_bits,
-            _knn_layout(dataset_bits.shape[1], params["macro_config"]),
+        if params["execution"] != "simulate":
+            return super().compile(dataset_bits, params)
+        network, _ = build_knn_network(
+            dataset_bits, config=params["macro_config"], name="partition",
+            report_code_base=0,
         )
+        return APRuntime(params["device"]).build_image(network)
 
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         params = _KNN_DEFAULTS | params
@@ -579,14 +564,6 @@ class HammingKnnWorkload(Workload):
             return None  # a cycle-accurate image is compiled from bits
         return FunctionalKnnBoard.from_packed(
             words, _knn_layout(d, params["macro_config"])
-        )
-
-    def fuse(self, artifacts: list):
-        # Functional boards only: a cycle-accurate image IS one board.
-        if not all(isinstance(a, FunctionalKnnBoard) for a in artifacts):
-            return None
-        return FunctionalKnnBoard.from_packed(
-            np.concatenate([a.packed for a in artifacts]), artifacts[0].layout
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
@@ -680,8 +657,8 @@ def _knn_layout(d: int, macro_config: MacroConfig) -> StreamLayout:
 
 @dataclass
 class JaccardBoardArtifact:
-    """One partition's compiled Jaccard board: packed indicator bits
-    plus per-vector set sizes (|A|, known offline — Section II-C)."""
+    """One pass's Jaccard boards: packed indicator bits plus per-vector
+    set sizes (|A|, known offline — Section II-C)."""
 
     packed: np.ndarray  # (n, w) uint64 packed indicator vectors
     sizes: np.ndarray  # (n,) int64 set sizes |A|
@@ -727,22 +704,9 @@ class JaccardTopkWorkload(Workload):
             raise ValueError("k must be >= 1")
         return {"k": min(k, n)}
 
-    def compile(self, dataset_bits: np.ndarray, params: dict):
-        dataset_bits = np.asarray(dataset_bits)  # pack_bits validates, then narrows
-        return self.compile_packed(
-            pack_bits(dataset_bits), dataset_bits.shape[1], params
-        )
-
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         return JaccardBoardArtifact(
             packed=words, sizes=popcount_u64(words).sum(axis=1), d=int(d)
-        )
-
-    def fuse(self, artifacts: list):
-        return JaccardBoardArtifact(
-            packed=np.concatenate([a.packed for a in artifacts]),
-            sizes=np.concatenate([a.sizes for a in artifacts]),
-            d=artifacts[0].d,
         )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
@@ -837,8 +801,8 @@ class JaccardTopkWorkload(Workload):
 
 @dataclass
 class RangeBoardArtifact:
-    """One partition's compiled range board: packed dataset bits (the
-    threshold macros need nothing else at execute time)."""
+    """One pass's range boards: packed dataset bits (the threshold
+    macros need nothing else at execute time)."""
 
     packed: np.ndarray  # (n, w) uint64
     d: int
@@ -894,21 +858,8 @@ class HammingRangeWorkload(Workload):
             raise ValueError(f"radius must be in [0, {d}), got {radius}")
         return {"radius": radius}
 
-    def compile(self, dataset_bits: np.ndarray, params: dict):
-        dataset_bits = np.asarray(dataset_bits)  # pack_bits validates, then narrows
-        return self.compile_packed(
-            pack_bits(dataset_bits), dataset_bits.shape[1], params
-        )
-
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         return RangeBoardArtifact(packed=words, d=int(d), n=int(words.shape[0]))
-
-    def fuse(self, artifacts: list):
-        return RangeBoardArtifact(
-            packed=np.concatenate([a.packed for a in artifacts]),
-            d=artifacts[0].d,
-            n=sum(a.n for a in artifacts),
-        )
 
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
         qp = pack_bits(queries_bits)
@@ -1164,10 +1115,10 @@ class WorkloadSearch(Batchable):
 
     def _boards_per_pass(self, params: dict, n_q: int) -> int:
         """How many boards one host pass spans for an ``n_q``-row batch
-        under the pass budgets — 1 for a cycle-accurate run (an image
-        is one board), and never so many that a configured worker lane
-        would be left without a pass."""
-        if params.get("execution") == "simulate":
+        under the pass budgets — 1 where ``compile_packed`` does not
+        answer (a cycle-accurate image is one board), and never so many
+        that a configured worker lane would be left without a pass."""
+        if not self._packs(params):
             return 1
         rows = min(
             _PASS_PACKED_BYTES // (8 * ((self.d + 63) // 64)),
@@ -1178,15 +1129,20 @@ class WorkloadSearch(Batchable):
             1, min(rows // self.board_capacity, len(self.partitions) // lanes)
         )
 
+    def _packs(self, params: dict) -> bool:
+        """Does the workload's ``compile_packed`` answer under ``params``
+        (the worker body's own question, so keys match its entries)?"""
+        return _answers_packed(
+            self.workload.compile_packed, self.d, tuple(sorted(params.items()))
+        )
+
     def _view_passes(self, params: dict) -> bool:
         """Will a pass under ``params`` run on a view of the store's
-        packed row words (the store holds them and the workload's
-        ``compile_packed`` answers)?  The worker body takes the same
-        two decisions per task; asked here on one row, so view passes
-        are built without cache keys and counted as hits."""
-        words = self.dataset.packed_window(0, 1)
-        return words is not None and (
-            self.workload.compile_packed(words, self.d, params) is not None
+        packed row words (the store holds them and ``compile_packed``
+        answers)?  View passes are built without cache keys and counted
+        as hits."""
+        return self._packs(params) and (
+            self.dataset.packed_window(0, 1) is not None
         )
 
     def _partition_tasks(
@@ -1204,6 +1160,7 @@ class WorkloadSearch(Batchable):
         flavor = ("workload", self.workload.name) + self.workload.cache_params(
             params
         )
+        packed = self._packs(params)
         # Only a pass that will consult the cache needs keys (and the
         # digest scan behind them): a view pass compiles nothing.
         keyed = self.cache is not None and not self._view_passes(params)
@@ -1211,13 +1168,17 @@ class WorkloadSearch(Batchable):
         def board_key(start: int, end: int) -> tuple | None:
             # Content-addressed per board: no positional component, and
             # the handle's streaming digest is store-independent, so
-            # identical board content shares compiled artifacts across
+            # identical board content shares cache entries across
             # engines, offsets, stores and pass sizes.
             if not keyed:
                 return None
+            digest = self.dataset.partition_digest(start, end)
+            if packed:
+                # A board's packed words are the same whichever workload
+                # reads them: keyed by content alone.
+                return (digest, "words")
             return partition_cache_key(
-                None, macro, self.device, extra=flavor,
-                digest=self.dataset.partition_digest(start, end),
+                None, macro, self.device, extra=flavor, digest=digest
             )
 
         # Store-backed datasets (mmap/shm) ship descriptor-sized slice

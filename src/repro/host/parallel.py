@@ -14,9 +14,11 @@ execution, counter aggregation is exact and tie-breaks are untouched.
 A task is one *host pass*: a run of row-consecutive boards the engine
 sized for the host (``repro.core.workload``: board capacity is an AP
 constraint, and a ~1024-row NumPy pass is mostly Python), which the
-worker body runs as a view of the store's packed row words where there
-are any, and otherwise resolves board by board through the cache and
-fuses, and executes once.  Hand-built tasks are one board.
+worker body runs as one ``Workload.compile_packed`` artifact over the
+boards' packed row words — a view of the store's where it holds them,
+else each board's words from the cache, packed on a miss — and one
+``execute``.  A workload without ``compile_packed`` gets one-board
+tasks; hand-built tasks are one board.
 
 Backends
 --------
@@ -64,8 +66,9 @@ dataset bytes cross the process boundary once per store, not once per
 task.  A *functional* artifact over such a store's packed row words is
 a view the worker builds in place (``Workload.compile_packed``), so it
 does not travel either.  **Everything else travels by value** through
-the task pickle: query batches, and compiled board artifacts both ways
-(cycle-accurate images, by-value datasets).  ``dataset_bits`` by
+the task pickle: query batches, and cache entries both ways
+(cycle-accurate images; the boards' packed words of a by-value
+dataset).  ``dataset_bits`` by
 value remains as the platform fallback (no usable ``/dev/shm``, segment
 refused, dataset outside the promotion size band) and for hand-built
 tasks.  Thread/serial workers share the parent's memory and move
@@ -288,9 +291,9 @@ class PartitionTask:
     # Workload parameters as sorted (key, value) items — hashable, and
     # rebuilt into a dict worker-side.
     params: tuple = ()
-    # Prebuilt board artifacts, by cache key, shipped *to* a process
-    # worker from a warm parent cache (a board not in it is built from
-    # the task's rows).
+    # Cache entries (board artifacts or packed words), by cache key,
+    # shipped *to* a process worker from a warm parent cache (a board
+    # not in it is built from the task's rows).
     artifacts: dict | None = None
     # Store-backed dataset descriptor (repro.core.dataset.DatasetSliceRef):
     # for mmap/shm-backed PackedDatasets the engine stubs dataset_bits
@@ -351,8 +354,8 @@ class PartitionResult:
     counters: RuntimeCounters
     payload: Any = None
     artifacts: dict | None = None
-    # ``execute`` calls the task took: 1 when its boards ran fused,
-    # else one per board.
+    # ``execute`` calls the task took: 1 when its boards ran as one
+    # ``compile_packed`` pass, else one per board.
     passes: int = 1
     # Worker-side monotonic timestamp taken when execution began.
     # CLOCK_MONOTONIC is system-wide on all supported platforms, so the

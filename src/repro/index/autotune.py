@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..baselines.cpu import CPUHammingKnn
+from ..util.bitops import as_bits
 from .base import SpatialIndex
 from .kdtree import RandomizedKDTrees
 from .kmeans import HierarchicalKMeans
@@ -94,7 +95,7 @@ class AutoTuner:
         Raises ``RuntimeError`` when no candidate reaches the target —
         callers should then fall back to linear scan, as FLANN does.
         """
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         rng = np.random.default_rng(self.seed)
         picks = rng.integers(0, dataset_bits.shape[0], size=self.sample_queries)
         queries = dataset_bits[picks]

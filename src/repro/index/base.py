@@ -19,7 +19,7 @@ import abc
 
 import numpy as np
 
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 
 __all__ = ["SpatialIndex"]
 
@@ -28,7 +28,7 @@ class SpatialIndex(abc.ABC):
     """Bucketed approximate-kNN index over binary codes."""
 
     def __init__(self, dataset_bits: np.ndarray):
-        dataset_bits = np.asarray(dataset_bits, dtype=np.uint8)
+        dataset_bits = as_bits(dataset_bits, "dataset")
         if dataset_bits.ndim != 2 or dataset_bits.shape[0] == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.dataset = dataset_bits
@@ -60,7 +60,7 @@ class SpatialIndex(abc.ABC):
         candidates survive pruning.  The stats dict reports the scan
         volume — the quantity the Table V run-time models consume.
         """
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         n_q = queries_bits.shape[0]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..util.bitops import as_bits
 from .base import SpatialIndex
 
 __all__ = ["RandomizedKDTrees"]
@@ -107,7 +108,7 @@ class RandomizedKDTrees(SpatialIndex):
     # -- queries -------------------------------------------------------------
 
     def query_buckets(self, query_bits: np.ndarray) -> list[int]:
-        query_bits = np.asarray(query_bits, dtype=np.uint8).ravel()
+        query_bits = as_bits(query_bits, "query").ravel()
         if query_bits.shape[0] != self.d:
             raise ValueError(f"query has d={query_bits.shape[0]}, index d={self.d}")
         out = []

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ..util.bitops import as_bits
 from .base import SpatialIndex
 
 __all__ = ["HammingLSH"]
@@ -81,7 +82,7 @@ class HammingLSH(SpatialIndex):
         return deltas[: self.n_probes]
 
     def query_buckets(self, query_bits: np.ndarray) -> list[int]:
-        query_bits = np.asarray(query_bits, dtype=np.uint8).ravel()
+        query_bits = as_bits(query_bits, "query").ravel()
         if query_bits.shape[0] != self.d:
             raise ValueError(f"query has d={query_bits.shape[0]}, index d={self.d}")
         out: list[int] = []

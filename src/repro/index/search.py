@@ -27,7 +27,7 @@ import numpy as np
 
 from ..ap.device import APDeviceSpec, GEN1
 from ..perf.models import CPUModel
-from ..util.bitops import hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 from .base import SpatialIndex
 
 __all__ = ["IndexedSearchStats", "IndexedAPSearch", "indexed_runtime_model"]
@@ -62,7 +62,7 @@ class IndexedAPSearch:
         so it is evaluated with the vectorized exact model here; the
         cycle-level equivalence is covered by the engine's own tests.
         """
-        queries_bits = np.asarray(queries_bits, dtype=np.uint8)
+        queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         n_q = queries_bits.shape[0]

@@ -98,6 +98,16 @@ def is_binary(arr) -> bool:
     return bool(np.isin(arr, (0, 1)).all())
 
 
+def as_bits(arr, name: str = "bits") -> np.ndarray:
+    """``arr`` as a uint8 0/1 array: checked by :func:`is_binary` in
+    the dtype it arrived in (``ValueError`` naming ``name`` otherwise),
+    and only then narrowed — casting first would turn 256 into 0."""
+    arr = np.asarray(arr)
+    if not is_binary(arr):
+        raise ValueError(f"{name} must be binary (0/1)")
+    return arr.astype(np.uint8, copy=False)
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack an unpacked ``(n, d)`` 0/1 array into ``(n, ceil(d/64))`` uint64.
 

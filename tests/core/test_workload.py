@@ -6,7 +6,8 @@ The load-bearing claims:
 * ``APSimilaritySearch`` is a named constructor over the one pipeline;
 * every execution path answers as the serial engine and a brute-force
   scan do — held by ``tests/integration/test_bit_identity.py``;
-* fused passes keep caching per board, and simulated passes one board;
+* multi-board passes keep caching per board, and simulated passes one
+  board; a workload needs only ``compile_packed``;
 * merges are associative and permutation-invariant (hypothesis), so
   shard trees of any shape agree;
 * pack/unpack/split roundtrip every workload's result.
@@ -22,13 +23,21 @@ from repro.core.engine import APSimilaritySearch
 from repro.core.jaccard import jaccard_similarity_matrix
 from repro.core.workload import (
     HammingKnnWorkload,
+    Workload,
     WorkloadSearch,
     available_workloads,
     get_workload,
     normalize_queries,
     register_workload,
 )
-from tests.oracle import assert_snapshots_equal, run_snapshot, unfused
+from repro.util.bitops import popcount_u64
+from tests.oracle import (
+    PopcountNearest,
+    _popcount_nearest,
+    assert_snapshots_equal,
+    one_board_per_pass,
+    run_snapshot,
+)
 
 
 def _data(n=200, d=32, n_queries=7, seed=11):
@@ -47,6 +56,23 @@ def _assert_value_equal(workload, a, b):
 
 
 ALL_PARAMS = [("knn", {"k": 9}), ("jaccard", {"k": 9}), ("range", {"radius": 11})]
+
+
+class _PackedPopcount(PopcountNearest):
+    """The oracle's toy, answering from packed words alone."""
+
+    name = "toy-packed"
+    compile = Workload.compile
+
+    def compile_packed(self, words, d, params):
+        return popcount_u64(words).sum(axis=1).astype(np.int64)
+
+
+class _Hollow(PopcountNearest):
+    """The toy with neither ``compile`` nor ``compile_packed``."""
+
+    name = "toy-hollow"
+    compile = Workload.compile
 
 
 class TestRegistry:
@@ -145,6 +171,14 @@ class TestKnnReferenceWorkload:
             0, 0, results[0].n_partitions
         ]
         assert (results[0].indices == results[1].indices).all()
+        # A functional board's entry is its packed words, keyed by
+        # content alone: a Jaccard engine over the same rows finds them.
+        misses = cache.stats.misses
+        jaccard = WorkloadSearch(
+            data, "jaccard", {"k": 3}, board_capacity=16, cache=cache
+        ).search(queries)
+        assert jaccard.counters.image_cache_hits == jaccard.n_partitions
+        assert cache.stats.misses == misses
 
     def test_engine_merge_routes_through_workload(self):
         # multi-partition single engine still merges exactly
@@ -216,12 +250,30 @@ class TestWorkloadPasses:
             assert tail.search(queries).counters.image_cache_hits == 3
             return run_snapshot(engine, queries, searches=1)
 
-        with unfused():
+        with one_board_per_pass():
             ref = scenario()
         got = scenario()
         assert got[0]["counters"]["image_cache_hits"] == 3
         assert got[-1]["cache"] == (6, 5, 2, 4)  # hits, misses, evictions, len
         assert_snapshots_equal(got, ref, name)
+
+    def test_compile_packed_alone_runs_a_run_of_boards_as_one_pass(self):
+        data, queries = _data(n=64)
+        engine = WorkloadSearch(data, _PackedPopcount(), {}, board_capacity=16,
+                                cache=True)
+        [task] = engine._partition_tasks(engine.params, boards_per_pass=4)
+        result = engine.workload.execute_task(task, queries, engine.cache)
+        assert result.passes == 1
+        assert result.counters.configurations == 4
+        want, _ = _popcount_nearest(data.sum(axis=1).astype(np.int64), queries)
+        assert np.array_equal(result.payload.indices, want)
+
+    def test_a_workload_without_either_compile_hook_is_named(self):
+        data, queries = _data(n=64)
+        engine = WorkloadSearch(data, _Hollow(), {}, board_capacity=16)
+        task = engine._partition_tasks(engine.params)[0]
+        with pytest.raises(NotImplementedError, match="'toy-hollow'"):
+            engine.workload.execute_task(task, queries, None)
 
     @pytest.mark.parametrize("execution,n_q,fused", [
         ("simulate", 2, False), ("auto", 1, False), ("auto", 64, True),
@@ -243,7 +295,7 @@ class TestWorkloadPasses:
                 board_capacity=6, cache=True,
             )
 
-        with unfused():
+        with one_board_per_pass():
             ref = run_snapshot(engine(), queries)
         seen = []
         real = hp.execute_partition
@@ -258,15 +310,22 @@ class TestWorkloadPasses:
         assert got[0]["execution"] == ("functional" if fused else "simulate")
         assert_snapshots_equal(got[:1], ref[:1], execution)
 
-    def test_large_jaccard_batch_stays_within_the_pair_budget(self):
-        """q x rows per pass is capped, so the widest per-pair transient
-        (Jaccard's ~30 B) never scales with the batch: a 256-row batch
-        over 2^14 rows (2^22 pairs, ~128 MiB unfettered) peaks under
-        twice the budget's 8 MiB."""
+    @pytest.mark.parametrize("name,params,bytes_per_pair", [
+        ("jaccard", {"k": 10}, 64), ("range", {"radius": 12}, 32),
+    ], ids=["jaccard", "range"])
+    def test_large_jaccard_batch_stays_within_the_pair_budget(
+        self, name, params, bytes_per_pair
+    ):
+        """q x rows per pass is capped, so an un-tiled ``execute``'s
+        per-pair transients (Jaccard's ~30 B, range's ~10 B) never scale
+        with the batch: a 256-row batch over 2^14 rows (2^22 pairs) runs
+        4-board passes, not 32-board ones, and peaks under
+        ``bytes_per_pair`` per budgeted pair (8.0 MiB for Jaccard
+        against 56 MiB uncapped; 2.3 MiB for range against 18 MiB)."""
         import tracemalloc
 
         data, queries = _data(n=1 << 14, d=64, n_queries=256)
-        engine = WorkloadSearch(data, "jaccard", {"k": 10},
+        engine = WorkloadSearch(data, name, params,
                                 board_capacity=256, cache=True)
         assert engine._boards_per_pass(engine.params, 256) == 4
         engine.search(queries)  # compile outside the measured search
@@ -276,7 +335,7 @@ class TestWorkloadPasses:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * wl_mod._PASS_PAIRS, f"{peak / 2**20:.1f} MiB"
+        assert peak < bytes_per_pair * wl_mod._PASS_PAIRS, f"{peak / 2**20:.1f} MiB"
 
 
 class TestParamValidation:

@@ -23,7 +23,6 @@ from repro.host.parallel import (
 )
 from repro.host.shm import shm_available
 from tests.conftest import brute_force_knn
-from tests.oracle import unfused
 
 
 def _workload(n=40, d=16, n_queries=5, seed=7):
@@ -327,7 +326,7 @@ class TestProcessCacheShipback:
         """On a warm run no worker-side board construction happens (the
         serial in-process path exercises the same execute_partition
         code, so the build hook is observable)."""
-        import repro.core.engine as eng_mod
+        import repro.core.workload as wl_mod
         from repro.ap.compiler import BoardImageCache
 
         data, queries = _workload()
@@ -337,13 +336,13 @@ class TestProcessCacheShipback:
         )
         eng.search(queries)  # warm the cache in-process
         builds = []
-        real = eng_mod.build_functional_board
+        real = wl_mod.pack_bits
 
-        def counting(dataset_slice, layout):
+        def counting(rows):
             builds.append(1)
-            return real(dataset_slice, layout)
+            return real(rows)
 
-        monkeypatch.setattr(eng_mod, "build_functional_board", counting)
+        monkeypatch.setattr(wl_mod, "pack_bits", counting)
         warm = eng.search(queries)
         assert warm.counters.image_cache_hits == warm.n_partitions
         assert not builds
@@ -363,8 +362,21 @@ class TestProcessCacheShipback:
         )
         tasks = eng._partition_tasks(eng.params, boards_per_pass=3)
         assert [len(t.boards) for t in tasks] == [3, 3]
-        with unfused():
-            ref = run_partitions(tasks, queries, cache=BoardImageCache()).results
+        # The reference: the same engine's one-board tasks, merged per run.
+        one = eng._partition_tasks(eng.params)
+        one_res = run_partitions(one, queries, cache=BoardImageCache()).results
+        ref = []
+        for task in tasks:
+            runs = [(t, r) for t, r in zip(one, one_res)
+                    if task.start <= t.start < task.end]
+            counters = RuntimeCounters()
+            for _, r in runs:
+                counters.merge(r.counters)
+            payload = eng.workload.merge(
+                [r.payload for _, r in runs],
+                [t.start - task.start for t, _ in runs], eng.params,
+            )
+            ref.append((payload, counters, sum(r.passes for _, r in runs)))
         config = ParallelConfig(n_workers=2, backend=backend)
         cold = run_partitions(tasks, queries, config, cache)
         assert len(cache) == 6 and cache.stats.misses == 6
@@ -378,13 +390,13 @@ class TestProcessCacheShipback:
         assert (holey.stats.hits, holey.stats.misses) == (4, 2)
         for run, hits in ((cold, 0), (partial, 2)):
             assert [r.p_idx for r in run.results] == [0, 1]
-            for got, exp in zip(run.results, ref):
-                assert np.array_equal(got.payload.indices, exp.payload.indices)
-                assert np.array_equal(got.payload.distances, exp.payload.distances)
+            for got, (payload, counters, passes) in zip(run.results, ref):
+                assert np.array_equal(got.payload.indices, payload.indices)
+                assert np.array_equal(got.payload.distances, payload.distances)
                 assert got.counters.image_cache_hits == hits
-                exp.counters.image_cache_hits = hits
-                assert got.counters == exp.counters
-                assert (got.passes, exp.passes) == (1, 3)
+                counters.image_cache_hits = hits
+                assert got.counters == counters
+                assert (got.passes, passes) == (1, 3)
 
     def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
         self, tmp_path, monkeypatch

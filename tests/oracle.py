@@ -77,8 +77,9 @@ class PopcountResult:
 
 class PopcountNearest(Workload):
     """Toy third-party workload: the row whose popcount is closest to
-    the query's, (distance, index) ties.  It has neither ``fuse`` nor
-    ``compile_packed``, so every store feeds it rows one board per pass.
+    the query's, (distance, index) ties.  It implements ``compile`` and
+    no ``compile_packed``, so every store feeds it rows one board per
+    pass.
     Module-level so its results pickle back from a process worker."""
 
     name = "toy-popcount"
@@ -329,13 +330,12 @@ def cells() -> list[Cell]:
 
 
 @contextlib.contextmanager
-def unfused():
-    """Inside it no workload fuses boards, so the worker body runs one
-    ``execute`` per board: the one-board-per-pass reference every fused
-    run must equal."""
+def one_board_per_pass():
+    """Inside it the engine sizes every host pass to one board, so the
+    worker body runs one artifact and one ``execute`` per board: the
+    reference every multi-board pass must equal."""
     with pytest.MonkeyPatch.context() as patch:
-        for workload in workload_mod.available_workloads().values():
-            patch.setattr(type(workload), "fuse", Workload.fuse)
+        patch.setattr(workload_mod, "_PASS_PACKED_BYTES", 0)
         yield
 
 
@@ -505,13 +505,14 @@ def run_cell(cell: Cell, shape: Shape, env: Env) -> tuple[list, tuple]:
 
 def reference(cell: Cell, shape: Shape, rounds: tuple) -> list:
     """The snapshot of ``cell`` (an array/serial cell) run one board per
-    pass and asked the same batches in the same rounds; its values must
+    pass (the engine's own pass sizing, see :func:`one_board_per_pass`)
+    and asked the same batches in the same rounds; its values must
     equal the brute-force scan's."""
     rows, queries = shape.arrays()
     rows = rows[slice(*shape.window)]
     engine = _engine(cell, shape, rows)
     callers = []
-    with unfused():
+    with one_board_per_pass():
         for batches in rounds:
             callers.append([])
             for spans in batches:
