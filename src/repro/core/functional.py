@@ -55,9 +55,24 @@ from .stream import StreamLayout
 
 __all__ = ["FunctionalKnnBoard"]
 
-# Selection keys ``distance * n + index`` are uint32 while every key of
-# the partition fits, uint64 beyond.
 _KEY32_LIMIT = 2**32
+
+
+def _key_dtype(bound: int) -> type:
+    """Selection keys ``rank * n + index`` are uint32 while ``bound`` — no
+    less than any value a key takes on the way — fits, uint64 beyond."""
+    return np.uint32 if bound < _KEY32_LIMIT else np.uint64
+
+
+def _select_smallest(keys: np.ndarray, k: int, n: int, out=(None, None)):
+    """Each row's ``k`` smallest of ``(q, n)`` unique ``rank * n + index``
+    keys, ascending, as ``(ranks, indices)``: an ``O(n)`` partition, a
+    sort of the ``k`` kept, one divmod into ``out``.  Reorders ``keys``."""
+    if k < keys.shape[1]:
+        keys.partition(k - 1, axis=1)
+        keys = keys[:, :k]
+    keys.sort(axis=1)
+    return np.divmod(keys, n, *out)
 
 
 class FunctionalKnnBoard:
@@ -147,9 +162,7 @@ class FunctionalKnnBoard:
         qp = pack_bits(queries_bits)
         n_q, n = qp.shape[0], self.n
         k_eff = min(int(k), n)
-        key_dtype = (
-            np.uint32 if (self.layout.d + 1) * n < _KEY32_LIMIT else np.uint64
-        )
+        key_dtype = _key_dtype((self.layout.d + 1) * n)
         indices = np.empty((n_q, k_eff), dtype=np.int64)
         distances = np.empty((n_q, k_eff), dtype=np.int64)
         idx = np.arange(n, dtype=key_dtype)
@@ -159,11 +172,9 @@ class FunctionalKnnBoard:
             dist = _cdist_columns(qp[lo : lo + tile], columns, np.bitwise_xor)
             keys = np.multiply(dist, n, dtype=key_dtype)
             keys += idx
-            if k_eff < n:
-                keys.partition(k_eff - 1, axis=1)
-                keys = keys[:, :k_eff]
-            keys.sort(axis=1)
-            np.divmod(keys, n, distances[lo : lo + tile], indices[lo : lo + tile])
+            _select_smallest(
+                keys, k_eff, n, (distances[lo : lo + tile], indices[lo : lo + tile])
+            )
         return indices, distances
 
     def query_topk(

@@ -15,8 +15,8 @@ automata formulations for sets encoded as d-bit indicator vectors:
   and ``|B|`` (the query), so it recovers exact Jaccard
   ``J = I / (|A| + |B| − I)`` for every vector and selects the top-k.
   Unlike Hamming kNN, report order is by intersection, not by J, so the
-  host re-ranks — still O(n) work on 2×32-bit records rather than an
-  O(nd) scan.
+  host re-ranks — O(n) selection on one exact integer key per record
+  (the ``jaccard`` workload's, as narrow as kNN's), not an O(nd) scan.
 * **Threshold filter** (:class:`JaccardThresholdFilter`): counters with
   threshold ``tau`` and *no* sort phase — a vector reports iff its
   intersection with the query reaches ``tau``.  Silent vectors send
@@ -37,6 +37,7 @@ from ..automata.symbols import EOF, SOF, SymbolSet
 from ..util.bitops import as_bits, pack_bits, popcount_cdist
 from .macros import MacroConfig, collector_tree_depth
 from .stream import StreamLayout, encode_query_batch
+from .workload import JaccardTopkWorkload
 
 __all__ = ["JaccardResult", "JaccardAPSearch", "JaccardThresholdFilter",
            "build_jaccard_macro", "jaccard_similarity_matrix"]
@@ -46,6 +47,7 @@ _SOF_SET = SymbolSet.single(SOF)
 _EOF_SET = SymbolSet.single(EOF)
 _NOT_EOF = SymbolSet.negated_single(EOF)
 _ONE = SymbolSet.single(1)
+_TOPK = JaccardTopkWorkload()
 
 
 def jaccard_similarity_matrix(queries: np.ndarray, dataset: np.ndarray) -> np.ndarray:
@@ -169,8 +171,8 @@ class JaccardAPSearch:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         self.config = config
-        self._sizes = dataset_bits.sum(axis=1).astype(np.int64)  # |A|, offline
-        self._packed = pack_bits(dataset_bits)
+        # |A| is known offline: the board keeps it beside the packed bits.
+        self._board = _TOPK.compile_packed(pack_bits(dataset_bits), self.d, {})
         self.layout = StreamLayout(
             self.d, collector_tree_depth(self.d, config.max_fan_in)
         )
@@ -185,35 +187,16 @@ class JaccardAPSearch:
             )
         return net
 
-    def _intersections(self, queries: np.ndarray) -> np.ndarray:
-        qp = pack_bits(queries)
-        return popcount_cdist(qp, self._packed, op=np.bitwise_and)
-
     def search(self, queries_bits: np.ndarray) -> JaccardResult:
-        """Functional search: exactly the reports the automata produce."""
+        """Functional search: exactly the reports the automata produce,
+        re-ranked by the ``jaccard`` workload's one-pass selection."""
         queries_bits = np.asarray(queries_bits)  # pack_bits validates it
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:
             raise ValueError(f"queries have d={queries_bits.shape[1]}, want {self.d}")
-        inter = self._intersections(queries_bits)  # (q, n)
-        q_sizes = queries_bits.sum(axis=1).astype(np.int64)
-        union = self._sizes[None, :] + q_sizes[:, None] - inter
-        sim = np.ones(inter.shape, dtype=np.float64)
-        nz = union > 0
-        sim[nz] = inter[nz] / union[nz]
-
-        n_q = queries_bits.shape[0]
-        indices = np.empty((n_q, self.k), dtype=np.int64)
-        sims = np.empty((n_q, self.k), dtype=np.float64)
-        inters = np.empty((n_q, self.k), dtype=np.int64)
-        ids = np.arange(self.n, dtype=np.int64)
-        for qi in range(n_q):
-            order = np.lexsort((ids, -sim[qi]))[: self.k]
-            indices[qi] = order
-            sims[qi] = sim[qi][order]
-            inters[qi] = inter[qi][order]
-        return JaccardResult(indices, sims, inters)
+        top, _ = _TOPK.execute(self._board, queries_bits, {"k": self.k})
+        return JaccardResult(top.indices, top.similarities, top.intersections)
 
     def expected_report_offset(self, intersection: int) -> int:
         """Block-local report cycle for a given intersection count."""

@@ -23,8 +23,9 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, PAD, SOF, SymbolSet
-from ..util.bitops import as_bits, hamming_cdist_packed, is_binary, pack_bits
+from ..util.bitops import as_bits, is_binary, pack_bits
 from .macros import MacroConfig, collector_tree_depth
+from .workload import HammingRangeWorkload
 
 __all__ = ["RangeSearchResult", "HammingRangeSearch"]
 
@@ -32,6 +33,7 @@ _WILD = SymbolSet.wildcard()
 _SOF_SET = SymbolSet.single(SOF)
 _EOF_SET = SymbolSet.single(EOF)
 _NOT_EOF = SymbolSet.negated_single(EOF)
+_RANGE = HammingRangeWorkload()
 
 
 @dataclass
@@ -67,7 +69,7 @@ class HammingRangeSearch:
         self.radius = int(radius)
         self.threshold = self.d - self.radius  # matches needed to report
         self.config = config
-        self._packed = pack_bits(dataset_bits)
+        self._board = _RANGE.compile_packed(pack_bits(dataset_bits), self.d, {})
         self.collector_depth = collector_tree_depth(self.d, config.max_fan_in)
 
     # -- stream --------------------------------------------------------
@@ -77,23 +79,23 @@ class HammingRangeSearch:
         """SOF + d bits + (L + 2) flush pads + EOF."""
         return self.d + self.collector_depth + 4
 
-    def encode_queries(self, queries_bits: np.ndarray) -> np.ndarray:
+    def _batch(self, queries_bits: np.ndarray) -> np.ndarray:
+        """A ``(q, d)`` query batch (a single row is promoted)."""
         queries_bits = np.asarray(queries_bits)
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         if queries_bits.shape[1] != self.d:
             raise ValueError(f"queries have d={queries_bits.shape[1]}, want {self.d}")
+        return queries_bits
+
+    def encode_queries(self, queries_bits: np.ndarray) -> np.ndarray:
+        queries_bits = self._batch(queries_bits)
         if not is_binary(queries_bits):
             raise ValueError("queries must be binary")
-        q = queries_bits.shape[0]
-        out = np.empty(q * self.block_length, dtype=np.uint8)
-        for i in range(q):
-            b = out[i * self.block_length : (i + 1) * self.block_length]
-            b[0] = SOF
-            b[1 : 1 + self.d] = queries_bits[i]
-            b[1 + self.d : -1] = PAD
-            b[-1] = EOF
-        return out
+        out = np.full((queries_bits.shape[0], self.block_length), PAD, dtype=np.uint8)
+        out[:, 0], out[:, -1] = SOF, EOF
+        out[:, 1 : 1 + self.d] = queries_bits
+        return out.ravel()
 
     # -- automata -------------------------------------------------------
 
@@ -147,19 +149,12 @@ class HammingRangeSearch:
     # -- functional -------------------------------------------------------
 
     def search(self, queries_bits: np.ndarray) -> RangeSearchResult:
-        """Exact functional model of the threshold automata."""
-        queries_bits = np.asarray(queries_bits)  # pack_bits validates it
-        if queries_bits.ndim == 1:
-            queries_bits = queries_bits[None, :]
-        if queries_bits.shape[1] != self.d:
-            raise ValueError(f"queries have d={queries_bits.shape[1]}, want {self.d}")
-        dist = hamming_cdist_packed(pack_bits(queries_bits), self._packed)
-        candidates, distances = [], []
-        for qi in range(dist.shape[0]):
-            keep = np.nonzero(dist[qi] <= self.radius)[0]
-            candidates.append(keep)
-            distances.append(dist[qi][keep])
-        return RangeSearchResult(candidates, distances)
+        """Exact functional model of the threshold automata: the
+        ``range`` workload's pass over this board, as per-query lists."""
+        hits, _ = _RANGE.execute(  # pack_bits validates the bits
+            self._board, self._batch(queries_bits), {"radius": self.radius}
+        )
+        return RangeSearchResult(*hits.to_lists())
 
     def report_reduction(self, queries_bits: np.ndarray) -> float:
         """Report-traffic saving vs the all-report kNN design."""

@@ -82,7 +82,7 @@ from ..perf.models import APModel
 from ..util.bitops import as_bits, pack_bits, popcount_cdist, popcount_u64
 from ..util.topk import merge_ragged_blocks, merge_topk_blocks
 from .dataset import PackedDataset
-from .functional import FunctionalKnnBoard
+from .functional import FunctionalKnnBoard, _key_dtype, _select_smallest
 from .macros import MacroConfig, build_knn_network, collector_tree_depth
 from .stream import StreamLayout
 
@@ -125,7 +125,7 @@ _AUTO_SIM_LIMIT = 50_000_000
 # AP fabric; on the host a ~1024-row pass is almost all Python, so
 # boards run as one pass while the pass's packed row words stay within
 # the per-core cache share and its (query x row) pair count bounds the
-# widest per-pair transient (Jaccard's ~30 B/pair) to ~8 MiB at any
+# widest per-pair transient (Jaccard's ~13 B/pair) to ~3 MiB at any
 # batch size.  Constants, not options — README "Host passes" has the
 # sweep that chose them (and why the byte budget stops at 64 KiB).
 _PASS_PACKED_BYTES = 64 * 2**10
@@ -669,6 +669,31 @@ class JaccardBoardArtifact:
         return int(self.packed.shape[0])
 
 
+def _jaccard_keys(
+    inter: np.ndarray, q_sizes: np.ndarray, sizes: np.ndarray, d: int
+) -> np.ndarray:
+    """``(q, n)`` keys ``(d² − ⌊d²·I/U⌋)·n + row`` ordering pairs exactly
+    by (descending similarity ``I/U``, ascending row): as ``U ≤ d``,
+    distinct fractions lie ``≥ 1/d²`` apart and never share a floor.
+    Empty-vs-empty (``U = 0``) is similarity 1.  uint32 while the
+    numerator ``I·d² ≤ d³`` and every key fit, else uint64."""
+    n, scale = sizes.shape[0], d * d
+    kd = _key_dtype(max(scale * d, (scale + 1) * n))
+    keys = np.multiply(inter, scale, dtype=kd)
+    # An empty row meets every query in I = 0, whose floor is 0 over any
+    # U > 0: counting it as size 1 keeps every divisor in [1, d + 1],
+    # held in the narrowest dtype that fits d + 1.
+    ud = np.min_scalar_type(d + 1)
+    union = np.subtract(q_sizes.astype(ud)[:, None], inter, dtype=ud)
+    union += np.maximum(sizes, 1).astype(ud)
+    np.floor_divide(keys, union, out=keys)
+    keys *= n
+    np.subtract(np.arange(scale * n, (scale + 1) * n, dtype=kd), keys, out=keys)
+    empty_rows = np.flatnonzero(sizes == 0)
+    keys[np.ix_(q_sizes == 0, empty_rows)] = empty_rows
+    return keys
+
+
 @dataclass
 class JaccardWorkloadResult:
     """(q, k) Jaccard top-k: descending similarity, ties by ascending
@@ -687,7 +712,8 @@ class JaccardTopkWorkload(Workload):
     similarities are per-vector quantities (independent of
     partitioning), so partition-local top-k blocks merge into exactly
     the single-engine answer under the (descending similarity,
-    ascending index) total order.
+    ascending index) total order.  A pass selects on one exact integer
+    key per pair (:func:`_jaccard_keys`), as kNN's ``topk_block`` does.
     """
 
     name = "jaccard"
@@ -712,32 +738,17 @@ class JaccardTopkWorkload(Workload):
     def execute(self, artifact, queries_bits: np.ndarray, params: dict):
         qp = pack_bits(queries_bits)
         k = min(int(params["k"]), artifact.n)
-        n = artifact.n
         inter = popcount_cdist(qp, artifact.packed, np.bitwise_and)
         q_sizes = popcount_u64(qp).sum(axis=1)
-        union = artifact.sizes[None, :] + q_sizes[:, None] - inter
-        sim = np.ones(inter.shape, dtype=np.float64)
-        np.divide(inter, union, out=sim, where=union > 0)
-        # Top-k by selection, not a full sort: the k-th best similarity
-        # splits each row into strict winners / ties / the rest, and an
-        # integer (class, index) key in the narrowest dtype that holds
-        # 3n picks every winner plus the lowest-index ties.  Only the k
-        # kept are then ordered.
-        kth = np.partition(sim, n - k, axis=1)[:, n - k, None]
-        key_dtype = np.min_scalar_type(3 * n)
-        rank = (sim <= kth).astype(key_dtype)
-        rank += sim < kth
-        rank *= n
-        rank += np.arange(n, dtype=key_dtype)
-        rank.partition(k - 1, axis=1)
-        ids = (rank[:, :k] % n).astype(np.int64)
-        kept = np.take_along_axis(sim, ids, axis=1)
-        ids = np.take_along_axis(ids, np.lexsort((ids, -kept), axis=-1), axis=1)
-        partial = JaccardWorkloadResult(
-            indices=ids,
-            similarities=np.take_along_axis(sim, ids, axis=1),
-            intersections=np.take_along_axis(inter, ids, axis=1).astype(np.int64),
-        )
+        # Top-k by selection on one exact integer key per pair; float
+        # similarities exist only for the k kept.
+        keys = _jaccard_keys(inter, q_sizes, artifact.sizes, artifact.d)
+        ids = _select_smallest(keys, k, artifact.n)[1].astype(np.int64)
+        kept = np.take_along_axis(inter, ids, axis=1).astype(np.int64)
+        union = artifact.sizes[ids] + q_sizes[:, None] - kept
+        sims = np.ones(ids.shape, dtype=np.float64)
+        np.divide(kept, union, out=sims, where=union > 0)
+        partial = JaccardWorkloadResult(ids, sims, kept)
         # Counter accounting for the modeled board: one configuration,
         # the standard sort-phase stream per query block, one report
         # per vector per query (the intersection sort reports all n).
@@ -865,22 +876,20 @@ class HammingRangeWorkload(Workload):
         qp = pack_bits(queries_bits)
         radius = int(params["radius"])
         dist = popcount_cdist(qp, artifact.packed)
-        hit = dist <= radius
-        counts = hit.sum(axis=1).astype(np.int64)
-        width = int(counts.max(initial=0))
         n_q = qp.shape[0]
+        # One flat row-major scan: hits come out grouped by query and,
+        # within a query, in ascending column (= dataset index) order —
+        # exactly the report-code order the threshold automata would
+        # emit under simultaneous-activation state-ID resolution.
+        flat = np.flatnonzero(dist <= radius)
+        rows, cols = np.divmod(flat, artifact.n)
+        counts = np.bincount(rows, minlength=n_q)
+        out_col = np.arange(flat.shape[0]) - (np.cumsum(counts) - counts)[rows]
+        width = int(counts.max(initial=0))
         indices = np.full((n_q, width), _PAD_INDEX, dtype=np.int64)
         distances = np.full((n_q, width), _PAD_DISTANCE, dtype=np.int64)
-        # np.nonzero is row-major: each row's hits come out in ascending
-        # column (= dataset index) order, exactly the report-code order
-        # the threshold automata would emit under simultaneous-
-        # activation state-ID resolution.
-        rows, cols = np.nonzero(hit)
-        out_col = np.arange(rows.shape[0], dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
         indices[rows, out_col] = cols
-        distances[rows, out_col] = dist[rows, cols]
+        distances[rows, out_col] = dist.ravel()[flat]
         partial = RangeWorkloadResult(indices, distances, counts)
 
         # Counter accounting: one configuration; the shorter range
@@ -892,8 +901,8 @@ class HammingRangeWorkload(Workload):
         ) + 4
         counters.configurations += 1
         counters.symbols_streamed += n_q * block_length
-        counters.reports_received += int(counts.sum())
-        counters.report_payload_bits += int(counts.sum()) * REPORT_RECORD_BITS
+        counters.reports_received += flat.shape[0]
+        counters.report_payload_bits += flat.shape[0] * REPORT_RECORD_BITS
         return partial, counters
 
     def merge(self, partials: list, offsets, params: dict):

@@ -13,9 +13,11 @@ The load-bearing claims:
 * pack/unpack/split roundtrip every workload's result.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import workload as wl_mod
@@ -203,21 +205,31 @@ class TestWorkloadPasses:
         st.integers(1, 70),  # d (one and two words)
         st.integers(1, 45),  # k (often >= n)
         st.integers(0, 10_000),
-        st.sampled_from(["random", "duplicates", "empty-sets"]),
+        st.sampled_from(["random", "duplicates", "empty-sets", "full-sets"]),
     )
     @settings(max_examples=60, deadline=None)
+    # uint64 keys: the numerator I·d² reaches d³ >= 2^32 at tiny n (full
+    # sets), and (d² + 1)·n >= 2^32 with d³ still inside uint32 (empty
+    # rows take the largest keys).
+    @example(n=3, d=1626, k=2, seed=0, flavor="full-sets")
+    @example(n=4097, d=1024, k=5, seed=3, flavor="empty-sets")
     def test_jaccard_selection_equals_full_sort(self, n, d, k, seed, flavor):
         """Top-k by selection keeps exactly the first k of the full
         (descending similarity, ascending index) order — with the k-th
-        similarity inside a tie, and for empty-vs-empty (similarity 1)."""
+        similarity inside a tie, for empty-vs-empty (similarity 1) and
+        for full sets (the largest intersections)."""
         rng = np.random.default_rng(seed)
         data = (rng.random((n, d)) < 0.4).astype(np.uint8)
         if flavor == "duplicates":
             data = data[rng.integers(0, max(1, n // 4), n)]
         elif flavor == "empty-sets":
             data[rng.random(n) < 0.5] = 0
+        elif flavor == "full-sets":
+            data[rng.random(n) < 0.5] = 1
         queries = (rng.random((3, d)) < 0.4).astype(np.uint8)
         queries[0] = 0
+        if flavor == "full-sets":
+            queries[1] = 1
         workload = get_workload("jaccard")
         got, _ = workload.execute(workload.compile(data, {}), queries, {"k": k})
         sim = jaccard_similarity_matrix(queries, data)
@@ -228,6 +240,27 @@ class TestWorkloadPasses:
         assert (got.similarities == np.take_along_axis(sim, order, axis=1)).all()
         assert (got.intersections == np.take_along_axis(inter, order, axis=1)).all()
         assert got.indices.dtype == got.intersections.dtype == np.int64
+
+    @pytest.mark.parametrize("d", [1, 2, 33, 64, 255, 256])
+    def test_jaccard_keys_order_pairs_as_exact_fractions(self, d):
+        """Over every (I, U) with 0 <= I <= U <= d, and (0, 0) as
+        similarity 1, the keys sort pairs as their exact fractions do
+        and equal fractions share a key."""
+        by_fraction = {}
+        for u in range(d + 1):
+            # One query of size u against rows of size I, each a subset
+            # of it: row I meets the query in I and their union is u.
+            inter = np.arange(u + 1)
+            keys = wl_mod._jaccard_keys(
+                inter[None, :].astype(np.uint16), np.array([u]), inter, d
+            )
+            for i, rank in enumerate((keys[0] // (u + 1)).tolist()):
+                by_fraction.setdefault(
+                    Fraction(i, u) if u else Fraction(1), set()
+                ).add(rank)
+        assert all(len(ranks) == 1 for ranks in by_fraction.values())
+        ranks = [by_fraction[f].pop() for f in sorted(by_fraction, reverse=True)]
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
     @pytest.mark.parametrize("name,params", ALL_PARAMS)
     def test_evicted_board_inside_a_hit_pass_is_rebuilt_alone(
@@ -311,17 +344,19 @@ class TestWorkloadPasses:
         assert_snapshots_equal(got[:1], ref[:1], execution)
 
     @pytest.mark.parametrize("name,params,bytes_per_pair", [
-        ("jaccard", {"k": 10}, 64), ("range", {"radius": 12}, 32),
+        ("jaccard", {"k": 10}, 24), ("range", {"radius": 12}, 32),
     ], ids=["jaccard", "range"])
     def test_large_jaccard_batch_stays_within_the_pair_budget(
         self, name, params, bytes_per_pair
     ):
         """q x rows per pass is capped, so an un-tiled ``execute``'s
-        per-pair transients (Jaccard's ~30 B, range's ~10 B) never scale
+        per-pair transients (Jaccard's ~13 B, range's ~9 B) never scale
         with the batch: a 256-row batch over 2^14 rows (2^22 pairs) runs
         4-board passes, not 32-board ones, and peaks under
-        ``bytes_per_pair`` per budgeted pair (8.0 MiB for Jaccard
-        against 56 MiB uncapped; 2.3 MiB for range against 18 MiB)."""
+        ``bytes_per_pair`` per budgeted pair (3.2 MiB for Jaccard
+        against 18 MiB uncapped; 2.3 MiB for range against 18 MiB).
+        Jaccard's bound also fails a return to ``(q, rows)`` float64
+        similarities (~32 B per pair)."""
         import tracemalloc
 
         data, queries = _data(n=1 << 14, d=64, n_queries=256)

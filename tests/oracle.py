@@ -178,7 +178,7 @@ def shapes(draw, widths=WIDTHS, max_cap=24, max_boards=8, max_queries=4):
     return Shape(
         n=n, d=d, cap=cap,
         k=draw(st.sampled_from((1, 3, 7, n, n + 5))),
-        radius=draw(st.sampled_from((0, 2, d // 2 - 2, d // 2))),
+        radius=draw(st.sampled_from((0, 2, d // 2 - 2, d // 2, d - 1))),
         n_q=draw(st.integers(1, max_queries)),
         devices=draw(st.integers(2, 5)),
         cut=(draw(st.integers(0, 13)), draw(st.integers(0, 13))),
