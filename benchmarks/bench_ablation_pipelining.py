@@ -4,7 +4,7 @@ The paper's AP timing rests on two concurrency assumptions
 (Section IV-B): non-blocking API calls (host decodes while the device
 works) and overlap of one query's sort phase with the next query's
 Hamming phase (steady-state cost ``d`` cycles per query).  This
-ablation schedules the full Table IV WordEmbed run under three
+ablation prices the full Table IV WordEmbed run under three
 policies and attributes the gap, then shows the Gen 2 host-decode
 bottleneck that motivates Section VI-C's activation reduction.
 """
@@ -12,7 +12,7 @@ bottleneck that motivates Section VI-C's activation reduction.
 import pytest
 
 from repro.ap.device import GEN1, GEN2
-from repro.host.scheduler import POLICIES, schedule_knn_run
+from repro.perf.models import POLICIES, pipeline_time
 from repro.workloads.params import LARGE_N, N_QUERIES, WORKLOADS
 
 
@@ -22,7 +22,7 @@ def schedule_all(device):
     block = 2 * w.d + 4
     out = {}
     for policy in POLICIES:
-        out[policy] = schedule_knn_run(
+        out[policy] = pipeline_time(
             parts, N_QUERIES, w.d, block,
             reports_per_partition=w.board_capacity * N_QUERIES,
             device=device, policy=policy,
@@ -54,7 +54,7 @@ def test_pipelining_gen2_host_bottleneck(benchmark, report):
     qo = res["query-overlap"]
     w = WORKLOADS["kNN-WordEmbed"]
     parts = LARGE_N // w.board_capacity
-    reduced = schedule_knn_run(
+    reduced = pipeline_time(
         parts, N_QUERIES, w.d, 2 * w.d + 4,
         reports_per_partition=w.board_capacity * N_QUERIES // 8,
         device=GEN2, policy="query-overlap",
@@ -64,12 +64,12 @@ def test_pipelining_gen2_host_bottleneck(benchmark, report):
         ["Config", "Makespan (s)", "Device busy (s)", "Host busy (s)",
          "Critical path"],
         [["full reports", f"{qo.makespan_s:.2f}",
-          f"{qo.timeline.device_busy_s:.2f}",
-          f"{qo.timeline.host_busy_s:.2f}", "host"],
+          f"{qo.device_busy_s:.2f}",
+          f"{qo.host_busy_s:.2f}", "host"],
          ["k'/p = 1/8 reduction", f"{reduced.makespan_s:.2f}",
-          f"{reduced.timeline.device_busy_s:.2f}",
-          f"{reduced.timeline.host_busy_s:.2f}", "device"]],
+          f"{reduced.device_busy_s:.2f}",
+          f"{reduced.host_busy_s:.2f}", "device"]],
     )
-    assert qo.timeline.host_busy_s > qo.timeline.device_busy_s
-    assert reduced.timeline.host_busy_s < reduced.timeline.device_busy_s
+    assert qo.host_busy_s > qo.device_busy_s
+    assert reduced.host_busy_s < reduced.device_busy_s
     assert reduced.makespan_s < qo.makespan_s

@@ -14,7 +14,7 @@ Run:  python examples/pattern_matching.py
 import numpy as np
 
 from repro.ap.compiler import APCompiler
-from repro.ap.visualize import summarize
+from repro.ap.device import GEN1
 from repro.automata.network import AutomataNetwork
 from repro.automata.optimize import optimize
 from repro.automata.regex import compile_regex
@@ -38,7 +38,11 @@ def main() -> None:
     board = AutomataNetwork("motif-panel")
     for code, pattern in MOTIFS.items():
         compile_regex(pattern, report_code=code, prefix=f"m{code}_", network=board)
-    print(summarize(board))
+    report = APCompiler(GEN1).compile(board)
+    print(f"{board.name}: {report.n_components} components, "
+          f"{report.n_stes} STEs, {report.n_reporting} reporting, "
+          f"{report.blocks_used:.2f} blocks "
+          f"({report.utilization:.4%} of the board)")
 
     sim = CompiledSimulator(board)
     res = sim.run(genome.encode())

@@ -14,16 +14,17 @@ Subpackages
     streams, the partitioned kNN engine, and the Section VI automata
     optimizations (packing, multiplexing, activation reduction).
 ``repro.host``
-    Host-side stack: the simulated-time driver/scheduler timelines and
-    the sharded parallel partition-execution layer that fans board
-    partitions across worker processes.
+    Host-side serving stack: the sharded parallel partition-execution
+    layer that fans board partitions across workers, query batching,
+    and the shard service with its replica groups.
 ``repro.baselines``
     CPU / GPU / FPGA comparison implementations.
 ``repro.index``
     ITQ quantization and the kd-tree / k-means / LSH spatial indexes
     with the host-traversal AP integration.
 ``repro.perf`` / ``repro.workloads``
-    Calibrated platform models and Table II workload parameters.
+    Calibrated platform models (one ``ap_time`` prices every AP event),
+    the metrics plane, and Table II workload parameters.
 
 Quickstart::
 

@@ -1,7 +1,6 @@
 """Micron AP device model: hardware hierarchy, compiler, runtime, and the
 Section VII architectural extensions."""
 
-from .chaining import ChainedCounter, ChainError, build_chained_counter, factor_threshold
 from .compiler import APCompiler, CompilationReport, CompileError, RoutingModel
 from .device import GEN1, GEN2, APDeviceSpec, APGeneration
 from .extensions import (
@@ -16,17 +15,12 @@ from .extensions import (
     ste_decomposition_table,
 )
 from .runtime import APRuntime, BoardImage, RuntimeCounters
-from .visualize import summarize, to_dot
 
 __all__ = [
     "APCompiler",
     "CompilationReport",
     "CompileError",
     "RoutingModel",
-    "ChainedCounter",
-    "ChainError",
-    "build_chained_counter",
-    "factor_threshold",
     "GEN1",
     "GEN2",
     "APDeviceSpec",
@@ -43,6 +37,4 @@ __all__ = [
     "APRuntime",
     "BoardImage",
     "RuntimeCounters",
-    "summarize",
-    "to_dot",
 ]

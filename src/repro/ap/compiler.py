@@ -187,8 +187,8 @@ class APCompiler:
                 raise CompileError(
                     f"counter {name!r} threshold {el.threshold} exceeds the "
                     f"{self.device.counter_bits}-bit counter register "
-                    f"({self.device.max_counter_threshold} max); chain counters "
-                    "or re-partition the computation"
+                    f"({self.device.max_counter_threshold} max); re-partition "
+                    "the computation"
                 )
         eff = self.routing.efficiency(max_fan_out)
         d = self.device

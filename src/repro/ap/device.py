@@ -107,10 +107,6 @@ class APDeviceSpec:
     def cycle_time_s(self) -> float:
         return 1.0 / self.clock_hz
 
-    def symbol_stream_time_s(self, n_symbols: int) -> float:
-        """Wall time to stream ``n_symbols`` at one symbol per cycle."""
-        return n_symbols * self.cycle_time_s
-
 
 def _named_device_spec(name: str) -> "APDeviceSpec":
     """Pickle hook: resolve a generation singleton by name."""

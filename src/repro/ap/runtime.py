@@ -5,14 +5,15 @@ hardware, configures board images over PCIe, drives symbol streams, and
 consumes reporting-state activations.  Here it wraps the cycle-accurate
 simulator and keeps the accounting a physical run would produce:
 
-* how many (re)configurations happened and their latency cost,
+* how many (re)configurations happened (→ reconfiguration latency),
 * how many symbols were streamed (→ fabric busy time at 133 MHz),
-* how many report records crossed the PCIe link (→ report bandwidth,
-  the quantity Section VI-C's statistical activation reduction targets).
+* how many report records crossed the PCIe link (the quantity Section
+  VI-C's statistical activation reduction targets).
 
-Timing is *derived* from these counters by :mod:`repro.perf.models`;
-the runtime itself only counts events, so functional tests run fast and
-the timing model stays in one place.
+Timing is *derived* from these counters by
+:func:`repro.perf.models.ap_time`; the runtime itself only counts
+events, so functional tests run fast and the timing model stays in one
+place.
 """
 
 from __future__ import annotations
@@ -151,29 +152,3 @@ class APRuntime:
         self.counters.reports_received += len(result.reports)
         self.counters.report_payload_bits += len(result.reports) * REPORT_RECORD_BITS
         return result.reports
-
-    # -- derived quantities ---------------------------------------------
-
-    def fabric_busy_time_s(self) -> float:
-        """Time the fabric spent consuming symbols (one per cycle)."""
-        return self.counters.symbols_streamed * self.device.cycle_time_s
-
-    def reconfiguration_time_s(self, include_first: bool = True) -> float:
-        """Total time spent in (re)configuration.
-
-        The paper's large-dataset model charges every partition a
-        reconfiguration (n_partitions × 45 ms on Gen 1 reproduces the
-        published 48.10 s for kNN-WordEmbed), so ``include_first``
-        defaults to True; single-configuration (small dataset) runs are
-        charged nothing when it is False.
-        """
-        n = self.counters.configurations
-        if not include_first:
-            n = max(0, n - 1)
-        return n * self.device.reconfiguration_latency_s
-
-    def report_bandwidth_gbps(self, window_s: float) -> float:
-        """Average PCIe-bound report bandwidth over a time window."""
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        return self.counters.report_payload_bits / window_s / 1e9

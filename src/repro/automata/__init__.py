@@ -10,7 +10,6 @@ from .anml import parse_anml, to_anml
 from .optimize import OptimizeStats, merge_prefix_states, optimize, remove_unreachable
 from .reference import reference_run
 from .regex import RegexError, compile_regex, parse_regex
-from .stats import ActivityReport, activity_report
 from .elements import (
     STE,
     BooleanElement,
@@ -46,8 +45,6 @@ __all__ = [
     "compile_regex",
     "parse_regex",
     "reference_run",
-    "ActivityReport",
-    "activity_report",
     "SymbolSet",
     "SOF",
     "EOF",

@@ -1,14 +1,12 @@
-"""Host-side driver stack (paper Fig. 1a): simulated-time device/host
-timelines, submission policies, the Section III-C partition scheduler,
-the sharded parallel partition-execution layer with its shared-memory
-segment primitives, the query batching/admission layer, the
-network-transparent shard service for rack-scale fan-out, and the
-availability layer on top of it (replica groups with health-tracked
-failover + hedged reads, and the fault-injection harness that proves
-them)."""
+"""Host-side serving stack: the sharded parallel partition-execution
+layer with its shared-memory segment primitives, the query
+batching/admission layer, the network-transparent shard service for
+rack-scale fan-out, and the availability layer on top of it (replica
+groups with health-tracked failover + hedged reads, and the
+fault-injection harness that proves them).  The modeled AP time of the
+host driver's partition pipeline lives in :mod:`repro.perf.models`."""
 
 from .batching import BatchedResult, BatchRouter, BatchRouterStats, QueryBatcher
-from .driver import APDriver, OpKind, SubmissionMode, Timeline, TimelineEntry
 from .faults import ChaosProxy, FaultSpec, ServerFaultHook
 from .parallel import (
     ParallelConfig,
@@ -32,18 +30,9 @@ from .rpc import (
     ShardServer,
     serve_shard,
 )
-from .scheduler import POLICIES, ScheduleResult, schedule_knn_run
 from .shm import ShmArrayRef, shm_available
 
 __all__ = [
-    "APDriver",
-    "OpKind",
-    "SubmissionMode",
-    "Timeline",
-    "TimelineEntry",
-    "POLICIES",
-    "ScheduleResult",
-    "schedule_knn_run",
     "ParallelConfig",
     "PartitionResult",
     "PartitionRunReport",

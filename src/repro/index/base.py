@@ -9,6 +9,8 @@ linearly scanned (on CPU, or as one AP board configuration per bucket).
 An index therefore exposes bucket structure explicitly:
 
 * :attr:`buckets` — list of int64 arrays of dataset indices;
+* :attr:`packed` — the dataset's packed words, packed once at
+  construction and shared by every scan over the index;
 * :meth:`query_buckets` — bucket ids a query's traversals reach;
 * :meth:`search` — convenience exact-scan-over-candidates search.
 """
@@ -33,7 +35,7 @@ class SpatialIndex(abc.ABC):
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.dataset = dataset_bits
         self.n, self.d = dataset_bits.shape
-        self._packed = pack_bits(dataset_bits)
+        self.packed = pack_bits(dataset_bits)
         self.buckets: list[np.ndarray] = []
 
     # -- interface -------------------------------------------------------
@@ -76,7 +78,7 @@ class SpatialIndex(abc.ABC):
             total_buckets += len(self.query_buckets(queries_bits[i]))
             if cand.size == 0:
                 continue
-            dist = hamming_cdist_packed(qp[i : i + 1], self._packed[cand])[0]
+            dist = hamming_cdist_packed(qp[i : i + 1], self.packed[cand])[0]
             kk = min(k, cand.size)
             order = np.lexsort((cand, dist))[:kk]
             indices[i, :kk] = cand[order]

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ap.device import APDeviceSpec, GEN1
-from ..perf.models import CPUModel
+from ..ap.runtime import RuntimeCounters
+from ..perf.models import CPUModel, ap_time
 from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
 from .base import SpatialIndex
 
@@ -85,11 +86,10 @@ class IndexedAPSearch:
             [] for _ in range(n_q)
         ]
         candidates = 0
-        data_packed = pack_bits(self.index.dataset)
         for b, q_ids in per_bucket.items():
             bucket_idx = self.index.buckets[b]
             candidates += bucket_idx.size * len(q_ids)
-            dist = hamming_cdist_packed(qp[q_ids], data_packed[bucket_idx])
+            dist = hamming_cdist_packed(qp[q_ids], self.index.packed[bucket_idx])
             for row, qi in enumerate(q_ids):
                 kk = min(k, bucket_idx.size)
                 order = np.lexsort((bucket_idx, dist[row]))[:kk]
@@ -141,11 +141,14 @@ def indexed_runtime_model(
     if single_thread_host:
         per_pair *= host_model.platform.cores or 1
     t_traverse = stats.traversal_distance_ops * per_pair
-    t_ap = (
-        t_traverse
-        + stats.distinct_buckets_loaded * device.reconfiguration_latency_s
-        + stats.bucket_visits * d / device.clock_hz
+    reconfig_s, fabric_s = ap_time(
+        RuntimeCounters(
+            configurations=stats.distinct_buckets_loaded,
+            symbols_streamed=stats.bucket_visits * d,
+        ),
+        device,
     )
+    t_ap = t_traverse + reconfig_s + fabric_s
     t_cpu = t_traverse + stats.candidates_scanned * per_pair
     return {
         "traversal_s": t_traverse,

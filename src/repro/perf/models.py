@@ -4,7 +4,9 @@ The paper's evaluation mixes measured wall-clock (CPU/GPU), simulated
 cycle counts (AP, FPGA), and analytic projections (AP Gen 2, Opt+Ext).
 We reproduce the projections with the same modelling procedure, with
 per-platform constants calibrated against the published tables (the
-calibration residuals are recorded in EXPERIMENTS.md):
+residuals are pinned by ``TABLE3_MS`` / ``TABLE4_S`` in
+``tests/perf/test_models.py`` and printed by ``benchmarks/bench_table3.py``
+/ ``bench_table4.py``):
 
 * **CPU** (Xeon E5-2620, Cortex A15): linear scan is
   ``t = q (c + n (a + b d))`` — a per-query overhead, a per-candidate
@@ -30,14 +32,26 @@ calibration residuals are recorded in EXPERIMENTS.md):
   reproduces Table III/IV AP rows to three significant figures
   (e.g. 1024 × (45 ms + 4096·64·7.5 ns) = 48.09 s vs the published
   48.10 s for Gen 1 kNN-WordEmbed).
+
+Every AP event is priced in one place, :func:`ap_time`: configurations
+at the generation's §III-C reconfiguration latency and streamed symbols
+at one per cycle.  :class:`APModel`, :func:`pipeline_time` (the host
+driver's partition pipeline, Section IV-B) and the Table V indexed model
+(:func:`repro.index.search.indexed_runtime_model`) count events into a
+:class:`~repro.ap.runtime.RuntimeCounters` and call it — the same
+counters a served search reports in ``result.counters``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..ap.device import GEN1, GEN2, APDeviceSpec
 from ..workloads.params import WorkloadParams
+
+if TYPE_CHECKING:
+    from ..ap.runtime import RuntimeCounters
 
 __all__ = [
     "PlatformSpec",
@@ -60,6 +74,10 @@ __all__ = [
     "ap_gen1_model",
     "ap_gen2_model",
     "ap_opt_ext_model",
+    "ap_time",
+    "POLICIES",
+    "PipelineTime",
+    "pipeline_time",
 ]
 
 
@@ -141,6 +159,26 @@ class FPGAModel:
         return q * (c + n * d * self.per_bit_s)
 
 
+def ap_time(counters: "RuntimeCounters", device: APDeviceSpec) -> tuple[float, float]:
+    """Price a run's AP events as ``(reconfig_s, fabric_s)``.
+
+    Every configuration pays the generation's partial-reconfiguration
+    latency (Section III-C) and every streamed symbol one fabric cycle.
+    This is the only place the AP's latency and clock turn into time.
+    """
+    return (
+        counters.configurations * device.reconfiguration_latency_s,
+        counters.symbols_streamed * device.cycle_time_s,
+    )
+
+
+def _counters(configurations: int, symbols: int) -> "RuntimeCounters":
+    # Imported late: repro.ap's compiler imports repro.perf for metrics.
+    from ..ap.runtime import RuntimeCounters
+
+    return RuntimeCounters(configurations=configurations, symbols_streamed=symbols)
+
+
 @dataclass(frozen=True)
 class APModel:
     """AP run-time/energy model for any generation and optimization level.
@@ -165,14 +203,12 @@ class APModel:
         self, n: int, q: int, d: int, board_capacity: int
     ) -> float:
         partitions = -(-n // board_capacity)
-        per_partition = q * d * self.device.cycle_time_s
-        if partitions == 1:
-            total = per_partition  # preconfigured board, no reconfiguration
-        else:
-            total = partitions * (
-                self.device.reconfiguration_latency_s + per_partition
-            )
-        return total / self.speedup_factor
+        # a single partition is a preconfigured board: no reconfiguration
+        configurations = 0 if partitions == 1 else partitions
+        reconfig_s, fabric_s = ap_time(
+            _counters(configurations, partitions * q * d), self.device
+        )
+        return (reconfig_s + fabric_s) / self.speedup_factor
 
     def power_w(self, d: int) -> float:
         return self.dynamic_power_w.get(d, self.default_power_w) * self.power_factor
@@ -203,8 +239,81 @@ def ap_opt_ext_model(total_improvement: float, tech_scaling: float = 3.19) -> AP
     )
 
 
+POLICIES = ("blocking", "async", "query-overlap")
+# Host-side decode cost of one report record.
+HOST_NS_PER_REPORT = 2.0
+
+
+class PipelineTime(NamedTuple):
+    """Modeled time of one partition pipeline (seconds)."""
+
+    makespan_s: float
+    device_busy_s: float
+    host_busy_s: float
+
+    @property
+    def device_utilization(self) -> float:
+        return self.device_busy_s / self.makespan_s
+
+
+def pipeline_time(
+    n_partitions: int,
+    n_queries: int,
+    d: int,
+    block_length: int,
+    reports_per_partition: int,
+    device: APDeviceSpec = GEN1,
+    policy: str = "async",
+) -> PipelineTime:
+    """The Section III-C partition flow on one device lane, in closed form.
+
+    Every partition is configured, streams the query batch, and has its
+    reports decoded on the host.  Per partition the device takes
+    ``D = ap_time`` of one configuration plus the policy's symbols, and
+    the host ``H = reports × 2 ns``.  The device runs partitions back to
+    back while the host decodes the previous one — a two-stage pipeline:
+
+    ``makespan = D + H + (P − 1)·max(D, H)``, device busy ``P·D``, host
+    busy ``P·H``.
+
+    * ``"async"`` — non-blocking API calls (Section IV-B): each query
+      streams its full ``block_length``, so ``q·block`` symbols.
+    * ``"query-overlap"`` — additionally overlaps one query's sort phase
+      with the next query's Hamming phase: ``block + (q − 1)·d``
+      symbols.  This reproduces the paper's AP rows
+      (``partitions × (reconfig + q·d·cycle)``).
+    * ``"blocking"`` — meant as the naive host program where every API
+      call is a barrier.  **Known defect:** it is priced exactly as
+      ``"async"``, because nothing delays the next device op until the
+      host decode finishes; both read 50.25 s in the Gen 1 ablation.  A
+      real blocking schedule, ``P·(D + H)``, would be ≈ 58.8 s there
+      (1.22×), which breaks the ablation bench's ``< 1.10`` Gen 1 claim,
+      so fixing it means revisiting that claim (ROADMAP item 12).
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    if n_partitions < 1 or n_queries < 1:
+        raise ValueError("need at least one partition and one query")
+    if min(d, block_length, reports_per_partition) < 0:
+        raise ValueError("symbol and report counts must be non-negative")
+    if policy == "query-overlap":
+        # steady state: one query costs d symbols; the first query of a
+        # partition still pays the full block (pipeline fill).
+        symbols = block_length + (n_queries - 1) * d
+    else:
+        symbols = n_queries * block_length
+    reconfig_s, fabric_s = ap_time(_counters(1, symbols), device)
+    dev = reconfig_s + fabric_s
+    host = reports_per_partition * HOST_NS_PER_REPORT * 1e-9
+    return PipelineTime(
+        makespan_s=dev + host + (n_partitions - 1) * max(dev, host),
+        device_busy_s=n_partitions * dev,
+        host_busy_s=n_partitions * host,
+    )
+
+
 # Calibrated instances (constants back-solved from Tables III and IV;
-# see the module docstring and EXPERIMENTS.md for the residuals).
+# tests/perf/test_models.py pins the residuals against the published rows).
 XEON_MODEL = CPUModel(XEON, a_s=1.51e-9, b_s=4.88e-11, c_s=0.95e-6)
 CORTEX_MODEL = CPUModel(CORTEX_A15, a_s=4.15e-9, b_s=3.32e-10, c_s=0.0)
 JETSON_MODEL = GPUModel(

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.ap.device import GEN1, GEN2, APDeviceSpec, APGeneration
+from repro.ap.runtime import RuntimeCounters
+from repro.perf.models import ap_time
 
 
 class TestHierarchy:
@@ -23,7 +25,8 @@ class TestHierarchy:
         assert GEN1.cycle_time_s == pytest.approx(7.5e-9, rel=0.01)
 
     def test_symbol_stream_time(self):
-        assert GEN1.symbol_stream_time_s(133_000_000) == pytest.approx(1.0, rel=1e-6)
+        one_second = RuntimeCounters(symbols_streamed=133_000_000)
+        assert ap_time(one_second, GEN1)[1] == pytest.approx(1.0, rel=1e-6)
 
 
 class TestGenerations:

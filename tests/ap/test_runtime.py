@@ -7,6 +7,7 @@ from repro.ap.device import GEN1, GEN2
 from repro.ap.runtime import APRuntime, RuntimeCounters
 from repro.core.macros import build_knn_network
 from repro.core.stream import StreamLayout, encode_query
+from repro.perf.models import ap_time
 
 
 @pytest.fixture
@@ -35,16 +36,15 @@ class TestConfiguration:
         runtime, image, _ = tiny_image_runtime
         for _ in range(3):
             runtime.configure(image)
-        assert runtime.reconfiguration_time_s() == pytest.approx(3 * 45e-3)
-        assert runtime.reconfiguration_time_s(include_first=False) == pytest.approx(
-            2 * 45e-3
-        )
+        reconfig_s, fabric_s = ap_time(runtime.counters, GEN1)
+        assert reconfig_s == pytest.approx(3 * 45e-3)
+        assert fabric_s == 0.0
 
     def test_gen2_reconfiguration_cheaper(self, tiny_image_runtime):
         _, image, _ = tiny_image_runtime
         r2 = APRuntime(GEN2)
         r2.configure(image)
-        assert r2.reconfiguration_time_s() == pytest.approx(45e-5)
+        assert ap_time(r2.counters, GEN2)[0] == pytest.approx(45e-5)
 
 
 class TestStreaming:
@@ -63,16 +63,7 @@ class TestStreaming:
         runtime.configure(image)
         runtime.stream(encode_query(np.zeros(4, dtype=np.uint8), layout))
         expected = layout.block_length / GEN1.clock_hz
-        assert runtime.fabric_busy_time_s() == pytest.approx(expected)
-
-    def test_report_bandwidth(self, tiny_image_runtime):
-        runtime, image, layout = tiny_image_runtime
-        runtime.configure(image)
-        runtime.stream(encode_query(np.zeros(4, dtype=np.uint8), layout))
-        bw = runtime.report_bandwidth_gbps(window_s=1e-9)
-        assert bw == pytest.approx(64.0)
-        with pytest.raises(ValueError):
-            runtime.report_bandwidth_gbps(0)
+        assert ap_time(runtime.counters, GEN1)[1] == pytest.approx(expected)
 
 
 class TestBuildImage:

@@ -1,72 +1,49 @@
-"""Tests for the host driver timeline model."""
+"""The device and host lanes of the host driver's partition pipeline,
+priced in closed form by :func:`repro.perf.models.pipeline_time` on top
+of the one AP pricing function, :func:`repro.perf.models.ap_time`."""
 
 import pytest
 
 from repro.ap.device import GEN1, GEN2
-from repro.host.driver import APDriver, OpKind, SubmissionMode
+from repro.ap.runtime import RuntimeCounters
+from repro.perf.models import ap_time, pipeline_time
 
 
 class TestDeviceLane:
     def test_ops_serialize_on_device(self):
-        drv = APDriver(GEN1)
-        a = drv.configure()
-        b = drv.stream(1000)
-        assert a.end_s == pytest.approx(45e-3)
-        assert b.start_s == pytest.approx(a.end_s)
-        assert b.duration_s == pytest.approx(1000 / 133e6)
+        # one partition: a configuration, then 1000 symbols, back to back
+        res = pipeline_time(1, 1, 0, 1000, 0)
+        assert res.device_busy_s == pytest.approx(45e-3 + 1000 / 133e6)
+        assert res.makespan_s == pytest.approx(res.device_busy_s)
 
     def test_stream_validation(self):
         with pytest.raises(ValueError):
-            APDriver(GEN1).stream(-1)
+            pipeline_time(1, 1, 4, -1, 0)
 
     def test_gen2_configure_cheaper(self):
-        t1 = APDriver(GEN1).configure().duration_s
-        t2 = APDriver(GEN2).configure().duration_s
+        one = RuntimeCounters(configurations=1)
+        t1, _ = ap_time(one, GEN1)
+        t2, _ = ap_time(one, GEN2)
         assert t1 / t2 == pytest.approx(100.0)
 
 
 class TestHostLane:
     def test_async_decode_overlaps_next_device_op(self):
-        drv = APDriver(GEN1, mode=SubmissionMode.ASYNC)
-        s1 = drv.stream(133_000_000)  # 1 s of streaming
-        d1 = drv.decode(100_000_000, after=s1)  # 0.2 s of decode
-        s2 = drv.stream(133_000_000)
-        # decode of batch 1 runs while batch 2 streams
-        assert d1.start_s == pytest.approx(s1.end_s)
-        assert s2.start_s == pytest.approx(s1.end_s)
-        assert drv.timeline.overlap_s() > 0.19
-
-    def test_blocking_serializes_everything(self):
-        drv = APDriver(GEN1, mode=SubmissionMode.BLOCKING)
-        s1 = drv.stream(133_000_000)
-        d1 = drv.decode(100_000_000, after=s1)
-        s2 = drv.stream(133_000_000)
-        drv.synchronize()
-        # blocking: the host was captive during s1, so decode starts at
-        # s1.end; s2 on the device still queues right after s1 — the
-        # distinguishing cost shows at the *next* host interaction
-        assert d1.start_s == pytest.approx(s1.end_s)
-        assert drv.timeline.makespan_s >= s2.end_s
+        # two partitions of ~1 s streaming and 0.2 s decode each: the
+        # first decode runs while the second partition streams
+        res = pipeline_time(2, 1, 0, 133_000_000, 100_000_000)
+        overlap = res.device_busy_s + res.host_busy_s - res.makespan_s
+        assert overlap == pytest.approx(0.2)
 
     def test_decode_validation(self):
-        drv = APDriver(GEN1)
-        op = drv.stream(10)
         with pytest.raises(ValueError):
-            drv.decode(-1, after=op)
+            pipeline_time(1, 1, 4, 12, -1)
 
 
 class TestTimeline:
     def test_accounting(self):
-        drv = APDriver(GEN1)
-        drv.configure()
-        op = drv.stream(133_000)
-        drv.decode(1000, after=op)
-        tl = drv.timeline
-        assert tl.device_busy_s == pytest.approx(45e-3 + 1e-3)
-        assert tl.host_busy_s == pytest.approx(1000 * 2e-9)
-        assert 0 < tl.device_utilization <= 1.0
-        kinds = [e.kind for e in tl.device]
-        assert kinds == [OpKind.CONFIGURE, OpKind.STREAM]
-
-    def test_empty_timeline(self):
-        assert APDriver(GEN1).timeline.makespan_s == 0.0
+        res = pipeline_time(1, 1, 0, 133_000, 1000)
+        assert res.device_busy_s == pytest.approx(45e-3 + 1e-3)
+        assert res.host_busy_s == pytest.approx(1000 * 2e-9)
+        assert res.makespan_s == pytest.approx(res.device_busy_s + res.host_busy_s)
+        assert 0 < res.device_utilization <= 1.0

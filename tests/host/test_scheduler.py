@@ -1,10 +1,12 @@
-"""Tests for the partition scheduler and its pipelining policies."""
+"""The Section III-C partition schedule and its pipelining policies
+(:func:`repro.perf.models.pipeline_time`)."""
 
+import numpy as np
 import pytest
 
 from repro.ap.device import GEN1, GEN2
-from repro.host.scheduler import POLICIES, schedule_knn_run
-from repro.perf.models import ap_gen1_model
+from repro.core.engine import APSimilaritySearch
+from repro.perf.models import POLICIES, ap_gen1_model, ap_time, pipeline_time
 from repro.workloads.params import LARGE_N, N_QUERIES, WORKLOADS
 
 
@@ -12,7 +14,7 @@ def wordembed_schedule(policy, device=GEN1):
     w = WORKLOADS["kNN-WordEmbed"]
     parts = LARGE_N // w.board_capacity
     block = 2 * w.d + 1 + 3
-    return schedule_knn_run(
+    return pipeline_time(
         parts, N_QUERIES, w.d, block,
         reports_per_partition=w.board_capacity * N_QUERIES,
         device=device, policy=policy,
@@ -42,31 +44,23 @@ class TestPolicies:
         path — the quantitative motivation for Section VI-C's
         activation reduction."""
         res = wordembed_schedule("query-overlap", device=GEN2)
-        host_busy = res.timeline.host_busy_s
-        device_busy = res.timeline.device_busy_s
-        assert host_busy > device_busy
+        assert res.host_busy_s > res.device_busy_s
         # with a p/k' = 8x report reduction the device leads again
         w = WORKLOADS["kNN-WordEmbed"]
         parts = LARGE_N // w.board_capacity
-        reduced = schedule_knn_run(
+        reduced = pipeline_time(
             parts, N_QUERIES, w.d, 2 * w.d + 4,
             reports_per_partition=w.board_capacity * N_QUERIES // 8,
             device=GEN2, policy="query-overlap",
         )
-        assert reduced.timeline.host_busy_s < reduced.timeline.device_busy_s
+        assert reduced.host_busy_s < reduced.device_busy_s
         assert reduced.makespan_s < res.makespan_s
 
     def test_validation(self):
         with pytest.raises(ValueError, match="policy"):
-            schedule_knn_run(1, 1, 4, 12, 1, policy="warp")
+            pipeline_time(1, 1, 4, 12, 1, policy="warp")
         with pytest.raises(ValueError):
-            schedule_knn_run(0, 1, 4, 12, 1)
-
-    def test_first_configure_optional(self):
-        a = schedule_knn_run(1, 16, 4, 12, 16, charge_first_configure=True)
-        b = schedule_knn_run(1, 16, 4, 12, 16, charge_first_configure=False)
-        assert a.makespan_s > b.makespan_s
-        assert a.makespan_s - b.makespan_s == pytest.approx(45e-3, rel=0.01)
+            pipeline_time(0, 1, 4, 12, 1)
 
     def test_device_utilization_bounded(self):
         for p in POLICIES:
@@ -74,49 +68,19 @@ class TestPolicies:
             assert 0 < res.device_utilization <= 1.0
 
 
-class TestMultiWorkerOverlap:
-    """n_workers models the sharded parallel execution layer."""
-
-    def _run(self, policy, n_workers, n_partitions=8):
-        return schedule_knn_run(
-            n_partitions, 64, 16, 2 * 16 + 4,
-            reports_per_partition=64 * 32,
-            policy=policy, n_workers=n_workers,
-        )
-
-    @pytest.mark.parametrize("policy", ["async", "query-overlap"])
-    def test_workers_shrink_makespan(self, policy):
-        t1 = self._run(policy, 1).makespan_s
-        t2 = self._run(policy, 2).makespan_s
-        t4 = self._run(policy, 4).makespan_s
-        assert t4 < t2 < t1
-        # reconfiguration dominates this workload, so lanes scale it
-        assert t2 == pytest.approx(t1 / 2, rel=0.15)
-
-    def test_blocking_ignores_workers(self):
-        t1 = self._run("blocking", 1)
-        t4 = self._run("blocking", 4)
-        assert t4.makespan_s == t1.makespan_s
-        assert t4.n_workers == 1
-
-    def test_workers_capped_by_partitions(self):
-        res = self._run("async", 64, n_partitions=3)
-        assert res.n_workers == 3
-
-    def test_single_worker_unchanged(self):
-        """n_workers=1 must reproduce the historical schedule exactly."""
-        old = self._run("async", 1)
-        assert old.n_workers == 1
-        assert old.timeline.device[0].kind.value == "configure"
-
-    def test_worker_validation(self):
-        with pytest.raises(ValueError, match="worker"):
-            self._run("async", 0)
-
-    def test_merged_timeline_preserves_total_work(self):
-        t1 = self._run("async", 1)
-        t4 = self._run("async", 4)
-        assert t4.timeline.device_busy_s == pytest.approx(
-            t1.timeline.device_busy_s
-        )
-        assert t4.timeline.host_busy_s == pytest.approx(t1.timeline.host_busy_s)
+def test_served_counters_price_to_the_async_device_busy():
+    """A functional search's own counters, priced by ``ap_time``, are the
+    async schedule's device busy time for the same boards and stream."""
+    rng = np.random.default_rng(0)
+    data = rng.integers(0, 2, (1000, 64), dtype=np.uint8)
+    queries = rng.integers(0, 2, (16, 64), dtype=np.uint8)
+    engine = APSimilaritySearch(data, k=2, board_capacity=128, execution="functional")
+    result = engine.search(queries)
+    boards = result.counters.configurations
+    assert boards == 8
+    reconfig_s, fabric_s = ap_time(result.counters, GEN1)
+    model = pipeline_time(
+        boards, len(queries), 64, engine.layout.block_length,
+        reports_per_partition=0, device=GEN1, policy="async",
+    )
+    assert reconfig_s + fabric_s == pytest.approx(model.device_busy_s, rel=1e-12)

@@ -41,6 +41,29 @@ class TestIndexedAPSearch:
         _, _, stats = IndexedAPSearch(index).search(queries, 4)
         assert stats.traversal_distance_ops > 0
 
+    def test_dataset_packed_once_across_searches(self, setup, monkeypatch):
+        """The index packs the dataset at construction; searches reuse it."""
+        import repro.index.base as base_mod
+        import repro.index.search as search_mod
+
+        data, queries, _ = setup
+        packs = []
+        real_pack = search_mod.pack_bits
+
+        def counting_pack(bits):
+            if bits.shape == data.shape:
+                packs.append(bits.shape)
+            return real_pack(bits)
+
+        monkeypatch.setattr(base_mod, "pack_bits", counting_pack)
+        monkeypatch.setattr(search_mod, "pack_bits", counting_pack)
+        index = HierarchicalKMeans(data, branching=5, bucket_size=128, seed=13)
+        engine = IndexedAPSearch(index)
+        first = engine.search(queries, 4)
+        second = engine.search(queries, 4)
+        assert len(packs) == 1
+        assert (first[0] == second[0]).all() and (first[1] == second[1]).all()
+
     def test_lsh_multiple_visits(self, setup):
         data, queries, _ = setup
         lsh = HammingLSH(data, n_tables=4, hash_bits=8, seed=14)
