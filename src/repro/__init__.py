@@ -18,7 +18,8 @@ Subpackages
     layer that fans board partitions across workers, query batching,
     and the shard service with its replica groups.
 ``repro.baselines``
-    CPU / GPU / FPGA comparison implementations.
+    CPU linear scan and FPGA accelerator comparison implementations
+    (the GPU is priced by its calibrated model in ``repro.perf``).
 ``repro.index``
     ITQ quantization and the kd-tree / k-means / LSH spatial indexes
     with the host-traversal AP integration.

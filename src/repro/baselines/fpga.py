@@ -18,8 +18,9 @@ as a cycle-level Python simulator with the same microarchitecture:
 With the published 185 MHz clock, 64-bit stream and 12 lanes, the cycle
 count reproduces Table III/IV's Kintex-7 rows within ~10 % (e.g. large
 kNN-SIFT: ceil(4096/12)·2^20·2 beats / 185 MHz = 3.70 s vs the paper's
-3.69 s).  Functional results are exact kNN (verified against the CPU
-oracle).
+3.69 s).  Functional results are exact kNN
+(:func:`~repro.util.topk.hamming_topk`, verified against a brute-force
+scan).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
-from ..util.topk import topk_from_distances
+from ..util.bitops import as_bits, pack_bits
+from ..util.topk import hamming_topk
 
 __all__ = ["FPGAExecutionStats", "FPGAKnnAccelerator"]
 
@@ -93,8 +94,6 @@ class FPGAKnnAccelerator:
         k = min(int(k), self.n)
         qp = pack_bits(queries_bits)
         n_q = qp.shape[0]
-        indices = np.empty((n_q, k), dtype=np.int64)
-        distances = np.empty((n_q, k), dtype=np.int64)
 
         batches = 0
         cycles_load = cycles_stream = cycles_drain = 0
@@ -109,13 +108,9 @@ class FPGAKnnAccelerator:
             # Drain: k results per active lane, one per cycle.
             cycles_drain += (hi - lo) * k
 
-            # Functional model of the lane pipelines + priority queues:
-            # exact distances, exact bounded-queue contents.
-            dist = hamming_cdist_packed(qp[lo:hi], self._packed)
-            for i in range(hi - lo):
-                idx, dd = topk_from_distances(dist[i], k)
-                indices[lo + i] = idx
-                distances[lo + i] = dd
+        # Functional model of the lane pipelines + priority queues:
+        # exact distances, exact bounded-queue contents.
+        indices, distances = hamming_topk(qp, self._packed, k, self.d)
 
         stats = FPGAExecutionStats(
             batches=batches,

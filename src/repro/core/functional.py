@@ -27,15 +27,12 @@ Three query entry points:
   simulator cross-validation tests need every record, so this path
   stays; it necessarily materializes ``(q, n)`` int64 report arrays.
 * :meth:`FunctionalKnnBoard.topk_block` returns only the ``k``
-  *nearest* per query — ``O(q n)`` selection on 4-byte
-  ``distance * n + index`` keys plus an ``O(q k log k)`` sort of the
-  kept ones.  Queries run in tiles
-  (:func:`~repro.util.bitops.default_cdist_tile`), so peak memory is
-  one tile's ``(tile_q, n)`` kernel transients plus its keys — never a
-  ``q``-proportional blow-up at the paper's ``n = 2**20`` scale.  Rows
-  wider than one word add the kernel's ``(w, n)`` column-order copy of
-  the partition (``n * w * 8`` bytes), taken once per call before the
-  tile loop, never once per tile.
+  *nearest* per query through :func:`~repro.util.topk.hamming_topk`,
+  the library's one exact Hamming top-k — ``O(q n)`` selection on
+  4-byte ``distance * n + index`` keys plus an ``O(q k log k)`` sort of
+  the kept ones, in query tiles, so peak memory is one tile's
+  ``(tile_q, n)`` kernel transients plus its keys — never a
+  ``q``-proportional blow-up at the paper's ``n = 2**20`` scale.
 * :meth:`FunctionalKnnBoard.query_topk` is ``topk_block`` spelled as
   report records: the ``k`` earliest ``(code, cycle)`` per query.
 """
@@ -44,35 +41,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util.bitops import (
-    _cdist_columns,
-    _word_columns,
-    default_cdist_tile,
-    pack_bits,
-    popcount_cdist,
-)
+from ..util.bitops import pack_bits, popcount_cdist
+from ..util.topk import hamming_topk
 from .stream import StreamLayout
 
 __all__ = ["FunctionalKnnBoard"]
-
-_KEY32_LIMIT = 2**32
-
-
-def _key_dtype(bound: int) -> type:
-    """Selection keys ``rank * n + index`` are uint32 while ``bound`` — no
-    less than any value a key takes on the way — fits, uint64 beyond."""
-    return np.uint32 if bound < _KEY32_LIMIT else np.uint64
-
-
-def _select_smallest(keys: np.ndarray, k: int, n: int, out=(None, None)):
-    """Each row's ``k`` smallest of ``(q, n)`` unique ``rank * n + index``
-    keys, ascending, as ``(ranks, indices)``: an ``O(n)`` partition, a
-    sort of the ``k`` kept, one divmod into ``out``.  Reorders ``keys``."""
-    if k < keys.shape[1]:
-        keys.partition(k - 1, axis=1)
-        keys = keys[:, :k]
-    keys.sort(axis=1)
-    return np.divmod(keys, n, *out)
 
 
 class FunctionalKnnBoard:
@@ -149,33 +122,12 @@ class FunctionalKnnBoard:
         ``(q, k_eff)`` int64, ``k_eff = min(k, n)``, rows ordered by
         (distance, partition-local index) — the library-wide tie-break.
 
-        Selection packs each ``(distance, index)`` pair into one unique
-        key ``distance * n + index`` (uint32 while ``(d + 1) * n`` fits,
-        else uint64), partitions the ``k_eff`` smallest to the front of
-        each row in ``O(n)``, sorts only those and divmods them back —
-        never a full ``O(n log n)`` sort, and the tie-break at the
-        ``k``-th distance is exact rather than partition's arbitrary
-        boundary subset.
+        The one exact Hamming top-k,
+        :func:`~repro.util.topk.hamming_topk`, over the board's words.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        qp = pack_bits(queries_bits)
-        n_q, n = qp.shape[0], self.n
-        k_eff = min(int(k), n)
-        key_dtype = _key_dtype((self.layout.d + 1) * n)
-        indices = np.empty((n_q, k_eff), dtype=np.int64)
-        distances = np.empty((n_q, k_eff), dtype=np.int64)
-        idx = np.arange(n, dtype=key_dtype)
-        tile = default_cdist_tile(n, self._packed.shape[1])
-        columns = _word_columns(qp, self._packed)  # once, not per tile
-        for lo in range(0, n_q, tile):
-            dist = _cdist_columns(qp[lo : lo + tile], columns, np.bitwise_xor)
-            keys = np.multiply(dist, n, dtype=key_dtype)
-            keys += idx
-            _select_smallest(
-                keys, k_eff, n, (distances[lo : lo + tile], indices[lo : lo + tile])
-            )
-        return indices, distances
+        return hamming_topk(pack_bits(queries_bits), self._packed, k, self.layout.d)
 
     def query_topk(
         self, queries_bits: np.ndarray, k: int

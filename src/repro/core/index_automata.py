@@ -36,7 +36,8 @@ import numpy as np
 from ..automata.elements import STE, BooleanElement, BooleanOp, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
-from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, pack_bits
+from ..util.topk import hamming_topk
 from .macros import MacroConfig, build_vector_macro, collector_tree_depth
 from .stream import StreamLayout
 
@@ -144,27 +145,27 @@ class IndexGatedSearch:
     def search(
         self, queries_bits: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Functional model: per query, top-k among its bucket's reports."""
+        """Functional model: per query, top-k among its bucket's reports
+        (one :func:`~repro.util.topk.hamming_topk` call per bucket)."""
         queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
         n_q = queries_bits.shape[0]
         indices = np.full((n_q, k), -1, dtype=np.int64)
         distances = np.full((n_q, k), self.d + 1, dtype=np.int64)
-        reports = 0
+        groups: dict[int, list[int]] = {}
         for qi in range(n_q):
-            bi = self.query_bucket(queries_bits[qi])
-            if bi < 0:
-                continue
-            bucket = self.buckets[bi]
-            dist = hamming_cdist_packed(
-                pack_bits(queries_bits[qi : qi + 1]), self._packed[bucket.indices]
-            )[0]
-            reports += bucket.indices.size
-            kk = min(k, bucket.indices.size)
-            order = np.lexsort((bucket.indices, dist))[:kk]
-            indices[qi, :kk] = bucket.indices[order]
-            distances[qi, :kk] = dist[order]
+            groups.setdefault(self.query_bucket(queries_bits[qi]), []).append(qi)
+        groups.pop(-1, None)
+        qp = pack_bits(queries_bits)
+        reports = 0
+        for bi, rows in groups.items():
+            members = self.buckets[bi].indices
+            reports += members.size * len(rows)
+            idx, dist = hamming_topk(qp[rows], self._packed[members], k, self.d)
+            kk = idx.shape[1]
+            indices[rows, :kk] = members[idx]
+            distances[rows, :kk] = dist
         stats = {
             "reports": reports,
             "reports_unpruned": n_q * self.n,

@@ -80,9 +80,14 @@ from ..host.parallel import (
 from ..perf import metrics as _metrics
 from ..perf.models import APModel
 from ..util.bitops import as_bits, pack_bits, popcount_cdist, popcount_u64
-from ..util.topk import merge_ragged_blocks, merge_topk_blocks
+from ..util.topk import (
+    _key_dtype,
+    _select_smallest,
+    merge_ragged_blocks,
+    merge_topk_blocks,
+)
 from .dataset import PackedDataset
-from .functional import FunctionalKnnBoard, _key_dtype, _select_smallest
+from .functional import FunctionalKnnBoard
 from .macros import MacroConfig, build_knn_network, collector_tree_depth
 from .stream import StreamLayout
 

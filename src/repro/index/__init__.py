@@ -1,7 +1,6 @@
 """Spatial indexing substrates: ITQ quantization, kd-trees, k-means, LSH,
 and the host-traversal + AP-bucket-scan integration of Section III-D."""
 
-from .autotune import AutoTuner, TunedIndex, default_candidates
 from .base import SpatialIndex
 from .evaluation import CodeAccuracy, code_length_sweep, euclidean_ground_truth, evaluate_code_length
 from .itq import ITQQuantizer
@@ -16,9 +15,6 @@ __all__ = [
     "code_length_sweep",
     "euclidean_ground_truth",
     "evaluate_code_length",
-    "AutoTuner",
-    "TunedIndex",
-    "default_candidates",
     "ITQQuantizer",
     "RandomizedKDTrees",
     "HierarchicalKMeans",

@@ -12,7 +12,9 @@ An index therefore exposes bucket structure explicitly:
 * :attr:`packed` — the dataset's packed words, packed once at
   construction and shared by every scan over the index;
 * :meth:`query_buckets` — bucket ids a query's traversals reach;
-* :meth:`search` — convenience exact-scan-over-candidates search.
+* :meth:`scan` — exact top-k over each query's selected buckets, one
+  :func:`~repro.util.topk.hamming_topk` call per distinct bucket set;
+* :meth:`search` — traverse once, then :meth:`scan`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import abc
 
 import numpy as np
 
-from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits, pack_bits
+from ..util.topk import hamming_topk
 
 __all__ = ["SpatialIndex"]
 
@@ -46,21 +49,28 @@ class SpatialIndex(abc.ABC):
 
     # -- shared helpers ---------------------------------------------------
 
+    def _union(self, bucket_ids) -> np.ndarray:
+        """Sorted union of the given buckets' dataset indices."""
+        if not bucket_ids:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate([self.buckets[b] for b in bucket_ids]))
+
     def candidates(self, query_bits: np.ndarray) -> np.ndarray:
         """Union of the selected buckets' dataset indices (sorted)."""
-        ids = self.query_buckets(query_bits)
-        if not ids:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([self.buckets[b] for b in ids]))
+        return self._union(self.query_buckets(query_bits))
 
-    def search(
-        self, queries_bits: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Approximate kNN: traverse, then exact-scan the candidates.
+    def scan(
+        self, queries_bits: np.ndarray, bucket_ids: list[list[int]], k: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Exact top-k of each query over the union of its buckets.
 
-        Rows are padded with ``(-1, d+1)`` when fewer than ``k``
-        candidates survive pruning.  The stats dict reports the scan
-        volume — the quantity the Table V run-time models consume.
+        ``bucket_ids[i]`` holds query ``i``'s selected buckets.  Queries
+        with the same bucket set share one
+        :func:`~repro.util.topk.hamming_topk` call over that union —
+        the AP's batched bucket scan.  Rows are padded with ``(-1,
+        d+1)`` when fewer than ``k`` candidates survive pruning.
+        Returns ``(indices, distances, scanned)``, ``scanned`` being
+        the summed per-query candidate counts.
         """
         queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
@@ -69,24 +79,40 @@ class SpatialIndex(abc.ABC):
         k = int(k)
         indices = np.full((n_q, k), -1, dtype=np.int64)
         distances = np.full((n_q, k), self.d + 1, dtype=np.int64)
-        total_candidates = 0
-        total_buckets = 0
+        groups: dict[frozenset, list[int]] = {}
+        for qi, ids in enumerate(bucket_ids):
+            groups.setdefault(frozenset(ids), []).append(qi)
         qp = pack_bits(queries_bits)
-        for i in range(n_q):
-            cand = self.candidates(queries_bits[i])
-            total_candidates += cand.size
-            total_buckets += len(self.query_buckets(queries_bits[i]))
+        scanned = 0
+        for key, rows in groups.items():
+            cand = self._union(key)
+            scanned += cand.size * len(rows)
             if cand.size == 0:
                 continue
-            dist = hamming_cdist_packed(qp[i : i + 1], self.packed[cand])[0]
-            kk = min(k, cand.size)
-            order = np.lexsort((cand, dist))[:kk]
-            indices[i, :kk] = cand[order]
-            distances[i, :kk] = dist[order]
+            idx, dist = hamming_topk(qp[rows], self.packed[cand], k, self.d)
+            kk = idx.shape[1]
+            indices[rows, :kk] = cand[idx]
+            distances[rows, :kk] = dist
+        return indices, distances, scanned
+
+    def search(
+        self, queries_bits: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Approximate kNN: traverse once, then :meth:`scan`.
+
+        The stats dict reports the scan volume — the quantity the
+        Table V run-time models consume.
+        """
+        queries_bits = as_bits(queries_bits, "queries")
+        if queries_bits.ndim == 1:
+            queries_bits = queries_bits[None, :]
+        n_q = queries_bits.shape[0]
+        bucket_ids = [self.query_buckets(q) for q in queries_bits]
+        indices, distances, scanned = self.scan(queries_bits, bucket_ids, k)
         stats = {
-            "mean_candidates": total_candidates / n_q,
-            "mean_buckets": total_buckets / n_q,
-            "scan_fraction": total_candidates / (n_q * self.n),
+            "mean_candidates": scanned / n_q,
+            "mean_buckets": sum(map(len, bucket_ids)) / n_q,
+            "scan_fraction": scanned / (n_q * self.n),
         }
         return indices, distances, stats
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util.bitops import hamming_cdist_packed, pack_bits
-from ..util.topk import topk_from_distances
+from ..util.bitops import pack_bits
+from ..util.topk import hamming_topk, topk_from_distances
 from .itq import ITQQuantizer
 
 __all__ = ["CodeAccuracy", "euclidean_ground_truth", "evaluate_code_length",
@@ -67,11 +67,10 @@ def evaluate_code_length(
     codes = pack_bits(itq.transform(features))
     qcodes = pack_bits(itq.transform(queries))
 
+    found, _ = hamming_topk(qcodes, codes, k, n_bits)
     hits = hits1 = 0
     ratio_sum = 0.0
-    for qi in range(queries.shape[0]):
-        hdist = hamming_cdist_packed(qcodes[qi : qi + 1], codes)[0]
-        idx, _ = topk_from_distances(hdist, k)
+    for qi, idx in enumerate(found):
         truth_set = set(truth[qi].tolist())
         hits += len(set(idx.tolist()) & truth_set)
         hits1 += int(idx[0] in truth_set)

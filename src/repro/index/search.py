@@ -20,7 +20,6 @@ linear bucket scans.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from ..ap.device import APDeviceSpec, GEN1
 from ..ap.runtime import RuntimeCounters
 from ..perf.models import CPUModel, ap_time
-from ..util.bitops import as_bits, hamming_cdist_packed, pack_bits
+from ..util.bitops import as_bits
 from .base import SpatialIndex
 
 __all__ = ["IndexedSearchStats", "IndexedAPSearch", "indexed_runtime_model"]
@@ -55,68 +54,37 @@ class IndexedAPSearch:
     def search(
         self, queries_bits: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, IndexedSearchStats]:
-        """Traverse on the host, batch per bucket, scan buckets on the AP.
+        """Traverse on the host once, then scan the selected buckets.
 
         The per-bucket scan is functionally an exact kNN over the
         bucket (that is precisely what one AP board configuration
         computes — see :class:`repro.core.engine.APSimilaritySearch`),
-        so it is evaluated with the vectorized exact model here; the
-        cycle-level equivalence is covered by the engine's own tests.
+        and buckets from different trees/tables overlap, so the answer
+        is the exact top-k over each query's bucket union:
+        :meth:`SpatialIndex.scan`.  The stats count what the AP does —
+        each distinct bucket loaded once per batch ("we batch searches
+        to the same bucket where possible", Section V-B), one visit per
+        (query, bucket) pair; the cycle-level equivalence is covered by
+        the engine's own tests.
         """
         queries_bits = as_bits(queries_bits, "queries")
         if queries_bits.ndim == 1:
             queries_bits = queries_bits[None, :]
-        n_q = queries_bits.shape[0]
-        k = int(k)
+        index = self.index
 
-        ops_before = getattr(self.index, "traversal_distance_ops", 0)
-        # Host traversal: bucket ids per query, then invert to batch
-        # queries per bucket ("we batch searches to the same bucket
-        # where possible", Section V-B).
-        per_bucket: dict[int, list[int]] = defaultdict(list)
-        visits = 0
-        for qi in range(n_q):
-            for b in set(self.index.query_buckets(queries_bits[qi])):
-                per_bucket[b].append(qi)
-                visits += 1
-        ops_after = getattr(self.index, "traversal_distance_ops", 0)
+        ops_before = getattr(index, "traversal_distance_ops", 0)
+        bucket_ids = [index.query_buckets(q) for q in queries_bits]
+        ops_after = getattr(index, "traversal_distance_ops", 0)
 
-        qp = pack_bits(queries_bits)
-        partials: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(n_q)
-        ]
-        candidates = 0
-        for b, q_ids in per_bucket.items():
-            bucket_idx = self.index.buckets[b]
-            candidates += bucket_idx.size * len(q_ids)
-            dist = hamming_cdist_packed(qp[q_ids], self.index.packed[bucket_idx])
-            for row, qi in enumerate(q_ids):
-                kk = min(k, bucket_idx.size)
-                order = np.lexsort((bucket_idx, dist[row]))[:kk]
-                partials[qi].append((bucket_idx[order], dist[row][order]))
-
-        indices = np.full((n_q, k), -1, dtype=np.int64)
-        distances = np.full((n_q, k), self.index.d + 1, dtype=np.int64)
-        for qi in range(n_q):
-            if not partials[qi]:
-                continue
-            # Buckets from different trees/tables overlap, so the same
-            # vector can report from several board loads: deduplicate by
-            # ID before the global top-k (duplicates carry equal
-            # distances, so keeping any copy is correct).
-            all_idx = np.concatenate([i for i, _ in partials[qi]])
-            all_d = np.concatenate([d for _, d in partials[qi]])
-            uniq, first = np.unique(all_idx, return_index=True)
-            ud = all_d[first]
-            order = np.lexsort((uniq, ud))[:k]
-            indices[qi, : order.size] = uniq[order]
-            distances[qi, : order.size] = ud[order]
-
+        indices, distances, _ = index.scan(queries_bits, bucket_ids, k)
+        visited = [set(ids) for ids in bucket_ids]
         stats = IndexedSearchStats(
-            n_queries=n_q,
-            distinct_buckets_loaded=len(per_bucket),
-            bucket_visits=visits,
-            candidates_scanned=candidates,
+            n_queries=queries_bits.shape[0],
+            distinct_buckets_loaded=len(set().union(*visited)),
+            bucket_visits=sum(map(len, visited)),
+            candidates_scanned=sum(
+                index.buckets[b].size for ids in visited for b in ids
+            ),
             traversal_distance_ops=ops_after - ops_before,
         )
         return indices, distances, stats

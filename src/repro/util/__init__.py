@@ -2,7 +2,6 @@
 
 from .bitops import (
     hamming_cdist_packed,
-    hamming_distance_packed,
     hamming_distance_unpacked,
     is_binary,
     pack_bits,
@@ -14,7 +13,6 @@ from .topk import BoundedPriorityQueue, merge_topk, topk_from_distances
 
 __all__ = [
     "hamming_cdist_packed",
-    "hamming_distance_packed",
     "hamming_distance_unpacked",
     "is_binary",
     "pack_bits",

@@ -9,7 +9,7 @@ Hamming distance.  Two memory layouts are used throughout the library:
   byte.  This is the layout the automata simulator consumes (each bit
   becomes one input symbol).
 * **packed**: ``uint64`` arrays of shape ``(n, ceil(d / 64))`` holding 64
-  bits per word, row-major.  This is the layout the CPU/GPU baselines
+  bits per word, row-major.  This is the layout the CPU/FPGA baselines
   and the functional board model consume; a Hamming distance is then
   XOR + POPCOUNT over words, exactly like the FLANN and CUDA baselines
   in the paper (Section IV-C).
@@ -37,7 +37,6 @@ __all__ = [
     "unpack_bits",
     "popcount_u64",
     "popcount_cdist",
-    "hamming_distance_packed",
     "hamming_distance_unpacked",
     "hamming_cdist_packed",
     "default_cdist_tile",
@@ -166,15 +165,6 @@ def popcount_u64(words: np.ndarray) -> np.ndarray:
     return _popcount_words_u8(words).astype(np.int64)
 
 
-def hamming_distance_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming distance between packed arrays of equal shape."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return popcount_u64(a ^ b).sum(axis=-1)
-
-
 def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamming distance between unpacked 0/1 arrays."""
     a = np.asarray(a, dtype=np.uint8)
@@ -272,9 +262,10 @@ def hamming_cdist_packed(
 ) -> np.ndarray:
     """All-pairs Hamming distances, ``(q, w) x (n, w) -> (q, n)`` int64.
 
-    This is the XOR/POPCOUNT inner loop of the CPU and GPU baselines:
-    :func:`popcount_cdist` per query tile, widened to int64 only on the
-    way into ``out``.
+    The full distance matrix, for callers that need every distance
+    rather than a top-k (:func:`~repro.util.topk.hamming_topk`):
+    :func:`popcount_cdist` per query tile, widened to int64 only on
+    the way into ``out``.
 
     Memory contract: queries are processed in tiles of ``tile_q`` rows,
     so peak transient memory is at most ``tile_q * n * 13`` bytes

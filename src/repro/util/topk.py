@@ -5,6 +5,10 @@ sorted by ascending distance, ties broken by ascending dataset index.
 This matches the deterministic tie-break the AP's temporal sort needs a
 convention for (simultaneous reporting-state activations are resolved by
 state ID, which we assign in dataset order).
+
+:func:`hamming_topk` is the one exact Hamming top-k: the engine's
+boards, the CPU and FPGA baselines and every index bucket scan answer
+through it.
 """
 
 from __future__ import annotations
@@ -14,14 +18,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitops import _cdist_columns, _word_columns, default_cdist_tile
+
 __all__ = [
+    "hamming_topk",
     "topk_from_distances",
     "BoundedPriorityQueue",
     "merge_topk",
-    "merge_topk_batch",
     "merge_topk_blocks",
     "merge_ragged_blocks",
 ]
+
+_KEY32_LIMIT = 2**32
+
+
+def _key_dtype(bound: int) -> type:
+    """Selection keys ``rank * n + index`` are uint32 while ``bound`` — no
+    less than any value a key takes on the way — fits, uint64 beyond."""
+    return np.uint32 if bound < _KEY32_LIMIT else np.uint64
+
+
+def _select_smallest(keys: np.ndarray, k: int, n: int, out=(None, None)):
+    """Each row's ``k`` smallest of ``(q, n)`` unique ``rank * n + index``
+    keys, ascending, as ``(ranks, indices)``: an ``O(n)`` partition, a
+    sort of the ``k`` kept, one divmod into ``out``.  Reorders ``keys``."""
+    if k < keys.shape[1]:
+        keys.partition(k - 1, axis=1)
+        keys = keys[:, :k]
+    keys.sort(axis=1)
+    return np.divmod(keys, n, *out)
+
+
+def hamming_topk(
+    query_words: np.ndarray, words: np.ndarray, k: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Hamming top-k of packed ``(q, w)`` queries over packed
+    ``(n, w)`` rows of ``d`` bits: ``(indices, distances)``, ``(q,
+    k_eff)`` int64, ``k_eff = min(k, n)``, each row ordered by
+    (distance, row) — the library-wide tie-break.
+
+    Selection packs each ``(distance, row)`` pair into one unique key
+    ``distance * n + row`` (uint32 while ``(d + 1) * n`` fits, else
+    uint64), partitions the ``k_eff`` smallest to the front of each row
+    in ``O(n)``, sorts only those and divmods them back — never a full
+    ``O(n log n)`` sort, and the tie-break at the ``k``-th distance is
+    exact rather than partition's arbitrary boundary subset.  Queries
+    run in tiles (:func:`~repro.util.bitops.default_cdist_tile`), so
+    peak memory is one tile's ``(tile_q, n)`` kernel transients plus
+    its keys; rows wider than one word add the kernel's ``(w, n)``
+    column-order copy of ``words``, taken once per call.
+
+    A scan over a subset of a dataset passes the subset's rows in
+    ascending id order and maps the result back with ``ids[indices]``:
+    local row order is then global id order, so ties break the same.
+    """
+    n_q, n = query_words.shape[0], words.shape[0]
+    k_eff = min(int(k), n)
+    key_dtype = _key_dtype((d + 1) * n)
+    indices = np.empty((n_q, k_eff), dtype=np.int64)
+    distances = np.empty((n_q, k_eff), dtype=np.int64)
+    idx = np.arange(n, dtype=key_dtype)
+    tile = default_cdist_tile(n, words.shape[1])
+    columns = _word_columns(query_words, words)  # once, not per tile
+    for lo in range(0, n_q, tile):
+        dist = _cdist_columns(query_words[lo : lo + tile], columns, np.bitwise_xor)
+        keys = np.multiply(dist, n, dtype=key_dtype)
+        keys += idx
+        _select_smallest(
+            keys, k_eff, n, (distances[lo : lo + tile], indices[lo : lo + tile])
+        )
+    return indices, distances
 
 
 def topk_from_distances(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,32 +184,56 @@ def merge_topk(
     return all_idx[order], all_dist[order]
 
 
-def merge_topk_batch(
-    indices: np.ndarray,
-    distances: np.ndarray,
+def merge_topk_blocks(
+    blocks: list[tuple[np.ndarray, np.ndarray]],
     k: int,
+    offsets: list[int] | np.ndarray | None = None,
     pad_index: int = -1,
     pad_distance: int = -1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched cross-partition merge: ``(q, m) -> (q, k)`` in one pass.
+    """Offset-aware batched merge of per-shard candidate blocks.
 
-    ``indices``/``distances`` hold every query's candidates from all
-    partitions side by side (partition blocks concatenated along axis
-    1); slots equal to ``pad_index`` are empty and ignored.  Returns
-    ``(q, k)`` int64 arrays sorted by ascending (distance, index) per
-    row — exactly what :func:`merge_topk` returns per query, but with
-    no per-query Python: each (distance, index) pair is packed into a
-    unique int64 key (pads map to the maximum key, sorting last), the
-    ``k`` smallest keys per row are selected with ``np.argpartition``
-    + a bounded sort, and rows with fewer than ``k`` real candidates
-    come back padded with ``(pad_index, pad_distance)``.
+    ``blocks`` is a list of ``(indices, distances)`` pairs — each a
+    ``(q, k_i)`` candidate block (widths may differ; a shard smaller
+    than ``k`` legally contributes a narrower or padded block).
+    ``offsets``, when given, holds one index offset per block: a
+    block's *valid* indices are re-based into the global ID space
+    (``index + offset``) while pad slots stay pads — the cross-shard
+    merge of :class:`~repro.core.multiboard.MultiBoardSearch`, where a
+    naively offset pad would become the bogus valid global index
+    ``offset + pad_index`` with a distance that outranks every real
+    candidate.
 
-    Key packing requires non-negative distances and indices (true for
-    Hamming distances and dataset positions); ``distances * (max_index
-    + 1) + index`` stays far below 2**63 for any realistic ``d``/``n``.
+    The merge itself is one concatenate plus one batched select: no
+    per-row (or per-block, beyond the concatenate) Python.  Each
+    (distance, index) pair is packed into one unique int64 key
+    ``distance * (max_index + 1) + index`` (pads map to the maximum key,
+    sorting last; distances and indices are non-negative), the ``k``
+    smallest keys per row are selected with ``np.argpartition`` plus a
+    bounded sort, and the result is ``(q, k)`` int64 arrays sorted by
+    ascending (distance, index) per row — what :func:`merge_topk`
+    returns per query, duplicates included — padded with ``(pad_index,
+    pad_distance)`` where fewer than ``k`` real candidates exist.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    distances = np.asarray(distances, dtype=np.int64)
+    if not blocks:
+        raise ValueError("need at least one candidate block")
+    if offsets is None:
+        idx_parts = [np.asarray(b[0], dtype=np.int64) for b in blocks]
+    else:
+        if len(offsets) != len(blocks):
+            raise ValueError(
+                f"got {len(offsets)} offsets for {len(blocks)} blocks"
+            )
+        idx_parts = []
+        for (block_idx, _), off in zip(blocks, offsets):
+            block_idx = np.asarray(block_idx, dtype=np.int64)
+            idx_parts.append(
+                np.where(block_idx != pad_index, block_idx + int(off), pad_index)
+            )
+    indices = np.concatenate(idx_parts, axis=1)
+    distances = np.concatenate(
+        [np.asarray(b[1], dtype=np.int64) for b in blocks], axis=1
+    )
     if indices.shape != distances.shape or indices.ndim != 2:
         raise ValueError(
             f"indices/distances must be equal-shape (q, m) arrays, got "
@@ -171,56 +261,6 @@ def merge_topk_batch(
     out_idx[found] = keys[found] % stride
     out_dist[found] = keys[found] // stride
     return out_idx, out_dist
-
-
-def merge_topk_blocks(
-    blocks: list[tuple[np.ndarray, np.ndarray]],
-    k: int,
-    offsets: list[int] | np.ndarray | None = None,
-    pad_index: int = -1,
-    pad_distance: int = -1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offset-aware batched merge of per-shard candidate blocks.
-
-    ``blocks`` is a list of ``(indices, distances)`` pairs — each a
-    ``(q, k_i)`` candidate block (widths may differ; a shard smaller
-    than ``k`` legally contributes a narrower or padded block).
-    ``offsets``, when given, holds one index offset per block: a
-    block's *valid* indices are re-based into the global ID space
-    (``index + offset``) while pad slots stay pads — the cross-shard
-    merge of :class:`~repro.core.multiboard.MultiBoardSearch`, where a
-    naively offset pad would become the bogus valid global index
-    ``offset + pad_index`` with a distance that outranks every real
-    candidate.
-
-    The merge itself is one concatenate plus one
-    :func:`merge_topk_batch` pass: no per-row (or per-block, beyond
-    the concatenate) Python, returning ``(q, k)`` int64 arrays sorted
-    by ascending (distance, index) per row and padded where fewer than
-    ``k`` real candidates exist.
-    """
-    if not blocks:
-        raise ValueError("need at least one candidate block")
-    if offsets is None:
-        idx_parts = [np.asarray(b[0], dtype=np.int64) for b in blocks]
-    else:
-        if len(offsets) != len(blocks):
-            raise ValueError(
-                f"got {len(offsets)} offsets for {len(blocks)} blocks"
-            )
-        idx_parts = []
-        for (block_idx, _), off in zip(blocks, offsets):
-            block_idx = np.asarray(block_idx, dtype=np.int64)
-            idx_parts.append(
-                np.where(block_idx != pad_index, block_idx + int(off), pad_index)
-            )
-    indices = np.concatenate(idx_parts, axis=1)
-    distances = np.concatenate(
-        [np.asarray(b[1], dtype=np.int64) for b in blocks], axis=1
-    )
-    return merge_topk_batch(
-        indices, distances, k, pad_index=pad_index, pad_distance=pad_distance
-    )
 
 
 def merge_ragged_blocks(

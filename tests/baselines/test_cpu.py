@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.cpu import CPUHammingKnn
+from repro.util import bitops
 from tests.conftest import brute_force_knn
 
 
@@ -18,10 +19,16 @@ class TestSearch:
         assert res.candidates_scanned == 6 * 24
         assert res.elapsed_s >= 0
 
-    def test_query_tiling_invariant(self, small_dataset, small_queries):
-        r1 = CPUHammingKnn(small_dataset, query_tile=1).search(small_queries, 3)
-        r2 = CPUHammingKnn(small_dataset, query_tile=100).search(small_queries, 3)
+    def test_query_tiling_invariant(self, small_dataset, small_queries,
+                                    monkeypatch):
+        cpu = CPUHammingKnn(small_dataset)
+        r1 = cpu.search(small_queries, 3)
+        # a one-byte budget forces one query per kernel tile
+        monkeypatch.setattr(bitops, "_CDIST_TILE_BYTES", 1)
+        assert bitops.default_cdist_tile(24, 1) == 1
+        r2 = cpu.search(small_queries, 3)
         assert (r1.indices == r2.indices).all()
+        assert (r1.distances == r2.distances).all()
 
     def test_k_clipped(self, small_dataset):
         res = CPUHammingKnn(small_dataset).search(small_dataset[:1], 1000)
@@ -59,23 +66,3 @@ class TestPriorityQueuePath:
             CPUHammingKnn(small_dataset).search_priority_queue(
                 np.zeros(3, dtype=np.uint8), 1
             )
-
-
-class TestScanSubset:
-    def test_global_indices_returned(self, small_dataset, small_queries):
-        cpu = CPUHammingKnn(small_dataset)
-        subset = np.array([20, 3, 11])
-        idx, dist = cpu.scan_subset(small_queries, subset, 2)
-        assert set(idx.ravel().tolist()) <= {3, 11, 20}
-
-    def test_agrees_with_full_scan_when_subset_is_all(self, small_dataset,
-                                                      small_queries):
-        cpu = CPUHammingKnn(small_dataset)
-        full = cpu.search(small_queries, 3)
-        idx, dist = cpu.scan_subset(small_queries, np.arange(24), 3)
-        assert (idx == full.indices).all() and (dist == full.distances).all()
-
-    def test_empty_subset(self, small_dataset, small_queries):
-        cpu = CPUHammingKnn(small_dataset)
-        idx, dist = cpu.scan_subset(small_queries, np.array([], dtype=np.int64), 3)
-        assert idx.shape == (6, 0)

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines.cpu import CPUHammingKnn
 from repro.baselines.fpga import FPGAKnnAccelerator
+from tests.conftest import brute_force_knn
 
 
 class TestFunctional:
     def test_matches_cpu(self, small_dataset, small_queries):
-        ref = CPUHammingKnn(small_dataset).search(small_queries, 4)
+        exp_i, exp_d = brute_force_knn(small_dataset, small_queries, 4)
         fi, fd, _ = FPGAKnnAccelerator(small_dataset).search(small_queries, 4)
-        assert (fi == ref.indices).all() and (fd == ref.distances).all()
+        assert (fi == exp_i).all() and (fd == exp_d).all()
 
     def test_lane_count_invariant(self, small_dataset, small_queries):
         a, _, _ = FPGAKnnAccelerator(small_dataset, query_lanes=1).search(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.functional as functional_mod
+import repro.util.topk as topk_mod
 from repro.automata.simulator import CompiledSimulator
 from repro.core.engine import (
     build_functional_board,
@@ -134,9 +134,9 @@ class TestQueryTopk:
         queries = np.stack([near, far, 1 - near])
         board = FunctionalKnnBoard(data, StreamLayout(d, 2))
         q_idx, codes, cycles = board.query_reports(queries)
-        limit = 1 if wide_keys else functional_mod._KEY32_LIMIT
+        limit = 1 if wide_keys else topk_mod._KEY32_LIMIT
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(functional_mod, "_KEY32_LIMIT", limit)
+            patch.setattr(topk_mod, "_KEY32_LIMIT", limit)
             top_codes, top_cycles = board.query_topk(queries, k)
         k_eff = min(k, n)
         expected_codes = codes.reshape(3, n)[:, :k_eff]

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.cpu import CPUHammingKnn
 from repro.index.kdtree import RandomizedKDTrees
 from repro.index.kmeans import HierarchicalKMeans
 from repro.index.lsh import HammingLSH
 from repro.workloads.generators import clustered_binary, queries_near_dataset
+from tests.conftest import brute_force_knn
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def corpus():
     data, labels = clustered_binary(1500, 32, n_clusters=12, flip_prob=0.06,
                                     seed=7)
     queries = queries_near_dataset(data, 25, flip_prob=0.04, seed=8)
-    truth = CPUHammingKnn(data).search(queries, 5).indices
+    truth = brute_force_knn(data, queries, 5)[0]
     return data, queries, truth
 
 
@@ -55,6 +55,34 @@ class TestCommonProperties:
         index = make(data)
         with pytest.raises(ValueError):
             index.query_buckets(np.zeros(5, dtype=np.uint8))
+
+
+class TestScan:
+    """``SpatialIndex.scan``: exact top-k over each query's bucket union."""
+
+    def test_global_indices_returned(self, corpus):
+        data, queries, _ = corpus
+        index = RandomizedKDTrees(data, n_trees=2, bucket_size=128, seed=0)
+        allowed = set(index.buckets[0].tolist()) | set(index.buckets[3].tolist())
+        idx, dist, scanned = index.scan(queries, [[0, 3]] * len(queries), 2)
+        assert set(idx.ravel().tolist()) <= allowed
+        assert scanned == len(allowed) * len(queries)
+
+    def test_agrees_with_full_scan_when_buckets_cover_all(self, corpus):
+        data, queries, _ = corpus
+        index = RandomizedKDTrees(data, n_trees=1, bucket_size=128, seed=1)
+        every = list(range(len(index.buckets)))
+        idx, dist, _ = index.scan(queries, [every] * len(queries), 3)
+        exp_i, exp_d = brute_force_knn(data, queries, 3)
+        assert (idx == exp_i).all() and (dist == exp_d).all()
+
+    def test_empty_bucket_set_pads(self, corpus):
+        data, queries, _ = corpus
+        index = RandomizedKDTrees(data, n_trees=1, bucket_size=128, seed=2)
+        idx, dist, scanned = index.scan(queries[:2], [[], [0]], 3)
+        assert idx[0].tolist() == [-1] * 3 and dist[0].tolist() == [33] * 3
+        assert (idx[1] >= 0).all()
+        assert scanned == index.buckets[0].size
 
 
 class TestKDTree:

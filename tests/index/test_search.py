@@ -41,14 +41,24 @@ class TestIndexedAPSearch:
         _, _, stats = IndexedAPSearch(index).search(queries, 4)
         assert stats.traversal_distance_ops > 0
 
+    def test_index_search_traverses_each_query_once(self, setup):
+        """``SpatialIndex.search`` and ``IndexedAPSearch`` traverse the
+        same queries once each, so they add the same host distance ops."""
+        data, queries, index = setup
+        ops0 = index.traversal_distance_ops
+        index.search(queries, 4)
+        ops1 = index.traversal_distance_ops
+        IndexedAPSearch(index).search(queries, 4)
+        ops2 = index.traversal_distance_ops
+        assert ops1 - ops0 == ops2 - ops1 > 0
+
     def test_dataset_packed_once_across_searches(self, setup, monkeypatch):
         """The index packs the dataset at construction; searches reuse it."""
         import repro.index.base as base_mod
-        import repro.index.search as search_mod
 
         data, queries, _ = setup
         packs = []
-        real_pack = search_mod.pack_bits
+        real_pack = base_mod.pack_bits
 
         def counting_pack(bits):
             if bits.shape == data.shape:
@@ -56,7 +66,6 @@ class TestIndexedAPSearch:
             return real_pack(bits)
 
         monkeypatch.setattr(base_mod, "pack_bits", counting_pack)
-        monkeypatch.setattr(search_mod, "pack_bits", counting_pack)
         index = HierarchicalKMeans(data, branching=5, bucket_size=128, seed=13)
         engine = IndexedAPSearch(index)
         first = engine.search(queries, 4)

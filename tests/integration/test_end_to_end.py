@@ -5,7 +5,6 @@ import numpy as np
 from repro.ap.device import GEN1, GEN2
 from repro.baselines.cpu import CPUHammingKnn
 from repro.baselines.fpga import FPGAKnnAccelerator
-from repro.baselines.gpu import GPUKnnSimulator
 from repro.core.engine import APSimilaritySearch
 from repro.index.itq import ITQQuantizer
 from repro.index.kdtree import RandomizedKDTrees
@@ -15,12 +14,13 @@ from repro.workloads.generators import (
     gaussian_features,
     queries_near_dataset,
 )
+from tests.conftest import brute_force_knn
 
 
 class TestFullPipeline:
     def test_itq_to_ap_search(self):
         """The paper's end-to-end flow: real features -> ITQ codes -> AP kNN,
-        cross-checked against the CPU baseline on the same codes."""
+        cross-checked against a brute-force scan of the same codes."""
         X, _ = gaussian_features(300, 48, n_clusters=6, seed=0)
         Q = X[:12] + 0.05 * np.random.default_rng(1).standard_normal((12, 48))
         itq = ITQQuantizer(24, n_iterations=20).fit(X)
@@ -28,30 +28,32 @@ class TestFullPipeline:
         engine = APSimilaritySearch(codes, k=5, board_capacity=100,
                                     execution="functional")
         res = engine.search(qcodes)
-        ref = CPUHammingKnn(codes).search(qcodes, 5)
-        assert (res.indices == ref.indices).all()
-        assert (res.distances == ref.distances).all()
+        ref_i, ref_d = brute_force_knn(codes, qcodes, 5)
+        assert (res.indices == ref_i).all()
+        assert (res.distances == ref_d).all()
         # perturbed queries find their source points
         assert (res.indices[:, 0] == np.arange(12)).sum() >= 10
 
     def test_all_four_backends_agree(self):
+        """AP, CPU and FPGA answer exactly the brute-force kNN; the
+        fourth platform, the GPU, is priced by its model only."""
         data, _ = clustered_binary(400, 32, seed=2)
         queries = queries_near_dataset(data, 15, seed=3)
         k = 6
-        ref = CPUHammingKnn(data).search(queries, k)
+        ref_i, _ = brute_force_knn(data, queries, k)
         ap = APSimilaritySearch(data, k=k, board_capacity=128,
                                 execution="functional").search(queries)
+        cpu = CPUHammingKnn(data).search(queries, k)
         fpga_i, _, _ = FPGAKnnAccelerator(data).search(queries, k)
-        gpu_i, _, _ = GPUKnnSimulator(data).search(queries, k)
-        assert (ap.indices == ref.indices).all()
-        assert (fpga_i == ref.indices).all()
-        assert (gpu_i == ref.indices).all()
+        assert (ap.indices == ref_i).all()
+        assert (cpu.indices == ref_i).all()
+        assert (fpga_i == ref_i).all()
 
     def test_indexed_search_recall_on_clustered_data(self):
         data, _ = clustered_binary(2000, 32, n_clusters=16, flip_prob=0.05,
                                    seed=6)
         queries = queries_near_dataset(data, 40, flip_prob=0.03, seed=7)
-        truth = CPUHammingKnn(data).search(queries, 4).indices
+        truth = brute_force_knn(data, queries, 4)[0]
         index = RandomizedKDTrees(data, n_trees=4, bucket_size=256, seed=8)
         idx, _, stats = IndexedAPSearch(index, device=GEN2).search(queries, 4)
         hits = sum(

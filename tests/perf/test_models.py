@@ -97,6 +97,16 @@ class TestTable4Calibration:
         ).runtime_for(w, LARGE_N, Q)
         assert ratio == pytest.approx(19.4, rel=0.05)
 
+    def test_jetson_flat_in_d(self):
+        """The paper's signature GPU behaviour: run time ~ independent of d."""
+        t = [JETSON_MODEL.runtime_s(2**20, 4096, d) for d in (64, 128, 256)]
+        assert max(t) / min(t) < 1.05
+
+    def test_titanx_much_faster_than_jetson(self):
+        tj = JETSON_MODEL.runtime_s(2**20, 4096, 128)
+        tx = TITANX_MODEL.runtime_s(2**20, 4096, 128)
+        assert tj / tx > 10
+
     def test_gen1_reconfiguration_dominates(self):
         """Section V-B: reconfiguration is upwards of 98% of Gen 1 time."""
         w = WORKLOADS["kNN-WordEmbed"]

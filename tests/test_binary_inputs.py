@@ -11,11 +11,9 @@ import pytest
 
 from repro.baselines.cpu import CPUHammingKnn
 from repro.baselines.fpga import FPGAKnnAccelerator
-from repro.baselines.gpu import GPUKnnSimulator
 from repro.core.dataset import ArrayStore, ShmStore
 from repro.core.images import export_image_library
 from repro.core.index_automata import IndexGatedSearch
-from repro.index.autotune import AutoTuner
 from repro.index.kdtree import RandomizedKDTrees
 from repro.index.lsh import HammingLSH
 from repro.index.search import IndexedAPSearch
@@ -32,19 +30,15 @@ ENTRY_POINTS = {
     "cpu.search": lambda bad, tmp: CPUHammingKnn(ROWS).search(bad, 3),
     "cpu.search_priority_queue":
         lambda bad, tmp: CPUHammingKnn(ROWS).search_priority_queue(bad[0], 3),
-    "cpu.scan_subset":
-        lambda bad, tmp: CPUHammingKnn(ROWS).scan_subset(bad, np.arange(4), 3),
-    "gpu": lambda bad, tmp: GPUKnnSimulator(bad),
-    "gpu.search": lambda bad, tmp: GPUKnnSimulator(ROWS).search(bad, 3),
     "fpga": lambda bad, tmp: FPGAKnnAccelerator(bad),
     "fpga.search": lambda bad, tmp: FPGAKnnAccelerator(ROWS).search(bad, 3),
     "index": lambda bad, tmp: RandomizedKDTrees(bad),
     "index.search": lambda bad, tmp: _kd().search(bad, 3),
+    "index.scan": lambda bad, tmp: _kd().scan(bad, [[0]] * len(bad), 3),
     "kdtree.query_buckets": lambda bad, tmp: _kd().query_buckets(bad[0]),
     "lsh.query_buckets":
         lambda bad, tmp: HammingLSH(ROWS, hash_bits=4).query_buckets(bad[0]),
     "indexed_ap.search": lambda bad, tmp: IndexedAPSearch(_kd()).search(bad, 3),
-    "autotune": lambda bad, tmp: AutoTuner(candidates=[]).tune(bad),
     "index_automata": lambda bad, tmp: IndexGatedSearch(bad, 2),
     "index_automata.search":
         lambda bad, tmp: IndexGatedSearch(ROWS, 2).search(bad, 3),

@@ -11,7 +11,6 @@ from repro.util.bitops import (
     _popcount_words_u8,
     default_cdist_tile,
     hamming_cdist_packed,
-    hamming_distance_packed,
     hamming_distance_unpacked,
     is_binary,
     pack_bits,
@@ -97,27 +96,26 @@ class TestPopcount:
 
 class TestHammingDistance:
     def test_zero_distance(self):
-        a = random_binary_vectors(4, 40, 0)
-        pa = pack_bits(a)
-        assert (hamming_distance_packed(pa, pa) == 0).all()
+        pa = pack_bits(random_binary_vectors(4, 40, 0))
+        assert (np.diag(hamming_cdist_packed(pa, pa)) == 0).all()
 
     def test_max_distance(self):
         a = np.zeros((1, 70), dtype=np.uint8)
         b = np.ones((1, 70), dtype=np.uint8)
-        assert hamming_distance_packed(pack_bits(a), pack_bits(b))[0] == 70
+        assert hamming_cdist_packed(pack_bits(a), pack_bits(b))[0, 0] == 70
 
     def test_packed_matches_unpacked(self):
         a = random_binary_vectors(10, 100, 1)
         b = random_binary_vectors(10, 100, 2)
         assert (
-            hamming_distance_packed(pack_bits(a), pack_bits(b))
+            np.diag(hamming_cdist_packed(pack_bits(a), pack_bits(b)))
             == hamming_distance_unpacked(a, b)
         ).all()
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            hamming_distance_packed(
-                np.zeros((1, 1), dtype=np.uint64), np.zeros((1, 2), dtype=np.uint64)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hamming_distance_unpacked(
+                np.zeros((1, 3), dtype=np.uint8), np.zeros((1, 4), dtype=np.uint8)
             )
 
     def test_cdist_matches_rowwise(self):

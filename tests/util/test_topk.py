@@ -9,7 +9,7 @@ from repro.util.topk import (
     BoundedPriorityQueue,
     merge_ragged_blocks,
     merge_topk,
-    merge_topk_batch,
+    merge_topk_blocks,
     topk_from_distances,
 )
 
@@ -165,7 +165,8 @@ class TestMergeTopk:
 
 
 class TestMergeTopkBatch:
-    """The batched (q, m) merge ≡ per-query merge_topk, pads included."""
+    """The batched (q, m) merge of merge_topk_blocks ≡ per-query
+    merge_topk, pads included."""
 
     @given(
         st.integers(1, 6),  # q
@@ -182,7 +183,7 @@ class TestMergeTopkBatch:
         pads = rng.random((q, m)) < pad_frac
         idx[pads] = -1
         dist[pads] = -1
-        got_idx, got_dist = merge_topk_batch(idx, dist, k)
+        got_idx, got_dist = merge_topk_blocks([(idx, dist)], k)
         assert got_idx.shape == got_dist.shape == (q, k)
         for qi in range(q):
             valid = idx[qi] != -1
@@ -197,35 +198,35 @@ class TestMergeTopkBatch:
         # merge_topk keeps duplicates too; the batch path must agree
         idx = np.array([[4, 4, 1]])
         dist = np.array([[2, 2, 3]])
-        got_idx, got_dist = merge_topk_batch(idx, dist, 2)
+        got_idx, got_dist = merge_topk_blocks([(idx, dist)], 2)
         assert got_idx.tolist() == [[4, 4]]
         assert got_dist.tolist() == [[2, 2]]
 
     def test_all_pads_row(self):
         idx = np.array([[-1, -1], [3, -1]])
         dist = np.array([[-1, -1], [0, -1]])
-        got_idx, got_dist = merge_topk_batch(idx, dist, 2)
+        got_idx, got_dist = merge_topk_blocks([(idx, dist)], 2)
         assert got_idx.tolist() == [[-1, -1], [3, -1]]
         assert got_dist.tolist() == [[-1, -1], [0, -1]]
 
     def test_custom_pad_values(self):
         idx = np.array([[5]])
         dist = np.array([[1]])
-        got_idx, got_dist = merge_topk_batch(
-            idx, dist, 3, pad_index=-1, pad_distance=-7
+        got_idx, got_dist = merge_topk_blocks(
+            [(idx, dist)], 3, pad_index=-1, pad_distance=-7
         )
         assert got_idx.tolist() == [[5, -1, -1]]
         assert got_dist.tolist() == [[1, -7, -7]]
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal-shape"):
-            merge_topk_batch(np.zeros((2, 3)), np.zeros((2, 2)), 1)
+            merge_topk_blocks([(np.zeros((2, 3)), np.zeros((2, 2)))], 1)
         with pytest.raises(ValueError, match="equal-shape"):
-            merge_topk_batch(np.zeros(3), np.zeros(3), 1)
+            merge_topk_blocks([(np.zeros((1, 3, 1)), np.zeros((1, 3, 1)))], 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
-            merge_topk_batch(np.zeros((1, 2)), np.zeros((1, 2)), 0)
+            merge_topk_blocks([(np.zeros((1, 2)), np.zeros((1, 2)))], 0)
 
 
 class TestMergeRaggedBlocks:
