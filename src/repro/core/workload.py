@@ -128,12 +128,17 @@ _AUTO_SIM_LIMIT = 50_000_000
 # Host pass budgets: how many row-consecutive boards the engine hands a
 # worker as ONE functional pass.  Board capacity is a constraint of the
 # AP fabric; on the host a ~1024-row pass is almost all Python, so
-# boards run as one pass while the pass's packed row words stay within
-# the per-core cache share and its (query x row) pair count bounds the
-# widest per-pair transient (Jaccard's ~13 B/pair) to ~3 MiB at any
-# batch size.  Constants, not options — README "Host passes" has the
-# sweep that chose them (and why the byte budget stops at 64 KiB).
-_PASS_PACKED_BYTES = 64 * 2**10
+# boards run as one pass under two byte budgets and one pair budget.
+# A gathered pass (in-memory rows) concatenates its boards' packed
+# words, so _PASS_GATHER_BYTES bounds that copy; a view pass (a store
+# that holds packed words: mmap .pds, shm) copies nothing, and
+# _PASS_VIEW_BYTES — one .pds verification chunk — bounds the pages it
+# faults in and the kernel's per-pass transients.  The (query x row)
+# pair count bounds the widest per-pair transient (Jaccard's
+# ~13 B/pair) to ~3 MiB at any batch size, on both kinds.  Constants,
+# not options — README "Host passes" has the sweeps that chose them.
+_PASS_GATHER_BYTES = 64 * 2**10
+_PASS_VIEW_BYTES = 256 * 2**10
 _PASS_PAIRS = 2**18
 
 #: Engine settings a deployment owns.  Constructors and the shard
@@ -1129,14 +1134,18 @@ class WorkloadSearch(Batchable):
 
     def _boards_per_pass(self, params: dict, n_q: int) -> int:
         """How many boards one host pass spans for an ``n_q``-row batch
-        under the pass budgets — 1 where ``compile_packed`` does not
-        answer (a cycle-accurate image is one board), and never so many
-        that a configured worker lane would be left without a pass."""
+        under the pass budgets — the view budget where the pass reads
+        the store's packed words in place, the gather budget where it
+        concatenates them; 1 where ``compile_packed`` does not answer (a
+        cycle-accurate image is one board), and never so many that a
+        configured worker lane would be left without a pass."""
         if not self._packs(params):
             return 1
+        budget = (
+            _PASS_VIEW_BYTES if self._view_passes(params) else _PASS_GATHER_BYTES
+        )
         rows = min(
-            _PASS_PACKED_BYTES // (8 * ((self.d + 63) // 64)),
-            _PASS_PAIRS // max(1, n_q),
+            budget // (8 * ((self.d + 63) // 64)), _PASS_PAIRS // max(1, n_q)
         )
         lanes = max(1, self.parallel.effective_workers)
         return max(
@@ -1163,9 +1172,11 @@ class WorkloadSearch(Batchable):
         self, params: dict, boards_per_pass: int = 1
     ) -> list[PartitionTask]:
         """Self-contained, picklable work units for ``params`` (already
-        resolved by ``workload.batch_params``): one task per run of up
-        to ``boards_per_pass`` row-consecutive boards, never crossing a
-        device-shard boundary."""
+        resolved by ``workload.batch_params``): each device shard's
+        boards cut into the fewest runs of at most ``boards_per_pass``
+        row-consecutive boards, near-equal (sizes differ by at most one
+        board, so no short tail pass), never crossing a shard
+        boundary."""
         items = tuple(sorted(params.items()))
         tasks = self._tasks.get((items, boards_per_pass))
         if tasks is not None:
@@ -1203,9 +1214,10 @@ class WorkloadSearch(Batchable):
         tasks = []
         shard_lo = 0  # index of the device shard's first board
         for n_boards in self.per_device_partitions:
-            shard_hi = shard_lo + n_boards
-            for lo in range(shard_lo, shard_hi, boards_per_pass):
-                run = self.partitions[lo : min(lo + boards_per_pass, shard_hi)]
+            n_runs = -(-n_boards // boards_per_pass)
+            cuts = [shard_lo + i * n_boards // n_runs for i in range(n_runs + 1)]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                run = self.partitions[lo:hi]
                 start, end = run[0][0], run[-1][1]
                 ref = self.dataset.slice_ref(start, end)
                 tasks.append(PartitionTask(
@@ -1220,7 +1232,7 @@ class WorkloadSearch(Batchable):
                     workload=self.workload.name,
                     params=items,
                 ))
-            shard_lo = shard_hi
+            shard_lo += n_boards
         self._tasks[(items, boards_per_pass)] = tasks
         return tasks
 

@@ -8,6 +8,8 @@ The load-bearing claims:
   scan do — held by ``tests/integration/test_bit_identity.py``;
 * multi-board passes keep caching per board, and simulated passes one
   board; a workload needs only ``compile_packed``;
+* view passes take their own byte budget, split each device shard into
+  near-equal runs, and the one-board-per-pass reference reaches them;
 * merges are associative and permutation-invariant (hypothesis), so
   shard trees of any shape agree;
 * pack/unpack/split roundtrip every workload's result.
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import workload as wl_mod
+from repro.core.dataset import write_pds
 from repro.core.engine import APSimilaritySearch
 from repro.core.jaccard import jaccard_similarity_matrix
 from repro.core.workload import (
@@ -308,6 +311,21 @@ class TestWorkloadPasses:
         with pytest.raises(NotImplementedError, match="'toy-hollow'"):
             engine.workload.execute_task(task, queries, None)
 
+    @staticmethod
+    def _pass_sizes(monkeypatch):
+        """Record the boards of every pass a search hands a worker."""
+        import repro.host.parallel as hp
+
+        seen = []
+        real = hp.execute_partition
+
+        def spy(task, queries_bits, cache=None):
+            seen.append(len(task.board_list()))
+            return real(task, queries_bits, cache)
+
+        monkeypatch.setattr(hp, "execute_partition", spy)
+        return seen
+
     @pytest.mark.parametrize("execution,n_q,fused", [
         ("simulate", 2, False), ("auto", 1, False), ("auto", 64, True),
     ])
@@ -316,8 +334,6 @@ class TestWorkloadPasses:
     ):
         """A cycle-accurate image IS one board: only functional runs
         are handed to workers as multi-board passes."""
-        import repro.host.parallel as hp
-
         data, _ = _data(n=24, d=8)
         queries = _data(n=24, d=8, n_queries=n_q, seed=5)[1]
         monkeypatch.setattr(wl_mod, "_AUTO_SIM_LIMIT", 400_000)
@@ -330,18 +346,70 @@ class TestWorkloadPasses:
 
         with one_board_per_pass():
             ref = run_snapshot(engine(), queries)
-        seen = []
-        real = hp.execute_partition
-
-        def spy(task, queries_bits, cache=None):
-            seen.append(len(task.board_list()))
-            return real(task, queries_bits, cache)
-
-        monkeypatch.setattr(hp, "execute_partition", spy)
+        seen = self._pass_sizes(monkeypatch)
         got = run_snapshot(engine(), queries, searches=1)
         assert seen == ([4] if fused else [1, 1, 1, 1])
         assert got[0]["execution"] == ("functional" if fused else "simulate")
         assert_snapshots_equal(got[:1], ref[:1], execution)
+
+    def test_one_board_per_pass_reaches_view_passes(self, tmp_path, monkeypatch):
+        """The reference helper zeroes the view budget too: a search over
+        a mapped ``.pds`` (whose passes read the file in place) runs one
+        pass per board under it, and one pass without it."""
+        data, queries = _data(n=100, d=64)
+        write_pds(tmp_path / "d.pds", data)
+        engine = WorkloadSearch(str(tmp_path / "d.pds"), "knn",
+                                {"k": 3, "execution": "functional"},
+                                board_capacity=16)
+        assert engine._view_passes(engine.params)
+        seen = self._pass_sizes(monkeypatch)
+        with one_board_per_pass():
+            engine.search(queries)
+        assert seen == [1] * 7
+        seen.clear()
+        engine.search(queries)
+        assert seen == [7]
+
+    @pytest.mark.parametrize("n_devices", [1, 3])
+    def test_view_passes_split_each_shard_into_equal_runs(
+        self, n_devices, tmp_path, monkeypatch
+    ):
+        """57 boards under a 14-board budget run as 5 near-equal passes,
+        not four of 14 and a 1-board tail; a run never crosses a device
+        shard, and every count the AP model reports (partitions,
+        counters, image-cache hits, cache stats) equals the
+        one-board-per-pass reference."""
+        data, queries = _data(n=57 * 16 - 5, d=64, n_queries=8)
+        write_pds(tmp_path / "d.pds", data)
+        monkeypatch.setattr(wl_mod, "_PASS_VIEW_BYTES", 14 * 16 * 8)
+
+        def engine():
+            return WorkloadSearch(str(tmp_path / "d.pds"), "knn",
+                                  {"k": 5, "execution": "functional"},
+                                  board_capacity=16, n_devices=n_devices,
+                                  cache=True)
+
+        eng = engine()
+        assert eng._boards_per_pass(eng.params, len(queries)) == 14
+        tasks = eng._partition_tasks(eng.params, 14)
+        bounds = eng.shard_bounds.tolist()
+        for lo, hi, n_boards in zip(bounds, bounds[1:],
+                                    eng.per_device_partitions):
+            runs = [len(t.boards) for t in tasks if lo <= t.start < hi]
+            assert all(t.end <= hi for t in tasks if lo <= t.start < hi)
+            assert sum(runs) == n_boards
+            assert len(runs) == -(-n_boards // 14)
+            assert max(runs) - min(runs) <= 1
+        assert [t.start for t in tasks[1:]] == [t.end for t in tasks[:-1]]
+        if n_devices == 1:
+            assert len(tasks) == 5
+
+        with one_board_per_pass():
+            ref = run_snapshot(engine(), queries)
+        seen = self._pass_sizes(monkeypatch)
+        got = run_snapshot(engine(), queries)
+        assert seen == 2 * [len(t.boards) for t in tasks]
+        assert_snapshots_equal(got, ref, f"{n_devices} devices")
 
     @pytest.mark.parametrize("name,params,bytes_per_pair", [
         ("jaccard", {"k": 10}, 24), ("range", {"radius": 12}, 32),

@@ -282,7 +282,10 @@ engine = APSimilaritySearch(
 )
 cold = engine.search(queries)   # verifies every chunk, executes
 warm = engine.search(queries)   # executes
+# One row: the row budget, not the pair budget, sizes its passes.
+single = engine.search(queries[:1])
 assert (cold.indices == warm.indices).all()
+assert (single.indices == warm.indices[:1]).all()
 print(peak_rss_bytes() - before)
 """
 
