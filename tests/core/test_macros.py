@@ -131,3 +131,92 @@ class TestMacroCorrectness:
             assert key not in seen, "duplicate report"
             seen[key] = r.cycle
         assert len(seen) == 3 * 7
+
+
+def _pinned_data(d: int, fan_in: int) -> np.ndarray:
+    rng = np.random.default_rng(d * 100 + fan_in)
+    data = rng.integers(0, 2, (8, d), dtype=np.uint8)
+    data[:, 0] = 1  # no empty set: the Jaccard filter rejects one
+    return data
+
+
+def _counter_increment_network(data: np.ndarray, _config: MacroConfig):
+    """Collector-free macros: the geometry's fan-in has no effect."""
+    from repro.ap.extensions import build_counter_increment_macro
+
+    net = AutomataNetwork("ci")
+    for v in range(data.shape[0]):
+        build_counter_increment_macro(net, data[v], v, f"v{v}_", 7)
+    return net
+
+
+def _pinned_builders():
+    from repro.core.index_automata import IndexGatedSearch
+    from repro.core.jaccard import JaccardAPSearch, JaccardThresholdFilter
+    from repro.core.multiplexing import build_multiplexed_network
+    from repro.core.packing import build_packed_network
+    from repro.core.range_search import HammingRangeSearch
+    from repro.core.reduction import build_reduced_network
+
+    return {
+        "knn": lambda x, c: build_knn_network(x, c)[0],
+        "jaccard-topk": lambda x, c: JaccardAPSearch(x, 3, c).build_network(),
+        "jaccard-filter": lambda x, c: JaccardThresholdFilter(
+            x, x.shape[1] // 4, c).build_network(),
+        "range": lambda x, c: HammingRangeSearch(
+            x, x.shape[1] // 3, c).build_network(),
+        "multiplexed": lambda x, c: build_multiplexed_network(x, 3, c)[0],
+        "packed": lambda x, c: build_packed_network(x, 4, c)[0],
+        "reduced": lambda x, c: build_reduced_network(x, 2, 4, c)[0],
+        "index-gated": lambda x, c: IndexGatedSearch(x, 2, c).build_network(),
+        "counter-increment": _counter_increment_network,
+    }
+
+
+# NetworkStats of every builder over 8 vectors at three (d, fan-in)
+# geometries: (n_stes, n_counters, n_booleans, n_edges, n_reporting,
+# n_start, max_fan_in, max_fan_out).
+_PINNED_STATS = {
+    ("knn", 12, 16): (240, 8, 0, 352, 8, 8, 12, 3),
+    ("knn", 20, 4): (424, 8, 0, 600, 8, 8, 4, 3),
+    ("knn", 40, 3): (864, 8, 0, 1200, 8, 8, 4, 3),
+    ("jaccard-topk", 12, 16): (197, 8, 0, 266, 8, 8, 9, 3),
+    ("jaccard-topk", 20, 4): (338, 8, 0, 449, 8, 8, 4, 3),
+    ("jaccard-topk", 40, 3): (633, 8, 0, 817, 8, 8, 3, 3),
+    ("jaccard-filter", 12, 16): (197, 8, 0, 258, 8, 8, 9, 2),
+    ("jaccard-filter", 20, 4): (338, 8, 0, 441, 8, 8, 4, 2),
+    ("jaccard-filter", 40, 3): (633, 8, 0, 809, 8, 8, 3, 2),
+    ("range", 12, 16): (232, 8, 0, 336, 8, 8, 12, 2),
+    ("range", 20, 4): (408, 8, 0, 576, 8, 8, 4, 2),
+    ("range", 40, 3): (840, 8, 0, 1168, 8, 8, 3, 2),
+    ("multiplexed", 12, 16): (720, 24, 0, 1056, 24, 24, 12, 3),
+    ("multiplexed", 20, 4): (1272, 24, 0, 1800, 24, 24, 4, 3),
+    ("multiplexed", 40, 3): (2592, 24, 0, 3600, 24, 24, 4, 3),
+    ("packed", 12, 16): (72, 8, 0, 230, 8, 2, 12, 6),
+    ("packed", 20, 4): (154, 8, 0, 408, 8, 2, 4, 6),
+    ("packed", 40, 3): (348, 8, 0, 842, 8, 2, 4, 6),
+    ("reduced", 12, 16): (240, 10, 10, 388, 8, 8, 12, 5),
+    ("reduced", 20, 4): (424, 10, 10, 636, 8, 8, 5, 5),
+    ("reduced", 40, 3): (864, 10, 10, 1236, 8, 8, 5, 5),
+    ("index-gated", 12, 16): (248, 8, 8, 376, 8, 10, 12, 5),
+    ("index-gated", 20, 4): (432, 8, 8, 624, 8, 10, 4, 6),
+    ("index-gated", 40, 3): (872, 8, 8, 1224, 8, 10, 4, 6),
+    ("counter-increment", 12, 16): (144, 8, 0, 256, 8, 8, 14, 8),
+    ("counter-increment", 20, 4): (216, 8, 0, 392, 8, 8, 22, 8),
+    ("counter-increment", 40, 3): (400, 8, 0, 736, 8, 8, 42, 8),
+}
+
+
+class TestPinnedNetworks:
+    @pytest.mark.parametrize(
+        "key", list(_PINNED_STATS), ids=lambda k: f"{k[0]}-d{k[1]}-f{k[2]}"
+    )
+    def test_network_stats(self, key):
+        name, d, fan_in = key
+        net = _pinned_builders()[name](
+            _pinned_data(d, fan_in), MacroConfig(max_fan_in=fan_in)
+        )
+        s = net.stats()
+        got = (s.n_stes, s.n_counters, s.n_booleans, s.n_edges,
+               s.n_reporting, s.n_start, s.max_fan_in, s.max_fan_out)
+        assert got == _PINNED_STATS[key]
