@@ -29,7 +29,8 @@ import numpy as np
 from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
-from ..core.macros import macro_ste_cost
+from ..core.macros import build_macro_tail, macro_ste_cost
+from ..core.multiplexing import slice_symbol_set
 
 __all__ = [
     "counter_increment_speedup",
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 _WILD = SymbolSet.wildcard()
-_NOT_EOF = SymbolSet.negated_single(EOF)
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +126,15 @@ def build_counter_increment_macro(
             dim = g * m + j
             if dim >= d:
                 break
-            pattern = ["*"] * 8
-            pattern[7 - j] = str(int(vector[dim]))
-            pattern[0] = "0"  # bit 7 clear: data symbols only
             match = network.add_ste(
-                STE(f"{prefix}m{dim}", SymbolSet.ternary("0b" + "".join(pattern)))
+                STE(f"{prefix}m{dim}", slice_symbol_set(j, int(vector[dim])))
             )
             network.connect(upstream, match)
             # Collector-free: the extension counts parallel activations.
             network.connect(match, counter, "count")
         upstream = star
 
-    sort_state = network.add_ste(STE(f"{prefix}sort", _NOT_EOF))
-    network.connect(upstream, sort_state)
-    network.connect(sort_state, sort_state)
-    network.connect(sort_state, counter, "count")
-    eof = network.add_ste(STE(f"{prefix}eof", SymbolSet.single(EOF)))
-    network.connect(sort_state, eof)
-    network.connect(eof, counter, "reset")
-    report = network.add_ste(
-        STE(f"{prefix}rep", _WILD, reporting=True, report_code=report_code)
-    )
-    network.connect(counter, report)
+    _, _, report = build_macro_tail(network, upstream, counter, report_code, prefix)
     return {
         "counter": counter,
         "report": report,

@@ -16,8 +16,9 @@ bucket:
 * a **path automaton** — a chain of ``p`` match states over the bucket's
   prefix bits, ending in a *gate* state that self-loops (``^EOF``) for
   the rest of the block;
-* the bucket's ordinary Hamming + sorting macros, with their report
-  states replaced by ``AND(report, gate)`` boolean elements.
+* the bucket's ordinary Hamming + sorting macros, each reporting
+  through an ``AND(report, gate)`` boolean
+  (:func:`~repro.core.macros.gate_report`).
 
 Every vector's distance is still computed (no compute pruning — the
 paper's waste argument), but only vectors in the query's own prefix
@@ -33,17 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..automata.elements import STE, BooleanElement, BooleanOp, StartMode
+from ..automata.elements import STE, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
 from ..util.bitops import as_bits, pack_bits
 from ..util.topk import hamming_topk
-from .macros import MacroConfig, build_vector_macro, collector_tree_depth
+from .macros import MacroConfig, build_vector_macro, collector_tree_depth, gate_report
 from .stream import StreamLayout
 
 __all__ = ["PrefixBucket", "IndexGatedSearch"]
 
-_WILD = SymbolSet.wildcard()
 _NOT_EOF = SymbolSet.negated_single(EOF)
 
 
@@ -94,24 +94,9 @@ class IndexGatedSearch:
             gate = self._build_path_automaton(net, bi, bucket.prefix)
             for v in bucket.indices:
                 h = build_vector_macro(
-                    net,
-                    self.dataset[v],
-                    report_code=-1,
-                    prefix=f"b{bi}v{v}_",
-                    config=self.config,
+                    net, self.dataset[v], int(v), f"b{bi}v{v}_", self.config
                 )
-                # silence the STE reporter; the gated boolean reports
-                ste = net.elements[h.report_state]
-                ste.reporting = False
-                ste.report_code = None
-                gated = net.add_boolean(
-                    BooleanElement(
-                        f"b{bi}v{v}_out", BooleanOp.AND,
-                        reporting=True, report_code=int(v),
-                    )
-                )
-                net.connect(h.report_state, gated, "in")
-                net.connect(gate, gated, "in")
+                gate_report(net, h.report_state, gate, f"b{bi}v{v}_out")
         return net
 
     def _build_path_automaton(

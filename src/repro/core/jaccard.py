@@ -2,23 +2,21 @@
 
 The paper notes that, alongside Hamming distance, "Jaccard similarity
 on the AP is well-documented and can be efficiently implemented",
-citing Micron's cookbook.  This module provides the two standard
-automata formulations for sets encoded as d-bit indicator vectors:
+citing Micron's cookbook.  Both formulations here, for sets encoded as
+d-bit indicator vectors, are :func:`~repro.core.macros.build_vector_macro`
+with match states only on the vector's 1-bits (``symbols``), so the
+counter accumulates the intersection size ``|A ∩ B|``:
 
-* **Temporal-sort top-k** (:class:`JaccardAPSearch`): a variant of the
-  Hamming macro whose match states fire only on dimensions where the
-  *encoded vector* has a 1 and the streamed query bit is 1 — the counter
-  therefore accumulates the intersection size ``|A ∩ B|``.  The same
-  uniform-threshold temporal sort as the kNN design then encodes each
-  vector's intersection in its report offset
+* **Temporal-sort top-k** (:class:`JaccardAPSearch`): the kNN temporal
+  sort encodes each vector's intersection in its report offset
   (``offset = 2d + L + 2 − |A ∩ B|``).  The host knows ``|A|`` (offline)
   and ``|B|`` (the query), so it recovers exact Jaccard
   ``J = I / (|A| + |B| − I)`` for every vector and selects the top-k.
   Unlike Hamming kNN, report order is by intersection, not by J, so the
   host re-ranks — O(n) selection on one exact integer key per record
   (the ``jaccard`` workload's, as narrow as kNN's), not an O(nd) scan.
-* **Threshold filter** (:class:`JaccardThresholdFilter`): counters with
-  threshold ``tau`` and *no* sort phase — a vector reports iff its
+* **Threshold filter** (:class:`JaccardThresholdFilter`):
+  ``threshold=tau`` and ``sort=False`` — a vector reports iff its
   intersection with the query reaches ``tau``.  Silent vectors send
   nothing, so this is the AP-as-pre-filter pattern: a huge near-data
   reduction in candidates (and report bandwidth) before an exact host
@@ -31,21 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
-from ..automata.symbols import EOF, SOF, SymbolSet
+from ..automata.symbols import SymbolSet
 from ..util.bitops import as_bits, pack_bits, popcount_cdist
-from .macros import MacroConfig, collector_tree_depth
-from .stream import StreamLayout, encode_query_batch
-from .workload import JaccardTopkWorkload
+from .macros import MacroConfig, build_vector_macro
+from .stream import encode_query_batch
+from .workload import JaccardTopkWorkload, _knn_layout
 
 __all__ = ["JaccardResult", "JaccardAPSearch", "JaccardThresholdFilter",
-           "build_jaccard_macro", "jaccard_similarity_matrix"]
+           "jaccard_similarity_matrix"]
 
-_WILD = SymbolSet.wildcard()
-_SOF_SET = SymbolSet.single(SOF)
-_EOF_SET = SymbolSet.single(EOF)
-_NOT_EOF = SymbolSet.negated_single(EOF)
 _ONE = SymbolSet.single(1)
 _TOPK = JaccardTopkWorkload()
 
@@ -64,90 +57,19 @@ def jaccard_similarity_matrix(queries: np.ndarray, dataset: np.ndarray) -> np.nd
     return out
 
 
-def build_jaccard_macro(
-    network: AutomataNetwork,
-    vector: np.ndarray,
-    report_code: int,
-    prefix: str,
-    threshold: int,
-    temporal_sort: bool,
-    config: MacroConfig = MacroConfig(),
-) -> dict:
-    """One intersection-counting macro.
-
-    Match state at dimension ``i`` exists only where ``vector[i] == 1``
-    and matches the symbol value 1 — exactly the ``|A ∩ B|`` count.
-    With ``temporal_sort`` the sorting skeleton of the kNN design is
-    appended (uniform threshold = ``d`` expected by the stream layout);
-    without it, the counter's own ``threshold`` gates reporting and the
-    EOF reset is driven off the star chain.
-    """
-    vector = np.asarray(vector).ravel()
-    d = vector.shape[0]
-    guard = network.add_ste(STE(f"{prefix}guard", _SOF_SET, start=StartMode.ALL_INPUT))
-    counter = network.add_counter(
-        Counter(f"{prefix}ctr", threshold=threshold, mode=CounterMode.PULSE)
-    )
-
-    stars, matches = [], []
-    upstream = guard
-    for i in range(d):
-        star = network.add_ste(STE(f"{prefix}star{i}", _WILD))
-        network.connect(upstream, star)
-        if vector[i]:
-            match = network.add_ste(STE(f"{prefix}match{i}", _ONE))
-            network.connect(upstream, match)
-            matches.append(match)
-        stars.append(star)
-        upstream = star
-
-    if not matches and not temporal_sort:
-        raise ValueError(
-            f"vector {prefix!r} encodes the empty set: it can never reach a "
-            "threshold and its counter would have no drivers"
+def _intersection_network(
+    name: str, dataset: np.ndarray, threshold: int, sort: bool, config: MacroConfig
+) -> AutomataNetwork:
+    """One vector macro per row whose match states sit only on the row's
+    1-bits and match 1: its counter counts ``|A ∩ B|``."""
+    net = AutomataNetwork(name)
+    for v, row in enumerate(dataset):
+        build_vector_macro(
+            net, row, v, f"v{v}_", config,
+            symbols=[_ONE if bit else None for bit in row],
+            threshold=threshold, sort=sort,
         )
-    depth = collector_tree_depth(d, config.max_fan_in)
-    frontier = matches
-    for level in range(depth):
-        if not frontier:
-            break  # empty set: nothing to collect (sort state still drives)
-        width = (len(frontier) + config.max_fan_in - 1) // config.max_fan_in
-        nodes = []
-        for j in range(width):
-            node = network.add_ste(STE(f"{prefix}c{level}_{j}", _WILD))
-            for src in frontier[j * config.max_fan_in : (j + 1) * config.max_fan_in]:
-                network.connect(src, node)
-            nodes.append(node)
-        frontier = nodes
-    for node in frontier:
-        network.connect(node, counter, "count")
-
-    tail = upstream
-    for j in range(depth):
-        t = network.add_ste(STE(f"{prefix}tail{j}", _WILD))
-        network.connect(tail, t)
-        tail = t
-
-    if temporal_sort:
-        sort_state = network.add_ste(STE(f"{prefix}sort", _NOT_EOF))
-        network.connect(tail, sort_state)
-        network.connect(sort_state, sort_state)
-        network.connect(sort_state, counter, "count")
-        eof_state = network.add_ste(STE(f"{prefix}eof", _EOF_SET))
-        network.connect(sort_state, eof_state)
-    else:
-        hold = network.add_ste(STE(f"{prefix}hold", _NOT_EOF))
-        network.connect(tail, hold)
-        network.connect(hold, hold)
-        eof_state = network.add_ste(STE(f"{prefix}eof", _EOF_SET))
-        network.connect(hold, eof_state)
-    network.connect(eof_state, counter, "reset")
-
-    report = network.add_ste(
-        STE(f"{prefix}rep", _WILD, reporting=True, report_code=report_code)
-    )
-    network.connect(counter, report)
-    return {"counter": counter, "report": report, "collector_depth": depth}
+    return net
 
 
 @dataclass
@@ -173,19 +95,13 @@ class JaccardAPSearch:
         self.config = config
         # |A| is known offline: the board keeps it beside the packed bits.
         self._board = _TOPK.compile_packed(pack_bits(dataset_bits), self.d, {})
-        self.layout = StreamLayout(
-            self.d, collector_tree_depth(self.d, config.max_fan_in)
-        )
+        self.layout = _knn_layout(self.d, config)
 
     def build_network(self) -> AutomataNetwork:
         """The board network (cycle-accurate path; used by tests)."""
-        net = AutomataNetwork("jaccard-topk")
-        for v in range(self.n):
-            build_jaccard_macro(
-                net, self.dataset[v], v, f"v{v}_",
-                threshold=self.d, temporal_sort=True, config=self.config,
-            )
-        return net
+        return _intersection_network(
+            "jaccard-topk", self.dataset, self.d, True, self.config
+        )
 
     def search(self, queries_bits: np.ndarray) -> JaccardResult:
         """Functional search: exactly the reports the automata produce,
@@ -220,20 +136,14 @@ class JaccardThresholdFilter:
         self._packed = pack_bits(dataset_bits)
 
     def build_network(self) -> AutomataNetwork:
-        net = AutomataNetwork("jaccard-filter")
-        for v in range(self.n):
-            build_jaccard_macro(
-                net, self.dataset[v], v, f"v{v}_",
-                threshold=self.tau, temporal_sort=False, config=self.config,
-            )
-        return net
+        return _intersection_network(
+            "jaccard-filter", self.dataset, self.tau, False, self.config
+        )
 
     def stream_for(self, queries_bits: np.ndarray) -> np.ndarray:
         """Queries encoded with the standard block layout (pads unused)."""
-        layout = StreamLayout(
-            self.d, collector_tree_depth(self.d, self.config.max_fan_in)
-        )
-        return encode_query_batch(queries_bits, layout)  # validates each row
+        # validates each row
+        return encode_query_batch(queries_bits, _knn_layout(self.d, self.config))
 
     def candidates(self, queries_bits: np.ndarray) -> list[np.ndarray]:
         """Functional filter: per query, indices with intersection >= tau."""

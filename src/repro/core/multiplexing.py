@@ -3,10 +3,11 @@
 The base design spends a whole 8-bit symbol on one query bit.  Stream
 multiplexing packs up to seven parallel queries into the unused bits:
 query ``s`` occupies bit-slice ``s`` of each data symbol, and each
-dataset vector gets one NFA replica per slice whose match states use
-TCAM-style *ternary* symbol sets (``0b*******1`` etc.).  Bit 7 stays
-reserved so the SOF/EOF/PAD control symbols (all ≥ 0x80) can never
-alias a data symbol — this is why the gain is 7x, not 8x ("We cannot
+dataset vector gets one replica per slice of the kNN vector macro
+(:func:`~repro.core.macros.build_vector_macro`) whose match sets
+(``symbols``) are TCAM-style *ternary* symbol sets (``0b*******1``
+etc.).  Bit 7 stays reserved so the SOF/EOF/PAD control symbols
+(all ≥ 0x80) can never alias a data symbol — this is why the gain is 7x, not 8x ("We cannot
 achieve an 8x improvement because of special symbols like the SOF and
 EOF").
 
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, PAD, SOF, SymbolSet
-from .macros import MacroConfig, collector_tree_depth
+from .macros import MacroConfig, build_vector_macro, collector_tree_depth
 from .stream import StreamLayout
 
 __all__ = [
@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 MAX_SLICES = 7  # bit 7 is reserved for control symbols
-
-_WILD = SymbolSet.wildcard()
-_SOF_SET = SymbolSet.single(SOF)
-_EOF_SET = SymbolSet.single(EOF)
-_NOT_EOF = SymbolSet.negated_single(EOF)
 
 
 def slice_symbol_set(bit_slice: int, value: int) -> SymbolSet:
@@ -90,66 +85,6 @@ def encode_multiplexed_batch(
     return block
 
 
-def _build_slice_macro(
-    network: AutomataNetwork,
-    vector: np.ndarray,
-    bit_slice: int,
-    report_code: int,
-    prefix: str,
-    config: MacroConfig,
-) -> None:
-    """One vector macro whose match states read bit-slice ``bit_slice``."""
-    d = vector.shape[0]
-    guard = network.add_ste(STE(f"{prefix}guard", _SOF_SET, start=StartMode.ALL_INPUT))
-    upstream = guard
-    matches = []
-    stars = []
-    for i in range(d):
-        star = network.add_ste(STE(f"{prefix}star{i}", _WILD))
-        match = network.add_ste(
-            STE(f"{prefix}match{i}", slice_symbol_set(bit_slice, int(vector[i])))
-        )
-        network.connect(upstream, star)
-        network.connect(upstream, match)
-        stars.append(star)
-        matches.append(match)
-        upstream = star
-
-    depth = collector_tree_depth(d, config.max_fan_in)
-    frontier = matches
-    for level in range(depth):
-        width = (len(frontier) + config.max_fan_in - 1) // config.max_fan_in
-        nodes = []
-        for j in range(width):
-            node = network.add_ste(STE(f"{prefix}c{level}_{j}", _WILD))
-            for src in frontier[j * config.max_fan_in : (j + 1) * config.max_fan_in]:
-                network.connect(src, node)
-            nodes.append(node)
-        frontier = nodes
-
-    counter = network.add_counter(
-        Counter(f"{prefix}ctr", threshold=d, mode=CounterMode.PULSE)
-    )
-    for node in frontier:
-        network.connect(node, counter, "count")
-    upstream = stars[-1]
-    for j in range(depth):
-        tail = network.add_ste(STE(f"{prefix}tail{j}", _WILD))
-        network.connect(upstream, tail)
-        upstream = tail
-    sort_state = network.add_ste(STE(f"{prefix}sort", _NOT_EOF))
-    network.connect(upstream, sort_state)
-    network.connect(sort_state, sort_state)
-    network.connect(sort_state, counter, "count")
-    eof_state = network.add_ste(STE(f"{prefix}eof", _EOF_SET))
-    network.connect(sort_state, eof_state)
-    network.connect(eof_state, counter, "reset")
-    report = network.add_ste(
-        STE(f"{prefix}rep", _WILD, reporting=True, report_code=report_code)
-    )
-    network.connect(counter, report)
-
-
 def build_multiplexed_network(
     dataset: np.ndarray,
     n_slices: int,
@@ -168,13 +103,9 @@ def build_multiplexed_network(
     network = AutomataNetwork(name)
     for s in range(n_slices):
         for v in range(n):
-            _build_slice_macro(
-                network,
-                dataset[v],
-                bit_slice=s,
-                report_code=s * n + v,
-                prefix=f"s{s}v{v}_",
-                config=config,
+            build_vector_macro(
+                network, dataset[v], s * n + v, f"s{s}v{v}_", config,
+                symbols=[slice_symbol_set(s, int(bit)) for bit in dataset[v]],
             )
     layout = StreamLayout(d, collector_tree_depth(d, config.max_fan_in))
     return network, layout

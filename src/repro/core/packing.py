@@ -31,7 +31,8 @@ from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
 from ..automata.symbols import EOF, SOF, SymbolSet
 from ..util.bitops import is_binary
-from .macros import MacroConfig, collector_tree_depth, macro_ste_cost
+from .macros import (MacroConfig, build_collector_tree, collector_nodes,
+                     collector_tree_depth, macro_ste_cost)
 
 __all__ = ["PackedGroupHandles", "build_packed_group", "build_packed_network",
            "packing_savings", "packed_group_ste_cost"]
@@ -112,16 +113,10 @@ def build_packed_group(
 
     for v in range(p):
         # Per-vector collector tree over the rung states matching v's bits.
-        frontier = [ladder[i][int(vectors[v, i])] for i in range(d)]
-        for level in range(depth):
-            width = (len(frontier) + config.max_fan_in - 1) // config.max_fan_in
-            nodes = []
-            for j in range(width):
-                node = network.add_ste(STE(f"{prefix}v{v}c{level}_{j}", _WILD))
-                for src in frontier[j * config.max_fan_in : (j + 1) * config.max_fan_in]:
-                    network.connect(src, node)
-                nodes.append(node)
-            frontier = nodes
+        collectors = build_collector_tree(
+            network, [ladder[i][int(vectors[v, i])] for i in range(d)],
+            depth, f"{prefix}v{v}_", config.max_fan_in,
+        )
         counter = network.add_counter(
             Counter(
                 f"{prefix}v{v}ctr",
@@ -130,7 +125,7 @@ def build_packed_group(
                 max_increment=config.counter_max_increment,
             )
         )
-        for node in frontier:
+        for node in collectors[-1]:
             network.connect(node, counter, "count")
         network.connect(sort_state, counter, "count")
         network.connect(eof_state, counter, "reset")
@@ -179,14 +174,9 @@ def build_packed_network(
 
 def packed_group_ste_cost(d: int, p: int, max_fan_in: int = 8) -> int:
     """STE count of one packed group under the 1-state-=-1-STE model."""
-    depth = collector_tree_depth(d, max_fan_in)
-    n_collectors = 0
-    width = d
-    for _ in range(depth):
-        width = (width + max_fan_in - 1) // max_fan_in
-        n_collectors += width
-    shared = 1 + 2 * d + depth + 2  # guard + ladder + tails + sort + eof
-    per_vector = n_collectors + 1  # collector tree + report state
+    # guard + ladder + tails + sort + eof
+    shared = 1 + 2 * d + collector_tree_depth(d, max_fan_in) + 2
+    per_vector = collector_nodes(d, max_fan_in) + 1  # collector tree + report state
     return shared + p * per_vector
 
 

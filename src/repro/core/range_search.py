@@ -2,9 +2,10 @@
 
 kNN's sibling primitive: report every vector within Hamming distance
 ``r`` of the query.  It is *more* automata-native than kNN — no sort
-phase is needed at all: set the inverted-Hamming counter's threshold to
-``d − r`` and a macro reports iff at least ``d − r`` dimensions match,
-i.e. iff distance ≤ r.  The stream shrinks to
+phase is needed at all: each vector is a
+:func:`~repro.core.macros.build_vector_macro` with ``threshold=d − r``
+and ``sort=False``, so it reports iff at least ``d − r`` dimensions
+match, i.e. iff distance ≤ r.  The stream shrinks to
 ``SOF + d bits + flush + EOF`` and the report offset encodes *when* the
 (d−r)-th match arrived rather than the distance, so hosts that need
 exact distances re-rank the (typically tiny) candidate set.
@@ -20,19 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..automata.elements import STE, Counter, CounterMode, StartMode
 from ..automata.network import AutomataNetwork
-from ..automata.symbols import EOF, PAD, SOF, SymbolSet
+from ..automata.symbols import EOF, PAD, SOF
 from ..util.bitops import as_bits, is_binary, pack_bits
-from .macros import MacroConfig, collector_tree_depth
-from .workload import HammingRangeWorkload
+from .macros import MacroConfig, build_vector_macro
+from .workload import HammingRangeWorkload, _range_block_length
 
 __all__ = ["RangeSearchResult", "HammingRangeSearch"]
 
-_WILD = SymbolSet.wildcard()
-_SOF_SET = SymbolSet.single(SOF)
-_EOF_SET = SymbolSet.single(EOF)
-_NOT_EOF = SymbolSet.negated_single(EOF)
 _RANGE = HammingRangeWorkload()
 
 
@@ -70,14 +66,13 @@ class HammingRangeSearch:
         self.threshold = self.d - self.radius  # matches needed to report
         self.config = config
         self._board = _RANGE.compile_packed(pack_bits(dataset_bits), self.d, {})
-        self.collector_depth = collector_tree_depth(self.d, config.max_fan_in)
 
     # -- stream --------------------------------------------------------
 
     @property
     def block_length(self) -> int:
         """SOF + d bits + (L + 2) flush pads + EOF."""
-        return self.d + self.collector_depth + 4
+        return _range_block_length(self.d, self.config)
 
     def _batch(self, queries_bits: np.ndarray) -> np.ndarray:
         """A ``(q, d)`` query batch (a single row is promoted)."""
@@ -102,49 +97,11 @@ class HammingRangeSearch:
     def build_network(self) -> AutomataNetwork:
         net = AutomataNetwork(f"range-r{self.radius}")
         for v in range(self.n):
-            self._build_macro(net, v)
-        return net
-
-    def _build_macro(self, net: AutomataNetwork, v: int) -> None:
-        prefix = f"v{v}_"
-        guard = net.add_ste(STE(f"{prefix}guard", _SOF_SET, start=StartMode.ALL_INPUT))
-        counter = net.add_counter(
-            Counter(f"{prefix}ctr", threshold=self.threshold, mode=CounterMode.PULSE)
-        )
-        upstream = guard
-        matches = []
-        for i in range(self.d):
-            star = net.add_ste(STE(f"{prefix}star{i}", _WILD))
-            match = net.add_ste(
-                STE(f"{prefix}m{i}", SymbolSet.single(int(self.dataset[v, i])))
+            build_vector_macro(
+                net, self.dataset[v], v, f"v{v}_", self.config,
+                threshold=self.threshold, sort=False,
             )
-            net.connect(upstream, star)
-            net.connect(upstream, match)
-            matches.append(match)
-            upstream = star
-        frontier = matches
-        for level in range(self.collector_depth):
-            width = (len(frontier) + self.config.max_fan_in - 1) // self.config.max_fan_in
-            nodes = []
-            for j in range(width):
-                node = net.add_ste(STE(f"{prefix}c{level}_{j}", _WILD))
-                for src in frontier[j * self.config.max_fan_in : (j + 1) * self.config.max_fan_in]:
-                    net.connect(src, node)
-                nodes.append(node)
-            frontier = nodes
-        for node in frontier:
-            net.connect(node, counter, "count")
-        # flush/hold chain so the EOF reset has a driver
-        hold = net.add_ste(STE(f"{prefix}hold", _NOT_EOF))
-        net.connect(upstream, hold)
-        net.connect(hold, hold)
-        eof = net.add_ste(STE(f"{prefix}eof", _EOF_SET))
-        net.connect(hold, eof)
-        net.connect(eof, counter, "reset")
-        report = net.add_ste(
-            STE(f"{prefix}rep", _WILD, reporting=True, report_code=v)
-        )
-        net.connect(counter, report)
+        return net
 
     # -- functional -------------------------------------------------------
 

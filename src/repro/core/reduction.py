@@ -43,7 +43,7 @@ from ..automata.elements import (
 from ..automata.network import AutomataNetwork
 from ..util.bitops import hamming_cdist_packed, pack_bits
 from ..util.topk import merge_topk, topk_from_distances
-from .macros import MacroConfig, build_vector_macro
+from .macros import MacroConfig, build_vector_macro, gate_report
 
 __all__ = [
     "build_reduced_group",
@@ -96,24 +96,12 @@ def build_reduced_group(
 
     handles = []
     for v in range(p):
-        # Plain macro but with a silent report STE: the *boolean* gate is
-        # the reporting element so suppression can veto it combinationally.
+        # Plain macro, but the *boolean* gate reports so suppression can
+        # veto it combinationally.
         h = build_vector_macro(
-            network, vectors[v], report_code=-1, prefix=f"{prefix}v{v}_", config=config
+            network, vectors[v], report_codes[v], f"{prefix}v{v}_", config
         )
-        ste = network.elements[h.report_state]
-        ste.reporting = False
-        ste.report_code = None
-        gate = network.add_boolean(
-            BooleanElement(
-                f"{prefix}v{v}_gate",
-                BooleanOp.AND,
-                reporting=True,
-                report_code=report_codes[v],
-            )
-        )
-        network.connect(h.report_state, gate, "in")
-        network.connect(lnc_not, gate, "in")
+        gate_report(network, h.report_state, lnc_not, f"{prefix}v{v}_gate")
         network.connect(h.counter, lnc, "count")
         network.connect(lnc, h.counter, "reset")
         handles.append(h)

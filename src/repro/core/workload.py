@@ -662,6 +662,12 @@ def _knn_layout(d: int, macro_config: MacroConfig) -> StreamLayout:
     return StreamLayout(d, collector_tree_depth(d, macro_config.max_fan_in))
 
 
+def _range_block_length(d: int, macro_config: MacroConfig) -> int:
+    """Symbols per range query block: SOF + d bits + (L + 2) flush pads
+    + EOF (threshold macros have no sort phase)."""
+    return d + collector_tree_depth(d, macro_config.max_fan_in) + 4
+
+
 # -- built-in: Jaccard top-k ------------------------------------------------
 
 
@@ -760,16 +766,14 @@ class JaccardTopkWorkload(Workload):
         np.divide(kept, union, out=sims, where=union > 0)
         partial = JaccardWorkloadResult(ids, sims, kept)
         # Counter accounting for the modeled board: one configuration,
-        # the standard sort-phase stream per query block, one report
-        # per vector per query (the intersection sort reports all n).
+        # the kNN sort-phase stream per query block, one report per
+        # vector per query (the intersection sort reports all n).
         counters = RuntimeCounters()
-        d = artifact.d
-        block_length = 2 * d + collector_tree_depth(
-            d, MacroConfig().max_fan_in
-        ) + 4
         n_q = qp.shape[0]
         counters.configurations += 1
-        counters.symbols_streamed += n_q * block_length
+        counters.symbols_streamed += (
+            n_q * _knn_layout(artifact.d, MacroConfig()).block_length
+        )
         counters.reports_received += n_q * artifact.n
         counters.report_payload_bits += n_q * artifact.n * REPORT_RECORD_BITS
         return partial, counters
@@ -906,11 +910,10 @@ class HammingRangeWorkload(Workload):
         # stream (no sort phase: SOF + d bits + flush + EOF); only
         # in-radius vectors report — the whole point of the design.
         counters = RuntimeCounters()
-        block_length = artifact.d + collector_tree_depth(
-            artifact.d, MacroConfig().max_fan_in
-        ) + 4
         counters.configurations += 1
-        counters.symbols_streamed += n_q * block_length
+        counters.symbols_streamed += n_q * _range_block_length(
+            artifact.d, MacroConfig()
+        )
         counters.reports_received += flat.shape[0]
         counters.report_payload_bits += flat.shape[0] * REPORT_RECORD_BITS
         return partial, counters

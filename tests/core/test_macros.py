@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ap.extensions import build_counter_increment_macro
 from repro.automata.network import AutomataNetwork
 from repro.automata.simulator import CompiledSimulator, simulate
+from repro.core.index_automata import IndexGatedSearch
+from repro.core.jaccard import JaccardAPSearch, JaccardThresholdFilter
 from repro.core.macros import (
     MacroConfig,
     build_knn_network,
@@ -14,6 +17,10 @@ from repro.core.macros import (
     collector_tree_depth,
     macro_ste_cost,
 )
+from repro.core.multiplexing import build_multiplexed_network
+from repro.core.packing import build_packed_network
+from repro.core.range_search import HammingRangeSearch
+from repro.core.reduction import build_reduced_network
 from repro.core.stream import StreamLayout, decode_report_offset, encode_query
 
 
@@ -142,35 +149,25 @@ def _pinned_data(d: int, fan_in: int) -> np.ndarray:
 
 def _counter_increment_network(data: np.ndarray, _config: MacroConfig):
     """Collector-free macros: the geometry's fan-in has no effect."""
-    from repro.ap.extensions import build_counter_increment_macro
-
     net = AutomataNetwork("ci")
     for v in range(data.shape[0]):
         build_counter_increment_macro(net, data[v], v, f"v{v}_", 7)
     return net
 
 
-def _pinned_builders():
-    from repro.core.index_automata import IndexGatedSearch
-    from repro.core.jaccard import JaccardAPSearch, JaccardThresholdFilter
-    from repro.core.multiplexing import build_multiplexed_network
-    from repro.core.packing import build_packed_network
-    from repro.core.range_search import HammingRangeSearch
-    from repro.core.reduction import build_reduced_network
-
-    return {
-        "knn": lambda x, c: build_knn_network(x, c)[0],
-        "jaccard-topk": lambda x, c: JaccardAPSearch(x, 3, c).build_network(),
-        "jaccard-filter": lambda x, c: JaccardThresholdFilter(
-            x, x.shape[1] // 4, c).build_network(),
-        "range": lambda x, c: HammingRangeSearch(
-            x, x.shape[1] // 3, c).build_network(),
-        "multiplexed": lambda x, c: build_multiplexed_network(x, 3, c)[0],
-        "packed": lambda x, c: build_packed_network(x, 4, c)[0],
-        "reduced": lambda x, c: build_reduced_network(x, 2, 4, c)[0],
-        "index-gated": lambda x, c: IndexGatedSearch(x, 2, c).build_network(),
-        "counter-increment": _counter_increment_network,
-    }
+_PINNED_BUILDERS = {
+    "knn": lambda x, c: build_knn_network(x, c)[0],
+    "jaccard-topk": lambda x, c: JaccardAPSearch(x, 3, c).build_network(),
+    "jaccard-filter": lambda x, c: JaccardThresholdFilter(
+        x, x.shape[1] // 4, c).build_network(),
+    "range": lambda x, c: HammingRangeSearch(
+        x, x.shape[1] // 3, c).build_network(),
+    "multiplexed": lambda x, c: build_multiplexed_network(x, 3, c)[0],
+    "packed": lambda x, c: build_packed_network(x, 4, c)[0],
+    "reduced": lambda x, c: build_reduced_network(x, 2, 4, c)[0],
+    "index-gated": lambda x, c: IndexGatedSearch(x, 2, c).build_network(),
+    "counter-increment": _counter_increment_network,
+}
 
 
 # NetworkStats of every builder over 8 vectors at three (d, fan-in)
@@ -183,9 +180,9 @@ _PINNED_STATS = {
     ("jaccard-topk", 12, 16): (197, 8, 0, 266, 8, 8, 9, 3),
     ("jaccard-topk", 20, 4): (338, 8, 0, 449, 8, 8, 4, 3),
     ("jaccard-topk", 40, 3): (633, 8, 0, 817, 8, 8, 3, 3),
-    ("jaccard-filter", 12, 16): (197, 8, 0, 258, 8, 8, 9, 2),
-    ("jaccard-filter", 20, 4): (338, 8, 0, 441, 8, 8, 4, 2),
-    ("jaccard-filter", 40, 3): (633, 8, 0, 809, 8, 8, 3, 2),
+    ("jaccard-filter", 12, 16): (189, 8, 0, 250, 8, 8, 9, 2),
+    ("jaccard-filter", 20, 4): (322, 8, 0, 425, 8, 8, 4, 2),
+    ("jaccard-filter", 40, 3): (609, 8, 0, 785, 8, 8, 3, 2),
     ("range", 12, 16): (232, 8, 0, 336, 8, 8, 12, 2),
     ("range", 20, 4): (408, 8, 0, 576, 8, 8, 4, 2),
     ("range", 40, 3): (840, 8, 0, 1168, 8, 8, 3, 2),
@@ -213,10 +210,19 @@ class TestPinnedNetworks:
     )
     def test_network_stats(self, key):
         name, d, fan_in = key
-        net = _pinned_builders()[name](
+        net = _PINNED_BUILDERS[name](
             _pinned_data(d, fan_in), MacroConfig(max_fan_in=fan_in)
         )
         s = net.stats()
         got = (s.n_stes, s.n_counters, s.n_booleans, s.n_edges,
                s.n_reporting, s.n_start, s.max_fan_in, s.max_fan_out)
         assert got == _PINNED_STATS[key]
+
+    def test_counter_max_increment_reaches_every_counter(self):
+        """``MacroConfig.counter_max_increment`` is carried onto the
+        counter of every vector-macro builder."""
+        config = MacroConfig(counter_max_increment=4)
+        data = _pinned_data(12, 16)
+        for name in ("knn", "jaccard-topk", "jaccard-filter", "range", "multiplexed"):
+            net = _PINNED_BUILDERS[name](data, config)
+            assert {c.max_increment for c in net.counters()} == {4}, name

@@ -441,6 +441,28 @@ class TestWorkloadPasses:
         assert peak < bytes_per_pair * wl_mod._PASS_PAIRS, f"{peak / 2**20:.1f} MiB"
 
 
+    @pytest.mark.parametrize("name", ["jaccard", "range"])
+    def test_symbols_streamed_count_the_simulated_stream(self, name):
+        """A served search prices exactly the stream its automata are
+        simulated on: boards x queries x that stream's block length."""
+        from repro.core.jaccard import JaccardAPSearch
+        from repro.core.range_search import HammingRangeSearch
+        from repro.core.stream import encode_query_batch
+
+        data, queries = _data(n=40, d=16, n_queries=3)
+        if name == "jaccard":
+            params = {"k": 4}
+            stream = encode_query_batch(queries, JaccardAPSearch(data, 4).layout)
+        else:
+            params = {"radius": 5}
+            stream = HammingRangeSearch(data, 5).encode_queries(queries)
+        for capacity, boards in ((40, 1), (16, 3)):
+            result = WorkloadSearch(
+                data, name, params, board_capacity=capacity
+            ).search(queries)
+            assert result.counters.symbols_streamed == boards * stream.size
+
+
 class TestParamValidation:
     def test_k_clipped_to_n(self):
         data, queries = _data(n=20)
