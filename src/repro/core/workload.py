@@ -126,19 +126,14 @@ _CAPACITY_D_CUTOFF = 128
 _AUTO_SIM_LIMIT = 50_000_000
 
 # Host pass budgets: how many row-consecutive boards the engine hands a
-# worker as ONE functional pass.  Board capacity is a constraint of the
-# AP fabric; on the host a ~1024-row pass is almost all Python, so
-# boards run as one pass under two byte budgets and one pair budget.
-# A gathered pass (in-memory rows) concatenates its boards' packed
-# words, so _PASS_GATHER_BYTES bounds that copy; a view pass (a store
-# that holds packed words: mmap .pds, shm) copies nothing, and
-# _PASS_VIEW_BYTES — one .pds verification chunk — bounds the pages it
-# faults in and the kernel's per-pass transients.  The (query x row)
-# pair count bounds the widest per-pair transient (Jaccard's
-# ~13 B/pair) to ~3 MiB at any batch size, on both kinds.  Constants,
-# not options — README "Host passes" has the sweeps that chose them.
-_PASS_GATHER_BYTES = 64 * 2**10
-_PASS_VIEW_BYTES = 256 * 2**10
+# worker as ONE functional pass, on every store alike.  Board capacity
+# is a constraint of the AP fabric, not of the host.  _PASS_BYTES — one
+# .pds verification chunk — bounds a pass's packed row words: the copy
+# a gathered pass (in-memory rows) concatenates, or the pages a view
+# pass (mmap .pds, shm) faults in.  _PASS_PAIRS bounds the widest
+# per-pair transient (Jaccard's ~14 B) to ~3.5 MiB at any batch size.
+# Constants, not options: README "Host passes" has the sweeps.
+_PASS_BYTES = 256 * 2**10
 _PASS_PAIRS = 2**18
 
 #: Engine settings a deployment owns.  Constructors and the shard
@@ -692,17 +687,24 @@ def _jaccard_keys(
     by (descending similarity ``I/U``, ascending row): as ``U ≤ d``,
     distinct fractions lie ``≥ 1/d²`` apart and never share a floor.
     Empty-vs-empty (``U = 0``) is similarity 1.  uint32 while the
-    numerator ``I·d² ≤ d³`` and every key fit, else uint64."""
+    numerator ``I·d² ≤ d³`` and every key fit, else uint64.  The floor
+    is a truncated float32 quotient while ``(d² + 1)(d + 1) < 2^24``
+    (``d ≤ 255``), exactly: ``I·d²`` and ``U`` are exact in float32, and
+    a non-integer quotient below ``m + 1 ≤ d² + 1`` lies ``≥ 1/U`` under
+    it, more than its rounding error ``(m + 1)·2^-24``.  Integer
+    division above the limit."""
     n, scale = sizes.shape[0], d * d
     kd = _key_dtype(max(scale * d, (scale + 1) * n))
-    keys = np.multiply(inter, scale, dtype=kd)
+    exact_f32 = (scale + 1) * (d + 1) < 2**24
+    keys = np.multiply(inter, scale, dtype=np.float32 if exact_f32 else kd)
     # An empty row meets every query in I = 0, whose floor is 0 over any
     # U > 0: counting it as size 1 keeps every divisor in [1, d + 1],
     # held in the narrowest dtype that fits d + 1.
     ud = np.min_scalar_type(d + 1)
     union = np.subtract(q_sizes.astype(ud)[:, None], inter, dtype=ud)
     union += np.maximum(sizes, 1).astype(ud)
-    np.floor_divide(keys, union, out=keys)
+    (np.divide if exact_f32 else np.floor_divide)(keys, union, out=keys)
+    keys = keys.astype(kd, copy=False)
     keys *= n
     np.subtract(np.arange(scale * n, (scale + 1) * n, dtype=kd), keys, out=keys)
     empty_rows = np.flatnonzero(sizes == 0)
@@ -1137,18 +1139,15 @@ class WorkloadSearch(Batchable):
 
     def _boards_per_pass(self, params: dict, n_q: int) -> int:
         """How many boards one host pass spans for an ``n_q``-row batch
-        under the pass budgets — the view budget where the pass reads
-        the store's packed words in place, the gather budget where it
-        concatenates them; 1 where ``compile_packed`` does not answer (a
-        cycle-accurate image is one board), and never so many that a
-        configured worker lane would be left without a pass."""
+        under the pass budgets, on every store alike; 1 where
+        ``compile_packed`` does not answer (a cycle-accurate image is one
+        board), and never so many that a configured worker lane would be
+        left without a pass."""
         if not self._packs(params):
             return 1
-        budget = (
-            _PASS_VIEW_BYTES if self._view_passes(params) else _PASS_GATHER_BYTES
-        )
         rows = min(
-            budget // (8 * ((self.d + 63) // 64)), _PASS_PAIRS // max(1, n_q)
+            _PASS_BYTES // (8 * ((self.d + 63) // 64)),
+            _PASS_PAIRS // max(1, n_q),
         )
         lanes = max(1, self.parallel.effective_workers)
         return max(

@@ -8,8 +8,9 @@ The load-bearing claims:
   scan do — held by ``tests/integration/test_bit_identity.py``;
 * multi-board passes keep caching per board, and simulated passes one
   board; a workload needs only ``compile_packed``;
-* view passes take their own byte budget, split each device shard into
-  near-equal runs, and the one-board-per-pass reference reaches them;
+* every store's passes take one byte budget and one plan, split each
+  device shard into near-equal runs, and the one-board-per-pass
+  reference reaches them;
 * merges are associative and permutation-invariant (hypothesis), so
   shard trees of any shape agree;
 * pack/unpack/split roundtrip every workload's result.
@@ -352,39 +353,68 @@ class TestWorkloadPasses:
         assert got[0]["execution"] == ("functional" if fused else "simulate")
         assert_snapshots_equal(got[:1], ref[:1], execution)
 
-    def test_one_board_per_pass_reaches_view_passes(self, tmp_path, monkeypatch):
-        """The reference helper zeroes the view budget too: a search over
-        a mapped ``.pds`` (whose passes read the file in place) runs one
-        pass per board under it, and one pass without it."""
-        data, queries = _data(n=100, d=64)
+    @staticmethod
+    def _store(kind, data, tmp_path):
+        """``data`` as an in-memory array (gathered passes) or a mapped
+        ``.pds`` (view passes)."""
+        if kind == "array":
+            return data
         write_pds(tmp_path / "d.pds", data)
-        engine = WorkloadSearch(str(tmp_path / "d.pds"), "knn",
-                                {"k": 3, "execution": "functional"},
-                                board_capacity=16)
-        assert engine._view_passes(engine.params)
-        seen = self._pass_sizes(monkeypatch)
-        with one_board_per_pass():
-            engine.search(queries)
-        assert seen == [1] * 7
-        seen.clear()
-        engine.search(queries)
-        assert seen == [7]
+        return str(tmp_path / "d.pds")
 
+    def test_one_board_per_pass_reaches_view_passes(self, tmp_path, monkeypatch):
+        """The reference helper zeroes the one byte budget: a search over
+        an array (whose passes gather words) or a mapped ``.pds`` (whose
+        passes read the file in place) runs one pass per board under it,
+        and one pass without it."""
+        data, queries = _data(n=100, d=64)
+        seen = self._pass_sizes(monkeypatch)
+        for kind in ("array", "pds"):
+            engine = WorkloadSearch(self._store(kind, data, tmp_path), "knn",
+                                    {"k": 3, "execution": "functional"},
+                                    board_capacity=16)
+            assert engine._view_passes(engine.params) == (kind == "pds")
+            seen.clear()
+            with one_board_per_pass():
+                engine.search(queries)
+            assert seen == [1] * 7, kind
+            seen.clear()
+            engine.search(queries)
+            assert seen == [7], kind
+
+    @pytest.mark.parametrize("d", [64, 130])
+    @pytest.mark.parametrize("n_q", [1, 8, 32, 256])
+    def test_one_plan_for_every_store(self, n_q, d, tmp_path):
+        """A pass is sized by its bytes and pairs alone: an array engine
+        (gathered passes) and a ``.pds`` engine (view passes) over the
+        same rows cut the same runs, whichever budget binds."""
+        data, _ = _data(n=(1 << 15) - 5, d=d)
+        plans = []
+        for kind in ("array", "pds"):
+            engine = WorkloadSearch(self._store(kind, data, tmp_path), "knn",
+                                    {"k": 3, "execution": "functional"},
+                                    board_capacity=512)
+            per_pass = engine._boards_per_pass(engine.params, n_q)
+            tasks = engine._partition_tasks(engine.params, per_pass)
+            plans.append([(t.start, t.end) for t in tasks])
+        assert plans[0] == plans[1]
+
+    @pytest.mark.parametrize("store", ["array", "pds"])
     @pytest.mark.parametrize("n_devices", [1, 3])
-    def test_view_passes_split_each_shard_into_equal_runs(
-        self, n_devices, tmp_path, monkeypatch
+    def test_passes_split_each_shard_into_equal_runs(
+        self, n_devices, store, tmp_path, monkeypatch
     ):
         """57 boards under a 14-board budget run as 5 near-equal passes,
         not four of 14 and a 1-board tail; a run never crosses a device
         shard, and every count the AP model reports (partitions,
         counters, image-cache hits, cache stats) equals the
-        one-board-per-pass reference."""
+        one-board-per-pass reference, over gathered and view passes."""
         data, queries = _data(n=57 * 16 - 5, d=64, n_queries=8)
-        write_pds(tmp_path / "d.pds", data)
-        monkeypatch.setattr(wl_mod, "_PASS_VIEW_BYTES", 14 * 16 * 8)
+        source = self._store(store, data, tmp_path)
+        monkeypatch.setattr(wl_mod, "_PASS_BYTES", 14 * 16 * 8)
 
         def engine():
-            return WorkloadSearch(str(tmp_path / "d.pds"), "knn",
+            return WorkloadSearch(source, "knn",
                                   {"k": 5, "execution": "functional"},
                                   board_capacity=16, n_devices=n_devices,
                                   cache=True)
@@ -409,7 +439,25 @@ class TestWorkloadPasses:
         seen = self._pass_sizes(monkeypatch)
         got = run_snapshot(engine(), queries)
         assert seen == 2 * [len(t.boards) for t in tasks]
-        assert_snapshots_equal(got, ref, f"{n_devices} devices")
+        assert_snapshots_equal(got, ref, f"{store}, {n_devices} devices")
+
+    @pytest.mark.parametrize("n_q", [1, 8, 32])
+    def test_gathered_passes_stay_within_their_memory(self, n_q):
+        """A warm kNN search over an in-memory 2^16 x 64 array, whose
+        passes concatenate up to ``_PASS_BYTES`` of cached words, peaks
+        under 3 MiB at every batch size the byte budget governs."""
+        import tracemalloc
+
+        data, queries = _data(n=1 << 16, d=64, n_queries=n_q)
+        engine = WorkloadSearch(data, "knn", {"k": 10}, cache=True)
+        engine.search(queries)  # pack and cache every board's words
+        tracemalloc.start()
+        try:
+            engine.search(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("name,params,bytes_per_pair", [
         ("jaccard", {"k": 10}, 24), ("range", {"radius": 12}, 32),

@@ -333,12 +333,11 @@ def cells() -> list[Cell]:
 def one_board_per_pass():
     """Inside it the engine sizes every host pass to one board, so the
     worker body runs one artifact and one ``execute`` per board: the
-    reference every multi-board pass must equal.  Both byte budgets
-    go to zero, so gathered and view passes alike (an array, a mapped
+    reference every multi-board pass must equal.  The one byte budget
+    goes to zero, so gathered and view passes alike (an array, a mapped
     ``.pds``, a shm segment, a served shard) run one board each."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(workload_mod, "_PASS_GATHER_BYTES", 0)
-        patch.setattr(workload_mod, "_PASS_VIEW_BYTES", 0)
+        patch.setattr(workload_mod, "_PASS_BYTES", 0)
         yield
 
 
