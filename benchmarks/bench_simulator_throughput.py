@@ -3,7 +3,8 @@
 Not a paper table — this quantifies the reproduction's own engineering
 trade-off (DESIGN.md): the vectorized sparse-matrix simulator pays
 O(states) per cycle while the functional model pays O(n d / 64) per
-query batch, which is why the engine auto-switches for large boards.
+query batch, which is why ``"functional"`` is the engine's default and
+``"simulate"`` an opt-in for checking it.
 Also measures simulator scaling in board size (states x cycles / s).
 """
 
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.automata.simulator import CompiledSimulator
-from repro.core.engine import APSimilaritySearch
 from repro.core.functional import FunctionalKnnBoard
 from repro.core.macros import build_knn_network
 from repro.core.stream import StreamLayout, encode_query_batch
@@ -45,25 +45,3 @@ def test_functional_model_throughput(benchmark):
     board = FunctionalKnnBoard(data, StreamLayout(128, 1))
     q_idx, codes, cycles = benchmark(board.query_reports, queries)
     assert codes.shape[0] == 64 * 4096
-
-
-def test_engine_auto_mode_picks_wisely(benchmark, report):
-    rng = np.random.default_rng(63)
-    small = rng.integers(0, 2, (32, 16), dtype=np.uint8)
-    large = rng.integers(0, 2, (8192, 128), dtype=np.uint8)
-    q_small = rng.integers(0, 2, (4, 16), dtype=np.uint8)
-    eng_small = APSimilaritySearch(small, k=2, board_capacity=32)
-    eng_large = APSimilaritySearch(large, k=2, board_capacity=1024)
-    large_mode = eng_large.workload.batch_params(
-        eng_large.params, 1, eng_large.n, eng_large.d
-    )["execution"]
-    res = benchmark.pedantic(eng_small.search, args=(q_small,), rounds=1,
-                             iterations=1)
-    report(
-        "Engine execution-mode auto-selection",
-        ["Board", "States x cycles", "Chosen mode"],
-        [["32 x d16", "~", res.execution],
-         ["8192 x d128", "~", large_mode]],
-    )
-    assert res.execution == "simulate"
-    assert large_mode == "functional"

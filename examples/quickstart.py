@@ -23,8 +23,12 @@ def main() -> None:
 
     # One board configuration holds 64 vectors here, so the engine
     # partitions the dataset and "reconfigures" between partitions,
-    # exactly like Section III-C's partial reconfiguration flow.
-    engine = APSimilaritySearch(dataset, k=k, board_capacity=64)
+    # exactly like Section III-C's partial reconfiguration flow.  The
+    # default execution is the exact functional model; "simulate" runs
+    # the cycle-accurate automata instead, with identical answers.
+    engine = APSimilaritySearch(
+        dataset, k=k, board_capacity=64, execution="simulate"
+    )
     result = engine.search(queries)
 
     print(f"execution mode : {result.execution}")

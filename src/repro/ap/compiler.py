@@ -31,12 +31,9 @@ experiment can show "placed but only partially routed" outcomes.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Hashable
 
 import numpy as np
@@ -351,22 +348,11 @@ def partition_cache_key(
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction accounting for a :class:`BoardImageCache`.
-
-    ``disk_hits`` counts the subset of ``hits`` served from the
-    on-disk store (``cache_dir=``) rather than memory — the warm-start
-    figure: a freshly restarted service whose every partition loads
-    from disk recompiles nothing.  ``disk_evictions`` counts artifacts
-    garbage-collected from the on-disk store to honor
-    ``max_disk_entries=``/``max_disk_bytes=`` budgets (``evictions``
-    remains memory-tier only).
-    """
+    """Hit/miss/eviction accounting for a :class:`BoardImageCache`."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    disk_hits: int = 0
-    disk_evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -411,207 +397,43 @@ class BoardImageCache:
 
     Thread-safe: the engine's ``backend="thread"`` workers consult one
     shared instance concurrently, so every operation holds an internal
-    lock (entry construction and ``cache_dir`` disk I/O both happen
-    outside the lock, so it is only ever held for dict bookkeeping).
-
-    ``cache_dir`` marries the in-memory LRU with an on-disk artifact
-    store (the persistent sibling of :mod:`repro.core.images`' ANML
-    libraries): every :meth:`put` also pickles the artifact under a
-    key-derived file name, and a memory miss falls through to disk
-    before being declared a miss.  Memory eviction never deletes disk
-    entries, so the working set can exceed ``max_entries`` across
-    restarts — a restarted service pointed at the same directory
-    starts warm and recompiles nothing.  The directory is trusted
-    (artifacts are pickles); share it only between hosts you control.
-
-    By default disk entries persist indefinitely; ``max_disk_entries=``
-    and/or ``max_disk_bytes=`` bound the store with least-recently-used
-    garbage collection (disk hits refresh recency via mtime): after
-    every disk write the oldest artifacts are deleted until both
-    budgets hold, so a bounded directory never exceeds them —
-    ``CacheStats.disk_evictions`` counts the deletions.  Budgets are
-    enforced strictly: a single artifact larger than ``max_disk_bytes``
-    is itself collected (the memory tier keeps serving it).
+    lock (entry construction happens outside it, so it is only ever
+    held for dict bookkeeping).
     """
 
     DEFAULT_MAX_ENTRIES = 64
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        cache_dir: str | Path | None = None,
-        max_disk_entries: int | None = None,
-        max_disk_bytes: int | None = None,
-    ):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if max_disk_entries is not None and max_disk_entries < 1:
-            raise ValueError("max_disk_entries must be >= 1")
-        if max_disk_bytes is not None and max_disk_bytes < 1:
-            raise ValueError("max_disk_bytes must be >= 1")
-        if cache_dir is None and (
-            max_disk_entries is not None or max_disk_bytes is not None
-        ):
-            raise ValueError("disk budgets require cache_dir")
         self.max_entries = int(max_entries)
-        self.max_disk_entries = (
-            int(max_disk_entries) if max_disk_entries is not None else None
-        )
-        self.max_disk_bytes = (
-            int(max_disk_bytes) if max_disk_bytes is not None else None
-        )
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._lock = threading.RLock()
-        # Serializes this process's disk GC scans; deletions still
-        # tolerate races with other processes sharing the directory.
-        self._disk_lock = threading.Lock()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
         hits, misses, evictions = _cache_metrics()
-        self._m_hit_mem = hits.labels(tier="memory")
-        self._m_hit_disk = hits.labels(tier="disk")
+        self._m_hit = hits.labels(tier="memory")
         self._m_miss = misses
-        self._m_evict_mem = evictions.labels(tier="memory")
-        self._m_evict_disk = evictions.labels(tier="disk")
+        self._m_evict = evictions.labels(tier="memory")
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
-        """Membership in the in-memory tier (disk is consulted by get)."""
         with self._lock:
             return key in self._entries
 
-    def _disk_path(self, key: tuple) -> Path:
-        # Key components (digest string, frozen dataclasses, enums) all
-        # repr deterministically, so the file name is stable across
-        # processes and restarts.
-        return self.cache_dir / (
-            hashlib.sha1(repr(key).encode()).hexdigest() + ".boardimage.pkl"
-        )
-
-    def _disk_load(self, key: tuple) -> Any | None:
-        path = self._disk_path(key)
-        try:
-            with open(path, "rb") as f:
-                value = pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            # Missing file or an artifact written by an incompatible
-            # library version: treat as a miss and recompile.
-            return None
-        try:
-            # A disk hit refreshes LRU recency for the disk GC: mtime
-            # is the store's recency clock.
-            os.utime(path)
-        except OSError:
-            pass
-        return value
-
-    def _disk_store(self, key: tuple, value: Any) -> None:
-        path = self._disk_path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        try:
-            with open(tmp, "wb") as f:
-                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)  # atomic: readers never see half a file
-        except (OSError, pickle.PicklingError, TypeError, AttributeError,
-                RecursionError):
-            # Persistence is best-effort: neither a full disk nor an
-            # artifact pickle refuses to serialize (in-process backends
-            # never otherwise require picklability) may fail the search
-            # that produced it.  The memory tier keeps serving it.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return
-        self._disk_gc()
-
-    def _disk_gc(self) -> None:
-        """Delete least-recently-used disk artifacts until the
-        ``max_disk_entries``/``max_disk_bytes`` budgets both hold.
-
-        Runs after every successful disk write, so a bounded directory
-        never exceeds its budget between puts.  Races with other
-        processes GC'ing the same directory are benign: a file another
-        process already deleted just stops counting.
-        """
-        if self.max_disk_entries is None and self.max_disk_bytes is None:
-            return
-        with self._disk_lock:
-            entries = []
-            try:
-                candidates = list(self.cache_dir.glob("*.boardimage.pkl"))
-            except OSError:
-                return
-            for path in candidates:
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue  # deleted underneath us
-                entries.append((st.st_mtime_ns, st.st_size, path))
-            entries.sort()  # oldest first; path disambiguates mtime ties
-            count = len(entries)
-            total = sum(size for _, size, _ in entries)
-            for _, size, path in entries:
-                over_entries = (
-                    self.max_disk_entries is not None
-                    and count > self.max_disk_entries
-                )
-                over_bytes = (
-                    self.max_disk_bytes is not None and total > self.max_disk_bytes
-                )
-                if not over_entries and not over_bytes:
-                    break
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-                except OSError:
-                    continue  # undeletable: skip, try the next-oldest
-                count -= 1
-                total -= size
-                with self._lock:
-                    self.stats.disk_evictions += 1
-                self._m_evict_disk.inc()
-
     def get(self, key: tuple) -> Any | None:
-        """Return the cached artifact or None; a hit refreshes recency.
-
-        Memory first, then (with ``cache_dir``) the on-disk store; a
-        disk hit is promoted into memory.  Disk I/O happens *outside*
-        the lock — the lock is only ever held for dict bookkeeping, so
-        thread workers never serialize on each other's pickle loads.
-        """
+        """Return the cached artifact or None; a hit refreshes recency."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                pass
+            value = self._entries.get(key)
+            if value is None:
+                self.stats.misses += 1
             else:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                self._m_hit_mem.inc()
-                return value
-        if self.cache_dir is not None:
-            value = self._disk_load(key)
-            if value is not None:
-                # Two threads may race the same disk entry; both loads
-                # return equivalent artifacts and _insert is idempotent.
-                with self._lock:
-                    self._insert(key, value)
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                self._m_hit_disk.inc()
-                return value
-        with self._lock:
-            self.stats.misses += 1
-        self._m_miss.inc()
-        return None
+        (self._m_miss if value is None else self._m_hit).inc()
+        return value
 
     def record_hits(self, n_boards: int) -> None:
         """Count ``n_boards`` boards an engine served without a compile
@@ -621,31 +443,20 @@ class BoardImageCache:
         ``hits`` (and ``repro_cache_hits_total``) report."""
         with self._lock:
             self.stats.hits += n_boards
-        self._m_hit_mem.inc(n_boards)
-
-    def _insert(self, key: tuple, value: Any) -> None:
-        """Memory-tier insert + LRU eviction (callers hold the lock)."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._m_evict_mem.inc()
+        self._m_hit.inc(n_boards)
 
     def put(self, key: tuple, value: Any) -> None:
-        """Insert (or refresh) an artifact, evicting the LRU entry if full.
-
-        The disk write happens outside the lock (concurrent writers of
-        the same key both produce a complete file; the atomic rename
-        makes the last one win).
-        """
+        """Insert (or refresh) an artifact, evicting the LRU entry if full."""
         with self._lock:
-            self._insert(key, value)
-        if self.cache_dir is not None:
-            self._disk_store(key, value)
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+                self._m_evict.inc()
 
     def clear(self) -> None:
-        """Drop the in-memory tier (disk entries persist by design)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()

@@ -117,25 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "cap, not a delay: a batch is dispatched as soon "
                         "as every concurrent caller has joined it")
     s.add_argument("--cache-size", type=int, default=0,
-                   help="LRU board-image cache capacity (0 = no cache "
-                        "unless --cache-dir is set); sequential runs and "
-                        "thread workers use it in place, process workers "
-                        "through artifact shipping")
-    s.add_argument("--cache-dir", default=None,
-                   help="persist compiled board images in this directory "
-                        "(implies caching): a rerun or restarted service "
-                        "pointed at the same directory starts warm and "
-                        "recompiles nothing, e.g. "
-                        "`repro search d.npy q.npy --cache-dir ./imgcache` "
-                        "twice — the second run reports zero recompiles")
-    s.add_argument("--max-disk-entries", type=int, default=None,
-                   help="LRU-garbage-collect the --cache-dir store down "
-                        "to this many artifacts after every write")
-    s.add_argument("--max-disk-bytes", type=int, default=None,
-                   help="LRU-garbage-collect the --cache-dir store down "
-                        "to this many bytes after every write")
-    s.add_argument("--execution", choices=["auto", "simulate", "functional"],
-                   default="auto")
+                   help="LRU board-image cache capacity (0 = no cache); "
+                        "sequential runs and thread workers use it in "
+                        "place, process workers through artifact shipping")
+    s.add_argument("--execution", choices=["functional", "simulate"],
+                   default="functional",
+                   help="functional: the exact fast model (default); "
+                        "simulate: the cycle-accurate oracle, ~1000x slower")
     s.add_argument("--out", default=None, help="save indices to this .npy")
 
     v = sub.add_parser("serve", help="serve one dataset shard over TCP "
@@ -170,11 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
                         "the server always caches)")
-    v.add_argument("--cache-dir", default=None,
-                   help="persist compiled board images here so a restarted "
-                        "shard server starts warm")
-    v.add_argument("--execution", choices=["auto", "simulate", "functional"],
-                   default="auto")
+    v.add_argument("--execution", choices=["functional", "simulate"],
+                   default="functional")
     v.add_argument("--workload", action="append", default=None,
                    dest="workloads", metavar="NAME",
                    help="serve only the named workload (repeatable: "
@@ -183,9 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--drain-timeout-s", type=float, default=5.0,
                    help="SIGTERM drain bound: stop accepting, let in-flight "
                         "requests finish for up to this long, then close — "
-                        "rolling restarts never drop an accepted request "
-                        "(pair with --cache-dir for a warm rejoin); drain "
-                        "progress (remaining in-flight count) is logged "
+                        "rolling restarts never drop an accepted request; "
+                        "drain progress (remaining in-flight count) is logged "
                         "while it runs")
     v.add_argument("--metrics-port", type=int, default=None,
                    help="expose the process metrics registry over HTTP on "
@@ -254,22 +238,6 @@ def _load_dataset(path: str):
     return np.load(path)
 
 
-def _cache_from_args(args):
-    """The ``--cache-size``/``--cache-dir`` flags as an engine ``cache=``."""
-    from repro.ap.compiler import BoardImageCache
-
-    if args.cache_dir:
-        # on-disk persistence implies caching even at --cache-size 0
-        size = (args.cache_size if args.cache_size > 0
-                else BoardImageCache.DEFAULT_MAX_ENTRIES)
-        return BoardImageCache(
-            max_entries=size, cache_dir=args.cache_dir,
-            max_disk_entries=args.max_disk_entries,
-            max_disk_bytes=args.max_disk_bytes,
-        )
-    return args.cache_size  # <= 0 disables caching
-
-
 def _hedge_from_args(args):
     """``--hedge-delay-ms`` -> a HedgePolicy (None = adaptive default)."""
     from repro.host.replication import HedgePolicy
@@ -315,7 +283,7 @@ def _local_engine(args, params: dict):
             parallel=ParallelConfig(
                 n_workers=args.workers, backend=args.backend
             ),
-            cache=_cache_from_args(args),
+            cache=args.cache_size,  # <= 0 disables caching
             device=GEN1 if args.device == "gen1" else GEN2,
             n_devices=args.devices,
         )
@@ -453,9 +421,8 @@ def _search_and_report(engine, args, params: dict) -> int:
             st = engine.cache.stats
             recompiles = counters.configurations - counters.image_cache_hits
             print(f"# image cache: {len(engine.cache)} entries, "
-                  f"{st.hits} hits ({st.disk_hits} from disk) / "
-                  f"{st.misses} misses, {st.evictions} evictions "
-                  f"({st.disk_evictions} disk), "
+                  f"{st.hits} hits / {st.misses} misses, "
+                  f"{st.evictions} evictions, "
                   f"{recompiles} recompile(s) this run")
         est = engine.estimated_runtime_s(queries.shape[0])
         print(f"# estimated {args.device} device time: {est * 1e3:.3f} ms")
@@ -553,7 +520,6 @@ class _Sigterm(BaseException):
 
 
 def _cmd_serve(args) -> int:
-    from repro.ap.compiler import BoardImageCache
     from repro.ap.device import GEN1, GEN2
     from repro.host.parallel import ParallelConfig
     from repro.host.rpc import serve_shard
@@ -583,14 +549,6 @@ def _cmd_serve(args) -> int:
         print(f"error: --shard N ({n_shards}) exceeds the dataset's "
               f"{dataset.shape[0]} vectors", file=sys.stderr)
         return 2
-    if args.cache_dir:
-        size = (args.cache_size if args.cache_size > 0
-                else BoardImageCache.DEFAULT_MAX_ENTRIES)
-        cache = BoardImageCache(max_entries=size, cache_dir=args.cache_dir)
-    elif args.cache_size > 0:
-        cache = BoardImageCache(max_entries=args.cache_size)
-    else:
-        cache = True  # a shard server always caches: it is long-lived
     server = serve_shard(
         dataset,
         shard_index,
@@ -606,7 +564,8 @@ def _cmd_serve(args) -> int:
             n_workers=args.workers, backend=args.backend,
             persistent=args.workers > 1,
         ),
-        cache=cache,
+        # A shard server always caches: it is long-lived.
+        cache=args.cache_size if args.cache_size > 0 else True,
     )
     host, port = server.address
     serving = (", ".join(server.workloads)

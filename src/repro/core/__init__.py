@@ -14,7 +14,6 @@ from .dataset import (
     write_pds,
 )
 from .engine import APSimilaritySearch, KnnResult
-from .images import ImageManifest, export_image_library, load_image_library
 from .index_automata import IndexGatedSearch
 from .multiboard import MultiBoardResult, MultiBoardSearch, balanced_shard_bounds
 from .range_search import HammingRangeSearch, RangeSearchResult
@@ -45,9 +44,6 @@ __all__ = [
     "read_pds_header",
     "verify_pds",
     "write_pds",
-    "ImageManifest",
-    "export_image_library",
-    "load_image_library",
     "MultiBoardResult",
     "MultiBoardSearch",
     "balanced_shard_bounds",

@@ -225,8 +225,8 @@ class APSimilaritySearch(WorkloadSearch):
         or 512 (d=256) — see
         :class:`repro.workloads.params.WorkloadParams`.
     execution:
-        ``"simulate"`` (cycle-accurate), ``"functional"`` (exact fast
-        model), or ``"auto"`` (chosen per batch by modeled cost).
+        ``"functional"`` (the exact fast model, the default) or
+        ``"simulate"`` (cycle-accurate; an opt-in for the oracle).
     parallel, cache:
         As for :class:`~repro.core.workload.WorkloadSearch`; results
         are bit-identical to sequential, uncached execution either way.
@@ -239,7 +239,7 @@ class APSimilaritySearch(WorkloadSearch):
         device: APDeviceSpec = GEN1,
         board_capacity: int | None = None,
         macro_config: MacroConfig = MacroConfig(),
-        execution: str = "auto",
+        execution: str = "functional",
         parallel: ParallelConfig | int | None = None,
         cache: BoardImageCache | int | bool | None = None,
     ):

@@ -31,9 +31,8 @@ layers actually rely on into a :class:`Workload` protocol:
   the same no-pickle array framing as the kNN protocol;
 * ``split(result, lo, hi)`` — row slicing for the batching/admission
   layer (:class:`~repro.host.batching.BatchRouter`);
-* ``default_capacity`` / ``batch_params`` — the two engine decisions a
-  workload owns: how many vectors fit one board configuration, and
-  which back-end a given batch runs on.
+* ``default_capacity`` — the engine decision a workload owns: how
+  many vectors fit one board configuration.
 
 Workloads register by name (:func:`register_workload`), mirroring the
 pluggable-extension registry idiom of reinforced_lib's ``BaseExt``:
@@ -119,11 +118,6 @@ _PAD_DISTANCE = -1
 _DEFAULT_CAPACITY_SMALL_D = 1024
 _DEFAULT_CAPACITY_LARGE_D = 512
 _CAPACITY_D_CUTOFF = 128
-
-# Above this many total (state x cycle) operations across all partition
-# passes, kNN's execution="auto" picks the functional model over cycle
-# simulation.
-_AUTO_SIM_LIMIT = 50_000_000
 
 # Host pass budgets: how many row-consecutive boards the engine hands a
 # worker as ONE functional pass, on every store alike.  Board capacity
@@ -238,6 +232,13 @@ class Workload(ABC):
                 f"workload {self.name!r} cannot serve an ({n}, {d}) dataset"
             )
 
+    def validate_settings(self, settings: dict) -> None:
+        """Admission check on deployment-owned settings
+        (:data:`SERVER_OWNED_PARAMS`): raise ``ValueError`` on a value
+        this workload cannot run.  The shard server runs this beside
+        :meth:`validate_dataset`, before binding.  Default: every
+        setting is accepted."""
+
     def default_capacity(self, d: int, params: dict) -> int:
         """Vectors per board configuration when the engine is not given
         a ``board_capacity``.  Default: the paper's Table II constants."""
@@ -246,13 +247,6 @@ class Workload(ABC):
             if d <= _CAPACITY_D_CUTOFF
             else _DEFAULT_CAPACITY_LARGE_D
         )
-
-    def batch_params(self, params: dict, n_q: int, n: int, d: int) -> dict:
-        """Resolve whatever the engine's params leave open until the
-        batch size is known (kNN's ``execution="auto"``), for ``n_q``
-        queries against ``n`` vectors.  The result keys the compile
-        cache and ships in the tasks.  Default: nothing to resolve."""
-        return params
 
     # -- the pipeline -----------------------------------------------------
 
@@ -504,10 +498,10 @@ class HammingKnnWorkload(Workload):
 
     This class owns what a kNN partition pass *is*: which back-end
     compiles and runs it (``execution``: the exact ``"functional"``
-    model or the cycle-accurate ``"simulate"`` board image, ``"auto"``
-    choosing per batch), under which macro configuration and device,
-    with one decode — the earliest ``k`` reports per query — and one
-    counter accounting for both.
+    model or the cycle-accurate ``"simulate"`` board image), under
+    which macro configuration and device, with one decode — the
+    earliest ``k`` reports per query — and one counter accounting for
+    both.
     """
 
     name = "knn"
@@ -526,11 +520,13 @@ class HammingKnnWorkload(Workload):
             key: params.get(key, default)
             for key, default in _KNN_DEFAULTS.items()
         }
-        if settings["execution"] not in ("simulate", "functional", "auto"):
-            raise ValueError(
-                f"unknown execution mode {settings['execution']!r}"
-            )
+        self.validate_settings(settings)
         return {"k": min(k, n), **settings}
+
+    def validate_settings(self, settings: dict) -> None:
+        execution = settings.get("execution", _KNN_DEFAULTS["execution"])
+        if execution not in ("functional", "simulate"):
+            raise ValueError(f"unknown execution mode {execution!r}")
 
     def default_capacity(self, d: int, params: dict) -> int:
         """Compiler-derived vectors-per-board for this dimensionality
@@ -541,17 +537,6 @@ class HammingKnnWorkload(Workload):
             name="capacity-probe",
         )
         return APCompiler(params["device"]).max_instances(template)
-
-    def batch_params(self, params: dict, n_q: int, n: int, d: int) -> dict:
-        if params["execution"] != "auto":
-            return params
-        # True cost over the n vectors actually present: charging every
-        # partition at full board capacity would flip workloads near
-        # the limit to "functional" prematurely.
-        block_length = _knn_layout(d, params["macro_config"]).block_length
-        cost = n * (2 * d + 8) * block_length * max(1, n_q)
-        mode = "simulate" if cost <= _AUTO_SIM_LIMIT else "functional"
-        return {**params, "execution": mode}
 
     def compile(self, dataset_bits: np.ndarray, params: dict):
         params = _KNN_DEFAULTS | params  # direct callers may pass bare {"k": k}
@@ -959,7 +944,7 @@ class WorkloadRunResult:
     # Board-partition passes per local device (or per answering remote
     # shard); n_partitions / n_devices derive from it.
     per_device_partitions: tuple = (1,)
-    # Resolved back-end: "simulate"/"functional"; for a remote fan-out
+    # Back-end: "simulate"/"functional"; for a remote fan-out
     # "mixed" when shards disagree and "none" when none answered.
     execution: str = "functional"
     n_workers: int = 1  # worker lanes (or shards) that actually ran
@@ -1040,8 +1025,7 @@ class WorkloadSearch(Batchable):
         :class:`~repro.ap.compiler.BoardImageCache` of default size, an
         ``int`` for a private cache of that capacity, or an existing
         cache instance to *share* compiled partitions across engines
-        (keys are content-addressed; construct it with ``cache_dir=``
-        to persist artifacts so a restarted service starts warm).
+        (keys are content-addressed).
     device:
         AP generation (capacity/timing constants), handed to the
         workload as the deployment-owned ``"device"`` param.
@@ -1096,9 +1080,8 @@ class WorkloadSearch(Batchable):
         self.per_device_partitions = tuple(len(shard) for shard in shards)
         self.partitions = [bounds for shard in shards for bounds in shard]
         # Task lists are a pure function of (immutable engine state,
-        # resolved params, boards per pass): built once per such pair,
-        # not per search.
-        self._tasks: dict[tuple, list[PartitionTask]] = {}
+        # boards per pass): built once per pass size, not per search.
+        self._tasks: dict[int, list[PartitionTask]] = {}
         self._m_passes = _metrics.get_registry().counter(
             "repro_engine_host_passes_total",
             "Functional/simulated execute passes run by engine searches "
@@ -1137,13 +1120,13 @@ class WorkloadSearch(Batchable):
             f"cache must be None, bool, an int, or BoardImageCache, got {cache!r}"
         )
 
-    def _boards_per_pass(self, params: dict, n_q: int) -> int:
+    def _boards_per_pass(self, n_q: int) -> int:
         """How many boards one host pass spans for an ``n_q``-row batch
         under the pass budgets, on every store alike; 1 where
         ``compile_packed`` does not answer (a cycle-accurate image is one
         board), and never so many that a configured worker lane would be
         left without a pass."""
-        if not self._packs(params):
+        if not self._packs():
             return 1
         rows = min(
             _PASS_BYTES // (8 * ((self.d + 63) // 64)),
@@ -1154,43 +1137,41 @@ class WorkloadSearch(Batchable):
             1, min(rows // self.board_capacity, len(self.partitions) // lanes)
         )
 
-    def _packs(self, params: dict) -> bool:
-        """Does the workload's ``compile_packed`` answer under ``params``
-        (the worker body's own question, so keys match its entries)?"""
+    def _packs(self) -> bool:
+        """Does the workload's ``compile_packed`` answer under the
+        engine's params (the worker body's own question, so keys match
+        its entries)?"""
         return _answers_packed(
-            self.workload.compile_packed, self.d, tuple(sorted(params.items()))
+            self.workload.compile_packed, self.d,
+            tuple(sorted(self.params.items())),
         )
 
-    def _view_passes(self, params: dict) -> bool:
-        """Will a pass under ``params`` run on a view of the store's
-        packed row words (the store holds them and ``compile_packed``
-        answers)?  View passes are built without cache keys and counted
-        as hits."""
-        return self._packs(params) and (
+    def _view_passes(self) -> bool:
+        """Will a pass run on a view of the store's packed row words
+        (the store holds them and ``compile_packed`` answers)?  View
+        passes are built without cache keys and counted as hits."""
+        return self._packs() and (
             self.dataset.packed_window(0, 1) is not None
         )
 
-    def _partition_tasks(
-        self, params: dict, boards_per_pass: int = 1
-    ) -> list[PartitionTask]:
-        """Self-contained, picklable work units for ``params`` (already
-        resolved by ``workload.batch_params``): each device shard's
+    def _partition_tasks(self, boards_per_pass: int = 1) -> list[PartitionTask]:
+        """Self-contained, picklable work units: each device shard's
         boards cut into the fewest runs of at most ``boards_per_pass``
         row-consecutive boards, near-equal (sizes differ by at most one
         board, so no short tail pass), never crossing a shard
         boundary."""
-        items = tuple(sorted(params.items()))
-        tasks = self._tasks.get((items, boards_per_pass))
+        tasks = self._tasks.get(boards_per_pass)
         if tasks is not None:
             return tasks
-        macro = params.get("macro_config", MacroConfig())
+        items = tuple(sorted(self.params.items()))
+        macro = self.params.get("macro_config", MacroConfig())
         flavor = ("workload", self.workload.name) + self.workload.cache_params(
-            params
+            self.params
         )
-        packed = self._packs(params)
+        packed = self._packs()
         # Only a pass that will consult the cache needs keys (and the
         # digest scan behind them): a view pass compiles nothing.
-        keyed = self.cache is not None and not self._view_passes(params)
+        keyed = self.cache is not None and not self._view_passes()
 
         def board_key(start: int, end: int) -> tuple | None:
             # Content-addressed per board: no positional component, and
@@ -1235,17 +1216,14 @@ class WorkloadSearch(Batchable):
                     params=items,
                 ))
             shard_lo += n_boards
-        self._tasks[(items, boards_per_pass)] = tasks
+        self._tasks[boards_per_pass] = tasks
         return tasks
 
     def search(self, queries_bits: np.ndarray) -> WorkloadRunResult:
         """Run a query batch; merged result over all partitions."""
         queries_bits = normalize_queries(queries_bits, self.d)
         n_q = queries_bits.shape[0]
-        params = self.workload.batch_params(self.params, n_q, self.n, self.d)
-        tasks = self._partition_tasks(
-            params, self._boards_per_pass(params, n_q)
-        )
+        tasks = self._partition_tasks(self._boards_per_pass(n_q))
         counters = RuntimeCounters()
         partials, offsets = [], []
         passes = 0
@@ -1260,7 +1238,7 @@ class WorkloadSearch(Batchable):
                     partials.append(res.payload)
                     offsets.append(task.start)
         self._m_passes.inc(passes)
-        if self.cache is not None and self._view_passes(params):
+        if self.cache is not None and self._view_passes():
             # Boards served without a compile are hits, whoever held the
             # bytes: one bump per search, where every backend can see
             # the engine's cache.
@@ -1270,15 +1248,15 @@ class WorkloadSearch(Batchable):
         # reconfigurations"), in ONE batched offset-aware pass.
         with _metrics.stage("merge"):
             if partials:
-                value = self.workload.merge(partials, offsets, params)
+                value = self.workload.merge(partials, offsets, self.params)
             else:
-                value = self.workload.empty(n_q, params)
+                value = self.workload.empty(n_q, self.params)
         return WorkloadRunResult(
             workload=self.workload.name,
             value=value,
             counters=counters,
             per_device_partitions=self.per_device_partitions,
-            execution=params.get("execution", "functional"),
+            execution=self.params.get("execution", "functional"),
             n_workers=run.n_workers,
             transport=run.transport,
             ipc_payload_bytes=run.ipc_payload_bytes,

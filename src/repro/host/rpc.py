@@ -75,8 +75,7 @@ connection is aborted).  ``failed_shards`` now names whole groups: a
 slot only degrades when every replica in it failed.
 :meth:`ShardServer.drain` plus the CLI's SIGTERM handler give rolling
 restarts a graceful exit — stop accepting, finish in-flight requests
-(bounded), then close — so a replica can be replaced under traffic
-and rejoin warm via ``cache_dir``.
+(bounded), then close — so a replica can be replaced under traffic.
 
 :class:`RemoteWorkloadSearch` wraps the pool in the same
 ``search()``/``batched()`` surface as the local
@@ -542,13 +541,6 @@ class ShardServer:
                 f"n_devices={self.n_devices} out of range for an "
                 f"{self.n}-row shard"
             )
-        # Every workload this server could be asked to run must admit
-        # the shard's geometry NOW — before the socket binds — so a bad
-        # shard file fails at startup with a clear error, not on the
-        # first client query.
-        for wl_name in (workloads if workloads is not None
-                        else available_workloads()):
-            get_workload(wl_name).validate_dataset(self.n, self.d)
         self._cache = WorkloadSearch._normalize_cache(
             engine_kwargs.pop("cache", True)
         )
@@ -561,8 +553,16 @@ class ShardServer:
         if unknown:
             raise TypeError(f"unknown engine settings {sorted(unknown)}")
         engine_kwargs.setdefault("device", GEN1)
-        engine_kwargs.setdefault("execution", "auto")
         self._settings = engine_kwargs
+        # Every workload this server could be asked to run must admit
+        # the shard's geometry and the deployment's settings NOW —
+        # before the socket binds — so a bad shard file or setting
+        # fails at startup with a clear error, not on the first query.
+        for wl_name in (workloads if workloads is not None
+                        else available_workloads()):
+            workload = get_workload(wl_name)
+            workload.validate_dataset(self.n, self.d)
+            workload.validate_settings(self._settings)
         # One engine per distinct request shape, keyed (workload name,
         # sorted normalized params items).
         self._engines: dict[tuple, object] = {}

@@ -147,51 +147,37 @@ class TestEmptyReportDtypes:
             assert res.indices.dtype == np.int64
 
 
-class TestAutoExecutionChoice:
-    """execution="auto" resolves per batch, in the kNN workload's
-    ``batch_params``, from the true cost over n vectors (not capacity)."""
+class TestExecutionDefault:
+    """``"functional"`` is the one default; ``"simulate"`` is an opt-in
+    that must agree with it bit for bit, counters included."""
 
-    @staticmethod
-    def _chosen(eng, n_queries):
-        return eng.workload.batch_params(
-            eng.params, n_queries, eng.n, eng.d
-        )["execution"]
+    def test_default_is_functional_and_equals_simulate(self):
+        rng = np.random.default_rng(21)
+        data = rng.integers(0, 2, (40, 8), dtype=np.uint8)
+        queries = rng.integers(0, 2, (3, 8), dtype=np.uint8)
+        eng = APSimilaritySearch(data, k=4, board_capacity=16)
+        res = eng.search(queries)
+        assert eng.execution == res.execution == "functional"
+        ref = APSimilaritySearch(
+            data, k=4, board_capacity=16, execution="simulate"
+        ).search(queries)
+        assert (res.indices == ref.indices).all()
+        assert (res.distances == ref.distances).all()
+        assert res.counters == ref.counters
 
-    def _cost(self, eng, n_queries):
-        states_per_vector = 2 * eng.d + 8
-        return (
-            eng.n * states_per_vector * eng.layout.block_length * n_queries
-        )
-
-    def test_boundary_at_exact_limit(self, monkeypatch):
-        rng = np.random.default_rng(15)
-        data = rng.integers(0, 2, (30, 8), dtype=np.uint8)
-        eng = APSimilaritySearch(data, k=1, board_capacity=8, execution="auto")
-        cost = self._cost(eng, 4)
-        monkeypatch.setattr(workload_mod, "_AUTO_SIM_LIMIT", cost)
-        assert self._chosen(eng, 4) == "simulate"  # cost == limit
-        monkeypatch.setattr(workload_mod, "_AUTO_SIM_LIMIT", cost - 1)
-        assert self._chosen(eng, 4) == "functional"  # just above
-
-    def test_small_final_partition_not_overcharged(self, monkeypatch):
-        """n=cap+1 must cost barely more than n=cap, not double: the
-        old estimate charged the 1-vector tail partition at full
-        board capacity."""
-        rng = np.random.default_rng(16)
-        cap = 16
-        data = rng.integers(0, 2, (cap + 1, 8), dtype=np.uint8)
-        eng = APSimilaritySearch(
-            data, k=1, board_capacity=cap, execution="auto"
-        )
-        assert len(eng.partitions) == 2
-        cost = self._cost(eng, 1)  # 17 vectors' worth, not 32
-        monkeypatch.setattr(workload_mod, "_AUTO_SIM_LIMIT", cost)
-        assert self._chosen(eng, 1) == "simulate"
-
-    def test_explicit_mode_wins(self):
+    @pytest.mark.parametrize("execution", ["auto", "bogus"])
+    @pytest.mark.parametrize("make", [
+        lambda data, execution: APSimilaritySearch(
+            data, k=2, execution=execution
+        ),
+        lambda data, execution: workload_mod.WorkloadSearch(
+            data, "knn", {"k": 2, "execution": execution}
+        ),
+    ], ids=["APSimilaritySearch", "WorkloadSearch"])
+    def test_unknown_execution_refused(self, make, execution):
         data = np.zeros((4, 4), dtype=np.uint8)
-        eng = APSimilaritySearch(data, k=1, execution="functional")
-        assert self._chosen(eng, 10**9) == "functional"
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            make(data, execution)
 
 
 class TestEngineAccounting:

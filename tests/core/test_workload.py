@@ -298,7 +298,7 @@ class TestWorkloadPasses:
         data, queries = _data(n=64)
         engine = WorkloadSearch(data, _PackedPopcount(), {}, board_capacity=16,
                                 cache=True)
-        [task] = engine._partition_tasks(engine.params, boards_per_pass=4)
+        [task] = engine._partition_tasks(boards_per_pass=4)
         result = engine.workload.execute_task(task, queries, engine.cache)
         assert result.passes == 1
         assert result.counters.configurations == 4
@@ -308,7 +308,7 @@ class TestWorkloadPasses:
     def test_a_workload_without_either_compile_hook_is_named(self):
         data, queries = _data(n=64)
         engine = WorkloadSearch(data, _Hollow(), {}, board_capacity=16)
-        task = engine._partition_tasks(engine.params)[0]
+        task = engine._partition_tasks()[0]
         with pytest.raises(NotImplementedError, match="'toy-hollow'"):
             engine.workload.execute_task(task, queries, None)
 
@@ -328,7 +328,8 @@ class TestWorkloadPasses:
         return seen
 
     @pytest.mark.parametrize("execution,n_q,fused", [
-        ("simulate", 2, False), ("auto", 1, False), ("auto", 64, True),
+        ("simulate", 2, False), ("functional", 1, True),
+        ("functional", 64, True),
     ])
     def test_simulate_tasks_stay_one_board(
         self, execution, n_q, fused, monkeypatch
@@ -337,7 +338,6 @@ class TestWorkloadPasses:
         are handed to workers as multi-board passes."""
         data, _ = _data(n=24, d=8)
         queries = _data(n=24, d=8, n_queries=n_q, seed=5)[1]
-        monkeypatch.setattr(wl_mod, "_AUTO_SIM_LIMIT", 400_000)
 
         def engine():
             return WorkloadSearch(
@@ -373,7 +373,7 @@ class TestWorkloadPasses:
             engine = WorkloadSearch(self._store(kind, data, tmp_path), "knn",
                                     {"k": 3, "execution": "functional"},
                                     board_capacity=16)
-            assert engine._view_passes(engine.params) == (kind == "pds")
+            assert engine._view_passes() == (kind == "pds")
             seen.clear()
             with one_board_per_pass():
                 engine.search(queries)
@@ -394,8 +394,8 @@ class TestWorkloadPasses:
             engine = WorkloadSearch(self._store(kind, data, tmp_path), "knn",
                                     {"k": 3, "execution": "functional"},
                                     board_capacity=512)
-            per_pass = engine._boards_per_pass(engine.params, n_q)
-            tasks = engine._partition_tasks(engine.params, per_pass)
+            per_pass = engine._boards_per_pass(n_q)
+            tasks = engine._partition_tasks(per_pass)
             plans.append([(t.start, t.end) for t in tasks])
         assert plans[0] == plans[1]
 
@@ -420,8 +420,8 @@ class TestWorkloadPasses:
                                   cache=True)
 
         eng = engine()
-        assert eng._boards_per_pass(eng.params, len(queries)) == 14
-        tasks = eng._partition_tasks(eng.params, 14)
+        assert eng._boards_per_pass(len(queries)) == 14
+        tasks = eng._partition_tasks(14)
         bounds = eng.shard_bounds.tolist()
         for lo, hi, n_boards in zip(bounds, bounds[1:],
                                     eng.per_device_partitions):
@@ -478,7 +478,7 @@ class TestWorkloadPasses:
         data, queries = _data(n=1 << 14, d=64, n_queries=256)
         engine = WorkloadSearch(data, name, params,
                                 board_capacity=256, cache=True)
-        assert engine._boards_per_pass(engine.params, 256) == 4
+        assert engine._boards_per_pass(256) == 4
         engine.search(queries)  # compile outside the measured search
         tracemalloc.start()
         try:

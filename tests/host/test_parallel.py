@@ -360,10 +360,10 @@ class TestProcessCacheShipback:
         eng = APSimilaritySearch(
             data, k=3, board_capacity=12, execution="functional", cache=cache
         )
-        tasks = eng._partition_tasks(eng.params, boards_per_pass=3)
+        tasks = eng._partition_tasks(boards_per_pass=3)
         assert [len(t.boards) for t in tasks] == [3, 3]
         # The reference: the same engine's one-board tasks, merged per run.
-        one = eng._partition_tasks(eng.params)
+        one = eng._partition_tasks()
         one_res = run_partitions(one, queries, cache=BoardImageCache()).results
         ref = []
         for task in tasks:

@@ -452,7 +452,7 @@ class TestFallback:
             data, k=3, board_capacity=12, execution="functional"
         )
         run = run_partitions(
-            eng._partition_tasks(eng.params),
+            eng._partition_tasks(),
             queries,
             _process(measure_ipc=True),
         )
@@ -471,7 +471,7 @@ class TestFallback:
             )
             return sum(
                 len(pickle.dumps((t, queries), protocol=pickle.HIGHEST_PROTOCOL))
-                for t in eng._partition_tasks(eng.params)
+                for t in eng._partition_tasks()
             )
 
         assert submitted_bytes(_process()) * 3 < submitted_bytes(None)

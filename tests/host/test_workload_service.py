@@ -231,12 +231,10 @@ class TestRemoteWorkloads:
         data, queries = _data()
         workload = get_workload(name)
         bounds = balanced_shard_bounds(data.shape[0], 2)
-        # execution="auto" is the ShardServer default; the resolved tag
-        # travels in the response
+        # The ShardServer runs each workload's own default execution;
+        # its tag travels in the response.
         shard_results = [
-            WorkloadSearch(
-                data[lo:hi], name, {**params, "execution": "auto"}
-            ).search(queries)
+            WorkloadSearch(data[lo:hi], name, params).search(queries)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         out = len(shard_results) * len(pack_frame(
@@ -339,6 +337,14 @@ class TestWorkloadAdmission:
         data, _ = _data(n=40)
         with pytest.raises(KeyError, match="unknown workload"):
             ShardServer(data, workloads=("knn", "no-such"))
+
+    @pytest.mark.parametrize("execution", ["auto", "bogus"])
+    def test_bad_execution_rejected_at_construction(self, execution):
+        """Deployment settings are checked before the socket binds, not
+        on the first query."""
+        data, _ = _data(n=40)
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            ShardServer(data, execution=execution)
 
 
 def _serve_workload_shard(data, shard_index, n_shards, address_queue):

@@ -1,8 +1,9 @@
 """A serving process loads only what it serves.
 
 Each gate runs in a fresh interpreter (``sys.modules`` and ``VmHWM`` of
-the pytest process say nothing about a server's): the functional path —
-library engine or a ``ShardServer`` answering over loopback — must
+the pytest process say nothing about a server's): the default path —
+library engine or a ``ShardServer`` answering over loopback, both
+built without an ``execution`` argument — must
 finish without ``scipy`` or ``networkx`` imported and within a stated
 memory budget over the interpreter + NumPy floor, while the
 cycle-accurate path imports ``scipy.sparse`` exactly when it builds its
@@ -52,7 +53,7 @@ out = {}
 if mode == "server":
     from repro.host.rpc import RemoteShard, ShardServer
 
-    server = ShardServer(data, board_capacity=64, execution="functional")
+    server = ShardServer(data, board_capacity=64)
     server.start()
     try:
         with RemoteShard("{}:{}".format(*server.address)) as shard:
@@ -67,7 +68,7 @@ else:
 
     value = APSimilaritySearch(
         data[:64] if mode == "simulate" else data,
-        k=3, board_capacity=64, execution="functional",
+        k=3, board_capacity=64,
     ).search(queries)
 
 out["heavy_after_functional"] = heavy()

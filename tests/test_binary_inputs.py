@@ -12,7 +12,6 @@ import pytest
 from repro.baselines.cpu import CPUHammingKnn
 from repro.baselines.fpga import FPGAKnnAccelerator
 from repro.core.dataset import ArrayStore, ShmStore
-from repro.core.images import export_image_library
 from repro.core.index_automata import IndexGatedSearch
 from repro.index.kdtree import RandomizedKDTrees
 from repro.index.lsh import HammingLSH
@@ -26,31 +25,30 @@ def _kd():
 
 
 ENTRY_POINTS = {
-    "cpu": lambda bad, tmp: CPUHammingKnn(bad),
-    "cpu.search": lambda bad, tmp: CPUHammingKnn(ROWS).search(bad, 3),
+    "cpu": lambda bad: CPUHammingKnn(bad),
+    "cpu.search": lambda bad: CPUHammingKnn(ROWS).search(bad, 3),
     "cpu.search_priority_queue":
-        lambda bad, tmp: CPUHammingKnn(ROWS).search_priority_queue(bad[0], 3),
-    "fpga": lambda bad, tmp: FPGAKnnAccelerator(bad),
-    "fpga.search": lambda bad, tmp: FPGAKnnAccelerator(ROWS).search(bad, 3),
-    "index": lambda bad, tmp: RandomizedKDTrees(bad),
-    "index.search": lambda bad, tmp: _kd().search(bad, 3),
-    "index.scan": lambda bad, tmp: _kd().scan(bad, [[0]] * len(bad), 3),
-    "kdtree.query_buckets": lambda bad, tmp: _kd().query_buckets(bad[0]),
+        lambda bad: CPUHammingKnn(ROWS).search_priority_queue(bad[0], 3),
+    "fpga": lambda bad: FPGAKnnAccelerator(bad),
+    "fpga.search": lambda bad: FPGAKnnAccelerator(ROWS).search(bad, 3),
+    "index": lambda bad: RandomizedKDTrees(bad),
+    "index.search": lambda bad: _kd().search(bad, 3),
+    "index.scan": lambda bad: _kd().scan(bad, [[0]] * len(bad), 3),
+    "kdtree.query_buckets": lambda bad: _kd().query_buckets(bad[0]),
     "lsh.query_buckets":
-        lambda bad, tmp: HammingLSH(ROWS, hash_bits=4).query_buckets(bad[0]),
-    "indexed_ap.search": lambda bad, tmp: IndexedAPSearch(_kd()).search(bad, 3),
-    "index_automata": lambda bad, tmp: IndexGatedSearch(bad, 2),
+        lambda bad: HammingLSH(ROWS, hash_bits=4).query_buckets(bad[0]),
+    "indexed_ap.search": lambda bad: IndexedAPSearch(_kd()).search(bad, 3),
+    "index_automata": lambda bad: IndexGatedSearch(bad, 2),
     "index_automata.search":
-        lambda bad, tmp: IndexGatedSearch(ROWS, 2).search(bad, 3),
+        lambda bad: IndexGatedSearch(ROWS, 2).search(bad, 3),
     "index_automata.query_bucket":
-        lambda bad, tmp: IndexGatedSearch(ROWS, 2).query_bucket(bad[0]),
-    "images": lambda bad, tmp: export_image_library(bad, 16, tmp),
-    "array_store": lambda bad, tmp: ArrayStore(bad),
-    "shm_store": lambda bad, tmp: ShmStore.export(bad),
+        lambda bad: IndexGatedSearch(ROWS, 2).query_bucket(bad[0]),
+    "array_store": lambda bad: ArrayStore(bad),
+    "shm_store": lambda bad: ShmStore.export(bad),
 }
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_non_bits_are_rejected_before_narrowing(entry, non_binary, tmp_path):
+def test_non_bits_are_rejected_before_narrowing(entry, non_binary):
     with pytest.raises(ValueError, match="binary|only 0 and 1"):
-        ENTRY_POINTS[entry](non_binary(ROWS), tmp_path)
+        ENTRY_POINTS[entry](non_binary(ROWS))

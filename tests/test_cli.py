@@ -142,6 +142,18 @@ class TestSearch:
         assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_auto_execution_is_gone(self, command, dataset_files, capsys):
+        d, q, *_ = dataset_files
+        argv = [command, d] + ([q] if command == "search" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--execution", "auto"])
+        assert exc.value.code == 2
+        assert (
+            "argument --execution: invalid choice: 'auto'"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["search", "serve"])
     def test_pinned_backend_is_gone(self, command, dataset_files, capsys):
         d, q, *_ = dataset_files
         argv = [command, d] + ([q] if command == "search" else [])
@@ -152,21 +164,6 @@ class TestSearch:
             "argument --backend: invalid choice: 'pinned'"
             in capsys.readouterr().err
         )
-
-    def test_cache_dir_warm_start_reports_zero_recompiles(
-        self, dataset_files, tmp_path, capsys
-    ):
-        d, q, *_ = dataset_files
-        cache_dir = str(tmp_path / "imgcache")
-        args = ["search", d, q, "--board-capacity", "16",
-                "--execution", "functional", "--cache-dir", cache_dir]
-        main(args)
-        cold = capsys.readouterr().out
-        assert "4 recompile(s)" in cold
-        main(args)  # fresh cache instance, same directory: warm start
-        warm = capsys.readouterr().out
-        assert "0 recompile(s)" in warm
-        assert "(4 from disk)" in warm
 
 
 class TestPack:
