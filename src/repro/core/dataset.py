@@ -651,6 +651,15 @@ class DatasetSliceRef:
     def _mmap_store(self) -> MmapStore:
         return attach_mmap_store(self.path, self.file_id)
 
+    def window(self, lo: int, hi: int) -> "DatasetSliceRef":
+        """The handle to rows ``[lo, hi)`` of this window."""
+        if lo == 0 and hi == self.hi - self.lo:
+            return self
+        return DatasetSliceRef(
+            self.kind, self.lo + lo, self.lo + hi, self.d, self.path,
+            self.file_id, self.shm_ref,
+        )
+
     def packed_window(self) -> np.ndarray:
         if self.kind == "mmap":
             return self._mmap_store().packed_window(self.lo, self.hi)

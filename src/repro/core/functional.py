@@ -116,18 +116,23 @@ class FunctionalKnnBoard:
         return query_idx, (order + self.report_code_base).ravel(), cycles.ravel()
 
     def topk_block(
-        self, queries_bits: np.ndarray, k: int
+        self, queries_bits: np.ndarray, k: int, prior=None, base: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest vectors per query: ``(indices, distances)``,
         ``(q, k_eff)`` int64, ``k_eff = min(k, n)``, rows ordered by
         (distance, partition-local index) — the library-wide tie-break.
 
         The one exact Hamming top-k,
-        :func:`~repro.util.topk.hamming_topk`, over the board's words.
+        :func:`~repro.util.topk.hamming_topk`, over the board's words —
+        rows ``[base, base + n)`` of a scan whose block over the rows
+        before them is ``prior``, when one is carried.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        return hamming_topk(pack_bits(queries_bits), self._packed, k, self.layout.d)
+        return hamming_topk(
+            pack_bits(queries_bits), self._packed, k, self.layout.d,
+            prior=prior, base=base,
+        )
 
     def query_topk(
         self, queries_bits: np.ndarray, k: int

@@ -21,7 +21,8 @@ layers actually rely on into a :class:`Workload` protocol:
 * ``execute(artifact, queries, params) → (partial, counters)`` — one
   pass producing a *pass-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
-  record;
+  record; a workload that :attr:`~Workload.carries` also takes the
+  running partial of the task's earlier passes;
 * ``merge(partials, offsets, params) → result`` — the offset-aware
   host merge.  Merging must be **associative** and every merged result
   must itself be a valid partial (with offset 0), which is what lets
@@ -45,7 +46,8 @@ custom_workload.py`` and the README's "Writing a custom workload".
 dataset into board-sized slices (never straddling a device boundary
 when ``n_devices > 1``), groups runs of them into host passes sized
 for the host rather than the AP fabric, fans the passes out as
-:class:`~repro.host.parallel.PartitionTask`\\ s through
+:class:`~repro.host.parallel.PartitionTask`\\ s (one pass each, or a
+carrier's run of them per worker lane and device shard) through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
 persistent pools, slice-ref datasets, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
@@ -198,6 +200,11 @@ class Workload(ABC):
     wire_fields: tuple[str, ...] = ()
     #: Constructed by :meth:`unpack` as ``result_type(*arrays)``.
     result_type: type = tuple
+    #: True when :meth:`execute` takes ``prior=``, the partial of the
+    #: task's rows ``[0, base)``, and ``base=``, and returns the partial
+    #: of rows ``[0, base + rows)``: each worker lane's passes of a device
+    #: shard then run as one task of windows.
+    carries: bool = False
 
     # -- parameters -------------------------------------------------------
 
@@ -347,82 +354,107 @@ class Workload(ABC):
         self, task: PartitionTask, queries_bits: np.ndarray, cache
     ) -> PartitionResult:
         """Worker-side entry — the one worker body: run a
-        :class:`~repro.host.parallel.PartitionTask`'s run of boards.
+        :class:`~repro.host.parallel.PartitionTask`'s windows of boards
+        in ascending row order, each window one host pass.
 
-        Where :meth:`compile_packed` answers, the run is ONE pass: one
-        ``compile_packed`` over the run's row words, one
+        Where :meth:`compile_packed` answers, a window is ONE pass: one
+        ``compile_packed`` over the window's row words, one
         :meth:`execute`.  The words are a view of the store's when the
         task's slice ref offers them — nothing is packed, hashed or
         looked up, and every board counts as served without a compile —
         else each board's words come from the cache (``pack_bits`` on a
-        miss), row-concatenated.  Otherwise each board resolves through
-        :meth:`compile` (cache-aware) and its own :meth:`execute`, and
-        :meth:`merge` joins them.  Process workers get an artifact
-        shuttle that serves the entries shipped with the task and
-        captures fresh builds for the return trip.  Dataset rows are
-        touched only when some board misses, and mmap pages are
-        released behind the pass.
+        miss), row-concatenated.  A workload that :attr:`carries` hands
+        each window's :meth:`execute` the running partial of the windows
+        before it; other windows' partials meet in one :meth:`merge`.
+        Where ``compile_packed`` does not answer, each board resolves
+        through :meth:`compile` (cache-aware) and its own
+        :meth:`execute`, and :meth:`merge` joins them.  Process workers
+        get an artifact shuttle that serves the entries shipped with the
+        task and captures fresh builds for the return trip.  Dataset
+        rows are touched only when some board misses, one window's at a
+        time, and mmap pages are released behind each window.
         """
         params = dict(task.params)
-        boards = task.board_list()
         ref = task.dataset_slice
         d = ref.d if ref is not None else task.dataset_bits.shape[1]
         packed = _answers_packed(self.compile_packed, d, task.params)
         view = packed and ref is not None
-        # Task-local first row of each board (and the run's length).
-        starts = list(accumulate((n_rows for n_rows, _ in boards), initial=0))
-        shuttle, entries, rows_bits = None, [], None
-        if view:
-            hits = len(boards)
-        else:
-            if cache is None and boards[0][1] is not None:
-                cache = shuttle = _ArtifactShuttle(task.artifacts)
-            hits = 0
-            for (_, key), lo, hi in zip(boards, starts, starts[1:]):
-                cached = cache is not None and key is not None
-                entry = cache.get(key) if cached else None
-                if entry is not None:
-                    hits += 1
-                else:
-                    if rows_bits is None:
-                        rows_bits = task.rows()
-                    entry = (
-                        pack_bits(rows_bits[lo:hi]) if packed
-                        else self.compile(rows_bits[lo:hi], params)
-                    )
-                    if cached:
-                        cache.put(key, entry)
-                entries.append(entry)
-        if packed:
+        carry = packed and self.carries
+        shuttle = None
+        if not view and cache is None and task.board_list()[0][1] is not None:
+            cache = shuttle = _ArtifactShuttle(task.artifacts)
+        counters = RuntimeCounters()
+        partial, partials, offsets = None, [], []
+        hits = passes = 0
+        for lo, hi, boards in task.window_list():
+            # Task-local first row of each board (and the window's end).
+            starts = list(accumulate((n_rows for n_rows, _ in boards), initial=lo))
+            window = ref.window(lo, hi) if ref is not None else None
+            entries, rows_bits = [], None
             if view:
-                words = ref.packed_window()
+                hits += len(boards)
             else:
-                words = entries[0] if len(entries) == 1 else np.concatenate(entries)
-            partial, counters = self.execute(
-                self.compile_packed(words, d, params), queries_bits, params
-            )
-            counters.configurations *= len(boards)
-            counters.symbols_streamed *= len(boards)
-        else:
-            counters = RuntimeCounters()
-            partials = []
-            for artifact in entries:
-                board_partial, delta = self.execute(artifact, queries_bits, params)
+                for (_, key), a, b in zip(boards, starts, starts[1:]):
+                    cached = cache is not None and key is not None
+                    entry = cache.get(key) if cached else None
+                    if entry is not None:
+                        hits += 1
+                    else:
+                        if rows_bits is None:
+                            rows_bits = task.rows(lo, hi)
+                        rows = rows_bits[a - lo : b - lo]
+                        entry = (
+                            pack_bits(rows) if packed
+                            else self.compile(rows, params)
+                        )
+                        if cached:
+                            cache.put(key, entry)
+                    entries.append(entry)
+            if packed:
+                artifact = self.compile_packed(
+                    window.packed_window() if view
+                    else entries[0] if len(entries) == 1
+                    else np.concatenate(entries),
+                    d, params,
+                )
+                if carry:
+                    partial, delta = self.execute(
+                        artifact, queries_bits, params, prior=partial, base=lo
+                    )
+                else:
+                    window_partial, delta = self.execute(artifact, queries_bits, params)
+                    partials.append(window_partial)
+                    offsets.append(lo)
+                # The window's words go before the next window's come.
+                del artifact
+                delta.configurations *= len(boards)
+                delta.symbols_streamed *= len(boards)
                 counters.merge(delta)
-                partials.append(board_partial)
-            partial = self.merge(partials, starts[:-1], params)
-        if ref is not None and (view or rows_bits is not None):
-            # Drop the run's freshly faulted mmap pages back to the page
-            # cache so a worker's RSS stays bounded by one pass, not the
-            # whole shard it walks over a run.
-            ref.release()
+                passes += 1
+            else:
+                for artifact, a in zip(entries, starts):
+                    board_partial, delta = self.execute(artifact, queries_bits, params)
+                    counters.merge(delta)
+                    partials.append(board_partial)
+                    offsets.append(a)
+                passes += len(boards)
+            if window is not None and (view or rows_bits is not None):
+                # Drop the window's freshly faulted mmap pages back to
+                # the page cache so a worker's RSS stays bounded by one
+                # pass, not the whole shard it walks over a run.
+                window.release()
+        if not carry:
+            partial = (
+                partials[0] if packed and len(partials) == 1
+                else self.merge(partials, offsets, params)
+            )
         counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,
             counters=counters,
             payload=partial,
             artifacts=(shuttle.built or None) if shuttle is not None else None,
-            passes=1 if packed else len(boards),
+            passes=passes,
         )
 
 
@@ -511,6 +543,7 @@ class HammingKnnWorkload(Workload):
     )
     wire_fields = ("indices", "distances")
     result_type = KnnWorkloadResult
+    carries = True
 
     def validate_params(self, params: dict, n: int, d: int) -> dict:
         k = int(params.get("k", 10))
@@ -556,7 +589,10 @@ class HammingKnnWorkload(Workload):
             words, _knn_layout(d, params["macro_config"])
         )
 
-    def execute(self, artifact, queries_bits: np.ndarray, params: dict):
+    def execute(
+        self, artifact, queries_bits: np.ndarray, params: dict,
+        prior=None, base: int = 0,
+    ):
         from .engine import (
             decode_partition_topk,
             functional_pass_counters,
@@ -568,8 +604,13 @@ class HammingKnnWorkload(Workload):
         n_q = queries_bits.shape[0]
         if params["execution"] != "simulate":
             # The board's (q, min(k, n)) arrays are already the decoded,
-            # (distance, index)-ordered, pad-free block.
-            block = artifact.topk_block(queries_bits, k)
+            # (distance, index)-ordered, pad-free block; a carried one
+            # makes this pass a threshold filter (hamming_topk).
+            block = artifact.topk_block(
+                queries_bits, k,
+                prior=None if prior is None else (prior.indices, prior.distances),
+                base=base,
+            )
             counters = functional_pass_counters(n_q, artifact.n, artifact.layout)
             return KnnWorkloadResult(*block), counters
         layout = _knn_layout(queries_bits.shape[1], params["macro_config"])
@@ -1156,10 +1197,13 @@ class WorkloadSearch(Batchable):
 
     def _partition_tasks(self, boards_per_pass: int = 1) -> list[PartitionTask]:
         """Self-contained, picklable work units: each device shard's
-        boards cut into the fewest runs of at most ``boards_per_pass``
-        row-consecutive boards, near-equal (sizes differ by at most one
-        board, so no short tail pass), never crossing a shard
-        boundary."""
+        boards cut into the fewest passes (windows) of at most
+        ``boards_per_pass`` row-consecutive boards, near-equal (sizes
+        differ by at most one board, so no short tail pass), never
+        crossing a shard boundary.  A task is one pass, except for a
+        workload that :attr:`~Workload.carries`: its task is one run of
+        windows per (worker lane, device shard), so every window after a
+        task's first answers as a threshold filter."""
         tasks = self._tasks.get(boards_per_pass)
         if tasks is not None:
             return tasks
@@ -1169,6 +1213,10 @@ class WorkloadSearch(Batchable):
             self.params
         )
         packed = self._packs()
+        lanes = (
+            max(1, self.parallel.effective_workers)
+            if packed and self.workload.carries else None
+        )
         # Only a pass that will consult the cache needs keys (and the
         # digest scan behind them): a view pass compiles nothing.
         keyed = self.cache is not None and not self._view_passes()
@@ -1199,8 +1247,11 @@ class WorkloadSearch(Batchable):
         for n_boards in self.per_device_partitions:
             n_runs = -(-n_boards // boards_per_pass)
             cuts = [shard_lo + i * n_boards // n_runs for i in range(n_runs + 1)]
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                run = self.partitions[lo:hi]
+            n_tasks = n_runs if lanes is None else min(lanes, n_runs)
+            marks = [i * n_runs // n_tasks for i in range(n_tasks + 1)]
+            for first, last in zip(marks[:-1], marks[1:]):
+                windows = tuple(np.diff(cuts[first : last + 1]).tolist())
+                run = self.partitions[cuts[first] : cuts[last]]
                 start, end = run[0][0], run[-1][1]
                 ref = self.dataset.slice_ref(start, end)
                 tasks.append(PartitionTask(
@@ -1212,6 +1263,7 @@ class WorkloadSearch(Batchable):
                     ),
                     dataset_slice=ref,
                     boards=tuple((b - a, board_key(a, b)) for a, b in run),
+                    windows=windows if len(windows) > 1 else (),
                     workload=self.workload.name,
                     params=items,
                 ))

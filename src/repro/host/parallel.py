@@ -11,14 +11,18 @@ the partition-local partial result plus the partition's
 both in partition order, so results are bit-identical to sequential
 execution, counter aggregation is exact and tie-breaks are untouched.
 
-A task is one *host pass*: a run of row-consecutive boards the engine
-sized for the host (``repro.core.workload``: board capacity is an AP
-constraint, and a ~1024-row NumPy pass is mostly Python), which the
-worker body runs as one ``Workload.compile_packed`` artifact over the
-boards' packed row words — a view of the store's where it holds them,
-else each board's words from the cache, packed on a miss — and one
-``execute``.  A workload without ``compile_packed`` gets one-board
-tasks; hand-built tasks are one board.
+A task is a run of row-consecutive boards cut into *windows*, each one
+*host pass* the engine sized for the host (``repro.core.workload``:
+board capacity is an AP constraint, and a ~1024-row NumPy pass is
+mostly Python).  The worker body runs a window as one
+``Workload.compile_packed`` artifact over the boards' packed row words
+— a view of the store's where it holds them, else each board's words
+from the cache, packed on a miss — and one ``execute``.  A task is one
+window, except for a workload that carries its partial across windows
+(functional kNN): its task is one worker lane's run of a device
+shard's windows, each later window a threshold filter under the
+running k-th distances.  A workload without ``compile_packed`` gets
+one-board tasks; hand-built tasks are one board.
 
 Backends
 --------
@@ -250,9 +254,13 @@ class ParallelConfig:
 
 @dataclass(frozen=True)
 class PartitionTask:
-    """One host pass's worth of work, self-contained and picklable: a
-    run of row-consecutive board partitions ``[start, end)`` (one board
-    for a hand-built task).
+    """One worker lane's run of host passes, self-contained and
+    picklable: row-consecutive board partitions ``[start, end)`` (one
+    board for a hand-built task), cut into *windows* — the passes, each
+    a run of boards under the engine's pass budgets — that the worker
+    runs in ascending row order.  Only a workload that carries its
+    partial from window to window (``Workload.carries``) gets more than
+    one window per task; every other task is one pass.
 
     ``workload`` names the registered :class:`~repro.core.workload.
     Workload` that executes it and ``params`` carries that workload's
@@ -286,6 +294,8 @@ class PartitionTask:
     # Per-board ``(rows, cache_key)`` of the run, in row order; empty =
     # one board of ``end - start`` rows under ``cache_key``.
     boards: tuple = ()
+    # Boards per window, in row order; empty = one window of them all.
+    windows: tuple = ()
     # Which registered workload executes this task (repro.core.workload).
     workload: str = "knn"
     # Workload parameters as sorted (key, value) items — hashable, and
@@ -308,13 +318,28 @@ class PartitionTask:
         """``boards``, with a one-board task spelled out."""
         return self.boards or ((self.end - self.start, self.cache_key),)
 
-    def rows(self) -> np.ndarray:
-        """The run's ``(end - start, d)`` dataset rows: the attached
-        store window (one mapping per process, cached; zero-copy) when
-        the task carries a slice ref, else ``dataset_bits``."""
+    def window_list(self) -> list:
+        """``(lo, hi, boards)`` per window, in row order: its task-local
+        rows ``[lo, hi)`` and its slice of :meth:`board_list`."""
+        boards = self.board_list()
+        if not self.windows:
+            return [(0, self.end - self.start, boards)]
+        out, at, lo = [], 0, 0
+        for size in self.windows:
+            run = boards[at : at + size]
+            hi = lo + sum(rows for rows, _ in run)
+            out.append((lo, hi, run))
+            at, lo = at + size, hi
+        return out
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Task-local rows ``[lo, hi)`` as ``(hi - lo, d)`` 0/1 bytes:
+        unpacked from the attached store window (one mapping per
+        process, cached) when the task carries a slice ref, else a view
+        of ``dataset_bits``."""
         if self.dataset_slice is not None:
-            return self.dataset_slice.resolve()
-        return self.dataset_bits
+            return self.dataset_slice.window(lo, hi).resolve()
+        return self.dataset_bits[lo:hi]
 
 
 class _ArtifactShuttle:

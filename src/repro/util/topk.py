@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import _cdist_columns, _word_columns, default_cdist_tile
+from .bitops import _acc_dtype, _cdist_columns, _word_columns, default_cdist_tile
 
 __all__ = [
     "hamming_topk",
@@ -50,43 +50,95 @@ def _select_smallest(keys: np.ndarray, k: int, n: int, out=(None, None)):
 
 
 def hamming_topk(
-    query_words: np.ndarray, words: np.ndarray, k: int, d: int
+    query_words: np.ndarray,
+    words: np.ndarray,
+    k: int,
+    d: int,
+    prior: tuple[np.ndarray, np.ndarray] | None = None,
+    base: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact Hamming top-k of packed ``(q, w)`` queries over packed
-    ``(n, w)`` rows of ``d`` bits: ``(indices, distances)``, ``(q,
+    ``(m, w)`` rows of ``d`` bits: ``(indices, distances)``, ``(q,
     k_eff)`` int64, ``k_eff = min(k, n)``, each row ordered by
     (distance, row) — the library-wide tie-break.
+
+    ``words`` are rows ``[base, base + m)`` of a scan whose ``n = base +
+    m`` rows seen so far index the result.  ``prior`` carries the
+    scan's running block over rows ``[0, base)``: what this function
+    returned for them, ``(q, min(k, base))`` — or the same block padded
+    wider with ``(-1, -1)`` slots.  The call is then a threshold filter:
+    a query whose block holds ``k`` real rows can gain only rows at
+    ``distance < b``, ``b`` the block's ``k``-th distance (a later row
+    at ``b`` loses the tie to all ``k``, since rows arrive in ascending
+    order), and a short or padded block bounds nothing.  The columns
+    under a query tile's loosest bound — a superset of each query's
+    candidates, which selects the same — and the block's rows meet in
+    one select; a tile with no such column returns its block
+    unselected.  The result equals one call over all ``n`` rows, bit
+    for bit.
 
     Selection packs each ``(distance, row)`` pair into one unique key
     ``distance * n + row`` (uint32 while ``(d + 1) * n`` fits, else
     uint64), partitions the ``k_eff`` smallest to the front of each row
-    in ``O(n)``, sorts only those and divmods them back — never a full
-    ``O(n log n)`` sort, and the tie-break at the ``k``-th distance is
+    in ``O(m)``, sorts only those and divmods them back — never a full
+    ``O(m log m)`` sort, and the tie-break at the ``k``-th distance is
     exact rather than partition's arbitrary boundary subset.  Queries
     run in tiles (:func:`~repro.util.bitops.default_cdist_tile`), so
-    peak memory is one tile's ``(tile_q, n)`` kernel transients plus
-    its keys; rows wider than one word add the kernel's ``(w, n)``
+    peak memory is one tile's ``(tile_q, m)`` kernel transients plus
+    its keys; rows wider than one word add the kernel's ``(w, m)``
     column-order copy of ``words``, taken once per call.
 
     A scan over a subset of a dataset passes the subset's rows in
     ascending id order and maps the result back with ``ids[indices]``:
     local row order is then global id order, so ties break the same.
     """
-    n_q, n = query_words.shape[0], words.shape[0]
-    k_eff = min(int(k), n)
+    n_q, m = query_words.shape[0], words.shape[0]
+    base, k = int(base), int(k)
+    n = base + m
+    k_eff = min(k, n)
     key_dtype = _key_dtype((d + 1) * n)
     indices = np.empty((n_q, k_eff), dtype=np.int64)
     distances = np.empty((n_q, k_eff), dtype=np.int64)
-    idx = np.arange(n, dtype=key_dtype)
-    tile = default_cdist_tile(n, words.shape[1])
+    tile = default_cdist_tile(m, words.shape[1])
     columns = _word_columns(query_words, words)  # once, not per tile
+    if prior is None:
+        idx = np.arange(base, n, dtype=key_dtype)
+    else:
+        prior_idx, prior_dist = prior
+        # Each query's bound, in the kernel's dtype: its block's k-th
+        # distance.  A pad's distance, -1, wraps to the dtype's maximum,
+        # past every row, as does a block narrower than k: neither bounds.
+        acc = _acc_dtype(words.shape[1])
+        if prior_idx.shape[1] >= k:
+            bound = prior_dist[:, k - 1 : k].astype(acc)
+        else:
+            bound = np.full((n_q, 1), np.iinfo(acc).max, dtype=acc)
+        # Carried keys in this call's key space; a pad's -1 wraps to the
+        # maximum key, which sorts after every real one.
+        prior_keys = np.where(prior_idx < 0, -1, prior_dist * n + prior_idx)
     for lo in range(0, n_q, tile):
-        dist = _cdist_columns(query_words[lo : lo + tile], columns, np.bitwise_xor)
-        keys = np.multiply(dist, n, dtype=key_dtype)
-        keys += idx
-        _select_smallest(
-            keys, k_eff, n, (distances[lo : lo + tile], indices[lo : lo + tile])
-        )
+        hi = min(lo + tile, n_q)
+        dist = _cdist_columns(query_words[lo:hi], columns, np.bitwise_xor)
+        out = (distances[lo:hi], indices[lo:hi])
+        if prior is None:
+            keys = np.multiply(dist, n, dtype=key_dtype)
+            keys += idx
+        else:
+            # Every column nearer some query of the tile than the
+            # tile's loosest bound.
+            cand = np.flatnonzero(dist.min(axis=0) < bound[lo:hi].max())
+            if not cand.size:
+                out[0][:] = prior_dist[lo:hi, :k_eff]
+                out[1][:] = prior_idx[lo:hi, :k_eff]
+                continue
+            cand_keys = np.multiply(dist[:, cand], n, dtype=key_dtype)
+            cand += base
+            np.add(cand_keys, cand, out=cand_keys, casting="unsafe")
+            keys = np.concatenate(
+                (prior_keys[lo:hi], cand_keys), axis=1, dtype=key_dtype,
+                casting="unsafe",
+            )
+        _select_smallest(keys, k_eff, n, out)
     return indices, distances
 
 

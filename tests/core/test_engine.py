@@ -91,8 +91,8 @@ class TestShortTopkRegression:
         # through the merge.
         real = FunctionalKnnBoard.topk_block
 
-        def lossy(self, queries_bits, k):
-            indices, distances = real(self, queries_bits, k)
+        def lossy(self, queries_bits, k, **carry):
+            indices, distances = real(self, queries_bits, k, **carry)
             return indices[:, :1], distances[:, :1]  # drop most
 
         monkeypatch.setattr(FunctionalKnnBoard, "topk_block", lossy)

@@ -36,6 +36,7 @@ from repro.core.workload import (
     normalize_queries,
     register_workload,
 )
+from repro.host.parallel import ParallelConfig
 from repro.util.bitops import popcount_u64
 from tests.oracle import (
     PopcountNearest,
@@ -314,17 +315,19 @@ class TestWorkloadPasses:
 
     @staticmethod
     def _pass_sizes(monkeypatch):
-        """Record the boards of every pass a search hands a worker."""
-        import repro.host.parallel as hp
+        """Record the boards of every pass (a task's window) a worker
+        runs, in order."""
+        from repro.host.parallel import PartitionTask
 
         seen = []
-        real = hp.execute_partition
+        real = PartitionTask.window_list
 
-        def spy(task, queries_bits, cache=None):
-            seen.append(len(task.board_list()))
-            return real(task, queries_bits, cache)
+        def spy(task):
+            windows = real(task)
+            seen.extend(len(boards) for _, _, boards in windows)
+            return windows
 
-        monkeypatch.setattr(hp, "execute_partition", spy)
+        monkeypatch.setattr(PartitionTask, "window_list", spy)
         return seen
 
     @pytest.mark.parametrize("execution,n_q,fused", [
@@ -425,21 +428,58 @@ class TestWorkloadPasses:
         bounds = eng.shard_bounds.tolist()
         for lo, hi, n_boards in zip(bounds, bounds[1:],
                                     eng.per_device_partitions):
-            runs = [len(t.boards) for t in tasks if lo <= t.start < hi]
-            assert all(t.end <= hi for t in tasks if lo <= t.start < hi)
+            shard = [t for t in tasks if lo <= t.start < hi]
+            assert len(shard) == 1  # kNN: one task per (lane, shard)
+            runs = [len(b) for t in shard for _, _, b in t.window_list()]
+            assert all(t.end <= hi for t in shard)
             assert sum(runs) == n_boards
             assert len(runs) == -(-n_boards // 14)
             assert max(runs) - min(runs) <= 1
         assert [t.start for t in tasks[1:]] == [t.end for t in tasks[:-1]]
+        plan = [len(b) for t in tasks for _, _, b in t.window_list()]
         if n_devices == 1:
-            assert len(tasks) == 5
+            assert len(plan) == 5
 
         with one_board_per_pass():
             ref = run_snapshot(engine(), queries)
         seen = self._pass_sizes(monkeypatch)
         got = run_snapshot(engine(), queries)
-        assert seen == 2 * [len(t.boards) for t in tasks]
+        assert seen == 2 * plan
         assert_snapshots_equal(got, ref, f"{store}, {n_devices} devices")
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("n_devices", [1, 3])
+    def test_only_carriers_run_lane_tasks_of_windows(self, n_devices, lanes):
+        """A functional kNN task is one run of windows per (worker lane,
+        device shard), the windows being the passes every workload cuts;
+        Jaccard, range and cycle-accurate kNN keep one pass per task."""
+        data, queries = _data(n=57 * 16 - 5, d=64, n_queries=8)
+        parallel = ParallelConfig(n_workers=lanes, backend="thread")
+
+        def tasks(name, params):
+            engine = WorkloadSearch(data, name, params, board_capacity=16,
+                                    n_devices=n_devices, parallel=parallel)
+            return engine, engine._partition_tasks(
+                engine._boards_per_pass(len(queries))
+            )
+
+        knn, knn_tasks = tasks("knn", {"k": 5, "execution": "functional"})
+        windows = [(t.start + lo, t.start + hi)
+                   for t in knn_tasks for lo, hi, _ in t.window_list()]
+        bounds = knn.shard_bounds.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            shard = [t for t in knn_tasks if lo <= t.start < hi]
+            n_windows = sum(1 for w in windows if lo <= w[0] < hi)
+            assert len(shard) == min(lanes, n_windows)
+            assert all(t.end <= hi for t in shard)
+        for name, params in (("jaccard", {"k": 5}), ("range", {"radius": 20})):
+            _, plan = tasks(name, params)
+            assert all(t.windows == () for t in plan), name
+            assert [(t.start, t.end) for t in plan] == windows, name
+        sim, plan = tasks("knn", {"k": 5, "execution": "simulate"})
+        assert [(t.start, t.end, t.windows) for t in plan] == [
+            (a, b, ()) for a, b in sim.partitions
+        ]
 
     @pytest.mark.parametrize("n_q", [1, 8, 32])
     def test_gathered_passes_stay_within_their_memory(self, n_q):

@@ -349,54 +349,47 @@ class TestProcessCacheShipback:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_multi_board_tasks_keep_the_cache_per_board(self, backend):
-        """One task spanning several boards: every backend returns one
-        result per task equal to serial's, the cache still holds one
-        entry per board, and a pass that finds only some of its boards
-        cached (shipped, for process workers) rebuilds just the rest."""
+        """One task per worker lane, each two passes of several boards:
+        every backend returns one result per task equal to the same
+        lanes run one board per pass, the cache still holds one entry
+        per board, and a pass that finds only some of its boards cached
+        (shipped, for process workers) rebuilds just the rest."""
+        from dataclasses import replace
+
         from repro.ap.compiler import BoardImageCache
 
-        data, queries = _workload(n=72, d=16)  # 6 boards of 12
+        data, queries = _workload(n=144, d=16)  # 12 boards of 12
         cache = BoardImageCache()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional", cache=cache
+            data, k=3, board_capacity=12, execution="functional", cache=cache,
+            parallel=ParallelConfig(n_workers=2, backend="thread"),
         )
         tasks = eng._partition_tasks(boards_per_pass=3)
-        assert [len(t.boards) for t in tasks] == [3, 3]
-        # The reference: the same engine's one-board tasks, merged per run.
+        assert [len(t.boards) for t in tasks] == [6, 6]
+        assert [t.windows for t in tasks] == [(3, 3), (3, 3)]
+        # The reference: the same two lanes, one board per pass.
         one = eng._partition_tasks()
-        one_res = run_partitions(one, queries, cache=BoardImageCache()).results
-        ref = []
-        for task in tasks:
-            runs = [(t, r) for t, r in zip(one, one_res)
-                    if task.start <= t.start < task.end]
-            counters = RuntimeCounters()
-            for _, r in runs:
-                counters.merge(r.counters)
-            payload = eng.workload.merge(
-                [r.payload for _, r in runs],
-                [t.start - task.start for t, _ in runs], eng.params,
-            )
-            ref.append((payload, counters, sum(r.passes for _, r in runs)))
+        assert [(t.start, t.end) for t in one] == [(t.start, t.end) for t in tasks]
+        ref = run_partitions(one, queries, cache=BoardImageCache()).results
         config = ParallelConfig(n_workers=2, backend=backend)
         cold = run_partitions(tasks, queries, config, cache)
-        assert len(cache) == 6 and cache.stats.misses == 6
-        # a cache holding every board but the middle one of each task
+        assert len(cache) == 12 and cache.stats.misses == 12
+        # a cache holding every other board of each task
         holey = BoardImageCache()
         for task in tasks:
             for _, key in task.boards[::2]:
                 holey.put(key, cache.get(key))
         partial = run_partitions(tasks, queries, config, holey)
-        assert len(holey) == 6  # the two rebuilt boards are in
-        assert (holey.stats.hits, holey.stats.misses) == (4, 2)
-        for run, hits in ((cold, 0), (partial, 2)):
+        assert len(holey) == 12  # the six rebuilt boards are in
+        assert (holey.stats.hits, holey.stats.misses) == (6, 6)
+        for run, hits in ((cold, 0), (partial, 3)):
             assert [r.p_idx for r in run.results] == [0, 1]
-            for got, (payload, counters, passes) in zip(run.results, ref):
-                assert np.array_equal(got.payload.indices, payload.indices)
-                assert np.array_equal(got.payload.distances, payload.distances)
+            for got, want in zip(run.results, ref):
+                assert np.array_equal(got.payload.indices, want.payload.indices)
+                assert np.array_equal(got.payload.distances, want.payload.distances)
                 assert got.counters.image_cache_hits == hits
-                counters.image_cache_hits = hits
-                assert got.counters == counters
-                assert (got.passes, passes) == (1, 3)
+                assert got.counters == replace(want.counters, image_cache_hits=hits)
+                assert (got.passes, want.passes) == (2, 6)
 
     def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
         self, tmp_path, monkeypatch

@@ -447,15 +447,16 @@ class TestFallback:
         assert not os.path.exists(f"/dev/shm/{reserved[0]}")
 
     def test_measure_ipc_records_payload(self):
+        """A kNN engine cuts one task per worker lane (two here, of two
+        one-board windows each), so the run crosses to the pool."""
         data, queries = _workload()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional"
+            data, k=3, board_capacity=12, execution="functional",
+            parallel=_process(),
         )
-        run = run_partitions(
-            eng._partition_tasks(),
-            queries,
-            _process(measure_ipc=True),
-        )
+        tasks = eng._partition_tasks()
+        assert [t.windows for t in tasks] == [(1, 1), (1, 1)]
+        run = run_partitions(tasks, queries, _process(measure_ipc=True))
         assert run.transport == "pickle"
         assert run.ipc_payload_bytes > 0
 

@@ -335,7 +335,10 @@ def one_board_per_pass():
     worker body runs one artifact and one ``execute`` per board: the
     reference every multi-board pass must equal.  The one byte budget
     goes to zero, so gathered and view passes alike (an array, a mapped
-    ``.pds``, a shm segment, a served shard) run one board each."""
+    ``.pds``, a shm segment, a served shard) run one board each.  A kNN
+    task is then a lane's run of one-board windows, each after the
+    first carrying the k-th distances of the boards before it; the
+    reference's answers are still checked against brute force."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(workload_mod, "_PASS_BYTES", 0)
         yield

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.util import topk as topk_mod
+from repro.util.bitops import pack_bits
 from repro.util.topk import (
     BoundedPriorityQueue,
+    hamming_topk,
     merge_ragged_blocks,
     merge_topk,
     merge_topk_blocks,
@@ -343,3 +346,88 @@ class TestMergeRaggedBlocks:
         )
         for a, b in zip(shuffled, flat):
             assert (a == b).all()
+
+
+def _carried(query_words, words, k, d, cuts, pad=0):
+    """``hamming_topk`` over the row windows between ``cuts``, each call
+    carrying the block of the windows before it, padded ``pad`` slots
+    wider with ``(-1, -1)``."""
+    prior = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        if prior is not None and pad:
+            prior = tuple(
+                np.pad(a, ((0, 0), (0, pad)), constant_values=-1) for a in prior
+            )
+        prior = hamming_topk(query_words, words[lo:hi], k, d, prior=prior, base=lo)
+    return prior
+
+
+class TestCarriedHammingTopk:
+    """A scan's later windows answer as a threshold filter: carrying the
+    running block through ``prior=`` equals one unbounded call over the
+    concatenated rows, bit for bit."""
+
+    @given(
+        d=st.sampled_from([33, 64, 70, 130]),
+        n=st.integers(2, 40),
+        q=st.integers(1, 4),
+        k=st.integers(1, 48),  # often past the rows seen
+        pool=st.integers(1, 4),  # distinct rows: later rows sit at dist == b
+        pad=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+        inner=st.sets(st.integers(1, 39), max_size=4),  # window cuts
+    )
+    # a short block (k past the rows seen) bounds nothing
+    @example(d=33, n=13, q=2, k=18, pool=4, pad=0, seed=0, inner={5, 10})
+    # nor does a block whose k-th slot is a pad
+    @example(d=70, n=12, q=1, k=4, pool=1, pad=3, seed=0, inner={2})
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_call_over_all_rows(self, d, n, q, k, pool, pad, seed, inner):
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, 2, (pool, d), dtype=np.uint8)
+        rows = patterns[rng.integers(0, pool, n)]
+        query_words = pack_bits(rng.integers(0, 2, (q, d), dtype=np.uint8))
+        words = pack_bits(rows)
+        cuts = [0, *sorted(c for c in inner if c < n), n]
+        want = hamming_topk(query_words, words, k, d)
+        got = _carried(query_words, words, k, d, cuts, pad)
+        assert np.array_equal(got[0], want[0]), cuts
+        assert np.array_equal(got[1], want[1]), cuts
+
+    def test_rows_at_the_bound_lose_the_tie(self):
+        """Every later row repeats an earlier one: each sits exactly at
+        its query's carried k-th distance, and none may displace it."""
+        rng = np.random.default_rng(3)
+        rows = np.tile(rng.integers(0, 2, (6, 70), dtype=np.uint8), (4, 1))
+        query_words = pack_bits(rng.integers(0, 2, (3, 70), dtype=np.uint8))
+        words = pack_bits(rows)
+        for k in (1, 4, 6, 7, 24, 30):
+            got = _carried(query_words, words, k, 70, [0, 6, 12, 18, 24])
+            want = hamming_topk(query_words, words, k, 70)
+            assert np.array_equal(got[0], want[0]), k
+            assert np.array_equal(got[1], want[1]), k
+            # a copy is kept only behind its original
+            for kept in got[0].tolist():
+                assert all(i < 6 or i - 6 in kept for i in kept), k
+
+    def test_key_width_follows_the_rows_seen(self, monkeypatch):
+        """Keys index every row seen so far, not just the window's:
+        with the uint32 limit patched between the two, a uint32 key
+        block past the limit fails the spy."""
+        d, n, m = 64, 400, 100
+        rng = np.random.default_rng(5)
+        words = pack_bits(rng.integers(0, 2, (n, d), dtype=np.uint8))
+        query_words = pack_bits(rng.integers(0, 2, (4, d), dtype=np.uint8))
+        want = hamming_topk(query_words, words, 200, d)
+        limit = (d + 1) * m + 1  # a window's keys fit, the scan's do not
+        real = topk_mod._select_smallest
+
+        def narrow(keys, k, stride, out=(None, None)):
+            assert keys.dtype != np.uint32 or int(keys.max()) < limit
+            return real(keys, k, stride, out)
+
+        monkeypatch.setattr(topk_mod, "_KEY32_LIMIT", limit)
+        monkeypatch.setattr(topk_mod, "_select_smallest", narrow)
+        got = _carried(query_words, words, 200, d, list(range(0, n + 1, m)))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
