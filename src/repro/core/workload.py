@@ -365,8 +365,8 @@ class Workload(ABC):
         else each board's words come from the cache (``pack_bits`` on a
         miss), row-concatenated.  A workload that :attr:`carries` hands
         each window's :meth:`execute` the running partial of the windows
-        before it; other windows' partials meet in one :meth:`merge`.
-        Where ``compile_packed`` does not answer, each board resolves
+        before it; any other packed task is one window.  Where
+        ``compile_packed`` does not answer, each board resolves
         through :meth:`compile` (cache-aware) and its own
         :meth:`execute`, and :meth:`merge` joins them.  Process workers
         get an artifact shuttle that serves the entries shipped with the
@@ -380,13 +380,19 @@ class Workload(ABC):
         packed = _answers_packed(self.compile_packed, d, task.params)
         view = packed and ref is not None
         carry = packed and self.carries
+        windows = task.window_list()
+        if packed and not carry and len(windows) > 1:
+            raise ValueError(
+                f"workload {self.name!r} does not carry: a packed task is "
+                f"one window, got {len(windows)}"
+            )
         shuttle = None
         if not view and cache is None and task.board_list()[0][1] is not None:
             cache = shuttle = _ArtifactShuttle(task.artifacts)
         counters = RuntimeCounters()
         partial, partials, offsets = None, [], []
         hits = passes = 0
-        for lo, hi, boards in task.window_list():
+        for lo, hi, boards in windows:
             # Task-local first row of each board (and the window's end).
             starts = list(accumulate((n_rows for n_rows, _ in boards), initial=lo))
             window = ref.window(lo, hi) if ref is not None else None
@@ -422,9 +428,7 @@ class Workload(ABC):
                         artifact, queries_bits, params, prior=partial, base=lo
                     )
                 else:
-                    window_partial, delta = self.execute(artifact, queries_bits, params)
-                    partials.append(window_partial)
-                    offsets.append(lo)
+                    partial, delta = self.execute(artifact, queries_bits, params)
                 # The window's words go before the next window's come.
                 del artifact
                 delta.configurations *= len(boards)
@@ -443,11 +447,8 @@ class Workload(ABC):
                 # the page cache so a worker's RSS stays bounded by one
                 # pass, not the whole shard it walks over a run.
                 window.release()
-        if not carry:
-            partial = (
-                partials[0] if packed and len(partials) == 1
-                else self.merge(partials, offsets, params)
-            )
+        if not packed:
+            partial = self.merge(partials, offsets, params)
         counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,

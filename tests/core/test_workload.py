@@ -390,7 +390,8 @@ class TestWorkloadPasses:
     def test_one_plan_for_every_store(self, n_q, d, tmp_path):
         """A pass is sized by its bytes and pairs alone: an array engine
         (gathered passes) and a ``.pds`` engine (view passes) over the
-        same rows cut the same runs, whichever budget binds."""
+        same rows cut the same runs, whichever budget binds.  The runs
+        are the tasks' windows: a kNN task spans a whole lane's shard."""
         data, _ = _data(n=(1 << 15) - 5, d=d)
         plans = []
         for kind in ("array", "pds"):
@@ -399,7 +400,8 @@ class TestWorkloadPasses:
                                     board_capacity=512)
             per_pass = engine._boards_per_pass(n_q)
             tasks = engine._partition_tasks(per_pass)
-            plans.append([(t.start, t.end) for t in tasks])
+            plans.append([(t.start + lo, t.start + hi)
+                          for t in tasks for lo, hi, _ in t.window_list()])
         assert plans[0] == plans[1]
 
     @pytest.mark.parametrize("store", ["array", "pds"])
@@ -480,6 +482,20 @@ class TestWorkloadPasses:
         assert [(t.start, t.end, t.windows) for t in plan] == [
             (a, b, ()) for a, b in sim.partitions
         ]
+
+    def test_a_non_carrier_refuses_a_task_of_windows(self):
+        """Only a carrier runs several packed windows in one task: a
+        Jaccard task cut into two windows is refused, not answered from
+        its last window alone."""
+        from dataclasses import replace
+
+        data, queries = _data(n=64, d=64, n_queries=2)
+        engine = WorkloadSearch(data, "knn", {"k": 3}, board_capacity=16)
+        (task,) = engine._partition_tasks(2)
+        assert len(task.window_list()) == 2
+        jaccard = replace(task, workload="jaccard", params=(("k", 3),))
+        with pytest.raises(ValueError, match="does not carry"):
+            get_workload("jaccard").execute_task(jaccard, queries, None)
 
     @pytest.mark.parametrize("n_q", [1, 8, 32])
     def test_gathered_passes_stay_within_their_memory(self, n_q):

@@ -350,9 +350,9 @@ class TestProcessCacheShipback:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_multi_board_tasks_keep_the_cache_per_board(self, backend):
         """One task per worker lane, each two passes of several boards:
-        every backend returns one result per task equal to the same
-        lanes run one board per pass, the cache still holds one entry
-        per board, and a pass that finds only some of its boards cached
+        every backend returns one result per task equal to its boards
+        run one per task and merged, the cache still holds one entry per
+        board, and a pass that finds only some of its boards cached
         (shipped, for process workers) rebuilds just the rest."""
         from dataclasses import replace
 
@@ -367,10 +367,27 @@ class TestProcessCacheShipback:
         tasks = eng._partition_tasks(boards_per_pass=3)
         assert [len(t.boards) for t in tasks] == [6, 6]
         assert [t.windows for t in tasks] == [(3, 3), (3, 3)]
-        # The reference: the same two lanes, one board per pass.
-        one = eng._partition_tasks()
-        assert [(t.start, t.end) for t in one] == [(t.start, t.end) for t in tasks]
-        ref = run_partitions(one, queries, cache=BoardImageCache()).results
+        # The reference, independent of the carried block: each lane's
+        # boards as one-window tasks of their own, merged per lane run.
+        ref = []
+        for task in tasks:
+            offsets = np.cumsum([0] + [rows for rows, _ in task.boards]).tolist()
+            one = [
+                replace(task, p_idx=i, start=task.start + a,
+                        end=task.start + b, dataset_bits=task.dataset_bits[a:b],
+                        boards=(board,), windows=())
+                for i, (board, a, b) in enumerate(
+                    zip(task.boards, offsets, offsets[1:])
+                )
+            ]
+            runs = run_partitions(one, queries, cache=BoardImageCache()).results
+            counters = RuntimeCounters()
+            for r in runs:
+                counters.merge(r.counters)
+            payload = eng.workload.merge(
+                [r.payload for r in runs], offsets[:-1], eng.params
+            )
+            ref.append((payload, counters, sum(r.passes for r in runs)))
         config = ParallelConfig(n_workers=2, backend=backend)
         cold = run_partitions(tasks, queries, config, cache)
         assert len(cache) == 12 and cache.stats.misses == 12
@@ -384,12 +401,12 @@ class TestProcessCacheShipback:
         assert (holey.stats.hits, holey.stats.misses) == (6, 6)
         for run, hits in ((cold, 0), (partial, 3)):
             assert [r.p_idx for r in run.results] == [0, 1]
-            for got, want in zip(run.results, ref):
-                assert np.array_equal(got.payload.indices, want.payload.indices)
-                assert np.array_equal(got.payload.distances, want.payload.distances)
+            for got, (payload, counters, passes) in zip(run.results, ref):
+                assert np.array_equal(got.payload.indices, payload.indices)
+                assert np.array_equal(got.payload.distances, payload.distances)
                 assert got.counters.image_cache_hits == hits
-                assert got.counters == replace(want.counters, image_cache_hits=hits)
-                assert (got.passes, want.passes) == (2, 6)
+                assert got.counters == replace(counters, image_cache_hits=hits)
+                assert (got.passes, passes) == (2, 6)
 
     def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
         self, tmp_path, monkeypatch
