@@ -45,7 +45,7 @@ def _serve_replica_proc(data, address_queue):
     """Child-process entry: serve the full dataset as one shard."""
     from repro.host.rpc import ShardServer
 
-    server = ShardServer(data, execution="functional")
+    server = ShardServer(data)
     server.start()
     address_queue.put("{}:{}".format(*server.address))
     server._thread.join()
@@ -65,7 +65,7 @@ def run_kill_failover(n, d, q, k, batches, kill_at):
     from repro.host.rpc import RemoteShardPool
 
     data, queries = _workload(n, d, q)
-    ref = APSimilaritySearch(data, k=k, execution="functional").search(queries)
+    ref = APSimilaritySearch(data, k=k).search(queries)
 
     ctx = multiprocessing.get_context()
     address_queue = ctx.Queue()
@@ -126,8 +126,8 @@ def run_hedged_tail(n, d, q, k, requests, delay_s, every):
     from repro.host.rpc import ShardServer
 
     data, queries = _workload(n, d, q, seed=11)
-    slow = ShardServer(data, execution="functional").start()
-    healthy = ShardServer(data, execution="functional").start()
+    slow = ShardServer(data).start()
+    healthy = ShardServer(data).start()
     slow_addr = "{}:{}".format(*slow.address)
     healthy_addr = "{}:{}".format(*healthy.address)
     fault = FaultSpec("delay", delay_s=delay_s, every=every)

@@ -77,7 +77,7 @@ def run_overhead(n, q, k, cap, repeats, rounds=4):
 
     data, queries = _workload(n, 64, q)
     engine = APSimilaritySearch(
-        data, k=k, board_capacity=cap, execution="functional"
+        data, k=k, board_capacity=cap
     )
     engine.search(queries[:1])  # warm compile caches off the clock
 
@@ -174,7 +174,7 @@ def run_determinism(n, q, k, cap):
             # cache=True so the board-image cache's hit/miss counters
             # flow on the sequential path too.
             engine = APSimilaritySearch(
-                data, k=k, board_capacity=cap, execution="functional",
+                data, k=k, board_capacity=cap,
                 cache=True,
             )
             engine.search(queries)
@@ -203,7 +203,7 @@ def run_trace(n, q, k, cap):
     try:
         reg.reset()
         engine = APSimilaritySearch(
-            data, k=k, board_capacity=cap, execution="functional"
+            data, k=k, board_capacity=cap
         )
         with metrics.trace_request("bench-search") as trace:
             engine.search(queries)

@@ -3,8 +3,8 @@
 Not a paper table — this quantifies the reproduction's own engineering
 trade-off (DESIGN.md): the vectorized sparse-matrix simulator pays
 O(states) per cycle while the functional model pays O(n d / 64) per
-query batch, which is why ``"functional"`` is the engine's default and
-``"simulate"`` an opt-in for checking it.
+query batch, which is why the engine runs the functional model and the
+simulator is the oracle that checks it (``simulate_knn``).
 Also measures simulator scaling in board size (states x cycles / s).
 """
 

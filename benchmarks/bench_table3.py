@@ -105,8 +105,7 @@ def test_table3_live_ap_vs_fpga(benchmark, report, wname):
     w = WORKLOADS[wname]
     data = uniform_binary(w.small_n, w.d, seed=3)
     queries = uniform_binary(128, w.d, seed=4)
-    engine = APSimilaritySearch(data, k=w.k, board_capacity=w.board_capacity,
-                                execution="functional")
+    engine = APSimilaritySearch(data, k=w.k, board_capacity=w.board_capacity)
     res = benchmark(engine.search, queries)
     fpga_i, _, stats = FPGAKnnAccelerator(data).search(queries, w.k)
     assert (res.indices == fpga_i).all()

@@ -111,8 +111,7 @@ def test_table4_live_partitioned_engine(benchmark, report):
     d, cap, n = 64, 256, 4096
     data = uniform_binary(n, d, seed=5)
     queries = uniform_binary(64, d, seed=6)
-    engine = APSimilaritySearch(data, k=2, board_capacity=cap,
-                                execution="functional")
+    engine = APSimilaritySearch(data, k=2, board_capacity=cap)
     res = benchmark(engine.search, queries)
     assert res.counters.configurations == n // cap
     report(

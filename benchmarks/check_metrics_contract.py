@@ -52,14 +52,14 @@ def smoke_run():
 
     # 1. Sequential cached search under a trace: cache + stage metrics.
     engine = APSimilaritySearch(
-        data, k=5, board_capacity=512, execution="functional", cache=True
+        data, k=5, board_capacity=512, cache=True
     )
     with metrics.trace_request("contract-smoke"):
         engine.search(queries)
 
     # 2. Thread-parallel run: dispatch latency/queue-depth/payload.
     APSimilaritySearch(
-        data, k=5, board_capacity=512, execution="functional",
+        data, k=5, board_capacity=512,
         parallel=ParallelConfig(n_workers=2, backend="thread"),
     ).search(queries)
 
@@ -70,7 +70,7 @@ def smoke_run():
 
     # 4. Loopback server + client + replica group: rpc/server/replica
     #    families (ReplicaGroup wraps a RemoteShard internally).
-    server = ShardServer(data, execution="functional").start()
+    server = ShardServer(data).start()
     try:
         address = "{}:{}".format(*server.address)
         with ReplicaGroup(address, retries=0) as group:

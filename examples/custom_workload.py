@@ -32,7 +32,7 @@ from repro.core.workload import (
 )
 from repro.host.parallel import ParallelConfig
 from repro.host.rpc import RemoteWorkloadSearch, serve_shard
-from repro.util.bitops import pack_bits, popcount_cdist
+from repro.util.bitops import popcount_cdist
 
 PAD = -1
 
@@ -64,10 +64,10 @@ class OverlapTopkWorkload(Workload):
         # a run of boards answers as one pass.
         return words
 
-    def execute(self, artifact, queries_bits, params):
-        qp = pack_bits(queries_bits)
+    def execute(self, artifact, query_words, params):
+        # The batch's packed query words, packed once per task.
         # int64: the narrow unsigned counts would wrap under the ``-inter`` key
-        inter = popcount_cdist(qp, artifact, op=np.bitwise_and).astype(np.int64)
+        inter = popcount_cdist(query_words, artifact, op=np.bitwise_and).astype(np.int64)
         n = inter.shape[1]
         k = min(int(params["k"]), n)
         ids = np.broadcast_to(np.arange(n, dtype=np.int64), inter.shape)

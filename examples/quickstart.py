@@ -2,16 +2,16 @@
 """Quickstart: kNN similarity search on the simulated Automata Processor.
 
 Builds a small binary dataset, runs the paper's automata design through
-the cycle-accurate simulator, and checks the answers against a plain
-CPU linear scan.
+the cycle-accurate simulator (the oracle ``simulate_knn``), and checks
+the answers against a plain CPU linear scan.
 
 Run:  python examples/quickstart.py
 """
 
 import numpy as np
 
-from repro import APSimilaritySearch
 from repro.baselines import CPUHammingKnn
+from repro.core.engine import simulate_knn
 from repro.perf.models import ap_gen1_model, ap_gen2_model
 
 
@@ -21,38 +21,38 @@ def main() -> None:
     dataset = rng.integers(0, 2, (n, d), dtype=np.uint8)
     queries = rng.integers(0, 2, (8, d), dtype=np.uint8)
 
-    # One board configuration holds 64 vectors here, so the engine
-    # partitions the dataset and "reconfigures" between partitions,
+    # One board configuration holds 64 vectors here, so the dataset is
+    # partitioned and the board "reconfigured" between partitions,
     # exactly like Section III-C's partial reconfiguration flow.  The
-    # default execution is the exact functional model; "simulate" runs
-    # the cycle-accurate automata instead, with identical answers.
-    engine = APSimilaritySearch(
-        dataset, k=k, board_capacity=64, execution="simulate"
+    # cycle-accurate automata run here; the library's engine
+    # (repro.APSimilaritySearch) runs their exact functional model,
+    # with identical answers and counters.
+    capacity = 64
+    indices, distances, counters = simulate_knn(
+        dataset, queries, k, board_capacity=capacity
     )
-    result = engine.search(queries)
 
-    print(f"execution mode : {result.execution}")
-    print(f"partitions     : {result.n_partitions}")
-    print(f"board loads    : {result.counters.configurations}")
-    print(f"symbols        : {result.counters.symbols_streamed}")
-    print(f"reports        : {result.counters.reports_received}")
+    print("execution mode : cycle-accurate simulation (simulate_knn)")
+    print(f"partitions     : {-(-n // capacity)}")
+    print(f"board loads    : {counters.configurations}")
+    print(f"symbols        : {counters.symbols_streamed}")
+    print(f"reports        : {counters.reports_received}")
     print()
     for qi in range(3):
         pairs = ", ".join(
-            f"#{i} (dist {dist})"
-            for i, dist in zip(result.indices[qi], result.distances[qi])
+            f"#{i} (dist {dist})" for i, dist in zip(indices[qi], distances[qi])
         )
         print(f"query {qi}: {pairs}")
 
     # The AP's temporally-encoded sort gives exact kNN: cross-check.
     cpu = CPUHammingKnn(dataset).search(queries, k)
-    assert (cpu.indices == result.indices).all()
-    assert (cpu.distances == result.distances).all()
+    assert (cpu.indices == indices).all()
+    assert (cpu.distances == distances).all()
     print("\ncross-check vs CPU linear scan: identical results")
 
     # What would this take on real AP hardware? (paper's timing model)
     for name, model in [("AP Gen 1", ap_gen1_model()), ("AP Gen 2", ap_gen2_model())]:
-        t = model.runtime_s(n, len(queries), d, engine.board_capacity)
+        t = model.runtime_s(n, len(queries), d, capacity)
         print(f"{name} estimated device time: {t * 1e6:.1f} us")
 
 

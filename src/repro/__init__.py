@@ -41,8 +41,10 @@ Quickstart::
 Production knobs: ``APSimilaritySearch(..., parallel=4)`` executes
 board partitions across four worker processes (results bit-identical
 to sequential execution), and ``cache=True`` (or a shared
-:class:`repro.ap.compiler.BoardImageCache`) reuses compiled board
-images across repeated searches and overlapping shards.
+:class:`repro.ap.compiler.BoardImageCache`) reuses each board's packed
+words across repeated searches and overlapping shards.  The
+cycle-accurate simulator is the oracle
+:func:`repro.core.engine.simulate_knn`.
 """
 
 from .core.engine import APSimilaritySearch, KnnResult

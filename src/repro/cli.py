@@ -100,11 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(1 = sequential)")
     s.add_argument("--backend", choices=["process", "thread"],
                    default="process",
-                   help="worker pool flavor: processes (true multi-core "
-                        "for the cycle simulator; cache-aware via "
-                        "artifact shipping) or threads (functional "
-                        "kernels release the GIL; share the board-image "
-                        "cache with the parent directly)")
+                   help="worker pool flavor: processes (cache-aware via "
+                        "artifact shipping) or threads (the kernels "
+                        "release the GIL; share the board cache with the "
+                        "parent directly)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -120,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="LRU board-image cache capacity (0 = no cache); "
                         "sequential runs and thread workers use it in "
                         "place, process workers through artifact shipping")
-    s.add_argument("--execution", choices=["functional", "simulate"],
-                   default="functional",
-                   help="functional: the exact fast model (default); "
-                        "simulate: the cycle-accurate oracle, ~1000x slower")
     s.add_argument("--out", default=None, help="save indices to this .npy")
 
     v = sub.add_parser("serve", help="serve one dataset shard over TCP "
@@ -158,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
                         "the server always caches)")
-    v.add_argument("--execution", choices=["functional", "simulate"],
-                   default="functional")
     v.add_argument("--workload", action="append", default=None,
                    dest="workloads", metavar="NAME",
                    help="serve only the named workload (repeatable: "
@@ -278,7 +271,7 @@ def _local_engine(args, params: dict):
         return WorkloadSearch(
             dataset,
             args.workload,
-            {**params, "execution": args.execution},
+            params,
             board_capacity=args.board_capacity,
             parallel=ParallelConfig(
                 n_workers=args.workers, backend=args.backend
@@ -559,7 +552,6 @@ def _cmd_serve(args) -> int:
         workloads=args.workloads,
         device=GEN1 if args.device == "gen1" else GEN2,
         board_capacity=args.board_capacity,
-        execution=args.execution,
         parallel=ParallelConfig(
             n_workers=args.workers, backend=args.backend,
             persistent=args.workers > 1,

@@ -15,7 +15,7 @@ from .dataset import (
 )
 from .engine import APSimilaritySearch, KnnResult
 from .index_automata import IndexGatedSearch
-from .multiboard import MultiBoardResult, MultiBoardSearch, balanced_shard_bounds
+from .multiboard import MultiBoardSearch, balanced_shard_bounds
 from .range_search import HammingRangeSearch, RangeSearchResult
 from .functional import FunctionalKnnBoard
 from .jaccard import JaccardAPSearch, JaccardResult, JaccardThresholdFilter
@@ -44,7 +44,6 @@ __all__ = [
     "read_pds_header",
     "verify_pds",
     "write_pds",
-    "MultiBoardResult",
     "MultiBoardSearch",
     "balanced_shard_bounds",
     "IndexGatedSearch",

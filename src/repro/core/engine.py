@@ -8,14 +8,17 @@ ascending-distance order, ties resolved by state ID, so no distance
 sort ever runs on the host), and merge per-partition candidates — is
 the one pipeline of :class:`~repro.core.workload.WorkloadSearch`, with
 kNN as its registered ``"knn"`` workload.  This module holds what is
-kNN-specific and shared by that workload's two back-ends:
+kNN-specific beside it:
 
 * the per-partition passes — :func:`run_partition_simulated`
   (cycle-accurate) and :func:`run_partition_functional_topk` (exact
   fast model) — and the one :func:`decode_partition_topk` both feed;
+* :func:`simulate_knn`, the reference oracle: the same board cut run
+  through the cycle-accurate simulator, which the functional engine
+  must equal bit for bit, counters included;
 * :class:`APSimilaritySearch`, the library's headline API: a named
   constructor configuring the pipeline for kNN (``parallel=`` worker
-  fan-out and ``cache=`` compiled-image caching included).
+  fan-out and ``cache=`` board caching included).
 
 Results carry the runtime event counters
 (:class:`~repro.ap.runtime.RuntimeCounters`) that the performance
@@ -28,10 +31,12 @@ import numpy as np
 
 from ..ap.compiler import BoardImageCache
 from ..ap.device import APDeviceSpec, GEN1
-from ..ap.runtime import APRuntime, REPORT_RECORD_BITS, RuntimeCounters
+from ..ap.runtime import APRuntime, RuntimeCounters
 from ..host.parallel import ParallelConfig
+from ..util.topk import merge_topk_blocks
+from .dataset import PackedDataset
 from .functional import FunctionalKnnBoard
-from .macros import MacroConfig
+from .macros import MacroConfig, build_knn_network
 from .stream import StreamLayout, decode_report_offsets, encode_query_batch
 from .workload import (
     KnnWorkloadResult,
@@ -40,6 +45,9 @@ from .workload import (
     _knn_layout,
     _PAD_DISTANCE as PAD_DISTANCE,
     _PAD_INDEX as PAD_INDEX,
+    functional_pass_counters,
+    get_workload,
+    normalize_queries,
 )
 
 __all__ = [
@@ -52,6 +60,7 @@ __all__ = [
     "functional_pass_counters",
     "run_partition_functional_topk",
     "run_partition_simulated",
+    "simulate_knn",
 ]
 
 
@@ -91,22 +100,6 @@ def build_functional_board(
 ) -> FunctionalKnnBoard:
     """Position-independent (cacheable) functional board for a partition."""
     return FunctionalKnnBoard(dataset_slice, layout, report_code_base=0)
-
-
-def functional_pass_counters(
-    n_q: int, n: int, layout: StreamLayout
-) -> RuntimeCounters:
-    """What :class:`~repro.ap.runtime.APRuntime` records for one
-    configure + stream + report pass of ``n_q`` queries over ``n``
-    vectors: the (modeled) board emits one report per vector per query
-    — the temporal sort has no early-out — so the report counters cover
-    the full stream, however few records the host keeps."""
-    counters = RuntimeCounters()
-    counters.configurations += 1
-    counters.symbols_streamed += n_q * layout.block_length
-    counters.reports_received += n_q * n
-    counters.report_payload_bits += n_q * n * REPORT_RECORD_BITS
-    return counters
 
 
 def run_partition_functional_topk(
@@ -186,6 +179,67 @@ def decode_partition_topk(
     return idx_block, dist_block
 
 
+def simulate_knn(
+    dataset_bits,
+    queries_bits,
+    k: int,
+    *,
+    board_capacity: int | None = None,
+    macro_config: MacroConfig = MacroConfig(),
+    device: APDeviceSpec = GEN1,
+) -> tuple[np.ndarray, np.ndarray, RuntimeCounters]:
+    """The cycle-accurate oracle: ``(indices, distances, counters)`` of
+    a kNN search run cycle by cycle, board by board.
+
+    Boards are cut as the engine cuts them (``board_capacity`` rows,
+    the kNN workload's compiler-derived default when ``None``).  Each is
+    built as an automata network (:func:`~repro.core.macros.
+    build_knn_network`), compiled into a board image, streamed the
+    encoded query batch (:func:`run_partition_simulated`) and decoded
+    (:func:`decode_partition_topk`); one offset-aware
+    :func:`~repro.util.topk.merge_topk_blocks` joins the boards.  ``k``
+    is clipped to ``n``.  The functional engine — every store, backend
+    and topology of it — must equal this bit for bit, every
+    :class:`~repro.ap.runtime.RuntimeCounters` field included.  The
+    simulator's SciPy loads on the first call, never on a functional
+    path.
+    """
+    dataset = PackedDataset.ensure(dataset_bits)
+    n, d = dataset.shape
+    queries_bits = normalize_queries(queries_bits, d)
+    workload = get_workload("knn")
+    params = workload.validate_params(
+        {"k": k, "macro_config": macro_config, "device": device}, n, d
+    )
+    k = params["k"]
+    if board_capacity is None:
+        board_capacity = workload.default_capacity(d, params)
+    if board_capacity < 1:
+        raise ValueError("board_capacity must be >= 1")
+    layout = _knn_layout(d, macro_config)
+    runtime = APRuntime(device)
+    n_q = queries_bits.shape[0]
+    empty = workload.empty(n_q, params)
+    counters = RuntimeCounters()
+    blocks, offsets = [], range(0, n, board_capacity)
+    for start in offsets:
+        network, _ = build_knn_network(
+            dataset.rows(start, min(start + board_capacity, n)),
+            config=macro_config, name="partition", report_code_base=0,
+        )
+        q_idx, codes, cycles, delta = run_partition_simulated(
+            runtime.build_image(network), queries_bits, layout, device
+        )
+        counters.merge(delta)
+        block = decode_partition_topk(q_idx, codes, cycles, n_q, k, layout)
+        blocks.append((empty.indices, empty.distances) if block is None else block)
+    indices, distances = merge_topk_blocks(
+        blocks, k, offsets=list(offsets),
+        pad_index=PAD_INDEX, pad_distance=PAD_DISTANCE,
+    )
+    return indices, distances, counters
+
+
 def KnnResult(
     indices: np.ndarray,
     distances: np.ndarray,
@@ -225,8 +279,9 @@ class APSimilaritySearch(WorkloadSearch):
         or 512 (d=256) — see
         :class:`repro.workloads.params.WorkloadParams`.
     execution:
-        ``"functional"`` (the exact fast model, the default) or
-        ``"simulate"`` (cycle-accurate; an opt-in for the oracle).
+        Compatibility adapter (``benchmarks/e2e`` passes it): only
+        ``"functional"``, the one back-end, is accepted.  The
+        cycle-accurate simulator is the oracle :func:`simulate_knn`.
     parallel, cache:
         As for :class:`~repro.core.workload.WorkloadSearch`; results
         are bit-identical to sequential, uncached execution either way.
@@ -243,10 +298,16 @@ class APSimilaritySearch(WorkloadSearch):
         parallel: ParallelConfig | int | None = None,
         cache: BoardImageCache | int | bool | None = None,
     ):
+        if execution != "functional":
+            raise ValueError(
+                f"unknown execution mode {execution!r}: the engine runs the "
+                "functional model; the cycle-accurate oracle is "
+                "repro.core.engine.simulate_knn"
+            )
         super().__init__(
             dataset_bits,
             "knn",
-            {"k": k, "execution": execution, "macro_config": macro_config},
+            {"k": k, "macro_config": macro_config},
             board_capacity=board_capacity,
             parallel=parallel,
             cache=cache,
@@ -260,10 +321,6 @@ class APSimilaritySearch(WorkloadSearch):
     def k(self) -> int:
         """Effective neighbor count: requested ``k`` clipped to ``n``."""
         return self.params["k"]
-
-    @property
-    def execution(self) -> str:
-        return self.params["execution"]
 
     @property
     def macro_config(self) -> MacroConfig:

@@ -50,12 +50,9 @@ from ..ap.device import APDeviceSpec, GEN1
 from ..host.parallel import ParallelConfig
 from .engine import APSimilaritySearch
 from .macros import MacroConfig
-from .workload import WorkloadRunResult, WorkloadSearch, balanced_shard_bounds
+from .workload import WorkloadSearch, balanced_shard_bounds
 
-__all__ = ["MultiBoardResult", "MultiBoardSearch", "balanced_shard_bounds"]
-
-# One result envelope for every search; the old name stays importable.
-MultiBoardResult = WorkloadRunResult
+__all__ = ["MultiBoardSearch", "balanced_shard_bounds"]
 
 
 class MultiBoardSearch(APSimilaritySearch):
@@ -76,7 +73,6 @@ class MultiBoardSearch(APSimilaritySearch):
         device: APDeviceSpec = GEN1,
         board_capacity: int | None = None,
         macro_config: MacroConfig = MacroConfig(),
-        execution: str = "functional",
         parallel: ParallelConfig | int | None = None,
         cache: BoardImageCache | int | bool | None = None,
     ):
@@ -84,7 +80,7 @@ class MultiBoardSearch(APSimilaritySearch):
             self,
             dataset_bits,
             "knn",
-            {"k": k, "execution": execution, "macro_config": macro_config},
+            {"k": k, "macro_config": macro_config},
             board_capacity=board_capacity,
             parallel=parallel,
             cache=cache,

@@ -8,18 +8,15 @@ fan-out, shared-memory datasets, query batching, remote shards) around
 the kNN result shape alone.  This module factors the pipeline those
 layers actually rely on into a :class:`Workload` protocol:
 
-* ``compile_packed(words, d, params) → artifact | None`` — the
-  artifact of one *host pass* (a run of row-consecutive boards) over
-  their packed row words: a view of a ``.pds`` or shared-memory
-  store's, else the boards' cached words.  Every functional pass is
-  one such artifact and one ``execute``; the board stays the unit of
-  caching, counters and the AP model;
-* ``compile(dataset_bits, params) → artifact`` — one board's artifact
-  when it is not a view of words (cycle-accurate images): cacheable,
-  shipped to process workers by value, executed board by board.
-  Default: ``compile_packed`` over the board's packed rows;
-* ``execute(artifact, queries, params) → (partial, counters)`` — one
-  pass producing a *pass-local* partial result plus the
+* ``compile_packed(words, d, params) → artifact`` — the artifact of
+  one *host pass* (a run of row-consecutive boards) over their packed
+  row words: a view of a ``.pds`` or shared-memory store's, else the
+  boards' cached words.  Every pass is one such artifact and one
+  ``execute``; the board stays the unit of caching, counters and the
+  AP model;
+* ``execute(artifact, query_words, params) → (partial, counters)`` —
+  one pass over the batch's packed query words (packed once per task)
+  producing a *pass-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
   record; a workload that :attr:`~Workload.carries` also takes the
   running partial of the task's earlier passes;
@@ -51,11 +48,12 @@ carrier's run of them per worker lane and device shard) through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
 persistent pools, slice-ref datasets, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
-bit-identical to a sequential pass by associativity.  Hamming kNN, with
-both its cycle-accurate and its functional back-end, is an ordinary
-registered workload; :class:`~repro.core.engine.APSimilaritySearch` and
-:class:`~repro.core.multiboard.MultiBoardSearch` are named constructors
-over this class.
+bit-identical to a sequential pass by associativity.  Hamming kNN is an
+ordinary registered workload; :class:`~repro.core.engine.
+APSimilaritySearch` and :class:`~repro.core.multiboard.MultiBoardSearch`
+are named constructors over this class.  The cycle-accurate simulator
+is not a pass kind: it is the oracle :func:`~repro.core.engine.
+simulate_knn`, which the functional engine equals bit for bit.
 """
 
 from __future__ import annotations
@@ -64,12 +62,11 @@ import numpy as np
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
-from ..ap.compiler import APCompiler, BoardImageCache, partition_cache_key
+from ..ap.compiler import APCompiler, BoardImageCache
 from ..ap.device import GEN1, APDeviceSpec
-from ..ap.runtime import REPORT_RECORD_BITS, APRuntime, RuntimeCounters
+from ..ap.runtime import REPORT_RECORD_BITS, RuntimeCounters
 from ..host.batching import Batchable
 from ..host.parallel import (
     ParallelConfig,
@@ -84,6 +81,7 @@ from ..util.bitops import as_bits, pack_bits, popcount_cdist, popcount_u64
 from ..util.topk import (
     _key_dtype,
     _select_smallest,
+    hamming_topk,
     merge_ragged_blocks,
     merge_topk_blocks,
 )
@@ -122,7 +120,7 @@ _DEFAULT_CAPACITY_LARGE_D = 512
 _CAPACITY_D_CUTOFF = 128
 
 # Host pass budgets: how many row-consecutive boards the engine hands a
-# worker as ONE functional pass, on every store alike.  Board capacity
+# worker as ONE pass, on every store alike.  Board capacity
 # is a constraint of the AP fabric, not of the host.  _PASS_BYTES — one
 # .pds verification chunk — bounds a pass's packed row words: the copy
 # a gathered pass (in-memory rows) concatenates, or the pages a view
@@ -134,10 +132,10 @@ _PASS_PAIRS = 2**18
 
 #: Engine settings a deployment owns.  Constructors and the shard
 #: server's own configuration set them; a wire request naming one is
-#: refused — a remote client must not be able to pick, say, cycle
-#: simulation on a 2^20-row shard.
+#: refused — a remote client must not be able to pick, say, the board
+#: capacity of a 2^20-row shard.
 SERVER_OWNED_PARAMS = frozenset(
-    {"execution", "device", "macro_config", "board_capacity", "n_devices"}
+    {"device", "macro_config", "board_capacity", "n_devices"}
 )
 
 
@@ -221,12 +219,6 @@ class Workload(ABC):
         """
         return {}
 
-    def cache_params(self, params: dict) -> tuple:
-        """The params subset a compiled artifact depends on (for the
-        content-addressed cache key).  Default: none — artifacts for
-        the built-ins depend only on the partition content."""
-        return ()
-
     def validate_dataset(self, n: int, d: int) -> None:
         """Admission check: can this workload serve an ``(n, d)``
         dataset at all?  Raise ``ValueError`` if not.  The shard
@@ -239,13 +231,6 @@ class Workload(ABC):
                 f"workload {self.name!r} cannot serve an ({n}, {d}) dataset"
             )
 
-    def validate_settings(self, settings: dict) -> None:
-        """Admission check on deployment-owned settings
-        (:data:`SERVER_OWNED_PARAMS`): raise ``ValueError`` on a value
-        this workload cannot run.  The shard server runs this beside
-        :meth:`validate_dataset`, before binding.  Default: every
-        setting is accepted."""
-
     def default_capacity(self, d: int, params: dict) -> int:
         """Vectors per board configuration when the engine is not given
         a ``board_capacity``.  Default: the paper's Table II constants."""
@@ -257,49 +242,30 @@ class Workload(ABC):
 
     # -- the pipeline -----------------------------------------------------
 
+    @abstractmethod
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         """The artifact of one host pass over ``words``, the
         ``(rows, ceil(d/64))`` uint64 row words of a run of boards
-        (:func:`~repro.util.bitops.pack_bits` layout), or ``None`` (the
-        default): the boards are then compiled and executed one by one.
+        (:func:`~repro.util.bitops.pack_bits` layout).
 
-        Answering promises that one :meth:`execute` over the run equals
-        the merge of its boards' answers, that ``configurations`` and
+        It promises that one :meth:`execute` over the run equals the
+        merge of its boards' answers, that ``configurations`` and
         ``symbols_streamed`` of a pass do not depend on the rows, that
         report counters are additive over rows, and that the artifact
         only *reads* ``words`` — a read-only view of a file mapping or
         shared segment, or a transient concatenation of cached words —
-        and is never cached, shipped or kept.  Whether it answers may
-        depend on ``params`` alone: it is asked once, of one zero row.
+        and is never cached, shipped or kept.
         """
-        return None
-
-    def compile(self, dataset_bits: np.ndarray, params: dict):
-        """One board's artifact from its 0/1 rows, for a workload whose
-        artifact is not a view of packed words (kNN's cycle-accurate
-        image).  Artifacts must be picklable (they ship to process
-        workers by value) and position-independent: ``execute`` returns
-        partition-local indices.  Default: :meth:`compile_packed` over
-        the rows' packed words."""
-        dataset_bits = np.asarray(dataset_bits)
-        artifact = self.compile_packed(
-            pack_bits(dataset_bits), dataset_bits.shape[1], params
-        )
-        if artifact is None:
-            raise NotImplementedError(
-                f"workload {self.name!r} implements neither compile nor "
-                "compile_packed"
-            )
-        return artifact
 
     @abstractmethod
     def execute(
-        self, artifact, queries_bits: np.ndarray, params: dict
+        self, artifact, query_words: np.ndarray, params: dict
     ) -> tuple:
-        """One partition pass: ``(partial, counters)``.
+        """One pass: ``(partial, counters)``.
 
-        ``partial`` is a :attr:`result_type` with partition-LOCAL
-        indices; ``counters`` is this pass's
+        ``query_words`` is the batch's ``(q, ceil(d/64))`` uint64 words,
+        packed once per task.  ``partial`` is a :attr:`result_type` with
+        pass-LOCAL indices; ``counters`` is this pass's
         :class:`~repro.ap.runtime.RuntimeCounters` delta.
         """
 
@@ -355,117 +321,106 @@ class Workload(ABC):
     ) -> PartitionResult:
         """Worker-side entry — the one worker body: run a
         :class:`~repro.host.parallel.PartitionTask`'s windows of boards
-        in ascending row order, each window one host pass.
+        in ascending row order, each window ONE pass: one
+        :meth:`compile_packed` over the window's row words, one
+        :meth:`execute` over the query words packed once for the task.
 
-        Where :meth:`compile_packed` answers, a window is ONE pass: one
-        ``compile_packed`` over the window's row words, one
-        :meth:`execute`.  The words are a view of the store's when the
-        task's slice ref offers them — nothing is packed, hashed or
-        looked up, and every board counts as served without a compile —
-        else each board's words come from the cache (``pack_bits`` on a
-        miss), row-concatenated.  A workload that :attr:`carries` hands
-        each window's :meth:`execute` the running partial of the windows
-        before it; any other packed task is one window.  Where
-        ``compile_packed`` does not answer, each board resolves
-        through :meth:`compile` (cache-aware) and its own
-        :meth:`execute`, and :meth:`merge` joins them.  Process workers
-        get an artifact shuttle that serves the entries shipped with the
-        task and captures fresh builds for the return trip.  Dataset
-        rows are touched only when some board misses, one window's at a
-        time, and mmap pages are released behind each window.
+        The words are a view of the store's when the task carries a
+        slice ref — nothing is packed, hashed or looked up, and every
+        board counts as served without a compile — else each board's
+        words come from the cache (``pack_bits`` on a miss),
+        row-concatenated.  A workload that :attr:`carries` hands each
+        window's :meth:`execute` the running partial of the windows
+        before it; any other task is one window.  Process workers get
+        an artifact shuttle that serves the words shipped with the task
+        and captures fresh ones for the return trip.  Mapped pages are
+        released behind each window.
         """
         params = dict(task.params)
         ref = task.dataset_slice
         d = ref.d if ref is not None else task.dataset_bits.shape[1]
-        packed = _answers_packed(self.compile_packed, d, task.params)
-        view = packed and ref is not None
-        carry = packed and self.carries
         windows = task.window_list()
-        if packed and not carry and len(windows) > 1:
+        if not self.carries and len(windows) > 1:
             raise ValueError(
-                f"workload {self.name!r} does not carry: a packed task is "
-                f"one window, got {len(windows)}"
+                f"workload {self.name!r} does not carry: a task is one "
+                f"window, got {len(windows)}"
             )
         shuttle = None
-        if not view and cache is None and task.board_list()[0][1] is not None:
+        if ref is None and cache is None and task.board_list()[0][1] is not None:
             cache = shuttle = _ArtifactShuttle(task.artifacts)
+        query_words = pack_bits(queries_bits)
         counters = RuntimeCounters()
-        partial, partials, offsets = None, [], []
-        hits = passes = 0
+        partial = None
+        hits = 0
         for lo, hi, boards in windows:
-            # Task-local first row of each board (and the window's end).
-            starts = list(accumulate((n_rows for n_rows, _ in boards), initial=lo))
-            window = ref.window(lo, hi) if ref is not None else None
-            entries, rows_bits = [], None
-            if view:
+            if ref is not None:
+                window = ref.window(lo, hi)
+                words = window.packed_window()
                 hits += len(boards)
             else:
-                for (_, key), a, b in zip(boards, starts, starts[1:]):
+                # Task-local first row of each board (and the window's end).
+                starts = accumulate((n_rows for n_rows, _ in boards), initial=lo)
+                entries = []
+                for (_, key), (a, b) in zip(boards, pairwise(starts)):
                     cached = cache is not None and key is not None
                     entry = cache.get(key) if cached else None
                     if entry is not None:
                         hits += 1
                     else:
-                        if rows_bits is None:
-                            rows_bits = task.rows(lo, hi)
-                        rows = rows_bits[a - lo : b - lo]
-                        entry = (
-                            pack_bits(rows) if packed
-                            else self.compile(rows, params)
-                        )
+                        entry = pack_bits(task.dataset_bits[a:b])
                         if cached:
                             cache.put(key, entry)
                     entries.append(entry)
-            if packed:
-                artifact = self.compile_packed(
-                    window.packed_window() if view
-                    else entries[0] if len(entries) == 1
-                    else np.concatenate(entries),
-                    d, params,
+                words = entries[0] if len(entries) == 1 else np.concatenate(entries)
+            artifact = self.compile_packed(words, d, params)
+            if self.carries:
+                partial, delta = self.execute(
+                    artifact, query_words, params, prior=partial, base=lo
                 )
-                if carry:
-                    partial, delta = self.execute(
-                        artifact, queries_bits, params, prior=partial, base=lo
-                    )
-                else:
-                    partial, delta = self.execute(artifact, queries_bits, params)
-                # The window's words go before the next window's come.
-                del artifact
-                delta.configurations *= len(boards)
-                delta.symbols_streamed *= len(boards)
-                counters.merge(delta)
-                passes += 1
             else:
-                for artifact, a in zip(entries, starts):
-                    board_partial, delta = self.execute(artifact, queries_bits, params)
-                    counters.merge(delta)
-                    partials.append(board_partial)
-                    offsets.append(a)
-                passes += len(boards)
-            if window is not None and (view or rows_bits is not None):
+                partial, delta = self.execute(artifact, query_words, params)
+            # The window's words go before the next window's come.
+            del artifact, words
+            delta.configurations *= len(boards)
+            delta.symbols_streamed *= len(boards)
+            counters.merge(delta)
+            if ref is not None:
                 # Drop the window's freshly faulted mmap pages back to
                 # the page cache so a worker's RSS stays bounded by one
                 # pass, not the whole shard it walks over a run.
                 window.release()
-        if not packed:
-            partial = self.merge(partials, offsets, params)
         counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,
             counters=counters,
             payload=partial,
             artifacts=(shuttle.built or None) if shuttle is not None else None,
-            passes=passes,
+            passes=len(windows),
         )
 
+    # -- compatibility adapters --------------------------------------------
+    # benchmarks/e2e's stepwise replay (e2elib/stepwise.py) walks boards
+    # one by one through these two and hands ``execute`` 0/1 query bits;
+    # they go with that replay (ROADMAP item 1(b)).
 
-@lru_cache(maxsize=64)
-def _answers_packed(compile_packed, d: int, params: tuple) -> bool:
-    """Does ``compile_packed`` answer for ``params`` (sorted items)?
-    Asked of one zero row, once per process and (hook, d, params): the
-    engine keys and sizes passes from the answer the worker builds by."""
-    probe = np.zeros((1, -(-d // 64)), dtype=np.uint64)
-    return compile_packed(probe, d, dict(params)) is not None
+    def compile(self, dataset_bits: np.ndarray, params: dict):
+        """One board's artifact from its 0/1 rows: :meth:`compile_packed`
+        over their packed words."""
+        dataset_bits = np.asarray(dataset_bits)
+        return self.compile_packed(
+            pack_bits(dataset_bits), dataset_bits.shape[1], params
+        )
+
+    def cache_params(self, params: dict) -> tuple:
+        """Always ``()``: a board's cache entry is its packed words,
+        keyed by content alone."""
+        return ()
+
+
+def _query_words(queries: np.ndarray) -> np.ndarray:
+    """A built-in ``execute``'s query operand: packed words as given,
+    and a 0/1 batch (the stepwise replay's) packed here."""
+    return queries if queries.dtype == np.uint64 else pack_bits(queries)
 
 
 # -- registry ---------------------------------------------------------------
@@ -520,7 +475,6 @@ class KnnWorkloadResult:
 
 # The deployment-owned kNN settings and what they default to.
 _KNN_DEFAULTS = {
-    "execution": "functional",
     "device": GEN1,
     "macro_config": MacroConfig(),
 }
@@ -529,12 +483,12 @@ _KNN_DEFAULTS = {
 class HammingKnnWorkload(Workload):
     """The reference workload: Hamming kNN via counter temporal sort.
 
-    This class owns what a kNN partition pass *is*: which back-end
-    compiles and runs it (``execution``: the exact ``"functional"``
-    model or the cycle-accurate ``"simulate"`` board image), under
-    which macro configuration and device, with one decode — the
-    earliest ``k`` reports per query — and one counter accounting for
-    both.
+    This class owns what a kNN partition pass *is*: the exact
+    functional model of the board (the earliest ``k`` reports per query
+    ARE the top-k, so a pass is one :func:`~repro.util.topk.
+    hamming_topk`), under which macro configuration and device, with one
+    counter accounting.  Its cycle-accurate twin is the oracle
+    :func:`~repro.core.engine.simulate_knn`.
     """
 
     name = "knn"
@@ -554,13 +508,7 @@ class HammingKnnWorkload(Workload):
             key: params.get(key, default)
             for key, default in _KNN_DEFAULTS.items()
         }
-        self.validate_settings(settings)
         return {"k": min(k, n), **settings}
-
-    def validate_settings(self, settings: dict) -> None:
-        execution = settings.get("execution", _KNN_DEFAULTS["execution"])
-        if execution not in ("functional", "simulate"):
-            raise ValueError(f"unknown execution mode {execution!r}")
 
     def default_capacity(self, d: int, params: dict) -> int:
         """Compiler-derived vectors-per-board for this dimensionality
@@ -572,55 +520,28 @@ class HammingKnnWorkload(Workload):
         )
         return APCompiler(params["device"]).max_instances(template)
 
-    def compile(self, dataset_bits: np.ndarray, params: dict):
-        params = _KNN_DEFAULTS | params  # direct callers may pass bare {"k": k}
-        if params["execution"] != "simulate":
-            return super().compile(dataset_bits, params)
-        network, _ = build_knn_network(
-            dataset_bits, config=params["macro_config"], name="partition",
-            report_code_base=0,
-        )
-        return APRuntime(params["device"]).build_image(network)
-
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
-        params = _KNN_DEFAULTS | params
-        if params["execution"] == "simulate":
-            return None  # a cycle-accurate image is compiled from bits
+        params = _KNN_DEFAULTS | params  # direct callers may pass bare {"k": k}
         return FunctionalKnnBoard.from_packed(
             words, _knn_layout(d, params["macro_config"])
         )
 
     def execute(
-        self, artifact, queries_bits: np.ndarray, params: dict,
+        self, artifact, query_words: np.ndarray, params: dict,
         prior=None, base: int = 0,
     ):
-        from .engine import (
-            decode_partition_topk,
-            functional_pass_counters,
-            run_partition_simulated,
+        query_words = _query_words(query_words)
+        # The (q, min(k, n)) arrays are already the decoded, (distance,
+        # index)-ordered, pad-free block; a carried one makes this pass
+        # a threshold filter.
+        block = hamming_topk(
+            query_words, artifact.packed, int(params["k"]), artifact.layout.d,
+            prior=None if prior is None else (prior.indices, prior.distances),
+            base=base,
         )
-
-        params = _KNN_DEFAULTS | params
-        k = int(params["k"])
-        n_q = queries_bits.shape[0]
-        if params["execution"] != "simulate":
-            # The board's (q, min(k, n)) arrays are already the decoded,
-            # (distance, index)-ordered, pad-free block; a carried one
-            # makes this pass a threshold filter (hamming_topk).
-            block = artifact.topk_block(
-                queries_bits, k,
-                prior=None if prior is None else (prior.indices, prior.distances),
-                base=base,
-            )
-            counters = functional_pass_counters(n_q, artifact.n, artifact.layout)
-            return KnnWorkloadResult(*block), counters
-        layout = _knn_layout(queries_bits.shape[1], params["macro_config"])
-        q_idx, codes, cycles, counters = run_partition_simulated(
-            artifact, queries_bits, layout, params["device"]
+        counters = functional_pass_counters(
+            query_words.shape[0], artifact.n, artifact.layout
         )
-        block = decode_partition_topk(q_idx, codes, cycles, n_q, k, layout)
-        if block is None:
-            return self.empty(n_q, {"k": k}), counters
         return KnnWorkloadResult(*block), counters
 
     def merge(self, partials: list, offsets, params: dict):
@@ -663,10 +584,15 @@ class HammingKnnWorkload(Workload):
             # kNN-only fields into params.  Goes when PartitionTask's
             # legacy field list does.
             n_rows = task.end - task.start
+            if task.mode != "functional":
+                raise ValueError(
+                    f"unknown execution mode {task.mode!r}: a task runs the "
+                    "functional model; the cycle-accurate oracle is "
+                    "repro.core.engine.simulate_knn"
+                )
             legacy = self.validate_params(
                 {
                     "k": task.k if task.k is not None else n_rows,
-                    "execution": task.mode,
                     "device": task.device,
                     "macro_config": MacroConfig(
                         max_fan_in=task.max_fan_in,
@@ -678,6 +604,22 @@ class HammingKnnWorkload(Workload):
             )
             task = replace(task, params=tuple(sorted(legacy.items())))
         return super().execute_task(task, queries_bits, cache)
+
+
+def functional_pass_counters(
+    n_q: int, n: int, layout: StreamLayout
+) -> RuntimeCounters:
+    """What :class:`~repro.ap.runtime.APRuntime` records for one
+    configure + stream + report pass of ``n_q`` queries over ``n``
+    vectors: the (modeled) board emits one report per vector per query
+    — the temporal sort has no early-out — so the report counters cover
+    the full stream, however few records the host keeps."""
+    counters = RuntimeCounters()
+    counters.configurations += 1
+    counters.symbols_streamed += n_q * layout.block_length
+    counters.reports_received += n_q * n
+    counters.report_payload_bits += n_q * n * REPORT_RECORD_BITS
+    return counters
 
 
 def _knn_layout(d: int, macro_config: MacroConfig) -> StreamLayout:
@@ -780,8 +722,8 @@ class JaccardTopkWorkload(Workload):
             packed=words, sizes=popcount_u64(words).sum(axis=1), d=int(d)
         )
 
-    def execute(self, artifact, queries_bits: np.ndarray, params: dict):
-        qp = pack_bits(queries_bits)
+    def execute(self, artifact, query_words: np.ndarray, params: dict):
+        qp = _query_words(query_words)
         k = min(int(params["k"]), artifact.n)
         inter = popcount_cdist(qp, artifact.packed, np.bitwise_and)
         q_sizes = popcount_u64(qp).sum(axis=1)
@@ -915,8 +857,8 @@ class HammingRangeWorkload(Workload):
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         return RangeBoardArtifact(packed=words, d=int(d), n=int(words.shape[0]))
 
-    def execute(self, artifact, queries_bits: np.ndarray, params: dict):
-        qp = pack_bits(queries_bits)
+    def execute(self, artifact, query_words: np.ndarray, params: dict):
+        qp = _query_words(query_words)
         radius = int(params["radius"])
         dist = popcount_cdist(qp, artifact.packed)
         n_q = qp.shape[0]
@@ -986,8 +928,9 @@ class WorkloadRunResult:
     # Board-partition passes per local device (or per answering remote
     # shard); n_partitions / n_devices derive from it.
     per_device_partitions: tuple = (1,)
-    # Back-end: "simulate"/"functional"; for a remote fan-out
-    # "mixed" when shards disagree and "none" when none answered.
+    # Back-end: "functional"; for a remote fan-out "mixed" when shards
+    # disagree and "none" when none answered.  The wire still carries
+    # it; it goes with the wire v2 bump (ROADMAP item 6).
     execution: str = "functional"
     n_workers: int = 1  # worker lanes (or shards) that actually ran
     # Which boundary tasks crossed: "none" (in-process), "pickle"
@@ -1030,17 +973,17 @@ class WorkloadRunResult:
     def n_partitions(self) -> int:
         return sum(self.per_device_partitions)
 
-    n_partition_passes = n_partitions
-
 
 class WorkloadSearch(Batchable):
     """The one engine loop: any registered workload over the host stack.
 
-    Partitions the dataset into board-sized slices, compiles each
-    through the workload (cache-aware, content-addressed), executes
-    partitions serially or across a :class:`~repro.host.parallel.
-    ParallelConfig` worker pool (thread/process, persistent
-    pools, artifact shipping), and merges through the workload's
+    Partitions the dataset into board-sized slices, groups runs of them
+    into host passes (each one ``compile_packed`` over the boards'
+    packed words: a store view, or cache-aware, content-addressed
+    per-board words), executes them serially or across a
+    :class:`~repro.host.parallel.ParallelConfig` worker pool
+    (thread/process, persistent pools, words shipping), and merges
+    through the workload's
     associative ``merge`` — so results are bit-identical to a single
     sequential pass for every backend × store combination.
 
@@ -1066,8 +1009,8 @@ class WorkloadSearch(Batchable):
         ``None`` to disable, ``True`` for a private LRU
         :class:`~repro.ap.compiler.BoardImageCache` of default size, an
         ``int`` for a private cache of that capacity, or an existing
-        cache instance to *share* compiled partitions across engines
-        (keys are content-addressed).
+        cache instance to *share* boards' packed words across engines
+        and workloads (keys are content-addressed).
     device:
         AP generation (capacity/timing constants), handed to the
         workload as the deployment-owned ``"device"`` param.
@@ -1126,7 +1069,7 @@ class WorkloadSearch(Batchable):
         self._tasks: dict[int, list[PartitionTask]] = {}
         self._m_passes = _metrics.get_registry().counter(
             "repro_engine_host_passes_total",
-            "Functional/simulated execute passes run by engine searches "
+            "Execute passes run by engine searches "
             "(a pass may span several boards; boards are configurations).",
         )
 
@@ -1164,12 +1107,8 @@ class WorkloadSearch(Batchable):
 
     def _boards_per_pass(self, n_q: int) -> int:
         """How many boards one host pass spans for an ``n_q``-row batch
-        under the pass budgets, on every store alike; 1 where
-        ``compile_packed`` does not answer (a cycle-accurate image is one
-        board), and never so many that a configured worker lane would be
-        left without a pass."""
-        if not self._packs():
-            return 1
+        under the pass budgets, on every store alike, and never so many
+        that a configured worker lane would be left without a pass."""
         rows = min(
             _PASS_BYTES // (8 * ((self.d + 63) // 64)),
             _PASS_PAIRS // max(1, n_q),
@@ -1179,22 +1118,10 @@ class WorkloadSearch(Batchable):
             1, min(rows // self.board_capacity, len(self.partitions) // lanes)
         )
 
-    def _packs(self) -> bool:
-        """Does the workload's ``compile_packed`` answer under the
-        engine's params (the worker body's own question, so keys match
-        its entries)?"""
-        return _answers_packed(
-            self.workload.compile_packed, self.d,
-            tuple(sorted(self.params.items())),
-        )
-
     def _view_passes(self) -> bool:
-        """Will a pass run on a view of the store's packed row words
-        (the store holds them and ``compile_packed`` answers)?  View
-        passes are built without cache keys and counted as hits."""
-        return self._packs() and (
-            self.dataset.packed_window(0, 1) is not None
-        )
+        """Will a pass run on a view of the store's packed row words?
+        View passes are built without cache keys and counted as hits."""
+        return self.dataset.packed_window(0, 1) is not None
 
     def _partition_tasks(self, boards_per_pass: int = 1) -> list[PartitionTask]:
         """Self-contained, picklable work units: each device shard's
@@ -1209,14 +1136,9 @@ class WorkloadSearch(Batchable):
         if tasks is not None:
             return tasks
         items = tuple(sorted(self.params.items()))
-        macro = self.params.get("macro_config", MacroConfig())
-        flavor = ("workload", self.workload.name) + self.workload.cache_params(
-            self.params
-        )
-        packed = self._packs()
         lanes = (
             max(1, self.parallel.effective_workers)
-            if packed and self.workload.carries else None
+            if self.workload.carries else None
         )
         # Only a pass that will consult the cache needs keys (and the
         # digest scan behind them): a view pass compiles nothing.
@@ -1226,17 +1148,11 @@ class WorkloadSearch(Batchable):
             # Content-addressed per board: no positional component, and
             # the handle's streaming digest is store-independent, so
             # identical board content shares cache entries across
-            # engines, offsets, stores and pass sizes.
+            # engines, offsets, stores and pass sizes.  A board's packed
+            # words are the same whichever workload reads them.
             if not keyed:
                 return None
-            digest = self.dataset.partition_digest(start, end)
-            if packed:
-                # A board's packed words are the same whichever workload
-                # reads them: keyed by content alone.
-                return (digest, "words")
-            return partition_cache_key(
-                None, macro, self.device, extra=flavor, digest=digest
-            )
+            return (self.dataset.partition_digest(start, end), "words")
 
         # Store-backed datasets (mmap/shm) ship descriptor-sized slice
         # refs — workers attach the store themselves — with an empty
@@ -1309,7 +1225,6 @@ class WorkloadSearch(Batchable):
             value=value,
             counters=counters,
             per_device_partitions=self.per_device_partitions,
-            execution=self.params.get("execution", "functional"),
             n_workers=run.n_workers,
             transport=run.transport,
             ipc_payload_bytes=run.ipc_payload_bytes,

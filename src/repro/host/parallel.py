@@ -21,20 +21,18 @@ from the cache, packed on a miss — and one ``execute``.  A task is one
 window, except for a workload that carries its partial across windows
 (functional kNN): its task is one worker lane's run of a device
 shard's windows, each later window a threshold filter under the
-running k-th distances.  A workload without ``compile_packed`` gets
-one-board tasks; hand-built tasks are one board.
+running k-th distances.  Hand-built tasks are one board.
 
 Backends
 --------
 
 * ``backend="process"`` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor`.  True multi-core for the cycle simulator.
-  The parent's :class:`~repro.ap.compiler.BoardImageCache` is
-  per-process, but process workers are still *cache-aware*: a task
-  whose partition is already cached ships the compiled artifact out
-  with the task (workers skip the rebuild), and a worker that had to
-  build ships the artifact back with its result so the parent cache
-  warms up — ``backend="process"`` and ``cache=`` compose.
+  ProcessPoolExecutor`.  The parent's
+  :class:`~repro.ap.compiler.BoardImageCache` is per-process, but
+  process workers are still *cache-aware*: a task whose boards are
+  already cached ships their packed words out with the task (workers
+  skip the packing), and a worker that had to pack ships the words back
+  with its result so the parent cache warms up — ``backend="process"`` and ``cache=`` compose.
 * ``backend="thread"`` — a :class:`~concurrent.futures.
   ThreadPoolExecutor`.  The functional back-end spends its time inside
   NumPy kernels that release the GIL, so threads overlap almost as
@@ -67,12 +65,11 @@ naming a row window of a store the worker attaches itself — the
 an in-memory dataset is promoted to when its engine fans out across
 processes (:meth:`~repro.core.dataset.PackedDataset.attachable`) — so
 dataset bytes cross the process boundary once per store, not once per
-task.  A *functional* artifact over such a store's packed row words is
-a view the worker builds in place (``Workload.compile_packed``), so it
-does not travel either.  **Everything else travels by value** through
-the task pickle: query batches, and cache entries both ways
-(cycle-accurate images; the boards' packed words of a by-value
-dataset).  ``dataset_bits`` by
+task.  An artifact over such a store's packed row words is a view the
+worker builds in place (``Workload.compile_packed``), so it does not
+travel either.  **Everything else travels by value** through the task
+pickle: query batches, and cache entries both ways (the boards' packed
+words of a by-value dataset).  ``dataset_bits`` by
 value remains as the platform fallback (no usable ``/dev/shm``, segment
 refused, dataset outside the promotion size band) and for hand-built
 tasks.  Thread/serial workers share the parent's memory and move
@@ -301,7 +298,7 @@ class PartitionTask:
     # Workload parameters as sorted (key, value) items — hashable, and
     # rebuilt into a dict worker-side.
     params: tuple = ()
-    # Cache entries (board artifacts or packed words), by cache key,
+    # Cache entries (boards' packed words), by cache key,
     # shipped *to* a process worker from a warm parent cache (a board
     # not in it is built from the task's rows).
     artifacts: dict | None = None
@@ -331,15 +328,6 @@ class PartitionTask:
             out.append((lo, hi, run))
             at, lo = at + size, hi
         return out
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Task-local rows ``[lo, hi)`` as ``(hi - lo, d)`` 0/1 bytes:
-        unpacked from the attached store window (one mapping per
-        process, cached) when the task carries a slice ref, else a view
-        of ``dataset_bits``."""
-        if self.dataset_slice is not None:
-            return self.dataset_slice.window(lo, hi).resolve()
-        return self.dataset_bits[lo:hi]
 
 
 class _ArtifactShuttle:
@@ -379,8 +367,7 @@ class PartitionResult:
     counters: RuntimeCounters
     payload: Any = None
     artifacts: dict | None = None
-    # ``execute`` calls the task took: 1 when its boards ran as one
-    # ``compile_packed`` pass, else one per board.
+    # ``execute`` calls the task took: one per window.
     passes: int = 1
     # Worker-side monotonic timestamp taken when execution began.
     # CLOCK_MONOTONIC is system-wide on all supported platforms, so the

@@ -484,7 +484,7 @@ class ShardServer:
     values never recompile partition artifacts) — and everything about
     *how* those engines run: ``n_devices`` local boards, and in
     ``engine_kwargs`` the ``board_capacity``, ``device``,
-    ``macro_config``, ``execution`` back-end, ``cache`` and the
+    ``macro_config``, ``cache`` and the
     :class:`~repro.host.parallel.ParallelConfig` for local fan-out
     (``repro serve --workers N`` keeps a persistent pool hot across
     requests).  Requests choose only the workload and its
@@ -546,23 +546,21 @@ class ShardServer:
         )
         self._parallel = engine_kwargs.pop("parallel", None)
         self._board_capacity = engine_kwargs.pop("board_capacity", None)
-        # What is left (execution / device / macro_config) is handed to
-        # every workload as its deployment-owned params; each keeps the
-        # keys it understands.
+        # What is left (device / macro_config) is handed to every
+        # workload as its deployment-owned params; each keeps the keys
+        # it understands.
         unknown = engine_kwargs.keys() - SERVER_OWNED_PARAMS
         if unknown:
             raise TypeError(f"unknown engine settings {sorted(unknown)}")
         engine_kwargs.setdefault("device", GEN1)
         self._settings = engine_kwargs
         # Every workload this server could be asked to run must admit
-        # the shard's geometry and the deployment's settings NOW —
-        # before the socket binds — so a bad shard file or setting
-        # fails at startup with a clear error, not on the first query.
+        # the shard's geometry NOW — before the socket binds — so a bad
+        # shard file fails at startup with a clear error, not on the
+        # first query.
         for wl_name in (workloads if workloads is not None
                         else available_workloads()):
-            workload = get_workload(wl_name)
-            workload.validate_dataset(self.n, self.d)
-            workload.validate_settings(self._settings)
+            get_workload(wl_name).validate_dataset(self.n, self.d)
         # One engine per distinct request shape, keyed (workload name,
         # sorted normalized params items).
         self._engines: dict[tuple, object] = {}

@@ -22,9 +22,8 @@ a time into a ``uint8``/``uint16``/``uint32`` ``(q, n)`` array —
 private ``(w, n)`` column-order copy of the dataset per call, so every
 column streams contiguously instead of at a stride of ``8 w`` bytes;
 one-word rows are read in place.  Row-major ``(n, w)`` stays the only
-layout anything stores.  Popcounts use the hardware
-``np.bitwise_count`` ufunc when NumPy >= 2.0 provides it (16-bit-table
-fallback otherwise).
+layout anything stores.  Popcounts are the hardware
+``np.bitwise_count`` ufunc (NumPy >= 2.0, the declared floor).
 """
 
 from __future__ import annotations
@@ -43,44 +42,9 @@ __all__ = [
     "random_binary_vectors",
 ]
 
-# NumPy >= 2.0 ships a hardware POPCNT ufunc; older NumPy falls back to
-# the table kernel below.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-# 16-entry nibble popcount table expanded to all 2**16 half-words; built
-# once at import.  A uint16 lookup table keeps memory small (128 KiB)
-# while letting us popcount uint64 words in four table probes.
-_POPCOUNT16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
-
 # Peak-memory budget for the auto-tiled cdist kernel: one tile's
 # (tile_q, n) intermediates stay within roughly this many bytes.
 _CDIST_TILE_BYTES = 32 * 2**20
-
-
-def _popcount_table_u8(words: np.ndarray) -> np.ndarray:
-    """Table-probe popcount, ``uint8`` result (max 64 fits comfortably)."""
-    lo = (words & np.uint64(0xFFFF)).astype(np.intp)
-    m1 = ((words >> np.uint64(16)) & np.uint64(0xFFFF)).astype(np.intp)
-    m2 = ((words >> np.uint64(32)) & np.uint64(0xFFFF)).astype(np.intp)
-    hi = (words >> np.uint64(48)).astype(np.intp)
-    return (
-        _POPCOUNT16[lo] + _POPCOUNT16[m1] + _POPCOUNT16[m2] + _POPCOUNT16[hi]
-    )
-
-
-def _popcount_words_u8(
-    words: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Popcount of uint64 words as ``uint8`` (the narrowest exact dtype),
-    written into ``out`` when given."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words, out=out)
-    if out is None:
-        return _popcount_table_u8(words)
-    out[...] = _popcount_table_u8(words)
-    return out
 
 
 def is_binary(arr) -> bool:
@@ -156,13 +120,10 @@ def unpack_bits(words: np.ndarray, d: int) -> np.ndarray:
 
 
 def popcount_u64(words: np.ndarray) -> np.ndarray:
-    """Element-wise population count of a uint64 array (any shape).
-
-    Uses ``np.bitwise_count`` (hardware POPCNT, NumPy >= 2.0) when
-    available and the 16-bit table kernel otherwise; both return int64.
-    """
+    """Element-wise population count of a uint64 array (any shape), as
+    int64: ``np.bitwise_count`` (hardware POPCNT)."""
     words = np.asarray(words, dtype=np.uint64)
-    return _popcount_words_u8(words).astype(np.int64)
+    return np.bitwise_count(words).astype(np.int64)
 
 
 def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,12 +170,12 @@ def _cdist_columns(
     if w == 0:
         return np.zeros((q, n), dtype=dtype)
     words = op(queries[:, 0, None], columns[0])
-    acc = _popcount_words_u8(words).astype(dtype, copy=False)
+    acc = np.bitwise_count(words).astype(dtype, copy=False)
     if w > 1:
         counts = np.empty((q, n), dtype=np.uint8)
         for j in range(1, w):
             op(queries[:, j, None], columns[j], out=words)
-            acc += _popcount_words_u8(words, out=counts)
+            acc += np.bitwise_count(words, out=counts)
     return acc
 
 

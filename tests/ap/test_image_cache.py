@@ -118,17 +118,16 @@ class TestEngineCacheIntegration:
         queries = _bits(n=2, d=8, seed=10)
         cache = BoardImageCache()
         e1 = APSimilaritySearch(
-            data, k=2, board_capacity=8, execution="functional", cache=cache
+            data, k=2, board_capacity=8, cache=cache
         )
         e2 = APSimilaritySearch(
-            data, k=2, board_capacity=8, execution="functional", cache=cache
+            data, k=2, board_capacity=8, cache=cache
         )
         e1.search(queries)
         res = e2.search(queries)
         assert res.counters.image_cache_hits == res.n_partitions
 
-    @pytest.mark.parametrize("execution", ["simulate", "functional"])
-    def test_overlapping_shards_at_different_offsets_share(self, execution):
+    def test_overlapping_shards_at_different_offsets_share(self):
         """Content-addressing is position-independent: the same partition
         content at a *different* dataset offset is still a hit, and the
         re-based report codes keep results exact."""
@@ -139,14 +138,8 @@ class TestEngineCacheIntegration:
         cache = BoardImageCache()
         # shards data[0:32] and data[16:48] with cap 16: the [16:32]
         # partition content appears in both, at offsets 16 and 0
-        e1 = APSimilaritySearch(
-            data[0:32], k=2, board_capacity=16, execution=execution,
-            cache=cache,
-        )
-        e2 = APSimilaritySearch(
-            data[16:48], k=2, board_capacity=16, execution=execution,
-            cache=cache,
-        )
+        e1 = APSimilaritySearch(data[0:32], k=2, board_capacity=16, cache=cache)
+        e2 = APSimilaritySearch(data[16:48], k=2, board_capacity=16, cache=cache)
         e1.search(queries)
         res = e2.search(queries)
         assert res.counters.image_cache_hits == 1  # the shared partition
@@ -158,9 +151,7 @@ class TestEngineCacheIntegration:
         """Duplicate partition content dedupes even inside one search."""
         data = np.zeros((8, 8), dtype=np.uint8)  # 2 identical partitions
         queries = _bits(n=2, d=8, seed=1)
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=4, execution="simulate", cache=True
-        )
+        eng = APSimilaritySearch(data, k=3, board_capacity=4, cache=True)
         res = eng.search(queries)
         assert res.n_partitions == 2
         assert res.counters.image_cache_hits == 1

@@ -6,21 +6,20 @@ import pytest
 import repro.core.engine as engine_mod
 import repro.core.workload as workload_mod
 from repro.ap.device import GEN1, GEN2
-from repro.core.engine import PAD_DISTANCE, PAD_INDEX, APSimilaritySearch
-from repro.core.functional import FunctionalKnnBoard
+from repro.ap.runtime import APRuntime
+from repro.core.engine import PAD_DISTANCE, PAD_INDEX, APSimilaritySearch, simulate_knn
+from repro.core.macros import build_knn_network
 
 
 class TestEngineCorrectness:
     def test_single_partition(self, small_dataset, small_queries):
-        eng = APSimilaritySearch(small_dataset, k=3, board_capacity=1000,
-                                 execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=3, board_capacity=1000)
         res = eng.search(small_queries)
         assert res.n_partitions == 1
         assert res.counters.configurations == 1
 
     def test_partition_count(self, small_dataset):
-        eng = APSimilaritySearch(small_dataset, k=1, board_capacity=10,
-                                 execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=1, board_capacity=10)
         assert eng.partitions == [(0, 10), (10, 20), (20, 24)]
 
     def test_neighbors_span_partitions(self):
@@ -31,22 +30,21 @@ class TestEngineCorrectness:
         for i, ones in enumerate(ones_per_row):
             data[i, :ones] = 1
         q = np.zeros((1, d), dtype=np.uint8)
-        eng = APSimilaritySearch(data, k=3, board_capacity=3,
-                                 execution="functional")
+        eng = APSimilaritySearch(data, k=3, board_capacity=3)
         res = eng.search(q)
         # nearest three live in partitions 2, 0, and 1 respectively
         assert res.indices[0].tolist() == [8, 2, 5]
         assert res.distances[0].tolist() == [0, 1, 2]
 
     def test_k_clipped_to_n(self, small_dataset, small_queries):
-        eng = APSimilaritySearch(small_dataset, k=100, execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=100)
         res = eng.search(small_queries)
         assert res.k == small_dataset.shape[0]
 
     def test_duplicate_vectors_tie_break_by_index(self):
         data = np.zeros((5, 8), dtype=np.uint8)
         q = np.zeros((1, 8), dtype=np.uint8)
-        eng = APSimilaritySearch(data, k=3, board_capacity=2, execution="functional")
+        eng = APSimilaritySearch(data, k=3, board_capacity=2)
         res = eng.search(q)
         assert res.indices[0].tolist() == [0, 1, 2]
 
@@ -58,10 +56,14 @@ class TestShortTopkRegression:
     def test_single_vector_dataset(self, execution):
         data = np.ones((1, 6), dtype=np.uint8)
         queries = np.zeros((2, 6), dtype=np.uint8)
-        res = APSimilaritySearch(data, k=4, execution=execution).search(queries)
-        assert res.k == 1
-        assert res.indices.tolist() == [[0], [0]]
-        assert res.distances.tolist() == [[6], [6]]
+        if execution == "simulate":
+            indices, distances, _ = simulate_knn(data, queries, 4)
+        else:
+            res = APSimilaritySearch(data, k=4).search(queries)
+            assert res.k == 1
+            indices, distances = res.indices, res.distances
+        assert indices.tolist() == [[0], [0]]
+        assert distances.tolist() == [[6], [6]]
 
     def test_short_merge_pads_instead_of_crashing(self, monkeypatch):
         """A back-end returning fewer reports than vectors must pad, not
@@ -70,7 +72,7 @@ class TestShortTopkRegression:
         data = rng.integers(0, 2, (6, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (2, 8), dtype=np.uint8)
         engine = APSimilaritySearch(
-            data, k=4, board_capacity=6, execution="functional"
+            data, k=4, board_capacity=6
         )
 
         # The report-stream seam (simulate back-end, harness replays):
@@ -87,15 +89,15 @@ class TestShortTopkRegression:
         assert (distances.ravel()[1:] == PAD_DISTANCE).all()
         assert indices[0, 0] != PAD_INDEX
 
-        # The block seam the functional workload takes: a short block
-        # through the merge.
-        real = FunctionalKnnBoard.topk_block
+        # The block seam the kNN workload takes: a short block through
+        # the merge.
+        real = workload_mod.hamming_topk
 
-        def lossy(self, queries_bits, k, **carry):
-            indices, distances = real(self, queries_bits, k, **carry)
+        def lossy(*args, **carry):
+            indices, distances = real(*args, **carry)
             return indices[:, :1], distances[:, :1]  # drop most
 
-        monkeypatch.setattr(FunctionalKnnBoard, "topk_block", lossy)
+        monkeypatch.setattr(workload_mod, "hamming_topk", lossy)
         res = engine.search(queries)
         assert res.indices.shape == (2, 4)
         # each query kept one real candidate, the rest are pad slots
@@ -105,7 +107,7 @@ class TestShortTopkRegression:
 
     def test_requested_k_recorded(self):
         data = np.zeros((3, 4), dtype=np.uint8)
-        eng = APSimilaritySearch(data, k=9, execution="functional")
+        eng = APSimilaritySearch(data, k=9)
         assert eng.requested_k == 9
         assert eng.k == 3
 
@@ -126,9 +128,8 @@ class TestEmptyReportDtypes:
         data = np.zeros((3, 4), dtype=np.uint8)
         queries = np.zeros((0, 4), dtype=np.uint8)  # no queries -> no reports
         layout = StreamLayout(4, collector_tree_depth(4, 16))
-        image = workload_mod.get_workload("knn").compile(
-            data, {"k": 1, "execution": "simulate"}
-        )
+        network, _ = build_knn_network(data, report_code_base=0)
+        image = APRuntime(GEN1).build_image(network)
         q_idx, codes, cycles, _ = run_partition_simulated(
             image, queries, layout, GEN1
         )
@@ -139,51 +140,49 @@ class TestEmptyReportDtypes:
 
     def test_engine_search_with_zero_queries(self):
         data = np.zeros((5, 4), dtype=np.uint8)
-        for mode in ("simulate", "functional"):
-            res = APSimilaritySearch(
-                data, k=2, board_capacity=3, execution=mode
-            ).search(np.zeros((0, 4), dtype=np.uint8))
-            assert res.indices.shape == (0, 2)
-            assert res.indices.dtype == np.int64
+        queries = np.zeros((0, 4), dtype=np.uint8)
+        res = APSimilaritySearch(data, k=2, board_capacity=3).search(queries)
+        indices, _, _ = simulate_knn(data, queries, 2, board_capacity=3)
+        for got in (res.indices, indices):
+            assert got.shape == (0, 2)
+            assert got.dtype == np.int64
 
 
 class TestExecutionDefault:
-    """``"functional"`` is the one default; ``"simulate"`` is an opt-in
-    that must agree with it bit for bit, counters included."""
+    """The engine runs the functional model; the cycle-accurate
+    simulator is the oracle ``simulate_knn``, which must agree with it
+    bit for bit, counters included."""
 
     def test_default_is_functional_and_equals_simulate(self):
         rng = np.random.default_rng(21)
         data = rng.integers(0, 2, (40, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (3, 8), dtype=np.uint8)
-        eng = APSimilaritySearch(data, k=4, board_capacity=16)
-        res = eng.search(queries)
-        assert eng.execution == res.execution == "functional"
-        ref = APSimilaritySearch(
-            data, k=4, board_capacity=16, execution="simulate"
-        ).search(queries)
-        assert (res.indices == ref.indices).all()
-        assert (res.distances == ref.distances).all()
-        assert res.counters == ref.counters
+        res = APSimilaritySearch(data, k=4, board_capacity=16).search(queries)
+        assert res.execution == "functional"
+        indices, distances, counters = simulate_knn(
+            data, queries, 4, board_capacity=16
+        )
+        assert (res.indices == indices).all()
+        assert (res.distances == distances).all()
+        assert res.counters == counters
 
-    @pytest.mark.parametrize("execution", ["auto", "bogus"])
+    @pytest.mark.parametrize("execution", ["auto", "bogus", "simulate"])
     @pytest.mark.parametrize("make", [
         lambda data, execution: APSimilaritySearch(
             data, k=2, execution=execution
         ),
-        lambda data, execution: workload_mod.WorkloadSearch(
-            data, "knn", {"k": 2, "execution": execution}
-        ),
-    ], ids=["APSimilaritySearch", "WorkloadSearch"])
+    ], ids=["APSimilaritySearch"])
     def test_unknown_execution_refused(self, make, execution):
+        """The ``execution=`` adapter takes ``"functional"`` alone and
+        names the oracle for anything else."""
         data = np.zeros((4, 4), dtype=np.uint8)
-        with pytest.raises(ValueError, match="unknown execution mode"):
+        with pytest.raises(ValueError, match="unknown execution mode.*simulate_knn"):
             make(data, execution)
 
 
 class TestEngineAccounting:
     def test_counters(self, small_dataset, small_queries):
-        eng = APSimilaritySearch(small_dataset, k=2, board_capacity=8,
-                                 execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=2, board_capacity=8)
         res = eng.search(small_queries)
         assert res.counters.configurations == 3
         # every partition streams the full query batch
@@ -193,21 +192,16 @@ class TestEngineAccounting:
 
     def test_simulate_and_functional_counters_agree(self, small_dataset,
                                                     small_queries):
-        results = {}
-        for mode in ("simulate", "functional"):
-            eng = APSimilaritySearch(small_dataset, k=2, board_capacity=8,
-                                     execution=mode)
-            results[mode] = eng.search(small_queries).counters
-        a, b = results["simulate"], results["functional"]
-        assert a.configurations == b.configurations
-        assert a.symbols_streamed == b.symbols_streamed
-        assert a.reports_received == b.reports_received
+        eng = APSimilaritySearch(small_dataset, k=2, board_capacity=8)
+        _, _, simulated = simulate_knn(
+            small_dataset, small_queries, 2, board_capacity=8
+        )
+        assert eng.search(small_queries).counters == simulated
 
     def test_estimated_runtime_uses_paper_model(self):
         data = np.zeros((1024, 64), dtype=np.uint8)
         data[:, 0] = 1  # avoid the degenerate all-equal dataset
-        eng = APSimilaritySearch(data, k=2, board_capacity=1024,
-                                 execution="functional")
+        eng = APSimilaritySearch(data, k=2, board_capacity=1024)
         t = eng.estimated_runtime_s(4096)
         # one partition, no reconfiguration: q x d cycles at ~7.5 ns
         assert t == pytest.approx(4096 * 64 / 133e6, rel=1e-9)
@@ -215,10 +209,8 @@ class TestEngineAccounting:
 
     def test_gen2_faster_for_partitioned_sets(self):
         data = np.random.default_rng(0).integers(0, 2, (64, 16), dtype=np.uint8)
-        e1 = APSimilaritySearch(data, k=1, device=GEN1, board_capacity=8,
-                                execution="functional")
-        e2 = APSimilaritySearch(data, k=1, device=GEN2, board_capacity=8,
-                                execution="functional")
+        e1 = APSimilaritySearch(data, k=1, device=GEN1, board_capacity=8)
+        e2 = APSimilaritySearch(data, k=1, device=GEN2, board_capacity=8)
         assert e1.estimated_runtime_s(100) > e2.estimated_runtime_s(100)
 
 
@@ -241,15 +233,15 @@ class TestEngineValidation:
                                execution="warp")
 
     def test_rejects_query_dim_mismatch(self, small_dataset):
-        eng = APSimilaritySearch(small_dataset, k=1, execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=1)
         with pytest.raises(ValueError, match="d="):
             eng.search(np.zeros((1, 5), dtype=np.uint8))
 
     def test_rejects_non_binary_queries(self, small_dataset):
-        eng = APSimilaritySearch(small_dataset, k=1, execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=1)
         with pytest.raises(ValueError, match="binary"):
             eng.search(np.full((1, 16), 2, dtype=np.uint8))
 
     def test_default_capacity_from_compiler(self, small_dataset):
-        eng = APSimilaritySearch(small_dataset, k=1, execution="functional")
+        eng = APSimilaritySearch(small_dataset, k=1)
         assert eng.board_capacity >= small_dataset.shape[0]

@@ -98,7 +98,7 @@ class TestPadSafety:
 
         data = rng.integers(0, 2, (20, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (3, 8), dtype=np.uint8)
-        mb = MultiBoardSearch(data, k=3, n_devices=2, execution="functional")
+        mb = MultiBoardSearch(data, k=3, n_devices=2)
         assert mb.per_device_partitions == (1, 1)
         # device 0 (data[0:10], single partition, p_idx 0) goes lossy
         self._lossy(monkeypatch, {0})
@@ -115,7 +115,7 @@ class TestPadSafety:
 
         data = rng.integers(0, 2, (8, 8), dtype=np.uint8)
         queries = rng.integers(0, 2, (2, 8), dtype=np.uint8)
-        mb = MultiBoardSearch(data, k=2, n_devices=2, execution="functional")
+        mb = MultiBoardSearch(data, k=2, n_devices=2)
         self._lossy(monkeypatch, {0, 1})
         res = mb.search(queries)
         assert (res.indices == PAD_INDEX).all()

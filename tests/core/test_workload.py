@@ -6,8 +6,8 @@ The load-bearing claims:
 * ``APSimilaritySearch`` is a named constructor over the one pipeline;
 * every execution path answers as the serial engine and a brute-force
   scan do — held by ``tests/integration/test_bit_identity.py``;
-* multi-board passes keep caching per board, and simulated passes one
-  board; a workload needs only ``compile_packed``;
+* multi-board passes keep caching per board; a workload must implement
+  ``compile_packed``;
 * every store's passes take one byte budget and one plan, split each
   device shard into near-equal runs, and the one-board-per-pass
   reference reaches them;
@@ -37,7 +37,7 @@ from repro.core.workload import (
     register_workload,
 )
 from repro.host.parallel import ParallelConfig
-from repro.util.bitops import popcount_u64
+from repro.util.bitops import pack_bits
 from tests.oracle import (
     PopcountNearest,
     _popcount_nearest,
@@ -65,21 +65,13 @@ def _assert_value_equal(workload, a, b):
 ALL_PARAMS = [("knn", {"k": 9}), ("jaccard", {"k": 9}), ("range", {"radius": 11})]
 
 
-class _PackedPopcount(PopcountNearest):
-    """The oracle's toy, answering from packed words alone."""
-
-    name = "toy-packed"
-    compile = Workload.compile
-
-    def compile_packed(self, words, d, params):
-        return popcount_u64(words).sum(axis=1).astype(np.int64)
-
-
-class _Hollow(PopcountNearest):
-    """The toy with neither ``compile`` nor ``compile_packed``."""
+class _Hollow(Workload):
+    """A workload that implements everything but ``compile_packed``."""
 
     name = "toy-hollow"
-    compile = Workload.compile
+    execute = PopcountNearest.execute
+    merge = PopcountNearest.merge
+    empty = PopcountNearest.empty
 
 
 class TestRegistry:
@@ -122,20 +114,16 @@ class TestKnnReferenceWorkload:
 
     @pytest.mark.parametrize("execution,capacity", [
         ("functional", 16), ("functional", None),
-        ("simulate", 16), ("simulate", None),
     ])
     def test_engine_is_a_named_constructor(self, oracle, execution, capacity):
         """APSimilaritySearch is a named constructor over the one
         pipeline: same partitioning (default capacity included), same
-        answers, same counters — in both back-ends."""
+        answers, same counters — its ``execution=`` adapter included."""
         data, queries = _data(n=60, d=16, n_queries=3)
         ref_engine = APSimilaritySearch(
             data, k=9, execution=execution, board_capacity=capacity
         )
-        engine = WorkloadSearch(
-            data, "knn", {"k": 9, "execution": execution},
-            board_capacity=capacity,
-        )
+        engine = WorkloadSearch(data, "knn", {"k": 9}, board_capacity=capacity)
         assert engine.partitions == ref_engine.partitions
         ref, res = ref_engine.search(queries), engine.search(queries)
         assert (res.value.indices == ref.indices).all()
@@ -162,24 +150,24 @@ class TestKnnReferenceWorkload:
                 data, "jaccard", {"k": 1}
             ).board_capacity == table2_cap
 
-    def test_simulate_and_functional_never_share_cache_entries(self):
+    def test_board_words_are_shared_across_workloads(self):
+        """A board's cache entry is its packed words, keyed by content
+        alone: a second kNN engine and a Jaccard engine over the same
+        rows find every board."""
         from repro.ap.compiler import BoardImageCache
 
         data, queries = _data(n=40, d=16, n_queries=2)
         cache = BoardImageCache()
         results = [
             APSimilaritySearch(
-                data, k=3, board_capacity=16, execution=execution, cache=cache
+                data, k=3, board_capacity=16, cache=cache
             ).search(queries)
-            for execution in ("functional", "simulate", "functional")
+            for _ in range(2)
         ]
-        assert len(cache) == 2 * results[0].n_partitions
+        assert len(cache) == results[0].n_partitions
         assert [r.counters.image_cache_hits for r in results] == [
-            0, 0, results[0].n_partitions
+            0, results[0].n_partitions
         ]
-        assert (results[0].indices == results[1].indices).all()
-        # A functional board's entry is its packed words, keyed by
-        # content alone: a Jaccard engine over the same rows finds them.
         misses = cache.stats.misses
         jaccard = WorkloadSearch(
             data, "jaccard", {"k": 3}, board_capacity=16, cache=cache
@@ -190,7 +178,7 @@ class TestKnnReferenceWorkload:
     def test_engine_merge_routes_through_workload(self):
         # multi-partition single engine still merges exactly
         data, queries = _data(n=150, seed=3)
-        ref = APSimilaritySearch(data, k=150, execution="functional",
+        ref = APSimilaritySearch(data, k=150,
                                  board_capacity=32).search(queries)
         brute = np.lexsort(
             (np.arange(150)[None, :].repeat(queries.shape[0], 0),
@@ -236,7 +224,8 @@ class TestWorkloadPasses:
         if flavor == "full-sets":
             queries[1] = 1
         workload = get_workload("jaccard")
-        got, _ = workload.execute(workload.compile(data, {}), queries, {"k": k})
+        artifact = workload.compile_packed(pack_bits(data), d, {})
+        got, _ = workload.execute(artifact, pack_bits(queries), {"k": k})
         sim = jaccard_similarity_matrix(queries, data)
         inter = (queries[:, None, :] & data[None, :, :]).sum(axis=-1)
         ids = np.broadcast_to(np.arange(n), sim.shape)
@@ -297,21 +286,20 @@ class TestWorkloadPasses:
 
     def test_compile_packed_alone_runs_a_run_of_boards_as_one_pass(self):
         data, queries = _data(n=64)
-        engine = WorkloadSearch(data, _PackedPopcount(), {}, board_capacity=16,
+        engine = WorkloadSearch(data, PopcountNearest(), {}, board_capacity=16,
                                 cache=True)
         [task] = engine._partition_tasks(boards_per_pass=4)
         result = engine.workload.execute_task(task, queries, engine.cache)
         assert result.passes == 1
         assert result.counters.configurations == 4
-        want, _ = _popcount_nearest(data.sum(axis=1).astype(np.int64), queries)
+        want, _ = _popcount_nearest(
+            *(bits.sum(axis=1).astype(np.int64) for bits in (data, queries))
+        )
         assert np.array_equal(result.payload.indices, want)
 
-    def test_a_workload_without_either_compile_hook_is_named(self):
-        data, queries = _data(n=64)
-        engine = WorkloadSearch(data, _Hollow(), {}, board_capacity=16)
-        task = engine._partition_tasks()[0]
-        with pytest.raises(NotImplementedError, match="'toy-hollow'"):
-            engine.workload.execute_task(task, queries, None)
+    def test_a_workload_without_compile_packed_cannot_be_instantiated(self):
+        with pytest.raises(TypeError, match="compile_packed"):
+            _Hollow()
 
     @staticmethod
     def _pass_sizes(monkeypatch):
@@ -330,31 +318,23 @@ class TestWorkloadPasses:
         monkeypatch.setattr(PartitionTask, "window_list", spy)
         return seen
 
-    @pytest.mark.parametrize("execution,n_q,fused", [
-        ("simulate", 2, False), ("functional", 1, True),
-        ("functional", 64, True),
-    ])
-    def test_simulate_tasks_stay_one_board(
-        self, execution, n_q, fused, monkeypatch
-    ):
-        """A cycle-accurate image IS one board: only functional runs
-        are handed to workers as multi-board passes."""
+    @pytest.mark.parametrize("n_q", [1, 64])
+    def test_a_run_of_boards_is_one_pass(self, n_q, monkeypatch):
+        """Workers get a run of boards as one pass, which reports what
+        one pass per board does."""
         data, _ = _data(n=24, d=8)
         queries = _data(n=24, d=8, n_queries=n_q, seed=5)[1]
 
         def engine():
-            return WorkloadSearch(
-                data, "knn", {"k": 3, "execution": execution},
-                board_capacity=6, cache=True,
-            )
+            return WorkloadSearch(data, "knn", {"k": 3}, board_capacity=6,
+                                  cache=True)
 
         with one_board_per_pass():
             ref = run_snapshot(engine(), queries)
         seen = self._pass_sizes(monkeypatch)
         got = run_snapshot(engine(), queries, searches=1)
-        assert seen == ([4] if fused else [1, 1, 1, 1])
-        assert got[0]["execution"] == ("functional" if fused else "simulate")
-        assert_snapshots_equal(got[:1], ref[:1], execution)
+        assert seen == [4]
+        assert_snapshots_equal(got[:1], ref[:1], n_q)
 
     @staticmethod
     def _store(kind, data, tmp_path):
@@ -374,7 +354,7 @@ class TestWorkloadPasses:
         seen = self._pass_sizes(monkeypatch)
         for kind in ("array", "pds"):
             engine = WorkloadSearch(self._store(kind, data, tmp_path), "knn",
-                                    {"k": 3, "execution": "functional"},
+                                    {"k": 3},
                                     board_capacity=16)
             assert engine._view_passes() == (kind == "pds")
             seen.clear()
@@ -396,7 +376,7 @@ class TestWorkloadPasses:
         plans = []
         for kind in ("array", "pds"):
             engine = WorkloadSearch(self._store(kind, data, tmp_path), "knn",
-                                    {"k": 3, "execution": "functional"},
+                                    {"k": 3},
                                     board_capacity=512)
             per_pass = engine._boards_per_pass(n_q)
             tasks = engine._partition_tasks(per_pass)
@@ -420,7 +400,7 @@ class TestWorkloadPasses:
 
         def engine():
             return WorkloadSearch(source, "knn",
-                                  {"k": 5, "execution": "functional"},
+                                  {"k": 5},
                                   board_capacity=16, n_devices=n_devices,
                                   cache=True)
 
@@ -452,9 +432,9 @@ class TestWorkloadPasses:
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("n_devices", [1, 3])
     def test_only_carriers_run_lane_tasks_of_windows(self, n_devices, lanes):
-        """A functional kNN task is one run of windows per (worker lane,
-        device shard), the windows being the passes every workload cuts;
-        Jaccard, range and cycle-accurate kNN keep one pass per task."""
+        """A kNN task is one run of windows per (worker lane, device
+        shard), the windows being the passes every workload cuts;
+        Jaccard and range keep one pass per task."""
         data, queries = _data(n=57 * 16 - 5, d=64, n_queries=8)
         parallel = ParallelConfig(n_workers=lanes, backend="thread")
 
@@ -465,7 +445,7 @@ class TestWorkloadPasses:
                 engine._boards_per_pass(len(queries))
             )
 
-        knn, knn_tasks = tasks("knn", {"k": 5, "execution": "functional"})
+        knn, knn_tasks = tasks("knn", {"k": 5})
         windows = [(t.start + lo, t.start + hi)
                    for t in knn_tasks for lo, hi, _ in t.window_list()]
         bounds = knn.shard_bounds.tolist()
@@ -478,15 +458,11 @@ class TestWorkloadPasses:
             _, plan = tasks(name, params)
             assert all(t.windows == () for t in plan), name
             assert [(t.start, t.end) for t in plan] == windows, name
-        sim, plan = tasks("knn", {"k": 5, "execution": "simulate"})
-        assert [(t.start, t.end, t.windows) for t in plan] == [
-            (a, b, ()) for a, b in sim.partitions
-        ]
 
     def test_a_non_carrier_refuses_a_task_of_windows(self):
-        """Only a carrier runs several packed windows in one task: a
-        Jaccard task cut into two windows is refused, not answered from
-        its last window alone."""
+        """Only a carrier runs several windows in one task: a Jaccard
+        task cut into two windows is refused, not answered from its last
+        window alone."""
         from dataclasses import replace
 
         data, queries = _data(n=64, d=64, n_queries=2)
@@ -605,13 +581,15 @@ class TestParamValidation:
         assert wide.dtype == np.uint8 and (wide == queries).all()
 
     @pytest.mark.parametrize("name,params", [
-        ("knn", {"k": 2, "execution": "functional"}),
+        ("knn", {"k": 2}),
         ("jaccard", {"k": 2}),
         ("range", {"radius": 3}),
     ])
     def test_builtin_compile_and_execute_validate_before_narrowing(self, name, params):
-        """Called directly, a built-in's compile/execute must reject 256
-        in the rows and 257 in a query, not wrap them to 0 and 1."""
+        """Called directly with 0/1 arrays, as the stepwise replay of
+        ``benchmarks/e2e`` calls them, a built-in's ``compile`` adapter
+        and ``execute`` must reject 256 in the rows and 257 in a query,
+        not wrap them to 0 and 1."""
         wl = get_workload(name)
         rows = np.zeros((4, 8), dtype=np.int64)
         rows[1, 2] = 256
@@ -680,8 +658,8 @@ class TestMergeProperties:
             part_params = workload.validate_params(
                 dict(params), hi - lo, d
             )
-            artifact = workload.compile(data[lo:hi], part_params)
-            partial, _ = workload.execute(artifact, queries, part_params)
+            artifact = workload.compile_packed(pack_bits(data[lo:hi]), d, part_params)
+            partial, _ = workload.execute(artifact, pack_bits(queries), part_params)
             partials.append(partial)
             offsets.append(int(lo))
         return workload, params, partials, offsets

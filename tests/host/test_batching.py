@@ -22,7 +22,7 @@ def _workload(n=120, d=16, n_queries=24, seed=7):
 
 def _engine(data, k=4, cap=32, **kw):
     return APSimilaritySearch(
-        data, k=k, board_capacity=cap, execution="functional", **kw
+        data, k=k, board_capacity=cap, **kw
     )
 
 
@@ -75,7 +75,7 @@ class TestBitIdentity:
     def test_multiboard_batched_matches_direct(self):
         data, queries = _workload(n=150, n_queries=20)
         mb = MultiBoardSearch(
-            data, k=4, n_devices=3, board_capacity=32, execution="functional"
+            data, k=4, n_devices=3, board_capacity=32
         )
         ref = mb.search(queries)
         with mb.batched(max_batch=32, max_wait_ms=25.0) as router:

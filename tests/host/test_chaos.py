@@ -69,7 +69,7 @@ NO_HEDGE = HedgePolicy(enabled=False)
 class TestChaosProxy:
     def test_transparent_without_faults(self):
         data, queries = _workload()
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         try:
             with RemoteShard(_addr(server)) as direct:
                 ref = direct.search(queries, k=5)
@@ -85,7 +85,7 @@ class TestChaosProxy:
 
     def test_every_and_times_schedule(self):
         data, queries = _workload()
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         try:
             with ChaosProxy(_addr(server)) as proxy:
                 # delay-0 faults: observable via the counter, harmless
@@ -109,8 +109,8 @@ class TestChaosProxy:
 def _faulty_pair(data):
     """Replica A behind a chaos proxy, replica B direct; A is the
     untried-candidate primary (index order)."""
-    a = ShardServer(data, execution="functional").start()
-    b = ShardServer(data, execution="functional").start()
+    a = ShardServer(data).start()
+    b = ShardServer(data).start()
     proxy = ChaosProxy(_addr(a))
     return a, b, proxy
 
@@ -245,7 +245,7 @@ class TestHedgedReads:
 class TestBreakerRecovery:
     def test_open_half_open_closed_cycle(self):
         data, queries = _workload()
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         proxy = ChaosProxy(_addr(server))
         try:
             proxy.set_fault(FaultSpec("drop"))
@@ -273,7 +273,7 @@ class TestBreakerRecovery:
 
 def _serve_replica(data, address_queue):
     """Child-process entry: serve the full dataset as one shard."""
-    server = ShardServer(data, execution="functional")
+    server = ShardServer(data)
     server.start()
     address_queue.put(_addr(server))
     server._thread.join()
@@ -285,7 +285,7 @@ class TestReplicaKill:
         the pool is serving — the next result is complete (NOT flagged
         partial) and bit-identical to the unreplicated answer."""
         data, queries = _workload(n=140, d=16, n_queries=6, seed=21)
-        ref = APSimilaritySearch(data, k=7, execution="functional").search(
+        ref = APSimilaritySearch(data, k=7).search(
             queries
         )
         ctx = multiprocessing.get_context()
@@ -343,7 +343,7 @@ class TestServerFaultHook:
             FaultSpec("drop", times=1), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
-            data, execution="functional", fault_hook=hook
+            data, fault_hook=hook
         ).start()
         try:
             # handshake traffic is untouched by the match filter...
@@ -371,7 +371,7 @@ class TestDrain:
             FaultSpec("delay", delay_s=0.3), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
-            data, execution="functional", fault_hook=hook
+            data, fault_hook=hook
         ).start()
         address = _addr(server)
         result, errors = {}, []
@@ -407,7 +407,7 @@ class TestDrain:
             FaultSpec("delay", delay_s=2.0), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
-            data, execution="functional", fault_hook=hook
+            data, fault_hook=hook
         ).start()
         address = _addr(server)
         failed = threading.Event()
@@ -435,7 +435,7 @@ class TestDrain:
 
     def test_drain_idle_server_is_immediate(self):
         data, _ = _workload()
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         try:
             assert server.drain(timeout_s=1.0) is True
         finally:
@@ -452,7 +452,7 @@ class TestDrain:
             FaultSpec("delay", delay_s=0.6), match=(MSG_WL_SEARCH,)
         )
         server = ShardServer(
-            data, execution="functional", fault_hook=hook
+            data, fault_hook=hook
         ).start()
         address = _addr(server)
         reports, gauge_peaks = [], []
@@ -498,7 +498,7 @@ class TestDrain:
 
     def test_drain_progress_exceptions_do_not_break_drain(self):
         data, _ = _workload()
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         try:
             def broken(*_):
                 raise RuntimeError("reporter bug")
@@ -523,7 +523,7 @@ class TestServeSigterm:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve", str(dataset),
-                "--execution", "functional", "--drain-timeout-s", "2.0",
+                "--drain-timeout-s", "2.0",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=env, text=True, cwd=os.getcwd(),
@@ -591,7 +591,7 @@ class TestServeSigterm:
         try:
             code = cli.main([
                 "serve", str(dataset), "--port", str(port),
-                "--execution", "functional", "--drain-timeout-s", "1.0",
+                "--drain-timeout-s", "1.0",
             ])
         finally:
             served.set()

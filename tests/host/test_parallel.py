@@ -76,25 +76,25 @@ class TestEngineParallel:
     def test_result_records_worker_lanes(self):
         data, queries = _workload()
         par = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional", parallel=2
+            data, k=2, board_capacity=12, parallel=2
         ).search(queries)
         assert par.n_workers == 2
         assert par.dispatch_overhead_s >= 0.0  # the envelope carries it
         seq = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional"
+            data, k=2, board_capacity=12
         ).search(queries)
         assert seq.n_workers == 1
         assert seq.dispatch_overhead_s is None
         # single-partition dataset: the parallel path is never taken
         one = APSimilaritySearch(
-            data, k=2, board_capacity=100, execution="functional", parallel=4
+            data, k=2, board_capacity=100, parallel=4
         ).search(queries)
         assert one.n_partitions == 1
         assert one.n_workers == 1
 
     def test_int_parallel_shorthand(self):
         data, queries = _workload(n=30)
-        eng = APSimilaritySearch(data, k=1, parallel=2, execution="functional")
+        eng = APSimilaritySearch(data, k=1, parallel=2)
         assert eng.parallel == ParallelConfig(n_workers=2)
         res = eng.search(queries)
         exp_i, _ = brute_force_knn(data, queries, 1)
@@ -151,7 +151,7 @@ class TestPersistentPool:
         config = ParallelConfig(n_workers=2, backend="thread", persistent=True)
         assert config._pool is None
         eng = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional", parallel=config
+            data, k=2, board_capacity=12, parallel=config
         )
         eng.search(queries)
         pool = config._pool
@@ -165,7 +165,7 @@ class TestPersistentPool:
         data, queries = _workload()
         with ParallelConfig(n_workers=2, backend="thread", persistent=True) as cfg:
             res = APSimilaritySearch(
-                data, k=2, board_capacity=12, execution="functional", parallel=cfg
+                data, k=2, board_capacity=12, parallel=cfg
             ).search(queries)
             assert res.n_workers == 2
             assert cfg._pool is not None
@@ -203,7 +203,7 @@ class TestPersistentPool:
         data, queries = _workload()
         cfg = ParallelConfig(n_workers=2, backend="thread", persistent=True)
         APSimilaritySearch(
-            data, k=1, board_capacity=12, execution="functional", parallel=cfg
+            data, k=1, board_capacity=12, parallel=cfg
         ).search(queries)
         try:
             assert cfg == ParallelConfig(
@@ -256,7 +256,7 @@ class TestPoolLeakGuard:
             "cfg = ParallelConfig(n_workers=2, backend='process',"
             " persistent=True)\n"
             "res = APSimilaritySearch(data, k=2, board_capacity=12,"
-            " execution='functional', parallel=cfg).search(queries)\n"
+            " parallel=cfg).search(queries)\n"
             "assert res.n_workers == 2\n"
             "print('done', flush=True)\n"  # cfg dropped without close()
         )
@@ -290,7 +290,7 @@ class TestProcessCacheShipback:
 
         data, queries = _workload()
         seq = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional"
+            data, k=3, board_capacity=12
         ).search(queries)
 
         class BrokenPool:
@@ -309,7 +309,7 @@ class TestProcessCacheShipback:
             with monkeypatch.context() as m:
                 m.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", floor)
                 eng = APSimilaritySearch(
-                    data, k=3, board_capacity=12, execution="functional",
+                    data, k=3, board_capacity=12,
                     parallel=ParallelConfig(n_workers=2, backend="process"),
                     cache=BoardImageCache(max_entries=1),  # evicts aggressively
                 )
@@ -332,20 +332,21 @@ class TestProcessCacheShipback:
         data, queries = _workload()
         cache = BoardImageCache()
         eng = APSimilaritySearch(
-            data, k=2, board_capacity=12, execution="functional", cache=cache
+            data, k=2, board_capacity=12, cache=cache
         )
         eng.search(queries)  # warm the cache in-process
-        builds = []
+        packed = []
         real = wl_mod.pack_bits
 
-        def counting(rows):
-            builds.append(1)
-            return real(rows)
+        def counting(bits):
+            packed.append(bits.shape)
+            return real(bits)
 
         monkeypatch.setattr(wl_mod, "pack_bits", counting)
         warm = eng.search(queries)
         assert warm.counters.image_cache_hits == warm.n_partitions
-        assert not builds
+        # The one task packs its query batch, once, and no board.
+        assert packed == [queries.shape]
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_multi_board_tasks_keep_the_cache_per_board(self, backend):
@@ -361,7 +362,7 @@ class TestProcessCacheShipback:
         data, queries = _workload(n=144, d=16)  # 12 boards of 12
         cache = BoardImageCache()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional", cache=cache,
+            data, k=3, board_capacity=12, cache=cache,
             parallel=ParallelConfig(n_workers=2, backend="thread"),
         )
         tasks = eng._partition_tasks(boards_per_pass=3)
@@ -419,7 +420,7 @@ class TestProcessCacheShipback:
         path = tmp_path / "warm.pds"
         write_pds(path, data)
         eng = APSimilaritySearch(
-            str(path), k=3, board_capacity=12, execution="functional",
+            str(path), k=3, board_capacity=12,
             cache=True,
         )
         touched = []
@@ -712,17 +713,17 @@ class _CrashWorkload(Workload):
             "always": bool(params.get("always", False)),
         }
 
-    def compile(self, dataset_bits, params):
-        return np.asarray(dataset_bits, dtype=np.uint8)
+    def compile_packed(self, words, d, params):
+        return words
 
-    def execute(self, artifact, queries_bits, params):
+    def execute(self, artifact, query_words, params):
         flag = params["flag"]
         if params["always"]:
             os._exit(17)
         if flag and not os.path.exists(flag):
             open(flag, "w").close()
             os._exit(17)
-        n, n_q = artifact.shape[0], queries_bits.shape[0]
+        n, n_q = artifact.shape[0], query_words.shape[0]
         return _EchoResult(
             indices=np.tile(np.arange(n, dtype=np.int64), (n_q, 1)),
             distances=np.zeros((n_q, n), dtype=np.int64),

@@ -368,7 +368,7 @@ class TestBackoff:
 class TestReplicaGroup:
     def test_failover_from_dead_primary(self):
         data, queries = _workload()
-        live = ShardServer(data, execution="functional").start()
+        live = ShardServer(data).start()
         dead = f"127.0.0.1:{_dead_port()}"
         try:
             with RemoteShard(_addr(live)) as single:
@@ -393,7 +393,7 @@ class TestReplicaGroup:
 
     def test_sequential_failover_without_hedging(self):
         data, queries = _workload()
-        live = ShardServer(data, execution="functional").start()
+        live = ShardServer(data).start()
         dead = f"127.0.0.1:{_dead_port()}"
         try:
             with ReplicaGroup(
@@ -423,7 +423,7 @@ class TestReplicaGroup:
         """After the breaker opens, the healthy replica is primary and
         the sick one stops eating a connect timeout per request."""
         data, queries = _workload()
-        live = ShardServer(data, execution="functional").start()
+        live = ShardServer(data).start()
         dead = f"127.0.0.1:{_dead_port()}"
         try:
             with ReplicaGroup(
@@ -443,8 +443,8 @@ class TestReplicaGroup:
 
     def test_replica_disagreement_is_fatal_not_failover(self):
         data, _ = _workload()
-        a = ShardServer(data, offset=0, execution="functional").start()
-        b = ShardServer(data, offset=999, execution="functional").start()
+        a = ShardServer(data, offset=0).start()
+        b = ShardServer(data, offset=999).start()
         try:
             with ReplicaGroup(
                 f"{_addr(a)}|{_addr(b)}",
@@ -462,7 +462,7 @@ class TestReplicaGroup:
 
     def test_close_is_reusable(self):
         data, queries = _workload()
-        a = ShardServer(data, execution="functional").start()
+        a = ShardServer(data).start()
         try:
             group = ReplicaGroup(_addr(a))
             group.search(queries, k=3)
@@ -483,11 +483,11 @@ class TestPoolWithReplicaGroups:
         batch must come back complete (not partial) and bit-identical,
         with the failure absorbed inside the group."""
         data, queries = _workload(n=80, d=16, n_queries=4, seed=3)
-        ref = APSimilaritySearch(data, k=5, execution="functional").search(
+        ref = APSimilaritySearch(data, k=5).search(
             queries
         )
-        a = ShardServer(data, execution="functional").start()
-        b = ShardServer(data, execution="functional").start()
+        a = ShardServer(data).start()
+        b = ShardServer(data).start()
         try:
             with RemoteShardPool(
                 [f"{_addr(a)}|{_addr(b)}"],
@@ -514,7 +514,7 @@ class TestPoolWithReplicaGroups:
     def test_whole_group_down_named_as_one_failed_shard(self):
         data, queries = _workload(n=80, d=16, n_queries=3)
         live = ShardServer(
-            data[:40], offset=0, execution="functional"
+            data[:40], offset=0
         ).start()
         dead_spec = (
             f"127.0.0.1:{_dead_port()}|127.0.0.1:{_dead_port()}"
@@ -532,8 +532,8 @@ class TestPoolWithReplicaGroups:
 
     def test_replication_events_attributed_per_batch(self):
         data, queries = _workload()
-        a = ShardServer(data, execution="functional").start()
-        b = ShardServer(data, execution="functional").start()
+        a = ShardServer(data).start()
+        b = ShardServer(data).start()
         try:
             with RemoteShardPool(
                 [f"{_addr(a)}|{_addr(b)}"],
@@ -558,8 +558,8 @@ class TestPoolWithReplicaGroups:
 
     def test_health_snapshot_surface(self):
         data, queries = _workload()
-        a = ShardServer(data, execution="functional").start()
-        b = ShardServer(data, execution="functional").start()
+        a = ShardServer(data).start()
+        b = ShardServer(data).start()
         spec = f"{_addr(a)}|{_addr(b)}"
         try:
             with RemoteShardPool([spec]) as pool:
@@ -577,8 +577,8 @@ class TestPoolWithReplicaGroups:
 
     def test_batched_front_door_forwards_replication_events(self):
         data, queries = _workload(n=60, d=16, n_queries=3)
-        a = ShardServer(data, execution="functional").start()
-        b = ShardServer(data, execution="functional").start()
+        a = ShardServer(data).start()
+        b = ShardServer(data).start()
         try:
             with RemoteMultiBoardSearch(
                 [f"{_addr(a)}|{_addr(b)}"],

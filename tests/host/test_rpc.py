@@ -62,7 +62,6 @@ def _workload(n=120, d=16, n_queries=5, seed=7):
 
 def _start_rack(data, n_shards, **server_kwargs):
     """In-thread shard servers over balanced shards of ``data``."""
-    server_kwargs.setdefault("execution", "functional")
     servers = [
         serve_shard(data, i, n_shards, **server_kwargs).start()
         for i in range(n_shards)
@@ -225,7 +224,7 @@ class TestWireProtocol:
 class TestShardServer:
     def test_info_ping_and_search(self):
         data, queries = _workload()
-        with ShardServer(data, offset=40, execution="functional") as server:
+        with ShardServer(data, offset=40) as server:
             server.start()
             shard = RemoteShard("{}:{}".format(*server.address))
             try:
@@ -235,9 +234,7 @@ class TestShardServer:
                 indices, distances, counters, execution = shard.search(
                     queries, k=4
                 )
-                ref = APSimilaritySearch(
-                    data, k=4, execution="functional"
-                ).search(queries)
+                ref = APSimilaritySearch(data, k=4).search(queries)
                 assert (indices == ref.indices).all()
                 assert (distances == ref.distances).all()
                 assert counters == ref.counters
@@ -245,7 +242,7 @@ class TestShardServer:
             finally:
                 shard.close()
 
-    @pytest.mark.parametrize("execution", ["functional", "simulate"])
+    @pytest.mark.parametrize("execution", ["functional"])
     def test_knn_reply_bytes_are_the_retired_wires(self, execution):
         """The kNN reply on the one search message is byte for byte what
         MSG_SEARCH carried: five u64 counters, the execution tag, then
@@ -253,8 +250,8 @@ class TestShardServer:
         from repro.host.rpc import pack_workload_request
 
         data, queries = _workload(n=40, d=8, n_queries=3)
-        ref = APSimilaritySearch(data, k=4, execution=execution).search(queries)
-        with ShardServer(data, execution=execution) as server:
+        ref = APSimilaritySearch(data, k=4).search(queries)
+        with ShardServer(data) as server:
             reply = server._serve_workload_search(
                 pack_workload_request("knn", {"k": 4}, queries)
             )
@@ -274,14 +271,14 @@ class TestShardServer:
         partitioning (2368 vectors per board at d=64), whatever other
         workloads it has been asked for."""
         data = np.zeros((5000, 64), dtype=np.uint8)
-        with ShardServer(data, execution="functional") as server:
+        with ShardServer(data) as server:
             server._engine("jaccard", {"k": 1})
             assert server.info().n_partitions == 3  # ceil(5000 / 2368)
             assert len(APSimilaritySearch(data, k=1).partitions) == 3
 
     def test_malformed_search_answers_error_frame(self):
         data, queries = _workload()
-        with ShardServer(data, execution="functional") as server:
+        with ShardServer(data) as server:
             server.start()
             shard = RemoteShard("{}:{}".format(*server.address))
             try:
@@ -296,7 +293,7 @@ class TestShardServer:
         A frame of that type gets the loud unknown-type error and the
         connection is dropped."""
         data, queries = _workload()
-        with ShardServer(data, execution="functional") as server:
+        with ShardServer(data) as server:
             server.start()
             shard = RemoteShard("{}:{}".format(*server.address), retries=0)
             try:
@@ -311,14 +308,14 @@ class TestShardServer:
 
     def test_request_naming_server_owned_setting_refused(self):
         """How a shard executes is the server's configuration: a remote
-        client must not be able to select, say, cycle simulation."""
+        client must not be able to select, say, its board capacity."""
         data, queries = _workload()
-        with ShardServer(data, execution="functional") as server:
+        with ShardServer(data) as server:
             server.start()
             shard = RemoteShard("{}:{}".format(*server.address))
             try:
-                for owned in ({"execution": "simulate"}, {"n_devices": 2},
-                              {"board_capacity": 1}, {"device": "gen2"}):
+                for owned in ({"n_devices": 2}, {"board_capacity": 1},
+                              {"device": "gen2"}):
                     with pytest.raises(
                         RemoteShardError, match="server configuration"
                     ):
@@ -333,7 +330,7 @@ class TestShardServer:
 
     def test_wrong_d_answers_error_and_connection_survives_engine_errors(self):
         data, queries = _workload(d=16)
-        with ShardServer(data, execution="functional") as server:
+        with ShardServer(data) as server:
             server.start()
             shard = RemoteShard("{}:{}".format(*server.address))
             try:
@@ -383,8 +380,8 @@ class TestRemoteFanOut:
     def test_mismatched_d_across_shards_rejected(self):
         data_a, _ = _workload(d=8)
         data_b, _ = _workload(d=16)
-        server_a = ShardServer(data_a, execution="functional").start()
-        server_b = ShardServer(data_b, execution="functional").start()
+        server_a = ShardServer(data_a).start()
+        server_b = ShardServer(data_b).start()
         try:
             with pytest.raises(ValueError, match="dimensionality"):
                 RemoteShardPool([
@@ -399,7 +396,7 @@ class TestRemoteFanOut:
         from concurrent.futures import ThreadPoolExecutor
 
         data, queries = _workload(n=90, d=16, n_queries=8)
-        ref = APSimilaritySearch(data, k=4, execution="functional").search(
+        ref = APSimilaritySearch(data, k=4).search(
             queries
         )
         servers, addresses = _start_rack(data, 3)
@@ -420,7 +417,7 @@ class TestRemoteFanOut:
 
 def _serve_one_shard(data, shard_index, n_shards, address_queue):
     """Child-process entry: serve one shard forever (parent terminates)."""
-    server = serve_shard(data, shard_index, n_shards, execution="functional")
+    server = serve_shard(data, shard_index, n_shards)
     address_queue.put((shard_index, "{}:{}".format(*server.address)))
     server.serve_forever()
 
@@ -430,7 +427,7 @@ class TestServerProcesses:
 
     def test_two_process_rack_bit_identical(self):
         data, queries = _workload(n=140, d=16, n_queries=6, seed=21)
-        ref = APSimilaritySearch(data, k=7, execution="functional").search(
+        ref = APSimilaritySearch(data, k=7).search(
             queries
         )
         ctx = multiprocessing.get_context()
@@ -472,7 +469,7 @@ def _expected_over_answering(data, queries, k, bounds, answering):
     for i in answering:
         shard = data[bounds[i]: bounds[i + 1]]
         res = APSimilaritySearch(
-            shard, k=min(k, shard.shape[0]), execution="functional"
+            shard, k=min(k, shard.shape[0])
         ).search(queries)
         blocks.append((res.indices, res.distances))
         offsets.append(int(bounds[i]))
@@ -491,7 +488,6 @@ class TestDegradedMerges:
         real = [
             ShardServer(
                 data[bounds[i]: bounds[i + 1]], offset=int(bounds[i]),
-                execution="functional",
             ).start()
             for i in (0, 2)
         ]
@@ -531,7 +527,6 @@ class TestDegradedMerges:
         real = [
             ShardServer(
                 data[bounds[i]: bounds[i + 1]], offset=int(bounds[i]),
-                execution="functional",
             ).start()
             for i in (0, 1)
         ]
@@ -565,7 +560,7 @@ class TestDegradedMerges:
         data, queries = _workload(n=40, d=8, n_queries=2)
         bounds = balanced_shard_bounds(40, 2)
         real = ShardServer(
-            data[: bounds[1]], offset=0, execution="functional"
+            data[: bounds[1]], offset=0
         ).start()
         stub = _StubShard(
             info=(int(bounds[2] - bounds[1]), 8, int(bounds[1]), 1),
@@ -588,7 +583,7 @@ class TestDegradedMerges:
         data, queries = _workload(n=40, d=8, n_queries=2)
         bounds = balanced_shard_bounds(40, 2)
         real = ShardServer(
-            data[: bounds[1]], offset=0, execution="functional"
+            data[: bounds[1]], offset=0
         ).start()
         stub = _StubShard(
             info=(int(bounds[2] - bounds[1]), 8, int(bounds[1]), 1),
@@ -627,11 +622,11 @@ class TestDegradedMerges:
         first batch after the missing shard comes up."""
         data, queries = _workload(n=60, d=8, n_queries=3, seed=5)
         bounds = balanced_shard_bounds(60, 2)
-        ref = APSimilaritySearch(data, k=4, execution="functional").search(
+        ref = APSimilaritySearch(data, k=4).search(
             queries
         )
         up = ShardServer(
-            data[: bounds[1]], offset=0, execution="functional"
+            data[: bounds[1]], offset=0
         ).start()
         # reserve a port for the not-yet-started shard, then release it
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -653,7 +648,6 @@ class TestDegradedMerges:
                 late = ShardServer(
                     data[bounds[1]:], offset=int(bounds[1]),
                     host="127.0.0.1", port=down_port,
-                    execution="functional",
                 ).start()
                 healed = pool.search(queries, k=4)
                 assert not healed.partial
@@ -671,11 +665,11 @@ class TestDegradedMerges:
         total_n, not a stale snapshot taken before dispatch."""
         data, queries = _workload(n=40, d=8, n_queries=2, seed=13)
         bounds = balanced_shard_bounds(40, 2)
-        ref = APSimilaritySearch(data, k=30, execution="functional").search(
+        ref = APSimilaritySearch(data, k=30).search(
             queries
         )
         up = ShardServer(
-            data[: bounds[1]], offset=0, execution="functional"
+            data[: bounds[1]], offset=0
         ).start()
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         probe.bind(("127.0.0.1", 0))
@@ -691,7 +685,6 @@ class TestDegradedMerges:
                 late = ShardServer(
                     data[bounds[1]:], offset=int(bounds[1]),
                     host="127.0.0.1", port=down_port,
-                    execution="functional",
                 ).start()
                 # k=30 > the stale total_n of 20: the healed shard must
                 # widen this very batch to min(30, 40) = 30 columns
@@ -719,9 +712,9 @@ class TestDegradedMerges:
         """A shard that times out once serves the next batch cleanly:
         the poisoned connection must not be reused."""
         data, queries = _workload(n=40, d=8, n_queries=2)
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         address = "{}:{}".format(*server.address)
-        ref = APSimilaritySearch(data, k=3, execution="functional").search(
+        ref = APSimilaritySearch(data, k=3).search(
             queries
         )
         try:
@@ -776,7 +769,6 @@ class TestResourceHygiene:
         )
         server = ShardServer(
             data,
-            execution="functional",
             board_capacity=16,
             parallel=ParallelConfig(n_workers=2, backend="process"),
         ).start()
@@ -801,7 +793,7 @@ class TestResourceHygiene:
         done = threading.Event()
 
         def construct_and_close():
-            server = ShardServer(data, execution="functional")
+            server = ShardServer(data)
             server.close()
             done.set()
 
@@ -811,7 +803,7 @@ class TestResourceHygiene:
 
     def test_server_close_is_idempotent_and_port_released(self):
         data, _ = _workload(n=20, d=8)
-        server = ShardServer(data, execution="functional").start()
+        server = ShardServer(data).start()
         host, port = server.address
         server.close()
         server.close()  # idempotent

@@ -74,7 +74,7 @@ def test_served_counters_price_to_the_async_device_busy():
     rng = np.random.default_rng(0)
     data = rng.integers(0, 2, (1000, 64), dtype=np.uint8)
     queries = rng.integers(0, 2, (16, 64), dtype=np.uint8)
-    engine = APSimilaritySearch(data, k=2, board_capacity=128, execution="functional")
+    engine = APSimilaritySearch(data, k=2, board_capacity=128)
     result = engine.search(queries)
     boards = result.counters.configurations
     assert boards == 8

@@ -163,11 +163,11 @@ class TestExporter:
         monkeypatch.setattr(dataset_mod, "SHM_PROMOTE_MAX_BYTES", 1024)
         data, queries = _workload(n=200, d=32)
         seq = APSimilaritySearch(
-            data, k=3, board_capacity=32, execution="functional"
+            data, k=3, board_capacity=32
         ).search(queries)
         before = _own_segments()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=32, execution="functional",
+            data, k=3, board_capacity=32,
             parallel=_process(),
         )
         res = eng.search(queries)
@@ -209,7 +209,7 @@ class TestSegmentLeaks:
         cfg = _process(persistent=True)
         with cfg:
             eng = APSimilaritySearch(
-                data, k=3, board_capacity=16, execution="functional",
+                data, k=3, board_capacity=16,
                 parallel=cfg,
             )
             assert eng.dataset.kind == "shm"
@@ -222,7 +222,7 @@ class TestSegmentLeaks:
         data, queries = _workload(n=64, d=16)
         before = _own_segments()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=16, execution="functional",
+            data, k=3, board_capacity=16,
             parallel=_process(),
         )
         assert eng.dataset.kind == "shm"
@@ -343,7 +343,7 @@ class TestPromotion:
         data, queries = _workload(n=64, d=16)
         before = _own_segments()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=16, execution="functional",
+            data, k=3, board_capacity=16,
             parallel=parallel,
         )
         eng.search(queries)
@@ -371,7 +371,7 @@ class TestPromotion:
         cfg = _process(persistent=True, measure_ipc=True)
         with cfg:
             eng = APSimilaritySearch(
-                data, k=3, board_capacity=16, execution="functional",
+                data, k=3, board_capacity=16,
                 parallel=cfg,
             )
             segments = _own_segments() - before
@@ -389,11 +389,11 @@ class TestFallback:
 
     def _parity(self, data, queries):
         seq = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional"
+            data, k=3, board_capacity=12
         ).search(queries)
         before = _own_segments()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
+            data, k=3, board_capacity=12,
             parallel=_process(),
         )
         res = eng.search(queries)
@@ -413,7 +413,7 @@ class TestFallback:
     def test_thread_backend_reports_no_transport(self):
         data, queries = _workload()
         res = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
+            data, k=3, board_capacity=12,
             parallel=ParallelConfig(n_workers=2, backend="thread"),
         ).search(queries)
         assert res.transport == "none"
@@ -451,7 +451,7 @@ class TestFallback:
         one-board windows each), so the run crosses to the pool."""
         data, queries = _workload()
         eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, execution="functional",
+            data, k=3, board_capacity=12,
             parallel=_process(),
         )
         tasks = eng._partition_tasks()
@@ -467,7 +467,7 @@ class TestFallback:
 
         def submitted_bytes(parallel):
             eng = APSimilaritySearch(
-                data, k=3, board_capacity=64, execution="functional",
+                data, k=3, board_capacity=64,
                 parallel=parallel,
             )
             return sum(

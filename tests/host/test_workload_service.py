@@ -231,8 +231,7 @@ class TestRemoteWorkloads:
         data, queries = _data()
         workload = get_workload(name)
         bounds = balanced_shard_bounds(data.shape[0], 2)
-        # The ShardServer runs each workload's own default execution;
-        # its tag travels in the response.
+        # The execution tag travels in the response.
         shard_results = [
             WorkloadSearch(data[lo:hi], name, params).search(queries)
             for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -338,18 +337,19 @@ class TestWorkloadAdmission:
         with pytest.raises(KeyError, match="unknown workload"):
             ShardServer(data, workloads=("knn", "no-such"))
 
-    @pytest.mark.parametrize("execution", ["auto", "bogus"])
+    @pytest.mark.parametrize("execution", ["auto", "bogus", "functional"])
     def test_bad_execution_rejected_at_construction(self, execution):
         """Deployment settings are checked before the socket binds, not
-        on the first query."""
+        on the first query, and ``execution`` is no setting at all: a
+        server runs the one functional engine."""
         data, _ = _data(n=40)
-        with pytest.raises(ValueError, match="unknown execution mode"):
+        with pytest.raises(TypeError, match=r"unknown engine settings \['execution'\]"):
             ShardServer(data, execution=execution)
 
 
 def _serve_workload_shard(data, shard_index, n_shards, address_queue):
     """Child-process entry: serve one shard forever (parent terminates)."""
-    server = serve_shard(data, shard_index, n_shards, execution="functional")
+    server = serve_shard(data, shard_index, n_shards)
     address_queue.put((shard_index, "{}:{}".format(*server.address)))
     server.serve_forever()
 

@@ -8,6 +8,8 @@ beyond ``n``, and 157 rows of 130 bits over 4 devices or shards — so
 each (shape, store) pays one rack.  Then one cell per axis value runs
 generated shapes, seeded (``derandomize=True``) so a failure
 reproduces, plus one shape for each width the fixed shapes leave out.
+Last, the cycle-accurate oracle (``simulate_knn``) equals the engine on
+shapes small enough to simulate.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 
+from repro.core.engine import simulate_knn
 from repro.core.workload import WorkloadSearch
 from tests import oracle
 from tests.oracle import (
@@ -36,13 +39,13 @@ NEEDS_FORK = pytest.mark.skipif(
 )
 
 
-def _cells(keep):
+def _cells():
     """One case per cell, under its readable id.  The toy workload is
     registered in this process only, so its process cells need fork."""
     def marks(c):
         return NEEDS_FORK if (c.workload, c.backend) == ("toy", "process") else ()
 
-    return [pytest.param(c, id=c.id, marks=marks(c)) for c in CELLS if keep(c)]
+    return [pytest.param(c, id=c.id, marks=marks(c)) for c in CELLS]
 
 
 EXPLICIT = settings(database=None, deadline=None, phases=[Phase.explicit])
@@ -69,19 +72,11 @@ def env(tmp_path_factory):
         env.close()
 
 
-@pytest.mark.parametrize("cell", _cells(lambda c: c.workload != "knn_sim"))
+@pytest.mark.parametrize("cell", _cells())
 @EXPLICIT
 @_examples(EXAMPLES)
 @given(shape=oracle.shapes())
 def test_cell(env, cell, shape):
-    check(cell, shape, env)
-
-
-@pytest.mark.parametrize("cell", _cells(lambda c: c.workload == "knn_sim"))
-@EXPLICIT
-@_examples(SIM_EXAMPLES)
-@given(shape=oracle.tiny_shapes)
-def test_simulated_cell(env, cell, shape):
     check(cell, shape, env)
 
 
@@ -96,7 +91,6 @@ SWEPT = (
     Cell("knn", "mmap", "serial", "remote", "warm"),
     Cell("range", "array", "serial", "replicated", "none"),
 )
-SWEPT_SIM = Cell("knn_sim", "array", "thread", "local", "cold")
 
 
 @pytest.mark.parametrize("cell", [pytest.param(c, id=c.id) for c in SWEPT])
@@ -110,23 +104,38 @@ def test_generated_shapes(env, cell, shape):
         env.release(shape)
 
 
-@GENERATED
-@given(shape=oracle.tiny_shapes)
-def test_generated_simulated_shapes(env, shape):
-    try:
-        check(SWEPT_SIM, shape, env)
-    finally:
-        env.release(shape)
-
-
 def test_every_axis_value_runs_in_the_matrix_and_the_sweep():
     axes = (oracle.WORKLOADS, oracle.STORES, oracle.BACKENDS, oracle.TOPOLOGIES,
             oracle.CACHES)
-    swept = (*SWEPT, SWEPT_SIM)
-    assert all(c in CELLS for c in swept)
+    assert all(c in CELLS for c in SWEPT)
     for field, values in zip(dataclasses.fields(Cell), axes):
-        for chosen in (CELLS, swept):
+        for chosen in (CELLS, SWEPT):
             assert {getattr(c, field.name) for c in chosen} == set(values), field.name
+
+
+# -- the cycle-accurate oracle ------------------------------------------------
+
+
+@GENERATED
+@_examples(SIM_EXAMPLES)
+@given(shape=oracle.tiny_shapes)
+def test_generated_simulated_shapes(shape):
+    """The simulator's answer is the engine's, bit for bit: indices,
+    distances and every ``RuntimeCounters`` field, and both are the
+    brute-force scan's.  Every cell above equals this engine, so every
+    cell equals the simulator."""
+    rows, queries = shape.arrays()
+    rows = rows[slice(*shape.window)]
+    indices, distances, counters = simulate_knn(
+        rows, queries, shape.k, board_capacity=shape.cap
+    )
+    engine = WorkloadSearch(rows, "knn", {"k": shape.k}, board_capacity=shape.cap)
+    result = engine.search(queries)
+    truth = oracle._knn_truth(rows, queries, shape)
+    for answer in ((indices, distances), (result.indices, result.distances)):
+        assert np.array_equal(answer[0], truth["indices"])
+        assert np.array_equal(answer[1], truth["distances"])
+    assert counters == result.counters
 
 
 # -- the oracle catches what it exists to catch -------------------------------

@@ -25,8 +25,7 @@ class TestFullPipeline:
         Q = X[:12] + 0.05 * np.random.default_rng(1).standard_normal((12, 48))
         itq = ITQQuantizer(24, n_iterations=20).fit(X)
         codes, qcodes = itq.transform(X), itq.transform(Q)
-        engine = APSimilaritySearch(codes, k=5, board_capacity=100,
-                                    execution="functional")
+        engine = APSimilaritySearch(codes, k=5, board_capacity=100)
         res = engine.search(qcodes)
         ref_i, ref_d = brute_force_knn(codes, qcodes, 5)
         assert (res.indices == ref_i).all()
@@ -41,8 +40,7 @@ class TestFullPipeline:
         queries = queries_near_dataset(data, 15, seed=3)
         k = 6
         ref_i, _ = brute_force_knn(data, queries, k)
-        ap = APSimilaritySearch(data, k=k, board_capacity=128,
-                                execution="functional").search(queries)
+        ap = APSimilaritySearch(data, k=k, board_capacity=128).search(queries)
         cpu = CPUHammingKnn(data).search(queries, k)
         fpga_i, _, _ = FPGAKnnAccelerator(data).search(queries, k)
         assert (ap.indices == ref_i).all()
@@ -67,10 +65,8 @@ class TestFullPipeline:
         """Timing-model integration: the 19x Gen 1 -> Gen 2 gap appears as
         soon as the dataset spans many partitions."""
         data = np.random.default_rng(9).integers(0, 2, (256, 16), dtype=np.uint8)
-        e1 = APSimilaritySearch(data, k=1, device=GEN1, board_capacity=16,
-                                execution="functional")
-        e2 = APSimilaritySearch(data, k=1, device=GEN2, board_capacity=16,
-                                execution="functional")
+        e1 = APSimilaritySearch(data, k=1, device=GEN1, board_capacity=16)
+        e2 = APSimilaritySearch(data, k=1, device=GEN2, board_capacity=16)
         ratio = e1.estimated_runtime_s(4096) / e2.estimated_runtime_s(4096)
         assert ratio > 15
 

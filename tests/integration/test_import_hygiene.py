@@ -1,13 +1,12 @@
 """A serving process loads only what it serves.
 
 Each gate runs in a fresh interpreter (``sys.modules`` and ``VmHWM`` of
-the pytest process say nothing about a server's): the default path —
-library engine or a ``ShardServer`` answering over loopback, both
-built without an ``execution`` argument — must
+the pytest process say nothing about a server's): the serving path —
+library engine or a ``ShardServer`` answering over loopback — must
 finish without ``scipy`` or ``networkx`` imported and within a stated
 memory budget over the interpreter + NumPy floor, while the
-cycle-accurate path imports ``scipy.sparse`` exactly when it builds its
-first simulator.
+cycle-accurate oracle (``simulate_knn``) imports ``scipy.sparse``
+exactly when it builds its first simulator.
 """
 
 import json
@@ -76,13 +75,12 @@ peak = peak_rss_mb()
 out["growth_mb"] = None if floor is None else peak - floor
 
 if mode == "simulate":
-    simulated = APSimilaritySearch(
-        data[:64], k=3, board_capacity=64, execution="simulate"
-    ).search(queries)
+    from repro.core.engine import simulate_knn
+
+    indices, distances, _ = simulate_knn(data[:64], queries, 3, board_capacity=64)
     out["scipy_sparse_loaded"] = "scipy.sparse" in sys.modules
     out["same_answers"] = bool(
-        (simulated.indices == value.indices).all()
-        and (simulated.distances == value.distances).all()
+        (indices == value.indices).all() and (distances == value.distances).all()
     )
     out["heavy_after_simulate"] = heavy()
 

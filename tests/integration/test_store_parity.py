@@ -2,9 +2,9 @@
 
 Answers over every store (array / mmap / shm) are the bit-identity
 oracle's (``tests/integration/test_bit_identity.py``).  These tests
-hold what parity cannot see: a packed store's functional pass is a view
-that packs, hashes and caches nothing, simulated images compiled over
-any store share one content-addressed cache, mmap workers ship
+hold what parity cannot see: a packed store's pass is a view that
+packs, hashes and caches nothing, the cycle-accurate oracle reads any
+store's rows, mmap workers ship
 descriptors instead of rows, and a ``.pds`` shard is paged through,
 never loaded — plus fail-fast construction for bad inputs.
 """
@@ -21,11 +21,10 @@ import pytest
 from repro.ap.compiler import BoardImageCache
 from repro.core import dataset as dataset_mod
 from repro.core.dataset import PackedDataset, write_pds
-from repro.core.engine import APSimilaritySearch
+from repro.core.engine import APSimilaritySearch, simulate_knn
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.shm import shm_available
-from tests.oracle import counters_but_cache_hits
 
 WORKLOADS = [
     ("knn", {"k": 4}),
@@ -69,31 +68,20 @@ def _assert_same_result(a, b, label):
 
 
 class TestCachesAndViews:
-    def test_simulate_over_a_packed_store_unpacks_and_shares_the_cache(
+    def test_simulate_over_a_packed_store_unpacks_and_answers_as_the_array(
         self, tmp_path
     ):
-        """``execution="simulate"`` compiles real board images from
-        rows a packed store unpacks on demand; the images are keyed by
-        content digest, so they are shared with an array engine."""
+        """``simulate_knn`` builds its board networks from rows a packed
+        store unpacks on demand: answers and counters are the array's."""
         data, queries = _make(5, 40, 8, 2)
-        cache = BoardImageCache()
-        ref = APSimilaritySearch(
-            data, k=3, board_capacity=16, execution="simulate", cache=cache
-        ).search(queries)
-        assert (cache.stats.hits, cache.stats.misses) == (0, 3)
+        ref = simulate_knn(data, queries, 3, board_capacity=16)
         for kind, ds in _stores(data, tmp_path).items():
-            hits = cache.stats.hits
-            res = APSimilaritySearch(
-                ds, k=3, board_capacity=16, execution="simulate", cache=cache
-            ).search(queries)
-            assert res.execution == "simulate"
-            _assert_same_result(ref.value, res.value, kind)
-            assert counters_but_cache_hits(res.counters) == (
-                counters_but_cache_hits(ref.counters)
+            indices, distances, counters = simulate_knn(
+                ds, queries, 3, board_capacity=16
             )
-            # all three images came out of the array engine's cache
-            assert res.counters.image_cache_hits == 3, kind
-            assert (cache.stats.hits, cache.stats.misses) == (hits + 3, 3)
+            assert np.array_equal(indices, ref[0]), kind
+            assert np.array_equal(distances, ref[1]), kind
+            assert counters == ref[2], kind
 
     @pytest.mark.parametrize("wl,params", WORKLOADS,
                              ids=[w for w, _ in WORKLOADS])
@@ -149,14 +137,12 @@ class TestCachesAndViews:
         ) as pc:
             mm = APSimilaritySearch(
                 str(path), k=3, board_capacity=64, parallel=pc,
-                execution="functional",
             ).search(queries)
         with ParallelConfig(
             n_workers=2, backend="process", measure_ipc=True
         ) as pc:
             arr = APSimilaritySearch(
                 data, k=3, board_capacity=64, parallel=pc,
-                execution="functional",
             ).search(queries)
         assert np.array_equal(mm.indices, arr.indices)
         assert mm.ipc_payload_bytes is not None
@@ -278,7 +264,7 @@ queries = (np.random.default_rng(7).random((4, d)) < 0.5).astype(np.uint8)
 # the engine's footprint over the file-backed shard.
 before = peak_rss_bytes()
 engine = APSimilaritySearch(
-    path, k=8, board_capacity=cap, execution="functional", cache=True
+    path, k=8, board_capacity=cap, cache=True
 )
 cold = engine.search(queries)   # verifies every chunk, executes
 warm = engine.search(queries)   # executes

@@ -3,7 +3,10 @@
 The paper's kNN answer is exact by construction (§III, §III-C): the
 earliest k reports of the counter temporal sort *are* the top-k, ties
 resolve in report-code order, and the host merges partial results
-across board reconfigurations.  So every way this repo runs a search —
+across board reconfigurations.  The cycle-accurate simulator
+(``repro.core.engine.simulate_knn``) must equal the functional engine
+bit for bit — ``tests/integration/test_bit_identity.py`` checks it on
+simulator-sized shapes — and every way this repo runs a search —
 whatever holds the rows, runs the boards, or sits in front of the
 engine, with or without a compile cache — must answer bit for bit what
 one serial pass over an in-memory array answers, count the same events
@@ -11,7 +14,7 @@ and cache the same boards.
 
 A :class:`Cell` names one such way, one value per axis::
 
-    workload  knn | knn_sim | jaccard | range | toy
+    workload  knn | jaccard | range | toy
     store     array | mmap | shm
     backend   serial | thread | process
     topology  local | multi | batched | remote | replicated
@@ -55,6 +58,7 @@ from repro.core.workload import SERVER_OWNED_PARAMS, Workload, WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.replication import HedgePolicy
 from repro.host.rpc import RemoteWorkloadSearch, serve_shard
+from repro.util.bitops import popcount_u64
 from repro.util.topk import merge_topk_blocks
 from tests.conftest import brute_force_knn
 
@@ -77,9 +81,9 @@ class PopcountResult:
 
 class PopcountNearest(Workload):
     """Toy third-party workload: the row whose popcount is closest to
-    the query's, (distance, index) ties.  It implements ``compile`` and
-    no ``compile_packed``, so every store feeds it rows one board per
-    pass.
+    the query's, (distance, index) ties.  Its artifact is the pass's
+    row popcounts, so over a packed store a pass is a view like any
+    built-in's.
     Module-level so its results pickle back from a process worker."""
 
     name = "toy-popcount"
@@ -87,13 +91,14 @@ class PopcountNearest(Workload):
     wire_fields = ("indices", "distances")
     result_type = PopcountResult
 
-    def compile(self, dataset_bits, params):
-        return dataset_bits.sum(axis=1).astype(np.int64)
+    def compile_packed(self, words, d, params):
+        return popcount_u64(words).sum(axis=1)
 
-    def execute(self, artifact, queries_bits, params):
-        return PopcountResult(*_popcount_nearest(artifact, queries_bits)), (
-            RuntimeCounters(configurations=1, symbols_streamed=queries_bits.size,
-                            reports_received=queries_bits.shape[0])
+    def execute(self, artifact, query_words, params):
+        sizes = popcount_u64(query_words).sum(axis=1)
+        return PopcountResult(*_popcount_nearest(artifact, sizes)), (
+            RuntimeCounters(configurations=1, symbols_streamed=query_words.size,
+                            reports_received=sizes.size * artifact.size)
         )
 
     def merge(self, partials, offsets, params):
@@ -104,8 +109,8 @@ class PopcountNearest(Workload):
         return PopcountResult(*np.full((2, n_q, 1), -1, dtype=np.int64))
 
 
-def _popcount_nearest(popcounts, queries):
-    dist = np.abs(popcounts[None, :] - queries.sum(axis=1).astype(np.int64)[:, None])
+def _popcount_nearest(popcounts, query_popcounts):
+    dist = np.abs(popcounts[None, :] - query_popcounts[:, None])
     ids = np.broadcast_to(np.arange(len(popcounts)), dist.shape)
     order = np.lexsort((ids, dist), axis=-1)[:, :1]
     return order, np.take_along_axis(dist, order, axis=1)
@@ -201,7 +206,7 @@ WIDE_K = Shape(n=13, d=33, cap=5, k=18, radius=14, n_q=2, devices=2, cut=(0, 4),
 LARGE = Shape(n=157, d=130, cap=24, k=9, radius=63, n_q=3, devices=4, cut=(7, 10),
               tied=False, seed=3)
 EXAMPLES = (TIED, WIDE_K, LARGE)
-# Every simulated cell runs these: k beyond n, and a tie across boards.
+# The simulator runs these: k beyond n, and a tie across boards.
 TINY_TIED = Shape(n=14, d=33, cap=4, k=3, radius=2, n_q=2, devices=2, cut=(2, 1),
                   tied=True, seed=7)
 SIM_EXAMPLES = (WIDE_K, TINY_TIED)
@@ -245,7 +250,9 @@ def _range_truth(rows, queries, shape):
 
 
 def _toy_truth(rows, queries, shape):
-    order, dist = _popcount_nearest(rows.sum(axis=1).astype(np.int64), queries)
+    order, dist = _popcount_nearest(
+        rows.sum(axis=1).astype(np.int64), queries.sum(axis=1).astype(np.int64)
+    )
     return {"indices": order, "distances": dist}
 
 
@@ -254,19 +261,13 @@ class WorkloadSpec:
     name: str  # registry name
     params: Callable[[Shape], dict]
     truth: Callable  # (rows, queries, shape) -> {field: array}
-    views: bool  # compile_packed answers: over packed words a pass is a view
 
 
 WORKLOADS = {
-    "knn": WorkloadSpec(
-        "knn", lambda s: {"k": s.k, "execution": "functional"}, _knn_truth, True
-    ),
-    "knn_sim": WorkloadSpec(
-        "knn", lambda s: {"k": s.k, "execution": "simulate"}, _knn_truth, False
-    ),
-    "jaccard": WorkloadSpec("jaccard", lambda s: {"k": s.k}, _jaccard_truth, True),
-    "range": WorkloadSpec("range", lambda s: {"radius": s.radius}, _range_truth, True),
-    "toy": WorkloadSpec(PopcountNearest.name, lambda s: {}, _toy_truth, False),
+    "knn": WorkloadSpec("knn", lambda s: {"k": s.k}, _knn_truth),
+    "jaccard": WorkloadSpec("jaccard", lambda s: {"k": s.k}, _jaccard_truth),
+    "range": WorkloadSpec("range", lambda s: {"radius": s.radius}, _range_truth),
+    "toy": WorkloadSpec(PopcountNearest.name, lambda s: {}, _toy_truth),
 }
 
 
@@ -291,8 +292,8 @@ class Cell:
 
     @property
     def views(self) -> bool:
-        """Functional passes of this cell run on views of packed words."""
-        return self.store in PACKED and self.spec.views
+        """This cell's passes run on views of a store's packed words."""
+        return self.store in PACKED
 
     @property
     def searches(self) -> int:
@@ -309,15 +310,6 @@ def pruned(cell: Cell) -> str | None:
         # ShardServer.close() releases a persistent pool: a process
         # server would spawn a pool per rack.
         return "racks serve with the serial backend"
-    if cell.workload == "knn_sim" and cell.topology != "local":
-        # The simulator is a board back-end; everything above the
-        # engine is blind to it and is held by the knn cells.
-        return "simulated boards run the local topology"
-    if cell.workload == "knn_sim" and cell.store in PACKED and (
-        cell.backend, cell.cache) != ("process", "none"):
-        # A simulated board compiles from unpacked rows whatever holds
-        # them; a packed store matters only as a process worker's carrier.
-        return "simulated boards over packed stores run process/none"
     return None
 
 
@@ -355,7 +347,7 @@ class Rack:
         self.cache = BoardImageCache() if cached else None
         self.servers = [
             serve_shard(window, shard, shape.devices, board_capacity=shape.cap,
-                        execution="functional", cache=self.cache).start()
+                        cache=self.cache).start()
             for shard in range(shape.devices)
             for _ in range(2)
         ]
@@ -642,7 +634,7 @@ def expected(reference_snapshot, cell: Cell) -> list:
         )
         search["run"] = carrier + search["run"][2:]
         if cell.views:
-            # Delta: a functional pass over packed words is a view of
+            # Delta: a pass over a store's packed words is a view of
             # them, so every board of every engine search is served
             # without a compile, cache or no cache.
             search["counters"]["image_cache_hits"] = (

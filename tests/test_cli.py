@@ -33,7 +33,7 @@ class TestSearch:
         # verify against the library directly
         from repro.core.engine import APSimilaritySearch
 
-        ref = APSimilaritySearch(data, k=2, execution="functional").search(queries)
+        ref = APSimilaritySearch(data, k=2).search(queries)
         assert (idx == ref.indices).all()
 
     def test_gen2_flag(self, dataset_files, capsys):
@@ -44,13 +44,13 @@ class TestSearch:
     def test_workers_flag_identical_results(self, dataset_files, capsys):
         d, q, data, queries = dataset_files
         main(["search", d, q, "-k", "3", "--board-capacity", "16",
-              "--execution", "functional", "--workers", "2"])
+              "--workers", "2"])
         out = capsys.readouterr().out
         assert "workers=2" in out
         from repro.core.engine import APSimilaritySearch
 
         ref = APSimilaritySearch(
-            data, k=3, board_capacity=16, execution="functional"
+            data, k=3, board_capacity=16
         ).search(queries)
         for qi in range(3):
             pair = f"{ref.indices[qi][0]}:{ref.distances[qi][0]}"
@@ -59,7 +59,7 @@ class TestSearch:
     def test_cache_flag_reports_stats(self, dataset_files, capsys):
         d, q, *_ = dataset_files
         main(["search", d, q, "--board-capacity", "16",
-              "--execution", "functional", "--cache-size", "8"])
+              "--cache-size", "8"])
         out = capsys.readouterr().out
         assert "image cache" in out
         assert "4 entries" in out  # 64 vectors / 16 per board
@@ -67,14 +67,14 @@ class TestSearch:
     def test_devices_flag_matches_single_board(self, dataset_files, capsys):
         d, q, data, queries = dataset_files
         main(["search", d, q, "-k", "3", "--board-capacity", "16",
-              "--execution", "functional", "--devices", "2",
+              "--devices", "2",
               "--workers", "2", "--backend", "thread"])
         out = capsys.readouterr().out
         assert "2 device(s)" in out
         from repro.core.engine import APSimilaritySearch
 
         ref = APSimilaritySearch(
-            data, k=3, board_capacity=16, execution="functional"
+            data, k=3, board_capacity=16
         ).search(queries)
         for qi in range(3):
             pair = f"{ref.indices[qi][0]}:{ref.distances[qi][0]}"
@@ -143,15 +143,18 @@ class TestSearch:
 
     @pytest.mark.parametrize("command", ["search", "serve"])
     def test_auto_execution_is_gone(self, command, dataset_files, capsys):
+        """So is ``--execution`` itself: the CLI serves the functional
+        engine, and the simulator is the oracle ``simulate_knn``."""
         d, q, *_ = dataset_files
         argv = [command, d] + ([q] if command == "search" else [])
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--execution", "auto"])
-        assert exc.value.code == 2
-        assert (
-            "argument --execution: invalid choice: 'auto'"
-            in capsys.readouterr().err
-        )
+        for value in ("auto", "functional", "simulate"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--execution", value])
+            assert exc.value.code == 2
+            assert (
+                "unrecognized arguments: --execution"
+                in capsys.readouterr().err
+            )
 
     @pytest.mark.parametrize("command", ["search", "serve"])
     def test_pinned_backend_is_gone(self, command, dataset_files, capsys):
@@ -180,10 +183,10 @@ class TestPack:
         assert main(["pack", "--verify", str(out)]) == 0
         assert "ok — 1 chunk(s)" in capsys.readouterr().out
         # a search over the packed file prints what the .npy search does
-        main(["search", d, q, "-k", "3", "--execution", "functional"])
+        main(["search", d, q, "-k", "3"])
         want = [ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("q")]
-        main(["search", str(out), q, "-k", "3", "--execution", "functional",
+        main(["search", str(out), q, "-k", "3",
               "--cache-size", "8"])
         got = capsys.readouterr().out
         assert [ln for ln in got.splitlines() if ln.startswith("q")] == want
@@ -263,7 +266,7 @@ class TestServeAndRemote:
         # serve_shard + serve_forever; subprocess spawning is covered
         # by the RPC process tests)
         servers = [
-            serve_shard(data, i, 2, execution="functional").start()
+            serve_shard(data, i, 2).start()
             for i in range(2)
         ]
         addresses = ",".join(
@@ -278,8 +281,7 @@ class TestServeAndRemote:
                 s.close()
         assert "2/2 shard(s) answered" in remote_out
         assert "transport=rpc" in remote_out
-        assert main(["search", d, q, "-k", "3",
-                     "--execution", "functional"]) == 0
+        assert main(["search", d, q, "-k", "3"]) == 0
         local_out = capsys.readouterr().out
         remote_rows = [ln for ln in remote_out.splitlines()
                        if ln.startswith("q")]

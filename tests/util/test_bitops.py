@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import bitops
 from repro.util.bitops import (
-    _popcount_table_u8,
-    _popcount_words_u8,
     default_cdist_tile,
     hamming_cdist_packed,
     hamming_distance_unpacked,
@@ -84,14 +81,13 @@ class TestPopcount:
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
     @settings(max_examples=30, deadline=None)
-    def test_table_fallback_matches_fast_path(self, values):
-        """The pre-NumPy-2.0 table kernel and whichever backend
-        _popcount_words_u8 selected must agree bit for bit."""
+    def test_bitwise_count_matches_python_bitcount(self, values):
+        """The kernels' popcount, ``np.bitwise_count``, against a
+        pure-Python ``int.bit_count`` reference, in its narrow dtype."""
         words = np.array(values, dtype=np.uint64)
-        table = _popcount_table_u8(words)
-        assert table.dtype == np.uint8
-        assert (table == _popcount_words_u8(words)).all()
-        assert table.tolist() == [int(v).bit_count() for v in values]
+        counts = np.bitwise_count(words)
+        assert counts.dtype == np.uint8
+        assert counts.tolist() == [int(v).bit_count() for v in values]
 
 
 class TestHammingDistance:
@@ -290,18 +286,6 @@ class TestPackBitsLayout:
         assert (pack_bits(wide[::2, ::2]) == pack_bits(wide[::2, ::2].copy())).all()
 
 
-@pytest.fixture(params=[True, False], ids=["bitwise_count", "table"])
-def popcount_backend(request, monkeypatch):
-    """Run the kernel on each popcount backend.  The table case removes
-    ``np.bitwise_count`` as NumPy < 2.0 lacks it, so a kernel path that
-    skipped ``_popcount_words_u8`` fails instead of passing unseen."""
-    if request.param and not hasattr(np, "bitwise_count"):
-        pytest.skip("NumPy < 2.0 has no np.bitwise_count")
-    monkeypatch.setattr(bitops, "_HAS_BITWISE_COUNT", request.param)
-    if not request.param:
-        monkeypatch.delattr(np, "bitwise_count", raising=False)
-
-
 # (n, d): the word-count boundaries at small n, plus 2-5-word rows over
 # pass-sized partitions (n >= 4096), where the kernel reads word columns.
 _KERNEL_SHAPES = st.one_of(
@@ -310,7 +294,6 @@ _KERNEL_SHAPES = st.one_of(
 )
 
 
-@pytest.mark.usefixtures("popcount_backend")
 class TestNarrowKernel:
     @given(
         st.integers(1, 9),  # q
@@ -319,11 +302,7 @@ class TestNarrowKernel:
         st.integers(0, 10_000),
         st.sampled_from(["contiguous", "strided", "readonly"]),
     )
-    @settings(
-        max_examples=80,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=80, deadline=None)
     def test_matches_unpacked_distances(self, q, shape, tile_q, seed, layout):
         n, d = shape
         rng = np.random.default_rng(seed)
