@@ -24,7 +24,7 @@ import numpy as np
 
 from ..automata.network import AutomataNetwork
 from ..automata.simulator import CompiledSimulator, Report
-from .compiler import APCompiler, BoardImageCache, CompilationReport
+from .compiler import APCompiler, CompilationReport
 from .device import APDeviceSpec, GEN1
 
 __all__ = ["BoardImage", "RuntimeCounters", "APRuntime", "REPORT_RECORD_BITS"]
@@ -104,32 +104,6 @@ class APRuntime:
             compilation=report,
             metadata=metadata,
         )
-
-    def build_image_cached(
-        self,
-        network_factory,
-        cache: "BoardImageCache | None" = None,
-        key: tuple | None = None,
-        name: str | None = None,
-        **metadata,
-    ) -> BoardImage:
-        """Build a board image through an optional compile cache.
-
-        ``network_factory`` is a zero-argument callable producing the
-        :class:`~repro.automata.network.AutomataNetwork`; on a cache hit
-        it is never invoked, so callers skip network construction *and*
-        compilation.  Without ``cache``/``key`` this degrades to
-        :meth:`build_image`.
-        """
-        if cache is not None and key is not None:
-            image = cache.get(key)
-            if image is not None:
-                self.counters.image_cache_hits += 1
-                return image
-        image = self.build_image(network_factory(), name=name, **metadata)
-        if cache is not None and key is not None:
-            cache.put(key, image)
-        return image
 
     def configure(self, image: BoardImage) -> None:
         """Load a board image, paying one (re)configuration."""

@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail the batch if any shard (every replica of a "
                         "group) fails, instead of returning a flagged "
                         "partial merge (with --remote)")
-    s.add_argument("-k", type=int, default=10, help="neighbors per query")
+    s.add_argument("-k", type=int, default=None,
+                   help="neighbors per query (default: the workload's "
+                        "own, 10 for knn and jaccard)")
     s.add_argument("--workload", default="knn", metavar="NAME",
                    help="registered workload to run (see `repro "
                         "workloads`): 'knn' (default, Hamming top-k), "
@@ -92,18 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan the dataset out across this many AP boards "
                         "(multi-board scale-out: balanced shards, one "
                         "shared compile cache, exact host-side merge; "
-                        "1 = single board). Combine with --workers/"
-                        "--backend to pick the host-side pool, e.g. "
-                        "--devices 4 --workers 4 --backend thread")
+                        "1 = single board). Combine with --workers for "
+                        "the host-side pool, e.g. --devices 4 --workers 4")
     s.add_argument("--workers", type=int, default=1,
-                   help="worker lanes for sharded partition execution "
-                        "(1 = sequential)")
-    s.add_argument("--backend", choices=["process", "thread"],
-                   default="process",
-                   help="worker pool flavor: processes (cache-aware via "
-                        "artifact shipping) or threads (the kernels "
-                        "release the GIL; share the board cache with the "
-                        "parent directly)")
+                   help="worker threads for sharded partition execution "
+                        "(1 = sequential; the kernels release the GIL, "
+                        "and workers share the board cache)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -116,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "cap, not a delay: a batch is dispatched as soon "
                         "as every concurrent caller has joined it")
     s.add_argument("--cache-size", type=int, default=0,
-                   help="LRU board-image cache capacity (0 = no cache); "
-                        "sequential runs and thread workers use it in "
-                        "place, process workers through artifact shipping")
+                   help="LRU board-image cache capacity (0 = no cache), "
+                        "shared by every worker")
     s.add_argument("--out", default=None, help="save indices to this .npy")
 
     v = sub.add_parser("serve", help="serve one dataset shard over TCP "
@@ -147,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(multi-board scale-out within the shard, for "
                         "every admitted workload)")
     v.add_argument("--workers", type=int, default=1,
-                   help="worker lanes for the shard's partition execution")
-    v.add_argument("--backend", choices=["process", "thread"],
-                   default="process")
+                   help="worker threads for the shard's partition "
+                        "execution")
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
                         "the server always caches)")
@@ -255,7 +249,6 @@ def _local_engine(args, params: dict):
     """The one local path: any workload, any ``--devices``."""
     from repro.ap.device import GEN1, GEN2
     from repro.core.workload import WorkloadSearch
-    from repro.host.parallel import ParallelConfig
 
     if args.dataset == "-":
         raise _CliError("dataset '-' is only valid with --remote", 2)
@@ -273,9 +266,7 @@ def _local_engine(args, params: dict):
             args.workload,
             params,
             board_capacity=args.board_capacity,
-            parallel=ParallelConfig(
-                n_workers=args.workers, backend=args.backend
-            ),
+            parallel=args.workers,
             cache=args.cache_size,  # <= 0 disables caching
             device=GEN1 if args.device == "gen1" else GEN2,
             n_devices=args.devices,
@@ -347,7 +338,11 @@ def _cmd_search(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    params = {"k": args.k}
+    # A request carries only the parameters given: a workload refuses a
+    # key it does not take (-k for range, --radius for knn).
+    params = {}
+    if args.k is not None:
+        params["k"] = args.k
     if args.radius is not None:
         params["radius"] = int(args.radius)
     try:
@@ -553,8 +548,7 @@ def _cmd_serve(args) -> int:
         device=GEN1 if args.device == "gen1" else GEN2,
         board_capacity=args.board_capacity,
         parallel=ParallelConfig(
-            n_workers=args.workers, backend=args.backend,
-            persistent=args.workers > 1,
+            n_workers=args.workers, persistent=args.workers > 1
         ),
         # A shard server always caches: it is long-lived.
         cache=args.cache_size if args.cache_size > 0 else True,

@@ -4,10 +4,10 @@ PR 3 scaled the search across local boards and PR 4 put an admission
 layer in front of it; this module drives the same offset-aware merge
 across *remote hosts*.  A rack deployment runs one :class:`ShardServer`
 per host — each owning a private engine over its local dataset shard,
-with its own :class:`~repro.ap.compiler.BoardImageCache`,
-:class:`~repro.host.parallel.ParallelConfig` and shared-memory
-transport — while the front door fans a query batch out to all of them
-concurrently through a :class:`RemoteShardPool` and merges the replies
+with its own :class:`~repro.ap.compiler.BoardImageCache` and
+:class:`~repro.host.parallel.ParallelConfig` — while the front door
+fans a query batch out to all of them concurrently through a
+:class:`RemoteShardPool` and merges the replies
 through the workload's own offset-aware ``merge``.  Results are
 **bit-identical** to a single local engine over the concatenated
 dataset: every shard computes its exact local answer with the
@@ -613,6 +613,7 @@ class ShardServer:
             SERVER_OWNED_PARAMS,
             WorkloadSearch,
             get_workload,
+            refuse_unknown_params,
         )
 
         owned = SERVER_OWNED_PARAMS & params.keys()
@@ -622,9 +623,11 @@ class ShardServer:
                 "parameters"
             )
         workload = get_workload(name)
+        request = params
         params = workload.validate_params(
-            {**params, **self._settings}, self.n, self.d
+            {**request, **self._settings}, self.n, self.d
         )
+        refuse_unknown_params(name, request, params)
         key = (name,) + tuple(sorted(params.items()))
         with self._engine_lock:
             engine = self._engines.get(key)

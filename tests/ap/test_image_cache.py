@@ -5,9 +5,8 @@ import pytest
 
 from repro.ap.compiler import BoardImageCache, dataset_digest, partition_cache_key
 from repro.ap.device import GEN1, GEN2
-from repro.ap.runtime import APRuntime
 from repro.core.engine import APSimilaritySearch
-from repro.core.macros import MacroConfig, build_knn_network
+from repro.core.macros import MacroConfig
 
 
 def _bits(n=6, d=8, seed=0):
@@ -82,33 +81,6 @@ class TestBoardImageCache:
         cache.put(("a",), 1)
         cache.clear()
         assert len(cache) == 0
-
-
-class TestBuildImageCached:
-    def test_hit_skips_factory(self):
-        bits = _bits()
-        runtime = APRuntime()
-        cache = BoardImageCache()
-        key = partition_cache_key(bits, MacroConfig(), GEN1)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return build_knn_network(bits, name="p0")[0]
-
-        img1 = runtime.build_image_cached(factory, cache=cache, key=key)
-        img2 = runtime.build_image_cached(factory, cache=cache, key=key)
-        assert img1 is img2
-        assert len(calls) == 1
-        assert runtime.counters.image_cache_hits == 1
-
-    def test_no_cache_degrades_to_build_image(self):
-        bits = _bits()
-        runtime = APRuntime()
-        img = runtime.build_image_cached(
-            lambda: build_knn_network(bits, name="p0")[0]
-        )
-        assert img.compilation.fits
 
 
 class TestEngineCacheIntegration:

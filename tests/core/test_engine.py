@@ -167,16 +167,21 @@ class TestExecutionDefault:
         assert res.counters == counters
 
     @pytest.mark.parametrize("execution", ["auto", "bogus", "simulate"])
-    @pytest.mark.parametrize("make", [
-        lambda data, execution: APSimilaritySearch(
+    @pytest.mark.parametrize("make,refusal", [
+        (lambda data, execution: APSimilaritySearch(
             data, k=2, execution=execution
-        ),
-    ], ids=["APSimilaritySearch"])
-    def test_unknown_execution_refused(self, make, execution):
+        ), "unknown execution mode.*simulate_knn"),
+        (lambda data, execution: workload_mod.WorkloadSearch(
+            data, "knn", {"k": 2, "execution": execution}
+        ), r"unknown request parameter\(s\) \['execution'\]"),
+    ], ids=["APSimilaritySearch", "WorkloadSearch"])
+    def test_unknown_execution_refused(self, make, refusal, execution):
         """The ``execution=`` adapter takes ``"functional"`` alone and
-        names the oracle for anything else."""
+        names the oracle for anything else; the engine refuses an
+        ``execution`` request parameter as it does any key its workload
+        does not take."""
         data = np.zeros((4, 4), dtype=np.uint8)
-        with pytest.raises(ValueError, match="unknown execution mode.*simulate_knn"):
+        with pytest.raises(ValueError, match=refusal):
             make(data, execution)
 
 

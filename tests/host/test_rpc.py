@@ -5,11 +5,10 @@ a rack of real server *processes* (in-thread racks are oracle cells:
 ``tests/integration/test_bit_identity.py``), degraded-merge semantics
 (k > per-shard n, timed-out shards, mid-stream disconnects — all
 correct and correctly flagged partial), the BatchRouter front door,
-and socket / shared-memory leak checks after close.
+and socket / pool leak checks after close.
 """
 
 import gc
-import glob
 import multiprocessing
 import os
 import socket
@@ -44,11 +43,6 @@ from repro.host.rpc import (
     read_frame,
     serve_shard,
     unpack_array,
-)
-from repro.host.shm import (
-    SHM_SEGMENT_PREFIX,
-    SHM_UNAVAILABLE_REASON,
-    shm_available,
 )
 
 
@@ -325,6 +319,25 @@ class TestShardServer:
                 assert not server._engines  # no engine was built for them
                 _, _, _, execution = shard.search(queries, k=3)
                 assert execution == "functional"
+            finally:
+                shard.close()
+
+    def test_request_with_unknown_parameter_refused(self):
+        """A request key the workload does not take (here the retired
+        ``execution``) gets an error reply, never the default engine."""
+        data, queries = _workload()
+        with ShardServer(data) as server:
+            server.start()
+            shard = RemoteShard("{}:{}".format(*server.address))
+            try:
+                with pytest.raises(
+                    RemoteShardError,
+                    match=r"unknown request parameter\(s\) \['execution'\]",
+                ):
+                    shard.search_workload(
+                        queries, "knn", {"k": 3, "execution": "simulate"}
+                    )
+                assert not server._engines
             finally:
                 shard.close()
 
@@ -760,31 +773,23 @@ class TestResourceHygiene:
             time.sleep(0.05)
         assert _open_fds() <= before
 
-    def test_no_shm_residue_after_rpc_close(self):
-        if not shm_available():
-            pytest.skip(SHM_UNAVAILABLE_REASON)
+    def test_close_releases_the_servers_pool(self):
         data, queries = _workload(n=64, d=16, n_queries=3)
-        before = set(
-            glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}_{os.getpid()}_*")
-        )
-        server = ShardServer(
-            data,
-            board_capacity=16,
-            parallel=ParallelConfig(n_workers=2, backend="process"),
-        ).start()
+        config = ParallelConfig(n_workers=2, persistent=True)
+        server = ShardServer(data, board_capacity=16, parallel=config).start()
         try:
             with RemoteMultiBoardSearch(
                 ["{}:{}".format(*server.address)], k=3
             ) as remote:
                 res = remote.search(queries)
                 assert not res.partial
+            pool = config._pool
+            assert pool is not None
         finally:
             server.close()
-        gc.collect()
-        after = set(
-            glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}_{os.getpid()}_*")
-        )
-        assert after == before
+        assert config._pool is None
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(int)
 
     def test_close_without_serving_returns(self):
         """close() on a constructed-but-never-served server must not

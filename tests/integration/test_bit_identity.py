@@ -13,7 +13,6 @@ shapes small enough to simulate.
 """
 
 import dataclasses
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -32,20 +31,6 @@ from tests.oracle import (
 )
 
 CELLS = oracle.cells()
-
-NEEDS_FORK = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="process workers see a test-time registration only by fork",
-)
-
-
-def _cells():
-    """One case per cell, under its readable id.  The toy workload is
-    registered in this process only, so its process cells need fork."""
-    def marks(c):
-        return NEEDS_FORK if (c.workload, c.backend) == ("toy", "process") else ()
-
-    return [pytest.param(c, id=c.id, marks=marks(c)) for c in CELLS]
 
 
 EXPLICIT = settings(database=None, deadline=None, phases=[Phase.explicit])
@@ -72,7 +57,7 @@ def env(tmp_path_factory):
         env.close()
 
 
-@pytest.mark.parametrize("cell", _cells())
+@pytest.mark.parametrize("cell", [pytest.param(c, id=c.id) for c in CELLS])
 @EXPLICIT
 @_examples(EXAMPLES)
 @given(shape=oracle.shapes())
@@ -83,11 +68,11 @@ def test_cell(env, cell, shape):
 # -- generated shapes, one cell per axis value --------------------------------
 
 SWEPT = (
-    Cell("knn", "mmap", "process", "multi", "cold"),
+    Cell("knn", "mmap", "thread", "multi", "cold"),
     Cell("knn", "array", "thread", "multi", "none"),
-    Cell("jaccard", "shm", "process", "batched", "warm"),
+    Cell("jaccard", "mmap", "thread", "batched", "warm"),
     Cell("range", "array", "thread", "local", "none"),
-    Cell("toy", "shm", "serial", "batched", "cold"),
+    Cell("toy", "mmap", "serial", "batched", "cold"),
     Cell("knn", "mmap", "serial", "remote", "warm"),
     Cell("range", "array", "serial", "replicated", "none"),
 )
