@@ -1,10 +1,10 @@
 """Host-side serving stack: the sharded parallel partition-execution
-layer, the query batching/admission layer, the network-transparent
-shard service for rack-scale fan-out, and the availability layer on
-top of it (replica groups with health-tracked failover + hedged reads,
-and the fault-injection harness that proves them).  The modeled AP
-time of the host driver's partition pipeline lives in
-:mod:`repro.perf.models`."""
+layer, the query
+batching/admission layer, the network-transparent shard service for
+rack-scale fan-out, and the availability layer on top of it (replica
+groups with health-tracked failover + hedged reads, and the
+fault-injection harness that proves them).  The modeled AP time of the
+host driver's partition pipeline lives in :mod:`repro.perf.models`."""
 
 from .batching import BatchedResult, BatchRouter, BatchRouterStats, QueryBatcher
 from .faults import ChaosProxy, FaultSpec, ServerFaultHook
