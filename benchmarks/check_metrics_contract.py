@@ -57,10 +57,10 @@ def smoke_run():
     with metrics.trace_request("contract-smoke"):
         engine.search(queries)
 
-    # 2. Thread-parallel run: dispatch latency/queue-depth.
+    # 2. Thread-parallel run: dispatch latency/queue-depth/payload.
     APSimilaritySearch(
         data, k=5, board_capacity=512,
-        parallel=ParallelConfig(n_workers=2),
+        parallel=ParallelConfig(n_workers=2, backend="thread"),
     ).search(queries)
 
     # 3. Batch router: families register at construction.

@@ -129,9 +129,11 @@ def main():
     # 1+2: generic engine, serial vs thread-parallel — bit-identical
     serial = WorkloadSearch(data, "overlap", params, board_capacity=256)
     ref = serial.search(queries)
-    # Worker threads share this process's registry.
+    # Threads share this process's registry; a spawned process worker
+    # would not see the registration made above.
     par = WorkloadSearch(data, "overlap", params, board_capacity=256,
-                         parallel=ParallelConfig(n_workers=4), cache=True)
+                         parallel=ParallelConfig(n_workers=4, backend="thread"),
+                         cache=True)
     got = par.search(queries)
     assert (got.value.indices == ref.value.indices).all()
     assert (got.value.overlaps == ref.value.overlaps).all()

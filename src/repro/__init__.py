@@ -39,7 +39,7 @@ Quickstart::
     print(result.indices, result.distances)
 
 Production knobs: ``APSimilaritySearch(..., parallel=4)`` executes
-board partitions across four worker threads (results bit-identical
+board partitions across four worker processes (results bit-identical
 to sequential execution), and ``cache=True`` (or a shared
 :class:`repro.ap.compiler.BoardImageCache`) reuses each board's packed
 words across repeated searches and overlapping shards.  The

@@ -48,6 +48,22 @@ class APDeviceSpec:
     # design's worst case (counts reach ~2d+L+2 ≈ 520 at d = 256).
     counter_bits: int = 12
 
+    def __reduce__(self):
+        # Device specs ride along in every PartitionTask a process pool
+        # submits; the stock dataclass pickle walks all 15 fields per
+        # task.  The well-known generation singletons serialize as a
+        # name lookup instead — a few bytes and one dict hit — while
+        # customized specs keep the by-value fallback.
+        for name in ("GEN1", "GEN2"):
+            if self == globals().get(name):
+                return (_named_device_spec, (name,))
+        from dataclasses import fields
+
+        return (
+            _rebuild_device_spec,
+            (tuple(getattr(self, f.name) for f in fields(self)),),
+        )
+
     # -- derived capacities -------------------------------------------
 
     @property
@@ -90,6 +106,16 @@ class APDeviceSpec:
     @property
     def cycle_time_s(self) -> float:
         return 1.0 / self.clock_hz
+
+
+def _named_device_spec(name: str) -> "APDeviceSpec":
+    """Pickle hook: resolve a generation singleton by name."""
+    return globals()[name]
+
+
+def _rebuild_device_spec(field_values: tuple) -> "APDeviceSpec":
+    """Pickle hook: by-value fallback for customized specs."""
+    return APDeviceSpec(*field_values)
 
 
 GEN1 = APDeviceSpec(generation=APGeneration.GEN1, reconfiguration_latency_s=45e-3)

@@ -94,12 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan the dataset out across this many AP boards "
                         "(multi-board scale-out: balanced shards, one "
                         "shared compile cache, exact host-side merge; "
-                        "1 = single board). Combine with --workers for "
-                        "the host-side pool, e.g. --devices 4 --workers 4")
+                        "1 = single board). Combine with --workers/"
+                        "--backend to pick the host-side pool, e.g. "
+                        "--devices 4 --workers 4 --backend thread")
     s.add_argument("--workers", type=int, default=1,
-                   help="worker threads for sharded partition execution "
-                        "(1 = sequential; the kernels release the GIL, "
-                        "and workers share the board cache)")
+                   help="worker lanes for sharded partition execution "
+                        "(1 = sequential)")
+    s.add_argument("--backend", choices=["process", "thread"],
+                   default="process",
+                   help="worker pool flavor: processes (cache-aware via "
+                        "artifact shipping) or threads (the kernels "
+                        "release the GIL; share the board cache with the "
+                        "parent directly)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -112,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "cap, not a delay: a batch is dispatched as soon "
                         "as every concurrent caller has joined it")
     s.add_argument("--cache-size", type=int, default=0,
-                   help="LRU board-image cache capacity (0 = no cache), "
-                        "shared by every worker")
+                   help="LRU board-image cache capacity (0 = no cache); "
+                        "sequential runs and thread workers use it in "
+                        "place, process workers through artifact shipping")
     s.add_argument("--out", default=None, help="save indices to this .npy")
 
     v = sub.add_parser("serve", help="serve one dataset shard over TCP "
@@ -142,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(multi-board scale-out within the shard, for "
                         "every admitted workload)")
     v.add_argument("--workers", type=int, default=1,
-                   help="worker threads for the shard's partition "
-                        "execution")
+                   help="worker lanes for the shard's partition execution")
+    v.add_argument("--backend", choices=["process", "thread"],
+                   default="process")
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
                         "the server always caches)")
@@ -249,6 +257,7 @@ def _local_engine(args, params: dict):
     """The one local path: any workload, any ``--devices``."""
     from repro.ap.device import GEN1, GEN2
     from repro.core.workload import WorkloadSearch
+    from repro.host.parallel import ParallelConfig
 
     if args.dataset == "-":
         raise _CliError("dataset '-' is only valid with --remote", 2)
@@ -266,7 +275,9 @@ def _local_engine(args, params: dict):
             args.workload,
             params,
             board_capacity=args.board_capacity,
-            parallel=args.workers,
+            parallel=ParallelConfig(
+                n_workers=args.workers, backend=args.backend
+            ),
             cache=args.cache_size,  # <= 0 disables caching
             device=GEN1 if args.device == "gen1" else GEN2,
             n_devices=args.devices,
@@ -380,7 +391,9 @@ def _search_and_report(engine, args, params: dict) -> int:
     counters = result.counters
     # The request as the workload understood it (k clipped to n, ...).
     kept = engine.workload.validate_params(params, engine.n, engine.d)
-    asked = ", ".join(f"{name}={kept[name]}" for name in params if name in kept)
+    asked = ", ".join(
+        f"{name}={kept[name]}" for name in ("k", "radius") if name in kept
+    )
     head = f"# {queries.shape[0]} queries, {asked}, workload={result.workload}"
     if args.remote:
         failed = result.failed_shards
@@ -548,7 +561,8 @@ def _cmd_serve(args) -> int:
         device=GEN1 if args.device == "gen1" else GEN2,
         board_capacity=args.board_capacity,
         parallel=ParallelConfig(
-            n_workers=args.workers, persistent=args.workers > 1
+            n_workers=args.workers, backend=args.backend,
+            persistent=args.workers > 1,
         ),
         # A shard server always caches: it is long-lived.
         cache=args.cache_size if args.cache_size > 0 else True,

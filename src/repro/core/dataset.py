@@ -8,18 +8,22 @@ serving.  That left the ROADMAP's out-of-core item unreachable — there
 was no single dataset abstraction to put an mmap backend behind.
 
 :class:`PackedDataset` is that abstraction: one row-window handle
-(shape, dtype, pack layout, content digest) over one of two
+(shape, dtype, pack layout, content digest) over one of three
 interchangeable stores:
 
 * :class:`ArrayStore` — an in-memory ndarray, one byte per bit, zero
   copy over what the caller passed;
+* :class:`ShmStore` — a shared-memory segment the store owns, which
+  any process on the host can attach.  Engines whose workers run out of
+  process *promote* an in-memory dataset to one
+  (:meth:`PackedDataset.attachable`), once per row window;
 * :class:`MmapStore` — a memory-mapped on-disk ``.pds`` packed-shard
-  file (magic + versioned header + page-aligned payload), so a shard
-  *bigger than RAM* can be partitioned, compiled, and served without
-  ever materializing the payload, and shard provisioning is a file
-  copy.
+  file (magic + versioned header + page-aligned payload, the on-disk
+  twin of the shm descriptors), so a shard *bigger than RAM* can be
+  partitioned, compiled, and served without ever materializing the
+  payload, and shard provisioning is a file copy.
 
-The mmap store holds the dataset **packed**: ``(n, ceil(d/64))``
+The shm and mmap stores hold the dataset **packed**: ``(n, ceil(d/64))``
 uint64 row words, bit ``j`` of a row at bit ``j % 64`` of word
 ``j // 64`` — exactly the array :func:`~repro.util.bitops.
 popcount_cdist` consumes.  :meth:`PackedDataset.packed_window` hands
@@ -29,8 +33,13 @@ the mapping; :meth:`PackedDataset.rows` always answers one byte per bit
 — a view for an :class:`ArrayStore`, unpacked on demand otherwise —
 and :meth:`~PackedDataset.partition_digest` hashes those rows, so
 every store of the same data hashes identically and they *share*
-compile caches.  Every worker runs in the engine's process and reads
-the engine's handle in place.
+compile caches.  The parallel layer ships :class:`DatasetSliceRef`
+descriptors instead of arrays for stores that support remote attach: a
+process worker re-opens the mmap store by path (zero-copy, no
+export step) or re-attaches the shm segment, so per-task dataset bytes
+on the wire drop to the size of a descriptor.  Only a dataset that
+cannot be promoted (below :data:`SHM_PROMOTE_MIN_BYTES`, no usable
+``/dev/shm``, segment refused) travels by value.
 
 ``.pds`` format (version 2)::
 
@@ -93,14 +102,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..host.shm import ShmArrayRef, export_array, resolve_array, shm_available
 from ..util.bitops import as_bits, pack_bits, unpack_bits
 
 __all__ = [
     "ArrayStore",
     "DatasetFormatError",
+    "DatasetSliceRef",
     "MmapStore",
     "PackedDataset",
     "PdsHeader",
+    "ShmStore",
     "attach_mmap_store",
     "read_pds_header",
     "verify_pds",
@@ -108,6 +120,8 @@ __all__ = [
     "PDS_MAGIC",
     "PDS_VERSION",
     "PDS_SUFFIX",
+    "SHM_PROMOTE_MIN_BYTES",
+    "SHM_PROMOTE_MAX_BYTES",
 ]
 
 PDS_MAGIC = b"REPROPDS"
@@ -121,6 +135,17 @@ _PDS_HEADER_SIZE = _PDS_HEADER.size + _PDS_CHUNK_FIELDS.size
 _DTYPE_UINT8 = 1
 _LAYOUT_WORDS_U64 = 2  # (n, ceil(d/64)) little-endian uint64 row words
 _CHUNK_DIGEST_BYTES = hashlib.sha1().digest_size
+
+# An in-memory dataset is promoted to a shared-memory segment for
+# out-of-process workers only inside this size band, measured in the
+# bytes the segment pins (packed words: /dev/shm is RAM).  Below the
+# floor — 128 KiB of words, the 1 MiB of rows a by-value task list
+# would pickle — the by-value path's simplicity wins and small searches
+# never pay segment setup; above the ceiling one search would pin more
+# RAM than a host should lose to a copy of data it already holds — pack
+# such a dataset to a ``.pds`` and let workers map it.
+SHM_PROMOTE_MIN_BYTES = 1 << 17
+SHM_PROMOTE_MAX_BYTES = 2 << 30
 
 # Chunk size for streaming scans of unpacked rows (digests): large
 # enough to amortize per-chunk overhead, small enough that an
@@ -137,8 +162,9 @@ _VERIFY_CHUNK_BYTES = 1 << 18
 
 class DatasetFormatError(ValueError):
     """A ``.pds`` file failed validation: corrupt header, truncated
-    payload, unsupported version/dtype/layout, or a payload chunk that
-    does not match its digest."""
+    payload, unsupported version/dtype/layout, a payload chunk that
+    does not match its digest, or a file replaced under a live
+    reference to it."""
 
 
 def _packed_row_nbytes(d: int) -> int:
@@ -173,8 +199,10 @@ class ArrayStore:
     """In-memory ndarray store — the seed behavior behind the handle.
 
     Rows are plain views into the owned array, one byte per bit; there
-    are no packed words (``packed_window`` is ``None``), so a pass packs
-    each board's rows (into the engine's cache, when it has one).
+    are no packed words (``packed_window`` is ``None``) and no
+    remote-attach descriptor (``slice_ref`` is ``None``), so tasks over
+    this store carry their slices by value.  :meth:`promote` builds the
+    shared-memory twin that out-of-process workers attach instead.
     """
 
     kind = "array"
@@ -189,6 +217,7 @@ class ArrayStore:
         self.n, self.d = array.shape
         self.row_nbytes = self.d
         self.digest_memo: dict[tuple[int, int], str] = {}
+        self._promoted = weakref.WeakValueDictionary()  # (lo, hi) -> ShmStore
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self._array[lo:hi]
@@ -196,11 +225,93 @@ class ArrayStore:
     def packed_window(self, lo: int, hi: int) -> None:
         return None
 
+    def slice_ref(self, lo: int, hi: int) -> "DatasetSliceRef | None":
+        return None
+
     def release(self, lo: int, hi: int) -> None:
         pass
 
     def close(self) -> None:
         pass
+
+    def promote(self, lo: int, hi: int) -> "ShmStore | None":
+        """The :class:`ShmStore` twin of rows ``[lo, hi)``, exported on
+        first use and shared by every engine that asks while one still
+        holds it (the memo is weak: the segment goes when its last
+        engine does).  ``None`` — the dataset travels by value — when
+        the packed segment would fall outside the ``SHM_PROMOTE_*``
+        size band, without usable shared memory, or when the segment is
+        refused (``/dev/shm`` full)."""
+        with _PROMOTE_LOCK:
+            twin = self._promoted.get((lo, hi))
+            segment_bytes = (hi - lo) * _packed_row_nbytes(self.d)
+            if (
+                twin is None
+                and SHM_PROMOTE_MIN_BYTES <= segment_bytes <= SHM_PROMOTE_MAX_BYTES
+                and shm_available()
+            ):
+                try:
+                    twin = ShmStore.export(self._array[lo:hi])
+                except OSError:
+                    return None
+                self._promoted[lo, hi] = twin
+            return twin
+
+
+# Promotion is rare (once per window) and must not race: two engines
+# built concurrently over one handle would otherwise export twice.
+_PROMOTE_LOCK = threading.Lock()
+
+
+class ShmStore:
+    """Shared-memory store: the dataset's packed row words in a segment
+    this store owns.
+
+    The words live in a ``multiprocessing.shared_memory`` segment,
+    :meth:`packed_window` hands out read-only zero-copy views of them,
+    :meth:`rows` unpacks on demand, and :meth:`slice_ref` hands out a
+    picklable descriptor any process on the host can re-attach.  Built
+    by :meth:`export`; the segment's name is unlinked once the store
+    and every view taken from it are gone.
+    """
+
+    kind = "shm"
+
+    def __init__(self, ref: ShmArrayRef, words: np.ndarray, d: int):
+        """``ref`` names the segment and ``words`` is its creator's
+        mapping — the pair :func:`~repro.host.shm.export_array`
+        returns — of the ``(n, ceil(d/64))`` packed rows."""
+        if words.ndim != 2 or words.shape[0] == 0:
+            raise ValueError("dataset must be a non-empty (n, d) array")
+        self.ref = ref
+        self._words = words
+        self.n, self.d = words.shape[0], int(d)
+        self.row_nbytes = 8 * words.shape[1]
+        self.digest_memo: dict[tuple[int, int], str] = {}
+
+    @classmethod
+    def export(cls, array: np.ndarray) -> "ShmStore":
+        """Pack 0/1 ``array`` into a segment of its own and wrap it
+        (``OSError`` if the segment cannot be created or backed)."""
+        array = np.asarray(array)  # pack_bits validates, then narrows
+        return cls(*export_array(pack_bits(array)), array.shape[1])
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return _unpacked(self._words[lo:hi], self.d)
+
+    def packed_window(self, lo: int, hi: int) -> np.ndarray:
+        return self._words[lo:hi]
+
+    def slice_ref(self, lo: int, hi: int) -> "DatasetSliceRef":
+        return DatasetSliceRef(
+            kind="shm", lo=int(lo), hi=int(hi), d=self.d, shm_ref=self.ref
+        )
+
+    def release(self, lo: int, hi: int) -> None:
+        pass  # segment memory is the dataset; nothing to drop
+
+    def close(self) -> None:
+        self._words = None  # the view's finalizer unlinks the segment
 
 
 @dataclass(frozen=True)
@@ -329,6 +440,11 @@ class MmapStore:
     :meth:`rows` unpacks from them) read a shared file mapping, faulted
     in on access and dropped back to the page cache by :meth:`release`.
     The payload is verified chunk by chunk as windows first touch it.
+    :meth:`slice_ref` descriptors carry only the *path* and which
+    generation of it this is — a worker process attaches its own
+    mapping, so shipping a partition to a worker costs descriptor
+    bytes, not payload bytes, and there is no export step and no copy
+    in ``/dev/shm``.
     """
 
     kind = "mmap"
@@ -410,6 +526,12 @@ class MmapStore:
             self._verify(lo, hi)
         return self._words[lo:hi]
 
+    def slice_ref(self, lo: int, hi: int) -> "DatasetSliceRef":
+        return DatasetSliceRef(
+            kind="mmap", lo=int(lo), hi=int(hi), d=self.d,
+            path=self.path, file_id=self.file_id,
+        )
+
     def release(self, lo: int, hi: int) -> None:
         """Drop resident pages behind a scan that has consumed rows
         ``[lo, hi)`` back to the page cache (data intact; re-access
@@ -447,9 +569,10 @@ class MmapStore:
         _safe_close_mmap(self._mmap)
 
 
-# Process-global mmap attach cache: every engine over the same .pds in
-# this process shares one mapping — and its digest memo and
-# verified-chunk flags.  Keyed by file generation, not
+# Process-global mmap attach cache: every consumer of the same .pds in
+# this process (the engine that opened it, slice-ref resolution in
+# serial/thread paths, forked workers) shares one mapping — and its
+# digest memo and verified-chunk flags.  Keyed by file generation, not
 # path alone: a re-packed path is a different file.  Bounded; an
 # evicted store is only dropped from the cache — a handle may still
 # serve from it — and unmaps once the last reference to it dies.
@@ -458,21 +581,37 @@ _ATTACHED_MMAPS: dict[tuple, MmapStore] = {}
 _ATTACH_CACHE_MAX = 8
 
 
-def attach_mmap_store(path: str | os.PathLike) -> MmapStore:
-    """The process-wide :class:`MmapStore` for ``path``, opened once per
-    generation of the file: the path is re-``stat``-ed on every call, so
-    a re-packed file is picked up by the next engine while a live
-    engine keeps the mapping it attached."""
-    path = os.path.abspath(os.fspath(path))
-    try:
-        wanted = _file_id(os.stat(path))
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read {path!r}: {exc}") from exc
+def attach_mmap_store(
+    path: str | os.PathLike, file_id: tuple | None = None
+) -> MmapStore:
+    """The process-wide :class:`MmapStore` for ``path`` (opened once
+    per generation of the file: the path is re-``stat``-ed on every
+    call, so a re-packed file is picked up).
+
+    ``file_id`` — a slice ref's — pins the generation its engine
+    attached: served from the cache while this process still maps it,
+    and a :class:`DatasetFormatError` where the path now holds another
+    file (a worker must never answer from rows its engine did not
+    partition).
+    """
+    wanted = file_id
+    if wanted is None:  # (a ref names its store's path: already absolute)
+        path = os.path.abspath(os.fspath(path))
+        try:
+            wanted = _file_id(os.stat(path))
+        except OSError as exc:
+            raise DatasetFormatError(f"cannot read {path!r}: {exc}") from exc
     with _ATTACH_LOCK:
         store = _ATTACHED_MMAPS.get((path, wanted))
         if store is not None:
             return store
         store = MmapStore(path)
+        if file_id is not None and store.file_id != file_id:
+            store.close()
+            raise DatasetFormatError(
+                f"{path!r} was replaced after the engine using it attached "
+                "it; rebuild the engine over the new file"
+            )
         key = (path, store.file_id)
         _ATTACHED_MMAPS[key] = store
         while len(_ATTACHED_MMAPS) > _ATTACH_CACHE_MAX:
@@ -483,6 +622,61 @@ def attach_mmap_store(path: str | os.PathLike) -> MmapStore:
         return store
 
 
+# -- slice descriptors ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DatasetSliceRef:
+    """A picklable, descriptor-sized handle to a dataset row window.
+
+    Rides :class:`~repro.host.parallel.PartitionTask` in place of the
+    raw slice for stores any process can re-attach: ``kind="mmap"``
+    carries a file path and generation (workers map the file themselves
+    — zero copy, zero export), ``kind="shm"`` a
+    :class:`~repro.host.shm.ShmArrayRef` to the packed words (workers
+    re-attach the segment).  :meth:`packed_window` is the read-only
+    zero-copy ``(hi-lo, ceil(d/64))`` view of the window's row words,
+    :meth:`resolve` its ``(hi-lo, d)`` rows, and :meth:`release` drops
+    the window's resident pages in *this* process after use (mmap only).
+    """
+
+    kind: str
+    lo: int
+    hi: int
+    d: int = 0
+    path: str | None = None
+    file_id: tuple | None = None
+    shm_ref: ShmArrayRef | None = None
+
+    def _mmap_store(self) -> MmapStore:
+        return attach_mmap_store(self.path, self.file_id)
+
+    def window(self, lo: int, hi: int) -> "DatasetSliceRef":
+        """The handle to rows ``[lo, hi)`` of this window."""
+        if lo == 0 and hi == self.hi - self.lo:
+            return self
+        return DatasetSliceRef(
+            self.kind, self.lo + lo, self.lo + hi, self.d, self.path,
+            self.file_id, self.shm_ref,
+        )
+
+    def packed_window(self) -> np.ndarray:
+        if self.kind == "mmap":
+            return self._mmap_store().packed_window(self.lo, self.hi)
+        if self.kind == "shm":
+            return resolve_array(self.shm_ref)[self.lo : self.hi]
+        raise ValueError(f"unknown dataset store kind {self.kind!r}")
+
+    def resolve(self) -> np.ndarray:
+        if self.kind == "mmap":
+            return self._mmap_store().rows(self.lo, self.hi)
+        return _unpacked(self.packed_window(), self.d)
+
+    def release(self) -> None:
+        if self.kind == "mmap":
+            self._mmap_store().release(self.lo, self.hi)
+
+
 # -- the handle -------------------------------------------------------------
 
 
@@ -491,8 +685,9 @@ class PackedDataset:
 
     Engines hold a :class:`PackedDataset` instead of an ndarray and use
     :meth:`rows` for partition slices, :meth:`packed_window` for the
-    row words a functional pass runs on, and :meth:`partition_digest`
-    for content-addressed cache keys.  Sub-windows
+    row words a functional pass runs on, :meth:`partition_digest` for
+    content-addressed cache keys, and :meth:`slice_ref` to build
+    worker-attachable task descriptors.  Sub-windows
     (:meth:`slice_rows` — the multi-board layer's per-device shards,
     the RPC layer's balanced shards) share the parent's store, mapping,
     and digest memo, so slicing is free and digests are hashed at most
@@ -525,7 +720,7 @@ class PackedDataset:
         """Normalize anything dataset-shaped into a handle.
 
         A :class:`PackedDataset` passes through untouched (store-backed
-        data was validated when packed); a ``str``/``PathLike``
+        data was validated when packed/exported); a ``str``/``PathLike``
         opens the ``.pds`` via the process attach cache; everything
         else is shape-checked and binary-checked (when ``validate``)
         in the dtype it arrived in, then narrowed to uint8 inside an
@@ -628,6 +823,23 @@ class PackedDataset:
         """A sub-handle sharing this handle's store (and digest memo)."""
         a, b = self._abs(lo, hi)
         return PackedDataset(self.store, a, b)
+
+    def slice_ref(self, lo: int, hi: int) -> DatasetSliceRef | None:
+        """A worker-attachable descriptor for window rows, or ``None``
+        when the store has no remote-attach path (in-memory arrays)."""
+        a, b = self._abs(lo, hi)
+        return self.store.slice_ref(a, b)
+
+    def attachable(self) -> "PackedDataset":
+        """These rows over a store out-of-process workers can attach:
+        an in-memory window is promoted to its shared-memory twin
+        (:meth:`ArrayStore.promote` — exactly the window's rows, not
+        the store it was cut from); store-backed handles, and arrays
+        that cannot be promoted, come back unchanged."""
+        if not isinstance(self.store, ArrayStore):
+            return self
+        twin = self.store.promote(self.lo, self.hi)
+        return self if twin is None else PackedDataset(twin)
 
     def release(self, lo: int, hi: int) -> None:
         """Drop the window rows' resident pages (mmap stores; no-op

@@ -10,9 +10,10 @@ layers actually rely on into a :class:`Workload` protocol:
 
 * ``compile_packed(words, d, params) → artifact`` — the artifact of
   one *host pass* (a run of row-consecutive boards) over their packed
-  row words: a view of a ``.pds`` store's, else the boards' cached
-  words.  Every pass is one such artifact and one ``execute``; the
-  board stays the unit of caching, counters and the AP model;
+  row words: a view of a ``.pds`` or shared-memory store's, else the
+  boards' cached words.  Every pass is one such artifact and one
+  ``execute``; the board stays the unit of caching, counters and the
+  AP model;
 * ``execute(artifact, query_words, params) → (partial, counters)`` —
   one pass over the batch's packed query words (packed once per task)
   producing a *pass-local* partial result plus the
@@ -34,9 +35,9 @@ layers actually rely on into a :class:`Workload` protocol:
 Workloads register by name (:func:`register_workload`), mirroring the
 pluggable-extension registry idiom of reinforced_lib's ``BaseExt``:
 built-ins ship registered, and a custom workload is one subclass plus
-one ``register_workload`` call away from thread parallelism, batching,
-and remote shards — see ``examples/custom_workload.py`` and the
-README's "Writing a custom workload".
+one ``register_workload`` call away from thread/process
+parallelism, batching, and remote shards — see ``examples/
+custom_workload.py`` and the README's "Writing a custom workload".
 
 :class:`WorkloadSearch` is the one engine loop: it partitions the
 dataset into board-sized slices (never straddling a device boundary
@@ -44,8 +45,8 @@ when ``n_devices > 1``), groups runs of them into host passes sized
 for the host rather than the AP fabric, fans the passes out as
 :class:`~repro.host.parallel.PartitionTask`\\ s (one pass each, or a
 carrier's run of them per worker lane and device shard) through
-:func:`~repro.host.parallel.run_partitions` (thread workers over the
-engine's own store, persistent pools), and merges through
+:func:`~repro.host.parallel.run_partitions` (thread/process backends,
+persistent pools, slice-ref datasets, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
 bit-identical to a sequential pass by associativity.  Hamming kNN is an
 ordinary registered workload; :class:`~repro.core.engine.
@@ -71,6 +72,7 @@ from ..host.parallel import (
     ParallelConfig,
     PartitionResult,
     PartitionTask,
+    _ArtifactShuttle,
     run_partitions,
 )
 from ..perf import metrics as _metrics
@@ -123,7 +125,7 @@ _CAPACITY_D_CUTOFF = 128
 # is a constraint of the AP fabric, not of the host.  _PASS_BYTES — one
 # .pds verification chunk — bounds a pass's packed row words: the copy
 # a gathered pass (in-memory rows) concatenates, or the pages a view
-# pass (mmap .pds) faults in.  _PASS_PAIRS bounds the widest
+# pass (mmap .pds, shm) faults in.  _PASS_PAIRS bounds the widest
 # per-pair transient (Jaccard's ~14 B) to ~3.5 MiB at any batch size.
 # Constants, not options: README "Host passes" has the sweeps.
 _PASS_BYTES = 256 * 2**10
@@ -341,32 +343,37 @@ class Workload(ABC):
         :meth:`compile_packed` over the window's row words, one
         :meth:`execute` over the query words packed once for the task.
 
-        The task's rows are the engine's
-        :class:`~repro.core.dataset.PackedDataset` window (a hand-built
-        task's array is wrapped in one).  The words are a view of that
-        store's where it holds them packed (a ``.pds``) — nothing is
-        packed, hashed or looked up, and every board counts as served
-        without a compile — else each board's words come from the cache
-        (``pack_bits`` on a miss), row-concatenated.  A workload that
-        :attr:`carries` hands each window's :meth:`execute` the running
-        partial of the windows before it; any other task is one window.
-        Mapped pages are released behind each window.
+        The words are a view of the store's when the task carries a
+        slice ref — nothing is packed, hashed or looked up, and every
+        board counts as served without a compile — else each board's
+        words come from the cache (``pack_bits`` on a miss),
+        row-concatenated.  A workload that :attr:`carries` hands each
+        window's :meth:`execute` the running partial of the windows
+        before it; any other task is one window.  Process workers get
+        an artifact shuttle that serves the words shipped with the task
+        and captures fresh ones for the return trip.  Mapped pages are
+        released behind each window.
         """
         params = dict(task.params)
-        data = PackedDataset.ensure(task.dataset_bits, validate=False)
+        ref = task.dataset_slice
+        d = ref.d if ref is not None else task.dataset_bits.shape[1]
         windows = task.window_list()
         if not self.carries and len(windows) > 1:
             raise ValueError(
                 f"workload {self.name!r} does not carry: a task is one "
                 f"window, got {len(windows)}"
             )
+        shuttle = None
+        if ref is None and cache is None and task.board_list()[0][1] is not None:
+            cache = shuttle = _ArtifactShuttle(task.artifacts)
         query_words = pack_bits(queries_bits)
         counters = RuntimeCounters()
         partial = None
         hits = 0
         for lo, hi, boards in windows:
-            words = data.packed_window(lo, hi)
-            if words is not None:
+            if ref is not None:
+                window = ref.window(lo, hi)
+                words = window.packed_window()
                 hits += len(boards)
             else:
                 # Task-local first row of each board (and the window's end).
@@ -378,12 +385,12 @@ class Workload(ABC):
                     if entry is not None:
                         hits += 1
                     else:
-                        entry = pack_bits(data.rows(a, b))
+                        entry = pack_bits(task.dataset_bits[a:b])
                         if cached:
                             cache.put(key, entry)
                     entries.append(entry)
                 words = entries[0] if len(entries) == 1 else np.concatenate(entries)
-            artifact = self.compile_packed(words, data.d, params)
+            artifact = self.compile_packed(words, d, params)
             if self.carries:
                 partial, delta = self.execute(
                     artifact, query_words, params, prior=partial, base=lo
@@ -395,15 +402,17 @@ class Workload(ABC):
             delta.configurations *= len(boards)
             delta.symbols_streamed *= len(boards)
             counters.merge(delta)
-            # Drop the window's freshly faulted mmap pages back to the
-            # page cache so a worker's RSS stays bounded by one pass,
-            # not the whole shard it walks over a run.
-            data.release(lo, hi)
+            if ref is not None:
+                # Drop the window's freshly faulted mmap pages back to
+                # the page cache so a worker's RSS stays bounded by one
+                # pass, not the whole shard it walks over a run.
+                window.release()
         counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,
             counters=counters,
             payload=partial,
+            artifacts=(shuttle.built or None) if shuttle is not None else None,
             passes=len(windows),
         )
 
@@ -942,9 +951,11 @@ class WorkloadRunResult:
     # it; it goes with the wire v2 bump (ROADMAP item 6).
     execution: str = "functional"
     n_workers: int = 1  # worker lanes (or shards) that actually ran
-    # Which boundary the search crossed: "none" (in-process) or "rpc"
-    # for the network fan-out.
+    # Which boundary tasks crossed: "none" (in-process), "pickle"
+    # (process workers), or "rpc" for the network fan-out.
     transport: str = "none"
+    # Parent->worker submission bytes (ParallelConfig(measure_ipc=True)).
+    ipc_payload_bytes: int | None = None
     # Mean per-task submit->start dispatch latency of the parallel run
     # (None when the run was serial or remote).
     dispatch_overhead_s: float | None = None
@@ -988,27 +999,29 @@ class WorkloadSearch(Batchable):
     into host passes (each one ``compile_packed`` over the boards'
     packed words: a store view, or cache-aware, content-addressed
     per-board words), executes them serially or across a
-    :class:`~repro.host.parallel.ParallelConfig` thread pool, and
-    merges through the workload's associative ``merge`` — so results
-    are bit-identical to a single sequential pass for every backend ×
-    store combination.
+    :class:`~repro.host.parallel.ParallelConfig` worker pool
+    (thread/process, persistent pools, words shipping), and merges
+    through the workload's
+    associative ``merge`` — so results are bit-identical to a single
+    sequential pass for every backend × store combination.
 
     Parameters
     ----------
     dataset_bits:
         ``(n, d)`` binary dataset: an ndarray, a
         :class:`~repro.core.dataset.PackedDataset` handle, or a
-        ``.pds`` path — all normalize to one store-backed handle, which
-        every worker reads in place.
+        ``.pds`` path — all normalize to one store-backed handle.  When
+        ``parallel`` fans out across processes an in-memory dataset is
+        promoted to shared memory (:meth:`~repro.core.dataset.
+        PackedDataset.attachable`) so workers attach it by reference.
     workload, params:
         A registered workload (name or instance) and its request
-        parameters, normalized by ``workload.validate_params``; a key
-        the workload does not take is a ``ValueError``.
+        parameters, normalized by ``workload.validate_params``.
     board_capacity:
         Vectors per board configuration; defaults to the workload's
         own rule (``workload.default_capacity``).
     parallel:
-        ``None``/``1`` for sequential execution, an ``int`` thread
+        ``None``/``1`` for sequential execution, an ``int`` worker
         count, or a :class:`~repro.host.parallel.ParallelConfig`.
     cache:
         ``None`` to disable, ``True`` for a private LRU
@@ -1050,6 +1063,8 @@ class WorkloadSearch(Batchable):
         refuse_unknown_params(self.workload.name, params, self.params)
         self.device = self.params.get("device", device)
         self.parallel = self._normalize_parallel(parallel)
+        if not self.parallel.shares_memory and self.parallel.n_workers > 1:
+            self.dataset = self.dataset.attachable()
         self.cache = self._normalize_cache(cache)
         if board_capacity is None:
             board_capacity = self.workload.default_capacity(self.d, self.params)
@@ -1129,7 +1144,7 @@ class WorkloadSearch(Batchable):
         return self.dataset.packed_window(0, 1) is not None
 
     def _partition_tasks(self, boards_per_pass: int = 1) -> list[PartitionTask]:
-        """Work units over the engine's own store: each device shard's
+        """Self-contained, picklable work units: each device shard's
         boards cut into the fewest passes (windows) of at most
         ``boards_per_pass`` row-consecutive boards, near-equal (sizes
         differ by at most one board, so no short tail pass), never
@@ -1159,6 +1174,11 @@ class WorkloadSearch(Batchable):
                 return None
             return (self.dataset.partition_digest(start, end), "words")
 
+        # Store-backed datasets (mmap/shm) ship descriptor-sized slice
+        # refs — workers attach the store themselves — with an empty
+        # stub where the array slice would go; in-memory datasets ship
+        # real views, by value when a worker is out of process.
+        stub = np.empty((0, self.d), dtype=np.uint8)
         tasks = []
         shard_lo = 0  # index of the device shard's first board
         for n_boards in self.per_device_partitions:
@@ -1170,11 +1190,15 @@ class WorkloadSearch(Batchable):
                 windows = tuple(np.diff(cuts[first : last + 1]).tolist())
                 run = self.partitions[cuts[first] : cuts[last]]
                 start, end = run[0][0], run[-1][1]
+                ref = self.dataset.slice_ref(start, end)
                 tasks.append(PartitionTask(
                     p_idx=len(tasks),
                     start=start,
                     end=end,
-                    dataset_bits=self.dataset.slice_rows(start, end),
+                    dataset_bits=(
+                        stub if ref is not None else self.dataset.rows(start, end)
+                    ),
+                    dataset_slice=ref,
                     boards=tuple((b - a, board_key(a, b)) for a, b in run),
                     windows=windows if len(windows) > 1 else (),
                     workload=self.workload.name,
@@ -1222,6 +1246,8 @@ class WorkloadSearch(Batchable):
             counters=counters,
             per_device_partitions=self.per_device_partitions,
             n_workers=run.n_workers,
+            transport=run.transport,
+            ipc_payload_bytes=run.ipc_payload_bytes,
             dispatch_overhead_s=run.dispatch_overhead_s,
         )
 
@@ -1257,7 +1283,7 @@ class WorkloadSearch(Batchable):
 
 
 # Built-ins register at import: everything that resolves workloads by
-# name (shard servers, the CLI) imports this module.
+# name (worker processes, shard servers, the CLI) imports this module.
 register_workload(HammingKnnWorkload())
 register_workload(JaccardTopkWorkload())
 register_workload(HammingRangeWorkload())

@@ -1,5 +1,5 @@
 """Host-side serving stack: the sharded parallel partition-execution
-layer, the query
+layer with its shared-memory segment primitives, the query
 batching/admission layer, the network-transparent shard service for
 rack-scale fan-out, and the availability layer on top of it (replica
 groups with health-tracked failover + hedged reads, and the
@@ -30,6 +30,7 @@ from .rpc import (
     ShardServer,
     serve_shard,
 )
+from .shm import ShmArrayRef, shm_available
 
 __all__ = [
     "ParallelConfig",
@@ -41,6 +42,8 @@ __all__ = [
     "QueryBatcher",
     "BatchedResult",
     "BatchRouterStats",
+    "ShmArrayRef",
+    "shm_available",
     "RemoteMultiBoardSearch",
     "RemoteShard",
     "RemoteShardError",

@@ -26,19 +26,28 @@ running k-th distances.  Hand-built tasks are one board.
 Backends
 --------
 
+* ``backend="process"`` — a :class:`~concurrent.futures.
+  ProcessPoolExecutor`.  The parent's
+  :class:`~repro.ap.compiler.BoardImageCache` is per-process, but
+  process workers are still *cache-aware*: a task whose boards are
+  already cached ships their packed words out with the task (workers
+  skip the packing), and a worker that had to pack ships the words back
+  with its result so the parent cache warms up — ``backend="process"`` and ``cache=`` compose.
 * ``backend="thread"`` — a :class:`~concurrent.futures.
-  ThreadPoolExecutor`, and what ``parallel=<int>`` builds.  The
-  functional back-end spends its time inside NumPy kernels that
-  release the GIL, so threads overlap there, and because they share
-  the engine's memory, workers read the dataset store and consult and
-  fill the engine's board-image cache in place.
+  ThreadPoolExecutor`.  The functional back-end spends its time inside
+  NumPy kernels that release the GIL, so threads overlap almost as
+  well as processes there while skipping query-batch pickling — and,
+  because threads share the parent's memory, workers consult and fill
+  the engine's board-image cache directly: ``parallel=`` and
+  ``cache=`` finally compose.
 * ``backend="serial"`` — in-process loop regardless of ``n_workers``
   (debugging aid, and the silent fallback when a pool cannot be
   created).
 
-``"process"`` and ``"pinned"`` are removed backends: a config naming
-one still constructs, and :func:`run_partitions` raises
-``RuntimeError`` for it.
+The process backend submits one contiguous chunk of tasks per worker —
+one ``executor.submit`` per worker, a one-task chunk when there are no
+more tasks than workers — so executor dispatch is paid per worker, not
+per partition.
 
 Every run records its dispatch cost: :class:`PartitionRunReport.
 dispatch_overhead_s` is the mean per-task submit→start latency and
@@ -48,11 +57,24 @@ engine as ``WorkloadRunResult.dispatch_overhead_s``.
 Data movement
 -------------
 
-None.  Every worker runs in the engine's process: an engine-built task
-carries the engine's :class:`~repro.core.dataset.PackedDataset` window,
-and its worker reads that store's packed row words in place (a ``.pds``
-mapping) or its rows (an in-memory array, packed once per board into
-the shared cache).
+There is one path to an out-of-process worker (``"process"``).  The
+**dataset** travels by reference: a task's
+``dataset_slice`` is a :class:`~repro.core.dataset.DatasetSliceRef`
+naming a row window of a store the worker attaches itself — the
+``.pds`` file of an mmap-backed dataset, or the shared-memory segment
+an in-memory dataset is promoted to when its engine fans out across
+processes (:meth:`~repro.core.dataset.PackedDataset.attachable`) — so
+dataset bytes cross the process boundary once per store, not once per
+task.  An artifact over such a store's packed row words is a view the
+worker builds in place (``Workload.compile_packed``), so it does not
+travel either.  **Everything else travels by value** through the task
+pickle: query batches, and cache entries both ways (the boards' packed
+words of a by-value dataset).  ``dataset_bits`` by
+value remains as the platform fallback (no usable ``/dev/shm``, segment
+refused, dataset outside the promotion size band) and for hand-built
+tasks.  Thread/serial workers share the parent's memory and move
+nothing.  Results are bit-identical across every backend × store
+combination.
 
 Pool lifetime
 -------------
@@ -66,16 +88,18 @@ close`), so repeated searches skip worker spawn cost entirely.  A
 persistent pool whose config is dropped without :meth:`~ParallelConfig.
 close` is reclaimed by a :func:`weakref.finalize` guard (which also
 fires at interpreter exit), so forgotten configs cannot leak worker
-threads or hang shutdown.
+threads/processes or hang shutdown.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 import weakref
-from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -94,13 +118,6 @@ __all__ = [
 
 _POOL_ERRORS = (OSError, PermissionError, ImportError)
 
-# Backends a config still accepts only so that the request-path
-# benchmark, which builds them outside its error handling, gets the
-# RuntimeError from run_partitions instead of a ValueError.  Delete them
-# with that benchmark's `parallel.*.pinned` / `parallel.*.process` rows
-# when the benchmark is re-anchored (ROADMAP item 1).
-_REMOVED_BACKENDS = ("process", "pinned")
-
 
 def _shutdown_executor(pool: Executor) -> None:
     """Finalizer target: must not reference the owning config (a bound
@@ -113,10 +130,14 @@ class ParallelConfig:
     """How the engine fans partitions out across workers.
 
     ``n_workers <= 1`` means serial in-process execution; ``backend``
-    picks ``"thread"`` (the default), or ``"serial"`` (forces serial
+    picks ``"process"``, ``"thread"``, or ``"serial"`` (forces serial
     regardless of ``n_workers``; useful for debugging).
     ``fallback_serial`` controls what happens when a pool cannot be
     created: degrade gracefully (default) or raise.
+
+    ``measure_ipc=True`` makes :func:`run_partitions` record the
+    submitted task payload bytes in its report — benchmarking aid; it
+    pays an extra pickle pass, so leave it off in production.
 
     ``persistent=True`` makes this config own a reusable worker pool:
     spawned lazily on the first :func:`run_partitions` call, reused by
@@ -130,9 +151,10 @@ class ParallelConfig:
     """
 
     n_workers: int = 1
-    backend: str = "thread"
+    backend: str = "process"
     fallback_serial: bool = True
     persistent: bool = False
+    measure_ipc: bool = False
     _pool: Executor | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -149,17 +171,31 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
-        if self.backend not in ("thread", "serial", *_REMOVED_BACKENDS):
+        # "pinned" is a removed backend still accepted here so that the
+        # request-path benchmark, which builds one outside its error
+        # handling, gets the RuntimeError from run_partitions instead
+        # of a ValueError.  Delete it with that benchmark's
+        # `parallel.*.pinned` rows when the benchmark is re-anchored
+        # (ROADMAP item 1).
+        if self.backend not in ("process", "thread", "serial", "pinned"):
             raise ValueError(f"unknown parallel backend {self.backend!r}")
 
     @property
     def effective_workers(self) -> int:
-        return self.n_workers if self.backend == "thread" else 1
+        return self.n_workers if self.backend in ("process", "thread") else 1
+
+    @property
+    def shares_memory(self) -> bool:
+        """True when workers run in this process (thread/serial): they
+        can read the parent's board-image cache instead of rebuilding."""
+        return self.backend != "process"
 
     # -- pool lifecycle ---------------------------------------------------
 
     def _spawn_pool(self, n_workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=n_workers)
+        if self.backend == "thread":
+            return ThreadPoolExecutor(max_workers=n_workers)
+        return ProcessPoolExecutor(max_workers=n_workers)
 
     def _acquire_pool(self, n_workers: int) -> tuple[Executor, bool]:
         """Return ``(executor, owned_by_call)``.  Persistent configs
@@ -215,29 +251,30 @@ class ParallelConfig:
 
 @dataclass(frozen=True)
 class PartitionTask:
-    """One worker lane's run of host passes: row-consecutive board
-    partitions ``[start, end)`` (one board for a hand-built task), cut
-    into *windows* — the passes, each a run of boards under the
-    engine's pass budgets — that the worker runs in ascending row
-    order.  Only a workload that carries its partial from window to
-    window (``Workload.carries``) gets more than one window per task;
-    every other task is one pass.
+    """One worker lane's run of host passes, self-contained and
+    picklable: row-consecutive board partitions ``[start, end)`` (one
+    board for a hand-built task), cut into *windows* — the passes, each
+    a run of boards under the engine's pass budgets — that the worker
+    runs in ascending row order.  Only a workload that carries its
+    partial from window to window (``Workload.carries``) gets more than
+    one window per task; every other task is one pass.
 
-    ``dataset_bits`` is the task's rows: the engine's
-    :class:`~repro.core.dataset.PackedDataset` window for an
-    engine-built task (the worker reads that store in place), an
-    ``(end-start, d)`` 0/1 array for a hand-built one.  ``workload``
-    names the registered :class:`~repro.core.workload.Workload` that
-    executes it and ``params`` carries that workload's resolved
-    parameters.  Caching stays per board: ``boards`` lists each board's
-    ``(rows, cache_key)`` in row order, the keys being the engine's
-    content-addressed board keys, looked up in the engine's cache.
+    ``workload`` names the registered :class:`~repro.core.workload.
+    Workload` that executes it and ``params`` carries that workload's
+    resolved parameters.  Caching stays per board: ``boards`` lists each
+    board's ``(rows, cache_key)`` in row order, the keys being the
+    engine's content-addressed board-image keys.  In-process workers
+    (thread backend / serial fallback) look them up in the parent's
+    cache directly; for process workers :func:`run_partitions` resolves
+    them against the parent cache up front and ships the compiled
+    artifacts along in ``artifacts`` so a warm cache skips worker-side
+    rebuilds too.
     """
 
     p_idx: int
     start: int
     end: int
-    dataset_bits: Any  # PackedDataset window, or a hand-built task's rows
+    dataset_bits: np.ndarray  # the (end-start, d) partition slice
     # Legacy kNN-only fields, read only when a hand-built task carries
     # no ``params`` (HammingKnnWorkload folds them in); the engine
     # leaves them at their defaults.
@@ -261,6 +298,18 @@ class PartitionTask:
     # Workload parameters as sorted (key, value) items — hashable, and
     # rebuilt into a dict worker-side.
     params: tuple = ()
+    # Cache entries (boards' packed words), by cache key,
+    # shipped *to* a process worker from a warm parent cache (a board
+    # not in it is built from the task's rows).
+    artifacts: dict | None = None
+    # Store-backed dataset descriptor (repro.core.dataset.DatasetSliceRef):
+    # for mmap/shm-backed PackedDatasets the engine stubs dataset_bits
+    # empty and ships this descriptor-sized handle instead — workers
+    # attach the store themselves (an mmap worker maps the .pds by
+    # path, a shm worker attaches the segment: zero dataset bytes on
+    # the wire).  In-memory ArrayStore tasks leave it None and carry
+    # dataset_bits by value.
+    dataset_slice: Any = None
 
     def board_list(self) -> tuple:
         """``boards``, with a one-board task spelled out."""
@@ -281,20 +330,47 @@ class PartitionTask:
         return out
 
 
+class _ArtifactShuttle:
+    """Minimal cache façade for one process-worker task.
+
+    Serves the artifacts the parent shipped with the task (a warm-cache
+    hit crosses the process boundary as data, not shared memory) and
+    captures freshly built ones so the worker can ship them back — the
+    parent then :meth:`~repro.ap.compiler.BoardImageCache.put`\\ s
+    them, warming the cache for the next call.
+    """
+
+    def __init__(self, shipped: dict | None = None):
+        self.shipped = shipped or {}
+        self.built: dict = {}
+
+    def get(self, key: tuple) -> Any:
+        return self.shipped.get(key)
+
+    def put(self, key: tuple, value: Any) -> None:
+        self.built[key] = value
+
+
 @dataclass
 class PartitionResult:
     """Partial result + counter delta for one executed task.
 
     ``payload`` is the workload's task-LOCAL partial (indices relative
     to ``task.start``; ``None`` if the task produced nothing to merge).
+    ``artifacts`` carries the board artifacts a *process* worker had to
+    build, by cache key, back to the parent, which installs them in its
+    :class:`~repro.ap.compiler.BoardImageCache`; in-process workers
+    write the shared cache directly and leave it ``None``.
     """
 
     p_idx: int
     counters: RuntimeCounters
     payload: Any = None
+    artifacts: dict | None = None
     # ``execute`` calls the task took: one per window.
     passes: int = 1
-    # Worker-side monotonic timestamp taken when execution began; the
+    # Worker-side monotonic timestamp taken when execution began.
+    # CLOCK_MONOTONIC is system-wide on all supported platforms, so the
     # parent subtracts its submit timestamp to get per-task dispatch
     # (submit→start) latency.  None on paths that skip accounting.
     t_start: float | None = None
@@ -307,10 +383,10 @@ def execute_partition(
 
     Runs the task's :class:`~repro.core.workload.Workload`'s
     ``execute_task`` — the same body the serial path calls, so parallel
-    results stay bit-identical by construction.  ``cache`` is the
-    engine's :class:`~repro.ap.compiler.BoardImageCache`, shared by
-    every worker.  The workload import is deferred:
-    :mod:`repro.core.workload` imports this module.
+    results stay bit-identical by construction.  ``cache`` is a
+    :class:`~repro.ap.compiler.BoardImageCache` shared by in-process
+    callers (thread workers, serial fallback).  The workload import is
+    deferred: :mod:`repro.core.workload` imports this module.
     """
     t_start = time.monotonic()
     from ..core.workload import get_workload
@@ -327,22 +403,58 @@ class PartitionRunReport:
     ``n_workers`` is the worker-lane count that really ran — 1 when
     the serial path was taken, including silent pool-failure fallback —
     so callers can report true concurrency instead of the requested
-    figure.
+    figure.  ``transport`` records whether tasks crossed a process
+    boundary: ``"none"`` (in-process: serial/thread, or serial
+    fallback) or ``"pickle"`` (process workers).
+    ``ipc_payload_bytes`` is the summed parent→worker submission size,
+    recorded only under ``measure_ipc=True`` — descriptor-sized per
+    task when the dataset rides a slice ref.
 
     ``dispatch_overhead_s`` is the mean per-task submit→start latency
     (parent submit timestamp to worker pickup) across the run — the
     cost of getting work *to* a worker, separate from the work itself —
-    and ``queue_depth`` the peak number of tasks in flight.  Serial
-    runs record ``None``/``0``: nothing is dispatched.
+    and ``queue_depth`` the peak number of submissions in flight
+    (process runs count chunks, thread runs tasks).  Serial runs
+    record ``None``/``0``: nothing is dispatched.
     """
 
     results: list[PartitionResult]
     n_workers: int
+    transport: str = "none"
+    ipc_payload_bytes: int | None = None
     dispatch_overhead_s: float | None = None
     queue_depth: int = 0
 
 
-def _record_dispatch(latencies: list[float], queue_depth: int) -> float | None:
+def _attach_cached_artifacts(task: PartitionTask, cache) -> PartitionTask:
+    """Ship cached boards to a process worker instead of raw data.
+
+    When every board of the task hits, the artifacts fully supersede
+    the dataset rows (workers only touch them to *build*), so the rows
+    are replaced by an empty stub — pickling both would double the IPC
+    payload the artifact shipping exists to avoid.
+    """
+    keys = [key for _, key in task.board_list() if key is not None]
+    shipped = {}
+    for key in keys:
+        artifact = cache.get(key)
+        if artifact is not None:
+            shipped[key] = artifact
+    if not shipped:
+        return task
+    if len(shipped) < len(set(keys)):
+        return replace(task, artifacts=shipped)
+    return replace(
+        task,
+        artifacts=shipped,
+        dataset_bits=task.dataset_bits[:0],
+        dataset_slice=None,
+    )
+
+
+def _record_dispatch(
+    latencies: list[float], queue_depth: int, payload_bytes: int | None
+) -> float | None:
     """One source of truth for dispatch accounting.
 
     The same latency values feed ``repro_dispatch_latency_seconds``
@@ -359,6 +471,10 @@ def _record_dispatch(latencies: list[float], queue_depth: int) -> float | None:
             "repro_dispatch_latency_seconds",
             "Per-task submit->start latency across parallel backends.",
         )
+        payload = reg.counter(
+            "repro_ipc_payload_bytes_total",
+            "Parent->worker submission bytes (measure_ipc runs only).",
+        )
         if latencies:
             hist.observe_many(latencies)
             _metrics.stage_histogram(reg).labels(stage="dispatch").observe_many(
@@ -368,9 +484,30 @@ def _record_dispatch(latencies: list[float], queue_depth: int) -> float | None:
             "repro_dispatch_queue_depth",
             "Peak submitted-not-finished count of the last parallel run.",
         ).set(queue_depth)
+        if payload_bytes:
+            payload.inc(payload_bytes)
     if not latencies:
         return None
     return sum(latencies) / len(latencies)
+
+
+def _chunk_bounds(n_items: int, n_chunks: int) -> list[int]:
+    """Balanced contiguous chunk boundaries (first chunks get the
+    remainder), as ``n_chunks + 1`` fenceposts."""
+    base, rem = divmod(n_items, n_chunks)
+    bounds = [0]
+    for i in range(n_chunks):
+        bounds.append(bounds[-1] + base + (1 if i < rem else 0))
+    return bounds
+
+
+def _execute_chunk(
+    tasks: list[PartitionTask], queries_bits: np.ndarray
+) -> list[PartitionResult]:
+    """One process worker's submission: a whole task sublist rides a
+    single ``executor.submit``, so dispatch is paid once per worker
+    instead of once per partition."""
+    return [execute_partition(t, queries_bits) for t in tasks]
 
 
 def _run_serial(
@@ -388,23 +525,33 @@ def run_partitions(
     config: ParallelConfig = ParallelConfig(),
     cache=None,
 ) -> PartitionRunReport:
-    """Execute partition tasks, possibly across worker threads.
+    """Execute partition tasks, possibly across worker processes/threads.
 
     The report's results are **sorted by partition index** regardless
     of worker completion order, so downstream decode/merge and counter
     aggregation are deterministic and bit-identical to the sequential
-    path.  ``cache`` (the engine's board cache) is shared by every
-    worker.
+    path.  ``cache`` (a board-image cache) is shared with workers that
+    run in the parent's memory — thread backend, serial execution, or
+    serial fallback.  Process workers cannot share it, but stay
+    cache-aware through artifact shipping: cached boards travel out
+    with their tasks, and boards a worker had to build travel back
+    with its result and are installed here, so a second call (or a
+    second process-backed engine sharing the cache) recompiles
+    nothing.
     """
-    if config.backend in _REMOVED_BACKENDS:
+    if config.backend == "pinned":
         # Raised on every call, whatever n_workers and fallback_serial
-        # say: a caller asking for a removed backend never silently
-        # gets a serial run instead.
+        # say: a caller asking for the removed backend never silently
+        # gets a serial run instead (see ParallelConfig.__post_init__).
         raise RuntimeError(
-            f'parallel backend "{config.backend}" has been removed; '
-            'use backend="thread"'
+            'parallel backend "pinned" has been removed; '
+            'use backend="thread" or backend="process"'
         )
     queries_bits = np.ascontiguousarray(queries_bits, dtype=np.uint8)
+    # Thread workers share the parent's memory, so they may use the
+    # cache; serial execution (including fallback) is in-process by
+    # definition and always may.
+    worker_cache = cache if config.shares_memory else None
     n_workers = min(config.effective_workers, len(tasks))
     if n_workers <= 1:
         return _run_serial(tasks, queries_bits, cache)
@@ -414,21 +561,56 @@ def run_partitions(
         if config.fallback_serial:
             return _run_serial(tasks, queries_bits, cache)
         raise
+    worker_tasks = tasks
+    if cache is not None and worker_cache is None:
+        # Process backend with a cache-aware parent: attach each
+        # cached artifact to its task so warm workers skip the build.
+        worker_tasks = [_attach_cached_artifacts(t, cache) for t in tasks]
+
+    payload_bytes = None
+    if config.measure_ipc:
+        # Thread pools hand references around in-process: no IPC copy.
+        payload_bytes = (
+            0
+            if config.shares_memory
+            else sum(
+                len(pickle.dumps((t, queries_bits), protocol=pickle.HIGHEST_PROTOCOL))
+                for t in worker_tasks
+            )
+        )
     # Dispatch accounting: submit timestamps aligned with results in
     # submission order; worker-side t_start closes each measurement.
     submit_times: list[float] = []
     futures = []
     try:
-        for t in tasks:
-            submit_times.append(time.monotonic())
-            futures.append(
-                executor.submit(execute_partition, t, queries_bits, cache)
-            )
-        results = [f.result() for f in futures]
-    except _POOL_ERRORS as exc:
-        # Pool creation can succeed but worker start still fail; degrade
-        # the same way.  A broken persistent pool is discarded so the
-        # next call respawns.
+        if config.backend == "process":
+            # One submit per worker-sized sublist (n_workers <= tasks,
+            # so none is empty): executor overhead is paid per worker,
+            # not per partition.
+            bounds = _chunk_bounds(len(worker_tasks), n_workers)
+            for a, b in zip(bounds, bounds[1:]):
+                t_sub = time.monotonic()
+                futures.append(
+                    executor.submit(_execute_chunk, worker_tasks[a:b], queries_bits)
+                )
+                submit_times.extend([t_sub] * (b - a))
+            results = [r for f in futures for r in f.result()]
+        else:
+            for t in worker_tasks:
+                submit_times.append(time.monotonic())
+                futures.append(
+                    executor.submit(
+                        execute_partition, t, queries_bits, worker_cache
+                    )
+                )
+            results = [f.result() for f in futures]
+    except (*_POOL_ERRORS, BrokenProcessPool) as exc:
+        # Pool creation can succeed but worker spawn still fail (e.g.
+        # blocked semaphores); degrade the same way.  A broken
+        # persistent pool is discarded so the next call respawns.
+        # Fall back with the ORIGINAL tasks: artifact-attached ones
+        # carry stubbed dataset slices, and the in-process path must
+        # be able to rebuild any partition the cache has since evicted.
         if not owned:
             config._discard_pool()
         if config.fallback_serial:
@@ -437,15 +619,25 @@ def run_partitions(
     finally:
         if owned:
             executor.shutdown(wait=True)
+    if cache is not None and worker_cache is None:
+        # Install boards the workers had to build: the parent cache
+        # warms up even though the build happened out of process.
+        for res in results:
+            for key, artifact in (res.artifacts or {}).items():
+                cache.put(key, artifact)
     dispatch_latencies = [
         max(0.0, res.t_start - t_sub)
         for res, t_sub in zip(results, submit_times)
         if res.t_start is not None
     ]
-    dispatch_overhead = _record_dispatch(dispatch_latencies, len(futures))
+    dispatch_overhead = _record_dispatch(
+        dispatch_latencies, len(futures), payload_bytes
+    )
     return PartitionRunReport(
         results=sorted(results, key=lambda r: r.p_idx),
         n_workers=n_workers,
+        transport="none" if config.shares_memory else "pickle",
+        ipc_payload_bytes=payload_bytes,
         dispatch_overhead_s=dispatch_overhead,
         queue_depth=len(futures),
     )

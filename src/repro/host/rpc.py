@@ -4,10 +4,10 @@ PR 3 scaled the search across local boards and PR 4 put an admission
 layer in front of it; this module drives the same offset-aware merge
 across *remote hosts*.  A rack deployment runs one :class:`ShardServer`
 per host — each owning a private engine over its local dataset shard,
-with its own :class:`~repro.ap.compiler.BoardImageCache` and
-:class:`~repro.host.parallel.ParallelConfig` — while the front door
-fans a query batch out to all of them concurrently through a
-:class:`RemoteShardPool` and merges the replies
+with its own :class:`~repro.ap.compiler.BoardImageCache`,
+:class:`~repro.host.parallel.ParallelConfig` and shared-memory
+transport — while the front door fans a query batch out to all of them
+concurrently through a :class:`RemoteShardPool` and merges the replies
 through the workload's own offset-aware ``merge``.  Results are
 **bit-identical** to a single local engine over the concatenated
 dataset: every shard computes its exact local answer with the

@@ -5,8 +5,9 @@ parity is the oracle's: tests/integration/test_bit_identity.py):
 pack/open roundtrips, packed windows, digest equality between the
 streaming store digests and the reference ``dataset_digest``,
 structural rejection of corrupt ``.pds`` files (version 1 included),
-lazy chunk verification, release, the attach cache across re-packs
-(and a live engine over a re-packed path), and mmap/fd leak guards.
+lazy chunk verification, slice-ref resolution, the attach cache across
+re-packs (and a live engine over a re-packed path), and mmap/fd leak
+guards.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from repro.core.dataset import (
     verify_pds,
     write_pds,
 )
+from repro.host.shm import shm_available
 from repro.core.workload import WorkloadSearch
 from repro.util.bitops import pack_bits
 from tests.conftest import brute_force_knn
@@ -305,7 +307,7 @@ def test_flipped_payload_byte_fails_on_first_touch_of_its_chunk(
     for touch in (
         lambda: ds.rows(250, 251),
         lambda: ds.packed_window(199, 201),
-        lambda: ds.slice_rows(0, 500).packed_window(0, 500),
+        lambda: ds.slice_ref(0, 500).packed_window(),
         lambda: ds.slice_rows(200, 300).digest,
     ):
         with pytest.raises(DatasetFormatError, match=r"chunk 2 \(rows \[200, 300\)\)"):
@@ -348,7 +350,7 @@ def test_chunks_are_hashed_once_per_attached_store(chunked, monkeypatch):
     ds = PackedDataset.open(path)
     ds.packed_window(150, 160)
     ds.rows(100, 320)
-    ds.slice_rows(0, 500).rows(0, 500)
+    ds.slice_ref(0, 500).resolve()
     ds.digest
     assert hashed == [1, 2, 3, 0, 4]
 
@@ -416,7 +418,6 @@ def test_version_1_file_is_refused_at_open(tmp_path, dataset, capsys):
     engine's constructor and ``repro pack --info`` alike — naming the
     version and the way out, never at the first query."""
     from repro.cli import main
-    from repro.core.workload import WorkloadSearch
 
     n, d = dataset.shape
     header = struct.pack(
@@ -457,6 +458,26 @@ def test_repacked_path_is_picked_up_by_the_next_attach(tmp_path):
     assert PackedDataset.open(path).store is new.store
 
 
+def test_slice_refs_are_pinned_to_the_file_their_engine_attached(tmp_path):
+    """A ref cut before a re-pack keeps resolving against the mapping
+    this process still holds, and fails loudly — never answers from the
+    new file's rows — where that mapping is gone (a fresh worker)."""
+    path = tmp_path / "pinned.pds"
+    zeros = np.zeros((100, 32), dtype=np.uint8)
+    write_pds(path, zeros)
+    ref = PackedDataset.open(path).slice_ref(10, 60)
+    write_pds(path, np.ones((200, 32), dtype=np.uint8))
+    assert PackedDataset.open(path).shape == (200, 32)
+    assert np.array_equal(ref.resolve(), zeros[10:60])
+    ref.release()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_mod, "_ATTACHED_MMAPS", {})  # a fresh process
+        with pytest.raises(DatasetFormatError, match="was replaced"):
+            ref.resolve()
+        with pytest.raises(DatasetFormatError, match="was replaced"):
+            ref.packed_window()
+
+
 def test_a_live_engine_keeps_answering_from_the_file_it_attached(tmp_path):
     """Re-packing a path under a live engine (``write_pds`` replaces it
     atomically) changes nothing the engine answers: it keeps the mapping
@@ -485,7 +506,30 @@ def test_a_live_engine_keeps_answering_from_the_file_it_attached(tmp_path):
         assert np.array_equal(result.distances, distances)
 
 
-# -- release -----------------------------------------------------------------
+# -- slice refs and release --------------------------------------------------
+
+
+def test_slice_ref_resolves_identically(dataset, pds_path):
+    ds = PackedDataset.open(pds_path)
+    ref = ds.slice_ref(17, 301)
+    assert ref.kind == "mmap"
+    assert np.array_equal(ref.resolve(), dataset[17:301])
+    ref.release()
+    # released pages re-fault transparently
+    assert np.array_equal(ref.resolve(), dataset[17:301])
+
+
+def test_array_store_has_no_slice_ref(dataset):
+    assert PackedDataset.ensure(dataset).slice_ref(0, 10) is None
+
+
+def test_slice_ref_is_small_and_picklable(pds_path):
+    import pickle
+
+    ref = PackedDataset.open(pds_path).slice_ref(0, 500)
+    blob = pickle.dumps(ref)
+    assert len(blob) < 1024  # descriptor-sized, not payload-sized
+    assert np.array_equal(pickle.loads(blob).resolve(), ref.resolve())
 
 
 def test_release_keeps_data_intact(dataset, pds_path):
@@ -532,6 +576,26 @@ def test_rows_views_are_readonly(pds_path):
     ds = PackedDataset.open(pds_path)
     with pytest.raises(ValueError):
         ds.rows(0, 10)[0, 0] = 1
+
+
+# -- shm store ---------------------------------------------------------------
+
+
+@pytest.mark.skipif(not shm_available(), reason="no usable shared memory")
+def test_shm_store_roundtrip(dataset):
+    from repro.core.dataset import ShmStore
+
+    ds = PackedDataset(ShmStore.export(dataset))
+    assert ds.kind == "shm"
+    assert np.array_equal(ds.rows(0, ds.n), dataset)
+    assert ds.digest == dataset_digest(dataset)
+    # the segment holds the packed words: an eighth of the rows' bytes
+    assert ds.stored_nbytes == ds.store.ref.nbytes == 500 * 8
+    assert np.array_equal(ds.packed_window(3, 80), pack_bits(dataset[3:80]))
+    ref = ds.slice_ref(3, 80)
+    assert ref.kind == "shm"
+    assert np.array_equal(ref.resolve(), dataset[3:80])
+    assert np.array_equal(ref.packed_window(), pack_bits(dataset[3:80]))
 
 
 # -- leak guards -------------------------------------------------------------

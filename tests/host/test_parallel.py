@@ -1,20 +1,27 @@
 """Tests for sharded parallel partition execution (repro.host.parallel)."""
 
+import dataclasses
 import gc
+import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.ap.runtime import RuntimeCounters
+from repro.core import dataset as dataset_mod
 from repro.core.engine import APSimilaritySearch
-from repro.core.workload import WorkloadSearch
+from repro.core.workload import Workload, WorkloadSearch, register_workload
 from repro.host.parallel import (
     ParallelConfig,
     PartitionTask,
     execute_partition,
     run_partitions,
 )
+from repro.host.shm import shm_available
 from tests.conftest import brute_force_knn
 
 
@@ -209,7 +216,7 @@ class TestPersistentPool:
 class TestPoolLeakGuard:
     """A persistent pool must not outlive a config dropped without close()."""
 
-    @pytest.mark.parametrize("backend", ["thread"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_dropped_config_shuts_pool_via_finalizer(self, backend):
         import gc
 
@@ -231,8 +238,8 @@ class TestPoolLeakGuard:
         assert cfg._pool_finalizer is None
         assert not finalizer.alive  # detached, will not fire later
 
-    def test_dropped_persistent_config_does_not_hang_exit(self, tmp_path):
-        """Regression: a dropped persistent pool must not hang
+    def test_dropped_process_config_does_not_hang_exit(self, tmp_path):
+        """Regression: a dropped persistent process pool must not hang
         interpreter exit (the weakref.finalize guard also runs atexit)."""
         import os
         import subprocess
@@ -246,7 +253,8 @@ class TestPoolLeakGuard:
             "rng = np.random.default_rng(0)\n"
             "data = rng.integers(0, 2, (40, 16), dtype=np.uint8)\n"
             "queries = rng.integers(0, 2, (3, 16), dtype=np.uint8)\n"
-            "cfg = ParallelConfig(n_workers=2, persistent=True)\n"
+            "cfg = ParallelConfig(n_workers=2, backend='process',"
+            " persistent=True)\n"
             "res = APSimilaritySearch(data, k=2, board_capacity=12,"
             " parallel=cfg).search(queries)\n"
             "assert res.n_workers == 2\n"
@@ -265,16 +273,19 @@ class TestPoolLeakGuard:
         assert "done" in proc.stdout
 
 
-class TestCachePerBoard:
-    """Workers share the engine's cache; it stays one entry per board."""
+class TestProcessCacheShipback:
+    """backend="process" composes with cache=: artifacts ship both ways."""
 
-    def test_broken_pool_fallback_rebuilds_evicted_boards(
+    def test_broken_pool_fallback_rebuilds_from_original_tasks(
         self, monkeypatch
     ):
-        """Regression: the serial fallback after a pool that refuses
-        work rebuilds every board a small cache has evicted by the time
-        the in-process pass reaches it (an empty rebuilt board once
-        silently dropped that partition's neighbors)."""
+        """Regression: the serial fallback after a broken pool must not
+        reuse artifact-attached tasks — their dataset slices are
+        stubbed, and a small cache may have evicted the artifact by the
+        time the in-process pass reaches it (which once rebuilt an
+        empty board and silently dropped that partition's neighbors)."""
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.ap.compiler import BoardImageCache
 
         data, queries = _workload()
@@ -284,28 +295,37 @@ class TestCachePerBoard:
 
         class BrokenPool:
             def submit(self, fn, *args, **kwargs):
-                raise OSError("worker start failed")
+                raise BrokenProcessPool("worker spawn failed")
 
             def shutdown(self, *args, **kwargs):
                 pass
 
-        eng = APSimilaritySearch(
-            data, k=3, board_capacity=12, parallel=2,
-            cache=BoardImageCache(max_entries=1),  # evicts aggressively
-        )
-        assert (eng.search(queries).indices == seq.indices).all()
-        monkeypatch.setattr(
-            ParallelConfig, "_spawn_pool", lambda self, n: BrokenPool()
-        )
-        fallback = eng.search(queries)
-        assert fallback.n_workers == 1
-        assert (fallback.indices == seq.indices).all()
-        assert (fallback.distances == seq.distances).all()
+        # by value, and (where shm works) by slice ref into the
+        # promoted segment: the original tasks keep their refs intact
+        carriers = [("array", dataset_mod.SHM_PROMOTE_MIN_BYTES)]
+        if shm_available():
+            carriers.append(("shm", 1))
+        for kind, floor in carriers:
+            with monkeypatch.context() as m:
+                m.setattr(dataset_mod, "SHM_PROMOTE_MIN_BYTES", floor)
+                eng = APSimilaritySearch(
+                    data, k=3, board_capacity=12,
+                    parallel=ParallelConfig(n_workers=2, backend="process"),
+                    cache=BoardImageCache(max_entries=1),  # evicts aggressively
+                )
+                assert eng.dataset.kind == kind
+                assert (eng.search(queries).indices == seq.indices).all()
+                m.setattr(
+                    ParallelConfig, "_spawn_pool", lambda self, n: BrokenPool()
+                )
+                fallback = eng.search(queries)
+                assert (fallback.indices == seq.indices).all(), kind
+                assert (fallback.distances == seq.distances).all(), kind
 
-    def test_cached_words_are_reused_not_repacked(self, monkeypatch):
-        """On a warm run no worker packs a board (the serial in-process
-        path runs the same execute_partition code as a thread worker, so
-        the pack hook is observable)."""
+    def test_shipped_artifact_is_reused_not_rebuilt(self, monkeypatch):
+        """On a warm run no worker-side board construction happens (the
+        serial in-process path exercises the same execute_partition
+        code, so the build hook is observable)."""
         import repro.core.workload as wl_mod
         from repro.ap.compiler import BoardImageCache
 
@@ -328,13 +348,13 @@ class TestCachePerBoard:
         # The one task packs its query batch, once, and no board.
         assert packed == [queries.shape]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_multi_board_tasks_keep_the_cache_per_board(self, backend):
         """One task per worker lane, each two passes of several boards:
         every backend returns one result per task equal to its boards
         run one per task and merged, the cache still holds one entry per
         board, and a pass that finds only some of its boards cached
-        rebuilds just the rest."""
+        (shipped, for process workers) rebuilds just the rest."""
         from dataclasses import replace
 
         from repro.ap.compiler import BoardImageCache
@@ -354,8 +374,8 @@ class TestCachePerBoard:
         for task in tasks:
             offsets = np.cumsum([0] + [rows for rows, _ in task.boards]).tolist()
             one = [
-                replace(task, p_idx=i, start=task.start + a, end=task.start + b,
-                        dataset_bits=task.dataset_bits.slice_rows(a, b),
+                replace(task, p_idx=i, start=task.start + a,
+                        end=task.start + b, dataset_bits=task.dataset_bits[a:b],
                         boards=(board,), windows=())
                 for i, (board, a, b) in enumerate(
                     zip(task.boards, offsets, offsets[1:])
@@ -389,13 +409,12 @@ class TestCachePerBoard:
                 assert got.counters == replace(counters, image_cache_hits=hits)
                 assert (got.passes, passes) == (2, 6)
 
-    def test_store_is_touched_once_per_pass_that_needs_rows(
+    def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
         self, tmp_path, monkeypatch
     ):
         """Over packed words every pass is one view and one release of
-        the engine's own handle, cold or warm, and no row is ever
-        unpacked."""
-        from repro.core.dataset import PackedDataset, write_pds
+        its slice ref, cold or warm, and no row is ever unpacked."""
+        from repro.core.dataset import DatasetSliceRef, write_pds
 
         data, queries = _workload(n=72, d=16)
         path = tmp_path / "warm.pds"
@@ -405,20 +424,69 @@ class TestCachePerBoard:
             cache=True,
         )
         touched = []
-        for name in ("rows", "release"):
-            real = getattr(PackedDataset, name)
+        for name in ("resolve", "release"):
+            real = getattr(DatasetSliceRef, name)
 
-            def spy(self, lo, hi, _real=real, _name=name):
+            def spy(self, _real=real, _name=name):
                 touched.append(_name)
-                return _real(self, lo, hi)
+                return _real(self)
 
-            monkeypatch.setattr(PackedDataset, name, spy)
+            monkeypatch.setattr(DatasetSliceRef, name, spy)
         cold = eng.search(queries)  # 6 boards, one pass
         assert touched == ["release"]
         warm = eng.search(queries)
         assert touched == ["release"] * 2
         assert warm.counters.image_cache_hits == 6
         assert (warm.indices == cold.indices).all()
+
+
+class TestChunkedDispatch:
+    """The stock process backend amortizes dispatch: task lists larger
+    than the worker count ride one executor.submit per worker chunk."""
+
+    def test_chunk_bounds_balanced_and_complete(self):
+        from repro.host.parallel import _chunk_bounds
+
+        for n_items in (1, 2, 5, 7, 12, 100):
+            for n_chunks in (1, 2, 3, 5):
+                bounds = _chunk_bounds(n_items, n_chunks)
+                assert bounds[0] == 0 and bounds[-1] == n_items
+                sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+                assert all(s >= 0 for s in sizes)
+                assert max(sizes) - min(s for s in sizes if s) <= 1
+
+    def test_chunked_process_run_bit_identical(self):
+        data, queries = _workload(n=72, d=16, n_queries=4)
+        tasks = _tasks(data, cap=8)  # 9 tasks >> 2 workers
+        assert len(tasks) > 2
+        serial = run_partitions(tasks, queries, ParallelConfig(backend="serial"))
+        chunked = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=2, backend="process")
+        )
+        assert chunked.n_workers == 2
+        # one submission per worker chunk, not per task
+        assert chunked.queue_depth == 2
+        for rs, rp in zip(serial.results, chunked.results):
+            assert np.array_equal(rs.payload.indices, rp.payload.indices)
+            assert np.array_equal(rs.payload.distances, rp.payload.distances)
+            assert rs.counters == rp.counters
+
+    def test_per_task_submits_when_tasks_fit_workers(self):
+        data, queries = _workload(n=24, d=16, n_queries=3)
+        tasks = _tasks(data, cap=12)  # 2 tasks, 2 workers
+        report = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=2, backend="process")
+        )
+        assert report.queue_depth == len(tasks)
+
+    def test_chunked_run_reports_dispatch_overhead(self):
+        data, queries = _workload(n=72, d=16, n_queries=3)
+        tasks = _tasks(data, cap=8)
+        report = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=2, backend="process")
+        )
+        assert report.dispatch_overhead_s is not None
+        assert report.dispatch_overhead_s >= 0.0
 
 
 class TestDispatchAccountingBackends:
@@ -442,31 +510,28 @@ class TestDispatchAccountingBackends:
         assert run.dispatch_overhead_s is None
         assert run.queue_depth == 0
 
-    @pytest.mark.parametrize("backend", ["pinned", "process"])
     @pytest.mark.parametrize(
         "n_workers,fallback_serial", [(4, True), (4, False), (1, True)]
     )
-    def test_removed_pinned_backend_raises(
-        self, n_workers, fallback_serial, backend
-    ):
-        """A removed backend's name still constructs (no ValueError)
+    def test_removed_pinned_backend_raises(self, n_workers, fallback_serial):
+        """The removed backend's name still constructs (no ValueError)
         but every run raises: never a silent serial run instead."""
         data, queries = _workload()
         cfg = ParallelConfig(
-            n_workers=n_workers, backend=backend,
+            n_workers=n_workers, backend="pinned",
             fallback_serial=fallback_serial,
         )
         tasks = _tasks(data, 12)
-        with pytest.raises(RuntimeError, match=f'"{backend}" has been removed'):
+        with pytest.raises(RuntimeError, match='"pinned" has been removed'):
             run_partitions(tasks, queries, cfg)
 
 
 # -- the pool contract --------------------------------------------------------
-# What the worker pool owes its callers beyond the oracle's answers: one
-# submit per task, graceful or loud failure, and no workers, pools or
-# fds left behind.
+# What every worker pool owes its callers whatever its backend, beyond
+# the oracle's answers: one submission path per backend, graceful or
+# loud failure, and no workers, pools or fds left behind.
 
-POOLS = ["thread"]
+POOLS = ["thread", "process"]
 
 
 def _assert_same_results(got, ref):
@@ -478,9 +543,21 @@ def _assert_same_results(got, ref):
         assert a.counters == b.counters
 
 
+def _no_new_children(before, timeout_s=10.0):
+    """Wait until every child process started since ``before`` is gone
+    (a discarded pool reaps its workers on its own thread)."""
+    deadline = time.monotonic() + timeout_s
+    while set(multiprocessing.active_children()) - before:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 class TestSubmissionShapes:
-    """One submission path whatever the task/worker ratio: one submit
-    per task."""
+    """One submission path per backend whatever the task/worker ratio:
+    a process pool gets one contiguous chunk per worker (a one-task
+    chunk when tasks <= workers), a thread pool one submit per task."""
 
     @pytest.mark.parametrize(
         "n_tasks,n_workers", [(2, 2), (3, 2), (4, 3), (5, 3)]
@@ -495,7 +572,9 @@ class TestSubmissionShapes:
             tasks, queries, ParallelConfig(n_workers=n_workers, backend=backend)
         )
         assert report.n_workers == n_workers
-        assert report.queue_depth == n_tasks
+        assert report.queue_depth == (
+            n_workers if backend == "process" else n_tasks
+        )
         assert report.dispatch_overhead_s >= 0.0
         _assert_same_results(report.results, serial.results)
 
@@ -514,7 +593,7 @@ class TestPoolLifecycle:
         report = run_partitions(
             tasks, queries, ParallelConfig(n_workers=2, backend=backend)
         )
-        assert report.n_workers == 1
+        assert report.n_workers == 1 and report.transport == "none"
         _assert_same_results(report.results, serial.results)
 
     @pytest.mark.parametrize("backend", POOLS)
@@ -603,3 +682,208 @@ class TestPoolLifecycle:
         assert res.n_workers == 2
         assert res.dispatch_overhead_s is not None
         assert res.dispatch_overhead_s >= 0.0
+
+
+# -- process workers that die -------------------------------------------------
+
+
+@dataclasses.dataclass
+class _EchoResult:
+    indices: np.ndarray
+    distances: np.ndarray
+
+
+class _CrashWorkload(Workload):
+    """Row-index echo that can kill the process running it.
+
+    ``flag`` names a file: the first execution that finds it missing
+    creates it and ``os._exit``\\ s mid-task, so a rerun of the task
+    succeeds.  ``always=True`` dies every time — never run that
+    in-process (serial, or a serial fallback): it would end the test run.
+    """
+
+    name = "test-crash"
+    description = "test-only workload that kills its worker"
+    wire_fields = ("indices", "distances")
+    result_type = _EchoResult
+
+    def validate_params(self, params, n, d):
+        return {
+            "flag": str(params.get("flag", "")),
+            "always": bool(params.get("always", False)),
+        }
+
+    def compile_packed(self, words, d, params):
+        return words
+
+    def execute(self, artifact, query_words, params):
+        flag = params["flag"]
+        if params["always"]:
+            os._exit(17)
+        if flag and not os.path.exists(flag):
+            open(flag, "w").close()
+            os._exit(17)
+        n, n_q = artifact.shape[0], query_words.shape[0]
+        return _EchoResult(
+            indices=np.tile(np.arange(n, dtype=np.int64), (n_q, 1)),
+            distances=np.zeros((n_q, n), dtype=np.int64),
+        ), RuntimeCounters()
+
+    def merge(self, partials, offsets, params):
+        idx = [
+            np.asarray(p.indices, dtype=np.int64)
+            + (0 if offsets is None else int(offsets[i]))
+            for i, p in enumerate(partials)
+        ]
+        return _EchoResult(
+            np.concatenate(idx, axis=1),
+            np.concatenate([p.distances for p in partials], axis=1),
+        )
+
+    def empty(self, n_q, params):
+        return _EchoResult(
+            np.empty((n_q, 0), np.int64), np.empty((n_q, 0), np.int64)
+        )
+
+
+@pytest.fixture
+def crash_workload():
+    """Register the crash workload for one test; process workers see a
+    test-time registration only through a forked registry."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("process workers see a test-time registration only by fork")
+    from repro.core.workload import _REGISTRY
+
+    register_workload(_CrashWorkload(), replace=True)
+    yield _CrashWorkload.name
+    _REGISTRY.pop(_CrashWorkload.name, None)
+
+
+def _crash_tasks(data, cap, flag="", always=False, crash_p_idx=0):
+    """One-board tasks of the crash workload; only ``crash_p_idx``
+    carries ``flag``/``always``."""
+    benign = (("always", False), ("flag", ""))
+    crash = (("always", bool(always)), ("flag", str(flag)))
+    return [
+        PartitionTask(
+            p_idx=i, start=s, end=min(s + cap, data.shape[0]),
+            dataset_bits=data[s : min(s + cap, data.shape[0])],
+            workload=_CrashWorkload.name,
+            params=crash if i == crash_p_idx else benign,
+        )
+        for i, s in enumerate(range(0, data.shape[0], cap))
+    ]
+
+
+class TestProcessWorkerDeath:
+    """A process worker that dies mid-task breaks its pool: the run
+    reruns serially or raises, no worker outlives it, and a persistent
+    config never keeps serving from the broken pool."""
+
+    @pytest.mark.parametrize(
+        "crash_p_idx", [0, 3], ids=["first-chunk", "last-chunk"]
+    )
+    def test_death_mid_task_falls_back_serial(
+        self, crash_workload, tmp_path, crash_p_idx
+    ):
+        data, queries = _workload(n=40, d=8, n_queries=2)
+        flag = tmp_path / "crashed"
+        tasks = _crash_tasks(data, 10, flag=flag, crash_p_idx=crash_p_idx)
+        children = set(multiprocessing.active_children())
+        report = run_partitions(
+            tasks, queries, ParallelConfig(n_workers=2, backend="process")
+        )
+        assert flag.exists()  # a worker really died mid-task
+        assert report.n_workers == 1 and report.transport == "none"
+        serial = run_partitions(
+            _crash_tasks(data, 10), queries, ParallelConfig(backend="serial")
+        )
+        _assert_same_results(report.results, serial.results)
+        assert _no_new_children(children)
+
+    @pytest.mark.parametrize(
+        "crash_p_idx", [0, 3], ids=["first-chunk", "last-chunk"]
+    )
+    def test_death_mid_task_raises_without_fallback(
+        self, crash_workload, tmp_path, crash_p_idx
+    ):
+        data, queries = _workload(n=40, d=8, n_queries=2)
+        flag = tmp_path / "crashed"
+        tasks = _crash_tasks(data, 10, flag=flag, crash_p_idx=crash_p_idx)
+        children = set(multiprocessing.active_children())
+        with pytest.raises(
+            RuntimeError, match="parallel partition execution failed"
+        ) as info:
+            run_partitions(
+                tasks, queries,
+                ParallelConfig(
+                    n_workers=2, backend="process", fallback_serial=False
+                ),
+            )
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert flag.exists()
+        assert _no_new_children(children)
+
+    def test_broken_persistent_pool_is_replaced(
+        self, crash_workload, tmp_path, monkeypatch
+    ):
+        data, queries = _workload(n=40, d=8, n_queries=2)
+        spawned = []
+        real = ParallelConfig._spawn_pool
+
+        def spy(self, n_workers):
+            spawned.append(real(self, n_workers))
+            return spawned[-1]
+
+        monkeypatch.setattr(ParallelConfig, "_spawn_pool", spy)
+        with ParallelConfig(
+            n_workers=2, backend="process", persistent=True
+        ) as cfg:
+            broken = run_partitions(
+                _crash_tasks(data, 10, flag=tmp_path / "crashed"), queries, cfg
+            )
+            assert broken.n_workers == 1  # served by the serial rerun
+            assert cfg._pool is None  # the broken pool was dropped
+            healed = run_partitions(_crash_tasks(data, 10), queries, cfg)
+            assert healed.n_workers == 2
+            assert len(spawned) == 2 and cfg._pool is spawned[1]
+        _assert_same_results(healed.results, broken.results)
+
+    def test_idle_worker_death_heals_on_the_next_runs(self):
+        data, queries = _workload(n=30, d=8, n_queries=2)
+        tasks = _tasks(data, 10)
+        with ParallelConfig(
+            n_workers=2, backend="process", persistent=True
+        ) as cfg:
+            first = run_partitions(tasks, queries, cfg)
+            pool = cfg._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)  # idle
+            deadline = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            degraded = run_partitions(tasks, queries, cfg)
+            assert degraded.n_workers == 1 and cfg._pool is None
+            healed = run_partitions(tasks, queries, cfg)
+            assert healed.n_workers == 2
+            assert cfg._pool is not None and cfg._pool is not pool
+        for run in (degraded, healed):
+            _assert_same_results(run.results, first.results)
+
+    def test_task_that_always_kills_its_worker_raises_every_call(
+        self, crash_workload
+    ):
+        data, queries = _workload(n=20, d=8, n_queries=2)
+        tasks = _crash_tasks(data, 10, always=True)
+        children = set(multiprocessing.active_children())
+        with ParallelConfig(
+            n_workers=2, backend="process", persistent=True,
+            fallback_serial=False,
+        ) as cfg:
+            for _ in range(2):  # each call spawns a fresh pool and loses it
+                with pytest.raises(
+                    RuntimeError, match="parallel partition execution failed"
+                ):
+                    run_partitions(tasks, queries, cfg)
+                assert cfg._pool is None
+        assert _no_new_children(children)

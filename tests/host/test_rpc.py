@@ -5,10 +5,11 @@ a rack of real server *processes* (in-thread racks are oracle cells:
 ``tests/integration/test_bit_identity.py``), degraded-merge semantics
 (k > per-shard n, timed-out shards, mid-stream disconnects — all
 correct and correctly flagged partial), the BatchRouter front door,
-and socket / pool leak checks after close.
+and socket / shared-memory leak checks after close.
 """
 
 import gc
+import glob
 import multiprocessing
 import os
 import socket
@@ -43,6 +44,11 @@ from repro.host.rpc import (
     read_frame,
     serve_shard,
     unpack_array,
+)
+from repro.host.shm import (
+    SHM_SEGMENT_PREFIX,
+    SHM_UNAVAILABLE_REASON,
+    shm_available,
 )
 
 
@@ -773,23 +779,31 @@ class TestResourceHygiene:
             time.sleep(0.05)
         assert _open_fds() <= before
 
-    def test_close_releases_the_servers_pool(self):
+    def test_no_shm_residue_after_rpc_close(self):
+        if not shm_available():
+            pytest.skip(SHM_UNAVAILABLE_REASON)
         data, queries = _workload(n=64, d=16, n_queries=3)
-        config = ParallelConfig(n_workers=2, persistent=True)
-        server = ShardServer(data, board_capacity=16, parallel=config).start()
+        before = set(
+            glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}_{os.getpid()}_*")
+        )
+        server = ShardServer(
+            data,
+            board_capacity=16,
+            parallel=ParallelConfig(n_workers=2, backend="process"),
+        ).start()
         try:
             with RemoteMultiBoardSearch(
                 ["{}:{}".format(*server.address)], k=3
             ) as remote:
                 res = remote.search(queries)
                 assert not res.partial
-            pool = config._pool
-            assert pool is not None
         finally:
             server.close()
-        assert config._pool is None
-        with pytest.raises(RuntimeError, match="shutdown"):
-            pool.submit(int)
+        gc.collect()
+        after = set(
+            glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}_{os.getpid()}_*")
+        )
+        assert after == before
 
     def test_close_without_serving_returns(self):
         """close() on a constructed-but-never-served server must not

@@ -1,17 +1,19 @@
 """Store properties beyond parity: what a store does with its bytes.
 
-Answers over every store (array / mmap) are the bit-identity oracle's
-(``tests/integration/test_bit_identity.py``).  These tests hold what
-parity cannot see: a packed store's pass is a view that packs, hashes
-and caches nothing, the cycle-accurate oracle reads any store's rows,
-and a ``.pds`` shard is paged through, never loaded — plus fail-fast
-construction for bad inputs.
+Answers over every store (array / mmap / shm) are the bit-identity
+oracle's (``tests/integration/test_bit_identity.py``).  These tests
+hold what parity cannot see: a packed store's pass is a view that
+packs, hashes and caches nothing, the cycle-accurate oracle reads any
+store's rows, mmap workers ship
+descriptors instead of rows, and a ``.pds`` shard is paged through,
+never loaded — plus fail-fast construction for bad inputs.
 """
 
 import dataclasses
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from repro.core import dataset as dataset_mod
 from repro.core.dataset import PackedDataset, write_pds
 from repro.core.engine import APSimilaritySearch, simulate_knn
 from repro.core.workload import WorkloadSearch
+from repro.host.parallel import ParallelConfig
+from repro.host.shm import shm_available
 
 WORKLOADS = [
     ("knn", {"k": 4}),
@@ -37,14 +41,20 @@ def _make(rng_seed: int, n: int, d: int, n_q: int):
 
 
 def _stores(data, tmp_path):
-    """The same rows behind every store: the in-memory array and a
-    ``.pds`` file."""
+    """The same rows behind every available store: the in-memory array,
+    a ``.pds`` file, and ``shm``, the packed twin an out-of-process
+    engine promotes an in-memory handle to."""
     path = tmp_path / "parity.pds"
     write_pds(path, data, chunk_rows=max(1, len(data) // 3))
-    return {
+    stores = {
         "array": PackedDataset.ensure(data),
         "mmap": PackedDataset.open(path),
     }
+    if shm_available():
+        with mock.patch.object(dataset_mod, "SHM_PROMOTE_MIN_BYTES", 1):
+            stores["shm"] = PackedDataset.ensure(data).attachable()
+        assert stores["shm"].kind == "shm"
+    return stores
 
 
 def _assert_same_result(a, b, label):
@@ -114,6 +124,34 @@ class TestCachesAndViews:
         assert set(packed_rows) <= {5}  # the query batch, nothing else
         assert cache_calls == [] and digests == []
         assert engine.cache.stats.hits == 20 and len(engine.cache) == 0
+
+    def test_process_workers_ship_zero_dataset_bytes(self, tmp_path):
+        # The acceptance criterion's accounting check: an mmap-backed
+        # run's measured IPC payload must not scale with the dataset —
+        # workers attach the store by path.
+        data, queries = _make(17, 1600, 32, 3)
+        path = tmp_path / "ipc.pds"
+        write_pds(path, data)
+        with ParallelConfig(
+            n_workers=2, backend="process", measure_ipc=True
+        ) as pc:
+            mm = APSimilaritySearch(
+                str(path), k=3, board_capacity=64, parallel=pc,
+            ).search(queries)
+        with ParallelConfig(
+            n_workers=2, backend="process", measure_ipc=True
+        ) as pc:
+            arr = APSimilaritySearch(
+                data, k=3, board_capacity=64, parallel=pc,
+            ).search(queries)
+        assert np.array_equal(mm.indices, arr.indices)
+        assert mm.ipc_payload_bytes is not None
+        # array tasks carry the full slices; mmap tasks only
+        # descriptors — switching stores removes (at least ~90% of)
+        # the dataset's bytes from the wire
+        assert arr.ipc_payload_bytes > data.nbytes
+        saved = arr.ipc_payload_bytes - mm.ipc_payload_bytes
+        assert saved >= 0.9 * data.nbytes
 
 
 class TestServeShard:

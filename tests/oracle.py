@@ -15,8 +15,8 @@ and cache the same boards.
 A :class:`Cell` names one such way, one value per axis::
 
     workload  knn | jaccard | range | toy
-    store     array | mmap
-    backend   serial | thread
+    store     array | mmap | shm
+    backend   serial | thread | process
     topology  local | multi | batched | remote | replicated
     cache     none | cold | warm
 
@@ -52,7 +52,7 @@ from hypothesis import strategies as st
 from repro.ap.compiler import BoardImageCache, CacheStats
 from repro.ap.runtime import RuntimeCounters
 from repro.core import workload as workload_mod
-from repro.core.dataset import PackedDataset, write_pds
+from repro.core.dataset import PackedDataset, ShmStore, write_pds
 from repro.core.jaccard import jaccard_similarity_matrix
 from repro.core.workload import SERVER_OWNED_PARAMS, Workload, WorkloadSearch
 from repro.host.parallel import ParallelConfig
@@ -62,12 +62,12 @@ from repro.util.bitops import popcount_u64
 from repro.util.topk import merge_topk_blocks
 from tests.conftest import brute_force_knn
 
-STORES = ("array", "mmap")
-BACKENDS = ("serial", "thread")
+STORES = ("array", "mmap", "shm")
+BACKENDS = ("serial", "thread", "process")
 TOPOLOGIES = ("local", "multi", "batched", "remote", "replicated")
 CACHES = ("none", "cold", "warm")
 RACKS = ("remote", "replicated")  # topologies served by a shard rack
-PACKED = ("mmap",)  # stores that hold packed row words
+PACKED = ("mmap", "shm")  # stores that hold packed row words
 
 
 # -- the toy workload: the extension story as one axis value ----------------
@@ -83,7 +83,8 @@ class PopcountNearest(Workload):
     """Toy third-party workload: the row whose popcount is closest to
     the query's, (distance, index) ties.  Its artifact is the pass's
     row popcounts, so over a packed store a pass is a view like any
-    built-in's."""
+    built-in's.
+    Module-level so its results pickle back from a process worker."""
 
     name = "toy-popcount"
     description = "test-only popcount-nearest workload"
@@ -305,7 +306,9 @@ def pruned(cell: Cell) -> str | None:
     the only prunes, and no cell a hand-written parity test covered is
     among them."""
     if cell.topology in RACKS and cell.backend != "serial":
-        # A server's backend is a local cell already.
+        # A server's backend is a local cell already, and
+        # ShardServer.close() releases a persistent pool: a process
+        # server would spawn a pool per rack.
         return "racks serve with the serial backend"
     return None
 
@@ -324,7 +327,7 @@ def one_board_per_pass():
     worker body runs one artifact and one ``execute`` per board: the
     reference every multi-board pass must equal.  The one byte budget
     goes to zero, so gathered and view passes alike (an array, a mapped
-    ``.pds``, a served shard) run one board each.  A kNN
+    ``.pds``, a shm segment, a served shard) run one board each.  A kNN
     task is then a lane's run of one-board windows, each after the
     first carrying the k-th distances of the boards before it; the
     reference's answers are still checked against brute force."""
@@ -363,8 +366,9 @@ def _close(servers) -> None:
 
 
 class Env:
-    """What cells share: a directory for ``.pds`` stores, one rack per
-    (shape, store, cached), and the toy workload's registration."""
+    """What cells share: a directory for ``.pds`` stores, one persistent
+    process pool, one rack per (shape, store, cached), and the toy
+    workload's registration (made before the pool forks)."""
 
     def __init__(self, tmp_dir):
         self.tmp_dir = tmp_dir
@@ -373,9 +377,13 @@ class Env:
         self._retired: list = []  # released racks' servers, not yet closed
         self._references: dict[tuple, list] = {}
         workload_mod.register_workload(PopcountNearest(), replace=True)
+        self.process_pool = ParallelConfig(
+            n_workers=2, backend="process", persistent=True
+        )
 
     def close(self) -> None:
         _close(self._retired + [s for rack in self._racks.values() for s in rack.servers])
+        self.process_pool.close()
         workload_mod._REGISTRY.pop(PopcountNearest.name, None)
 
     def release(self, shape: Shape) -> None:
@@ -395,14 +403,18 @@ class Env:
         rows, _ = shape.arrays()
         if kind == "array":
             handle = PackedDataset.ensure(rows)
-        else:
+        elif kind == "mmap":
             path = self.tmp_dir / f"store-{next(self._files)}.pds"
             write_pds(path, rows, chunk_rows=max(1, len(rows) // 3))
             handle = PackedDataset.open(path)
+        else:
+            handle = PackedDataset(ShmStore.export(rows))
         return handle.slice_rows(*shape.window)
 
     def parallel(self, backend: str) -> ParallelConfig | None:
-        return ParallelConfig(n_workers=2) if backend == "thread" else None
+        if backend == "thread":
+            return ParallelConfig(n_workers=2, backend="thread")
+        return self.process_pool if backend == "process" else None
 
     def reference(self, cell: Cell, shape: Shape, rounds: tuple) -> list:
         """:func:`reference`, once per question: every cell asks it of
@@ -605,6 +617,7 @@ def counters_but_cache_hits(counters):
 CARRIERS = {
     "serial": ("none", 1),
     "thread": ("none", 2),
+    "process": ("pickle", 2),
 }
 
 

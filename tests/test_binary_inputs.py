@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines.cpu import CPUHammingKnn
 from repro.baselines.fpga import FPGAKnnAccelerator
-from repro.core.dataset import ArrayStore
+from repro.core.dataset import ArrayStore, ShmStore
 from repro.core.index_automata import IndexGatedSearch
 from repro.index.kdtree import RandomizedKDTrees
 from repro.index.lsh import HammingLSH
@@ -44,6 +44,7 @@ ENTRY_POINTS = {
     "index_automata.query_bucket":
         lambda bad: IndexGatedSearch(ROWS, 2).query_bucket(bad[0]),
     "array_store": lambda bad: ArrayStore(bad),
+    "shm_store": lambda bad: ShmStore.export(bad),
 }
 
 

@@ -67,7 +67,8 @@ class TestSearch:
     def test_devices_flag_matches_single_board(self, dataset_files, capsys):
         d, q, data, queries = dataset_files
         main(["search", d, q, "-k", "3", "--board-capacity", "16",
-              "--devices", "2", "--workers", "2"])
+              "--devices", "2",
+              "--workers", "2", "--backend", "thread"])
         out = capsys.readouterr().out
         assert "2 device(s)" in out
         from repro.core.engine import APSimilaritySearch
@@ -156,18 +157,16 @@ class TestSearch:
             )
 
     @pytest.mark.parametrize("command", ["search", "serve"])
-    def test_backend_flag_is_gone(self, command, dataset_files, capsys):
-        """``--workers N`` is a thread pool; there is no other."""
+    def test_pinned_backend_is_gone(self, command, dataset_files, capsys):
         d, q, *_ = dataset_files
         argv = [command, d] + ([q] if command == "search" else [])
-        for value in ("thread", "process", "pinned"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--backend", value])
-            assert exc.value.code == 2
-            assert (
-                "unrecognized arguments: --backend"
-                in capsys.readouterr().err
-            )
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "pinned"])
+        assert exc.value.code == 2
+        assert (
+            "argument --backend: invalid choice: 'pinned'"
+            in capsys.readouterr().err
+        )
 
     def test_a_parameter_the_workload_does_not_take_is_refused(
         self, dataset_files, capsys
