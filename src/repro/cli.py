@@ -336,6 +336,9 @@ def _print_rows(value, limit: int = 10) -> None:
                 zip(value.indices[qi], value.distances[qi])
             )
             print(f"q{qi}: {pairs}")
+    more = value.indices.shape[0] - limit
+    if more > 0:
+        print(f"# … {more} more row(s); --out saves them all")
 
 
 def _cmd_search(args) -> int:

@@ -43,8 +43,8 @@ custom_workload.py`` and the README's "Writing a custom workload".
 dataset into board-sized slices (never straddling a device boundary
 when ``n_devices > 1``), groups runs of them into host passes sized
 for the host rather than the AP fabric, fans the passes out as
-:class:`~repro.host.parallel.PartitionTask`\\ s (one pass each, or a
-carrier's run of them per worker lane and device shard) through
+:class:`~repro.host.parallel.PartitionTask`\\ s (one run of them per
+worker lane and device shard) through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
 persistent pools, slice-ref datasets, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
@@ -215,8 +215,7 @@ class Workload(ABC):
     result_type: type = tuple
     #: True when :meth:`execute` takes ``prior=``, the partial of the
     #: task's rows ``[0, base)``, and ``base=``, and returns the partial
-    #: of rows ``[0, base + rows)``: each worker lane's passes of a device
-    #: shard then run as one task of windows.
+    #: of rows ``[0, base + rows)``.  It picks no plan shape.
     carries: bool = False
 
     # -- parameters -------------------------------------------------------
@@ -349,7 +348,8 @@ class Workload(ABC):
         words come from the cache (``pack_bits`` on a miss),
         row-concatenated.  A workload that :attr:`carries` hands each
         window's :meth:`execute` the running partial of the windows
-        before it; any other task is one window.  Process workers get
+        before it; any other merges its window partials once, at the
+        end, with its own :meth:`merge`.  Process workers get
         an artifact shuttle that serves the words shipped with the task
         and captures fresh ones for the return trip.  Mapped pages are
         released behind each window.
@@ -358,17 +358,13 @@ class Workload(ABC):
         ref = task.dataset_slice
         d = ref.d if ref is not None else task.dataset_bits.shape[1]
         windows = task.window_list()
-        if not self.carries and len(windows) > 1:
-            raise ValueError(
-                f"workload {self.name!r} does not carry: a task is one "
-                f"window, got {len(windows)}"
-            )
         shuttle = None
         if ref is None and cache is None and task.board_list()[0][1] is not None:
             cache = shuttle = _ArtifactShuttle(task.artifacts)
         query_words = pack_bits(queries_bits)
         counters = RuntimeCounters()
         partial = None
+        partials = []  # a non-carrier's window partials, merged once
         hits = 0
         for lo, hi, boards in windows:
             if ref is not None:
@@ -397,6 +393,7 @@ class Workload(ABC):
                 )
             else:
                 partial, delta = self.execute(artifact, query_words, params)
+                partials.append(partial)
             # The window's words go before the next window's come.
             del artifact, words
             delta.configurations *= len(boards)
@@ -407,6 +404,8 @@ class Workload(ABC):
                 # the page cache so a worker's RSS stays bounded by one
                 # pass, not the whole shard it walks over a run.
                 window.release()
+        if len(partials) > 1:
+            partial = self.merge(partials, [lo for lo, _, _ in windows], params)
         counters.image_cache_hits += hits
         return PartitionResult(
             p_idx=task.p_idx,
@@ -1148,18 +1147,13 @@ class WorkloadSearch(Batchable):
         boards cut into the fewest passes (windows) of at most
         ``boards_per_pass`` row-consecutive boards, near-equal (sizes
         differ by at most one board, so no short tail pass), never
-        crossing a shard boundary.  A task is one pass, except for a
-        workload that :attr:`~Workload.carries`: its task is one run of
-        windows per (worker lane, device shard), so every window after a
-        task's first answers as a threshold filter."""
+        crossing a shard boundary.  Whatever the workload, a task is
+        one run of windows per (worker lane, device shard)."""
         tasks = self._tasks.get(boards_per_pass)
         if tasks is not None:
             return tasks
         items = tuple(sorted(self.params.items()))
-        lanes = (
-            max(1, self.parallel.effective_workers)
-            if self.workload.carries else None
-        )
+        lanes = max(1, self.parallel.effective_workers)
         # Only a pass that will consult the cache needs keys (and the
         # digest scan behind them): a view pass compiles nothing.
         keyed = self.cache is not None and not self._view_passes()
@@ -1184,7 +1178,7 @@ class WorkloadSearch(Batchable):
         for n_boards in self.per_device_partitions:
             n_runs = -(-n_boards // boards_per_pass)
             cuts = [shard_lo + i * n_boards // n_runs for i in range(n_runs + 1)]
-            n_tasks = n_runs if lanes is None else min(lanes, n_runs)
+            n_tasks = min(lanes, n_runs)
             marks = [i * n_runs // n_tasks for i in range(n_tasks + 1)]
             for first, last in zip(marks[:-1], marks[1:]):
                 windows = tuple(np.diff(cuts[first : last + 1]).tolist())

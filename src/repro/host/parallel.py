@@ -18,10 +18,10 @@ mostly Python).  The worker body runs a window as one
 ``Workload.compile_packed`` artifact over the boards' packed row words
 — a view of the store's where it holds them, else each board's words
 from the cache, packed on a miss — and one ``execute``.  A task is one
-window, except for a workload that carries its partial across windows
-(functional kNN): its task is one worker lane's run of a device
-shard's windows, each later window a threshold filter under the
-running k-th distances.  Hand-built tasks are one board.
+worker lane's run of a device shard's windows: functional kNN runs each
+later window as a threshold filter under the running k-th distances,
+any other workload merges its window partials once, at the task's end.
+Hand-built tasks are one board.
 
 Backends
 --------
@@ -255,9 +255,9 @@ class PartitionTask:
     picklable: row-consecutive board partitions ``[start, end)`` (one
     board for a hand-built task), cut into *windows* — the passes, each
     a run of boards under the engine's pass budgets — that the worker
-    runs in ascending row order.  Only a workload that carries its
-    partial from window to window (``Workload.carries``) gets more than
-    one window per task; every other task is one pass.
+    runs in ascending row order, whatever the workload: one that
+    carries (``Workload.carries``) hands each window the partial of the
+    windows before it, any other merges their partials once at the end.
 
     ``workload`` names the registered :class:`~repro.core.workload.
     Workload` that executes it and ``params`` carries that workload's

@@ -8,6 +8,8 @@ The load-bearing claims:
   scan do — held by ``tests/integration/test_bit_identity.py``;
 * multi-board passes keep caching per board; a workload must implement
   ``compile_packed``;
+* every workload's task is a lane's run of windows, answering as its
+  windows merged;
 * every store's passes take one byte budget and one plan, split each
   device shard into near-equal runs, and the one-board-per-pass
   reference reaches them;
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.ap.runtime import RuntimeCounters
 from repro.core import workload as wl_mod
 from repro.core.dataset import write_pds
 from repro.core.engine import APSimilaritySearch
@@ -431,10 +434,10 @@ class TestWorkloadPasses:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("n_devices", [1, 3])
-    def test_only_carriers_run_lane_tasks_of_windows(self, n_devices, lanes):
-        """A kNN task is one run of windows per (worker lane, device
-        shard), the windows being the passes every workload cuts;
-        Jaccard and range keep one pass per task."""
+    def test_every_workload_runs_lane_tasks_of_windows(self, n_devices, lanes):
+        """A task is one run of windows per (worker lane, device shard),
+        the windows being the passes every workload cuts: kNN, Jaccard
+        and range cut identical task lists."""
         data, queries = _data(n=57 * 16 - 5, d=64, n_queries=8)
         parallel = ParallelConfig(n_workers=lanes, backend="thread")
 
@@ -454,24 +457,51 @@ class TestWorkloadPasses:
             n_windows = sum(1 for w in windows if lo <= w[0] < hi)
             assert len(shard) == min(lanes, n_windows)
             assert all(t.end <= hi for t in shard)
-        for name, params in (("jaccard", {"k": 5}), ("range", {"radius": 20})):
-            _, plan = tasks(name, params)
-            assert all(t.windows == () for t in plan), name
-            assert [(t.start, t.end) for t in plan] == windows, name
 
-    def test_a_non_carrier_refuses_a_task_of_windows(self):
-        """Only a carrier runs several windows in one task: a Jaccard
-        task cut into two windows is refused, not answered from its last
-        window alone."""
+        def plan(tasks):
+            return [(t.start, t.end, t.boards, t.windows) for t in tasks]
+
+        for name, params in (("jaccard", {"k": 5}), ("range", {"radius": 20})):
+            assert plan(tasks(name, params)[1]) == plan(knn_tasks), name
+
+    @pytest.mark.parametrize("name,params", [
+        ("knn", {"k": 5}), ("jaccard", {"k": 5}), ("range", {"radius": 24}),
+        ("toy-popcount", {}),
+    ], ids=["knn", "jaccard", "range", "toy-popcount"])
+    def test_a_task_of_windows_answers_as_its_windows_merged(
+        self, name, params, monkeypatch
+    ):
+        """An engine task of three windows gives the payload and every
+        counter of its windows run as one-window tasks and merged with
+        their offsets; a workload that does not carry merges once per
+        task, never per window."""
         from dataclasses import replace
 
-        data, queries = _data(n=64, d=64, n_queries=2)
-        engine = WorkloadSearch(data, "knn", {"k": 3}, board_capacity=16)
+        data, queries = _data(n=96, d=64, n_queries=7)
+        workload = PopcountNearest() if name == "toy-popcount" else get_workload(name)
+        engine = WorkloadSearch(data, workload, params, board_capacity=16)
         (task,) = engine._partition_tasks(2)
-        assert len(task.window_list()) == 2
-        jaccard = replace(task, workload="jaccard", params=(("k", 3),))
-        with pytest.raises(ValueError, match="does not carry"):
-            get_workload("jaccard").execute_task(jaccard, queries, None)
+        windows = task.window_list()
+        assert len(windows) == 3
+        partials, counters = [], RuntimeCounters()
+        for lo, hi, boards in windows:
+            one = replace(task, start=task.start + lo, end=task.start + hi,
+                          dataset_bits=task.dataset_bits[lo:hi],
+                          boards=boards, windows=())
+            res = workload.execute_task(one, queries, None)
+            partials.append(res.payload)
+            counters.merge(res.counters)
+        want = workload.merge(partials, [lo for lo, _, _ in windows],
+                              engine.params)
+        merges = []
+        real_merge = workload.merge
+        monkeypatch.setattr(workload, "merge",
+                            lambda *a: merges.append(a) or real_merge(*a))
+        got = workload.execute_task(task, queries, None)
+        assert len(merges) == (0 if workload.carries else 1)
+        assert got.passes == 3
+        assert got.counters == counters
+        _assert_value_equal(workload, got.payload, want)
 
     @pytest.mark.parametrize("n_q", [1, 8, 32])
     def test_gathered_passes_stay_within_their_memory(self, n_q):

@@ -36,6 +36,22 @@ class TestSearch:
         ref = APSimilaritySearch(data, k=2).search(queries)
         assert (idx == ref.indices).all()
 
+    def test_truncated_rows_are_announced(self, dataset_files, tmp_path, capsys):
+        """The terminal shows the first 10 rows, then says how many more
+        ``--out`` saves; a batch of 10 rows or fewer says nothing."""
+        d, q, data, _ = dataset_files
+        many, saved = tmp_path / "many.npy", tmp_path / "idx.npy"
+        np.save(many, data[:13])
+        assert main(["search", d, str(many), "-k", "2", "--out", str(saved)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(":")[0] for line in lines if line.startswith("q")]
+        assert rows == [f"q{i}" for i in range(10)]
+        at = lines.index("# … 3 more row(s); --out saves them all")
+        assert lines[at - 1].startswith("q9:")
+        assert np.load(saved).shape == (13, 2)
+        assert main(["search", d, q, "-k", "2"]) == 0
+        assert "more row(s)" not in capsys.readouterr().out
+
     def test_gen2_flag(self, dataset_files, capsys):
         d, q, *_ = dataset_files
         main(["search", d, q, "--device", "gen2"])
