@@ -121,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="LRU board-image cache capacity (0 = no cache); "
                         "sequential runs and thread workers use it in "
                         "place, process workers through artifact shipping")
-    s.add_argument("--out", default=None, help="save indices to this .npy")
+    s.add_argument("--out", default=None,
+                   help="save every result array (indices, distances, "
+                        "similarities, ...: the workload's wire fields) "
+                        "to this file as one .npz")
 
     v = sub.add_parser("serve", help="serve one dataset shard over TCP "
                                      "(network-transparent shard service)")
@@ -432,8 +435,10 @@ def _search_and_report(engine, args, params: dict) -> int:
         print(f"# estimated {args.device} device time: {est * 1e3:.3f} ms")
     _print_rows(result.value)
     if args.out:
-        np.save(args.out, result.indices)
-        print(f"# indices saved to {args.out}")
+        fields = engine.workload.wire_fields
+        with open(args.out, "wb") as f:  # np.savez would append ".npz"
+            np.savez(f, **{name: getattr(result.value, name) for name in fields})
+        print(f"# {', '.join(fields)} saved to {args.out} as one .npz")
     return 0
 
 

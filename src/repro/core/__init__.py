@@ -7,7 +7,6 @@ codec (Fig. 2c / Fig. 3), the exact functional model, and the top-level
 
 from .dataset import (
     DatasetFormatError,
-    DatasetSliceRef,
     PackedDataset,
     read_pds_header,
     verify_pds,
@@ -39,7 +38,6 @@ __all__ = [
     "APSimilaritySearch",
     "KnnResult",
     "DatasetFormatError",
-    "DatasetSliceRef",
     "PackedDataset",
     "read_pds_header",
     "verify_pds",

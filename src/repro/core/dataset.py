@@ -33,13 +33,15 @@ the mapping; :meth:`PackedDataset.rows` always answers one byte per bit
 — a view for an :class:`ArrayStore`, unpacked on demand otherwise —
 and :meth:`~PackedDataset.partition_digest` hashes those rows, so
 every store of the same data hashes identically and they *share*
-compile caches.  The parallel layer ships :class:`DatasetSliceRef`
-descriptors instead of arrays for stores that support remote attach: a
-process worker re-opens the mmap store by path (zero-copy, no
-export step) or re-attaches the shm segment, so per-task dataset bytes
-on the wire drop to the size of a descriptor.  Only a dataset that
-cannot be promoted (below :data:`SHM_PROMOTE_MIN_BYTES`, no usable
-``/dev/shm``, segment refused) travels by value.
+compile caches.  A parallel task carries a :class:`PackedDataset`
+window, and pickling it is the descriptor: a window over a ``.pds``
+pickles as the file's path and generation and re-attaches through
+:func:`attach_mmap_store` (zero-copy, no export step), a shm window as
+its segment's :class:`~repro.host.shm.ShmArrayRef`, so per-task dataset
+bytes on the wire drop to the size of a descriptor.  Only an in-memory
+window that cannot be promoted (below :data:`SHM_PROMOTE_MIN_BYTES`, no
+usable ``/dev/shm``, segment refused) travels by value, and then as its
+own rows only.
 
 ``.pds`` format (version 2)::
 
@@ -108,7 +110,6 @@ from ..util.bitops import as_bits, pack_bits, unpack_bits
 __all__ = [
     "ArrayStore",
     "DatasetFormatError",
-    "DatasetSliceRef",
     "MmapStore",
     "PackedDataset",
     "PdsHeader",
@@ -199,10 +200,10 @@ class ArrayStore:
     """In-memory ndarray store — the seed behavior behind the handle.
 
     Rows are plain views into the owned array, one byte per bit; there
-    are no packed words (``packed_window`` is ``None``) and no
-    remote-attach descriptor (``slice_ref`` is ``None``), so tasks over
-    this store carry their slices by value.  :meth:`promote` builds the
-    shared-memory twin that out-of-process workers attach instead.
+    are no packed words (``packed_window`` is ``None``) and nothing a
+    process can attach, so a window over this store pickles its rows by
+    value.  :meth:`promote` builds the shared-memory twin that
+    out-of-process workers attach instead.
     """
 
     kind = "array"
@@ -219,13 +220,13 @@ class ArrayStore:
         self.digest_memo: dict[tuple[int, int], str] = {}
         self._promoted = weakref.WeakValueDictionary()  # (lo, hi) -> ShmStore
 
+    def __reduce__(self):
+        return ArrayStore, (self._array,)
+
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self._array[lo:hi]
 
     def packed_window(self, lo: int, hi: int) -> None:
-        return None
-
-    def slice_ref(self, lo: int, hi: int) -> "DatasetSliceRef | None":
         return None
 
     def release(self, lo: int, hi: int) -> None:
@@ -268,11 +269,12 @@ class ShmStore:
     this store owns.
 
     The words live in a ``multiprocessing.shared_memory`` segment,
-    :meth:`packed_window` hands out read-only zero-copy views of them,
-    :meth:`rows` unpacks on demand, and :meth:`slice_ref` hands out a
-    picklable descriptor any process on the host can re-attach.  Built
-    by :meth:`export`; the segment's name is unlinked once the store
-    and every view taken from it are gone.
+    :meth:`packed_window` hands out read-only zero-copy views of them
+    and :meth:`rows` unpacks on demand.  The store pickles as its
+    segment's descriptor, which any process on the host re-attaches
+    (:meth:`attach`).  Built by :meth:`export`; the segment's name is
+    unlinked once the exporting store and every view taken from it are
+    gone.
     """
 
     kind = "shm"
@@ -296,16 +298,19 @@ class ShmStore:
         array = np.asarray(array)  # pack_bits validates, then narrows
         return cls(*export_array(pack_bits(array)), array.shape[1])
 
+    @classmethod
+    def attach(cls, ref: ShmArrayRef, d: int) -> "ShmStore":
+        """The store over a segment another process exported."""
+        return cls(ref, resolve_array(ref), d)
+
+    def __reduce__(self):
+        return ShmStore.attach, (self.ref, self.d)
+
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return _unpacked(self._words[lo:hi], self.d)
 
     def packed_window(self, lo: int, hi: int) -> np.ndarray:
         return self._words[lo:hi]
-
-    def slice_ref(self, lo: int, hi: int) -> "DatasetSliceRef":
-        return DatasetSliceRef(
-            kind="shm", lo=int(lo), hi=int(hi), d=self.d, shm_ref=self.ref
-        )
 
     def release(self, lo: int, hi: int) -> None:
         pass  # segment memory is the dataset; nothing to drop
@@ -440,11 +445,11 @@ class MmapStore:
     :meth:`rows` unpacks from them) read a shared file mapping, faulted
     in on access and dropped back to the page cache by :meth:`release`.
     The payload is verified chunk by chunk as windows first touch it.
-    :meth:`slice_ref` descriptors carry only the *path* and which
-    generation of it this is — a worker process attaches its own
-    mapping, so shipping a partition to a worker costs descriptor
-    bytes, not payload bytes, and there is no export step and no copy
-    in ``/dev/shm``.
+    The store pickles as its *path* and which generation of it this is
+    — a worker process attaches its own mapping through
+    :func:`attach_mmap_store`, so shipping a partition to a worker
+    costs descriptor bytes, not payload bytes, and there is no export
+    step and no copy in ``/dev/shm``.
     """
 
     kind = "mmap"
@@ -526,11 +531,8 @@ class MmapStore:
             self._verify(lo, hi)
         return self._words[lo:hi]
 
-    def slice_ref(self, lo: int, hi: int) -> "DatasetSliceRef":
-        return DatasetSliceRef(
-            kind="mmap", lo=int(lo), hi=int(hi), d=self.d,
-            path=self.path, file_id=self.file_id,
-        )
+    def __reduce__(self):
+        return attach_mmap_store, (self.path, self.file_id)
 
     def release(self, lo: int, hi: int) -> None:
         """Drop resident pages behind a scan that has consumed rows
@@ -570,12 +572,12 @@ class MmapStore:
 
 
 # Process-global mmap attach cache: every consumer of the same .pds in
-# this process (the engine that opened it, slice-ref resolution in
-# serial/thread paths, forked workers) shares one mapping — and its
-# digest memo and verified-chunk flags.  Keyed by file generation, not
-# path alone: a re-packed path is a different file.  Bounded; an
-# evicted store is only dropped from the cache — a handle may still
-# serve from it — and unmaps once the last reference to it dies.
+# this process (every engine that opens it, every task window a worker
+# unpickles) shares one mapping — and its digest memo and verified-chunk
+# flags.  Keyed by file generation, not path alone: a re-packed path is
+# a different file.  Bounded; an evicted store is only dropped from the
+# cache — a handle may still serve from it — and unmaps once the last
+# reference to it dies.
 _ATTACH_LOCK = threading.Lock()
 _ATTACHED_MMAPS: dict[tuple, MmapStore] = {}
 _ATTACH_CACHE_MAX = 8
@@ -588,14 +590,14 @@ def attach_mmap_store(
     per generation of the file: the path is re-``stat``-ed on every
     call, so a re-packed file is picked up).
 
-    ``file_id`` — a slice ref's — pins the generation its engine
+    ``file_id`` — a pickled store's — pins the generation its engine
     attached: served from the cache while this process still maps it,
     and a :class:`DatasetFormatError` where the path now holds another
     file (a worker must never answer from rows its engine did not
     partition).
     """
     wanted = file_id
-    if wanted is None:  # (a ref names its store's path: already absolute)
+    if wanted is None:  # (a pickled store's path is already absolute)
         path = os.path.abspath(os.fspath(path))
         try:
             wanted = _file_id(os.stat(path))
@@ -622,61 +624,6 @@ def attach_mmap_store(
         return store
 
 
-# -- slice descriptors ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DatasetSliceRef:
-    """A picklable, descriptor-sized handle to a dataset row window.
-
-    Rides :class:`~repro.host.parallel.PartitionTask` in place of the
-    raw slice for stores any process can re-attach: ``kind="mmap"``
-    carries a file path and generation (workers map the file themselves
-    — zero copy, zero export), ``kind="shm"`` a
-    :class:`~repro.host.shm.ShmArrayRef` to the packed words (workers
-    re-attach the segment).  :meth:`packed_window` is the read-only
-    zero-copy ``(hi-lo, ceil(d/64))`` view of the window's row words,
-    :meth:`resolve` its ``(hi-lo, d)`` rows, and :meth:`release` drops
-    the window's resident pages in *this* process after use (mmap only).
-    """
-
-    kind: str
-    lo: int
-    hi: int
-    d: int = 0
-    path: str | None = None
-    file_id: tuple | None = None
-    shm_ref: ShmArrayRef | None = None
-
-    def _mmap_store(self) -> MmapStore:
-        return attach_mmap_store(self.path, self.file_id)
-
-    def window(self, lo: int, hi: int) -> "DatasetSliceRef":
-        """The handle to rows ``[lo, hi)`` of this window."""
-        if lo == 0 and hi == self.hi - self.lo:
-            return self
-        return DatasetSliceRef(
-            self.kind, self.lo + lo, self.lo + hi, self.d, self.path,
-            self.file_id, self.shm_ref,
-        )
-
-    def packed_window(self) -> np.ndarray:
-        if self.kind == "mmap":
-            return self._mmap_store().packed_window(self.lo, self.hi)
-        if self.kind == "shm":
-            return resolve_array(self.shm_ref)[self.lo : self.hi]
-        raise ValueError(f"unknown dataset store kind {self.kind!r}")
-
-    def resolve(self) -> np.ndarray:
-        if self.kind == "mmap":
-            return self._mmap_store().rows(self.lo, self.hi)
-        return _unpacked(self.packed_window(), self.d)
-
-    def release(self) -> None:
-        if self.kind == "mmap":
-            self._mmap_store().release(self.lo, self.hi)
-
-
 # -- the handle -------------------------------------------------------------
 
 
@@ -685,13 +632,13 @@ class PackedDataset:
 
     Engines hold a :class:`PackedDataset` instead of an ndarray and use
     :meth:`rows` for partition slices, :meth:`packed_window` for the
-    row words a functional pass runs on, :meth:`partition_digest` for
-    content-addressed cache keys, and :meth:`slice_ref` to build
-    worker-attachable task descriptors.  Sub-windows
-    (:meth:`slice_rows` — the multi-board layer's per-device shards,
-    the RPC layer's balanced shards) share the parent's store, mapping,
-    and digest memo, so slicing is free and digests are hashed at most
-    once per distinct window.
+    row words a functional pass runs on, and :meth:`partition_digest`
+    for content-addressed cache keys.  Sub-windows (:meth:`slice_rows`
+    — the multi-board layer's per-device shards, the RPC layer's
+    balanced shards, a parallel task's rows) share the parent's store,
+    mapping, and digest memo, so slicing is free and digests are hashed
+    at most once per distinct window.  A window pickles as a descriptor
+    of its store, never the store's bytes (:meth:`__reduce__`).
     """
 
     __slots__ = ("store", "lo", "hi")
@@ -706,6 +653,15 @@ class PackedDataset:
         self.store = store
         self.lo = int(lo)
         self.hi = int(hi)
+
+    def __reduce__(self):
+        """A ``.pds`` or shm window pickles as its store's descriptor
+        (path and file generation, or segment) and its bounds, and
+        re-attaches where it is loaded; an in-memory window pickles
+        exactly its own rows, never the array it was cut from."""
+        if isinstance(self.store, ArrayStore):
+            return PackedDataset, (ArrayStore(self.rows(0, self.n)),)
+        return PackedDataset, (self.store, self.lo, self.hi)
 
     # -- constructors -----------------------------------------------------
 
@@ -823,12 +779,6 @@ class PackedDataset:
         """A sub-handle sharing this handle's store (and digest memo)."""
         a, b = self._abs(lo, hi)
         return PackedDataset(self.store, a, b)
-
-    def slice_ref(self, lo: int, hi: int) -> DatasetSliceRef | None:
-        """A worker-attachable descriptor for window rows, or ``None``
-        when the store has no remote-attach path (in-memory arrays)."""
-        a, b = self._abs(lo, hi)
-        return self.store.slice_ref(a, b)
 
     def attachable(self) -> "PackedDataset":
         """These rows over a store out-of-process workers can attach:

@@ -46,7 +46,7 @@ for the host rather than the AP fabric, fans the passes out as
 :class:`~repro.host.parallel.PartitionTask`\\ s (one run of them per
 worker lane and device shard) through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
-persistent pools, slice-ref datasets, artifact shipping), and merges through
+persistent pools, dataset windows, artifact shipping), and merges through
 the workload's own ``merge`` — so sharded/parallel/remote execution is
 bit-identical to a sequential pass by associativity.  Hamming kNN is an
 ordinary registered workload; :class:`~repro.core.engine.
@@ -342,10 +342,12 @@ class Workload(ABC):
         :meth:`compile_packed` over the window's row words, one
         :meth:`execute` over the query words packed once for the task.
 
-        The words are a view of the store's when the task carries a
-        slice ref — nothing is packed, hashed or looked up, and every
-        board counts as served without a compile — else each board's
-        words come from the cache (``pack_bits`` on a miss),
+        The task's rows are a :class:`~repro.core.dataset.PackedDataset`
+        window (an ndarray from a hand-built task).  The words are a
+        view of its store's where it holds them packed — nothing is
+        packed, hashed or looked up, and every board counts as served
+        without a compile — else each board's words come from the cache
+        (``pack_bits`` of the window's rows on a miss),
         row-concatenated.  A workload that :attr:`carries` hands each
         window's :meth:`execute` the running partial of the windows
         before it; any other merges its window partials once, at the
@@ -355,11 +357,16 @@ class Workload(ABC):
         released behind each window.
         """
         params = dict(task.params)
-        ref = task.dataset_slice
-        d = ref.d if ref is not None else task.dataset_bits.shape[1]
+        d = task.dataset_bits.shape[1]
+        # An all-hit process task's rows are an empty stub (every
+        # board's words ride the task): it is never wrapped or read.
+        data = (
+            PackedDataset.ensure(task.dataset_bits, validate=False)
+            if len(task.dataset_bits) else None
+        )
         windows = task.window_list()
         shuttle = None
-        if ref is None and cache is None and task.board_list()[0][1] is not None:
+        if cache is None and task.board_list()[0][1] is not None:
             cache = shuttle = _ArtifactShuttle(task.artifacts)
         query_words = pack_bits(queries_bits)
         counters = RuntimeCounters()
@@ -367,13 +374,13 @@ class Workload(ABC):
         partials = []  # a non-carrier's window partials, merged once
         hits = 0
         for lo, hi, boards in windows:
-            if ref is not None:
-                window = ref.window(lo, hi)
-                words = window.packed_window()
+            words = data.packed_window(lo, hi) if data is not None else None
+            if words is not None:
                 hits += len(boards)
             else:
-                # Task-local first row of each board (and the window's end).
-                starts = accumulate((n_rows for n_rows, _ in boards), initial=lo)
+                rows = data.rows(lo, hi) if data is not None else None
+                # Window-local first row of each board (and the window's end).
+                starts = accumulate((n_rows for n_rows, _ in boards), initial=0)
                 entries = []
                 for (_, key), (a, b) in zip(boards, pairwise(starts)):
                     cached = cache is not None and key is not None
@@ -381,7 +388,7 @@ class Workload(ABC):
                     if entry is not None:
                         hits += 1
                     else:
-                        entry = pack_bits(task.dataset_bits[a:b])
+                        entry = pack_bits(rows[a:b])
                         if cached:
                             cache.put(key, entry)
                     entries.append(entry)
@@ -399,11 +406,11 @@ class Workload(ABC):
             delta.configurations *= len(boards)
             delta.symbols_streamed *= len(boards)
             counters.merge(delta)
-            if ref is not None:
+            if data is not None:
                 # Drop the window's freshly faulted mmap pages back to
                 # the page cache so a worker's RSS stays bounded by one
                 # pass, not the whole shard it walks over a run.
-                window.release()
+                data.release(lo, hi)
         if len(partials) > 1:
             partial = self.merge(partials, [lo for lo, _, _ in windows], params)
         counters.image_cache_hits += hits
@@ -1168,11 +1175,8 @@ class WorkloadSearch(Batchable):
                 return None
             return (self.dataset.partition_digest(start, end), "words")
 
-        # Store-backed datasets (mmap/shm) ship descriptor-sized slice
-        # refs — workers attach the store themselves — with an empty
-        # stub where the array slice would go; in-memory datasets ship
-        # real views, by value when a worker is out of process.
-        stub = np.empty((0, self.d), dtype=np.uint8)
+        # A task's rows are a window of the engine's own handle, which a
+        # process worker gets pickled (PackedDataset.__reduce__).
         tasks = []
         shard_lo = 0  # index of the device shard's first board
         for n_boards in self.per_device_partitions:
@@ -1184,15 +1188,11 @@ class WorkloadSearch(Batchable):
                 windows = tuple(np.diff(cuts[first : last + 1]).tolist())
                 run = self.partitions[cuts[first] : cuts[last]]
                 start, end = run[0][0], run[-1][1]
-                ref = self.dataset.slice_ref(start, end)
                 tasks.append(PartitionTask(
                     p_idx=len(tasks),
                     start=start,
                     end=end,
-                    dataset_bits=(
-                        stub if ref is not None else self.dataset.rows(start, end)
-                    ),
-                    dataset_slice=ref,
+                    dataset_bits=self.dataset.slice_rows(start, end),
                     boards=tuple((b - a, board_key(a, b)) for a, b in run),
                     windows=windows if len(windows) > 1 else (),
                     workload=self.workload.name,

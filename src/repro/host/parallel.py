@@ -57,24 +57,25 @@ engine as ``WorkloadRunResult.dispatch_overhead_s``.
 Data movement
 -------------
 
-There is one path to an out-of-process worker (``"process"``).  The
-**dataset** travels by reference: a task's
-``dataset_slice`` is a :class:`~repro.core.dataset.DatasetSliceRef`
-naming a row window of a store the worker attaches itself — the
-``.pds`` file of an mmap-backed dataset, or the shared-memory segment
-an in-memory dataset is promoted to when its engine fans out across
-processes (:meth:`~repro.core.dataset.PackedDataset.attachable`) — so
-dataset bytes cross the process boundary once per store, not once per
-task.  An artifact over such a store's packed row words is a view the
-worker builds in place (``Workload.compile_packed``), so it does not
-travel either.  **Everything else travels by value** through the task
-pickle: query batches, and cache entries both ways (the boards' packed
-words of a by-value dataset).  ``dataset_bits`` by
-value remains as the platform fallback (no usable ``/dev/shm``, segment
-refused, dataset outside the promotion size band) and for hand-built
-tasks.  Thread/serial workers share the parent's memory and move
-nothing.  Results are bit-identical across every backend × store
-combination.
+There is one path to an out-of-process worker (``"process"``).  A
+task's ``dataset_bits`` is a window of the engine's own
+:class:`~repro.core.dataset.PackedDataset`, and pickling it is the
+descriptor: over the ``.pds`` file of an mmap-backed dataset, or the
+shared-memory segment an in-memory dataset is promoted to when its
+engine fans out across processes (:meth:`~repro.core.dataset.
+PackedDataset.attachable`), the window pickles as the store's name and
+the worker attaches the store itself, so dataset bytes cross the
+process boundary once per store, not once per task.  An artifact over
+such a store's packed row words is a view the worker builds in place
+(``Workload.compile_packed``), so it does not travel either.
+**Everything else travels by value** through the task pickle: query
+batches, cache entries both ways (the boards' packed words of a
+by-value dataset), and the rows of an in-memory window that was not
+promoted (no usable ``/dev/shm``, segment refused, dataset outside the
+promotion size band) — its own rows only.  Thread/serial workers share
+the parent's memory and move nothing: they read the engine's store
+through the window.  Results are bit-identical across every backend ×
+store combination.
 
 Pool lifetime
 -------------
@@ -259,6 +260,10 @@ class PartitionTask:
     carries (``Workload.carries``) hands each window the partial of the
     windows before it, any other merges their partials once at the end.
 
+    ``dataset_bits`` holds the task's rows: a window of the engine's
+    :class:`~repro.core.dataset.PackedDataset`, which a process worker
+    receives pickled as a descriptor of a ``.pds`` or shm store (or as
+    the window's own rows), or an ndarray in a hand-built task.
     ``workload`` names the registered :class:`~repro.core.workload.
     Workload` that executes it and ``params`` carries that workload's
     resolved parameters.  Caching stays per board: ``boards`` lists each
@@ -274,7 +279,7 @@ class PartitionTask:
     p_idx: int
     start: int
     end: int
-    dataset_bits: np.ndarray  # the (end-start, d) partition slice
+    dataset_bits: Any  # the (end-start, d) rows: PackedDataset or ndarray
     # Legacy kNN-only fields, read only when a hand-built task carries
     # no ``params`` (HammingKnnWorkload folds them in); the engine
     # leaves them at their defaults.
@@ -302,14 +307,6 @@ class PartitionTask:
     # shipped *to* a process worker from a warm parent cache (a board
     # not in it is built from the task's rows).
     artifacts: dict | None = None
-    # Store-backed dataset descriptor (repro.core.dataset.DatasetSliceRef):
-    # for mmap/shm-backed PackedDatasets the engine stubs dataset_bits
-    # empty and ships this descriptor-sized handle instead — workers
-    # attach the store themselves (an mmap worker maps the .pds by
-    # path, a shm worker attaches the segment: zero dataset bytes on
-    # the wire).  In-memory ArrayStore tasks leave it None and carry
-    # dataset_bits by value.
-    dataset_slice: Any = None
 
     def board_list(self) -> tuple:
         """``boards``, with a one-board task spelled out."""
@@ -408,7 +405,7 @@ class PartitionRunReport:
     fallback) or ``"pickle"`` (process workers).
     ``ipc_payload_bytes`` is the summed parent→worker submission size,
     recorded only under ``measure_ipc=True`` — descriptor-sized per
-    task when the dataset rides a slice ref.
+    task when its window is over a ``.pds`` or shm store.
 
     ``dispatch_overhead_s`` is the mean per-task submit→start latency
     (parent submit timestamp to worker pickup) across the run — the
@@ -444,12 +441,7 @@ def _attach_cached_artifacts(task: PartitionTask, cache) -> PartitionTask:
         return task
     if len(shipped) < len(set(keys)):
         return replace(task, artifacts=shipped)
-    return replace(
-        task,
-        artifacts=shipped,
-        dataset_bits=task.dataset_bits[:0],
-        dataset_slice=None,
-    )
+    return replace(task, artifacts=shipped, dataset_bits=task.dataset_bits[:0])
 
 
 def _record_dispatch(

@@ -1015,9 +1015,6 @@ class RemoteShard:
             f"{request_failures} request failure(s)): {last_error}"
         ) from last_error
 
-    # Pre-PR 9 name, kept so embedders' stubs and wrappers still work.
-    _request = _round_trip
-
     # -- requests ---------------------------------------------------------
 
     def ping(self) -> bool:

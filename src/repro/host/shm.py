@@ -32,10 +32,9 @@ it.
 
 :class:`~repro.core.dataset.ShmStore` is the consumer: it wraps an
 exported segment behind the :class:`~repro.core.dataset.PackedDataset`
-interface and hands out :class:`~repro.core.dataset.DatasetSliceRef`
-descriptors, exactly as an mmap-backed dataset hands out path/window
-descriptors for its ``.pds`` file.  Query batches and compiled board
-artifacts travel by value.
+interface and pickles as its :class:`ShmArrayRef`, exactly as an
+mmap-backed store pickles as the path of its ``.pds`` file.  Query
+batches and compiled board artifacts travel by value.
 
 Platforms without ``multiprocessing.shared_memory`` (or without a
 usable ``/dev/shm``) report :func:`shm_available()` → ``False`` and the

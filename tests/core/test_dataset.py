@@ -5,13 +5,14 @@ parity is the oracle's: tests/integration/test_bit_identity.py):
 pack/open roundtrips, packed windows, digest equality between the
 streaming store digests and the reference ``dataset_digest``,
 structural rejection of corrupt ``.pds`` files (version 1 included),
-lazy chunk verification, slice-ref resolution, the attach cache across
+lazy chunk verification, window pickling, the attach cache across
 re-packs (and a live engine over a re-packed path), and mmap/fd leak
 guards.
 """
 
 import hashlib
 import os
+import pickle
 import re
 import struct
 import sys
@@ -24,7 +25,9 @@ from repro.core import dataset as dataset_mod
 from repro.core.dataset import (
     PDS_MAGIC,
     DatasetFormatError,
+    MmapStore,
     PackedDataset,
+    ShmStore,
     attach_mmap_store,
     read_pds_header,
     verify_pds,
@@ -307,7 +310,7 @@ def test_flipped_payload_byte_fails_on_first_touch_of_its_chunk(
     for touch in (
         lambda: ds.rows(250, 251),
         lambda: ds.packed_window(199, 201),
-        lambda: ds.slice_ref(0, 500).packed_window(),
+        lambda: pickle.loads(pickle.dumps(ds)).packed_window(0, 500),
         lambda: ds.slice_rows(200, 300).digest,
     ):
         with pytest.raises(DatasetFormatError, match=r"chunk 2 \(rows \[200, 300\)\)"):
@@ -350,7 +353,7 @@ def test_chunks_are_hashed_once_per_attached_store(chunked, monkeypatch):
     ds = PackedDataset.open(path)
     ds.packed_window(150, 160)
     ds.rows(100, 320)
-    ds.slice_ref(0, 500).resolve()
+    pickle.loads(pickle.dumps(ds)).rows(0, 500)
     ds.digest
     assert hashed == [1, 2, 3, 0, 4]
 
@@ -458,24 +461,26 @@ def test_repacked_path_is_picked_up_by_the_next_attach(tmp_path):
     assert PackedDataset.open(path).store is new.store
 
 
-def test_slice_refs_are_pinned_to_the_file_their_engine_attached(tmp_path):
-    """A ref cut before a re-pack keeps resolving against the mapping
-    this process still holds, and fails loudly — never answers from the
-    new file's rows — where that mapping is gone (a fresh worker)."""
+def test_pickled_windows_are_pinned_to_the_file_their_engine_attached(
+    tmp_path,
+):
+    """A window pickled before a re-pack keeps loading against the
+    mapping this process still holds, and fails loudly — never answers
+    from the new file's rows — where that mapping is gone (a fresh
+    worker)."""
     path = tmp_path / "pinned.pds"
     zeros = np.zeros((100, 32), dtype=np.uint8)
     write_pds(path, zeros)
-    ref = PackedDataset.open(path).slice_ref(10, 60)
+    blob = pickle.dumps(PackedDataset.open(path).slice_rows(10, 60))
     write_pds(path, np.ones((200, 32), dtype=np.uint8))
     assert PackedDataset.open(path).shape == (200, 32)
-    assert np.array_equal(ref.resolve(), zeros[10:60])
-    ref.release()
+    window = pickle.loads(blob)
+    assert np.array_equal(window.rows(0, 50), zeros[10:60])
+    window.release(0, 50)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_mod, "_ATTACHED_MMAPS", {})  # a fresh process
         with pytest.raises(DatasetFormatError, match="was replaced"):
-            ref.resolve()
-        with pytest.raises(DatasetFormatError, match="was replaced"):
-            ref.packed_window()
+            pickle.loads(blob)
 
 
 def test_a_live_engine_keeps_answering_from_the_file_it_attached(tmp_path):
@@ -506,30 +511,107 @@ def test_a_live_engine_keeps_answering_from_the_file_it_attached(tmp_path):
         assert np.array_equal(result.distances, distances)
 
 
-# -- slice refs and release --------------------------------------------------
+def test_a_live_engine_outlives_a_repack_and_attach_cache_churn(tmp_path):
+    """Regression: a serial engine's tasks resolved their ``.pds`` by
+    path and generation in the process attach cache once per window, so
+    once a re-pack and nine other files had evicted the engine's mapping
+    the next search raised ``DatasetFormatError`` instead of answering
+    from the mapping the engine holds."""
+    rng = np.random.default_rng(6)
+    rows = rng.integers(0, 2, (100, 32), dtype=np.uint8)
+    queries = rng.integers(0, 2, (3, 32), dtype=np.uint8)
+    path = str(tmp_path / "a.pds")
+    write_pds(path, rows)
+    live = WorkloadSearch(path, "knn", {"k": 4}, board_capacity=16)
+    write_pds(path, np.ones((150, 32), dtype=np.uint8))
+    for i in range(dataset_mod._ATTACH_CACHE_MAX + 1):
+        other = tmp_path / f"other{i}.pds"
+        write_pds(other, rows[: 10 + i])
+        PackedDataset.open(other)
+    assert (path, live.dataset.store.file_id) not in dataset_mod._ATTACHED_MMAPS
+    result = live.search(queries)
+    indices, distances = brute_force_knn(rows, queries, 4)
+    assert np.array_equal(result.indices, indices)
+    assert np.array_equal(result.distances, distances)
 
 
-def test_slice_ref_resolves_identically(dataset, pds_path):
-    ds = PackedDataset.open(pds_path)
-    ref = ds.slice_ref(17, 301)
-    assert ref.kind == "mmap"
-    assert np.array_equal(ref.resolve(), dataset[17:301])
-    ref.release()
+def test_engines_over_many_files_open_each_mapping_once(tmp_path, monkeypatch):
+    """More engines than the attach cache holds, searched in turn: each
+    engine opens its ``MmapStore`` once, when it is built, not once per
+    search."""
+    rng = np.random.default_rng(7)
+    queries = rng.integers(0, 2, (3, 32), dtype=np.uint8)
+    datasets, paths = [], []
+    for i in range(dataset_mod._ATTACH_CACHE_MAX + 2):
+        datasets.append(rng.integers(0, 2, (40 + i, 32), dtype=np.uint8))
+        paths.append(str(tmp_path / f"f{i}.pds"))
+        write_pds(paths[-1], datasets[-1])
+    opened = []
+    real = MmapStore.__init__
+
+    def spy(self, path):
+        opened.append(path)
+        real(self, path)
+
+    monkeypatch.setattr(MmapStore, "__init__", spy)
+    engines = [
+        WorkloadSearch(path, "knn", {"k": 2}, board_capacity=16)
+        for path in paths
+    ]
+    assert len(opened) == len(paths)
+    for _ in range(2):
+        for engine, rows in zip(engines, datasets):
+            indices, _ = brute_force_knn(rows, queries, 2)
+            assert np.array_equal(engine.search(queries).indices, indices)
+    assert len(opened) == len(paths)
+
+
+# -- window pickling and release ---------------------------------------------
+
+STORES = ["array", "mmap", "shm"]
+
+
+def _handle(kind, dataset, pds_path):
+    """``dataset`` over a store of ``kind``."""
+    if kind == "shm" and not shm_available():
+        pytest.skip("no usable shared memory")
+    if kind == "mmap":
+        return PackedDataset.open(pds_path)
+    if kind == "shm":
+        return PackedDataset(ShmStore.export(dataset))
+    return PackedDataset.ensure(dataset)
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_a_pickled_window_reads_identically(kind, dataset, pds_path):
+    ds = _handle(kind, dataset, pds_path)
+    window = pickle.loads(pickle.dumps(ds.slice_rows(17, 301)))
+    assert window.kind == kind and window.shape == (284, 37)
+    assert np.array_equal(window.rows(0, 284), dataset[17:301])
+    words = window.packed_window(0, 284)
+    if kind == "array":
+        assert words is None
+    else:
+        assert np.array_equal(words, pack_bits(dataset[17:301]))
+    window.release(0, 284)
     # released pages re-fault transparently
-    assert np.array_equal(ref.resolve(), dataset[17:301])
+    assert np.array_equal(window.rows(0, 284), dataset[17:301])
 
 
-def test_array_store_has_no_slice_ref(dataset):
-    assert PackedDataset.ensure(dataset).slice_ref(0, 10) is None
+def test_an_array_window_pickles_its_own_rows(dataset):
+    blob = pickle.dumps(PackedDataset.ensure(dataset).slice_rows(100, 110))
+    assert len(blob) < 1024  # ten 37-byte rows, not the 500-row array
+    window = pickle.loads(blob)
+    assert window.store.n == 10 and (window.lo, window.hi) == (0, 10)
+    assert np.array_equal(window.rows(0, 10), dataset[100:110])
 
 
-def test_slice_ref_is_small_and_picklable(pds_path):
-    import pickle
-
-    ref = PackedDataset.open(pds_path).slice_ref(0, 500)
-    blob = pickle.dumps(ref)
+@pytest.mark.parametrize("kind", ["mmap", "shm"])
+def test_a_store_window_pickles_descriptor_sized(kind, dataset, pds_path):
+    ds = _handle(kind, dataset, pds_path)
+    blob = pickle.dumps(ds)
     assert len(blob) < 1024  # descriptor-sized, not payload-sized
-    assert np.array_equal(pickle.loads(blob).resolve(), ref.resolve())
+    assert np.array_equal(pickle.loads(blob).rows(0, 500), dataset)
 
 
 def test_release_keeps_data_intact(dataset, pds_path):
@@ -544,8 +626,6 @@ def test_release_drops_the_whole_chunks_a_scan_has_completed(tmp_path):
     """Passes are smaller than verification chunks: a release behind a
     pass drops nothing until the scan completes a chunk, then the whole
     chunk — one ``madvise`` per chunk, not per pass."""
-    from repro.core.dataset import MmapStore
-
     data = np.random.default_rng(3).integers(0, 2, (1 << 14, 64), dtype=np.uint8)
     path = tmp_path / "resident.pds"
     write_pds(path, data, chunk_rows=4096)  # four chunks of 32 KiB
@@ -583,8 +663,6 @@ def test_rows_views_are_readonly(pds_path):
 
 @pytest.mark.skipif(not shm_available(), reason="no usable shared memory")
 def test_shm_store_roundtrip(dataset):
-    from repro.core.dataset import ShmStore
-
     ds = PackedDataset(ShmStore.export(dataset))
     assert ds.kind == "shm"
     assert np.array_equal(ds.rows(0, ds.n), dataset)
@@ -592,10 +670,10 @@ def test_shm_store_roundtrip(dataset):
     # the segment holds the packed words: an eighth of the rows' bytes
     assert ds.stored_nbytes == ds.store.ref.nbytes == 500 * 8
     assert np.array_equal(ds.packed_window(3, 80), pack_bits(dataset[3:80]))
-    ref = ds.slice_ref(3, 80)
-    assert ref.kind == "shm"
-    assert np.array_equal(ref.resolve(), dataset[3:80])
-    assert np.array_equal(ref.packed_window(), pack_bits(dataset[3:80]))
+    window = pickle.loads(pickle.dumps(ds.slice_rows(3, 80)))
+    assert window.kind == "shm"
+    assert np.array_equal(window.rows(0, 77), dataset[3:80])
+    assert np.array_equal(window.packed_window(0, 77), pack_bits(dataset[3:80]))
 
 
 # -- leak guards -------------------------------------------------------------
@@ -627,8 +705,6 @@ def test_no_fd_or_mapping_leak_per_open(tmp_path, rng):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
 def test_store_close_unmaps(tmp_path, rng):
-    from repro.core.dataset import MmapStore
-
     data = (rng.random((64, 16)) < 0.5).astype(np.uint8)
     path = tmp_path / "close.pds"
     write_pds(path, data)

@@ -300,8 +300,8 @@ class TestProcessCacheShipback:
             def shutdown(self, *args, **kwargs):
                 pass
 
-        # by value, and (where shm works) by slice ref into the
-        # promoted segment: the original tasks keep their refs intact
+        # by value, and (where shm works) as a window of the promoted
+        # segment: the original tasks keep their windows intact
         carriers = [("array", dataset_mod.SHM_PROMOTE_MIN_BYTES)]
         if shm_available():
             carriers.append(("shm", 1))
@@ -409,12 +409,12 @@ class TestProcessCacheShipback:
                 assert got.counters == replace(counters, image_cache_hits=hits)
                 assert (got.passes, passes) == (2, 6)
 
-    def test_slice_ref_is_touched_once_per_pass_that_needs_rows(
+    def test_a_window_is_viewed_and_released_once_per_pass(
         self, tmp_path, monkeypatch
     ):
         """Over packed words every pass is one view and one release of
-        its slice ref, cold or warm, and no row is ever unpacked."""
-        from repro.core.dataset import DatasetSliceRef, write_pds
+        its task's window, cold or warm, and no row is ever unpacked."""
+        from repro.core.dataset import PackedDataset, write_pds
 
         data, queries = _workload(n=72, d=16)
         path = tmp_path / "warm.pds"
@@ -424,18 +424,19 @@ class TestProcessCacheShipback:
             cache=True,
         )
         touched = []
-        for name in ("resolve", "release"):
-            real = getattr(DatasetSliceRef, name)
+        for name in ("packed_window", "rows", "release"):
+            real = getattr(PackedDataset, name)
 
-            def spy(self, _real=real, _name=name):
-                touched.append(_name)
-                return _real(self)
+            def spy(self, lo, hi, _real=real, _name=name):
+                if self is not eng.dataset:  # not the engine's own probe
+                    touched.append(_name)
+                return _real(self, lo, hi)
 
-            monkeypatch.setattr(DatasetSliceRef, name, spy)
+            monkeypatch.setattr(PackedDataset, name, spy)
         cold = eng.search(queries)  # 6 boards, one pass
-        assert touched == ["release"]
+        assert touched == ["packed_window", "release"]
         warm = eng.search(queries)
-        assert touched == ["release"] * 2
+        assert touched == ["packed_window", "release"] * 2
         assert warm.counters.image_cache_hits == 6
         assert (warm.indices == cold.indices).all()
 

@@ -301,7 +301,7 @@ class TestShardServer:
                 with pytest.raises(
                     RemoteShardError, match="unknown message type 3"
                 ):
-                    shard._request(0x03, legacy_request)
+                    shard._round_trip(0x03, legacy_request)
                 assert shard._sock.recv(1) == b""  # server hung up
             finally:
                 shard.close()

@@ -275,7 +275,7 @@ class TestRemoteWorkloads:
                 np.zeros((1, data.shape[1]), dtype=np.uint8),
             ).replace(b"knn", b"nop", 1)
             with pytest.raises(RemoteShardError, match="unknown workload"):
-                shard._request(MSG_WL_SEARCH_REQ, payload)
+                shard._round_trip(MSG_WL_SEARCH_REQ, payload)
             shard.close()
         finally:
             server.close()

@@ -28,7 +28,7 @@ class TestSearch:
         d, q, data, queries = dataset_files
         out = tmp_path / "idx.npy"
         main(["search", d, q, "-k", "2", "--out", str(out)])
-        idx = np.load(out)
+        idx = np.load(out)["indices"]
         assert idx.shape == (4, 2)
         # verify against the library directly
         from repro.core.engine import APSimilaritySearch
@@ -48,7 +48,7 @@ class TestSearch:
         assert rows == [f"q{i}" for i in range(10)]
         at = lines.index("# … 3 more row(s); --out saves them all")
         assert lines[at - 1].startswith("q9:")
-        assert np.load(saved).shape == (13, 2)
+        assert np.load(saved)["indices"].shape == (13, 2)
         assert main(["search", d, q, "-k", "2"]) == 0
         assert "more row(s)" not in capsys.readouterr().out
 
@@ -116,11 +116,44 @@ class TestSearch:
             out = capsys.readouterr().out
             assert f"workload={flags[1]}" in out
             assert ("2 device(s)" in out) == (label == "devices")
+            with np.load(out_file) as saved:
+                arrays = {name: saved[name] for name in saved.files}
             rows[label] = ([ln for ln in out.splitlines()
-                            if ln.startswith("q")], np.load(out_file))
+                            if ln.startswith("q")], arrays)
         for label in ("devices", "batched"):
             assert rows[label][0] == rows["plain"][0]
-            assert (rows[label][1] == rows["plain"][1]).all()
+            assert rows[label][1].keys() == rows["plain"][1].keys()
+            for name, array in rows["plain"][1].items():
+                assert np.array_equal(rows[label][1][name], array), name
+
+    @pytest.mark.parametrize("workload, params, flags", [
+        ("knn", {"k": 3}, ["-k", "3"]),
+        ("jaccard", {"k": 3}, ["-k", "3"]),
+        ("range", {"radius": 5}, ["--radius", "5"]),
+    ])
+    def test_out_saves_every_result_array(
+        self, dataset_files, tmp_path, capsys, workload, params, flags
+    ):
+        """``--out`` writes one .npz of the workload's wire fields, at
+        the path given, equal to the library's result."""
+        from repro.core.workload import WorkloadSearch, get_workload
+
+        d, q, data, queries = dataset_files
+        out_file = tmp_path / "result.npy"
+        assert main(["search", d, q, "--board-capacity", "16",
+                     "--workload", workload, *flags,
+                     "--out", str(out_file)]) == 0
+        fields = get_workload(workload).wire_fields
+        assert f"# {', '.join(fields)} saved to {out_file}" in (
+            capsys.readouterr().out
+        )
+        want = WorkloadSearch(data, workload, params, board_capacity=16).search(
+            queries
+        ).value
+        with np.load(out_file) as saved:
+            assert saved.files == list(fields)
+            for name in fields:
+                assert np.array_equal(saved[name], getattr(want, name)), name
 
     def test_non_bit_inputs_rejected_not_narrowed(
         self, dataset_files, tmp_path, capsys, non_binary
