@@ -102,10 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(1 = sequential)")
     s.add_argument("--backend", choices=["process", "thread"],
                    default="process",
-                   help="worker pool flavor: processes (cache-aware via "
-                        "artifact shipping) or threads (the kernels "
-                        "release the GIL; share the board cache with the "
-                        "parent directly)")
+                   help="worker pool flavor: processes (stateless: "
+                        "they view a .pds or shared-memory dataset or "
+                        "pack their own rows, and never see the board "
+                        "cache) or threads (the kernels release the GIL; "
+                        "share the board cache with the parent directly)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = no cache); "
                         "sequential runs and thread workers use it in "
-                        "place, process workers through artifact shipping")
+                        "place; process workers (--workers > 1) have none")
     s.add_argument("--out", default=None,
                    help="save every result array (indices, distances, "
                         "similarities, ...: the workload's wire fields) "
@@ -154,10 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--workers", type=int, default=1,
                    help="worker lanes for the shard's partition execution")
     v.add_argument("--backend", choices=["process", "thread"],
-                   default="process")
+                   default="process",
+                   help="worker pool flavor (with --workers > 1): "
+                        "stateless processes or cache-sharing threads, "
+                        "as for search")
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
-                        "the server always caches)")
+                        "the server always caches, for sequential runs "
+                        "and thread workers; process workers have none)")
     v.add_argument("--workload", action="append", default=None,
                    dest="workloads", metavar="NAME",
                    help="serve only the named workload (repeatable: "

@@ -46,8 +46,8 @@ for the host rather than the AP fabric, fans the passes out as
 :class:`~repro.host.parallel.PartitionTask`\\ s (one run of them per
 worker lane and device shard) through
 :func:`~repro.host.parallel.run_partitions` (thread/process backends,
-persistent pools, dataset windows, artifact shipping), and merges through
-the workload's own ``merge`` — so sharded/parallel/remote execution is
+persistent pools, dataset windows), and merges through the workload's
+own ``merge`` — so sharded/parallel/remote execution is
 bit-identical to a sequential pass by associativity.  Hamming kNN is an
 ordinary registered workload; :class:`~repro.core.engine.
 APSimilaritySearch` and :class:`~repro.core.multiboard.MultiBoardSearch`
@@ -72,7 +72,6 @@ from ..host.parallel import (
     ParallelConfig,
     PartitionResult,
     PartitionTask,
-    _ArtifactShuttle,
     run_partitions,
 )
 from ..perf import metrics as _metrics
@@ -351,34 +350,25 @@ class Workload(ABC):
         row-concatenated.  A workload that :attr:`carries` hands each
         window's :meth:`execute` the running partial of the windows
         before it; any other merges its window partials once, at the
-        end, with its own :meth:`merge`.  Process workers get
-        an artifact shuttle that serves the words shipped with the task
-        and captures fresh ones for the return trip.  Mapped pages are
+        end, with its own :meth:`merge`.  A process worker has no
+        cache: it packs every board it does not view.  Mapped pages are
         released behind each window.
         """
         params = dict(task.params)
         d = task.dataset_bits.shape[1]
-        # An all-hit process task's rows are an empty stub (every
-        # board's words ride the task): it is never wrapped or read.
-        data = (
-            PackedDataset.ensure(task.dataset_bits, validate=False)
-            if len(task.dataset_bits) else None
-        )
+        data = PackedDataset.ensure(task.dataset_bits, validate=False)
         windows = task.window_list()
-        shuttle = None
-        if cache is None and task.board_list()[0][1] is not None:
-            cache = shuttle = _ArtifactShuttle(task.artifacts)
         query_words = pack_bits(queries_bits)
         counters = RuntimeCounters()
         partial = None
         partials = []  # a non-carrier's window partials, merged once
         hits = 0
         for lo, hi, boards in windows:
-            words = data.packed_window(lo, hi) if data is not None else None
+            words = data.packed_window(lo, hi)
             if words is not None:
                 hits += len(boards)
             else:
-                rows = data.rows(lo, hi) if data is not None else None
+                rows = data.rows(lo, hi)
                 # Window-local first row of each board (and the window's end).
                 starts = accumulate((n_rows for n_rows, _ in boards), initial=0)
                 entries = []
@@ -406,11 +396,10 @@ class Workload(ABC):
             delta.configurations *= len(boards)
             delta.symbols_streamed *= len(boards)
             counters.merge(delta)
-            if data is not None:
-                # Drop the window's freshly faulted mmap pages back to
-                # the page cache so a worker's RSS stays bounded by one
-                # pass, not the whole shard it walks over a run.
-                data.release(lo, hi)
+            # Drop the window's freshly faulted mmap pages back to the
+            # page cache so a worker's RSS stays bounded by one pass,
+            # not the whole shard it walks over a run.
+            data.release(lo, hi)
         if len(partials) > 1:
             partial = self.merge(partials, [lo for lo, _, _ in windows], params)
         counters.image_cache_hits += hits
@@ -418,7 +407,6 @@ class Workload(ABC):
             p_idx=task.p_idx,
             counters=counters,
             payload=partial,
-            artifacts=(shuttle.built or None) if shuttle is not None else None,
             passes=len(windows),
         )
 
@@ -1006,10 +994,10 @@ class WorkloadSearch(Batchable):
     packed words: a store view, or cache-aware, content-addressed
     per-board words), executes them serially or across a
     :class:`~repro.host.parallel.ParallelConfig` worker pool
-    (thread/process, persistent pools, words shipping), and merges
-    through the workload's
-    associative ``merge`` — so results are bit-identical to a single
-    sequential pass for every backend × store combination.
+    (thread/process, persistent pools; process workers are stateless),
+    and merges through the workload's associative ``merge`` — so
+    results are bit-identical to a single sequential pass for every
+    backend × store combination.
 
     Parameters
     ----------
@@ -1034,7 +1022,9 @@ class WorkloadSearch(Batchable):
         :class:`~repro.ap.compiler.BoardImageCache` of default size, an
         ``int`` for a private cache of that capacity, or an existing
         cache instance to *share* boards' packed words across engines
-        and workloads (keys are content-addressed).
+        and workloads (keys are content-addressed).  It serves the
+        workers that run in this process (serial, thread, or a single
+        worker of any backend); process workers see no cache.
     device:
         AP generation (capacity/timing constants), handed to the
         workload as the deployment-owned ``"device"`` param.
@@ -1069,7 +1059,7 @@ class WorkloadSearch(Batchable):
         refuse_unknown_params(self.workload.name, params, self.params)
         self.device = self.params.get("device", device)
         self.parallel = self._normalize_parallel(parallel)
-        if not self.parallel.shares_memory and self.parallel.n_workers > 1:
+        if not self.parallel.shares_memory:
             self.dataset = self.dataset.attachable()
         self.cache = self._normalize_cache(cache)
         if board_capacity is None:
@@ -1162,8 +1152,13 @@ class WorkloadSearch(Batchable):
         items = tuple(sorted(self.params.items()))
         lanes = max(1, self.parallel.effective_workers)
         # Only a pass that will consult the cache needs keys (and the
-        # digest scan behind them): a view pass compiles nothing.
-        keyed = self.cache is not None and not self._view_passes()
+        # digest scan behind them): a view pass compiles nothing, and a
+        # process worker sees no cache.
+        keyed = (
+            self.cache is not None
+            and self.parallel.shares_memory
+            and not self._view_passes()
+        )
 
         def board_key(start: int, end: int) -> tuple | None:
             # Content-addressed per board: no positional component, and

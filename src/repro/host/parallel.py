@@ -17,29 +17,29 @@ board capacity is an AP constraint, and a ~1024-row NumPy pass is
 mostly Python).  The worker body runs a window as one
 ``Workload.compile_packed`` artifact over the boards' packed row words
 — a view of the store's where it holds them, else each board's words
-from the cache, packed on a miss — and one ``execute``.  A task is one
-worker lane's run of a device shard's windows: functional kNN runs each
-later window as a threshold filter under the running k-th distances,
-any other workload merges its window partials once, at the task's end.
+from the parent's cache (in-process workers), packed on a miss — and
+one ``execute``.  A task is one worker lane's run of a device shard's
+windows: functional kNN runs each later window as a threshold filter
+under the running k-th distances, any other workload merges its window
+partials once, at the task's end.
 Hand-built tasks are one board.
 
 Backends
 --------
 
 * ``backend="process"`` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor`.  The parent's
-  :class:`~repro.ap.compiler.BoardImageCache` is per-process, but
-  process workers are still *cache-aware*: a task whose boards are
-  already cached ships their packed words out with the task (workers
-  skip the packing), and a worker that had to pack ships the words back
-  with its result so the parent cache warms up — ``backend="process"`` and ``cache=`` compose.
+  ProcessPoolExecutor`.  Its workers are stateless: a task carries its
+  dataset window and the query batch, a result its partial and
+  counters, nothing else.  The parent's
+  :class:`~repro.ap.compiler.BoardImageCache` is per-process and serves
+  only workers in the parent's process, so a process worker views a
+  ``.pds`` or shm store's packed words or packs its own rows.
 * ``backend="thread"`` — a :class:`~concurrent.futures.
   ThreadPoolExecutor`.  The functional back-end spends its time inside
   NumPy kernels that release the GIL, so threads overlap almost as
   well as processes there while skipping query-batch pickling — and,
   because threads share the parent's memory, workers consult and fill
-  the engine's board-image cache directly: ``parallel=`` and
-  ``cache=`` finally compose.
+  the engine's board-image cache directly.
 * ``backend="serial"`` — in-process loop regardless of ``n_workers``
   (debugging aid, and the silent fallback when a pool cannot be
   created).
@@ -69,13 +69,13 @@ process boundary once per store, not once per task.  An artifact over
 such a store's packed row words is a view the worker builds in place
 (``Workload.compile_packed``), so it does not travel either.
 **Everything else travels by value** through the task pickle: query
-batches, cache entries both ways (the boards' packed words of a
-by-value dataset), and the rows of an in-memory window that was not
-promoted (no usable ``/dev/shm``, segment refused, dataset outside the
-promotion size band) — its own rows only.  Thread/serial workers share
-the parent's memory and move nothing: they read the engine's store
-through the window.  Results are bit-identical across every backend ×
-store combination.
+batches, and the rows of an in-memory window that was not promoted (no
+usable ``/dev/shm``, segment refused, dataset outside the promotion
+size band) — its own rows only, which the worker packs.  No cache
+entry travels either way.  Thread/serial workers share the parent's
+memory and move nothing: they read the engine's store through the
+window and the engine's cache.  Results are bit-identical across
+every backend × store combination.
 
 Pool lifetime
 -------------
@@ -100,7 +100,7 @@ import time
 import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -187,9 +187,10 @@ class ParallelConfig:
 
     @property
     def shares_memory(self) -> bool:
-        """True when workers run in this process (thread/serial): they
-        can read the parent's board-image cache instead of rebuilding."""
-        return self.backend != "process"
+        """True when every worker runs in this process (one lane, or a
+        thread/serial backend): they can read the parent's board-image
+        cache instead of rebuilding."""
+        return self.effective_workers <= 1 or self.backend != "process"
 
     # -- pool lifecycle ---------------------------------------------------
 
@@ -268,12 +269,10 @@ class PartitionTask:
     Workload` that executes it and ``params`` carries that workload's
     resolved parameters.  Caching stays per board: ``boards`` lists each
     board's ``(rows, cache_key)`` in row order, the keys being the
-    engine's content-addressed board-image keys.  In-process workers
-    (thread backend / serial fallback) look them up in the parent's
-    cache directly; for process workers :func:`run_partitions` resolves
-    them against the parent cache up front and ships the compiled
-    artifacts along in ``artifacts`` so a warm cache skips worker-side
-    rebuilds too.
+    engine's content-addressed board-image keys, which in-process
+    workers (thread backend / serial execution) look up in the parent's
+    cache.  The engine keys no board of a task bound for process
+    workers: they see no cache.
     """
 
     p_idx: int
@@ -303,10 +302,6 @@ class PartitionTask:
     # Workload parameters as sorted (key, value) items — hashable, and
     # rebuilt into a dict worker-side.
     params: tuple = ()
-    # Cache entries (boards' packed words), by cache key,
-    # shipped *to* a process worker from a warm parent cache (a board
-    # not in it is built from the task's rows).
-    artifacts: dict | None = None
 
     def board_list(self) -> tuple:
         """``boards``, with a one-board task spelled out."""
@@ -327,43 +322,17 @@ class PartitionTask:
         return out
 
 
-class _ArtifactShuttle:
-    """Minimal cache façade for one process-worker task.
-
-    Serves the artifacts the parent shipped with the task (a warm-cache
-    hit crosses the process boundary as data, not shared memory) and
-    captures freshly built ones so the worker can ship them back — the
-    parent then :meth:`~repro.ap.compiler.BoardImageCache.put`\\ s
-    them, warming the cache for the next call.
-    """
-
-    def __init__(self, shipped: dict | None = None):
-        self.shipped = shipped or {}
-        self.built: dict = {}
-
-    def get(self, key: tuple) -> Any:
-        return self.shipped.get(key)
-
-    def put(self, key: tuple, value: Any) -> None:
-        self.built[key] = value
-
-
 @dataclass
 class PartitionResult:
     """Partial result + counter delta for one executed task.
 
     ``payload`` is the workload's task-LOCAL partial (indices relative
     to ``task.start``; ``None`` if the task produced nothing to merge).
-    ``artifacts`` carries the board artifacts a *process* worker had to
-    build, by cache key, back to the parent, which installs them in its
-    :class:`~repro.ap.compiler.BoardImageCache`; in-process workers
-    write the shared cache directly and leave it ``None``.
     """
 
     p_idx: int
     counters: RuntimeCounters
     payload: Any = None
-    artifacts: dict | None = None
     # ``execute`` calls the task took: one per window.
     passes: int = 1
     # Worker-side monotonic timestamp taken when execution began.
@@ -421,27 +390,6 @@ class PartitionRunReport:
     ipc_payload_bytes: int | None = None
     dispatch_overhead_s: float | None = None
     queue_depth: int = 0
-
-
-def _attach_cached_artifacts(task: PartitionTask, cache) -> PartitionTask:
-    """Ship cached boards to a process worker instead of raw data.
-
-    When every board of the task hits, the artifacts fully supersede
-    the dataset rows (workers only touch them to *build*), so the rows
-    are replaced by an empty stub — pickling both would double the IPC
-    payload the artifact shipping exists to avoid.
-    """
-    keys = [key for _, key in task.board_list() if key is not None]
-    shipped = {}
-    for key in keys:
-        artifact = cache.get(key)
-        if artifact is not None:
-            shipped[key] = artifact
-    if not shipped:
-        return task
-    if len(shipped) < len(set(keys)):
-        return replace(task, artifacts=shipped)
-    return replace(task, artifacts=shipped, dataset_bits=task.dataset_bits[:0])
 
 
 def _record_dispatch(
@@ -524,12 +472,8 @@ def run_partitions(
     aggregation are deterministic and bit-identical to the sequential
     path.  ``cache`` (a board-image cache) is shared with workers that
     run in the parent's memory — thread backend, serial execution, or
-    serial fallback.  Process workers cannot share it, but stay
-    cache-aware through artifact shipping: cached boards travel out
-    with their tasks, and boards a worker had to build travel back
-    with its result and are installed here, so a second call (or a
-    second process-backed engine sharing the cache) recompiles
-    nothing.
+    serial fallback.  Process workers never see it: a task and its
+    result carry no cache entry.
     """
     if config.backend == "pinned":
         # Raised on every call, whatever n_workers and fallback_serial
@@ -540,10 +484,6 @@ def run_partitions(
             'use backend="thread" or backend="process"'
         )
     queries_bits = np.ascontiguousarray(queries_bits, dtype=np.uint8)
-    # Thread workers share the parent's memory, so they may use the
-    # cache; serial execution (including fallback) is in-process by
-    # definition and always may.
-    worker_cache = cache if config.shares_memory else None
     n_workers = min(config.effective_workers, len(tasks))
     if n_workers <= 1:
         return _run_serial(tasks, queries_bits, cache)
@@ -553,11 +493,6 @@ def run_partitions(
         if config.fallback_serial:
             return _run_serial(tasks, queries_bits, cache)
         raise
-    worker_tasks = tasks
-    if cache is not None and worker_cache is None:
-        # Process backend with a cache-aware parent: attach each
-        # cached artifact to its task so warm workers skip the build.
-        worker_tasks = [_attach_cached_artifacts(t, cache) for t in tasks]
 
     payload_bytes = None
     if config.measure_ipc:
@@ -567,7 +502,7 @@ def run_partitions(
             if config.shares_memory
             else sum(
                 len(pickle.dumps((t, queries_bits), protocol=pickle.HIGHEST_PROTOCOL))
-                for t in worker_tasks
+                for t in tasks
             )
         )
     # Dispatch accounting: submit timestamps aligned with results in
@@ -579,30 +514,26 @@ def run_partitions(
             # One submit per worker-sized sublist (n_workers <= tasks,
             # so none is empty): executor overhead is paid per worker,
             # not per partition.
-            bounds = _chunk_bounds(len(worker_tasks), n_workers)
+            bounds = _chunk_bounds(len(tasks), n_workers)
             for a, b in zip(bounds, bounds[1:]):
                 t_sub = time.monotonic()
                 futures.append(
-                    executor.submit(_execute_chunk, worker_tasks[a:b], queries_bits)
+                    executor.submit(_execute_chunk, tasks[a:b], queries_bits)
                 )
                 submit_times.extend([t_sub] * (b - a))
             results = [r for f in futures for r in f.result()]
         else:
-            for t in worker_tasks:
+            # Thread workers share the parent's memory, and its cache.
+            for t in tasks:
                 submit_times.append(time.monotonic())
                 futures.append(
-                    executor.submit(
-                        execute_partition, t, queries_bits, worker_cache
-                    )
+                    executor.submit(execute_partition, t, queries_bits, cache)
                 )
             results = [f.result() for f in futures]
     except (*_POOL_ERRORS, BrokenProcessPool) as exc:
         # Pool creation can succeed but worker spawn still fail (e.g.
         # blocked semaphores); degrade the same way.  A broken
         # persistent pool is discarded so the next call respawns.
-        # Fall back with the ORIGINAL tasks: artifact-attached ones
-        # carry stubbed dataset slices, and the in-process path must
-        # be able to rebuild any partition the cache has since evicted.
         if not owned:
             config._discard_pool()
         if config.fallback_serial:
@@ -611,12 +542,6 @@ def run_partitions(
     finally:
         if owned:
             executor.shutdown(wait=True)
-    if cache is not None and worker_cache is None:
-        # Install boards the workers had to build: the parent cache
-        # warms up even though the build happened out of process.
-        for res in results:
-            for key, artifact in (res.artifacts or {}).items():
-                cache.put(key, artifact)
     dispatch_latencies = [
         max(0.0, res.t_start - t_sub)
         for res, t_sub in zip(results, submit_times)

@@ -34,7 +34,8 @@ it.
 exported segment behind the :class:`~repro.core.dataset.PackedDataset`
 interface and pickles as its :class:`ShmArrayRef`, exactly as an
 mmap-backed store pickles as the path of its ``.pds`` file.  Query
-batches and compiled board artifacts travel by value.
+batches travel by value; a worker builds its board artifacts in place
+over the segment's words.
 
 Platforms without ``multiprocessing.shared_memory`` (or without a
 usable ``/dev/shm``) report :func:`shm_available()` → ``False`` and the

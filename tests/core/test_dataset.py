@@ -16,6 +16,7 @@ import pickle
 import re
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_ensure_rejects_non_bits_before_narrowing(dataset, non_binary):
 
 
 def _clone(pds_path, tmp_path, name, mutate):
-    blob = bytearray(open(pds_path, "rb").read())
+    blob = bytearray(Path(pds_path).read_bytes())
     mutate(blob)
     out = tmp_path / name
     out.write_bytes(bytes(blob))
@@ -226,7 +227,7 @@ def test_rejects_truncated_header(tmp_path):
 
 
 def test_rejects_truncated_payload(pds_path, tmp_path):
-    blob = open(pds_path, "rb").read()
+    blob = Path(pds_path).read_bytes()
     out = tmp_path / "trunc.pds"
     out.write_bytes(blob[:-100])
     with pytest.raises(DatasetFormatError, match="truncated .pds payload"):

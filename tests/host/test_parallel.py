@@ -273,17 +273,19 @@ class TestPoolLeakGuard:
         assert "done" in proc.stdout
 
 
-class TestProcessCacheShipback:
-    """backend="process" composes with cache=: artifacts ship both ways."""
+class TestBoardCaching:
+    """cache= serves the workers in the engine's process (serial,
+    thread, one lane of any backend); process workers are stateless."""
 
     def test_broken_pool_fallback_rebuilds_from_original_tasks(
         self, monkeypatch
     ):
-        """Regression: the serial fallback after a broken pool must not
-        reuse artifact-attached tasks — their dataset slices are
-        stubbed, and a small cache may have evicted the artifact by the
-        time the in-process pass reaches it (which once rebuilt an
-        empty board and silently dropped that partition's neighbors)."""
+        """The serial fallback after a broken pool reruns the engine's
+        own tasks in-process, over windows carried by value and over a
+        promoted segment alike, and answers as the serial engine does
+        (a fallback once rebuilt an empty board from a task whose rows
+        had been stubbed out and silently dropped that partition's
+        neighbors)."""
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.ap.compiler import BoardImageCache
@@ -322,10 +324,9 @@ class TestProcessCacheShipback:
                 assert (fallback.indices == seq.indices).all(), kind
                 assert (fallback.distances == seq.distances).all(), kind
 
-    def test_shipped_artifact_is_reused_not_rebuilt(self, monkeypatch):
-        """On a warm run no worker-side board construction happens (the
-        serial in-process path exercises the same execute_partition
-        code, so the build hook is observable)."""
+    def test_warm_serial_search_packs_no_board(self, monkeypatch):
+        """On a warm serial run no board is packed again: every board's
+        words come from the cache, and only the query batch is packed."""
         import repro.core.workload as wl_mod
         from repro.ap.compiler import BoardImageCache
 
@@ -349,21 +350,37 @@ class TestProcessCacheShipback:
         assert packed == [queries.shape]
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_multi_board_tasks_keep_the_cache_per_board(self, backend):
+    def test_multi_board_tasks_keep_the_cache_per_board(
+        self, backend, monkeypatch
+    ):
         """One task per worker lane, each two passes of several boards:
         every backend returns one result per task equal to its boards
-        run one per task and merged, the cache still holds one entry per
-        board, and a pass that finds only some of its boards cached
-        (shipped, for process workers) rebuilds just the rest."""
+        run one per task and merged.  In-process workers keep the cache
+        per board: it holds one entry per board, and a pass that finds
+        only some of its boards cached rebuilds just the rest.  Process
+        workers are stateless: the engine keys no board (so it hashes
+        none), and the cache stays empty, cold or warm."""
         from dataclasses import replace
 
         from repro.ap.compiler import BoardImageCache
+        from repro.core.dataset import PackedDataset
 
+        digests = []
+        real_digest = PackedDataset.partition_digest
+
+        def digest(self, lo, hi):
+            digests.append((lo, hi))
+            return real_digest(self, lo, hi)
+
+        monkeypatch.setattr(PackedDataset, "partition_digest", digest)
         data, queries = _workload(n=144, d=16)  # 12 boards of 12
         cache = BoardImageCache()
         eng = APSimilaritySearch(
             data, k=3, board_capacity=12, cache=cache,
-            parallel=ParallelConfig(n_workers=2, backend="thread"),
+            parallel=ParallelConfig(
+                n_workers=2,
+                backend="process" if backend == "process" else "thread",
+            ),
         )
         tasks = eng._partition_tasks(boards_per_pass=3)
         assert [len(t.boards) for t in tasks] == [6, 6]
@@ -391,16 +408,28 @@ class TestProcessCacheShipback:
             ref.append((payload, counters, sum(r.passes for r in runs)))
         config = ParallelConfig(n_workers=2, backend=backend)
         cold = run_partitions(tasks, queries, config, cache)
-        assert len(cache) == 12 and cache.stats.misses == 12
-        # a cache holding every other board of each task
-        holey = BoardImageCache()
-        for task in tasks:
-            for _, key in task.boards[::2]:
-                holey.put(key, cache.get(key))
-        partial = run_partitions(tasks, queries, config, holey)
-        assert len(holey) == 12  # the six rebuilt boards are in
-        assert (holey.stats.hits, holey.stats.misses) == (6, 6)
-        for run, hits in ((cold, 0), (partial, 3)):
+        if backend == "process":
+            assert digests == []
+            assert {key for t in tasks for _, key in t.boards} == {None}
+            warm = run_partitions(tasks, queries, config, cache)
+            stats = cache.stats
+            assert (len(cache), stats.hits, stats.misses, stats.evictions) == (
+                0, 0, 0, 0
+            )
+            runs = ((cold, 0), (warm, 0))
+        else:
+            assert len(digests) == 12
+            assert len(cache) == 12 and cache.stats.misses == 12
+            # a cache holding every other board of each task
+            holey = BoardImageCache()
+            for task in tasks:
+                for _, key in task.boards[::2]:
+                    holey.put(key, cache.get(key))
+            partial = run_partitions(tasks, queries, config, holey)
+            assert len(holey) == 12  # the six rebuilt boards are in
+            assert (holey.stats.hits, holey.stats.misses) == (6, 6)
+            runs = ((cold, 0), (partial, 3))
+        for run, hits in runs:
             assert [r.p_idx for r in run.results] == [0, 1]
             for got, (payload, counters, passes) in zip(run.results, ref):
                 assert np.array_equal(got.payload.indices, payload.indices)
@@ -408,6 +437,28 @@ class TestProcessCacheShipback:
                 assert got.counters.image_cache_hits == hits
                 assert got.counters == replace(counters, image_cache_hits=hits)
                 assert (got.passes, passes) == (2, 6)
+
+    @pytest.mark.parametrize("parallel", [
+        None, ParallelConfig(n_workers=1, backend="process"),
+    ], ids=["none", "process-1"])
+    def test_one_lane_engines_key_their_boards(self, parallel):
+        """An engine whose tasks all run in its own process (no pool,
+        or the default process backend with one worker, as ``repro
+        serve`` builds) keys its boards and answers a warm search from
+        its cache, though the default backend is ``process``."""
+        data, queries = _workload(n=72, d=16)
+        eng = APSimilaritySearch(
+            data, k=3, board_capacity=12, parallel=parallel, cache=True,
+        )
+        assert eng.parallel.shares_memory
+        tasks = eng._partition_tasks()
+        assert all(key is not None for t in tasks for _, key in t.boards)
+        cold = eng.search(queries)
+        warm = eng.search(queries)
+        assert cold.counters.image_cache_hits == 0
+        assert warm.counters.image_cache_hits == warm.n_partitions == 6
+        assert eng.cache.stats.hits == 6
+        assert (warm.indices == cold.indices).all()
 
     def test_a_window_is_viewed_and_released_once_per_pass(
         self, tmp_path, monkeypatch
