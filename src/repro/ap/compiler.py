@@ -324,20 +324,20 @@ def partition_cache_key(
     *,
     digest: str | None = None,
 ) -> tuple:
-    """Content-addressed cache key for one compiled board partition.
+    """Content-addressed key for one board partition's cache entry.
 
     The key is ``(sha1(partition bytes + shape), macro_config, device,
-    *extra)``: identical partition *content* compiled under the same
-    macro parameters for the same device generation hashes to the same
-    key — regardless of where the partition sits in its engine's
-    dataset — so overlapping shards and repeated ``search`` calls
-    share compiled artifacts.  Cached artifacts must therefore be
-    position-independent: the engine compiles partitions with
-    partition-local report codes and re-bases them at decode time.
-    ``extra`` disambiguates artifact flavors the same content can
-    produce (``"image"`` vs ``"functional"`` back-ends); ``digest``
-    lets callers reuse a precomputed :func:`dataset_digest` instead of
-    re-hashing the bytes on every lookup.
+    *extra)``: identical partition *content* hashes to the same key —
+    regardless of where the partition sits in its dataset — so
+    overlapping shards and repeated searches share entries, which must
+    therefore be position-independent (partition-local indices,
+    re-based at merge time).  ``extra`` tells apart entries the same
+    content can produce; ``digest`` lets callers reuse a precomputed
+    :func:`dataset_digest` instead of re-hashing the bytes.  Only the
+    request-path benchmark's stepwise replay keys with it: a board's
+    entry is its packed words whatever the workload, so
+    :class:`~repro.core.workload.WorkloadSearch` keys it ``(digest,
+    "words")``.
     """
     if digest is None:
         if dataset_bits is None:
@@ -382,18 +382,19 @@ def _cache_metrics():
 
 
 class BoardImageCache:
-    """LRU-bounded cache of compiled board artifacts (Section III-C).
+    """LRU-bounded cache of each board's packed row words (Section III-C).
 
     The paper assumes partition images are "precompiled into a set of
     board images"; this cache is the in-memory version of that
-    assumption for a long-lived service: the first ``search`` over a
-    partition pays compilation (network build, placement, simulator
-    construction), every later search — including searches by *other*
-    engines sharing the cache over overlapping shards — reuses the
-    artifact.  Keys come from :func:`partition_cache_key`; values are
-    opaque (the engine stores :class:`~repro.ap.runtime.BoardImage`
-    objects for the cycle-accurate back-end and functional boards for
-    the fast one).  Eviction is least-recently-used.
+    assumption for a long-lived service.  An entry is one board's
+    :func:`~repro.util.bitops.pack_bits` row words, keyed ``(digest,
+    "words")`` by :class:`~repro.core.workload.WorkloadSearch`: the
+    first search over a board packs it, every later search — by any
+    workload's engine over any shard holding the same rows — reuses
+    the words.  Eviction is least-recently-used.  A worker settles a
+    pass's boards in one transaction, :meth:`lookup` then :meth:`store`
+    (the misses packed in between, outside the lock), which leaves what
+    a ``get`` (then ``put`` on a miss) per board in row order would.
 
     Thread-safe: the engine's ``backend="thread"`` workers consult one
     shared instance concurrently, so every operation holds an internal
@@ -423,38 +424,73 @@ class BoardImageCache:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: tuple) -> Any | None:
-        """Return the cached artifact or None; a hit refreshes recency."""
+    def lookup(self, keys) -> list:
+        """Each key's entry or None, counting and refreshing nothing:
+        :meth:`store` settles the transaction."""
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.stats.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-        (self._m_miss if value is None else self._m_hit).inc()
-        return value
+            return [self._entries.get(key) for key in keys]
+
+    def store(self, keys, entries) -> int:
+        """Settle a :meth:`lookup` key by key: a present key is a hit
+        and refreshed, an absent one a miss whose entry (looked up or
+        built) is inserted.  Returns the hits."""
+        hits = evictions = 0
+        with self._lock:
+            for key, entry in zip(keys, entries):
+                if key in self._entries:
+                    self._entries.move_to_end(key)
+                    hits += 1
+                else:
+                    evictions += self._insert(key, entry)
+            self._count(hits, len(keys) - hits, evictions)
+        return hits
 
     def record_hits(self, n_boards: int) -> None:
         """Count ``n_boards`` boards an engine served without a compile
         and without a lookup: a functional pass over a packed store
-        runs on a view of the stored row words, so there is no artifact
+        runs on a view of the stored row words, so there is no entry
         to hold — but the boards were not recompiled, which is what
         ``hits`` (and ``repro_cache_hits_total``) report."""
         with self._lock:
-            self.stats.hits += n_boards
-        self._m_hit.inc(n_boards)
+            self._count(n_boards, 0, 0)
+
+    def _insert(self, key: tuple, value: Any) -> int:
+        """Insert (or refresh) under the lock; returns the evictions."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) <= self.max_entries:
+            return 0
+        self._entries.popitem(last=False)
+        return 1
+
+    def _count(self, hits: int, misses: int, evictions: int) -> None:
+        """Under the lock: the stats, and one bump per metric."""
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.evictions += evictions
+        for metric, n in ((self._m_hit, hits), (self._m_miss, misses),
+                          (self._m_evict, evictions)):
+            if n:
+                metric.inc(n)
+
+    # -- compatibility adapters --------------------------------------------
+    # benchmarks/e2e's stepwise replay (e2elib/stepwise.py) looks boards
+    # up one at a time through these two; they go with that replay
+    # (ROADMAP item 1(b)).
+
+    def get(self, key: tuple) -> Any | None:
+        """Return the cached entry or None; a hit refreshes recency."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            self._count(int(value is not None), int(value is None), 0)
+        return value
 
     def put(self, key: tuple, value: Any) -> None:
-        """Insert (or refresh) an artifact, evicting the LRU entry if full."""
+        """Insert (or refresh) an entry, evicting the LRU entry if full."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self._m_evict.inc()
+            self._count(0, 0, self._insert(key, value))
 
     def clear(self) -> None:
         """Drop every entry."""

@@ -292,7 +292,10 @@ class Workload(ABC):
 
         Must be associative, and the result must itself be a valid
         partial (mergeable again with offset 0): shard servers pre-merge
-        their partitions and the remote pool merges across shards.
+        their partitions and the remote pool merges across shards.  A
+        lone partial at offset 0 must merge to itself, field for field
+        (``merge([p], [0], params)`` equals ``p``): an engine whose plan
+        is one task returns that task's partial as it is, unmerged.
         """
 
     @abstractmethod
@@ -345,12 +348,14 @@ class Workload(ABC):
         window (an ndarray from a hand-built task).  The words are a
         view of its store's where it holds them packed — nothing is
         packed, hashed or looked up, and every board counts as served
-        without a compile — else each board's words come from the cache
-        (``pack_bits`` of the window's rows on a miss),
-        row-concatenated.  A workload that :attr:`carries` hands each
-        window's :meth:`execute` the running partial of the windows
-        before it; any other merges its window partials once, at the
-        end, with its own :meth:`merge`.  A process worker has no
+        without a compile — else each board's words come from the cache,
+        row-concatenated, in one transaction per window
+        (:meth:`~repro.ap.compiler.BoardImageCache.lookup`, then
+        ``store``), the missed boards' rows packed in one ``pack_bits``
+        call; uncached, the window's rows are packed whole.  A workload
+        that :attr:`carries` hands each window's :meth:`execute` the
+        running partial of the windows before it; any other merges its
+        window partials once, at the end, with its own :meth:`merge`.  A process worker has no
         cache: it packs every board it does not view.  Mapped pages are
         released behind each window.
         """
@@ -367,22 +372,16 @@ class Workload(ABC):
             words = data.packed_window(lo, hi)
             if words is not None:
                 hits += len(boards)
+            elif cache is None or boards[0][1] is None:
+                words = pack_bits(data.rows(lo, hi))
             else:
-                rows = data.rows(lo, hi)
-                # Window-local first row of each board (and the window's end).
-                starts = accumulate((n_rows for n_rows, _ in boards), initial=0)
-                entries = []
-                for (_, key), (a, b) in zip(boards, pairwise(starts)):
-                    cached = cache is not None and key is not None
-                    entry = cache.get(key) if cached else None
-                    if entry is not None:
-                        hits += 1
-                    else:
-                        entry = pack_bits(rows[a:b])
-                        if cached:
-                            cache.put(key, entry)
-                    entries.append(entry)
-                words = entries[0] if len(entries) == 1 else np.concatenate(entries)
+                keys = [key for _, key in boards]
+                entries = cache.lookup(keys)
+                if any(entry is None for entry in entries):
+                    words = _pack_misses(data.rows(lo, hi), boards, entries)
+                else:
+                    words = entries[0] if len(entries) == 1 else np.concatenate(entries)
+                hits += cache.store(keys, entries)
             artifact = self.compile_packed(words, d, params)
             if self.carries:
                 partial, delta = self.execute(
@@ -427,6 +426,24 @@ class Workload(ABC):
         """Always ``()``: a board's cache entry is its packed words,
         keyed by content alone."""
         return ()
+
+
+def _pack_misses(rows: np.ndarray, boards, entries: list) -> np.ndarray:
+    """A pass's words when some of its boards missed the cache: their
+    rows packed in one call (which checks each row for 0/1 once) fill
+    ``entries`` in place, one copy per board, so that an entry never
+    pins the pass's buffer."""
+    starts = list(accumulate((n_rows for n_rows, _ in boards), initial=0))
+    missed = [i for i, entry in enumerate(entries) if entry is None]
+    whole = len(missed) == len(boards)
+    fresh = pack_bits(rows if whole else np.concatenate(
+        [rows[starts[i] : starts[i + 1]] for i in missed]
+    ))
+    at = 0
+    for i in missed:
+        entries[i] = fresh[at : at + boards[i][0]].copy()
+        at += boards[i][0]
+    return fresh if whole else np.concatenate(entries)
 
 
 def _query_words(queries: np.ndarray) -> np.ndarray:
@@ -551,6 +568,11 @@ class HammingKnnWorkload(Workload):
             prior=None if prior is None else (prior.indices, prior.distances),
             base=base,
         )
+        # A block short of min(k, rows seen) (a lossy back-end) is padded
+        # as merge would pad it (both pads are -1): a lone partial merges
+        # to itself.
+        if (short := min(int(params["k"]), base + artifact.n) - block[0].shape[1]) > 0:
+            block = [np.pad(a, ((0, 0), (0, short)), constant_values=-1) for a in block]
         counters = functional_pass_counters(
             query_words.shape[0], artifact.n, artifact.layout
         )
@@ -1153,11 +1175,14 @@ class WorkloadSearch(Batchable):
         lanes = max(1, self.parallel.effective_workers)
         # Only a pass that will consult the cache needs keys (and the
         # digest scan behind them): a view pass compiles nothing, and a
-        # process worker sees no cache.
+        # process worker sees no cache — but run_partitions runs a lone
+        # task in this process, whatever the backend.
+        in_process = self.parallel.shares_memory or sum(
+            min(lanes, -(-n_boards // boards_per_pass))
+            for n_boards in self.per_device_partitions
+        ) <= 1
         keyed = (
-            self.cache is not None
-            and self.parallel.shares_memory
-            and not self._view_passes()
+            self.cache is not None and in_process and not self._view_passes()
         )
 
         def board_key(start: int, end: int) -> tuple | None:
@@ -1180,16 +1205,21 @@ class WorkloadSearch(Batchable):
             n_tasks = min(lanes, n_runs)
             marks = [i * n_runs // n_tasks for i in range(n_tasks + 1)]
             for first, last in zip(marks[:-1], marks[1:]):
-                windows = tuple(np.diff(cuts[first : last + 1]).tolist())
                 run = self.partitions[cuts[first] : cuts[last]]
                 start, end = run[0][0], run[-1][1]
+                boards = tuple((b - a, board_key(a, b)) for a, b in run)
+                windows = tuple(
+                    (self.partitions[a][0] - start, self.partitions[b - 1][1] - start,
+                     boards[a - cuts[first] : b - cuts[first]])
+                    for a, b in pairwise(cuts[first : last + 1])
+                )
                 tasks.append(PartitionTask(
                     p_idx=len(tasks),
                     start=start,
                     end=end,
                     dataset_bits=self.dataset.slice_rows(start, end),
-                    boards=tuple((b - a, board_key(a, b)) for a, b in run),
-                    windows=windows if len(windows) > 1 else (),
+                    boards=boards,
+                    windows=windows,
                     workload=self.workload.name,
                     params=items,
                 ))
@@ -1225,7 +1255,9 @@ class WorkloadSearch(Batchable):
         # keep[s] track of intermediary results per query across board
         # reconfigurations"), in ONE batched offset-aware pass.
         with _metrics.stage("merge"):
-            if partials:
+            if len(tasks) == 1:  # one partial of every row, at offset 0
+                (value,) = partials
+            elif partials:
                 value = self.workload.merge(partials, offsets, self.params)
             else:
                 value = self.workload.empty(n_q, self.params)

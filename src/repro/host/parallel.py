@@ -295,7 +295,8 @@ class PartitionTask:
     # Per-board ``(rows, cache_key)`` of the run, in row order; empty =
     # one board of ``end - start`` rows under ``cache_key``.
     boards: tuple = ()
-    # Boards per window, in row order; empty = one window of them all.
+    # ``(lo, hi, boards)`` per window, in row order, as the engine's plan
+    # cut them; empty = one window of them all.
     windows: tuple = ()
     # Which registered workload executes this task (repro.core.workload).
     workload: str = "knn"
@@ -307,19 +308,10 @@ class PartitionTask:
         """``boards``, with a one-board task spelled out."""
         return self.boards or ((self.end - self.start, self.cache_key),)
 
-    def window_list(self) -> list:
+    def window_list(self) -> tuple:
         """``(lo, hi, boards)`` per window, in row order: its task-local
         rows ``[lo, hi)`` and its slice of :meth:`board_list`."""
-        boards = self.board_list()
-        if not self.windows:
-            return [(0, self.end - self.start, boards)]
-        out, at, lo = [], 0, 0
-        for size in self.windows:
-            run = boards[at : at + size]
-            hi = lo + sum(rows for rows, _ in run)
-            out.append((lo, hi, run))
-            at, lo = at + size, hi
-        return out
+        return self.windows or ((0, self.end - self.start, self.board_list()),)
 
 
 @dataclass

@@ -503,6 +503,62 @@ class TestWorkloadPasses:
         assert got.counters == counters
         _assert_value_equal(workload, got.payload, want)
 
+    @pytest.mark.parametrize("name,params", [
+        ("knn", {"k": 18}), ("jaccard", {"k": 18}), ("range", {"radius": 14}),
+        ("toy-popcount", {}), ("overlap", {"k": 18}),
+    ], ids=["knn", "jaccard", "range", "toy-popcount", "overlap"])
+    def test_a_lone_partial_is_returned_unmerged(self, name, params, monkeypatch):
+        """An engine whose plan is one task returns its partial without
+        calling ``merge``, and that partial is what ``merge([p], [0])``
+        gives, field for field and dtype for dtype — for the built-ins,
+        the oracle's toy and ``examples/custom_workload.py``'s overlap,
+        at k beyond n (13 rows, k = 18)."""
+        import importlib.util
+        from pathlib import Path
+
+        if name == "overlap":
+            path = Path(__file__).parents[2] / "examples" / "custom_workload.py"
+            spec = importlib.util.spec_from_file_location("custom_workload", path)
+            example = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(example)
+            workload = example.OverlapTopkWorkload()
+        elif name == "toy-popcount":
+            workload = PopcountNearest()
+        else:
+            workload = get_workload(name)
+        # Workers resolve a task's workload by name.
+        monkeypatch.setitem(wl_mod._REGISTRY, workload.name, workload)
+        data, queries = _data(n=13, d=33, n_queries=3)
+        engine = WorkloadSearch(data, workload, params, board_capacity=5)
+        (task,) = engine._partition_tasks(engine._boards_per_pass(len(queries)))
+        assert len(task.window_list()) == 1 and (task.start, task.end) == (0, 13)
+        lone = workload.execute_task(task, queries, None).payload
+        merged = workload.merge([lone], [0], engine.params)
+        merges = []
+        monkeypatch.setattr(workload, "merge", lambda *a: merges.append(a))
+        got = engine.search(queries).value
+        assert merges == []
+        for f in workload.wire_fields:
+            g, m = getattr(got, f), getattr(merged, f)
+            assert g.dtype == m.dtype and np.array_equal(g, m), (name, f)
+
+    def test_a_non_bit_row_in_a_hand_built_task_raises(self):
+        """Rows a store never validated are checked when a pass packs
+        them, cached or not."""
+        from repro.ap.compiler import BoardImageCache
+        from repro.host.parallel import PartitionTask
+
+        data, queries = _data(n=16, d=8)
+        data[5, 3] = 2
+        params = tuple(sorted(get_workload("knn").validate_params(
+            {"k": 3}, 16, 8).items()))
+        for cache, key in ((None, None), (BoardImageCache(), ("bad", "words"))):
+            task = PartitionTask(p_idx=0, start=0, end=16, dataset_bits=data,
+                                 cache_key=key, params=params)
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                get_workload("knn").execute_task(task, queries, cache)
+            assert cache is None or len(cache) == 0
+
     @pytest.mark.parametrize("n_q", [1, 8, 32])
     def test_gathered_passes_stay_within_their_memory(self, n_q):
         """A warm kNN search over an in-memory 2^16 x 64 array, whose

@@ -384,7 +384,9 @@ class TestBoardCaching:
         )
         tasks = eng._partition_tasks(boards_per_pass=3)
         assert [len(t.boards) for t in tasks] == [6, 6]
-        assert [t.windows for t in tasks] == [(3, 3), (3, 3)]
+        assert [[len(b) for _, _, b in t.window_list()] for t in tasks] == [
+            [3, 3], [3, 3]
+        ]
         # The reference, independent of the carried block: each lane's
         # boards as one-window tasks of their own, merged per lane run.
         ref = []
@@ -459,6 +461,22 @@ class TestBoardCaching:
         assert warm.counters.image_cache_hits == warm.n_partitions == 6
         assert eng.cache.stats.hits == 6
         assert (warm.indices == cold.indices).all()
+
+    def test_a_lone_task_process_engine_keys_its_board(self):
+        """A process engine whose plan is one task runs it in this
+        process (``run_partitions`` starts no pool for one task), so it
+        keys the board and its warm search is served from its cache."""
+        data, queries = _workload(n=12, d=16)
+        eng = APSimilaritySearch(
+            data, k=3, board_capacity=12, cache=True,
+            parallel=ParallelConfig(n_workers=2, backend="process"),
+        )
+        assert not eng.parallel.shares_memory
+        eng.search(queries)
+        warm = eng.search(queries)
+        assert (warm.n_workers, warm.transport) == (1, "none")
+        assert warm.counters.image_cache_hits == 1
+        assert len(eng.cache) == 1
 
     def test_a_window_is_viewed_and_released_once_per_pass(
         self, tmp_path, monkeypatch

@@ -455,7 +455,9 @@ class TestFallback:
             parallel=_process(),
         )
         tasks = eng._partition_tasks()
-        assert [t.windows for t in tasks] == [(1, 1), (1, 1)]
+        assert [[len(b) for _, _, b in t.window_list()] for t in tasks] == [
+            [1, 1], [1, 1]
+        ]
         run = run_partitions(tasks, queries, _process(measure_ipc=True))
         assert run.transport == "pickle"
         assert run.ipc_payload_bytes > 0
