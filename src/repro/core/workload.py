@@ -18,8 +18,8 @@ layers actually rely on into a :class:`Workload` protocol:
   one pass over the batch's packed query words (packed once per task)
   producing a *pass-local* partial result plus the
   :class:`~repro.ap.runtime.RuntimeCounters` delta a hardware run would
-  record; a workload that :attr:`~Workload.carries` also takes the
-  running partial of the task's earlier passes;
+  record; a workload that :attr:`~Workload.carries` (kNN, Jaccard) also
+  takes the running partial of the task's earlier passes;
 * ``merge(partials, offsets, params) → result`` — the offset-aware
   host merge.  Merging must be **associative** and every merged result
   must itself be a valid partial (with offset 0), which is what lets
@@ -79,6 +79,7 @@ from ..perf.models import APModel
 from ..util.bitops import as_bits, pack_bits, popcount_cdist, popcount_u64
 from ..util.topk import (
     _key_dtype,
+    _select_carried,
     _select_smallest,
     hamming_topk,
     merge_ragged_blocks,
@@ -214,7 +215,8 @@ class Workload(ABC):
     result_type: type = tuple
     #: True when :meth:`execute` takes ``prior=``, the partial of the
     #: task's rows ``[0, base)``, and ``base=``, and returns the partial
-    #: of rows ``[0, base + rows)``.  It picks no plan shape.
+    #: of rows ``[0, base + rows)``: kNN and Jaccard, each later pass a
+    #: threshold filter.  It picks no plan shape.
     carries: bool = False
 
     # -- parameters -------------------------------------------------------
@@ -684,20 +686,24 @@ class JaccardBoardArtifact:
 
 
 def _jaccard_keys(
-    inter: np.ndarray, q_sizes: np.ndarray, sizes: np.ndarray, d: int
+    inter: np.ndarray, q_sizes: np.ndarray, sizes: np.ndarray, d: int,
+    n: int | None = None, rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``(q, n)`` keys ``(d² − ⌊d²·I/U⌋)·n + row`` ordering pairs exactly
+    """``(q, m)`` keys ``(d² − ⌊d²·I/U⌋)·n + row`` ordering pairs exactly
     by (descending similarity ``I/U``, ascending row): as ``U ≤ d``,
     distinct fractions lie ``≥ 1/d²`` apart and never share a floor.
-    Empty-vs-empty (``U = 0``) is similarity 1.  uint32 while the
+    ``rows`` index a scan of ``n`` (default: its last ``m`` of ``n =
+    m``).  Empty-vs-empty (``U = 0``) is similarity 1.  uint32 while the
     numerator ``I·d² ≤ d³`` and every key fit, else uint64.  The floor
     is a truncated float32 quotient while ``(d² + 1)(d + 1) < 2^24``
     (``d ≤ 255``), exactly: ``I·d²`` and ``U`` are exact in float32, and
     a non-integer quotient below ``m + 1 ≤ d² + 1`` lies ``≥ 1/U`` under
     it, more than its rounding error ``(m + 1)·2^-24``.  Integer
     division above the limit."""
-    n, scale = sizes.shape[0], d * d
+    m, scale = sizes.shape[0], d * d
+    n = m if n is None else n
     kd = _key_dtype(max(scale * d, (scale + 1) * n))
+    rows = np.arange(n - m, n, dtype=kd) if rows is None else rows.astype(kd)
     exact_f32 = (scale + 1) * (d + 1) < 2**24
     keys = np.multiply(inter, scale, dtype=np.float32 if exact_f32 else kd)
     # An empty row meets every query in I = 0, whose floor is 0 over any
@@ -709,10 +715,33 @@ def _jaccard_keys(
     (np.divide if exact_f32 else np.floor_divide)(keys, union, out=keys)
     keys = keys.astype(kd, copy=False)
     keys *= n
-    np.subtract(np.arange(scale * n, (scale + 1) * n, dtype=kd), keys, out=keys)
-    empty_rows = np.flatnonzero(sizes == 0)
-    keys[np.ix_(q_sizes == 0, empty_rows)] = empty_rows
+    np.subtract(rows + kd(scale * n), keys, out=keys)
+    if not q_sizes.all() and (empty := np.flatnonzero(sizes == 0)).size:
+        keys[np.ix_(q_sizes == 0, empty)] = rows[empty]
     return keys
+
+
+def _jaccard_carry(prior, k: int, inter, q_sizes, sizes, d: int):
+    """A carried block's key ranks, and the columns of a window's
+    intersections ``inter`` where a row can still enter it: one past the
+    k-th fraction ``I*/U*`` (``U* = rint(I*/sim*)``, exact), i.e. ``I·(U*
+    + I*) − I*·|a| > I*·|q|`` per pair, plus empty rows for an empty
+    query.  README "Jaccard keys" has the argument."""
+    inter_p, sims = prior.intersections, prior.similarities
+    unions = np.rint(
+        np.divide(inter_p, sims, out=np.ones(sims.shape), where=inter_p > 0)
+    ).astype(np.int64)
+    ranks = np.where(sims == 1, 0, d * d - d * d * inter_p // unions)
+    if prior.indices.shape[1] < k or (prior.indices[:, k - 1] < 0).any():
+        return ranks, np.arange(inter.shape[1])
+    i_k, u_k = inter_p[:, k - 1], unions[:, k - 1]
+    dt = np.min_scalar_type(-2 * d * d - 1)
+    lhs = np.multiply(inter, (u_k + i_k).astype(dt)[:, None], dtype=dt)
+    lhs -= np.multiply(i_k.astype(dt)[:, None], sizes.astype(dt), dtype=dt)
+    passes = (lhs > (i_k * q_sizes).astype(dt)[:, None]).any(axis=0)
+    if not q_sizes.all():
+        passes |= sizes == 0
+    return ranks, np.flatnonzero(passes)
 
 
 @dataclass
@@ -744,6 +773,7 @@ class JaccardTopkWorkload(Workload):
     )
     wire_fields = ("indices", "similarities", "intersections")
     result_type = JaccardWorkloadResult
+    carries = True
 
     def validate_params(self, params: dict, n: int, d: int) -> dict:
         k = int(params.get("k", 10))
@@ -756,19 +786,42 @@ class JaccardTopkWorkload(Workload):
             packed=words, sizes=popcount_u64(words).sum(axis=1), d=int(d)
         )
 
-    def execute(self, artifact, query_words: np.ndarray, params: dict):
+    def execute(
+        self, artifact, query_words: np.ndarray, params: dict,
+        prior=None, base: int = 0,
+    ):
         qp = _query_words(query_words)
-        k = min(int(params["k"]), artifact.n)
+        sizes, d, base = artifact.sizes, artifact.d, int(base)
+        n = base + artifact.n
+        k = min(int(params["k"]), n)
         inter = popcount_cdist(qp, artifact.packed, np.bitwise_and)
         q_sizes = popcount_u64(qp).sum(axis=1)
-        # Top-k by selection on one exact integer key per pair; float
-        # similarities exist only for the k kept.
-        keys = _jaccard_keys(inter, q_sizes, artifact.sizes, artifact.d)
-        ids = _select_smallest(keys, k, artifact.n)[1].astype(np.int64)
-        kept = np.take_along_axis(inter, ids, axis=1).astype(np.int64)
-        union = artifact.sizes[ids] + q_sizes[:, None] - kept
+        # Top-k by selection on one exact integer key per pair; a carried
+        # block makes this pass a threshold filter, keyed only where a
+        # row can still enter.
+        cols, rows = slice(None), None
+        if prior is not None:
+            ranks, cols = _jaccard_carry(prior, int(params["k"]), inter, q_sizes, sizes, d)
+            rows = cols + base
+        keys = _jaccard_keys(inter[:, cols], q_sizes, sizes[cols], d, n, rows)
+        ids = (
+            _select_smallest(keys, k, n) if prior is None
+            else _select_carried(keys, k, n, ranks, prior.indices)
+        )[1].astype(np.int64)
+        # Float similarities exist only for the k kept.
+        fresh = ids >= base
+        local = np.where(fresh, ids - base, 0)
+        at = np.arange(qp.shape[0])[:, None]
+        kept = inter[at, local].astype(np.int64)
+        union = sizes[local] + q_sizes[:, None] - kept
         sims = np.ones(ids.shape, dtype=np.float64)
         np.divide(kept, union, out=sims, where=union > 0)
+        if not fresh.all():
+            # The carried rows kept are a prefix of the carried block,
+            # which is in key order too.
+            held = np.maximum(np.cumsum(~fresh, axis=1) - 1, 0)
+            kept = np.where(fresh, kept, prior.intersections[at, held])
+            sims = np.where(fresh, sims, prior.similarities[at, held])
         partial = JaccardWorkloadResult(ids, sims, kept)
         # Counter accounting for the modeled board: one configuration,
         # the kNN sort-phase stream per query block, one report per
@@ -1218,7 +1271,6 @@ class WorkloadSearch(Batchable):
                     start=start,
                     end=end,
                     dataset_bits=self.dataset.slice_rows(start, end),
-                    boards=boards,
                     windows=windows,
                     workload=self.workload.name,
                     params=items,

@@ -19,8 +19,8 @@ mostly Python).  The worker body runs a window as one
 — a view of the store's where it holds them, else each board's words
 from the parent's cache (in-process workers), packed on a miss — and
 one ``execute``.  A task is one worker lane's run of a device shard's
-windows: functional kNN runs each later window as a threshold filter
-under the running k-th distances, any other workload merges its window
+windows: kNN and Jaccard run each later window as a threshold filter
+under the running k-th entries, any other workload merges its window
 partials once, at the task's end.
 Hand-built tasks are one board.
 
@@ -267,8 +267,8 @@ class PartitionTask:
     the window's own rows), or an ndarray in a hand-built task.
     ``workload`` names the registered :class:`~repro.core.workload.
     Workload` that executes it and ``params`` carries that workload's
-    resolved parameters.  Caching stays per board: ``boards`` lists each
-    board's ``(rows, cache_key)`` in row order, the keys being the
+    resolved parameters.  Caching stays per board: :meth:`board_list`
+    gives each board's ``(rows, cache_key)`` in row order, the keys being the
     engine's content-addressed board-image keys, which in-process
     workers (thread backend / serial execution) look up in the parent's
     cache.  The engine keys no board of a task bound for process
@@ -290,13 +290,13 @@ class PartitionTask:
     device: APDeviceSpec = GEN1
     k: int | None = None
     # A one-board task's cache key (hand-built tasks); engine-built
-    # tasks carry ``boards`` instead.
+    # tasks carry ``windows`` instead.
     cache_key: tuple | None = None
-    # Per-board ``(rows, cache_key)`` of the run, in row order; empty =
-    # one board of ``end - start`` rows under ``cache_key``.
+    # A hand-built task's per-board ``(rows, cache_key)``, in row order;
+    # empty = one board of ``end - start`` rows under ``cache_key``.
     boards: tuple = ()
     # ``(lo, hi, boards)`` per window, in row order, as the engine's plan
-    # cut them; empty = one window of them all.
+    # cut them; empty = one window of all of ``boards``.
     windows: tuple = ()
     # Which registered workload executes this task (repro.core.workload).
     workload: str = "knn"
@@ -305,7 +305,10 @@ class PartitionTask:
     params: tuple = ()
 
     def board_list(self) -> tuple:
-        """``boards``, with a one-board task spelled out."""
+        """Each board's ``(rows, cache_key)``, in row order: the windows'
+        boards, else ``boards``, with a one-board task spelled out."""
+        if self.windows:
+            return tuple(board for _, _, boards in self.windows for board in boards)
         return self.boards or ((self.end - self.start, self.cache_key),)
 
     def window_list(self) -> tuple:

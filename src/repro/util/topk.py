@@ -49,6 +49,16 @@ def _select_smallest(keys: np.ndarray, k: int, n: int, out=(None, None)):
     return np.divmod(keys, n, *out)
 
 
+def _select_carried(keys, k, n, prior_ranks, prior_idx, out=(None, None)):
+    """:func:`_select_smallest` over ``keys`` and a carried block re-keyed
+    ``rank * n + index``; a pad (index -1) wraps past every real key."""
+    keys = np.concatenate(
+        (np.where(prior_idx < 0, -1, prior_ranks * n + prior_idx), keys),
+        axis=1, dtype=keys.dtype, casting="unsafe",
+    )
+    return _select_smallest(keys, k, n, out)
+
+
 def hamming_topk(
     query_words: np.ndarray,
     words: np.ndarray,
@@ -113,9 +123,6 @@ def hamming_topk(
             bound = prior_dist[:, k - 1 : k].astype(acc)
         else:
             bound = np.full((n_q, 1), np.iinfo(acc).max, dtype=acc)
-        # Carried keys in this call's key space; a pad's -1 wraps to the
-        # maximum key, which sorts after every real one.
-        prior_keys = np.where(prior_idx < 0, -1, prior_dist * n + prior_idx)
     for lo in range(0, n_q, tile):
         hi = min(lo + tile, n_q)
         dist = _cdist_columns(query_words[lo:hi], columns, np.bitwise_xor)
@@ -123,6 +130,7 @@ def hamming_topk(
         if prior is None:
             keys = np.multiply(dist, n, dtype=key_dtype)
             keys += idx
+            _select_smallest(keys, k_eff, n, out)
         else:
             # Every column nearer some query of the tile than the
             # tile's loosest bound.
@@ -134,11 +142,9 @@ def hamming_topk(
             cand_keys = np.multiply(dist[:, cand], n, dtype=key_dtype)
             cand += base
             np.add(cand_keys, cand, out=cand_keys, casting="unsafe")
-            keys = np.concatenate(
-                (prior_keys[lo:hi], cand_keys), axis=1, dtype=key_dtype,
-                casting="unsafe",
+            _select_carried(
+                cand_keys, k_eff, n, prior_dist[lo:hi], prior_idx[lo:hi], out
             )
-        _select_smallest(keys, k_eff, n, out)
     return indices, distances
 
 

@@ -459,7 +459,7 @@ class TestWorkloadPasses:
             assert all(t.end <= hi for t in shard)
 
         def plan(tasks):
-            return [(t.start, t.end, t.boards, t.windows) for t in tasks]
+            return [(t.start, t.end, t.board_list(), t.windows) for t in tasks]
 
         for name, params in (("jaccard", {"k": 5}), ("range", {"radius": 20})):
             assert plan(tasks(name, params)[1]) == plan(knn_tasks), name

@@ -383,7 +383,7 @@ class TestBoardCaching:
             ),
         )
         tasks = eng._partition_tasks(boards_per_pass=3)
-        assert [len(t.boards) for t in tasks] == [6, 6]
+        assert [len(t.board_list()) for t in tasks] == [6, 6]
         assert [[len(b) for _, _, b in t.window_list()] for t in tasks] == [
             [3, 3], [3, 3]
         ]
@@ -391,13 +391,13 @@ class TestBoardCaching:
         # boards as one-window tasks of their own, merged per lane run.
         ref = []
         for task in tasks:
-            offsets = np.cumsum([0] + [rows for rows, _ in task.boards]).tolist()
+            offsets = np.cumsum([0] + [rows for rows, _ in task.board_list()]).tolist()
             one = [
                 replace(task, p_idx=i, start=task.start + a,
                         end=task.start + b, dataset_bits=task.dataset_bits[a:b],
                         boards=(board,), windows=())
                 for i, (board, a, b) in enumerate(
-                    zip(task.boards, offsets, offsets[1:])
+                    zip(task.board_list(), offsets, offsets[1:])
                 )
             ]
             runs = run_partitions(one, queries, cache=BoardImageCache()).results
@@ -412,7 +412,7 @@ class TestBoardCaching:
         cold = run_partitions(tasks, queries, config, cache)
         if backend == "process":
             assert digests == []
-            assert {key for t in tasks for _, key in t.boards} == {None}
+            assert {key for t in tasks for _, key in t.board_list()} == {None}
             warm = run_partitions(tasks, queries, config, cache)
             stats = cache.stats
             assert (len(cache), stats.hits, stats.misses, stats.evictions) == (
@@ -425,7 +425,7 @@ class TestBoardCaching:
             # a cache holding every other board of each task
             holey = BoardImageCache()
             for task in tasks:
-                for _, key in task.boards[::2]:
+                for _, key in task.board_list()[::2]:
                     holey.put(key, cache.get(key))
             partial = run_partitions(tasks, queries, config, holey)
             assert len(holey) == 12  # the six rebuilt boards are in
@@ -454,7 +454,7 @@ class TestBoardCaching:
         )
         assert eng.parallel.shares_memory
         tasks = eng._partition_tasks()
-        assert all(key is not None for t in tasks for _, key in t.boards)
+        assert all(key is not None for t in tasks for _, key in t.board_list())
         cold = eng.search(queries)
         warm = eng.search(queries)
         assert cold.counters.image_cache_hits == 0

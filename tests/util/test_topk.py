@@ -431,3 +431,141 @@ class TestCarriedHammingTopk:
         got = _carried(query_words, words, 200, d, list(range(0, n + 1, m)))
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def _jaccard_carried(rows, queries, k, cuts, pad=0):
+    """Jaccard's ``execute`` over the row windows between ``cuts``, each
+    call carrying the partial of the windows before it, padded ``pad``
+    slots wider with ``(-1, -1.0, -1)``; and one unbounded call over all
+    the rows."""
+    from repro.core.workload import get_workload
+
+    workload, d = get_workload("jaccard"), rows.shape[1]
+    query_words = pack_bits(queries)
+
+    def run(lo, hi, prior=None):
+        artifact = workload.compile_packed(pack_bits(rows[lo:hi]), d, {})
+        return workload.execute(
+            artifact, query_words, {"k": k}, prior=prior, base=lo
+        )[0]
+
+    prior = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        if prior is not None and pad:
+            prior = type(prior)(*(
+                np.pad(getattr(prior, f), ((0, 0), (0, pad)), constant_values=-1)
+                for f in workload.wire_fields
+            ))
+        prior = run(lo, hi, prior)
+    return prior, run(0, len(rows)), workload.wire_fields
+
+
+class TestCarriedJaccard:
+    """Jaccard's later windows answer as a threshold filter under each
+    query's carried k-th fraction: carrying the running partial through
+    ``prior=`` equals one unbounded call over the concatenated rows,
+    field for field and dtype for dtype."""
+
+    @staticmethod
+    def _assert_equal(got, want, fields, note):
+        for f in fields:
+            a, b = getattr(got, f), getattr(want, f)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (f, note)
+
+    @given(
+        # the int16 / int32 filter tiers meet at 127 | 128, the float32 /
+        # integer key tiers at 255 | 256
+        d=st.sampled_from([1, 33, 64, 104, 105, 127, 128, 255, 256, 300]),
+        n=st.integers(2, 40),
+        q=st.integers(1, 4),
+        k=st.integers(1, 48),  # often past the rows seen
+        pool=st.integers(1, 4),  # distinct rows: later rows tie the bound
+        density=st.sampled_from([0.1, 0.5, 0.9]),
+        empty_row=st.booleans(),
+        empty_query=st.booleans(),
+        pad=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+        inner=st.sets(st.integers(1, 39), max_size=4),  # window cuts
+    )
+    # an empty query's k-th row is at similarity 0: a later empty row
+    # (U = 0, similarity 1) still enters
+    @example(d=64, n=8, q=2, k=2, pool=3, density=0.5, empty_row=True,
+             empty_query=True, pad=0, seed=4, inner={5})
+    # a short block (k past the rows seen) bounds nothing, nor does a
+    # block whose k-th slot is a pad
+    @example(d=33, n=13, q=2, k=18, pool=4, density=0.5, empty_row=False,
+             empty_query=False, pad=0, seed=0, inner={5, 10})
+    @example(d=105, n=12, q=1, k=4, pool=1, density=0.5, empty_row=False,
+             empty_query=False, pad=2, seed=0, inner={2})
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_call_over_all_rows(
+        self, d, n, q, k, pool, density, empty_row, empty_query, pad, seed,
+        inner,
+    ):
+        rng = np.random.default_rng(seed)
+        patterns = (rng.random((pool, d)) < density).astype(np.uint8)
+        if empty_row:
+            patterns[-1] = 0
+        rows = patterns[rng.integers(0, pool, n)]
+        if empty_row:
+            rows[-1] = 0
+        queries = (rng.random((q, d)) < density).astype(np.uint8)
+        if empty_query:
+            queries[0] = 0
+        cuts = [0, *sorted(c for c in inner if c < n), n]
+        got, want, fields = _jaccard_carried(rows, queries, k, cuts, pad)
+        self._assert_equal(got, want, fields, cuts)
+
+    def test_matches_exact_fractions_over_random_windows(self):
+        """Against a ``Fraction`` brute force: (descending I/U, ascending
+        row), an empty query meeting an empty row at similarity 1."""
+        from fractions import Fraction
+
+        rng = np.random.default_rng(11)
+        for d in (1, 33, 64, 128, 256):
+            rows = (rng.random((30, d)) < rng.random((30, 1))).astype(np.uint8)
+            rows[[4, 17, 29]] = 0
+            rows[20:26] = rows[0]
+            queries = (rng.random((4, d)) < 0.5).astype(np.uint8)
+            queries[0] = 0
+            inter = queries.astype(int) @ rows.T.astype(int)
+            union = queries.sum(1)[:, None] + rows.sum(1) - inter
+            for k in (1, 3, 8, 30):
+                got, _, _ = _jaccard_carried(rows, queries, k, [0, 7, 15, 21, 30])
+                for i in range(len(queries)):
+                    sims = [Fraction(int(a), int(b)) if b else Fraction(1)
+                            for a, b in zip(inter[i], union[i])]
+                    order = sorted(range(30), key=lambda r: (-sims[r], r))[:k]
+                    assert got.indices[i].tolist() == order, (d, k, i)
+                    assert got.intersections[i].tolist() == inter[i, order].tolist()
+                    assert got.similarities[i].tolist() == [float(sims[r]) for r in order]
+
+    @pytest.mark.parametrize("d,inter,union", [(105, 11, 15), (300, 7, 10)])
+    def test_carried_fractions_are_exact_where_floats_round_down(
+        self, d, inter, union
+    ):
+        """``d²·I/U`` is an integer but ``d²`` times the float ``I/U``
+        lands just below it: the carried row must keep its exact key and
+        stay ahead of its later copy."""
+        query = np.zeros((1, d), dtype=np.uint8)
+        query[0, :union] = 1
+        rows = np.zeros((3, d), dtype=np.uint8)
+        rows[0, :inter] = 1  # I/U, carried
+        rows[1, :1] = 1  # 1/U, the carried k-th
+        rows[2] = rows[0]  # I/U again, later
+        got, want, fields = _jaccard_carried(rows, query, 2, [0, 2, 3])
+        self._assert_equal(got, want, fields, d)
+        assert got.indices.tolist() == [[0, 2]]
+
+    def test_rows_at_the_bound_lose_the_tie(self):
+        """Every later row repeats an earlier one: each sits exactly at
+        its query's carried k-th fraction, and none may displace it."""
+        rng = np.random.default_rng(3)
+        rows = np.tile((rng.random((6, 70)) < 0.5).astype(np.uint8), (4, 1))
+        queries = (rng.random((3, 70)) < 0.5).astype(np.uint8)
+        for k in (1, 4, 6, 7, 24, 30):
+            got, want, fields = _jaccard_carried(rows, queries, k, [0, 6, 12, 18, 24])
+            self._assert_equal(got, want, fields, k)
+            # a copy is kept only behind its original
+            for kept in got.indices.tolist():
+                assert all(i < 6 or i - 6 in kept for i in kept), k
