@@ -8,11 +8,8 @@ AP-as-pre-filter pattern attractive.
 import numpy as np
 import pytest
 
-from repro.core.jaccard import (
-    JaccardAPSearch,
-    JaccardThresholdFilter,
-    jaccard_similarity_matrix,
-)
+from repro.core.jaccard import JaccardThresholdFilter, jaccard_similarity_matrix
+from repro.core.workload import WorkloadSearch
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +25,7 @@ def corpus():
 
 def test_jaccard_topk(benchmark, report, corpus):
     data, queries = corpus
-    search = JaccardAPSearch(data, k=5)
+    search = WorkloadSearch(data, "jaccard", {"k": 5})
     res = benchmark(search.search, queries)
     sims = jaccard_similarity_matrix(queries, data)
     exact_top1 = sims.argmax(axis=1)

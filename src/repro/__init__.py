@@ -43,8 +43,9 @@ board partitions across four worker processes (results bit-identical
 to sequential execution), and ``cache=True`` (or a shared
 :class:`repro.ap.compiler.BoardImageCache`) reuses each board's packed
 words across repeated searches and overlapping shards.  The
-cycle-accurate simulator is the oracle
-:func:`repro.core.engine.simulate_knn`.
+cycle-accurate simulator is the oracle every built-in workload is held
+to: :func:`repro.core.engine.simulate_workload` (``simulate_knn`` for
+kNN).
 """
 
 from .core.engine import APSimilaritySearch, KnnResult

@@ -15,9 +15,8 @@ from .dataset import (
 from .engine import APSimilaritySearch, KnnResult
 from .index_automata import IndexGatedSearch
 from .multiboard import MultiBoardSearch, balanced_shard_bounds
-from .range_search import HammingRangeSearch, RangeSearchResult
 from .functional import FunctionalKnnBoard
-from .jaccard import JaccardAPSearch, JaccardResult, JaccardThresholdFilter
+from .jaccard import JaccardThresholdFilter
 from .macros import (
     MacroConfig,
     MacroHandles,
@@ -45,11 +44,7 @@ __all__ = [
     "MultiBoardSearch",
     "balanced_shard_bounds",
     "IndexGatedSearch",
-    "HammingRangeSearch",
-    "RangeSearchResult",
     "FunctionalKnnBoard",
-    "JaccardAPSearch",
-    "JaccardResult",
     "JaccardThresholdFilter",
     "MacroConfig",
     "MacroHandles",

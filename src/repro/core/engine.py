@@ -10,12 +10,14 @@ the one pipeline of :class:`~repro.core.workload.WorkloadSearch`, with
 kNN as its registered ``"knn"`` workload.  This module holds what is
 kNN-specific beside it:
 
-* the per-partition passes — :func:`run_partition_simulated`
-  (cycle-accurate) and :func:`run_partition_functional_topk` (exact
-  fast model) — and the one :func:`decode_partition_topk` both feed;
-* :func:`simulate_knn`, the reference oracle: the same board cut run
-  through the cycle-accurate simulator, which the functional engine
-  must equal bit for bit, counters included;
+* the functional report stream :func:`run_partition_functional_topk`
+  and its decode, :func:`~repro.core.stream.decode_partition_topk`
+  (re-exported here), which the simulated kNN boards feed too;
+* :func:`simulate_workload`, the reference oracle: the same board cut
+  run through the cycle-accurate simulator, which the functional engine
+  must equal bit for bit, counters included, for every workload that
+  declares the simulator hooks (:func:`simulate_knn` is its kNN
+  spelling);
 * :class:`APSimilaritySearch`, the library's headline API: a named
   constructor configuring the pipeline for kNN (``parallel=`` worker
   fan-out and ``cache=`` board caching included).
@@ -33,11 +35,10 @@ from ..ap.compiler import BoardImageCache
 from ..ap.device import APDeviceSpec, GEN1
 from ..ap.runtime import APRuntime, RuntimeCounters
 from ..host.parallel import ParallelConfig
-from ..util.topk import merge_topk_blocks
 from .dataset import PackedDataset
 from .functional import FunctionalKnnBoard
-from .macros import MacroConfig, build_knn_network
-from .stream import StreamLayout, decode_report_offsets, encode_query_batch
+from .macros import MacroConfig
+from .stream import StreamLayout, decode_partition_topk, encode_query_blocks
 from .workload import (
     KnnWorkloadResult,
     WorkloadRunResult,
@@ -48,6 +49,7 @@ from .workload import (
     functional_pass_counters,
     get_workload,
     normalize_queries,
+    refuse_unknown_params,
 )
 
 __all__ = [
@@ -59,8 +61,8 @@ __all__ = [
     "decode_partition_topk",
     "functional_pass_counters",
     "run_partition_functional_topk",
-    "run_partition_simulated",
     "simulate_knn",
+    "simulate_workload",
 ]
 
 
@@ -69,30 +71,6 @@ __all__ = [
 # Both back-ends produce partition-LOCAL report codes (position-
 # independent, required for content-addressed image caching); the
 # offset-aware merge re-bases them to global dataset indices.
-
-
-def run_partition_simulated(
-    image,
-    queries: np.ndarray,
-    layout: StreamLayout,
-    device: APDeviceSpec = GEN1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, RuntimeCounters]:
-    """One compiled board image through the cycle-accurate back-end.
-
-    Returns ``(q_idx, codes, cycles, counters)`` with this pass's
-    counter delta.
-    """
-    runtime = APRuntime(device)
-    runtime.configure(image)
-    reports = runtime.stream(encode_query_batch(queries, layout))
-    # Explicit dtypes: an empty report list must still yield int64
-    # arrays (a bare np.array([]) is float64 and would poison the
-    # decoder's integer index math downstream).
-    n_rep = len(reports)
-    cycles = np.fromiter((r.cycle for r in reports), dtype=np.int64, count=n_rep)
-    codes = np.fromiter((r.code for r in reports), dtype=np.int64, count=n_rep)
-    q_idx = cycles // layout.block_length
-    return q_idx, codes, cycles, runtime.counters
 
 
 def build_functional_board(
@@ -127,56 +105,56 @@ def run_partition_functional_topk(
     return q_idx, codes, cycles2d.ravel(), counters
 
 
-def decode_partition_topk(
-    q_idx: np.ndarray,
-    codes: np.ndarray,
-    cycles: np.ndarray,
-    n_q: int,
-    k: int,
-    layout: StreamLayout,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Keep the earliest ``k`` reports per query: they ARE the top-k.
+def simulate_workload(
+    name: str,
+    dataset_bits,
+    queries_bits,
+    params: dict,
+    *,
+    board_capacity: int | None = None,
+    device: APDeviceSpec = GEN1,
+) -> tuple[object, RuntimeCounters]:
+    """The cycle-accurate oracle: ``(value, counters)`` of a search of
+    the registered workload ``name`` run cycle by cycle, board by board.
 
-    Reports arrive ordered by activation time; the temporal sort means
-    earlier activation = smaller distance, and simultaneous activations
-    are consumed in state-ID (= dataset index) order, matching the
-    library-wide tie-break.  One decode serves both back-ends, so the
-    candidate blocks they merge are bit-identical by construction.
-
-    Fully vectorized: one lexsort over the report batch, a cumsum-based
-    gather of each query's first ``k`` rows, and one
-    :func:`~repro.core.stream.decode_report_offsets` call — no
-    per-report (or per-query) Python.  Returns ``(indices, distances)``
-    as ``(n_q, k)`` int64 arrays padded with
-    ``PAD_INDEX``/``PAD_DISTANCE`` where a query produced fewer than
-    ``k`` reports, or ``None`` for an empty batch.
+    Boards are cut as the engine cuts them (``board_capacity`` rows,
+    the workload's ``default_capacity`` when ``None``).  Each board's
+    automata (the workload's ``network`` hook) are compiled into an
+    image, configured in an :class:`~repro.ap.runtime.APRuntime` and
+    streamed the query blocks they read
+    (:func:`~repro.core.stream.encode_query_blocks`); the workload's
+    ``decode`` hook turns the reports into a partial, and its own
+    ``merge`` joins the boards.  The engine — every store, backend and
+    topology of it — must equal this bit for bit, every
+    :class:`~repro.ap.runtime.RuntimeCounters` field included.  A
+    workload without the hooks raises ``NotImplementedError``.  The
+    simulator's SciPy loads on the first call, never on a served path.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.shape[0] == 0:
-        return None
-    q_idx = np.asarray(q_idx, dtype=np.int64)
-    cycles = np.asarray(cycles, dtype=np.int64)
-    order = np.lexsort((codes, cycles, q_idx))
-    q_sorted = q_idx[order]
-    starts = np.searchsorted(q_sorted, np.arange(n_q), side="left")
-    ends = np.searchsorted(q_sorted, np.arange(n_q), side="right")
-    take = np.minimum(ends - starts, k)
-    total = int(take.sum())
-    if total == 0:
-        return None
-    # Flat positions of each query's first `take[qi]` sorted rows:
-    # a per-query arange built from one cumsum, no Python loop.
-    col = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(take) - take, take
-    )
-    sel = order[np.repeat(starts, take) + col]
-    rows = np.repeat(np.arange(n_q, dtype=np.int64), take)
-    _, _, dists = decode_report_offsets(cycles[sel], layout)
-    idx_block = np.full((n_q, k), PAD_INDEX, dtype=np.int64)
-    dist_block = np.full((n_q, k), PAD_DISTANCE, dtype=np.int64)
-    idx_block[rows, col] = codes[sel]
-    dist_block[rows, col] = dists
-    return idx_block, dist_block
+    workload = get_workload(name)
+    dataset = PackedDataset.ensure(dataset_bits)
+    n, d = dataset.shape
+    workload.validate_dataset(n, d)
+    queries_bits = normalize_queries(queries_bits, d)
+    resolved = workload.validate_params({"device": device, **params}, n, d)
+    refuse_unknown_params(name, params, resolved)
+    params = resolved
+    if board_capacity is None:
+        board_capacity = workload.default_capacity(d, params)
+    if board_capacity < 1:
+        raise ValueError("board_capacity must be >= 1")
+    runtime = APRuntime(device)
+    partials, offsets = [], range(0, n, board_capacity)
+    for start in offsets:
+        rows = dataset.rows(start, min(start + board_capacity, n))
+        network, block_length = workload.network(rows, params)
+        runtime.configure(runtime.build_image(network))
+        reports = runtime.stream(encode_query_blocks(queries_bits, block_length))
+        # Explicit dtypes: an empty report list must still decode as
+        # int64 (a bare np.array([]) is float64).
+        cycles = np.fromiter((r.cycle for r in reports), np.int64, len(reports))
+        codes = np.fromiter((r.code for r in reports), np.int64, len(reports))
+        partials.append(workload.decode(cycles, codes, rows, queries_bits, params))
+    return workload.merge(partials, list(offsets), params), runtime.counters
 
 
 def simulate_knn(
@@ -188,56 +166,13 @@ def simulate_knn(
     macro_config: MacroConfig = MacroConfig(),
     device: APDeviceSpec = GEN1,
 ) -> tuple[np.ndarray, np.ndarray, RuntimeCounters]:
-    """The cycle-accurate oracle: ``(indices, distances, counters)`` of
-    a kNN search run cycle by cycle, board by board.
-
-    Boards are cut as the engine cuts them (``board_capacity`` rows,
-    the kNN workload's compiler-derived default when ``None``).  Each is
-    built as an automata network (:func:`~repro.core.macros.
-    build_knn_network`), compiled into a board image, streamed the
-    encoded query batch (:func:`run_partition_simulated`) and decoded
-    (:func:`decode_partition_topk`); one offset-aware
-    :func:`~repro.util.topk.merge_topk_blocks` joins the boards.  ``k``
-    is clipped to ``n``.  The functional engine — every store, backend
-    and topology of it — must equal this bit for bit, every
-    :class:`~repro.ap.runtime.RuntimeCounters` field included.  The
-    simulator's SciPy loads on the first call, never on a functional
-    path.
-    """
-    dataset = PackedDataset.ensure(dataset_bits)
-    n, d = dataset.shape
-    queries_bits = normalize_queries(queries_bits, d)
-    workload = get_workload("knn")
-    params = workload.validate_params(
-        {"k": k, "macro_config": macro_config, "device": device}, n, d
+    """:func:`simulate_workload` of kNN as ``(indices, distances,
+    counters)``; ``k`` is clipped to ``n``."""
+    value, counters = simulate_workload(
+        "knn", dataset_bits, queries_bits, {"k": k, "macro_config": macro_config},
+        board_capacity=board_capacity, device=device,
     )
-    k = params["k"]
-    if board_capacity is None:
-        board_capacity = workload.default_capacity(d, params)
-    if board_capacity < 1:
-        raise ValueError("board_capacity must be >= 1")
-    layout = _knn_layout(d, macro_config)
-    runtime = APRuntime(device)
-    n_q = queries_bits.shape[0]
-    empty = workload.empty(n_q, params)
-    counters = RuntimeCounters()
-    blocks, offsets = [], range(0, n, board_capacity)
-    for start in offsets:
-        network, _ = build_knn_network(
-            dataset.rows(start, min(start + board_capacity, n)),
-            config=macro_config, name="partition", report_code_base=0,
-        )
-        q_idx, codes, cycles, delta = run_partition_simulated(
-            runtime.build_image(network), queries_bits, layout, device
-        )
-        counters.merge(delta)
-        block = decode_partition_topk(q_idx, codes, cycles, n_q, k, layout)
-        blocks.append((empty.indices, empty.distances) if block is None else block)
-    indices, distances = merge_topk_blocks(
-        blocks, k, offsets=list(offsets),
-        pad_index=PAD_INDEX, pad_distance=PAD_DISTANCE,
-    )
-    return indices, distances, counters
+    return value.indices, value.distances, counters
 
 
 def KnnResult(

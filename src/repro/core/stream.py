@@ -38,8 +38,10 @@ __all__ = [
     "StreamLayout",
     "encode_query",
     "encode_query_batch",
+    "encode_query_blocks",
     "decode_report_offset",
     "decode_report_offsets",
+    "decode_partition_topk",
 ]
 
 
@@ -96,14 +98,24 @@ def encode_query(bits: np.ndarray, layout: StreamLayout) -> np.ndarray:
     bits = np.asarray(bits).ravel()
     if bits.shape[0] != layout.d:
         raise ValueError(f"query has {bits.shape[0]} dims, layout expects {layout.d}")
-    if not is_binary(bits):
+    return encode_query_blocks(bits, layout.block_length)
+
+
+def encode_query_blocks(queries: np.ndarray, block_length: int) -> np.ndarray:
+    """Concatenate 0/1 queries as back-to-back blocks of ``block_length``
+    symbols: ``SOF``, the query bits, ``PAD`` up to the ``EOF`` that
+    closes the block.  The kNN block is :attr:`StreamLayout.block_length`
+    long; a design without a sort phase (range search's threshold
+    macros) streams a shorter one."""
+    queries = np.asarray(queries)
+    if queries.ndim == 1:
+        queries = queries[None, :]
+    if not is_binary(queries):
         raise ValueError("query bits must be 0/1")
-    block = np.empty(layout.block_length, dtype=np.uint8)
-    block[0] = SOF
-    block[1 : 1 + layout.d] = bits
-    block[1 + layout.d : -1] = PAD
-    block[-1] = EOF
-    return block
+    out = np.full((queries.shape[0], block_length), PAD, dtype=np.uint8)
+    out[:, 0], out[:, -1] = SOF, EOF
+    out[:, 1 : 1 + queries.shape[1]] = queries
+    return out.ravel()
 
 
 def encode_query_batch(queries: np.ndarray, layout: StreamLayout) -> np.ndarray:
@@ -115,15 +127,11 @@ def encode_query_batch(queries: np.ndarray, layout: StreamLayout) -> np.ndarray:
     queries = np.asarray(queries)
     if queries.ndim == 1:
         queries = queries[None, :]
-    q, d = queries.shape
-    if d != layout.d:
-        raise ValueError(f"queries have {d} dims, layout expects {layout.d}")
-    out = np.empty(q * layout.block_length, dtype=np.uint8)
-    for i in range(q):
-        out[i * layout.block_length : (i + 1) * layout.block_length] = encode_query(
-            queries[i], layout
+    if queries.shape[1] != layout.d:
+        raise ValueError(
+            f"queries have {queries.shape[1]} dims, layout expects {layout.d}"
         )
-    return out
+    return encode_query_blocks(queries, layout.block_length)
 
 
 def decode_report_offset(
@@ -195,3 +203,54 @@ def decode_report_offsets(
         )
     m = (2 * layout.d + layout.collector_depth + 2) - local
     return blocks, m, layout.d - m
+
+
+def decode_partition_topk(
+    q_idx: np.ndarray,
+    codes: np.ndarray,
+    cycles: np.ndarray,
+    n_q: int,
+    k: int,
+    layout: StreamLayout,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Keep the earliest ``k`` reports per query: they ARE the top-k.
+
+    Reports arrive ordered by activation time; the temporal sort means
+    earlier activation = smaller distance, and simultaneous activations
+    are consumed in state-ID (= dataset index) order, matching the
+    library-wide tie-break.  One decode serves both back-ends, so the
+    candidate blocks they merge are bit-identical by construction.
+
+    Fully vectorized: one lexsort over the report batch, a cumsum-based
+    gather of each query's first ``k`` rows, and one
+    :func:`decode_report_offsets` call — no per-report (or per-query)
+    Python.  Returns ``(indices, distances)`` as ``(n_q, k)`` int64
+    arrays padded with ``-1`` (the engine's pads) where a query produced
+    fewer than ``k`` reports, or ``None`` for an empty batch.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.shape[0] == 0:
+        return None
+    q_idx = np.asarray(q_idx, dtype=np.int64)
+    cycles = np.asarray(cycles, dtype=np.int64)
+    order = np.lexsort((codes, cycles, q_idx))
+    q_sorted = q_idx[order]
+    starts = np.searchsorted(q_sorted, np.arange(n_q), side="left")
+    ends = np.searchsorted(q_sorted, np.arange(n_q), side="right")
+    take = np.minimum(ends - starts, k)
+    total = int(take.sum())
+    if total == 0:
+        return None
+    # Flat positions of each query's first `take[qi]` sorted rows:
+    # a per-query arange built from one cumsum, no Python loop.
+    col = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(take) - take, take
+    )
+    sel = order[np.repeat(starts, take) + col]
+    rows = np.repeat(np.arange(n_q, dtype=np.int64), take)
+    _, _, dists = decode_report_offsets(cycles[sel], layout)
+    idx_block = np.full((n_q, k), -1, dtype=np.int64)
+    dist_block = np.full((n_q, k), -1, dtype=np.int64)
+    idx_block[rows, col] = codes[sel]
+    dist_block[rows, col] = dists
+    return idx_block, dist_block

@@ -53,7 +53,10 @@ ordinary registered workload; :class:`~repro.core.engine.
 APSimilaritySearch` and :class:`~repro.core.multiboard.MultiBoardSearch`
 are named constructors over this class.  The cycle-accurate simulator
 is not a pass kind: it is the oracle :func:`~repro.core.engine.
-simulate_knn`, which the functional engine equals bit for bit.
+simulate_workload`, which the functional engine equals bit for bit for
+every workload that declares the two optional hooks ``network`` (a
+board's automata) and ``decode`` (its reports as a partial), as the
+three built-ins do.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ from itertools import accumulate, pairwise
 from ..ap.compiler import APCompiler, BoardImageCache
 from ..ap.device import GEN1, APDeviceSpec
 from ..ap.runtime import REPORT_RECORD_BITS, RuntimeCounters
+from ..automata.network import AutomataNetwork
+from ..automata.symbols import SymbolSet
 from ..host.batching import Batchable
 from ..host.parallel import (
     ParallelConfig,
@@ -87,8 +92,13 @@ from ..util.topk import (
 )
 from .dataset import PackedDataset
 from .functional import FunctionalKnnBoard
-from .macros import MacroConfig, build_knn_network, collector_tree_depth
-from .stream import StreamLayout
+from .macros import (
+    MacroConfig,
+    build_knn_network,
+    build_vector_macro,
+    collector_tree_depth,
+)
+from .stream import StreamLayout, decode_partition_topk, decode_report_offsets
 
 __all__ = [
     "Workload",
@@ -305,6 +315,27 @@ class Workload(ABC):
         """The result of merging nothing: ``n_q`` all-pad rows (the
         degraded remote path where every shard failed)."""
 
+    # -- the cycle-accurate oracle's hooks (optional) ----------------------
+    # A workload that defines both gets the link to the simulator
+    # (repro.core.engine.simulate_workload); one that defines neither is
+    # served all the same.
+
+    def network(self, rows: np.ndarray, params: dict) -> tuple[AutomataNetwork, int]:
+        """One board's automata over its ``(m, d)`` 0/1 ``rows`` (report
+        code ``i`` for row ``i``) and the length of the query block they
+        read (:func:`~repro.core.stream.encode_query_blocks`)."""
+        raise NotImplementedError(f"workload {self.name!r} declares no automata")
+
+    def decode(self, cycles, codes, rows, queries, params: dict):
+        """The board's partial, as :meth:`execute` returns it, from the
+        reports of its :meth:`network` streamed ``queries``: their
+        ``cycles`` and ``codes``, int64, in stream order.  ``rows`` and
+        ``queries`` give what the host knows beside the reports (set
+        sizes, the exact distance of a row that reported); the answer
+        must come from the reports, never from :meth:`execute` or its
+        kernel, or the oracle would check the workload against itself."""
+        raise NotImplementedError(f"workload {self.name!r} declares no decoder")
+
     # -- host-layer hooks (generic defaults) ------------------------------
 
     def split(self, result, lo: int, hi: int):
@@ -518,8 +549,9 @@ class HammingKnnWorkload(Workload):
     functional model of the board (the earliest ``k`` reports per query
     ARE the top-k, so a pass is one :func:`~repro.util.topk.
     hamming_topk`), under which macro configuration and device, with one
-    counter accounting.  Its cycle-accurate twin is the oracle
-    :func:`~repro.core.engine.simulate_knn`.
+    counter accounting.  Its automata are :func:`~repro.core.macros.
+    build_knn_network`'s, and the earliest ``k`` of their reports decode
+    to the same block (:func:`~repro.core.stream.decode_partition_topk`).
     """
 
     name = "knn"
@@ -579,6 +611,19 @@ class HammingKnnWorkload(Workload):
             query_words.shape[0], artifact.n, artifact.layout
         )
         return KnnWorkloadResult(*block), counters
+
+    def network(self, rows: np.ndarray, params: dict):
+        config = params["macro_config"]
+        network, _ = build_knn_network(rows, config=config, name="partition")
+        return network, _knn_layout(rows.shape[1], config).block_length
+
+    def decode(self, cycles, codes, rows, queries, params: dict):
+        layout = _knn_layout(rows.shape[1], params["macro_config"])
+        n_q = queries.shape[0]
+        block = decode_partition_topk(
+            cycles // layout.block_length, codes, cycles, n_q, params["k"], layout
+        )
+        return self.empty(n_q, params) if block is None else KnnWorkloadResult(*block)
 
     def merge(self, partials: list, offsets, params: dict):
         blocks = [
@@ -744,6 +789,24 @@ def _jaccard_carry(prior, k: int, inter, q_sizes, sizes, d: int):
     return ranks, np.flatnonzero(passes)
 
 
+_ONE = SymbolSet.single(1)
+
+
+def _intersection_network(
+    name: str, dataset: np.ndarray, threshold: int, sort: bool, config: MacroConfig
+) -> AutomataNetwork:
+    """One vector macro per row whose match states sit only on the row's
+    1-bits and match 1: its counter counts ``|A ∩ B|``."""
+    net = AutomataNetwork(name)
+    for v, row in enumerate(dataset):
+        build_vector_macro(
+            net, row, v, f"v{v}_", config,
+            symbols=[_ONE if bit else None for bit in row],
+            threshold=threshold, sort=sort,
+        )
+    return net
+
+
 @dataclass
 class JaccardWorkloadResult:
     """(q, k) Jaccard top-k: descending similarity, ties by ascending
@@ -756,10 +819,14 @@ class JaccardWorkloadResult:
 
 
 class JaccardTopkWorkload(Workload):
-    """Top-k Jaccard via intersection temporal sort + host re-rank.
+    """Top-k Jaccard via intersection temporal sort + host re-rank
+    (Section II-C).
 
-    Functional model of :class:`~repro.core.jaccard.JaccardAPSearch`:
-    similarities are per-vector quantities (independent of
+    The automata are kNN's temporal sort with match states only on each
+    row's 1-bits (:func:`_intersection_network`), so a row reports at
+    the offset of its intersection ``|A ∩ B|``; the host knows ``|A|``
+    offline and ``|B|`` from the query, and re-ranks by exact ``I/U``.
+    Similarities are per-vector quantities (independent of
     partitioning), so partition-local top-k blocks merge into exactly
     the single-engine answer under the (descending similarity,
     ascending index) total order.  A pass selects on one exact integer
@@ -836,6 +903,27 @@ class JaccardTopkWorkload(Workload):
         counters.report_payload_bits += n_q * artifact.n * REPORT_RECORD_BITS
         return partial, counters
 
+    def network(self, rows: np.ndarray, params: dict):
+        d = rows.shape[1]
+        network = _intersection_network("partition", rows, d, True, MacroConfig())
+        return network, _knn_layout(d, MacroConfig()).block_length
+
+    def decode(self, cycles, codes, rows, queries, params: dict):
+        (n_q, d), n = queries.shape, rows.shape[0]
+        # A row's report offset is its intersection with the query.
+        q_idx, reported, _ = decode_report_offsets(cycles, _knn_layout(d, MacroConfig()))
+        inter = np.zeros((n_q, n), dtype=np.min_scalar_type(d))
+        inter[q_idx, codes] = reported
+        sizes = rows.sum(axis=1, dtype=np.int64)
+        q_sizes = queries.sum(axis=1, dtype=np.int64)
+        keys = _jaccard_keys(inter, q_sizes, sizes, d)
+        ids = _select_smallest(keys, min(int(params["k"]), n), n)[1].astype(np.int64)
+        kept = np.take_along_axis(inter, ids, axis=1).astype(np.int64)
+        union = sizes[ids] + q_sizes[:, None] - kept
+        sims = np.ones(ids.shape, dtype=np.float64)
+        np.divide(kept, union, out=sims, where=union > 0)
+        return JaccardWorkloadResult(ids, sims, kept)
+
     def merge(self, partials: list, offsets, params: dict):
         k = int(params["k"])
         idx_parts, sim_parts, int_parts = [], [], []
@@ -906,23 +994,20 @@ class RangeWorkloadResult:
     distances: np.ndarray  # (q, M) int64, pad -1
     counts: np.ndarray  # (q,) int64 valid hits per row
 
-    def to_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The :class:`~repro.core.range_search.RangeSearchResult`
-        view: per-query candidate/distance arrays without pads."""
-        return (
-            [row[:c] for row, c in zip(self.indices, self.counts)],
-            [row[:c] for row, c in zip(self.distances, self.counts)],
-        )
-
 
 class HammingRangeWorkload(Workload):
     """Report every vector within Hamming distance ``radius``.
 
-    Functional model of :class:`~repro.core.range_search.
-    HammingRangeSearch`'s threshold automata.  Results are ragged —
-    per-query hit counts vary — so the merge is
-    :func:`~repro.util.topk.merge_ragged_blocks`: union of the shards'
-    hits, ascending by global index, pads never offset.
+    kNN's sibling primitive, and more automata-native: each row is a
+    :func:`~repro.core.macros.build_vector_macro` with ``threshold = d −
+    r`` and ``sort=False``, which reports iff at least ``d − r``
+    dimensions match, i.e. iff its distance is at most ``r``.  The
+    stream drops the sort phase (:func:`_range_block_length`), a report
+    offset says when the ``(d − r)``-th match arrived rather than the
+    distance, and only the rows in range report — the AP as a
+    similarity filter.  Results are ragged — per-query hit counts vary —
+    so the merge is :func:`~repro.util.topk.merge_ragged_blocks`: union
+    of the shards' hits, ascending by global index, pads never offset.
     """
 
     name = "range"
@@ -975,6 +1060,31 @@ class HammingRangeWorkload(Workload):
         counters.reports_received += flat.shape[0]
         counters.report_payload_bits += flat.shape[0] * REPORT_RECORD_BITS
         return partial, counters
+
+    def network(self, rows: np.ndarray, params: dict):
+        d = rows.shape[1]
+        network = AutomataNetwork("partition")
+        for v, row in enumerate(rows):
+            build_vector_macro(
+                network, row, v, f"v{v}_",
+                threshold=d - int(params["radius"]), sort=False,
+            )
+        return network, _range_block_length(d, MacroConfig())
+
+    def decode(self, cycles, codes, rows, queries, params: dict):
+        # The rows that reported are the hits, grouped by query in
+        # ascending row order; the host re-reads their exact distances.
+        q_idx = cycles // _range_block_length(rows.shape[1], MacroConfig())
+        order = np.lexsort((codes, q_idx))
+        q_idx, codes = q_idx[order], codes[order]
+        n_q = queries.shape[0]
+        counts = np.bincount(q_idx, minlength=n_q)
+        col = np.arange(codes.shape[0]) - (np.cumsum(counts) - counts)[q_idx]
+        indices = np.full((n_q, counts.max(initial=0)), _PAD_INDEX, dtype=np.int64)
+        distances = np.full(indices.shape, _PAD_DISTANCE, dtype=np.int64)
+        indices[q_idx, col] = codes
+        distances[q_idx, col] = np.count_nonzero(queries[q_idx] != rows[codes], axis=1)
+        return RangeWorkloadResult(indices, distances, counts)
 
     def merge(self, partials: list, offsets, params: dict):
         indices, distances, counts = merge_ragged_blocks(

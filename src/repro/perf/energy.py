@@ -14,7 +14,6 @@ __all__ = [
     "energy_joules",
     "queries_per_joule",
     "lithography_scale_factor",
-    "utilization_scaled_power",
 ]
 
 
@@ -44,23 +43,3 @@ def lithography_scale_factor(from_nm: float, to_nm: float) -> float:
         raise ValueError("process nodes must be positive")
     return (from_nm / to_nm) ** 2
 
-
-def utilization_scaled_power(
-    utilization: float,
-    idle_w: float = 14.98,
-    per_utilization_w: float = 9.15,
-) -> float:
-    """AP dynamic power as a linear function of board utilization.
-
-    Dynamic power tracks switching activity, which tracks how much of
-    the board holds active automata.  The defaults are the line through
-    the two powers implied by the paper's Table III energies:
-    kNN-WordEmbed (41.7 % utilization -> 18.8 W) and kNN-SIFT (90.9 % ->
-    23.3 W); kNN-TagSpace (78.6 %) then predicts 22.2 W against the
-    implied 23.3 W — a 5 % residual.  This is the first-principles
-    companion to the per-dimensionality power table in
-    :class:`repro.perf.models.APModel`.
-    """
-    if not 0.0 <= utilization <= 1.0:
-        raise ValueError("utilization must be in [0, 1]")
-    return idle_w + per_utilization_w * utilization

@@ -6,9 +6,13 @@ import pytest
 import repro.core.engine as engine_mod
 import repro.core.workload as workload_mod
 from repro.ap.device import GEN1, GEN2
-from repro.ap.runtime import APRuntime
-from repro.core.engine import PAD_DISTANCE, PAD_INDEX, APSimilaritySearch, simulate_knn
-from repro.core.macros import build_knn_network
+from repro.core.engine import (
+    PAD_DISTANCE,
+    PAD_INDEX,
+    APSimilaritySearch,
+    simulate_knn,
+    simulate_workload,
+)
 
 
 class TestEngineCorrectness:
@@ -116,27 +120,19 @@ class TestEmptyReportDtypes:
     """Regression: an empty report list must still decode as integers.
 
     np.array([]) is float64; the historical dtype-less q_idx/codes
-    construction in run_partition_simulated therefore produced float
-    arrays for empty batches, poisoning downstream integer index math.
+    construction of the simulated pass therefore produced float arrays
+    for empty batches, poisoning downstream integer index math.
     """
 
     def test_simulated_partition_empty_queries_int64(self):
-        from repro.core.engine import run_partition_simulated
-        from repro.core.macros import collector_tree_depth
-        from repro.core.stream import StreamLayout
-
         data = np.zeros((3, 4), dtype=np.uint8)
         queries = np.zeros((0, 4), dtype=np.uint8)  # no queries -> no reports
-        layout = StreamLayout(4, collector_tree_depth(4, 16))
-        network, _ = build_knn_network(data, report_code_base=0)
-        image = APRuntime(GEN1).build_image(network)
-        q_idx, codes, cycles, _ = run_partition_simulated(
-            image, queries, layout, GEN1
-        )
-        assert q_idx.shape == codes.shape == cycles.shape == (0,)
-        assert q_idx.dtype == np.int64
-        assert codes.dtype == np.int64
-        assert cycles.dtype == np.int64
+        for name, params in (("knn", {"k": 2}), ("jaccard", {"k": 2}),
+                             ("range", {"radius": 1})):
+            value, counters = simulate_workload(name, data, queries, params)
+            assert value.indices.shape[0] == 0, name
+            assert value.indices.dtype == np.int64, name
+            assert counters.reports_received == 0, name
 
     def test_engine_search_with_zero_queries(self):
         data = np.zeros((5, 4), dtype=np.uint8)

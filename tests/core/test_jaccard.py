@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.simulator import CompiledSimulator
-from repro.core.jaccard import (
-    JaccardAPSearch,
-    JaccardThresholdFilter,
-    jaccard_similarity_matrix,
-)
-from repro.core.stream import encode_query_batch
+from repro.core.jaccard import JaccardThresholdFilter, jaccard_similarity_matrix
+from repro.core.macros import MacroConfig, collector_tree_depth
+from repro.core.stream import StreamLayout, encode_query_batch, encode_query_blocks
+from repro.core.workload import WorkloadSearch, get_workload
+
+JACCARD = get_workload("jaccard")
+
+
+def _layout(d):
+    """The kNN query block both Jaccard designs read."""
+    return StreamLayout(d, collector_tree_depth(d, MacroConfig().max_fan_in))
 
 
 def brute_jaccard(queries, dataset):
@@ -43,12 +48,14 @@ class TestSimilarityMatrix:
 
 
 class TestTopKSearch:
+    """The ``jaccard`` workload on the engine, and its intersection
+    automata through the simulator hooks."""
+
     def test_functional_topk(self):
         rng = np.random.default_rng(1)
         data = rng.integers(0, 2, (30, 20), dtype=np.uint8)
         queries = rng.integers(0, 2, (6, 20), dtype=np.uint8)
-        search = JaccardAPSearch(data, k=4)
-        res = search.search(queries)
+        res = WorkloadSearch(data, "jaccard", {"k": 4}).search(queries).value
         sims, inter = brute_jaccard(queries, data)
         for qi in range(6):
             order = np.lexsort((np.arange(30), -sims[qi]))[:4]
@@ -60,16 +67,16 @@ class TestTopKSearch:
         rng = np.random.default_rng(2)
         data = rng.integers(0, 2, (8, 12), dtype=np.uint8)
         queries = rng.integers(0, 2, (3, 12), dtype=np.uint8)
-        search = JaccardAPSearch(data, k=3)
-        net = search.build_network()
+        net, block_length = JACCARD.network(data, {"k": 3})
         net.validate()
-        res = CompiledSimulator(net).run(encode_query_batch(queries, search.layout))
+        res = CompiledSimulator(net).run(encode_query_blocks(queries, block_length))
         _, inter = brute_jaccard(queries, data)
-        B = search.layout.block_length
+        layout = _layout(12)
+        assert layout.block_length == block_length
         seen = 0
         for r in res.reports:
-            qi, local = divmod(r.cycle, B)
-            m = search.layout.inverted_hamming(local)
+            qi, local = divmod(r.cycle, block_length)
+            m = layout.inverted_hamming(local)
             assert m == inter[qi, r.code]
             seen += 1
         assert seen == 3 * 8
@@ -77,28 +84,27 @@ class TestTopKSearch:
     def test_empty_set_vector_supported_in_sort_mode(self):
         data = np.zeros((2, 6), dtype=np.uint8)
         data[1, 0] = 1
-        search = JaccardAPSearch(data, k=2)
-        net = search.build_network()
+        net, block_length = JACCARD.network(data, {"k": 2})
         net.validate()
         q = np.ones((1, 6), dtype=np.uint8)
-        res = CompiledSimulator(net).run(encode_query_batch(q, search.layout))
+        res = CompiledSimulator(net).run(encode_query_blocks(q, block_length))
         assert len(res.reports) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            JaccardAPSearch(np.zeros((0, 4), dtype=np.uint8), k=1)
+            WorkloadSearch(np.zeros((0, 4), dtype=np.uint8), "jaccard", {"k": 1})
         with pytest.raises(ValueError):
-            JaccardAPSearch(np.full((2, 4), 2, dtype=np.uint8), k=1)
-        s = JaccardAPSearch(np.ones((2, 4), dtype=np.uint8), k=1)
+            WorkloadSearch(np.full((2, 4), 2, dtype=np.uint8), "jaccard", {"k": 1})
+        engine = WorkloadSearch(np.ones((2, 4), dtype=np.uint8), "jaccard", {"k": 1})
         with pytest.raises(ValueError):
-            s.search(np.ones((1, 5), dtype=np.uint8))
+            engine.search(np.ones((1, 5), dtype=np.uint8))
 
     def test_non_bit_values_rejected_before_narrowing(self, non_binary):
         bits = np.ones((2, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match="binary"):
-            JaccardAPSearch(non_binary(bits), k=1)
-        with pytest.raises(ValueError, match="0 and 1"):
-            JaccardAPSearch(bits, k=1).search(non_binary(bits))
+            WorkloadSearch(non_binary(bits), "jaccard", {"k": 1})
+        with pytest.raises(ValueError, match="binary"):
+            WorkloadSearch(bits, "jaccard", {"k": 1}).search(non_binary(bits))
         with pytest.raises(ValueError, match="0 and 1"):
             jaccard_similarity_matrix(non_binary(bits), bits)
         with pytest.raises(ValueError, match="0 and 1"):
@@ -109,7 +115,7 @@ class TestTopKSearch:
         with pytest.raises(ValueError, match="0 and 1"):
             filt.candidates(non_binary(bits))
         with pytest.raises(ValueError, match="0/1"):
-            filt.stream_for(non_binary(bits))
+            encode_query_batch(non_binary(bits), _layout(4))
 
 
 class TestThresholdFilter:
@@ -138,7 +144,7 @@ class TestThresholdFilter:
         filt = JaccardThresholdFilter(data, tau=3)
         net = filt.build_network()
         net.validate()
-        stream = filt.stream_for(queries)
+        stream = encode_query_batch(queries, _layout(12))
         block = stream.shape[0] // 3
         res = CompiledSimulator(net).run(stream)
         got = {}
@@ -154,7 +160,8 @@ class TestThresholdFilter:
         filt = JaccardThresholdFilter(data, tau=5)
         q = np.ones((1, 8), dtype=np.uint8)
         assert all(c.size == 0 for c in filt.candidates(q))
-        res = CompiledSimulator(filt.build_network()).run(filt.stream_for(q))
+        stream = encode_query_batch(q, _layout(8))
+        res = CompiledSimulator(filt.build_network()).run(stream)
         assert res.reports == []
 
     def test_reduction_factor(self):

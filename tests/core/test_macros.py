@@ -9,7 +9,7 @@ from repro.ap.extensions import build_counter_increment_macro
 from repro.automata.network import AutomataNetwork
 from repro.automata.simulator import CompiledSimulator, simulate
 from repro.core.index_automata import IndexGatedSearch
-from repro.core.jaccard import JaccardAPSearch, JaccardThresholdFilter
+from repro.core.jaccard import JaccardThresholdFilter
 from repro.core.macros import (
     MacroConfig,
     build_knn_network,
@@ -19,9 +19,9 @@ from repro.core.macros import (
 )
 from repro.core.multiplexing import build_multiplexed_network
 from repro.core.packing import build_packed_network
-from repro.core.range_search import HammingRangeSearch
 from repro.core.reduction import build_reduced_network
 from repro.core.stream import StreamLayout, decode_report_offset, encode_query
+from repro.core.workload import _intersection_network, get_workload
 
 
 class TestCollectorTree:
@@ -147,6 +147,17 @@ def _pinned_data(d: int, fan_in: int) -> np.ndarray:
     return data
 
 
+def _range_network(data: np.ndarray, config: MacroConfig):
+    """The ``range`` workload's threshold macros, radius ``d // 3``, at
+    any geometry (its hook builds them at the default one)."""
+    d = data.shape[1]
+    net = AutomataNetwork("range")
+    for v in range(data.shape[0]):
+        build_vector_macro(net, data[v], v, f"v{v}_", config,
+                           threshold=d - d // 3, sort=False)
+    return net
+
+
 def _counter_increment_network(data: np.ndarray, _config: MacroConfig):
     """Collector-free macros: the geometry's fan-in has no effect."""
     net = AutomataNetwork("ci")
@@ -157,11 +168,11 @@ def _counter_increment_network(data: np.ndarray, _config: MacroConfig):
 
 _PINNED_BUILDERS = {
     "knn": lambda x, c: build_knn_network(x, c)[0],
-    "jaccard-topk": lambda x, c: JaccardAPSearch(x, 3, c).build_network(),
+    "jaccard-topk": lambda x, c: _intersection_network(
+        "jaccard-topk", x, x.shape[1], True, c),
     "jaccard-filter": lambda x, c: JaccardThresholdFilter(
         x, x.shape[1] // 4, c).build_network(),
-    "range": lambda x, c: HammingRangeSearch(
-        x, x.shape[1] // 3, c).build_network(),
+    "range": _range_network,
     "multiplexed": lambda x, c: build_multiplexed_network(x, 3, c)[0],
     "packed": lambda x, c: build_packed_network(x, 4, c)[0],
     "reduced": lambda x, c: build_reduced_network(x, 2, 4, c)[0],
@@ -204,6 +215,20 @@ _PINNED_STATS = {
 }
 
 
+# The designs a workload's simulator hook builds, at the default geometry.
+_HOOKS = {
+    "knn": ("knn", lambda d: {"k": 3, "macro_config": MacroConfig()}),
+    "jaccard-topk": ("jaccard", lambda d: {"k": 3}),
+    "range": ("range", lambda d: {"radius": d // 3}),
+}
+
+
+def _stats(net) -> tuple:
+    s = net.stats()
+    return (s.n_stes, s.n_counters, s.n_booleans, s.n_edges,
+            s.n_reporting, s.n_start, s.max_fan_in, s.max_fan_out)
+
+
 class TestPinnedNetworks:
     @pytest.mark.parametrize(
         "key", list(_PINNED_STATS), ids=lambda k: f"{k[0]}-d{k[1]}-f{k[2]}"
@@ -213,10 +238,13 @@ class TestPinnedNetworks:
         net = _PINNED_BUILDERS[name](
             _pinned_data(d, fan_in), MacroConfig(max_fan_in=fan_in)
         )
-        s = net.stats()
-        got = (s.n_stes, s.n_counters, s.n_booleans, s.n_edges,
-               s.n_reporting, s.n_start, s.max_fan_in, s.max_fan_out)
-        assert got == _PINNED_STATS[key]
+        assert _stats(net) == _PINNED_STATS[key]
+        if fan_in == MacroConfig().max_fan_in and name in _HOOKS:
+            workload, params = _HOOKS[name]
+            hooked, _ = get_workload(workload).network(
+                _pinned_data(d, fan_in), params(d)
+            )
+            assert _stats(hooked) == _PINNED_STATS[key]
 
     def test_counter_max_increment_reaches_every_counter(self):
         """``MacroConfig.counter_max_increment`` is carried onto the

@@ -611,17 +611,12 @@ class TestWorkloadPasses:
     def test_symbols_streamed_count_the_simulated_stream(self, name):
         """A served search prices exactly the stream its automata are
         simulated on: boards x queries x that stream's block length."""
-        from repro.core.jaccard import JaccardAPSearch
-        from repro.core.range_search import HammingRangeSearch
-        from repro.core.stream import encode_query_batch
+        from repro.core.stream import encode_query_blocks
 
         data, queries = _data(n=40, d=16, n_queries=3)
-        if name == "jaccard":
-            params = {"k": 4}
-            stream = encode_query_batch(queries, JaccardAPSearch(data, 4).layout)
-        else:
-            params = {"radius": 5}
-            stream = HammingRangeSearch(data, 5).encode_queries(queries)
+        params = {"k": 4} if name == "jaccard" else {"radius": 5}
+        _, block_length = get_workload(name).network(data, params)
+        stream = encode_query_blocks(queries, block_length)
         for capacity, boards in ((40, 1), (16, 3)):
             result = WorkloadSearch(
                 data, name, params, board_capacity=capacity

@@ -8,8 +8,9 @@ beyond ``n``, and 157 rows of 130 bits over 4 devices or shards — so
 each (shape, store) pays one rack.  Then one cell per axis value runs
 generated shapes, seeded (``derandomize=True``) so a failure
 reproduces, plus one shape for each width the fixed shapes leave out.
-Last, the cycle-accurate oracle (``simulate_knn``) equals the engine on
-shapes small enough to simulate.
+Last, the cycle-accurate oracle (``simulate_workload``) equals the
+engine on shapes small enough to simulate, for every workload that
+declares the simulator hooks: all three built-ins.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 
-from repro.core.engine import simulate_knn
+from repro.core.engine import simulate_workload
 from repro.core.workload import WorkloadSearch
 from tests import oracle
 from tests.oracle import (
@@ -116,25 +117,34 @@ def test_every_axis_value_runs_in_the_matrix_and_the_sweep():
 # -- the cycle-accurate oracle ------------------------------------------------
 
 
+def test_every_built_in_declares_the_simulator_hooks():
+    assert oracle.SIMULATED == ("knn", "jaccard", "range")
+
+
+@pytest.mark.parametrize("workload", oracle.SIMULATED)
 @GENERATED
 @_examples(SIM_EXAMPLES)
 @given(shape=oracle.tiny_shapes)
-def test_generated_simulated_shapes(shape):
-    """The simulator's answer is the engine's, bit for bit: indices,
-    distances and every ``RuntimeCounters`` field, and both are the
-    brute-force scan's.  Every cell above equals this engine, so every
-    cell equals the simulator."""
+def test_generated_simulated_shapes(workload, shape):
+    """The simulator's answer is the engine's, bit for bit: every value
+    array (tie-breaks included) and every ``RuntimeCounters`` field, and
+    both are the brute-force scan's.  Every cell above equals this
+    engine, so every cell equals the simulator."""
+    spec = oracle.WORKLOADS[workload]
     rows, queries = shape.arrays()
     rows = rows[slice(*shape.window)]
-    indices, distances, counters = simulate_knn(
-        rows, queries, shape.k, board_capacity=shape.cap
+    params = spec.params(shape)
+    value, counters = simulate_workload(
+        spec.name, rows, queries, params, board_capacity=shape.cap
     )
-    engine = WorkloadSearch(rows, "knn", {"k": shape.k}, board_capacity=shape.cap)
-    result = engine.search(queries)
-    truth = oracle._knn_truth(rows, queries, shape)
-    for answer in ((indices, distances), (result.indices, result.distances)):
-        assert np.array_equal(answer[0], truth["indices"])
-        assert np.array_equal(answer[1], truth["distances"])
+    result = WorkloadSearch(rows, spec.name, params, board_capacity=shape.cap).search(
+        queries
+    )
+    truth = spec.truth(rows, queries, shape)
+    for answer in (value, result.value):
+        for name, want in truth.items():
+            got = getattr(answer, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert counters == result.counters
 
 

@@ -61,11 +61,10 @@ class TestOptimizerOnEveryDesign:
     @pytest.mark.parametrize("builder", ["knn", "packed", "range", "jaccard"])
     def test_optimize_preserves_all_core_designs(self, builder, rng):
         from repro.automata.optimize import optimize
-        from repro.core.jaccard import JaccardAPSearch
         from repro.core.macros import build_knn_network
         from repro.core.packing import build_packed_network
-        from repro.core.range_search import HammingRangeSearch
-        from repro.core.stream import StreamLayout, encode_query_batch
+        from repro.core.stream import StreamLayout, encode_query_batch, encode_query_blocks
+        from repro.core.workload import get_workload
 
         data = rng.integers(0, 2, (8, 10), dtype=np.uint8)
         queries = rng.integers(0, 2, (2, 10), dtype=np.uint8)
@@ -75,14 +74,10 @@ class TestOptimizerOnEveryDesign:
         elif builder == "packed":
             net, _ = build_packed_network(data, group_size=4)
             stream = encode_query_batch(queries, StreamLayout(10, 1))
-        elif builder == "range":
-            rs = HammingRangeSearch(data, radius=3)
-            net = rs.build_network()
-            stream = rs.encode_queries(queries)
         else:
-            js = JaccardAPSearch(data, k=3)
-            net = js.build_network()
-            stream = encode_query_batch(queries, js.layout)
+            params = {"radius": 3} if builder == "range" else {"k": 3}
+            net, block_length = get_workload(builder).network(data, params)
+            stream = encode_query_blocks(queries, block_length)
         opt, stats = optimize(net)
         r1 = sorted((r.cycle, r.code) for r in CompiledSimulator(net).run(stream).reports)
         r2 = sorted((r.cycle, r.code) for r in CompiledSimulator(opt).run(stream).reports)

@@ -5,8 +5,9 @@ the pytest process say nothing about a server's): the serving path —
 library engine or a ``ShardServer`` answering over loopback — must
 finish without ``scipy`` or ``networkx`` imported and within a stated
 memory budget over the interpreter + NumPy floor, while the
-cycle-accurate oracle (``simulate_knn``) imports ``scipy.sparse``
-exactly when it builds its first simulator.
+cycle-accurate oracle (``simulate_workload``, for kNN, Jaccard and
+range alike) imports ``scipy.sparse`` exactly when it builds its first
+simulator.
 """
 
 import json
@@ -75,13 +76,18 @@ peak = peak_rss_mb()
 out["growth_mb"] = None if floor is None else peak - floor
 
 if mode == "simulate":
-    from repro.core.engine import simulate_knn
+    from repro.core.engine import simulate_knn, simulate_workload
+    from repro.core.workload import WorkloadSearch
 
     indices, distances, _ = simulate_knn(data[:64], queries, 3, board_capacity=64)
     out["scipy_sparse_loaded"] = "scipy.sparse" in sys.modules
-    out["same_answers"] = bool(
-        (indices == value.indices).all() and (distances == value.distances).all()
-    )
+    same = (indices == value.indices).all() and (distances == value.distances).all()
+    for name, params in (("jaccard", {"k": 3}), ("range", {"radius": 28})):
+        simulated, _ = simulate_workload(name, data[:64], queries, params)
+        served = WorkloadSearch(data[:64], name, params).search(queries).value
+        same &= all(np.array_equal(getattr(simulated, f), served_field)
+                    for f, served_field in vars(served).items())
+    out["same_answers"] = bool(same)
     out["heavy_after_simulate"] = heavy()
 
 out["indices"] = np.asarray(value.indices).tolist()

@@ -4,9 +4,10 @@ The paper's kNN answer is exact by construction (§III, §III-C): the
 earliest k reports of the counter temporal sort *are* the top-k, ties
 resolve in report-code order, and the host merges partial results
 across board reconfigurations.  The cycle-accurate simulator
-(``repro.core.engine.simulate_knn``) must equal the functional engine
-bit for bit — ``tests/integration/test_bit_identity.py`` checks it on
-simulator-sized shapes — and every way this repo runs a search —
+(``repro.core.engine.simulate_workload``) must equal the functional
+engine bit for bit for every workload that declares its hooks —
+``tests/integration/test_bit_identity.py`` checks it on simulator-sized
+shapes — and every way this repo runs a search —
 whatever holds the rows, runs the boards, or sits in front of the
 engine, with or without a compile cache — must answer bit for bit what
 one serial pass over an in-memory array answers, count the same events
@@ -135,7 +136,8 @@ class Shape:
     ``radius`` are workload parameters.  ``tied`` lays the rows out in
     runs of ``RUN`` that straddle board boundaries, each run at one
     distance from the query that owns it, so the k-th place falls
-    inside a tie between boards."""
+    inside a tie between boards.  ``empty`` zeroes the window's first
+    row and the first query (Jaccard's empty-vs-empty pair)."""
 
     n: int
     d: int
@@ -147,6 +149,7 @@ class Shape:
     cut: tuple
     tied: bool
     seed: int
+    empty: bool = False
 
     @property
     def window(self) -> tuple[int, int]:
@@ -154,6 +157,12 @@ class Shape:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(store rows, queries)``."""
+        rows, queries = self._arrays()
+        if self.empty:
+            rows[self.cut[0]] = queries[0] = 0
+        return rows, queries
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
         total = self.n + sum(self.cut)
         if not self.tied:
@@ -210,7 +219,10 @@ EXAMPLES = (TIED, WIDE_K, LARGE)
 # The simulator runs these: k beyond n, and a tie across boards.
 TINY_TIED = Shape(n=14, d=33, cap=4, k=3, radius=2, n_q=2, devices=2, cut=(2, 1),
                   tied=True, seed=7)
-SIM_EXAMPLES = (WIDE_K, TINY_TIED)
+# An empty row meets an empty query, and range reaches radius d - 1.
+EMPTY = Shape(n=11, d=33, cap=4, k=3, radius=32, n_q=2, devices=2, cut=(1, 2),
+              tied=False, seed=9, empty=True)
+SIM_EXAMPLES = (WIDE_K, TINY_TIED, EMPTY)
 # The widths no example above has, tied, over 5 devices or shards.
 WIDTH_EXAMPLES = tuple(
     dataclasses.replace(LARGE, d=d, radius=d // 2 - 2, devices=5, tied=True, seed=d)
@@ -270,6 +282,19 @@ WORKLOADS = {
     "range": WorkloadSpec("range", lambda s: {"radius": s.radius}, _range_truth),
     "toy": WorkloadSpec(PopcountNearest.name, lambda s: {}, _toy_truth),
 }
+
+
+def declares_hooks(spec: WorkloadSpec) -> bool:
+    """Does ``spec``'s workload define the simulator hooks (``network``
+    and ``decode``), which link it to the cycle-accurate oracle?"""
+    workload = (
+        PopcountNearest if spec.name == PopcountNearest.name
+        else type(workload_mod.get_workload(spec.name))
+    )
+    return Workload.network is not workload.network and Workload.decode is not workload.decode
+
+
+SIMULATED = tuple(name for name, spec in WORKLOADS.items() if declares_hooks(spec))
 
 
 # -- cells ------------------------------------------------------------------
