@@ -707,6 +707,12 @@ def _knn_layout(d: int, macro_config: MacroConfig) -> StreamLayout:
     return StreamLayout(d, collector_tree_depth(d, macro_config.max_fan_in))
 
 
+def _macro_config(params: dict) -> MacroConfig:
+    """The deployment's macro configuration, as every built-in reads it:
+    the default where a direct caller passes bare request params."""
+    return params.get("macro_config", _KNN_DEFAULTS["macro_config"])
+
+
 def _range_block_length(d: int, macro_config: MacroConfig) -> int:
     """Symbols per range query block: SOF + d bits + (L + 2) flush pads
     + EOF (threshold macros have no sort phase)."""
@@ -846,7 +852,7 @@ class JaccardTopkWorkload(Workload):
         k = int(params.get("k", 10))
         if k < 1:
             raise ValueError("k must be >= 1")
-        return {"k": min(k, n)}
+        return {"k": min(k, n), "macro_config": _macro_config(params)}
 
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         return JaccardBoardArtifact(
@@ -897,21 +903,23 @@ class JaccardTopkWorkload(Workload):
         n_q = qp.shape[0]
         counters.configurations += 1
         counters.symbols_streamed += (
-            n_q * _knn_layout(artifact.d, MacroConfig()).block_length
+            n_q * _knn_layout(artifact.d, _macro_config(params)).block_length
         )
         counters.reports_received += n_q * artifact.n
         counters.report_payload_bits += n_q * artifact.n * REPORT_RECORD_BITS
         return partial, counters
 
     def network(self, rows: np.ndarray, params: dict):
-        d = rows.shape[1]
-        network = _intersection_network("partition", rows, d, True, MacroConfig())
-        return network, _knn_layout(d, MacroConfig()).block_length
+        d, config = rows.shape[1], _macro_config(params)
+        network = _intersection_network("partition", rows, d, True, config)
+        return network, _knn_layout(d, config).block_length
 
     def decode(self, cycles, codes, rows, queries, params: dict):
         (n_q, d), n = queries.shape, rows.shape[0]
         # A row's report offset is its intersection with the query.
-        q_idx, reported, _ = decode_report_offsets(cycles, _knn_layout(d, MacroConfig()))
+        q_idx, reported, _ = decode_report_offsets(
+            cycles, _knn_layout(d, _macro_config(params))
+        )
         inter = np.zeros((n_q, n), dtype=np.min_scalar_type(d))
         inter[q_idx, codes] = reported
         sizes = rows.sum(axis=1, dtype=np.int64)
@@ -995,6 +1003,18 @@ class RangeWorkloadResult:
     counts: np.ndarray  # (q,) int64 valid hits per row
 
 
+def _ragged_hits(n_q: int, q_idx, rows, distances) -> RangeWorkloadResult:
+    """The padded ``(q, M)`` block of hit pairs ``(q_idx, rows)`` grouped
+    by query, each query's hits in the order given (ascending row)."""
+    counts = np.bincount(q_idx, minlength=n_q)
+    col = np.arange(q_idx.shape[0]) - (np.cumsum(counts) - counts)[q_idx]
+    indices = np.full((n_q, int(counts.max(initial=0))), _PAD_INDEX, dtype=np.int64)
+    block = np.full(indices.shape, _PAD_DISTANCE, dtype=np.int64)
+    indices[q_idx, col] = rows
+    block[q_idx, col] = distances
+    return RangeWorkloadResult(indices, block, counts)
+
+
 class HammingRangeWorkload(Workload):
     """Report every vector within Hamming distance ``radius``.
 
@@ -1024,7 +1044,7 @@ class HammingRangeWorkload(Workload):
         radius = int(params["radius"])
         if not 0 <= radius < d:
             raise ValueError(f"radius must be in [0, {d}), got {radius}")
-        return {"radius": radius}
+        return {"radius": radius, "macro_config": _macro_config(params)}
 
     def compile_packed(self, words: np.ndarray, d: int, params: dict):
         return RangeBoardArtifact(packed=words, d=int(d), n=int(words.shape[0]))
@@ -1040,14 +1060,7 @@ class HammingRangeWorkload(Workload):
         # emit under simultaneous-activation state-ID resolution.
         flat = np.flatnonzero(dist <= radius)
         rows, cols = np.divmod(flat, artifact.n)
-        counts = np.bincount(rows, minlength=n_q)
-        out_col = np.arange(flat.shape[0]) - (np.cumsum(counts) - counts)[rows]
-        width = int(counts.max(initial=0))
-        indices = np.full((n_q, width), _PAD_INDEX, dtype=np.int64)
-        distances = np.full((n_q, width), _PAD_DISTANCE, dtype=np.int64)
-        indices[rows, out_col] = cols
-        distances[rows, out_col] = dist.ravel()[flat]
-        partial = RangeWorkloadResult(indices, distances, counts)
+        partial = _ragged_hits(n_q, rows, cols, dist.ravel()[flat])
 
         # Counter accounting: one configuration; the shorter range
         # stream (no sort phase: SOF + d bits + flush + EOF); only
@@ -1055,36 +1068,32 @@ class HammingRangeWorkload(Workload):
         counters = RuntimeCounters()
         counters.configurations += 1
         counters.symbols_streamed += n_q * _range_block_length(
-            artifact.d, MacroConfig()
+            artifact.d, _macro_config(params)
         )
         counters.reports_received += flat.shape[0]
         counters.report_payload_bits += flat.shape[0] * REPORT_RECORD_BITS
         return partial, counters
 
     def network(self, rows: np.ndarray, params: dict):
-        d = rows.shape[1]
+        d, config = rows.shape[1], _macro_config(params)
         network = AutomataNetwork("partition")
         for v, row in enumerate(rows):
             build_vector_macro(
-                network, row, v, f"v{v}_",
+                network, row, v, f"v{v}_", config,
                 threshold=d - int(params["radius"]), sort=False,
             )
-        return network, _range_block_length(d, MacroConfig())
+        return network, _range_block_length(d, config)
 
     def decode(self, cycles, codes, rows, queries, params: dict):
         # The rows that reported are the hits, grouped by query in
         # ascending row order; the host re-reads their exact distances.
-        q_idx = cycles // _range_block_length(rows.shape[1], MacroConfig())
+        q_idx = cycles // _range_block_length(rows.shape[1], _macro_config(params))
         order = np.lexsort((codes, q_idx))
         q_idx, codes = q_idx[order], codes[order]
-        n_q = queries.shape[0]
-        counts = np.bincount(q_idx, minlength=n_q)
-        col = np.arange(codes.shape[0]) - (np.cumsum(counts) - counts)[q_idx]
-        indices = np.full((n_q, counts.max(initial=0)), _PAD_INDEX, dtype=np.int64)
-        distances = np.full(indices.shape, _PAD_DISTANCE, dtype=np.int64)
-        indices[q_idx, col] = codes
-        distances[q_idx, col] = np.count_nonzero(queries[q_idx] != rows[codes], axis=1)
-        return RangeWorkloadResult(indices, distances, counts)
+        return _ragged_hits(
+            queries.shape[0], q_idx, codes,
+            np.count_nonzero(queries[q_idx] != rows[codes], axis=1),
+        )
 
     def merge(self, partials: list, offsets, params: dict):
         indices, distances, counts = merge_ragged_blocks(

@@ -18,12 +18,17 @@ Each byte moves once, in the narrowest exact dtype: :func:`pack_bits`
 goes bits -> bytes -> words with no widened staging copy, and the
 all-pairs kernel :func:`popcount_cdist` accumulates one word column at
 a time into a ``uint8``/``uint16``/``uint32`` ``(q, n)`` array —
-``O(q n w)`` word ops.  Rows wider than one word are read through one
-private ``(w, n)`` column-order copy of the dataset per call, so every
-column streams contiguously instead of at a stride of ``8 w`` bytes;
-one-word rows are read in place.  Row-major ``(n, w)`` stays the only
-layout anything stores.  Popcounts are the hardware
-``np.bitwise_count`` ufunc (NumPy >= 2.0, the declared floor).
+``O(q n w)`` word ops.  One-word rows are read in place, in tiles of
+:data:`_CDIST_QUERY_TILE` queries (a smaller batch is one tile): each
+tile's ``op`` lands in one reused word buffer of at most ``(tile, n)``,
+small enough to stay in L2 at a host pass's row count, and its
+popcount goes straight into the result.
+Rows wider than one word are read through one private ``(w, n)``
+column-order copy of the dataset per call, so every column streams
+contiguously instead of at a stride of ``8 w`` bytes.  Row-major
+``(n, w)`` stays the only layout anything stores.  Popcounts are the
+hardware ``np.bitwise_count`` ufunc, written in place through its
+``out=`` (NumPy >= 2.0, the declared floor).
 """
 
 from __future__ import annotations
@@ -36,15 +41,16 @@ __all__ = [
     "unpack_bits",
     "popcount_u64",
     "popcount_cdist",
-    "hamming_distance_unpacked",
     "hamming_cdist_packed",
     "default_cdist_tile",
-    "random_binary_vectors",
 ]
 
 # Peak-memory budget for the auto-tiled cdist kernel: one tile's
 # (tile_q, n) intermediates stay within roughly this many bytes.
 _CDIST_TILE_BYTES = 32 * 2**20
+# Queries per tile of the one-word kernel: a tile's word buffer stays
+# in L2 at a pass's row count (README "Host passes" has the sweep).
+_CDIST_QUERY_TILE = 4
 
 
 def is_binary(arr) -> bool:
@@ -126,15 +132,6 @@ def popcount_u64(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).astype(np.int64)
 
 
-def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming distance between unpacked 0/1 arrays."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.count_nonzero(a != b, axis=-1)
-
-
 def _acc_dtype(n_words: int) -> type:
     """Narrowest unsigned dtype that holds a popcount over ``n_words``
     words: ``uint8`` to 255 bits, ``uint16`` to 65 535, else ``uint32``."""
@@ -163,19 +160,30 @@ def _cdist_columns(
     queries: np.ndarray, columns: np.ndarray, op
 ) -> np.ndarray:
     """:func:`popcount_cdist` over :func:`_word_columns`' ``(w, n)``
-    columns.  Columns after the first reuse one ``(q, n)`` word buffer
-    and one popcount buffer."""
+    columns.  One-word rows run in tiles of :data:`_CDIST_QUERY_TILE`
+    queries (a batch of fewer is one tile) through one reused
+    ``(min(q, tile), n)`` word buffer, each tile's popcount written
+    straight into the ``uint8`` result.  Wider rows reuse one
+    ``(q, n)`` word buffer and one popcount buffer for the columns
+    after the first."""
     q, (w, n) = queries.shape[0], columns.shape
     dtype = _acc_dtype(w)
     if w == 0:
         return np.zeros((q, n), dtype=dtype)
+    if w == 1:
+        acc = np.empty((q, n), dtype=dtype)
+        words = np.empty((min(q, _CDIST_QUERY_TILE), n), dtype=np.uint64)
+        for lo in range(0, q, _CDIST_QUERY_TILE):
+            hi = min(lo + _CDIST_QUERY_TILE, q)
+            op(queries[lo:hi, 0, None], columns[0], out=words[: hi - lo])
+            np.bitwise_count(words[: hi - lo], out=acc[lo:hi])
+        return acc
     words = op(queries[:, 0, None], columns[0])
     acc = np.bitwise_count(words).astype(dtype, copy=False)
-    if w > 1:
-        counts = np.empty((q, n), dtype=np.uint8)
-        for j in range(1, w):
-            op(queries[:, j, None], columns[j], out=words)
-            acc += np.bitwise_count(words, out=counts)
+    counts = np.empty((q, n), dtype=np.uint8)
+    for j in range(1, w):
+        op(queries[:, j, None], columns[j], out=words)
+        acc += np.bitwise_count(words, out=counts)
     return acc
 
 
@@ -194,11 +202,15 @@ def popcount_cdist(
     the word counts differ.  Read-only, non-contiguous and memory-mapped
     inputs are fine.
 
-    Memory contract: one-word rows are read in place; wider rows cost
-    one ``(w, n)`` column-order copy of ``dataset`` (``n * w * 8``
-    bytes) per call, so each column is read contiguously.  Not tiled:
-    beside the result it holds a ``(q, n)`` word buffer and its
-    popcount; callers bound ``q`` (:func:`default_cdist_tile`).
+    Memory contract: one-word rows are read in place, and beside the
+    ``uint8`` result the call holds one ``(min(q, tile), n)`` word
+    buffer, ``tile`` = :data:`_CDIST_QUERY_TILE` queries, reused by
+    every tile.  Wider rows cost one ``(w, n)`` column-order copy of
+    ``dataset`` (``n * w * 8`` bytes) per call, so each column is read
+    contiguously, and are not tiled: beside the result they hold a
+    ``(q, n)`` word buffer and its popcount, so callers bound ``q``
+    (:func:`default_cdist_tile`).  Every tile size answers the same,
+    value and dtype.
     """
     return _cdist_columns(queries, _word_columns(queries, dataset), op)
 
@@ -208,7 +220,10 @@ def default_cdist_tile(n: int, n_words: int) -> int:
 
     Sized so one tile's ``(tile_q, n)`` intermediates — the uint64 word
     buffer (8 bytes/entry), its uint8 popcount (1) and the accumulator
-    (1, 2 or 4) — fit in :data:`_CDIST_TILE_BYTES`.
+    (1, 2 or 4) — fit in :data:`_CDIST_TILE_BYTES`: what rows wider
+    than one word hold.  One-word rows need less (the kernel's word
+    buffer never exceeds :data:`_CDIST_QUERY_TILE` queries, and the
+    accumulator is the popcount), so the same height is within budget.
     """
     per_row = max(1, n * (9 + np.dtype(_acc_dtype(n_words)).itemsize))
     return max(1, _CDIST_TILE_BYTES // per_row)
@@ -234,7 +249,10 @@ def hamming_cdist_packed(
     whatever ``q`` — ~11 MiB per tile row at the paper's ``n = 2**20``
     and ``d <= 65 535`` — plus, for rows wider than one word, one
     ``(w, n)`` column-order copy of ``dataset`` (``n * w * 8`` bytes),
-    taken once per call before the tile loop.  ``tile_q=None`` picks
+    taken once per call before the tile loop.  One-word rows hold
+    ``tile_q`` bytes per row (the ``uint8`` popcounts) and one word
+    buffer of at most :data:`_CDIST_QUERY_TILE` rows: the kernel tiles
+    them again inside each ``tile_q`` tile.  ``tile_q=None`` picks
     the largest tile within a fixed 32 MiB budget
     (:func:`default_cdist_tile`); results are bit-identical for every
     tile size.  ``out`` (shape ``(q, n)``, dtype int64) lets callers
@@ -264,11 +282,3 @@ def hamming_cdist_packed(
         )
     return out
 
-
-def random_binary_vectors(
-    n: int, d: int, rng: np.random.Generator | int | None = None
-) -> np.ndarray:
-    """Uniform random unpacked binary vectors of shape ``(n, d)``."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return rng.integers(0, 2, size=(n, d), dtype=np.uint8)

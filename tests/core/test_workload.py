@@ -623,6 +623,31 @@ class TestWorkloadPasses:
             ).search(queries)
             assert result.counters.symbols_streamed == boards * stream.size
 
+    @pytest.mark.parametrize("name,params", ALL_PARAMS)
+    def test_a_deployments_macro_config_prices_every_workload(self, name, params):
+        """A deployment's ``macro_config`` sets every built-in's collector
+        tree: at fan-in 4 a 20-bit query block is one symbol longer, on
+        the served engine and on the simulated boards alike."""
+        from repro.core.engine import simulate_workload
+        from repro.core.macros import MacroConfig, collector_tree_depth
+
+        data, queries = _data(n=12, d=20, n_queries=2)
+        config = MacroConfig(max_fan_in=4)
+        assert collector_tree_depth(20, 4) == collector_tree_depth(20) + 1
+        default = WorkloadSearch(data, name, params, board_capacity=5).search(queries)
+        tuned = {**params, "macro_config": config}
+        result = WorkloadSearch(data, name, tuned, board_capacity=5).search(queries)
+        boards = 3
+        assert result.counters.symbols_streamed == (
+            default.counters.symbols_streamed + boards * queries.shape[0]
+        )
+        value, counters = simulate_workload(
+            name, data, queries, tuned, board_capacity=5
+        )
+        assert counters == result.counters
+        _assert_value_equal(get_workload(name), value, result.value)
+        _assert_value_equal(get_workload(name), default.value, result.value)
+
 
 class TestParamValidation:
     def test_k_clipped_to_n(self):

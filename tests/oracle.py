@@ -60,7 +60,7 @@ from repro.core.workload import SERVER_OWNED_PARAMS, Workload, WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.replication import HedgePolicy
 from repro.host.rpc import RemoteWorkloadSearch, serve_shard
-from repro.util.bitops import popcount_u64
+from repro.util.bitops import _CDIST_QUERY_TILE, popcount_u64
 from repro.util.topk import merge_topk_blocks
 from tests.conftest import brute_force_knn
 
@@ -207,12 +207,13 @@ tiny_shapes = shapes(widths=(33,), max_cap=5, max_boards=3, max_queries=2)
 
 # Every cell runs these, so each (shape, store) starts one rack: a tie
 # split across boards at a two-word width, k beyond n (and beyond every
-# shard) at a ragged one-word width, and 157 rows of 130 bits over 4
-# devices or shards, with a wide range radius.
+# shard) at a ragged one-word width whose batch crosses the one-word
+# kernel's query tile and ends in a ragged tile of one query, and 157
+# rows of 130 bits over 4 devices or shards, with a wide range radius.
 TIED = Shape(n=37, d=70, cap=8, k=3, radius=2, n_q=3, devices=3, cut=(3, 6),
              tied=True, seed=11)
-WIDE_K = Shape(n=13, d=33, cap=5, k=18, radius=14, n_q=2, devices=2, cut=(0, 4),
-               tied=False, seed=5)
+WIDE_K = Shape(n=13, d=33, cap=5, k=18, radius=14, n_q=2 * _CDIST_QUERY_TILE + 1,
+               devices=2, cut=(0, 4), tied=False, seed=5)
 LARGE = Shape(n=157, d=130, cap=24, k=9, radius=63, n_q=3, devices=4, cut=(7, 10),
               tied=False, seed=3)
 EXAMPLES = (TIED, WIDE_K, LARGE)

@@ -6,16 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.bitops import (
+    _CDIST_QUERY_TILE,
     default_cdist_tile,
     hamming_cdist_packed,
-    hamming_distance_unpacked,
     is_binary,
     pack_bits,
     popcount_cdist,
     popcount_u64,
-    random_binary_vectors,
     unpack_bits,
 )
+from repro.util.topk import hamming_topk
+
+
+def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamming distance between unpacked 0/1 arrays: the
+    reference the packed kernels are held to."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return np.count_nonzero(a != b, axis=-1)
+
+
+def random_binary_vectors(n: int, d: int, seed=None) -> np.ndarray:
+    """Uniform random unpacked binary vectors of shape ``(n, d)``."""
+    return np.random.default_rng(seed).integers(0, 2, size=(n, d), dtype=np.uint8)
 
 
 class TestPackUnpack:
@@ -339,6 +354,76 @@ class TestNarrowKernel:
         b = random_binary_vectors(9, 130, 2)
         inter = popcount_cdist(pack_bits(a), pack_bits(b), np.bitwise_and)
         assert (inter == (a[:, None, :] & b[None, :, :]).sum(axis=-1)).all()
+
+
+TILE = _CDIST_QUERY_TILE
+
+
+class TestQueryTiledKernel:
+    """The one-word kernel runs in query tiles; no tile may change a
+    value or a dtype, for any op, accumulator tier or input layout."""
+
+    @given(
+        st.sampled_from((1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1)),  # q
+        st.sampled_from((0, 1, 7, 33)),  # m
+        st.sampled_from((1, 4, 5, 1025)),  # words: uint8, uint16, uint32 tiers
+        st.sampled_from((np.bitwise_xor, np.bitwise_and, np.bitwise_or)),
+        st.sampled_from(("contiguous", "readonly", "mmap", "strided")),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_broadcast_reference(
+        self, tmp_path_factory, q, m, w, op, layout, seed
+    ):
+        rng = np.random.default_rng(seed)
+        queries = rng.integers(0, 2**64, (q, w), dtype=np.uint64)
+        rows = rng.integers(0, 2**64, (m, w), dtype=np.uint64)
+        if m:
+            rows[0] = ~queries[-1]  # XOR/OR at the accumulator's maximum
+        if layout == "readonly":
+            queries.setflags(write=False)
+            rows.setflags(write=False)
+        elif layout == "mmap":  # one spare row: a file is never empty
+            path = tmp_path_factory.mktemp("kernel") / "rows.bin"
+            np.concatenate((rows, queries[:1])).tofile(path)
+            rows = np.memmap(path, dtype=np.uint64, mode="r", shape=(m + 1, w))[:m]
+        elif layout == "strided":  # every other row and word of larger arrays
+            big_q = np.zeros((2 * q, 2 * w), dtype=np.uint64)
+            big_r = np.zeros((2 * m, 2 * w), dtype=np.uint64)
+            big_q[::2, ::2], big_r[::2, ::2] = queries, rows
+            queries, rows = big_q[::2, ::2], big_r[::2, ::2]
+        got = popcount_cdist(queries, rows, op)
+        # The reference comes second: its freed (q, m, w) popcounts must
+        # not be the memory a kernel's unwritten tile happens to reuse.
+        want = np.bitwise_count(op(queries[:, None], rows[None])).sum(
+            -1, dtype=np.min_scalar_type(64 * w)
+        )
+        assert got.dtype == want.dtype and got.shape == (q, m)
+        assert (got == want).all()
+
+    @given(
+        st.integers(TILE + 1, 3 * TILE + 1),  # q
+        st.sampled_from((5, 33, 64)),  # d: one word, few distinct distances
+        st.integers(1, 12),  # k
+        st.lists(st.integers(1, 40), min_size=1, max_size=4),  # window sizes
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_carried_topk_equals_one_scan(self, q, d, k, sizes, seed):
+        """``hamming_topk`` over windows, each carrying the last's block,
+        equals one call over every row, at batches wider than a tile."""
+        rng = np.random.default_rng(seed)
+        words = pack_bits(rng.integers(0, 2, (sum(sizes), d), dtype=np.uint8))
+        query_words = pack_bits(rng.integers(0, 2, (q, d), dtype=np.uint8))
+        prior, base = None, 0
+        for size in sizes:
+            prior = hamming_topk(
+                query_words, words[base : base + size], k, d, prior=prior, base=base
+            )
+            base += size
+        whole = hamming_topk(query_words, words, k, d)
+        for got, want in zip(prior, whole):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRandomVectors:

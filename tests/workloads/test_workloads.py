@@ -45,12 +45,10 @@ class TestGenerators:
                                         seed=1)
         assert data.shape == (600, 64) and labels.shape == (600,)
         # within-cluster distances must be far below cross-cluster ones
-        from repro.util.bitops import hamming_distance_unpacked
-
         same, cross = [], []
         for i in range(0, 200, 7):
             for j in range(i + 1, 200, 11):
-                dist = hamming_distance_unpacked(data[i], data[j])
+                dist = np.count_nonzero(data[i] != data[j])
                 (same if labels[i] == labels[j] else cross).append(dist)
         assert np.mean(same) < 0.5 * np.mean(cross)
 
