@@ -19,13 +19,16 @@ place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..automata.network import AutomataNetwork
-from ..automata.simulator import CompiledSimulator, Report
 from .compiler import APCompiler, CompilationReport
 from .device import APDeviceSpec, GEN1
+
+if TYPE_CHECKING:
+    from ..automata.simulator import CompiledSimulator, Report
 
 __all__ = ["BoardImage", "RuntimeCounters", "APRuntime", "REPORT_RECORD_BITS"]
 
@@ -90,6 +93,8 @@ class APRuntime:
         it because datasets are static and images are precompiled
         (Section IV-B).
         """
+        from ..automata.simulator import CompiledSimulator
+
         report = self.compiler.compile(network)
         if not report.fits:
             raise ValueError(

@@ -509,7 +509,7 @@ def _cmd_pack(args) -> int:
             print(f"error: --shard needs 0 <= I < N <= n ({dataset.n}), "
                   f"got {args.shard}", file=sys.stderr)
             return 2
-        from repro.core.multiboard import balanced_shard_bounds
+        from repro.core.workload import balanced_shard_bounds
 
         bounds = balanced_shard_bounds(dataset.n, n_shards)
         dataset = dataset.slice_rows(

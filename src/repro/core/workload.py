@@ -895,19 +895,11 @@ class JaccardTopkWorkload(Workload):
             held = np.maximum(np.cumsum(~fresh, axis=1) - 1, 0)
             kept = np.where(fresh, kept, prior.intersections[at, held])
             sims = np.where(fresh, sims, prior.similarities[at, held])
-        partial = JaccardWorkloadResult(ids, sims, kept)
-        # Counter accounting for the modeled board: one configuration,
-        # the kNN sort-phase stream per query block, one report per
-        # vector per query (the intersection sort reports all n).
-        counters = RuntimeCounters()
-        n_q = qp.shape[0]
-        counters.configurations += 1
-        counters.symbols_streamed += (
-            n_q * _knn_layout(artifact.d, _macro_config(params)).block_length
+        # The intersection sort streams kNN's blocks and reports all n.
+        counters = functional_pass_counters(
+            qp.shape[0], artifact.n, _knn_layout(d, _macro_config(params))
         )
-        counters.reports_received += n_q * artifact.n
-        counters.report_payload_bits += n_q * artifact.n * REPORT_RECORD_BITS
-        return partial, counters
+        return JaccardWorkloadResult(ids, sims, kept), counters
 
     def network(self, rows: np.ndarray, params: dict):
         d, config = rows.shape[1], _macro_config(params)

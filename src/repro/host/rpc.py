@@ -828,7 +828,7 @@ def serve_shard(
 ) -> ShardServer:
     """Construct a :class:`ShardServer` for one balanced shard of a
     full dataset — shard bounds and the global offset are derived with
-    the same :func:`~repro.core.multiboard.balanced_shard_bounds` the
+    the same :func:`~repro.core.workload.balanced_shard_bounds` the
     local multi-board layer uses, so a rack of ``serve_shard(data, i,
     N)`` servers covers the dataset exactly.  Accepts anything
     :meth:`~repro.core.dataset.PackedDataset.ensure` does — a ``.pds``
@@ -837,7 +837,7 @@ def serve_shard(
     derive from the handle's own row count, so RPC sharding can't
     disagree with the store's actual length."""
     from ..core.dataset import PackedDataset
-    from ..core.multiboard import balanced_shard_bounds
+    from ..core.workload import balanced_shard_bounds
 
     dataset = PackedDataset.ensure(dataset_bits, name="shard dataset")
     if not 0 <= shard_index < n_shards:

@@ -1,95 +1,6 @@
-"""Performance/energy models (paper Tables I-IV) and the metrics plane."""
+"""Performance/energy models (paper Tables I-IV) and the metrics plane.
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    Span,
-    Trace,
-    current_trace,
-    get_registry,
-    set_enabled,
-    stage,
-    start_metrics_server,
-    trace_request,
-)
-from .energy import (
-    energy_joules,
-    lithography_scale_factor,
-    queries_per_joule,
-)
-from .roofline import MovementProfile, ap_profile, von_neumann_profile
-from .models import (
-    AP_PLATFORM,
-    APModel,
-    CORTEX_A15,
-    CORTEX_MODEL,
-    CPUModel,
-    FPGAModel,
-    GPUModel,
-    JETSON_MODEL,
-    JETSON_TK1,
-    KINTEX7,
-    KINTEX_MODEL,
-    PLATFORMS,
-    POLICIES,
-    PipelineTime,
-    PlatformSpec,
-    TITAN_X,
-    TITANX_MODEL,
-    XEON,
-    XEON_MODEL,
-    ap_gen1_model,
-    ap_gen2_model,
-    ap_opt_ext_model,
-    ap_time,
-    pipeline_time,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "Span",
-    "Trace",
-    "current_trace",
-    "get_registry",
-    "set_enabled",
-    "stage",
-    "start_metrics_server",
-    "trace_request",
-    "energy_joules",
-    "lithography_scale_factor",
-    "queries_per_joule",
-    "MovementProfile",
-    "ap_profile",
-    "von_neumann_profile",
-    "AP_PLATFORM",
-    "APModel",
-    "CORTEX_A15",
-    "CORTEX_MODEL",
-    "CPUModel",
-    "FPGAModel",
-    "GPUModel",
-    "JETSON_MODEL",
-    "JETSON_TK1",
-    "KINTEX7",
-    "KINTEX_MODEL",
-    "PLATFORMS",
-    "POLICIES",
-    "PipelineTime",
-    "PlatformSpec",
-    "TITAN_X",
-    "TITANX_MODEL",
-    "XEON",
-    "XEON_MODEL",
-    "ap_gen1_model",
-    "ap_gen2_model",
-    "ap_opt_ext_model",
-    "ap_time",
-    "pipeline_time",
-]
+This package exports nothing itself: import each name from the module
+that defines it (``from repro.perf.models import ap_time``), so a
+process loads only the modules it uses.
+"""

@@ -23,9 +23,9 @@ Semantics implemented (identical to the production simulator):
 
 from __future__ import annotations
 
-from .elements import BooleanOp, CounterMode, StartMode
-from .network import AutomataNetwork
-from .simulator import Report
+from repro.automata.elements import BooleanOp, CounterMode, StartMode
+from repro.automata.network import AutomataNetwork
+from repro.automata.simulator import Report
 
 __all__ = ["reference_run"]
 

@@ -19,7 +19,7 @@ from repro.automata.elements import (
     StartMode,
 )
 from repro.automata.network import AutomataNetwork, ValidationError
-from repro.automata.reference import reference_run
+from tests.automata.reference import reference_run
 from repro.automata.simulator import CompiledSimulator
 from repro.automata.symbols import SymbolSet
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.automata.anml import parse_anml, to_anml
 from repro.automata.network import ValidationError
-from repro.automata.reference import reference_run
+from tests.automata.reference import reference_run
 from repro.automata.simulator import CompiledSimulator
 from repro.baselines.cpu import CPUHammingKnn
 from repro.baselines.fpga import FPGAKnnAccelerator

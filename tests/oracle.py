@@ -137,7 +137,9 @@ class Shape:
     runs of ``RUN`` that straddle board boundaries, each run at one
     distance from the query that owns it, so the k-th place falls
     inside a tie between boards.  ``empty`` zeroes the window's first
-    row and the first query (Jaccard's empty-vs-empty pair)."""
+    row and the first query (Jaccard's empty-vs-empty pair).
+    ``pass_bytes``, when set, is the engine's pass budget
+    (``_PASS_BYTES``) while the shape's cells run."""
 
     n: int
     d: int
@@ -150,6 +152,7 @@ class Shape:
     tied: bool
     seed: int
     empty: bool = False
+    pass_bytes: int | None = None
 
     @property
     def window(self) -> tuple[int, int]:
@@ -216,7 +219,13 @@ WIDE_K = Shape(n=13, d=33, cap=5, k=18, radius=14, n_q=2 * _CDIST_QUERY_TILE + 1
                devices=2, cut=(0, 4), tied=False, seed=5)
 LARGE = Shape(n=157, d=130, cap=24, k=9, radius=63, n_q=3, devices=4, cut=(7, 10),
               tied=False, seed=3)
-EXAMPLES = (TIED, WIDE_K, LARGE)
+# A 256 KiB view pass spans each shape above whole, so its view cells
+# never carry a bound.  Two-board passes over 13 boards, 7 per shard,
+# give every serial task of every store at least 3 windows, with ties
+# straddling them.
+CARRIED = Shape(n=50, d=64, cap=4, k=3, radius=2, n_q=3, devices=2, cut=(2, 3),
+                tied=True, seed=13, pass_bytes=2 * 4 * 8)
+EXAMPLES = (TIED, WIDE_K, LARGE, CARRIED)
 # The simulator runs these: k beyond n, and a tie across boards.
 TINY_TIED = Shape(n=14, d=33, cap=4, k=3, radius=2, n_q=2, devices=2, cut=(2, 1),
                   tied=True, seed=7)
@@ -507,6 +516,10 @@ def run_cell(cell: Cell, shape: Shape, env: Env) -> tuple[list, tuple]:
     _, queries = shape.arrays()
     spans = [(0, shape.n_q)]
     with contextlib.ExitStack() as stack:
+        if shape.pass_bytes is not None:
+            stack.enter_context(pytest.MonkeyPatch.context()).setattr(
+                workload_mod, "_PASS_BYTES", shape.pass_bytes
+            )
         if cell.topology in RACKS:
             rack = env.rack(shape, cell.store, cell.cache != "none")
             request = {k: v for k, v in cell.spec.params(shape).items()

@@ -18,16 +18,6 @@ from repro.util.bitops import (
 from repro.util.topk import hamming_topk
 
 
-def hamming_distance_unpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming distance between unpacked 0/1 arrays: the
-    reference the packed kernels are held to."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.count_nonzero(a != b, axis=-1)
-
-
 def random_binary_vectors(n: int, d: int, seed=None) -> np.ndarray:
     """Uniform random unpacked binary vectors of shape ``(n, d)``."""
     return np.random.default_rng(seed).integers(0, 2, size=(n, d), dtype=np.uint8)
@@ -120,14 +110,8 @@ class TestHammingDistance:
         b = random_binary_vectors(10, 100, 2)
         assert (
             np.diag(hamming_cdist_packed(pack_bits(a), pack_bits(b)))
-            == hamming_distance_unpacked(a, b)
+            == np.count_nonzero(a != b, axis=-1)
         ).all()
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            hamming_distance_unpacked(
-                np.zeros((1, 3), dtype=np.uint8), np.zeros((1, 4), dtype=np.uint8)
-            )
 
     def test_cdist_matches_rowwise(self):
         a = random_binary_vectors(5, 33, 3)
@@ -136,7 +120,7 @@ class TestHammingDistance:
         assert cd.shape == (5, 7)
         for i in range(5):
             for j in range(7):
-                assert cd[i, j] == hamming_distance_unpacked(a[i], b[j])
+                assert cd[i, j] == np.count_nonzero(a[i] != b[j], axis=-1)
 
     def test_cdist_word_mismatch(self):
         with pytest.raises(ValueError, match="word-count mismatch"):
@@ -324,7 +308,7 @@ class TestNarrowKernel:
         a = rng.integers(0, 2, (q, d), dtype=np.uint8)
         b = rng.integers(0, 2, (n, d), dtype=np.uint8)
         b[0] = 1 - a[0]  # distance d: the accumulator's maximum
-        expected = hamming_distance_unpacked(a[:, None, :], b[None, :, :])
+        expected = np.count_nonzero(a[:, None, :] != b[None, :, :], axis=-1)
         qp, bp = pack_bits(a), pack_bits(b)
         if layout == "strided":  # every other row and word of a larger array
             big = np.zeros((2 * n, 2 * bp.shape[1]), dtype=np.uint64)
@@ -345,7 +329,7 @@ class TestNarrowKernel:
         pack_bits(bits).tofile(path)
         mapped = np.memmap(path, dtype=np.uint64, mode="r", shape=(50, 4))
         queries = random_binary_vectors(3, 193, 8)
-        expected = hamming_distance_unpacked(queries[:, None, :], bits[None, :, :])
+        expected = np.count_nonzero(queries[:, None, :] != bits[None, :, :], axis=-1)
         assert (popcount_cdist(pack_bits(queries), mapped) == expected).all()
         assert (hamming_cdist_packed(pack_bits(queries), mapped) == expected).all()
 
@@ -425,12 +409,3 @@ class TestQueryTiledKernel:
         for got, want in zip(prior, whole):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-
-class TestRandomVectors:
-    def test_shape_and_values(self):
-        v = random_binary_vectors(9, 17, 0)
-        assert v.shape == (9, 17)
-        assert set(np.unique(v)) <= {0, 1}
-
-    def test_seed_determinism(self):
-        assert (random_binary_vectors(5, 5, 42) == random_binary_vectors(5, 5, 42)).all()
