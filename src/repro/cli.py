@@ -40,8 +40,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("search", help="similarity search over a binary dataset "
-                                      "(kNN by default; see --workload)")
+    # The engine a search or a shard server runs: device, boards, pool.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--device", type=_device, default="gen1",
+                        metavar="{gen1,gen2}")
+    engine.add_argument("--board-capacity", type=int, default=None)
+    engine.add_argument("--devices", type=int, default=1,
+                        help="fan the dataset (a server: its shard) out "
+                             "across this many AP boards (multi-board "
+                             "scale-out: balanced shards, one shared compile "
+                             "cache, exact host-side merge, for every "
+                             "workload; 1 = single board). Combine with "
+                             "--workers/--backend to pick the host-side pool, "
+                             "e.g. --devices 4 --workers 4 --backend thread")
+    engine.add_argument("--workers", type=int, default=1,
+                        help="worker lanes for sharded partition execution "
+                             "(1 = sequential)")
+    engine.add_argument("--backend", choices=["process", "thread"],
+                        default="process",
+                        help="worker pool flavor (with --workers > 1): "
+                             "processes (stateless: they view a .pds or "
+                             "shared-memory dataset or pack their own rows, "
+                             "and never see the board cache) or threads (the "
+                             "kernels release the GIL; share the board cache "
+                             "with the parent directly)")
+
+    s = sub.add_parser("search", parents=[engine],
+                       help="similarity search over a binary dataset "
+                            "(kNN by default; see --workload)")
     s.add_argument("dataset", help=".npy uint8 array of shape (n, d), values "
                               "0/1, or a .pds packed shard (mmap-served, "
                               "see `repro pack`); pass '-' with --remote "
@@ -58,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "shard: the group picks a primary by tracked "
                         "health, fails over on error, and hedges slow "
                         "requests instead of degrading to partial")
-    s.add_argument("--replicas", default=None, metavar="GROUP,...",
-                   dest="remote_replicas",
-                   help="alias for --remote emphasizing the replica-group "
-                        "syntax: 'h1:p|h2:p,h3:p|h4:p' = two shards, two "
-                        "replicas each")
     s.add_argument("--timeout-s", type=float, default=10.0,
                    help="per-shard RPC timeout (with --remote)")
     s.add_argument("--retries", type=int, default=1,
@@ -88,25 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "custom registered name")
     s.add_argument("--radius", type=int, default=None,
                    help="Hamming radius (required by --workload range)")
-    s.add_argument("--device", choices=["gen1", "gen2"], default="gen1")
-    s.add_argument("--board-capacity", type=int, default=None)
-    s.add_argument("--devices", type=int, default=1,
-                   help="fan the dataset out across this many AP boards "
-                        "(multi-board scale-out: balanced shards, one "
-                        "shared compile cache, exact host-side merge; "
-                        "1 = single board). Combine with --workers/"
-                        "--backend to pick the host-side pool, e.g. "
-                        "--devices 4 --workers 4 --backend thread")
-    s.add_argument("--workers", type=int, default=1,
-                   help="worker lanes for sharded partition execution "
-                        "(1 = sequential)")
-    s.add_argument("--backend", choices=["process", "thread"],
-                   default="process",
-                   help="worker pool flavor: processes (stateless: "
-                        "they view a .pds or shared-memory dataset or "
-                        "pack their own rows, and never see the board "
-                        "cache) or threads (the kernels release the GIL; "
-                        "share the board cache with the parent directly)")
     s.add_argument("--batch", type=int, default=0,
                    help="route each query row through the BatchRouter "
                         "admission layer as its own concurrent caller, "
@@ -127,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "similarities, ...: the workload's wire fields) "
                         "to this file as one .npz")
 
-    v = sub.add_parser("serve", help="serve one dataset shard over TCP "
-                                     "(network-transparent shard service)")
+    v = sub.add_parser("serve", parents=[engine],
+                       help="serve one dataset shard over TCP "
+                            "(network-transparent shard service)")
     v.add_argument("dataset", help=".npy uint8 array of shape (n, d), "
                               "values 0/1, or a .pds packed shard (served "
                               "from disk via mmap without loading the "
@@ -146,19 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--port", type=int, default=0,
                    help="TCP port (0 = let the OS pick; the bound port is "
                         "printed at startup)")
-    v.add_argument("--device", choices=["gen1", "gen2"], default="gen1")
-    v.add_argument("--board-capacity", type=int, default=None)
-    v.add_argument("--devices", type=int, default=1,
-                   help="local AP boards behind this shard server "
-                        "(multi-board scale-out within the shard, for "
-                        "every admitted workload)")
-    v.add_argument("--workers", type=int, default=1,
-                   help="worker lanes for the shard's partition execution")
-    v.add_argument("--backend", choices=["process", "thread"],
-                   default="process",
-                   help="worker pool flavor (with --workers > 1): "
-                        "stateless processes or cache-sharing threads, "
-                        "as for search")
     v.add_argument("--cache-size", type=int, default=0,
                    help="LRU board-image cache capacity (0 = default size; "
                         "the server always caches, for sequential runs "
@@ -229,6 +219,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _device(name: str):
+    """``--device`` -> the AP generation's device spec."""
+    from repro.ap.device import GEN1, GEN2
+
+    devices = {"gen1": GEN1, "gen2": GEN2}
+    if name not in devices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from 'gen1', 'gen2')"
+        )
+    return devices[name]
+
+
+def _parse_shard(spec: str) -> tuple[int, int] | None:
+    """``--shard I/N`` as ``(I, N)``, or None after printing the error."""
+    try:
+        index, _, count = spec.partition("/")
+        return int(index), int(count)
+    except ValueError:
+        print(f"error: --shard must be I/N, got {spec!r}", file=sys.stderr)
+        return None
+
+
 def _load_dataset(path: str):
     """A search/serve ``dataset`` argument as an engine-ready object:
     ``.pds`` opens as a file-backed handle (mmap, payload never loads),
@@ -263,7 +275,6 @@ class _CliError(Exception):
 
 def _local_engine(args, params: dict):
     """The one local path: any workload, any ``--devices``."""
-    from repro.ap.device import GEN1, GEN2
     from repro.core.workload import WorkloadSearch
     from repro.host.parallel import ParallelConfig
 
@@ -287,7 +298,7 @@ def _local_engine(args, params: dict):
                 n_workers=args.workers, backend=args.backend
             ),
             cache=args.cache_size,  # <= 0 disables caching
-            device=GEN1 if args.device == "gen1" else GEN2,
+            device=args.device,
             n_devices=args.devices,
         )
     except ValueError as exc:  # e.g. --workload range without --radius
@@ -352,9 +363,6 @@ def _print_rows(value, limit: int = 10) -> None:
 def _cmd_search(args) -> int:
     from repro.core.workload import get_workload
 
-    # --replicas is --remote with the group syntax spelled out.
-    if getattr(args, "remote_replicas", None) and not args.remote:
-        args.remote = args.remote_replicas
     try:
         get_workload(args.workload)
     except KeyError as exc:
@@ -437,7 +445,8 @@ def _search_and_report(engine, args, params: dict) -> int:
                   f"{st.evictions} evictions, "
                   f"{recompiles} recompile(s) this run")
         est = engine.estimated_runtime_s(queries.shape[0])
-        print(f"# estimated {args.device} device time: {est * 1e3:.3f} ms")
+        print(f"# estimated {args.device.generation.value} device time: "
+              f"{est * 1e3:.3f} ms")
     _print_rows(result.value)
     if args.out:
         fields = engine.workload.wire_fields
@@ -498,13 +507,10 @@ def _cmd_pack(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.shard is not None:
-        try:
-            shard_index, _, n_shards = args.shard.partition("/")
-            shard_index, n_shards = int(shard_index), int(n_shards)
-        except ValueError:
-            print(f"error: --shard must be I/N, got {args.shard!r}",
-                  file=sys.stderr)
+        shard = _parse_shard(args.shard)
+        if shard is None:
             return 2
+        shard_index, n_shards = shard
         if not 0 <= shard_index < n_shards or n_shards > dataset.n:
             print(f"error: --shard needs 0 <= I < N <= n ({dataset.n}), "
                   f"got {args.shard}", file=sys.stderr)
@@ -534,17 +540,13 @@ class _Sigterm(BaseException):
 
 
 def _cmd_serve(args) -> int:
-    from repro.ap.device import GEN1, GEN2
     from repro.host.parallel import ParallelConfig
     from repro.host.rpc import serve_shard
 
-    try:
-        shard_index, _, n_shards = args.shard.partition("/")
-        shard_index, n_shards = int(shard_index), int(n_shards)
-    except ValueError:
-        print(f"error: --shard must be I/N, got {args.shard!r}",
-              file=sys.stderr)
+    shard = _parse_shard(args.shard)
+    if shard is None:
         return 2
+    shard_index, n_shards = shard
     if args.workloads is not None:
         from repro.core.workload import get_workload
 
@@ -571,7 +573,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         n_devices=args.devices,
         workloads=args.workloads,
-        device=GEN1 if args.device == "gen1" else GEN2,
+        device=args.device,
         board_capacity=args.board_capacity,
         parallel=ParallelConfig(
             n_workers=args.workers, backend=args.backend,

@@ -1134,11 +1134,6 @@ class WorkloadRunResult:
     # Which boundary tasks crossed: "none" (in-process), "pickle"
     # (process workers), or "rpc" for the network fan-out.
     transport: str = "none"
-    # Parent->worker submission bytes (ParallelConfig(measure_ipc=True)).
-    ipc_payload_bytes: int | None = None
-    # Mean per-task submit->start dispatch latency of the parallel run
-    # (None when the run was serial or remote).
-    dispatch_overhead_s: float | None = None
     # Remote fan-out only: shards (whole replica groups) that failed to
     # answer, and the failovers / hedged re-issues the batch needed.
     failed_shards: tuple = ()
@@ -1431,15 +1426,6 @@ class WorkloadSearch(Batchable):
             per_device_partitions=self.per_device_partitions,
             n_workers=run.n_workers,
             transport=run.transport,
-            ipc_payload_bytes=run.ipc_payload_bytes,
-            dispatch_overhead_s=run.dispatch_overhead_s,
-        )
-
-    def split_result(self, result: WorkloadRunResult, lo: int, hi: int):
-        """Row-slice for the batching layer: one caller's rows of a
-        coalesced batch (views into the batch result's arrays)."""
-        return replace(
-            result, value=self.workload.split(result.value, lo, hi)
         )
 
     # -- the paper's run-time model ----------------------------------------

@@ -33,11 +33,12 @@ Admission policy
   waiting out the linger; a caller that leaves costs the others one
   capped round, after which the head-count has shrunk.  ``0``
   coalesces only what is already queued (greedy drain).
-* ``max_pending`` — backpressure: the admission queue holds at most
-  this many waiting requests; further ``search()`` calls **block** in
-  the caller's thread until the collector drains the queue.  Overload
-  therefore surfaces as latency at the edge instead of unbounded
-  memory growth in the router.
+
+Backpressure: the admission queue holds at most ``_MAX_PENDING``
+(1024) waiting requests; further ``search()`` calls **block** in the
+caller's thread until the collector drains the queue.  Overload
+therefore surfaces as latency at the edge instead of unbounded memory
+growth in the router.
 
 ``search()`` is thread-safe and blocking: callers get their own
 result rows back (views into the batch result's arrays).  The router
@@ -50,7 +51,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -60,11 +61,13 @@ from ..util.bitops import is_binary
 
 __all__ = [
     "BatchRouter",
-    "QueryBatcher",
     "BatchedResult",
     "BatchRouterStats",
     "Batchable",
 ]
+
+# Bound of the admission queue: a full queue blocks search() callers.
+_MAX_PENDING = 1024
 
 
 @dataclass
@@ -147,29 +150,20 @@ class BatchRouter:
         Cap on the linger after a round's first request: the round
         closes earlier, as soon as every caller seen in flight since
         the previous dispatch began is in it.  ``0`` = drain-only.
-    max_pending:
-        Bound of the admission queue; full ⇒ ``search()`` blocks
-        (backpressure at the caller).
     """
 
     def __init__(
-        self,
-        searcher: Any,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
+        self, searcher: Any, max_batch: int = 256, max_wait_ms: float = 2.0
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         self.searcher = searcher
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.stats = BatchRouterStats()
-        self._queue: queue.Queue = queue.Queue(maxsize=int(max_pending))
+        self._queue: queue.Queue = queue.Queue(maxsize=_MAX_PENDING)
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
         # Head-count admission: callers inside search() (admitted, not
@@ -250,7 +244,7 @@ class BatchRouter:
 
     def _await(self, req: _Request) -> BatchedResult:
         """Queue an admitted request and block until it is answered."""
-        # Blocks when max_pending is reached (backpressure) — but in
+        # Blocks when _MAX_PENDING is reached (backpressure) — but in
         # bounded slices, so a caller racing close() against a full
         # queue with no collector left to drain it fails instead of
         # blocking forever.
@@ -420,19 +414,13 @@ class BatchRouter:
         self.close()
 
 
-# The paper-facing name: the router IS the query batcher of the
-# millions-of-users serving story.
-QueryBatcher = BatchRouter
-
-
 class Batchable:
-    """Mixin for searchers: the one ``batched()`` constructor."""
+    """Mixin for the workload searchers (local and remote): the one
+    ``batched()`` constructor and the ``split_result`` hook the router
+    slices their results with."""
 
     def batched(
-        self,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 1024,
+        self, max_batch: int = 256, max_wait_ms: float = 2.0
     ) -> BatchRouter:
         """A :class:`BatchRouter` over this searcher.
 
@@ -441,9 +429,10 @@ class Batchable:
         the admission layer for many small concurrent callers.  Close
         the router (or use it as a context manager) when done.
         """
-        return BatchRouter(
-            self,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
-        )
+        return BatchRouter(self, max_batch=max_batch, max_wait_ms=max_wait_ms)
+
+    def split_result(self, result, lo: int, hi: int):
+        """One caller's rows ``[lo, hi)`` of a coalesced batch's result,
+        through the workload's own ``split`` (views into the batch
+        result's arrays)."""
+        return replace(result, value=self.workload.split(result.value, lo, hi))

@@ -50,9 +50,10 @@ more tasks than workers — so executor dispatch is paid per worker, not
 per partition.
 
 Every run records its dispatch cost: :class:`PartitionRunReport.
-dispatch_overhead_s` is the mean per-task submit→start latency and
-``queue_depth`` the peak submitted-not-finished count, surfaced by the
-engine as ``WorkloadRunResult.dispatch_overhead_s``.
+dispatch_overhead_s` is the mean per-task submit→start latency, whose
+samples feed the ``repro_dispatch_latency_seconds`` histogram, and the
+``repro_dispatch_queue_depth`` gauge holds the run's peak
+submitted-not-finished count.
 
 Data movement
 -------------
@@ -94,7 +95,6 @@ threads/processes or hang shutdown.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 import weakref
@@ -136,10 +136,6 @@ class ParallelConfig:
     ``fallback_serial`` controls what happens when a pool cannot be
     created: degrade gracefully (default) or raise.
 
-    ``measure_ipc=True`` makes :func:`run_partitions` record the
-    submitted task payload bytes in its report — benchmarking aid; it
-    pays an extra pickle pass, so leave it off in production.
-
     ``persistent=True`` makes this config own a reusable worker pool:
     spawned lazily on the first :func:`run_partitions` call, reused by
     every later call, released by :meth:`close` (or by using the
@@ -155,7 +151,6 @@ class ParallelConfig:
     backend: str = "process"
     fallback_serial: bool = True
     persistent: bool = False
-    measure_ipc: bool = False
     _pool: Executor | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -367,35 +362,28 @@ class PartitionRunReport:
     figure.  ``transport`` records whether tasks crossed a process
     boundary: ``"none"`` (in-process: serial/thread, or serial
     fallback) or ``"pickle"`` (process workers).
-    ``ipc_payload_bytes`` is the summed parent→worker submission size,
-    recorded only under ``measure_ipc=True`` — descriptor-sized per
-    task when its window is over a ``.pds`` or shm store.
 
     ``dispatch_overhead_s`` is the mean per-task submit→start latency
     (parent submit timestamp to worker pickup) across the run — the
-    cost of getting work *to* a worker, separate from the work itself —
-    and ``queue_depth`` the peak number of submissions in flight
-    (process runs count chunks, thread runs tasks).  Serial runs
-    record ``None``/``0``: nothing is dispatched.
+    cost of getting work *to* a worker, separate from the work itself.
+    Serial runs record ``None``: nothing is dispatched.
     """
 
     results: list[PartitionResult]
     n_workers: int
     transport: str = "none"
-    ipc_payload_bytes: int | None = None
     dispatch_overhead_s: float | None = None
-    queue_depth: int = 0
 
 
-def _record_dispatch(
-    latencies: list[float], queue_depth: int, payload_bytes: int | None
-) -> float | None:
+def _record_dispatch(latencies: list[float], queue_depth: int) -> float | None:
     """One source of truth for dispatch accounting.
 
     The same latency values feed ``repro_dispatch_latency_seconds``
     (and the trace ``dispatch`` stage) and the returned mean that
     becomes ``PartitionRunReport.dispatch_overhead_s`` — the registry
-    and the result field can never disagree.
+    and the result field can never disagree.  ``queue_depth``, the
+    peak number of submissions in flight (process runs count chunks,
+    thread runs tasks), sets ``repro_dispatch_queue_depth``.
     """
     reg = _metrics.get_registry()
     if reg.enabled:
@@ -406,10 +394,6 @@ def _record_dispatch(
             "repro_dispatch_latency_seconds",
             "Per-task submit->start latency across parallel backends.",
         )
-        payload = reg.counter(
-            "repro_ipc_payload_bytes_total",
-            "Parent->worker submission bytes (measure_ipc runs only).",
-        )
         if latencies:
             hist.observe_many(latencies)
             _metrics.stage_histogram(reg).labels(stage="dispatch").observe_many(
@@ -419,8 +403,6 @@ def _record_dispatch(
             "repro_dispatch_queue_depth",
             "Peak submitted-not-finished count of the last parallel run.",
         ).set(queue_depth)
-        if payload_bytes:
-            payload.inc(payload_bytes)
     if not latencies:
         return None
     return sum(latencies) / len(latencies)
@@ -489,17 +471,6 @@ def run_partitions(
             return _run_serial(tasks, queries_bits, cache)
         raise
 
-    payload_bytes = None
-    if config.measure_ipc:
-        # Thread pools hand references around in-process: no IPC copy.
-        payload_bytes = (
-            0
-            if config.shares_memory
-            else sum(
-                len(pickle.dumps((t, queries_bits), protocol=pickle.HIGHEST_PROTOCOL))
-                for t in tasks
-            )
-        )
     # Dispatch accounting: submit timestamps aligned with results in
     # submission order; worker-side t_start closes each measurement.
     submit_times: list[float] = []
@@ -542,14 +513,9 @@ def run_partitions(
         for res, t_sub in zip(results, submit_times)
         if res.t_start is not None
     ]
-    dispatch_overhead = _record_dispatch(
-        dispatch_latencies, len(futures), payload_bytes
-    )
     return PartitionRunReport(
         results=sorted(results, key=lambda r: r.p_idx),
         n_workers=n_workers,
         transport="none" if config.shares_memory else "pickle",
-        ipc_payload_bytes=payload_bytes,
-        dispatch_overhead_s=dispatch_overhead,
-        queue_depth=len(futures),
+        dispatch_overhead_s=_record_dispatch(dispatch_latencies, len(futures)),
     )

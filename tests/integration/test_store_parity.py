@@ -25,6 +25,7 @@ from repro.core.engine import APSimilaritySearch, simulate_knn
 from repro.core.workload import WorkloadSearch
 from repro.host.parallel import ParallelConfig
 from repro.host.shm import shm_available
+from tests.conftest import submitted_bytes
 
 WORKLOADS = [
     ("knn", {"k": 4}),
@@ -126,31 +127,31 @@ class TestCachesAndViews:
         assert engine.cache.stats.hits == 20 and len(engine.cache) == 0
 
     def test_process_workers_ship_zero_dataset_bytes(self, tmp_path):
-        # The acceptance criterion's accounting check: an mmap-backed
-        # run's measured IPC payload must not scale with the dataset —
+        # The acceptance criterion's accounting check: what an
+        # mmap-backed search submits must not scale with the dataset —
         # workers attach the store by path.
         data, queries = _make(17, 1600, 32, 3)
         path = tmp_path / "ipc.pds"
         write_pds(path, data)
-        with ParallelConfig(
-            n_workers=2, backend="process", measure_ipc=True
-        ) as pc:
-            mm = APSimilaritySearch(
+        with ParallelConfig(n_workers=2, backend="process") as pc:
+            mm_engine = APSimilaritySearch(
                 str(path), k=3, board_capacity=64, parallel=pc,
-            ).search(queries)
-        with ParallelConfig(
-            n_workers=2, backend="process", measure_ipc=True
-        ) as pc:
-            arr = APSimilaritySearch(
+            )
+            mm = mm_engine.search(queries)
+            mm_bytes = submitted_bytes(mm_engine, queries)
+        with ParallelConfig(n_workers=2, backend="process") as pc:
+            arr_engine = APSimilaritySearch(
                 data, k=3, board_capacity=64, parallel=pc,
-            ).search(queries)
+            )
+            arr = arr_engine.search(queries)
+            arr_bytes = submitted_bytes(arr_engine, queries)
         assert np.array_equal(mm.indices, arr.indices)
-        assert mm.ipc_payload_bytes is not None
+        assert mm.transport == arr.transport == "pickle"
         # array tasks carry the full slices; mmap tasks only
         # descriptors — switching stores removes (at least ~90% of)
         # the dataset's bytes from the wire
-        assert arr.ipc_payload_bytes > data.nbytes
-        saved = arr.ipc_payload_bytes - mm.ipc_payload_bytes
+        assert arr_bytes > data.nbytes
+        saved = arr_bytes - mm_bytes
         assert saved >= 0.9 * data.nbytes
 
 
